@@ -124,21 +124,11 @@ def cmd_search(args, stream):
     target = args.target
     inputs = {"target": target, "eps": args.eps}
     if target == "hadamard":
-        best = None
-        for kappa in range(1, args.kappa_max + 1):
-            loop = deformation.OneQubitLoop.create(synthesis.HADAMARD_AXIS, kappa)
-            gate = holonomy.analytic_one_qubit_gate(loop).gamma
-            dist = phase_invariant_distance(gate, synthesis.HADAMARD)
-            if best is None or dist < best[0]:
-                best = (dist, kappa, gate)
-        dist, kappa, gate = best
         inputs["kappa_max"] = args.kappa_max
-        payload = {
-            "params": {"kappa": kappa},
-            "gate_distance": dist,
-            "exhausted": dist >= args.eps,
-            "gate": reporting.matrix_payload(gate),
-        }
+        payload = _search_result_payload(
+            synthesis.search_hadamard(args.eps, args.kappa_max)
+        )
+        del payload["angle_error"]
     elif target in ("rx", "ry"):
         if args.theta is None:
             raise DomainError(f"--theta is required for target {target}")

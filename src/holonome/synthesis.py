@@ -6,6 +6,21 @@ multiple of pi, so exhaustive scans over small winding bounds approximate any
 target angle.  Tie-breaking always prefers the shortest loop (smallest kappa,
 then smallest repetition count, then smallest kappa_plus): it is the cheapest
 to traverse adiabatically.
+
+Every search runs through one numpy kernel, ``_scan_lattice``.  It receives
+target - lattice angle in scan order, takes the circular distance
+min(r, period - r) with r = |delta| mod period (the float operations of
+``circular_distance``), and keeps the first minimum, so the scan order alone
+sets the tie-break.  The period depends on the caller:
+
+- ``search_rotation`` and ``search_controlled_phase``: 2 pi.  Rotations scan
+  kappa = 1, 2, ...; controlled phase scans n = 1, 2, ... and, within each n,
+  the winding pairs in ``admissible_winding_pairs`` order.
+- ``search_hadamard``: pi, because the Hadamard gate is a rotation by pi/2 up
+  to a global phase, and the gate distance ignores global phase.
+
+The kernel evaluates 2^15 lattice points at a time, so its memory stays a
+few hundred KiB whatever the search bounds.
 """
 
 from __future__ import annotations
@@ -25,6 +40,9 @@ from holonome.holonomy import (
 from holonome.matrix_kernel import is_unitary, phase_invariant_distance
 
 TWO_PI = 2.0 * np.pi
+
+# Lattice points per kernel step; bounds the kernel's temporary arrays.
+_CHUNK = 1 << 15
 
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0)
 
@@ -57,6 +75,36 @@ class SearchResult:
     exhausted: bool
 
 
+def _scan_lattice(delta_at, size: int, period: float):
+    """(position, error) of the first minimum of the circular error over a scan.
+
+    ``delta_at(i)`` returns target - lattice angle at the scan positions in
+    the int64 array ``i``; positions 0 .. size - 1 are evaluated in chunks of
+    ``_CHUNK``.  The error is min(r, period - r) with r = |delta| mod period.
+    """
+    best_i, best_err = 0, np.inf
+    for start in range(0, size, _CHUNK):
+        r = np.abs(delta_at(np.arange(start, min(start + _CHUNK, size)))) % period
+        err = np.minimum(r, period - r)
+        i = int(np.argmin(err))
+        if err[i] < best_err:
+            best_i, best_err = start + i, float(err[i])
+    return best_i, best_err
+
+
+def _check_search_inputs(eps, theta_target=0.0, **bounds):
+    """Reject a tolerance, target angle or scan bound no search can honour."""
+    if not eps > 0:
+        raise DomainError("tolerance must be positive")
+    if not np.isfinite(eps):
+        raise DomainError("tolerance must be finite")
+    if not np.isfinite(theta_target):
+        raise DomainError("target angle must be finite")
+    for name, value in bounds.items():
+        if not value >= 1:
+            raise DomainError(f"{name} must be at least 1")
+
+
 def _resolve_axis(axis):
     if isinstance(axis, str):
         try:
@@ -72,17 +120,14 @@ def search_rotation(axis, theta_target: float, eps: float, kappa_max: int) -> Se
     Minimizes the circular distance |(theta_target - theta_kappa) mod 2 pi|
     over 1 <= kappa <= kappa_max; ties go to the smallest kappa.
     """
-    if eps <= 0:
-        raise DomainError("tolerance must be positive")
+    _check_search_inputs(eps, theta_target, kappa_max=kappa_max)
     n = _resolve_axis(axis)
     # Validates unit norm and |n_z| < 1 (|n_z| = 1 would make every gate trivial).
-    probe = OneQubitLoop.create(n, 1)
-    step = probe.theta_kappa
-    best_kappa, best_err = 1, circular_distance(theta_target - step)
-    for kappa in range(2, int(kappa_max) + 1):
-        err = circular_distance(theta_target - kappa * step)
-        if err < best_err:
-            best_kappa, best_err = kappa, err
+    step = OneQubitLoop.create(n, 1).theta_kappa
+    i, best_err = _scan_lattice(
+        lambda k: theta_target - (k + 1) * step, int(kappa_max), TWO_PI
+    )
+    best_kappa = i + 1
     loop = OneQubitLoop.create(n, best_kappa)
     gate = analytic_one_qubit_gate(loop).gamma
     target = _rotation(theta_target, loop.m)
@@ -92,6 +137,34 @@ def search_rotation(axis, theta_target: float, eps: float, kappa_max: int) -> Se
         gate_distance=phase_invariant_distance(gate, target),
         gate=gate,
         exhausted=best_err >= eps,
+    )
+
+
+def search_hadamard(eps: float, kappa_max: int) -> SearchResult:
+    """Best winding number on ``HADAMARD_AXIS`` for the Hadamard gate.
+
+    HADAMARD = i exp(-i (pi/2) m . sigma) with m = (1, 0, 1)/sqrt2, so the
+    gate distance is monotone in the circular error |(pi/2 - theta_kappa)
+    mod pi| minimized over 1 <= kappa <= kappa_max; ties go to the smallest
+    kappa.  ``gate_distance`` is the phase-invariant distance of the winning
+    gate to HADAMARD, and ``exhausted`` means it is at least ``eps``.
+    """
+    _check_search_inputs(eps, kappa_max=kappa_max)
+    # Every scanned winding must be a valid loop, up to MAX_WINDING.
+    OneQubitLoop.create(HADAMARD_AXIS, kappa_max)
+    root = np.sqrt(2.0 - HADAMARD_AXIS[2] ** 2)  # as in OneQubitLoop.create
+    i, err = _scan_lattice(
+        lambda k: np.pi / 2.0 - ((k + 1) * np.pi) * root, int(kappa_max), np.pi
+    )
+    loop = OneQubitLoop.create(HADAMARD_AXIS, i + 1)
+    gate = analytic_one_qubit_gate(loop).gamma
+    dist = phase_invariant_distance(gate, HADAMARD)
+    return SearchResult(
+        params={"kappa": loop.kappa},
+        angle_error=err,
+        gate_distance=dist,
+        gate=gate,
+        exhausted=dist >= eps,
     )
 
 
@@ -155,6 +228,7 @@ class SynthesisProgram:
 
 def synthesize_su2(target, eps_per_rotation: float, kappa_max: int) -> SynthesisProgram:
     """Approximate an arbitrary 2 x 2 unitary by y-x-y holonomic rotations."""
+    _check_search_inputs(eps_per_rotation, kappa_max=kappa_max)
     u = np.asarray(target, dtype=complex)
     if u.shape != (2, 2) or not is_unitary(u):
         raise DomainError("target must be a 2 x 2 unitary")
@@ -205,16 +279,19 @@ def search_controlled_phase(
     the smallest kappa_plus.  The returned gate is the repeated controlled
     phase (e^{i 2 J sigma_z} conditioned on the control)^n.
     """
-    if eps <= 0:
-        raise DomainError("tolerance must be positive")
-    pairs = admissible_winding_pairs(kappa_plus_max)
-    best = None  # (err, n, kp, km)
-    for n in range(1, int(n_max) + 1):
-        for kp, km in pairs:
-            err = circular_distance(2.0 * n * coupling_strength(kp, km) - theta_target)
-            if best is None or err < best[0]:
-                best = (err, n, kp, km)
-    err, n, kp, km = best
+    _check_search_inputs(
+        eps, theta_target, kappa_plus_max=kappa_plus_max, n_max=n_max
+    )
+    pairs = np.array(admissible_winding_pairs(kappa_plus_max))
+    pair_j = coupling_strength(pairs[:, 0], pairs[:, 1])
+    size = len(pairs)
+    i, err = _scan_lattice(
+        lambda k: theta_target - (2.0 * (k // size + 1)) * pair_j[k % size],
+        int(n_max) * size,
+        TWO_PI,
+    )
+    n = i // size + 1
+    kp, km = (int(x) for x in pairs[i % size])
     j = coupling_strength(kp, km)
     gate = np.linalg.matrix_power(controlled_phase_gate(2.0 * j), n)
     target = controlled_phase_gate(theta_target)

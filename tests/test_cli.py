@@ -35,6 +35,27 @@ class TestExitCodes:
         assert code == 1
         assert "trivial" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--target", "hadamard", "--kappa-max", "0"],
+            ["--target", "hadamard", "--eps", "inf"],
+            ["--target", "cz", "--kp-max", "0"],
+            ["--target", "cz", "--n-max", "0"],
+            ["--target", "cz", "--eps", "nan"],
+            ["--target", "rx", "--theta", "1.0", "--kappa-max", "0"],
+            ["--target", "ry", "--theta", "1.0", "--kappa-max", "-3"],
+            ["--target", "rx", "--theta", "1.0", "--eps", "nan"],
+            ["--target", "rx", "--theta", "nan"],
+            ["--target", "cphase", "--theta", "inf"],
+        ],
+    )
+    def test_invalid_search_input_exit_one(self, argv):
+        code, out, err = invoke(["search", *argv])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_success(self):
         code, out, _ = invoke(["one-qubit", "--n", "1,0,0", "--kappa", "1"])
         assert code == 0

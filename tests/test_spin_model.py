@@ -88,7 +88,7 @@ class TestDimerBasis:
         assert np.allclose(sz1 @ basis.t_plus, basis.t_plus)
         assert np.allclose(sz1 @ basis.t_zero, basis.s_zero)
         assert np.allclose(sz2 @ basis.t_zero, -basis.s_zero)
-        assert abs(np.vdot(basis.t_zero, basis.s_zero)) == 0.0
+        assert np.allclose(np.vdot(basis.t_zero, basis.s_zero), 0.0)
 
     def test_eigenvectors_of_hamiltonian(self):
         model = build_one_dimer(1.0, 2.0)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from holonome import synthesis
 from holonome.deformation import OneQubitLoop
 from holonome.errors import DomainError
 from holonome.holonomy import analytic_one_qubit_gate, controlled_phase_gate
@@ -18,6 +19,7 @@ from holonome.synthesis import (
     figure_table,
     repeated_exact_gate,
     search_controlled_phase,
+    search_hadamard,
     search_rotation,
     synthesize_su2,
 )
@@ -29,6 +31,85 @@ SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
 def brute_force_rotation_scan(step, theta, kappa_max):
     errs = [(circular_distance(theta - k * step), k) for k in range(1, kappa_max + 1)]
     return min(errs)
+
+
+def brute_force_controlled_phase_scan(theta, kappa_plus_max, n_max):
+    """(err, n, kp, km): first minimum in n-major, pair-minor order."""
+    pairs = admissible_winding_pairs(kappa_plus_max)
+    best = None
+    for n in range(1, n_max + 1):
+        for kp, km in pairs:
+            err = circular_distance(2.0 * n * coupling_strength(kp, km) - theta)
+            if best is None or err < best[0]:
+                best = (err, n, kp, km)
+    return best
+
+
+def brute_force_hadamard_scan(kappa_max):
+    """(gate distance, kappa, angle error mod pi), one gate matrix per winding."""
+    best = None
+    for kappa in range(1, kappa_max + 1):
+        loop = OneQubitLoop.create(HADAMARD_AXIS, kappa)
+        gate = analytic_one_qubit_gate(loop).gamma
+        dist = phase_invariant_distance(gate, HADAMARD)
+        if best is None or dist < best[0]:
+            r = abs(np.pi / 2.0 - loop.theta_kappa) % np.pi
+            best = (dist, kappa, min(r, np.pi - r))
+    return best
+
+
+# Seeded corpus for the chunked scan kernel: bounds of 1 and 2, small bounds,
+# and scans just above one kernel chunk.
+_CHUNK = synthesis._CHUNK
+_RNG = np.random.default_rng(20080909)
+ROTATION_CASES = [
+    (str(_RNG.choice(["x", "y"])), float(_RNG.uniform(-7.0, 7.0)),
+     float(_RNG.choice([1e-6, 1e-2, 0.5])), bound)
+    for bound in (1, 1, 2, 2, 3, 17, 500, _CHUNK, _CHUNK + 1, _CHUNK + 7)
+] + [
+    # exact hit on the last point, alone in the second chunk
+    ("x", (_CHUNK + 1) * OneQubitLoop.create((1.0, 0.0, 0.0), 1).theta_kappa, 1e-9, _CHUNK + 1),
+]
+CPHASE_CASES = [
+    (float(_RNG.uniform(-7.0, 7.0)), float(_RNG.choice([1e-6, 1e-2, 0.5])), kp, n)
+    for kp, n in ((1, 1), (1, 2), (2, 1), (2, 2), (3, 7), (10, 40),
+                  (1, _CHUNK + 1), (2, _CHUNK // 4 + 1))
+] + [
+    # 2 n J(2, 4) == 4 n J(1, 2) exactly; n = 5000 puts the two exact hits
+    # in different chunks, and the earlier one (n = 5000) must win.
+    (2.0 * 5000 * coupling_strength(2, 4), 1e-9, 2, 10000),
+]
+HADAMARD_CASES = [(1, 0.5), (2, 0.5), (3, 1e-3), (16, 0.1), (500, 1e-3), (_CHUNK + 1, 1e-6)]
+
+
+class TestScanKernelEquivalence:
+    """The chunked kernel returns exactly what the per-point scans return."""
+
+    @pytest.mark.parametrize("axis,theta,eps,kappa_max", ROTATION_CASES)
+    def test_rotation(self, axis, theta, eps, kappa_max):
+        step = OneQubitLoop.create(synthesis.NAMED_AXES[axis], 1).theta_kappa
+        err, kappa = brute_force_rotation_scan(step, theta, kappa_max)
+        result = search_rotation(axis, theta, eps, kappa_max)
+        assert result.params == {"kappa": kappa}
+        assert result.angle_error == err
+        assert result.exhausted == (err >= eps)
+
+    @pytest.mark.parametrize("theta,eps,kp_max,n_max", CPHASE_CASES)
+    def test_controlled_phase(self, theta, eps, kp_max, n_max):
+        err, n, kp, km = brute_force_controlled_phase_scan(theta, kp_max, n_max)
+        result = search_controlled_phase(theta, eps, kp_max, n_max)
+        assert result.params == {"kappa_plus": kp, "kappa_minus": km, "n": n}
+        assert result.angle_error == err
+        assert result.exhausted == (err >= eps)
+
+    @pytest.mark.parametrize("kappa_max,eps", HADAMARD_CASES)
+    def test_hadamard(self, kappa_max, eps):
+        dist, kappa, err = brute_force_hadamard_scan(kappa_max)
+        result = search_hadamard(eps, kappa_max)
+        assert result.params == {"kappa": kappa}
+        assert result.gate_distance == dist
+        assert result.angle_error == err
+        assert result.exhausted == (dist >= eps)
 
 
 class TestSearchRotation:
