@@ -15,16 +15,9 @@ import numpy as np
 
 from holonome.errors import DomainError
 
-# Global default for Hermiticity/unitarity checks; override by assignment.
-DEFAULT_TOL = 1e-10
-
 # Eigenvalues closer than this (relative to max(1, ||H||)) form one
 # degenerate group.  All model spectra here have gaps of order 1.
 DEGENERACY_RTOL = 1e-9
-
-
-def _tol(tol):
-    return DEFAULT_TOL if tol is None else tol
 
 
 def _as_square(m) -> np.ndarray:
@@ -38,25 +31,30 @@ def frobenius(m) -> float:
     return float(np.linalg.norm(np.asarray(m)))
 
 
-def is_unitary(u, tol=None) -> bool:
+def is_unitary(u, tol=1e-10) -> bool:
     u = _as_square(u)
-    return frobenius(u.conj().T @ u - np.eye(u.shape[0])) < _tol(tol) * u.shape[0]
+    return frobenius(u.conj().T @ u - np.eye(u.shape[0])) < tol * u.shape[0]
 
 
-def expm_skew(m, tol=None) -> np.ndarray:
-    """Exponential of an anti-Hermitian matrix, exactly unitary.
+def expm_skew(m, tol=1e-10) -> np.ndarray:
+    """Exponential of an anti-Hermitian matrix, or of each slice of a stack.
 
     Diagonalizes the Hermitian matrix iM and exponentiates the (real)
     eigenvalues, so the result satisfies U U^dag = I to machine precision.
+    A stack ``(..., n, n)`` goes through one batched eigendecomposition; each
+    slice must pass the same anti-Hermitian check as a single matrix.
     """
-    m = _as_square(m)
-    scale = max(1.0, frobenius(m))
-    if frobenius(m + m.conj().T) > _tol(tol) * scale:
-        raise DomainError("expm_skew requires an anti-Hermitian argument")
+    m = np.asarray(m, dtype=complex)
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
+        raise DomainError(f"expected a square matrix or a stack of them, got shape {m.shape}")
+    for s in m.reshape(-1, *m.shape[-2:]):
+        scale = max(1.0, frobenius(s))
+        if frobenius(s + s.conj().T) > tol * scale:
+            raise DomainError("expm_skew requires an anti-Hermitian argument")
     herm = 1j * m  # Hermitian
-    herm = 0.5 * (herm + herm.conj().T)
+    herm = 0.5 * (herm + herm.conj().swapaxes(-1, -2))
     evals, evecs = np.linalg.eigh(herm)
-    return (evecs * np.exp(-1j * evals)) @ evecs.conj().T
+    return (evecs * np.exp(-1j * evals)[..., None, :]) @ evecs.conj().swapaxes(-1, -2)
 
 
 def tensor_product(a, b) -> np.ndarray:
@@ -64,7 +62,7 @@ def tensor_product(a, b) -> np.ndarray:
     return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
 
 
-def phase_invariant_distance(u, v, tol=None) -> float:
+def phase_invariant_distance(u, v, tol=1e-10) -> float:
     """Gate distance insensitive to a global phase.
 
     d(U, V) = sqrt(1 - |tr(U^dag V)| / dim), zero iff U = e^{i phi} V.
@@ -110,11 +108,11 @@ class Spectrum:
         return v @ v.conj().T
 
 
-def hermitian_eigensystem(h, tol=None) -> Spectrum:
+def hermitian_eigensystem(h, tol=1e-10) -> Spectrum:
     """Eigendecomposition with gap-threshold degeneracy grouping."""
     h = _as_square(h)
     scale = max(1.0, frobenius(h))
-    if frobenius(h - h.conj().T) > _tol(tol) * scale:
+    if frobenius(h - h.conj().T) > tol * scale:
         raise DomainError("hermitian_eigensystem requires a Hermitian argument")
     evals, evecs = np.linalg.eigh(0.5 * (h + h.conj().T))
     gap = DEGENERACY_RTOL * scale

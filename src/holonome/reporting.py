@@ -11,7 +11,7 @@ import json
 
 import numpy as np
 
-TOOL_VERSION = "0.1.0"
+from holonome import __version__
 
 AUDIT_CONSISTENCY_TOL = 1e-8
 
@@ -56,7 +56,7 @@ def build_report(kind: str, inputs: dict, outputs: dict) -> dict:
         "kind": kind,
         "inputs": inputs,
         "outputs": outputs,
-        "tool_version": TOOL_VERSION,
+        "tool_version": __version__,
         "deterministic": True,
     }
 

@@ -20,6 +20,7 @@ from holonome.matrix_kernel import expm_skew, frobenius, is_unitary
 from holonome.spin_model import build_one_dimer, build_two_dimer
 
 HADAMARD_AXIS = (np.sqrt(1 / 3), 0.0, np.sqrt(2 / 3))
+NON_FINITE = (np.nan, np.inf, -np.inf)
 
 
 def zero_generator(model):
@@ -27,6 +28,43 @@ def zero_generator(model):
         x=np.zeros((model.dim, model.dim), dtype=complex), loop=None,
         n_spins=model.n_spins,
     )
+
+
+def loop_ode_propagator(model, gen, T, steps):
+    """Scalar reference: one RK4 step at a time with H(tau) rebuilt in the lab basis."""
+    lam, w = np.linalg.eigh(1j * gen.x)
+    lam = -lam
+    h0 = w.conj().T @ model.hamiltonian @ w
+
+    def h_tau(tau):
+        phases = np.exp(1j * lam * tau)
+        core = (phases[:, None] * h0) * phases.conj()[None, :]
+        return w @ core @ w.conj().T
+
+    u = np.eye(model.dim, dtype=complex)
+    dt = 1.0 / steps
+    h_lo = h_tau(0.0)
+    for n in range(steps):
+        tau = n * dt
+        h_mid = h_tau(tau + 0.5 * dt)
+        h_hi = h_tau(tau + dt)
+        k1 = -1j * T * (h_lo @ u)
+        k2 = -1j * T * (h_mid @ (u + 0.5 * dt * k1))
+        k3 = -1j * T * (h_mid @ (u + 0.5 * dt * k2))
+        k4 = -1j * T * (h_hi @ (u + dt * k3))
+        u = u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        h_lo = h_hi
+    return u
+
+
+def oracle_setup(qubits):
+    if qubits == 1:
+        model = build_one_dimer(1.0, 1.0)
+        gen = one_qubit_generator(HADAMARD_AXIS, 3)
+    else:
+        model = build_two_dimer(1.0, 1.0)
+        gen = two_qubit_generator(2, 3, 1)
+    return model, gen, holonomy(connection_on_ground_space(gen, model))
 
 
 class TestExactPropagator:
@@ -78,8 +116,21 @@ class TestOdePropagator:
 
     def test_rejects_bad_steps(self):
         model = build_one_dimer(1.0, 1.0)
-        with pytest.raises(DomainError):
-            ode_propagator(model, zero_generator(model), 1.0, 0)
+        for steps in (0, True, 2.0, "3"):
+            with pytest.raises(DomainError):
+                ode_propagator(model, zero_generator(model), 1.0, steps)
+
+    @pytest.mark.parametrize("qubits", [1, 2])
+    @pytest.mark.parametrize("T", [1.0, 10.0])
+    @pytest.mark.parametrize("steps", [1, 2, 31, 32, 33, 1000])
+    def test_matches_scalar_loop(self, qubits, T, steps):
+        # Same RK4 steps, different rounding order: the batched product may
+        # differ from the loop by accumulated roundoff relative to |U|, which
+        # reaches ~5e8 where one or two steps at T = 10 are unstable.
+        model, gen, _ = oracle_setup(qubits)
+        ref = loop_ode_propagator(model, gen, T, steps)
+        u = ode_propagator(model, gen, T, steps)
+        assert frobenius(u - ref) <= 1e-12 * max(1.0, frobenius(ref))
 
 
 class TestHolonomyFidelity:
@@ -147,6 +198,27 @@ class TestAdiabaticSweep:
         gate = holonomy(connection_on_ground_space(gen, model))
         runs = adiabatic_sweep(model, gen, gate, [50.0, 500.0])
         assert runs[1].fidelity > runs[0].fidelity
+
+    @pytest.mark.parametrize("qubits", [1, 2])
+    def test_bit_equal_to_per_time_runs(self, qubits):
+        model, gen, gate = oracle_setup(qubits)
+        t_list = [1000.0, 0.5, 3.0, 3.0, 57.3, 10.0 ** 0.75]
+        runs = adiabatic_sweep(model, gen, gate, t_list)
+        assert [r.T for r in runs] == sorted(t_list)
+        for run in runs:
+            u = exact_propagator(model, gen, run.T)
+            assert np.array_equal(run.propagator, u)
+            assert (run.fidelity, run.leakage) == holonomy_fidelity(u, gate, model, run.T)
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_rejects_non_finite_time(self, bad):
+        model, gen, gate = oracle_setup(1)
+        with pytest.raises(DomainError):
+            adiabatic_sweep(model, gen, gate, [1.0, bad])
+        with pytest.raises(DomainError):
+            exact_propagator(model, gen, bad)
+        with pytest.raises(DomainError):
+            ode_propagator(model, gen, bad, 10)
 
     def test_rejects_empty_or_nonpositive(self):
         model = build_one_dimer(1.0, 1.0)

@@ -56,6 +56,13 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("t_list", ["inf", "nan", "1,inf"])
+    def test_non_finite_sweep_time_exit_one(self, t_list):
+        code, out, err = invoke(["sweep", "--n=1,0,0", "--kappa", "1", "--T", t_list])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_success(self):
         code, out, _ = invoke(["one-qubit", "--n", "1,0,0", "--kappa", "1"])
         assert code == 0

@@ -62,6 +62,22 @@ class TestExpmSkew:
             assert frobenius(u.conj().T @ u - np.eye(dim)) < 1e-12 * dim
             assert frobenius(expm_skew(m) @ expm_skew(-m) - np.eye(dim)) < 1e-12
 
+    def test_stack_is_bit_equal_to_slices(self):
+        stack = np.stack([random_antihermitian(16) for _ in range(5)]).reshape(5, 1, 16, 16)
+        stack *= np.array([0.0, 1e-3, 1.0, 40.0, 1e4]).reshape(5, 1, 1, 1)
+        out = expm_skew(stack)
+        assert out.shape == stack.shape
+        for got, m in zip(out.reshape(-1, 16, 16), stack.reshape(-1, 16, 16)):
+            assert np.array_equal(got, expm_skew(m))
+
+    def test_stack_rejects_one_bad_slice(self):
+        stack = np.stack([random_antihermitian(4) for _ in range(3)])
+        stack[1, 0, 1] += 1e-6
+        with pytest.raises(DomainError):
+            expm_skew(stack)
+        with pytest.raises(DomainError):
+            expm_skew(np.zeros((3, 4, 5)))
+
 
 class TestTensorProduct:
     def test_identity(self):
