@@ -24,6 +24,8 @@ def _parse_vector(text: str):
         raise DomainError(f"cannot parse vector {text!r}") from None
     if len(parts) != 3:
         raise DomainError("axis must have exactly three components")
+    if not all(np.isfinite(parts)):
+        raise DomainError(f"axis components must be finite, got {text!r}")
     return tuple(parts)
 
 
@@ -156,10 +158,14 @@ def cmd_search(args, stream):
 def cmd_sweep(args, stream):
     t_list = _parse_floats(args.T)
     if args.n is not None:
+        if args.kappa is None:
+            raise DomainError("sweep needs --kappa with --n")
         gen = deformation.one_qubit_generator(_parse_vector(args.n), args.kappa)
         model = spin_model.build_one_dimer(args.j1, args.j1)
         inputs = {"n": list(gen.loop.n), "kappa": gen.loop.kappa, "T": t_list}
     elif args.kp is not None:
+        if args.km is None:
+            raise DomainError("sweep needs --km with --kp")
         gen = deformation.two_qubit_generator(args.kp, args.km, args.kprime)
         model = spin_model.build_two_dimer(args.j1, args.j2)
         inputs = {"kappa_plus": args.kp, "kappa_minus": args.km,

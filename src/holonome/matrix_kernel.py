@@ -9,6 +9,7 @@ results unitary to machine precision at these dimensions.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,8 +49,10 @@ def expm_skew(m, tol=1e-10) -> np.ndarray:
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise DomainError(f"expected a square matrix or a stack of them, got shape {m.shape}")
     for s in m.reshape(-1, *m.shape[-2:]):
-        scale = max(1.0, frobenius(s))
-        if frobenius(s + s.conj().T) > tol * scale:
+        norm = frobenius(s)
+        if not math.isfinite(norm):
+            raise DomainError("expm_skew requires a finite argument")
+        if frobenius(s + s.conj().T) > tol * max(1.0, norm):
             raise DomainError("expm_skew requires an anti-Hermitian argument")
     herm = 1j * m  # Hermitian
     herm = 0.5 * (herm + herm.conj().swapaxes(-1, -2))
@@ -111,7 +114,10 @@ class Spectrum:
 def hermitian_eigensystem(h, tol=1e-10) -> Spectrum:
     """Eigendecomposition with gap-threshold degeneracy grouping."""
     h = _as_square(h)
-    scale = max(1.0, frobenius(h))
+    norm = frobenius(h)
+    if not math.isfinite(norm):
+        raise DomainError("hermitian_eigensystem requires a finite argument")
+    scale = max(1.0, norm)
     if frobenius(h - h.conj().T) > tol * scale:
         raise DomainError("hermitian_eigensystem requires a Hermitian argument")
     evals, evecs = np.linalg.eigh(0.5 * (h + h.conj().T))

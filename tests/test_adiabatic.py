@@ -122,15 +122,29 @@ class TestOdePropagator:
 
     @pytest.mark.parametrize("qubits", [1, 2])
     @pytest.mark.parametrize("T", [1.0, 10.0])
-    @pytest.mark.parametrize("steps", [1, 2, 31, 32, 33, 1000])
+    @pytest.mark.parametrize(
+        "steps", [1, 2, 7, 31, 32, 33, 63, 64, 65, 1000, 1023, 1024, 1025]
+    )
     def test_matches_scalar_loop(self, qubits, T, steps):
-        # Same RK4 steps, different rounding order: the batched product may
+        # Same RK4 steps, different rounding order: the squared power may
         # differ from the loop by accumulated roundoff relative to |U|, which
-        # reaches ~5e8 where one or two steps at T = 10 are unstable.
+        # reaches ~5e8 where one or two steps at T = 10 are unstable.  Step
+        # counts around powers of two cover the binary-squaring edges.
         model, gen, _ = oracle_setup(qubits)
         ref = loop_ode_propagator(model, gen, T, steps)
         u = ode_propagator(model, gen, T, steps)
         assert frobenius(u - ref) <= 1e-12 * max(1.0, frobenius(ref))
+
+    @pytest.mark.parametrize("qubits", [1, 2])
+    def test_open_path_matches_scalar_loop(self, qubits):
+        # A closed loop has e^X = 1, so only an open path checks the final
+        # phases e^{X} that the propagator applies after the RK4 steps.
+        model, gen, _ = oracle_setup(qubits)
+        part = DeformationGenerator(x=0.3 * gen.x, loop=None, n_spins=model.n_spins)
+        ref = loop_ode_propagator(model, part, 10.0, 1000)
+        u = ode_propagator(model, part, 10.0, 1000)
+        assert frobenius(u - ref) <= 1e-12 * max(1.0, frobenius(ref))
+        assert frobenius(u - exact_propagator(model, part, 10.0)) < 1e-4
 
 
 class TestHolonomyFidelity:
@@ -219,6 +233,8 @@ class TestAdiabaticSweep:
             exact_propagator(model, gen, bad)
         with pytest.raises(DomainError):
             ode_propagator(model, gen, bad, 10)
+        with pytest.raises(DomainError):
+            holonomy_fidelity(np.eye(model.dim), gate, model, bad)
 
     def test_rejects_empty_or_nonpositive(self):
         model = build_one_dimer(1.0, 1.0)

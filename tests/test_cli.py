@@ -63,6 +63,22 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["one-qubit", "--n", "nan,0,0", "--kappa", "1"],
+            ["one-qubit", "--n=1,inf,0", "--kappa", "1"],
+            ["sweep", "--n=0,nan,1", "--kappa", "1", "--T", "1"],
+            ["sweep", "--kp", "2", "--T", "1"],
+            ["sweep", "--n=1,0,0", "--T", "1"],
+        ],
+    )
+    def test_non_finite_axis_or_missing_winding_exit_one(self, argv):
+        code, out, err = invoke(argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_success(self):
         code, out, _ = invoke(["one-qubit", "--n", "1,0,0", "--kappa", "1"])
         assert code == 0

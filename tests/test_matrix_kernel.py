@@ -8,6 +8,7 @@ from holonome.matrix_kernel import (
     expm_skew,
     frobenius,
     hermitian_eigensystem,
+    is_unitary,
     phase_invariant_distance,
     tensor_product,
 )
@@ -75,6 +76,10 @@ class TestExpmSkew:
         stack[1, 0, 1] += 1e-6
         with pytest.raises(DomainError):
             expm_skew(stack)
+        stack[1, 0, 1] -= 1e-6
+        stack[2, 3, 3] = np.nan
+        with pytest.raises(DomainError):
+            expm_skew(stack)
         with pytest.raises(DomainError):
             expm_skew(np.zeros((3, 4, 5)))
 
@@ -115,6 +120,13 @@ class TestPhaseInvariantDistance:
         with pytest.raises(DomainError):
             phase_invariant_distance(np.eye(2), np.eye(4))
 
+    def test_rejects_non_finite(self):
+        u = random_unitary(4)
+        u[0, 0] = np.nan
+        assert not is_unitary(u)
+        with pytest.raises(DomainError):
+            phase_invariant_distance(u, np.eye(4))
+
     def test_matches_trace_formula(self):
         u, v = random_unitary(4), random_unitary(4)
         expected = np.sqrt(1.0 - abs(np.trace(u.conj().T @ v)) / 4.0)
@@ -140,6 +152,13 @@ class TestHermitianEigensystem:
     def test_rejects_non_hermitian(self):
         with pytest.raises(DomainError):
             hermitian_eigensystem(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+    @pytest.mark.parametrize("entry", [np.nan, np.inf])
+    def test_rejects_non_finite(self, entry):
+        with pytest.raises(DomainError):
+            hermitian_eigensystem(np.array([[0.0, entry], [0.0, 0.0]]))
+        with pytest.raises(DomainError):
+            hermitian_eigensystem(np.diag([1.0, entry]))
 
     def test_orthonormal_and_reconstructs(self):
         rng = np.random.default_rng(11)
