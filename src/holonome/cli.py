@@ -1,13 +1,14 @@
 """Command-line surface: gate construction, searches, sweeps, figures, audits.
 
-Exit codes: 0 success, 1 domain error (message on stderr), 2 usage error.
-All outputs are deterministic; angles are accepted in radians only.
+Exit codes: 0 success, 1 domain error or a failed file write (one ``error:``
+line on stderr), 2 usage error.  All outputs are deterministic; angles are
+accepted in radians only.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
+import functools
 import sys
 
 import numpy as np
@@ -43,19 +44,6 @@ def _write_report(report: dict, out_path, stream):
             fh.write(text)
     else:
         stream.write(text)
-
-
-def _merge_config(args):
-    """CLI flags win over values from an optional JSON config file."""
-    if not getattr(args, "config", None):
-        return args
-    with open(args.config) as fh:
-        conf = json.load(fh)
-    for key, value in conf.items():
-        attr = key.replace("-", "_")
-        if getattr(args, attr, None) is None:
-            setattr(args, attr, value)
-    return args
 
 
 def cmd_one_qubit(args, stream):
@@ -232,7 +220,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--omega", type=float, default=1.0)
     p.add_argument("--j1", type=float, default=1.0)
     p.add_argument("--out")
-    p.add_argument("--config")
     p.set_defaults(func=cmd_one_qubit)
 
     p = sub.add_parser("two-qubit", help="construct a two-qubit holonomy gate")
@@ -242,7 +229,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--j1", type=float, default=1.0)
     p.add_argument("--j2", type=float, default=1.0)
     p.add_argument("--out")
-    p.add_argument("--config")
     p.set_defaults(func=cmd_two_qubit)
 
     p = sub.add_parser("search", help="approximate a target gate")
@@ -254,7 +240,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kp-max", type=int, default=10, dest="kp_max")
     p.add_argument("--n-max", type=int, default=500, dest="n_max")
     p.add_argument("--out")
-    p.add_argument("--config")
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("sweep", help="adiabatic convergence sweep over total time")
@@ -268,7 +253,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--j2", type=float, default=1.0)
     p.add_argument("--csv")
     p.add_argument("--out")
-    p.add_argument("--config")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("figure", help="emit figure data")
@@ -286,26 +270,29 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--j-zero", action="store_true", dest="j_zero",
                    help="force the inter-dimer coupling to zero (commuting limit)")
     p.add_argument("--out")
-    p.add_argument("--config")
     p.set_defaults(func=cmd_audit)
 
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``run`` uses, built once per process; parsing leaves it unchanged."""
+    return build_parser()
+
+
 def run(argv=None, stdout=None, stderr=None) -> int:
     stdout = stdout or sys.stdout
     stderr = stderr or sys.stderr
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
-        args = _merge_config(args)
         if args.command == "audit" and not args.j_zero and args.km is None:
             raise DomainError("audit needs --km unless --j-zero is given")
         return args.func(args, stdout)
-    except DomainError as exc:
+    except (DomainError, OSError) as exc:
         print(f"error: {exc}", file=stderr)
         return 1
 

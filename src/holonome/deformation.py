@@ -14,7 +14,7 @@ import numpy as np
 
 from holonome.errors import DomainError
 from holonome.matrix_kernel import expm_skew, frobenius
-from holonome.spin_model import PAULI, SpinModel, ground_basis, site_operator
+from holonome.spin_model import SpinModel, ground_basis, pauli_site
 
 # Winding numbers above this would need angle reduction beyond double precision.
 MAX_WINDING = 10**6
@@ -45,7 +45,7 @@ class OneQubitLoop:
         n = np.asarray(n, dtype=float)
         if n.shape != (3,):
             raise DomainError("axis must be a real 3-vector")
-        if abs(np.linalg.norm(n) - 1.0) > 1e-12:
+        if not abs(np.linalg.norm(n) - 1.0) <= 1e-12:  # NaN fails too
             raise DomainError("axis must be a unit vector")
         if not (1 <= int(kappa) <= MAX_WINDING):
             raise DomainError(f"winding number must be in [1, {MAX_WINDING}]")
@@ -155,7 +155,7 @@ def collective_spin(n, spins, n_spins: int) -> np.ndarray:
         if comp == 0.0:
             continue
         for s in spins:
-            out += comp * site_operator(PAULI[axis], s, n_spins)
+            out += comp * pauli_site(axis, s, n_spins)
     return out
 
 
@@ -180,7 +180,7 @@ def two_qubit_generator(kappa_plus: int, kappa_minus: int, kappa_prime: int) -> 
     loop = TwoQubitLoop.create(kappa_plus, kappa_minus, kappa_prime)
     x1 = 1j * loop.omega1 * collective_spin((0.0, 0.0, 1.0), (0, 1), 4)
     x2 = 1j * loop.omega2 * collective_spin((loop.n2x, 0.0, loop.n2z), (2, 3), 4)
-    sz = [site_operator(PAULI["z"], s, 4) for s in range(4)]
+    sz = [pauli_site("z", s, 4) for s in range(4)]
     cross = 1j * loop.coupling_j * (
         sz[0] @ sz[2] + sz[0] @ sz[3] + sz[1] @ sz[2] + sz[1] @ sz[3]
     )

@@ -29,6 +29,20 @@ from holonome.spin_model import SIGMA_X, SIGMA_Y, SIGMA_Z, SpinModel, ground_bas
 
 ID2 = np.eye(2, dtype=complex)
 
+
+
+def _constant_product(a, b) -> np.ndarray:
+    out = tensor_product(a, b)
+    out.flags.writeable = False
+    return out
+
+
+# Constant (read-only) products in the closed-form two-qubit coding connection.
+II = _constant_product(ID2, ID2)
+ZI = _constant_product(SIGMA_Z, ID2)
+IX = _constant_product(ID2, SIGMA_X)
+ZZ = _constant_product(SIGMA_Z, SIGMA_Z)
+
 # Bell ("magic") basis columns for the local-invariant computation.
 MAGIC = (1.0 / np.sqrt(2.0)) * np.array(
     [
@@ -94,10 +108,10 @@ def two_qubit_coding_connection(loop: TwoQubitLoop) -> np.ndarray:
     """Closed-form coding block on C2 (control slow, target fast)."""
     j = loop.coupling_j
     return 1j * (
-        loop.omega1 * tensor_product(ID2, ID2)
-        + (loop.omega1 + j) * tensor_product(SIGMA_Z, ID2)
-        + loop.a * tensor_product(ID2, SIGMA_X)
-        + j * tensor_product(SIGMA_Z, SIGMA_Z)
+        loop.omega1 * II
+        + (loop.omega1 + j) * ZI
+        + loop.a * IX
+        + j * ZZ
     )
 
 

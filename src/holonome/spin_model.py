@@ -12,6 +12,7 @@ and (3, 4) respectively (16 x 16, diagonal).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +40,17 @@ def site_operator(op, site: int, n_spins: int) -> np.ndarray:
     for f in factors[1:]:
         out = tensor_product(out, f)
     return out
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+@functools.cache
+def pauli_site(axis: str, site: int, n_spins: int) -> np.ndarray:
+    """``site_operator(PAULI[axis], site, n_spins)``, built once per process (read-only)."""
+    return _read_only(site_operator(PAULI[axis], site, n_spins))
 
 
 @dataclass(frozen=True)
@@ -91,15 +103,20 @@ def dimer_basis() -> DimerBasis:
 
 
 def _one_dimer_hamiltonian(omega: float, j1: float) -> np.ndarray:
-    sz1 = site_operator(SIGMA_Z, 0, 2)
-    sz2 = site_operator(SIGMA_Z, 1, 2)
+    sz1 = pauli_site("z", 0, 2)
+    sz2 = pauli_site("z", 1, 2)
     return -omega * sz1 - omega * sz2 + j1 * (sz1 @ sz2)
+
+
+def _check_couplings(**couplings) -> None:
+    for name, value in couplings.items():
+        if not (np.isfinite(value) and value > 0):
+            raise DomainError(f"{name} must be finite and > 0, got {value!r}")
 
 
 def build_one_dimer(omega: float, j1: float) -> SpinModel:
     """Single Ising dimer; at omega = j1 the ground level is 3-fold degenerate."""
-    if omega <= 0 or j1 <= 0:
-        raise DomainError("couplings must be positive")
+    _check_couplings(j1=j1, omega=omega)
     h = _one_dimer_hamiltonian(omega, j1)
     spec = hermitian_eigensystem(h)
     return SpinModel(
@@ -114,8 +131,7 @@ def build_one_dimer(omega: float, j1: float) -> SpinModel:
 
 def build_two_dimer(j1: float, j2: float) -> SpinModel:
     """Two decoupled dimers at their degenerate points; 9-fold ground level."""
-    if j1 <= 0 or j2 <= 0:
-        raise DomainError("couplings must be positive")
+    _check_couplings(j1=j1, j2=j2)
     h1 = _one_dimer_hamiltonian(j1, j1)
     h2 = _one_dimer_hamiltonian(j2, j2)
     id4 = np.eye(4, dtype=complex)
@@ -131,34 +147,49 @@ def build_two_dimer(j1: float, j2: float) -> SpinModel:
     )
 
 
+# Ground-space labels at the degenerate working point, coding vectors first;
+# their number is the ground multiplicity there.
+_GROUND_LABELS = {
+    2: ("T+", "T0", "S0"),
+    4: ("T+T+", "T+T0", "T0T+", "T0T0", "T+S0", "T0S0", "S0T+", "S0T0", "S0S0"),
+}
+
+
+def _check_working_point(model: SpinModel) -> int:
+    """Spin count of a model at its degenerate working point, else DomainError."""
+    labels = _GROUND_LABELS.get(model.n_spins)
+    if labels is None:
+        raise DomainError(f"unsupported spin count {model.n_spins}")
+    if model.ground_multiplicity != len(labels):
+        dimers = "one" if model.n_spins == 2 else "two"
+        raise DomainError(f"{dimers}-dimer model is not at its degenerate point")
+    return model.n_spins
+
+
+@functools.cache
+def _ground_columns(n_spins: int) -> np.ndarray:
+    by_label = dict(dimer_basis().labeled())
+    if n_spins == 2:
+        cols = [by_label[label] for label in _GROUND_LABELS[2]]
+    else:
+        cols = [
+            tensor_product(
+                by_label[label[:2]].reshape(4, 1), by_label[label[2:]].reshape(4, 1)
+            ).ravel()
+            for label in _GROUND_LABELS[4]
+        ]
+    return _read_only(np.column_stack(cols))
+
+
 def ground_basis(model: SpinModel):
     """Ordered ground-space basis: coding vectors first, then S0 products.
 
-    Returns (labels, vectors) with vectors as columns of a full-dimension
-    matrix.  Requires the model to sit at its degenerate working point.
+    Returns (labels, vectors) with vectors as read-only columns of a
+    full-dimension matrix, built once per spin count.  Requires the model to
+    sit at its degenerate working point.
     """
-    basis = dimer_basis()
-    if model.n_spins == 2:
-        if model.ground_multiplicity != 3:
-            raise DomainError("one-dimer model is not at its degenerate point")
-        labels = ("T+", "T0", "S0")
-        cols = [basis.t_plus, basis.t_zero, basis.s_zero]
-    elif model.n_spins == 4:
-        if model.ground_multiplicity != 9:
-            raise DomainError("two-dimer model is not at its degenerate point")
-        by_label = {"T+": basis.t_plus, "T0": basis.t_zero, "S0": basis.s_zero}
-        coding = [("T+", "T+"), ("T+", "T0"), ("T0", "T+"), ("T0", "T0")]
-        noncoding = [("T+", "S0"), ("T0", "S0"), ("S0", "T+"), ("S0", "T0"), ("S0", "S0")]
-        labels = tuple(a + b for a, b in coding + noncoding)
-        cols = [
-            tensor_product(
-                by_label[a].reshape(4, 1), by_label[b].reshape(4, 1)
-            ).ravel()
-            for a, b in coding + noncoding
-        ]
-    else:
-        raise DomainError(f"unsupported spin count {model.n_spins}")
-    return labels, np.column_stack(cols)
+    n_spins = _check_working_point(model)
+    return _GROUND_LABELS[n_spins], _ground_columns(n_spins)
 
 
 @dataclass(frozen=True)
@@ -189,14 +220,21 @@ class CodingSpace:
         return self.vectors @ op @ self.vectors.conj().T
 
 
-def coding_space(model: SpinModel) -> CodingSpace:
-    """Coding space C1 (one dimer, rank 2) or C2 (two dimers, rank 4)."""
-    labels, vecs = ground_basis(model)
-    dim_c = 2 if model.n_spins == 2 else 4
-    coding_vecs = vecs[:, :dim_c]
+@functools.cache
+def _coding_space(n_spins: int) -> CodingSpace:
+    dim_c = 2 if n_spins == 2 else 4
+    coding_vecs = _ground_columns(n_spins)[:, :dim_c]
     return CodingSpace(
-        labels=labels[:dim_c],
+        labels=_GROUND_LABELS[n_spins][:dim_c],
         vectors=coding_vecs,
-        projector=coding_vecs @ coding_vecs.conj().T,
-        n_logical=1 if model.n_spins == 2 else 2,
+        projector=_read_only(coding_vecs @ coding_vecs.conj().T),
+        n_logical=1 if n_spins == 2 else 2,
     )
+
+
+def coding_space(model: SpinModel) -> CodingSpace:
+    """Coding space C1 (one dimer, rank 2) or C2 (two dimers, rank 4).
+
+    Built once per spin count; its arrays are read-only.
+    """
+    return _coding_space(_check_working_point(model))

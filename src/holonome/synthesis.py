@@ -25,6 +25,7 @@ few hundred KiB whatever the search bounds.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -168,17 +169,17 @@ def search_hadamard(eps: float, kappa_max: int) -> SearchResult:
     )
 
 
-# Change of frame mapping the z-y-z Euler decomposition into y-x-y: the
-# conjugation S sigma_z S^dag = sigma_y, S sigma_y S^dag = sigma_x.
-_FRAME = None
-
-
+@functools.cache
 def _frame() -> np.ndarray:
-    global _FRAME
-    if _FRAME is None:
-        axis = np.array([1.0, 1.0, 1.0]) / np.sqrt(3.0)
-        _FRAME = _rotation(-np.pi / 3.0, axis)  # half-angle pi/3, sense -2pi/3
-    return _FRAME
+    """Change of frame mapping the z-y-z Euler decomposition into y-x-y.
+
+    The conjugation S sigma_z S^dag = sigma_y, S sigma_y S^dag = sigma_x;
+    built once per process, read-only.
+    """
+    axis = np.array([1.0, 1.0, 1.0]) / np.sqrt(3.0)
+    frame = _rotation(-np.pi / 3.0, axis)  # half-angle pi/3, sense -2pi/3
+    frame.flags.writeable = False
+    return frame
 
 
 def _euler_zyz(su2: np.ndarray):

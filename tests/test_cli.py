@@ -1,11 +1,14 @@
 """CLI surface: exit codes, report determinism, CSV schemas and round-trips."""
 
+import contextlib
 import io
 import json
+import warnings
 
 import numpy as np
 import pytest
 
+from holonome import cli
 from holonome.cli import run
 from holonome.reporting import csv_lines, parse_csv
 
@@ -140,13 +143,88 @@ class TestReports:
         code, _, _ = invoke(["search", "--target", "rx"])
         assert code == 1
 
-    def test_config_file_merges_under_flags(self, tmp_path):
-        conf = tmp_path / "conf.json"
-        conf.write_text(json.dumps({"kappa": 2}))
-        _, out, _ = invoke(
-            ["one-qubit", "--n", "1,0,0", "--kappa", "1", "--config", str(conf)]
-        )
-        assert json.loads(out)["inputs"]["kappa"] == 1  # flag wins
+    def test_config_option_is_gone(self):
+        code, out, _ = invoke(["one-qubit", "--n", "1,0,0", "--kappa", "1", "--config", "c.json"])
+        assert code == 2
+        assert out == ""
+
+
+class TestFilesystemErrors:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["one-qubit", "--n", "1,0,0", "--kappa", "1", "--out"],
+            ["figure", "fig2", "--csv"],
+            ["sweep", "--n", "1,0,0", "--kappa", "1", "--T", "1", "--csv"],
+        ],
+    )
+    def test_missing_directory_exit_one(self, tmp_path, argv):
+        path = tmp_path / "missing" / "x.out"
+        code, out, err = invoke([*argv, str(path)])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not path.parent.exists()
+
+
+class TestNonFiniteCouplings:
+    @pytest.mark.parametrize(
+        "argv, name",
+        [
+            (["one-qubit", "--n", "1,0,0", "--kappa", "1", "--omega", "inf"], "omega"),
+            (["one-qubit", "--n", "1,0,0", "--kappa", "1", "--j1", "nan"], "j1"),
+            (["two-qubit", "--kp", "2", "--km", "3", "--kprime", "1", "--j2", "nan"], "j2"),
+            (["two-qubit", "--kp", "2", "--km", "3", "--kprime", "1", "--j1=-inf"], "j1"),
+            (["sweep", "--n", "1,0,0", "--kappa", "1", "--T", "1", "--j1", "nan"], "j1"),
+            (["sweep", "--kp", "2", "--km", "3", "--T", "1", "--j2", "inf"], "j2"),
+        ],
+    )
+    def test_exit_one_without_warning(self, argv, name):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = invoke(argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: {name} ") and err.count("\n") == 1
+
+
+def invoke_capturing_usage(argv):
+    """Like ``invoke``, but also captures argparse's own writes to sys.stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = run(argv, out, err)
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestParserReuse:
+    # Later requests rely on defaults that earlier ones set explicitly, so a
+    # value carried over from one request to the next changes their bytes.
+    SEQUENCE = [
+        ["one-qubit", "--n", "1,0,0", "--kappa", "2"],
+        ["search", "--target", "cz"],
+        ["search", "--target", "cphase", "--theta", "1", "--kp-max", "6", "--eps", "0.1"],
+        ["two-qubit", "--kp", "2", "--km", "3", "--kprime", "1", "--j1", "2", "--j2", "2"],
+        ["search", "--target", "cphase", "--kp-max", "oops"],
+        ["search", "--target", "cz"],
+        ["search", "--target", "rx", "--theta", "0.5"],
+        ["sweep", "--n", "1,0,0", "--kappa", "1", "--T", "10"],
+        ["audit", "--kp", "2"],
+        ["one-qubit", "--n", "1,0,0", "--kappa", "2"],
+    ]
+
+    def test_build_parser_returns_a_fresh_parser(self):
+        assert cli.build_parser() is not cli.build_parser()
+        assert cli._parser() is cli._parser()
+
+    def test_interleaved_requests_match_fresh_parser(self):
+        shared = [invoke_capturing_usage(argv) for argv in self.SEQUENCE]
+        for argv, got in zip(self.SEQUENCE, shared):
+            cli._parser.cache_clear()
+            assert got == invoke_capturing_usage(argv), argv
+        codes = [code for code, _, _ in shared]
+        assert codes == [0, 0, 0, 0, 2, 0, 0, 0, 1, 0]
+        assert shared[0] == shared[-1]
+        assert shared[1] == shared[5]
 
 
 class TestCsv:

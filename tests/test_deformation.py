@@ -43,6 +43,13 @@ class TestOneQubitGenerator:
         with pytest.raises(DomainError):
             one_qubit_generator((1.0, 1.0, 0.0), 1)
 
+    @pytest.mark.parametrize(
+        "n", [(np.nan, 0.0, 0.0), (1.0, np.nan, 0.0), (np.inf, 0.0, 0.0)]
+    )
+    def test_rejects_non_finite_axis(self, n):
+        with pytest.raises(DomainError, match="unit vector"):
+            OneQubitLoop.create(n, 1)
+
     def test_rejects_oversized_winding(self):
         with pytest.raises(DomainError):
             one_qubit_generator((1.0, 0.0, 0.0), MAX_WINDING + 1)

@@ -10,6 +10,7 @@ from holonome.deformation import (
     two_qubit_generator,
 )
 from holonome.errors import DomainError
+from holonome import holonomy as holonomy_module
 from holonome.holonomy import (
     Connection,
     analytic_one_qubit_gate,
@@ -166,6 +167,19 @@ class TestTwoQubitGate:
     def test_generic_discrepancy_is_nonzero(self):
         fact = analytic_two_qubit_gate(TwoQubitLoop.create(2, 3, 1))
         assert fact.discrepancy > 1e-3
+
+
+class TestConstantProducts:
+    def test_bit_equal_fresh_and_read_only(self):
+        sx = np.array([[0, 1], [1, 0]], dtype=complex)
+        sz = np.diag([1.0, -1.0]).astype(complex)
+        eye = np.eye(2, dtype=complex)
+        for name, (a, b) in {"II": (eye, eye), "ZI": (sz, eye),
+                             "IX": (eye, sx), "ZZ": (sz, sz)}.items():
+            const = getattr(holonomy_module, name)
+            assert const.tobytes() == np.kron(a, b).tobytes()
+            with pytest.raises(ValueError):
+                const[0, 0] = 2.0
 
 
 class TestLocalInvariants:

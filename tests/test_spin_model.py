@@ -6,12 +6,14 @@ import pytest
 from holonome.errors import DomainError
 from holonome.matrix_kernel import frobenius
 from holonome.spin_model import (
+    PAULI,
     SIGMA_Z,
     build_one_dimer,
     build_two_dimer,
     coding_space,
     dimer_basis,
     ground_basis,
+    pauli_site,
     site_operator,
 )
 
@@ -52,6 +54,22 @@ class TestOneDimer:
             build_one_dimer(0.0, 1.0)
         with pytest.raises(DomainError):
             build_one_dimer(1.0, -1.0)
+
+    @pytest.mark.parametrize(
+        "build, args, name",
+        [
+            (build_one_dimer, (np.inf, 1.0), "omega"),
+            (build_one_dimer, (np.nan, 1.0), "omega"),
+            (build_one_dimer, (1.0, np.nan), "j1"),
+            (build_one_dimer, (1.0, -np.inf), "j1"),
+            (build_two_dimer, (np.nan, 1.0), "j1"),
+            (build_two_dimer, (1.0, np.inf), "j2"),
+            (build_two_dimer, (1.0, np.nan), "j2"),
+        ],
+    )
+    def test_rejects_non_finite_couplings_by_name(self, build, args, name):
+        with np.errstate(all="raise"), pytest.raises(DomainError, match=f"^{name} "):
+            build(*args)
 
 
 class TestTwoDimer:
@@ -137,3 +155,69 @@ class TestCodingSpace:
         assert labels[:4] == ("T+T+", "T+T0", "T0T+", "T0T0")
         assert all("S0" in lab for lab in labels[4:])
         assert frobenius(vecs.conj().T @ vecs - np.eye(9)) < 1e-12
+
+
+def fresh_ground_columns(n_spins):
+    """The ground basis built from scratch with np.kron, coding vectors first."""
+    basis = dict(dimer_basis().labeled())
+    if n_spins == 2:
+        return np.column_stack([basis["T+"], basis["T0"], basis["S0"]])
+    pairs = [("T+", "T+"), ("T+", "T0"), ("T0", "T+"), ("T0", "T0"),
+             ("T+", "S0"), ("T0", "S0"), ("S0", "T+"), ("S0", "T0"), ("S0", "S0")]
+    return np.column_stack(
+        [np.kron(basis[a].reshape(4, 1), basis[b].reshape(4, 1)).ravel() for a, b in pairs]
+    )
+
+
+def bit_equal(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+MODELS = {2: lambda: build_one_dimer(1.0, 1.0), 4: lambda: build_two_dimer(1.0, 2.0)}
+
+
+class TestCaches:
+    """Request-independent operators and bases are built once and read-only."""
+
+    @pytest.mark.parametrize("n_spins", [2, 4])
+    def test_pauli_sites_bit_equal_fresh(self, n_spins):
+        for axis in "xyz":
+            for site in range(n_spins):
+                cached = pauli_site(axis, site, n_spins)
+                assert bit_equal(cached, site_operator(PAULI[axis], site, n_spins))
+                assert pauli_site(axis, site, n_spins) is cached
+
+    @pytest.mark.parametrize("n_spins", [2, 4])
+    def test_ground_columns_and_coding_space_bit_equal_fresh(self, n_spins):
+        model = MODELS[n_spins]()
+        labels, vecs = ground_basis(model)
+        assert bit_equal(vecs, fresh_ground_columns(n_spins))
+        dim_c = 2 if n_spins == 2 else 4
+        fresh = fresh_ground_columns(n_spins)[:, :dim_c]
+        coding = coding_space(model)
+        assert coding.labels == labels[:dim_c]
+        assert bit_equal(coding.vectors, fresh)
+        assert bit_equal(coding.projector, fresh @ fresh.conj().T)
+        assert coding_space(MODELS[n_spins]()) is coding
+
+    @pytest.mark.parametrize("n_spins", [2, 4])
+    def test_cached_arrays_are_read_only(self, n_spins):
+        model = MODELS[n_spins]()
+        coding = coding_space(model)
+        arrays = [pauli_site(a, 0, n_spins) for a in "xyz"]
+        arrays += [ground_basis(model)[1], coding.vectors, coding.projector]
+        for a in arrays:
+            before = a.copy()
+            with pytest.raises(ValueError):
+                a[0, 0] = 7.0
+            with pytest.raises(ValueError):
+                a *= 2.0
+            assert bit_equal(a, before)
+
+    def test_degeneracy_checked_after_caching(self):
+        ground_basis(build_one_dimer(1.0, 1.0))
+        coding_space(build_two_dimer(1.0, 1.0))
+        with pytest.raises(DomainError, match="one-dimer"):
+            ground_basis(build_one_dimer(2.0, 1.0))
+        with pytest.raises(DomainError, match="one-dimer"):
+            coding_space(build_one_dimer(1.0, 3.0))

@@ -137,6 +137,11 @@ class TestSearchRotation:
         with pytest.raises(DomainError):
             search_rotation((0.0, 0.0, 1.0), np.pi, 0.1, 10)
 
+    @pytest.mark.parametrize("axis", [(np.nan, 0.0, 0.0), (1.0, np.nan, 0.0)])
+    def test_rejects_nan_axis(self, axis):
+        with pytest.raises(DomainError, match="unit vector"):
+            search_rotation(axis, 1.0, 0.1, 10)
+
     def test_hadamard_sine_peaks(self):
         # top three |sin theta_kappa| on the Hadamard axis for kappa <= 16
         sines = {
@@ -183,6 +188,12 @@ class TestSynthesizeSu2:
         program = synthesize_su2(target, 0.05, 500)
         bound = sum(res.gate_distance for _, res in program.steps)
         assert program.total_distance <= bound + 1e-9
+
+    def test_frame_built_once_and_read_only(self):
+        frame = synthesis._frame()
+        assert synthesis._frame() is frame
+        with pytest.raises(ValueError):
+            frame[0, 0] = 0.0
 
     def test_euler_decomposition_reconstructs(self):
         rng = np.random.default_rng(29)
