@@ -50,23 +50,40 @@ class AdiabaticRun:
     dynamical_phase: complex
 
 
-def _finite_time(T) -> float:
+# Largest phase error, in radians, a propagator may carry.  Evaluating
+# e^{-i E0 T} and exp(-i(-iX + HT)) loses about (|E0| T + ||H T||) u of phase
+# (u the unit roundoff, ||.|| the Frobenius norm), which bounds T per model.
+_PHASE_TOL = 1e-6
+
+
+def _t_max(model: SpinModel) -> float:
+    """Largest |T| whose phase error (|E0| + ||H||) |T| u stays within _PHASE_TOL."""
+    scale = abs(model.ground_energy) + float(np.linalg.norm(model.hamiltonian))
+    return _PHASE_TOL / (scale * 2.0**-53)
+
+
+def _finite_time(T, t_max: float) -> float:
     T = float(T)
     if not np.isfinite(T):
         raise DomainError(f"T must be finite, got {T!r}")
+    if abs(T) > t_max:
+        raise DomainError(
+            f"|T| must be at most {t_max:.6g} for this model "
+            f"(phase error {_PHASE_TOL:g} rad), got {T!r}"
+        )
     return T
 
 
 def exact_propagator(model: SpinModel, gen: DeformationGenerator, T: float) -> np.ndarray:
-    """Full-loop propagator exp(X) exp(-i(-iX + HT)); exact for any finite T >= 0."""
-    T = _finite_time(T)
+    """Full-loop propagator exp(X) exp(-i(-iX + HT)); exact for any T up to ``_t_max``."""
+    T = _finite_time(T, _t_max(model))
     rotating_frame = -1j * gen.x + model.hamiltonian * T  # Hermitian
     return expm_skew(gen.x) @ expm_skew(-1j * rotating_frame)
 
 
 def ode_propagator(model: SpinModel, gen: DeformationGenerator, T: float, steps: int) -> np.ndarray:
     """RK4 integration of i dU/dtau = T H(tau) U with H(tau) = e^{X tau} H e^{-X tau}."""
-    T = _finite_time(T)
+    T = _finite_time(T, _t_max(model))
     if isinstance(steps, bool) or not isinstance(steps, (int, np.integer)):
         raise DomainError(f"steps must be an int, got {steps!r}")
     if steps < 1:
@@ -119,7 +136,7 @@ def holonomy_fidelity(u, gate: HolonomyGate, model: SpinModel, T: float):
     u = np.asarray(u, dtype=complex)
     if u.shape != (model.dim, model.dim):
         raise DomainError("propagator dimension does not match the model")
-    T = _finite_time(T)
+    T = _finite_time(T, _t_max(model))
     return _fidelity_leakage(u, gate, model, _coding_vectors(model, gate), T)
 
 
@@ -129,7 +146,8 @@ def adiabatic_sweep(model, gen, gate, t_list) -> list:
     e^X and the coding space are built once; the propagators
     exp(-i(-iX + HT)) of all T come from one stacked eigendecomposition.
     """
-    t_list = sorted(_finite_time(t) for t in t_list)
+    t_max = _t_max(model)
+    t_list = sorted(_finite_time(t, t_max) for t in t_list)
     if not t_list or not t_list[0] > 0:
         raise DomainError("T_list must be non-empty and positive")
     c = _coding_vectors(model, gate)

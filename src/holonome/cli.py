@@ -8,6 +8,7 @@ accepted in radians only.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import sys
 
@@ -285,7 +286,9 @@ def run(argv=None, stdout=None, stderr=None) -> int:
     stdout = stdout or sys.stdout
     stderr = stderr or sys.stderr
     try:
-        args = _parser().parse_args(argv)
+        # Usage errors and --help go to the streams of this call.
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:

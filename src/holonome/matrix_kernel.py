@@ -37,6 +37,11 @@ def is_unitary(u, tol=1e-10) -> bool:
     return frobenius(u.conj().T @ u - np.eye(u.shape[0])) < tol * u.shape[0]
 
 
+def _slice_norms(m: np.ndarray) -> np.ndarray:
+    """Frobenius norm of each matrix over the last two axes."""
+    return np.sqrt(np.add.reduce((m.conj() * m).real, axis=(-2, -1)))
+
+
 def expm_skew(m, tol=1e-10) -> np.ndarray:
     """Exponential of an anti-Hermitian matrix, or of each slice of a stack.
 
@@ -48,12 +53,14 @@ def expm_skew(m, tol=1e-10) -> np.ndarray:
     m = np.asarray(m, dtype=complex)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise DomainError(f"expected a square matrix or a stack of them, got shape {m.shape}")
-    for s in m.reshape(-1, *m.shape[-2:]):
-        norm = frobenius(s)
-        if not math.isfinite(norm):
+    # Every slice is checked at once; the first bad slice names the error.
+    norm = _slice_norms(m)
+    defect = _slice_norms(m + m.conj().swapaxes(-1, -2))
+    bad = ~np.isfinite(norm) | (defect > tol * np.maximum(1.0, norm))
+    if bad.any():
+        if not math.isfinite(np.ravel(norm)[np.argmax(bad)]):
             raise DomainError("expm_skew requires a finite argument")
-        if frobenius(s + s.conj().T) > tol * max(1.0, norm):
-            raise DomainError("expm_skew requires an anti-Hermitian argument")
+        raise DomainError("expm_skew requires an anti-Hermitian argument")
     herm = 1j * m  # Hermitian
     herm = 0.5 * (herm + herm.conj().swapaxes(-1, -2))
     evals, evecs = np.linalg.eigh(herm)

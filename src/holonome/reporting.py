@@ -82,22 +82,6 @@ def emit_csv(path, header, rows):
         fh.write(csv_lines(header, rows))
 
 
-def parse_csv(text: str):
-    """Round-trip parser for emitted CSVs: header plus typed rows."""
-    lines = text.strip("\n").split("\n")
-    header = lines[0].split(",")
-    rows = []
-    for line in lines[1:]:
-        cells = []
-        for cell in line.split(","):
-            try:
-                cells.append(int(cell))
-            except ValueError:
-                cells.append(float(cell))
-        rows.append(tuple(cells))
-    return header, rows
-
-
 def audit_payload(fact) -> dict:
     """JSON payload for a two-qubit factorization audit."""
     g1_exact, g2_exact = fact.invariants_exact

@@ -7,20 +7,28 @@ target angle.  Tie-breaking always prefers the shortest loop (smallest kappa,
 then smallest repetition count, then smallest kappa_plus): it is the cheapest
 to traverse adiabatically.
 
-Every search runs through one numpy kernel, ``_scan_lattice``.  It receives
-target - lattice angle in scan order, takes the circular distance
-min(r, period - r) with r = |delta| mod period (the float operations of
-``circular_distance``), and keeps the first minimum, so the scan order alone
-sets the tie-break.  The period depends on the caller:
+Every search minimizes the circular error min(r, period - r) with
+r = |delta| mod period, delta = target - lattice angle, evaluated with the
+float operations of ``circular_distance``, and keeps the first minimum in
+scan order, so the scan order alone sets the tie-break:
 
-- ``search_rotation`` and ``search_controlled_phase``: 2 pi.  Rotations scan
-  kappa = 1, 2, ...; controlled phase scans n = 1, 2, ... and, within each n,
-  the winding pairs in ``admissible_winding_pairs`` order.
-- ``search_hadamard``: pi, because the Hadamard gate is a rotation by pi/2 up
-  to a global phase, and the gate distance ignores global phase.
+- ``search_rotation`` (period 2 pi) and ``search_hadamard`` (period pi,
+  because the Hadamard gate is a rotation by pi/2 up to a global phase, and
+  the gate distance ignores global phase) search one line, kappa = 1, 2,
+  ...  ``_search_line`` finds its first minimum without scanning it: an
+  exact integer search over the continued-fraction structure of the step
+  finds the best lattice point on each side of the target in
+  O(log kappa_max) steps, and the gap between lattice points proves that no
+  other point can win after rounding.  Where the gap is too small for that
+  proof (a step near a rational multiple of the period), the line is
+  scanned.
+- ``search_controlled_phase`` (period 2 pi) scans n = 1, 2, ... and, within
+  each n, the winding pairs in ``admissible_winding_pairs`` order.
 
-The kernel evaluates 2^15 lattice points at a time, so its memory stays a
-few hundred KiB whatever the search bounds.
+The scan kernel, ``_scan_lattice``, evaluates at most 2^15 lattice points at
+a time, so its memory stays a few hundred KiB whatever the search bounds,
+and computes the exact error only at the points a cheap rounding estimate
+cannot rule out.
 """
 
 from __future__ import annotations
@@ -30,11 +38,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from holonome.deformation import OneQubitLoop, TwoQubitLoop
+from holonome.deformation import OneQubitLoop
 from holonome.errors import DomainError
 from holonome.holonomy import (
     analytic_one_qubit_gate,
-    analytic_two_qubit_gate,
     controlled_phase_gate,
     _rotation,
 )
@@ -44,6 +51,9 @@ TWO_PI = 2.0 * np.pi
 
 # Lattice points per kernel step; bounds the kernel's temporary arrays.
 _CHUNK = 1 << 15
+
+# Unit roundoff of float64.
+_U = 2.0**-53
 
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0)
 
@@ -76,21 +86,134 @@ class SearchResult:
     exhausted: bool
 
 
-def _scan_lattice(delta_at, size: int, period: float):
-    """(position, error) of the first minimum of the circular error over a scan.
+def _circular_error(delta, period: float) -> np.ndarray:
+    """min(r, period - r) with r = |delta| mod period, elementwise.
 
-    ``delta_at(i)`` returns target - lattice angle at the scan positions in
-    the int64 array ``i``; positions 0 .. size - 1 are evaluated in chunks of
-    ``_CHUNK``.  The error is min(r, period - r) with r = |delta| mod period.
+    The float operations of ``circular_distance``; every search reports the
+    error this returns at its winner.
     """
-    best_i, best_err = 0, np.inf
-    for start in range(0, size, _CHUNK):
-        r = np.abs(delta_at(np.arange(start, min(start + _CHUNK, size)))) % period
-        err = np.minimum(r, period - r)
-        i = int(np.argmin(err))
-        if err[i] < best_err:
-            best_i, best_err = start + i, float(err[i])
-    return best_i, best_err
+    r = np.abs(delta) % period
+    return np.minimum(r, period - r)
+
+
+def _scan_lattice(delta_at, rows: int, cols: int, period: float):
+    """(row, col, error) of the first minimum of the circular error over a lattice.
+
+    ``delta_at(r, c)`` returns target - lattice angle on the block of rows
+    ``r`` (an int64 column) and columns ``c`` (an int64 row); the scan order
+    is row-major and the error is ``_circular_error``.  A block holds whole
+    rows, or one row in pieces when a row is longer than ``_CHUNK``, so it
+    never exceeds ``_CHUNK`` points.
+
+    Each block is filtered first: e~ = |delta - rint(delta / period) period|
+    is within b = 8 u (max |delta| + period) of the error at every point
+    (rounding, up to a representative one period off near rint's half-way
+    points, gives at most u (5 |delta| + 2 period)).  Only the points with
+    e~ within 2 b of the block minimum of e~ get the exact error; every point
+    that attains the exact minimum, ties included, is among them, so the
+    first minimum is the one a full exact scan finds.
+    """
+    if cols <= _CHUNK:
+        row_step, col_step = _CHUNK // cols, cols
+    else:
+        row_step, col_step = 1, _CHUNK
+    best, best_err = (0, 0), np.inf
+    for r0 in range(0, rows, row_step):
+        r = np.arange(r0, min(r0 + row_step, rows))[:, None]
+        for c0 in range(0, cols, col_step):
+            c = np.arange(c0, min(c0 + col_step, cols))
+            delta = np.broadcast_to(delta_at(r, c), (len(r), len(c))).ravel()
+            approx = delta * (1.0 / period)
+            np.rint(approx, out=approx)
+            approx *= period
+            np.subtract(delta, approx, out=approx)
+            np.abs(approx, out=approx)
+            slack = 16.0 * _U * (max(delta.max(), -delta.min()) + period)
+            keep = np.flatnonzero(approx <= approx.min() + slack)
+            err = _circular_error(delta[keep], period)
+            i = int(np.argmin(err))
+            if err[i] < best_err:
+                row, col = divmod(int(keep[i]), len(c))
+                best, best_err = (r0 + row, c0 + col), float(err[i])
+    return best[0], best[1], best_err
+
+
+def _min_mod(a: int, b: int, m: int, n: int):
+    """(value, x) of the first minimum of (a x + b) mod m over 0 <= x < n.
+
+    Needs 0 <= a, b < m and n >= 1.  Each level hands a problem of at most
+    ceil(n / 2) points on a modulus of at most m / 2 to the next, so the
+    depth is O(log n):
+
+    - 2a <= m: the values climb by a and drop only when they wrap, so the
+      first minimum is x = 0 or the first point after some wrap.  The point
+      after wrap j >= 1 has value (b - j m) mod a, a line in j modulo a.
+    - 2a > m: the values descend by c = m - a in runs that end below c, so
+      the first minimum is the end of some complete run, x_j = (b + j m) // c
+      with value (b + j m) mod c, or, with no complete run, x = n - 1.
+    """
+    if n == 1 or a == 0:
+        return b, 0
+    if 2 * a <= m:
+        wraps = (a * (n - 1) + b) // m
+        if wraps == 0:
+            return b, 0
+        value, j = _min_mod(-m % a, (b - m) % a, a, wraps)
+        if b <= value:
+            return b, 0
+        return value, -((b - (j + 1) * m) // a)  # ceil(((j + 1) m - b) / a)
+    c = m - a
+    runs = (c * n - 1 - b) // m + 1
+    if runs <= 0:
+        return b - c * (n - 1), n - 1
+    value, j = _min_mod(m % c, b % c, c, runs)
+    return value, (b + j * m) // c
+
+
+def _search_line(delta_at, theta: float, step_factors, size: int, period: float):
+    """(position, error) that ``_scan_lattice`` finds on the line theta - (k + 1) step.
+
+    ``delta_at(_, k)`` evaluates the line in floating point at the int64
+    positions ``k``; the step is the exact product of the floats
+    ``step_factors``.  Over one power-of-two denominator theta, step and
+    period are integers, and ``_min_mod`` gives exactly:
+
+    - k_u, the first minimum of (theta - (k + 1) step) mod period (the best
+      lattice point below theta), and k_l, that of
+      ((k + 1) step - theta) mod period (the best one above);
+    - the gap g, the least circular distance of q step from 0 over
+      1 <= q < size.
+
+    Every other k is at least g farther from theta than k_u or k_l.  The
+    float error differs from the exact one by at most
+    tol = 4 u (|theta| + size |step| + period) (to first order it is
+    u (|theta| + 3 size |step| + period)), so when g > 2 tol no other k can
+    win after rounding, and the first float minimum over k_u and k_l is the
+    scan's.  Otherwise (a step near a rational multiple of the period, where
+    rounding decides between exact ties) the line is scanned.
+    """
+    num, den = 1, 1
+    for factor in step_factors:
+        p, q = factor.as_integer_ratio()
+        num, den = num * p, den * q
+    theta_num, theta_den = theta.as_integer_ratio()
+    period_num, period_den = period.as_integer_ratio()
+    d = max(den, theta_den, period_den)
+    m = period_num * (d // period_den)
+    s = num * (d // den) % m
+    t = theta_num * (d // theta_den) % m
+    neg = -s % m
+    if size > 1:
+        gap = min(_min_mod(s, s, m, size - 1)[0], _min_mod(neg, neg, m, size - 1)[0])
+        tol = 4.0 * _U * (abs(theta) + size * abs(num / den) + period)
+        if not gap / d > 2.0 * tol:
+            return _scan_lattice(delta_at, 1, size, period)[1:]
+    k_u = _min_mod(neg, (t - s) % m, m, size)[1]
+    k_l = _min_mod(s, (s - t) % m, m, size)[1]
+    k = np.array(sorted({k_u, k_l}), dtype=np.int64)
+    err = _circular_error(delta_at(0, k), period)
+    i = int(np.argmin(err))
+    return int(k[i]), float(err[i])
 
 
 def _check_search_inputs(eps, theta_target=0.0, **bounds):
@@ -125,8 +248,9 @@ def search_rotation(axis, theta_target: float, eps: float, kappa_max: int) -> Se
     n = _resolve_axis(axis)
     # Validates unit norm and |n_z| < 1 (|n_z| = 1 would make every gate trivial).
     step = OneQubitLoop.create(n, 1).theta_kappa
-    i, best_err = _scan_lattice(
-        lambda k: theta_target - (k + 1) * step, int(kappa_max), TWO_PI
+    i, best_err = _search_line(
+        lambda _, k: theta_target - (k + 1) * step,
+        float(theta_target), (step,), int(kappa_max), TWO_PI,
     )
     best_kappa = i + 1
     loop = OneQubitLoop.create(n, best_kappa)
@@ -154,8 +278,9 @@ def search_hadamard(eps: float, kappa_max: int) -> SearchResult:
     # Every scanned winding must be a valid loop, up to MAX_WINDING.
     OneQubitLoop.create(HADAMARD_AXIS, kappa_max)
     root = np.sqrt(2.0 - HADAMARD_AXIS[2] ** 2)  # as in OneQubitLoop.create
-    i, err = _scan_lattice(
-        lambda k: np.pi / 2.0 - ((k + 1) * np.pi) * root, int(kappa_max), np.pi
+    i, err = _search_line(
+        lambda _, k: np.pi / 2.0 - ((k + 1) * np.pi) * root,
+        np.pi / 2.0, (np.pi, float(root)), int(kappa_max), np.pi,
     )
     loop = OneQubitLoop.create(HADAMARD_AXIS, i + 1)
     gate = analytic_one_qubit_gate(loop).gamma
@@ -285,14 +410,14 @@ def search_controlled_phase(
     )
     pairs = np.array(admissible_winding_pairs(kappa_plus_max))
     pair_j = coupling_strength(pairs[:, 0], pairs[:, 1])
-    size = len(pairs)
-    i, err = _scan_lattice(
-        lambda k: theta_target - (2.0 * (k // size + 1)) * pair_j[k % size],
-        int(n_max) * size,
+    row, col, err = _scan_lattice(
+        lambda r, c: theta_target - (2.0 * (r + 1)) * pair_j[c],
+        int(n_max),
+        len(pairs),
         TWO_PI,
     )
-    n = i // size + 1
-    kp, km = (int(x) for x in pairs[i % size])
+    n = row + 1
+    kp, km = (int(x) for x in pairs[col])
     j = coupling_strength(kp, km)
     gate = np.linalg.matrix_power(controlled_phase_gate(2.0 * j), n)
     target = controlled_phase_gate(theta_target)
@@ -303,12 +428,6 @@ def search_controlled_phase(
         gate=gate,
         exhausted=err >= eps,
     )
-
-
-def repeated_exact_gate(kappa_plus: int, kappa_minus: int, n: int, kappa_prime: int = 1) -> np.ndarray:
-    """(exp(-A|C2))^n for the winning loop, for auditing the repetition scheme."""
-    loop = TwoQubitLoop.create(kappa_plus, kappa_minus, kappa_prime)
-    return np.linalg.matrix_power(analytic_two_qubit_gate(loop).gamma_exact, n)
 
 
 def equidistribution_scan(step: float, k_list) -> dict:

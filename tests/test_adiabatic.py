@@ -1,8 +1,11 @@
 """Propagators and adiabatic convergence of the realized gates."""
 
+import re
+
 import numpy as np
 import pytest
 
+from holonome import adiabatic
 from holonome.adiabatic import (
     adiabatic_sweep,
     exact_propagator,
@@ -235,6 +238,25 @@ class TestAdiabaticSweep:
             ode_propagator(model, gen, bad, 10)
         with pytest.raises(DomainError):
             holonomy_fidelity(np.eye(model.dim), gate, model, bad)
+
+    @pytest.mark.parametrize("qubits", [1, 2])
+    def test_time_limit_from_phase_error(self, qubits):
+        model, gen, gate = oracle_setup(qubits)
+        t_max = adiabatic._t_max(model)
+        scale = abs(model.ground_energy) + np.linalg.norm(model.hamiltonian)
+        assert t_max * scale * np.finfo(float).eps / 2 == pytest.approx(1e-6)
+        assert t_max > 1e6  # every T <= 1e6 at omega = J = 1 stays accepted
+        adiabatic_sweep(model, gen, gate, [1e6])
+        for bad in (np.nextafter(t_max, np.inf), 1e17, 1e200, -1e200):
+            with np.errstate(all="raise"):
+                with pytest.raises(DomainError, match=re.escape(f"at most {t_max:.6g} for this model")):
+                    adiabatic_sweep(model, gen, gate, [1.0, bad])
+                with pytest.raises(DomainError, match="at most"):
+                    exact_propagator(model, gen, bad)
+                with pytest.raises(DomainError, match="at most"):
+                    ode_propagator(model, gen, bad, 10)
+                with pytest.raises(DomainError, match="at most"):
+                    holonomy_fidelity(np.eye(model.dim), gate, model, bad)
 
     def test_rejects_empty_or_nonpositive(self):
         model = build_one_dimer(1.0, 1.0)

@@ -1,6 +1,5 @@
 """CLI surface: exit codes, report determinism, CSV schemas and round-trips."""
 
-import contextlib
 import io
 import json
 import warnings
@@ -10,7 +9,23 @@ import pytest
 
 from holonome import cli
 from holonome.cli import run
-from holonome.reporting import csv_lines, parse_csv
+from holonome.reporting import csv_lines
+
+
+def parse_csv(text: str):
+    """Round-trip parser for emitted CSVs: header plus typed rows."""
+    lines = text.strip("\n").split("\n")
+    header = lines[0].split(",")
+    rows = []
+    for line in lines[1:]:
+        cells = []
+        for cell in line.split(","):
+            try:
+                cells.append(int(cell))
+            except ValueError:
+                cells.append(float(cell))
+        rows.append(tuple(cells))
+    return header, rows
 
 
 def invoke(argv):
@@ -65,6 +80,15 @@ class TestExitCodes:
         assert code == 1
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("t_list", ["1e17", "1e200", "10,-1e200"])
+    def test_sweep_time_beyond_limit_exit_one(self, t_list):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = invoke(["sweep", "--n=1,0,0", "--kappa", "1", "--T", t_list])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: |T| must be at most 2.01") and err.count("\n") == 1
 
     @pytest.mark.parametrize(
         "argv",
@@ -188,12 +212,22 @@ class TestNonFiniteCouplings:
         assert err.startswith(f"error: {name} ") and err.count("\n") == 1
 
 
-def invoke_capturing_usage(argv):
-    """Like ``invoke``, but also captures argparse's own writes to sys.stderr."""
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stderr(err):
-        code = run(argv, out, err)
-    return code, out.getvalue(), err.getvalue()
+class TestUsageStreams:
+    """Usage errors and help go to the streams passed to ``run``."""
+
+    def test_usage_error_lands_in_given_stream(self, capsys):
+        code, out, err = invoke(["search", "--target", "cphase", "--kp-max", "oops"])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("usage: holonome search")
+        assert "invalid int value: 'oops'" in err
+        assert capsys.readouterr() == ("", "")
+
+    def test_help_lands_in_given_stream(self, capsys):
+        code, out, err = invoke(["search", "--help"])
+        assert code == 0
+        assert out.startswith("usage: holonome search") and err == ""
+        assert capsys.readouterr() == ("", "")
 
 
 class TestParserReuse:
@@ -217,10 +251,10 @@ class TestParserReuse:
         assert cli._parser() is cli._parser()
 
     def test_interleaved_requests_match_fresh_parser(self):
-        shared = [invoke_capturing_usage(argv) for argv in self.SEQUENCE]
+        shared = [invoke(argv) for argv in self.SEQUENCE]
         for argv, got in zip(self.SEQUENCE, shared):
             cli._parser.cache_clear()
-            assert got == invoke_capturing_usage(argv), argv
+            assert got == invoke(argv), argv
         codes = [code for code, _, _ in shared]
         assert codes == [0, 0, 0, 0, 2, 0, 0, 0, 1, 0]
         assert shared[0] == shared[-1]

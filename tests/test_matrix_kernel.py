@@ -83,6 +83,14 @@ class TestExpmSkew:
         with pytest.raises(DomainError):
             expm_skew(np.zeros((3, 4, 5)))
 
+    def test_first_bad_slice_names_the_error(self):
+        skew, nan = random_antihermitian(4), np.full((4, 4), np.nan)
+        bad = skew + 1e-6
+        for order, message in (((skew, bad, nan), "anti-Hermitian"),
+                               ((skew, nan, bad), "finite")):
+            with pytest.raises(DomainError, match=message):
+                expm_skew(np.stack(order))
+
 
 class TestTensorProduct:
     def test_identity(self):

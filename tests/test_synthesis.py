@@ -2,11 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from holonome import synthesis
-from holonome.deformation import OneQubitLoop
+from holonome.deformation import MAX_WINDING, OneQubitLoop, TwoQubitLoop
 from holonome.errors import DomainError
-from holonome.holonomy import analytic_one_qubit_gate, controlled_phase_gate
+from holonome.holonomy import (
+    analytic_one_qubit_gate,
+    analytic_two_qubit_gate,
+    controlled_phase_gate,
+)
 from holonome.matrix_kernel import phase_invariant_distance
 from holonome.synthesis import (
     HADAMARD,
@@ -17,15 +22,39 @@ from holonome.synthesis import (
     equidistribution_scan,
     euler_yxy,
     figure_table,
-    repeated_exact_gate,
     search_controlled_phase,
     search_hadamard,
     search_rotation,
     synthesize_su2,
 )
 
+# Deterministic hypothesis runs that leave no example database behind.
+DETERMINISTIC = settings(derandomize=True, database=None, deadline=None)
+
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
+
+
+def repeated_exact_gate(kappa_plus, kappa_minus, n, kappa_prime=1):
+    """(exp(-A|C2))^n for the winning loop, for auditing the repetition scheme."""
+    loop = TwoQubitLoop.create(kappa_plus, kappa_minus, kappa_prime)
+    return np.linalg.matrix_power(analytic_two_qubit_gate(loop).gamma_exact, n)
+
+
+def reference_scan(delta_at, size, period, chunk=1 << 15):
+    """(position, error) of the first minimum: the plain chunked 1-D scan.
+
+    ``delta_at(i)`` returns target - lattice angle at the int64 positions
+    ``i``; every position gets the exact circular error.
+    """
+    best_i, best_err = 0, np.inf
+    for start in range(0, size, chunk):
+        r = np.abs(delta_at(np.arange(start, min(start + chunk, size)))) % period
+        err = np.minimum(r, period - r)
+        i = int(np.argmin(err))
+        if err[i] < best_err:
+            best_i, best_err = start + i, float(err[i])
+    return best_i, best_err
 
 
 def brute_force_rotation_scan(step, theta, kappa_max):
@@ -58,8 +87,8 @@ def brute_force_hadamard_scan(kappa_max):
     return best
 
 
-# Seeded corpus for the chunked scan kernel: bounds of 1 and 2, small bounds,
-# and scans just above one kernel chunk.
+# Seeded corpus for the searches: bounds of 1 and 2, small bounds, and
+# bounds just above one kernel chunk.
 _CHUNK = synthesis._CHUNK
 _RNG = np.random.default_rng(20080909)
 ROTATION_CASES = [
@@ -83,7 +112,7 @@ HADAMARD_CASES = [(1, 0.5), (2, 0.5), (3, 1e-3), (16, 0.1), (500, 1e-3), (_CHUNK
 
 
 class TestScanKernelEquivalence:
-    """The chunked kernel returns exactly what the per-point scans return."""
+    """The searches return exactly what the per-point scans return."""
 
     @pytest.mark.parametrize("axis,theta,eps,kappa_max", ROTATION_CASES)
     def test_rotation(self, axis, theta, eps, kappa_max):
@@ -110,6 +139,266 @@ class TestScanKernelEquivalence:
         assert result.gate_distance == dist
         assert result.angle_error == err
         assert result.exhausted == (dist >= eps)
+
+
+# Seeded corpus for the exact line search: rotation lines about random axes,
+# lines whose step is a product of two floats (the Hadamard form) and
+# Hadamard bounds.  Bounds 1 and 2, log-spread bounds up to 6e4, and bounds
+# of MAX_WINDING; targets midway between two lattice points adjacent on the
+# circle, on either side of the branch cut of ``mod``; steps near a rational
+# multiple of the period (1.2 pi, a few ulps off 1.2 pi, 1.25 pi, 1.5 pi or
+# 4 pi / 3, and pi (1 + 1e-9) with a target large enough that rounding
+# swamps its gap) that must take the scan.
+TIE_RNG = np.random.default_rng(20081222)
+STEP_1_2PI_AXIS = (np.sqrt(0.44), 0.0, np.sqrt(0.56))  # step 1.2 pi
+STEP_PI_AXIS = (np.sqrt(1.0 - (2.0 - (1.0 + 1e-9) ** 2)), 0.0,
+                np.sqrt(2.0 - (1.0 + 1e-9) ** 2))  # step pi (1 + 1e-9)
+
+
+def _bound(rng):
+    u = rng.random()
+    if u < 0.05:
+        return 1
+    if u < 0.1:
+        return 2
+    return int(np.exp(rng.uniform(np.log(3), np.log(6e4))))
+
+
+def _random_axis(rng):
+    choice = rng.random()
+    if choice < 0.2:
+        return str(rng.choice(["x", "y"]))
+    if choice < 0.25:
+        return STEP_1_2PI_AXIS
+    if choice < 0.3:
+        return STEP_PI_AXIS
+    nz = rng.uniform(-0.999, 0.999)
+    phi = rng.uniform(0.0, 2.0 * np.pi)
+    rho = np.sqrt(1.0 - nz * nz)
+    return (rho * np.cos(phi), rho * np.sin(phi), nz)
+
+
+def _near_tie(step, size, period, rng):
+    """A target midway between two lattice points adjacent on the circle."""
+    angles = (np.arange(1, size + 1) * step) % period
+    order = np.argsort(angles, kind="stable")
+    j = len(order) - 1 if rng.random() < 0.3 else int(rng.integers(len(order) - 1))
+    lo, hi = angles[order[j]], angles[order[(j + 1) % len(order)]]
+    if j == len(order) - 1:
+        hi += period  # the pair straddles the branch cut at 0
+    theta = 0.5 * (lo + hi) + period * int(rng.integers(-2, 3))
+    for _ in range(int(rng.integers(0, 3))):
+        theta = float(np.nextafter(theta, rng.choice([-np.inf, np.inf])))
+    return float(theta)
+
+
+def _target(step, size, period, rng):
+    u = rng.random()
+    if u < 0.35 and size > 1:
+        return _near_tie(step, size, period, rng)
+    if u < 0.4:
+        return float(rng.choice([0.0, period, -period, 1e-300, 1e8, -1e8]))
+    return float(rng.uniform(-7.0, 7.0))
+
+
+def _rotation_lines(count, rng):
+    cases = []
+    for i in range(count):
+        axis = _random_axis(rng)
+        size = MAX_WINDING if i % 50 == 0 else _bound(rng)
+        step = OneQubitLoop.create(synthesis._resolve_axis(axis), 1).theta_kappa
+        theta = (float(rng.uniform(-7.0, 7.0)) if size == MAX_WINDING
+                 else _target(step, size, synthesis.TWO_PI, rng))
+        cases.append((axis, theta, float(rng.choice([1e-6, 1e-3, 0.5])), size))
+    return cases
+
+
+def _product_lines(count, rng):
+    cases = []
+    for i in range(count):
+        if i % 5 == 0:
+            # a few ulps off a rational multiple of pi: a gap of ~1e-15
+            root = float(rng.choice([1.2, 1.25, 1.5, 4.0 / 3.0]))
+            root *= 1.0 + int(rng.integers(-3, 4)) * 2.0**-52
+        else:
+            root = float(np.sqrt(rng.uniform(1.0, 2.0)))
+        period = float(rng.choice([np.pi, synthesis.TWO_PI]))
+        size = MAX_WINDING if i % 100 == 0 else _bound(rng)
+        theta = (float(rng.uniform(-7.0, 7.0)) if size == MAX_WINDING
+                 else _target(np.pi * root, size, period, rng))
+        cases.append((theta, root, period, size))
+    return cases
+
+
+ROTATION_LINES = _rotation_lines(1400, TIE_RNG)
+PRODUCT_LINES = _product_lines(500, TIE_RNG)
+HADAMARD_BOUNDS = sorted({1, 2, MAX_WINDING - 1, MAX_WINDING}
+                         | {_bound(TIE_RNG) for _ in range(200)})
+GROUPS = 10
+
+
+def rotation_reference(axis, theta, kappa_max):
+    step = OneQubitLoop.create(synthesis._resolve_axis(axis), 1).theta_kappa
+    return reference_scan(lambda k: theta - (k + 1) * step, kappa_max, synthesis.TWO_PI)
+
+
+class TestLineSearch:
+    """The exact line search returns what the plain scan of every point returns."""
+
+    def test_corpus_size(self):
+        assert len(ROTATION_LINES) + len(PRODUCT_LINES) + len(HADAMARD_BOUNDS) >= 2000
+        at_max = [c for c in ROTATION_LINES if c[3] == MAX_WINDING]
+        at_max += [c for c in PRODUCT_LINES if c[3] == MAX_WINDING]
+        assert len(at_max) + HADAMARD_BOUNDS.count(MAX_WINDING) >= 20
+
+    @pytest.mark.parametrize("group", range(GROUPS))
+    def test_rotation_lines(self, group):
+        for axis, theta, eps, kappa_max in ROTATION_LINES[group::GROUPS]:
+            i, err = rotation_reference(axis, theta, kappa_max)
+            result = search_rotation(axis, theta, eps, kappa_max)
+            case = (axis, theta, kappa_max)
+            assert result.params == {"kappa": i + 1}, case
+            assert result.angle_error.hex() == err.hex(), case
+            assert result.exhausted == (err >= eps), case
+
+    @pytest.mark.parametrize("group", range(GROUPS))
+    def test_product_step_lines(self, group):
+        for theta, root, period, size in PRODUCT_LINES[group::GROUPS]:
+            def delta_at(_, k):
+                return theta - ((k + 1) * np.pi) * root
+
+            expected = reference_scan(lambda k: delta_at(0, k), size, period)
+            got = synthesis._search_line(delta_at, theta, (np.pi, root), size, period)
+            assert got[0] == expected[0], (theta, root, period, size)
+            assert got[1].hex() == expected[1].hex(), (theta, root, period, size)
+
+    def test_hadamard_bounds(self):
+        root = np.sqrt(2.0 - HADAMARD_AXIS[2] ** 2)
+        for kappa_max in HADAMARD_BOUNDS:
+            i, err = reference_scan(
+                lambda k: np.pi / 2.0 - ((k + 1) * np.pi) * root, kappa_max, np.pi
+            )
+            result = search_hadamard(1e-3, kappa_max)
+            assert result.params == {"kappa": i + 1}, kappa_max
+            assert result.angle_error.hex() == err.hex(), kappa_max
+            gate = analytic_one_qubit_gate(OneQubitLoop.create(HADAMARD_AXIS, i + 1)).gamma
+            assert result.exhausted == (phase_invariant_distance(gate, HADAMARD) >= 1e-3)
+
+    @pytest.mark.parametrize(
+        "axis,theta,kappa_max,scans",
+        [
+            (STEP_1_2PI_AXIS, 0.3, 1000, 1),
+            (STEP_1_2PI_AXIS, -2.0, 60000, 1),
+            (STEP_PI_AXIS, 1e8, 60000, 1),
+            (STEP_PI_AXIS, 1.0, 60000, 0),  # gap 2 pi 1e-9 is wide enough
+            ("x", 1.0, MAX_WINDING, 0),
+            ("y", 1e-300, 1, 0),
+        ],
+    )
+    def test_scan_only_where_rounding_can_decide(self, monkeypatch, axis, theta, kappa_max, scans):
+        calls = []
+        scan = synthesis._scan_lattice
+        monkeypatch.setattr(synthesis, "_scan_lattice",
+                            lambda *args: calls.append(args) or scan(*args))
+        i, err = rotation_reference(axis, theta, kappa_max)
+        result = search_rotation(axis, theta, 1e-3, kappa_max)
+        assert len(calls) == scans
+        assert result.params == {"kappa": i + 1}
+        assert result.angle_error.hex() == err.hex()
+
+    def test_descending_runs_stay_logarithmic(self):
+        # (a x + b) mod m with a = m - 1 descends by 1 per step: a recursion
+        # that only follows wraps would need one level per point.
+        m, n = 10**12, 10**6
+        assert synthesis._min_mod(m - 1, 5 * 10**5, m, n) == (0, 5 * 10**5)
+        assert synthesis._min_mod(m - 1, 10**7, m, n) == (10**7 - n + 1, n - 1)
+        assert synthesis._min_mod(m - 3, 10**6 + 1, m, n) == (2, 333333)
+
+    @DETERMINISTIC
+    @given(st.data())
+    def test_min_mod_matches_brute_force(self, data):
+        m = data.draw(st.integers(1, 300))
+        a = data.draw(st.integers(0, m - 1))
+        b = data.draw(st.integers(0, m - 1))
+        n = data.draw(st.integers(1, 400))
+        assert synthesis._min_mod(a, b, m, n) == brute_min_mod(a, b, m, n)
+
+
+def brute_min_mod(a, b, m, n):
+    values = [(a * x + b) % m for x in range(n)]
+    return min(values), values.index(min(values))
+
+
+def _cphase_corpus(rng):
+    cases = [
+        (0.0, 1e-9, 12, 500),  # pair (7, 9) has 2J = 4 pi: exact ties in every n
+        (synthesis.TWO_PI, 1e-9, 7, 2000),
+        (-4.0 * np.pi, 1e-9, 30, 300),
+        (1e-12, 1e-9, 9, 64),
+        (np.pi / 2.0, 0.05, 30, 2000),
+        (0.7, 1e-3, 190, 3),  # rows of 190^2 pairs, longer than one chunk
+    ]
+    for _ in range(30):
+        kp = int(rng.integers(1, 31))
+        n = int(np.exp(rng.uniform(0.0, np.log(2000))))
+        theta = float(rng.choice([rng.uniform(-7.0, 7.0), 0.0, np.pi]))
+        cases.append((theta, float(rng.choice([1e-6, 1e-3, 0.5])), kp, n))
+    return cases
+
+
+CPHASE_LINES = _cphase_corpus(np.random.default_rng(20081223))
+
+
+class TestControlledPhaseKernel:
+    """The filtered 2-D kernel returns what the plain scan of every point returns."""
+
+    @pytest.mark.parametrize("theta,eps,kp_max,n_max", CPHASE_LINES)
+    def test_matches_plain_scan(self, theta, eps, kp_max, n_max):
+        pairs = np.array(admissible_winding_pairs(kp_max))
+        pair_j = coupling_strength(pairs[:, 0], pairs[:, 1])
+        size = len(pairs)
+        i, err = reference_scan(
+            lambda k: theta - (2.0 * (k // size + 1)) * pair_j[k % size],
+            n_max * size, synthesis.TWO_PI,
+        )
+        kp, km = (int(x) for x in pairs[i % size])
+        result = search_controlled_phase(theta, eps, kp_max, n_max)
+        assert result.params == {"kappa_plus": kp, "kappa_minus": km, "n": i // size + 1}
+        assert result.angle_error.hex() == err.hex()
+        assert result.exhausted == (err >= eps)
+
+    def test_exact_ties_decided_by_rounding(self):
+        # 2 J = 2 pi j exactly when km^2 - kp^2 = 8 j^2, e.g. (7, 9) and
+        # (7, 11): at theta = 0 every n of these pairs ties in exact arithmetic
+        assert 2.0 * coupling_strength(7, 9) == pytest.approx(4.0 * np.pi, abs=1e-14)
+        result = search_controlled_phase(0.0, 1e-9, 12, 500)
+        kp, km = result.params["kappa_plus"], result.params["kappa_minus"]
+        assert (km * km - kp * kp) % 8 == 0
+        assert np.sqrt((km * km - kp * kp) // 8) % 1 == 0
+        assert result.angle_error < 1e-13
+
+    @DETERMINISTIC
+    @given(st.data())
+    def test_kernel_matches_plain_scan_on_any_deltas(self, data):
+        period = data.draw(st.sampled_from([np.pi, synthesis.TWO_PI]))
+        value = st.one_of(
+            st.floats(-1e7, 1e7, allow_nan=False),
+            st.integers(-40, 40).map(lambda j: j * period / 2.0),
+            st.tuples(st.integers(-10**6, 10**6), st.floats(-1e-9, 1e-9)).map(
+                lambda p: p[0] * period + p[1]),
+        )
+        rows = data.draw(st.integers(1, 12))
+        cols = data.draw(st.integers(1, 12))
+        table = np.array(data.draw(st.lists(value, min_size=rows * cols,
+                                            max_size=rows * cols))).reshape(rows, cols)
+        chunk = data.draw(st.integers(1, 40))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(synthesis, "_CHUNK", chunk)
+            row, col, err = synthesis._scan_lattice(
+                lambda r, c: table[r, c], rows, cols, period)
+        i, expected = reference_scan(lambda k: table.ravel()[k], rows * cols, period)
+        assert (row, col) == divmod(i, cols)
+        assert err.hex() == expected.hex()
 
 
 class TestSearchRotation:
