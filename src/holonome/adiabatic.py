@@ -3,8 +3,8 @@
 In the co-rotating frame the generator of the dynamics is the *constant*
 Hermitian matrix -iX + HT, so the full-loop propagator has the closed form
 U(1) = exp(X) exp(-i(-iX + HT)) and is exact at any T.  A sweep over T
-computes exp(X) and the coding space once and all the exp(-i(-iX + HT)) in
-one stacked eigendecomposition.
+reads the generator's cached exp(X) and the coding space once and computes
+all the exp(-i(-iX + HT)) in one stacked eigendecomposition.
 
 A classical RK4 integration of the Schrodinger equation with the
 tau-dependent Hamiltonian is kept alongside purely as an independent oracle
@@ -35,7 +35,7 @@ import numpy as np
 from holonome.deformation import DeformationGenerator
 from holonome.errors import DomainError
 from holonome.holonomy import HolonomyGate
-from holonome.matrix_kernel import expm_skew
+from holonome.matrix_kernel import _U, expm_skew
 from holonome.spin_model import SpinModel, coding_space
 
 
@@ -59,7 +59,7 @@ _PHASE_TOL = 1e-6
 def _t_max(model: SpinModel) -> float:
     """Largest |T| whose phase error (|E0| + ||H||) |T| u stays within _PHASE_TOL."""
     scale = abs(model.ground_energy) + float(np.linalg.norm(model.hamiltonian))
-    return _PHASE_TOL / (scale * 2.0**-53)
+    return _PHASE_TOL / (scale * _U)
 
 
 def _finite_time(T, t_max: float) -> float:
@@ -74,11 +74,16 @@ def _finite_time(T, t_max: float) -> float:
     return T
 
 
+def _propagators(model: SpinModel, gen: DeformationGenerator, t_list) -> list:
+    """exp(X) exp(-i(-iX + HT)) for each (checked) T, from one stacked eigendecomposition."""
+    skew = -1j * gen.x
+    frames = np.stack([skew + model.hamiltonian * T for T in t_list])  # Hermitian
+    return [gen.closure @ evolution for evolution in expm_skew(-1j * frames)]
+
+
 def exact_propagator(model: SpinModel, gen: DeformationGenerator, T: float) -> np.ndarray:
     """Full-loop propagator exp(X) exp(-i(-iX + HT)); exact for any T up to ``_t_max``."""
-    T = _finite_time(T, _t_max(model))
-    rotating_frame = -1j * gen.x + model.hamiltonian * T  # Hermitian
-    return expm_skew(gen.x) @ expm_skew(-1j * rotating_frame)
+    return _propagators(model, gen, [_finite_time(T, _t_max(model))])[0]
 
 
 def ode_propagator(model: SpinModel, gen: DeformationGenerator, T: float, steps: int) -> np.ndarray:
@@ -143,20 +148,16 @@ def holonomy_fidelity(u, gate: HolonomyGate, model: SpinModel, T: float):
 def adiabatic_sweep(model, gen, gate, t_list) -> list:
     """One exact-propagator run per total time T, ordered by T.
 
-    e^X and the coding space are built once; the propagators
-    exp(-i(-iX + HT)) of all T come from one stacked eigendecomposition.
+    The coding space is looked up once; the propagators of all T come from
+    one stacked eigendecomposition.
     """
     t_max = _t_max(model)
     t_list = sorted(_finite_time(t, t_max) for t in t_list)
     if not t_list or not t_list[0] > 0:
         raise DomainError("T_list must be non-empty and positive")
     c = _coding_vectors(model, gate)
-    closure = expm_skew(gen.x)
-    skew = -1j * gen.x
-    frames = np.stack([skew + model.hamiltonian * T for T in t_list])  # Hermitian
     runs = []
-    for T, evolution in zip(t_list, expm_skew(-1j * frames)):
-        u = closure @ evolution
+    for T, u in zip(t_list, _propagators(model, gen, t_list)):
         fidelity, leakage = _fidelity_leakage(u, gate, model, c, T)
         runs.append(
             AdiabaticRun(

@@ -1,8 +1,8 @@
 """Command-line surface: gate construction, searches, sweeps, figures, audits.
 
-Exit codes: 0 success, 1 domain error or a failed file write (one ``error:``
-line on stderr), 2 usage error.  All outputs are deterministic; angles are
-accepted in radians only.
+Exit codes: 0 success, 1 domain error, an option the request would not use,
+or a failed file write (one ``error:`` line on stderr), 2 usage error.  All
+outputs are deterministic; angles are accepted in radians only.
 """
 
 from __future__ import annotations
@@ -38,6 +38,14 @@ def _parse_floats(text: str):
         raise DomainError(f"cannot parse list {text!r}") from None
 
 
+def _reject_unused(args, dests, context: str) -> None:
+    """DomainError naming the first option in ``dests`` that was given."""
+    for dest in dests:
+        value = getattr(args, dest)
+        if value is not None and value is not False:
+            raise DomainError(f"--{dest.replace('_', '-')} is not used {context}")
+
+
 def _write_report(report: dict, out_path, stream):
     text = reporting.dumps_report(report)
     if out_path:
@@ -62,7 +70,7 @@ def cmd_one_qubit(args, stream):
             "theta_kappa": gen.loop.theta_kappa,
             "m": list(gen.loop.m),
             "gamma": reporting.matrix_payload(analytic.gamma),
-            "closure_residual": deformation.closure_residual(gen.x),
+            "closure_residual": gen.closure_residual,
             "analytic_vs_numeric_distance": phase_invariant_distance(
                 analytic.gamma, numeric.gamma
             ),
@@ -89,7 +97,7 @@ def cmd_two_qubit(args, stream):
             "n2z": gen.loop.n2z,
             "controlled_phase_angle": 2.0 * gen.loop.coupling_j,
             "gamma_exact": reporting.matrix_payload(fact.gamma_exact),
-            "closure_residual": deformation.closure_residual(gen.x),
+            "closure_residual": gen.closure_residual,
             "analytic_vs_numeric_distance": phase_invariant_distance(
                 fact.gamma_exact, numeric.gamma
             ),
@@ -101,44 +109,43 @@ def cmd_two_qubit(args, stream):
     return 0
 
 
-def _search_result_payload(result):
-    return {
-        "params": dict(result.params),
-        "angle_error": result.angle_error,
-        "gate_distance": result.gate_distance,
-        "exhausted": result.exhausted,
-        "gate": reporting.matrix_payload(result.gate),
-    }
+# The search options each target does not read.
+_UNUSED_BY_TARGET = {
+    "hadamard": ("theta", "kp_max", "n_max"),
+    "rx": ("kp_max", "n_max"),
+    "ry": ("kp_max", "n_max"),
+    "cphase": ("kappa_max",),
+    "cz": ("theta", "kappa_max"),
+}
 
 
 def cmd_search(args, stream):
     target = args.target
+    _reject_unused(args, _UNUSED_BY_TARGET[target], f"by target {target}")
+    if target in ("rx", "ry", "cphase") and args.theta is None:
+        raise DomainError(f"--theta is required for target {target}")
+    kappa_max = 500 if args.kappa_max is None else args.kappa_max
+    kp_max = 10 if args.kp_max is None else args.kp_max
+    n_max = 500 if args.n_max is None else args.n_max
     inputs = {"target": target, "eps": args.eps}
     if target == "hadamard":
-        inputs["kappa_max"] = args.kappa_max
-        payload = _search_result_payload(
-            synthesis.search_hadamard(args.eps, args.kappa_max)
-        )
-        del payload["angle_error"]
+        inputs["kappa_max"] = kappa_max
+        result = synthesis.search_hadamard(args.eps, kappa_max)
     elif target in ("rx", "ry"):
-        if args.theta is None:
-            raise DomainError(f"--theta is required for target {target}")
-        inputs.update({"theta": args.theta, "kappa_max": args.kappa_max})
-        result = synthesis.search_rotation(
-            target[-1], args.theta, args.eps, args.kappa_max
-        )
-        payload = _search_result_payload(result)
-    elif target in ("cphase", "cz"):
-        theta = np.pi / 2.0 if target == "cz" else args.theta
-        if theta is None:
-            raise DomainError("--theta is required for target cphase")
-        inputs.update({"theta": theta, "kp_max": args.kp_max, "n_max": args.n_max})
-        result = synthesis.search_controlled_phase(
-            theta, args.eps, args.kp_max, args.n_max
-        )
-        payload = _search_result_payload(result)
+        inputs.update({"theta": args.theta, "kappa_max": kappa_max})
+        result = synthesis.search_rotation(target[-1], args.theta, args.eps, kappa_max)
     else:
-        raise DomainError(f"unknown search target {target!r}")
+        theta = np.pi / 2.0 if target == "cz" else args.theta
+        inputs.update({"theta": theta, "kp_max": kp_max, "n_max": n_max})
+        result = synthesis.search_controlled_phase(theta, args.eps, kp_max, n_max)
+    payload = {
+        "params": dict(result.params),
+        "gate_distance": result.gate_distance,
+        "exhausted": result.exhausted,
+        "gate": reporting.matrix_payload(result.gate),
+    }
+    if target != "hadamard":  # its exhaustion is judged on the gate distance
+        payload["angle_error"] = result.angle_error
     report = reporting.build_report("search", inputs=inputs, outputs=payload)
     _write_report(report, args.out, stream)
     return 0
@@ -147,18 +154,21 @@ def cmd_search(args, stream):
 def cmd_sweep(args, stream):
     t_list = _parse_floats(args.T)
     if args.n is not None:
+        _reject_unused(args, ("kp", "km", "kprime", "j2"), "with --n")
         if args.kappa is None:
             raise DomainError("sweep needs --kappa with --n")
         gen = deformation.one_qubit_generator(_parse_vector(args.n), args.kappa)
         model = spin_model.build_one_dimer(args.j1, args.j1)
         inputs = {"n": list(gen.loop.n), "kappa": gen.loop.kappa, "T": t_list}
     elif args.kp is not None:
+        _reject_unused(args, ("kappa",), "with --kp")
         if args.km is None:
             raise DomainError("sweep needs --km with --kp")
-        gen = deformation.two_qubit_generator(args.kp, args.km, args.kprime)
-        model = spin_model.build_two_dimer(args.j1, args.j2)
+        kprime = 1 if args.kprime is None else args.kprime
+        gen = deformation.two_qubit_generator(args.kp, args.km, kprime)
+        model = spin_model.build_two_dimer(args.j1, 1.0 if args.j2 is None else args.j2)
         inputs = {"kappa_plus": args.kp, "kappa_minus": args.km,
-                  "kappa_prime": args.kprime, "T": t_list}
+                  "kappa_prime": kprime, "T": t_list}
     else:
         raise DomainError("sweep needs either --n/--kappa or --kp/--km/--kprime")
     conn = holonomy.connection_on_ground_space(gen, model)
@@ -177,6 +187,10 @@ def cmd_sweep(args, stream):
 
 
 def cmd_figure(args, stream):
+    if args.which != "fig3":
+        _reject_unused(args, ("caption_convention",), f"by {args.which}")
+    if args.csv:
+        _reject_unused(args, ("out",), "with --csv")
     header, rows = synthesis.figure_table(
         args.which, caption_convention=args.caption_convention
     )
@@ -194,9 +208,12 @@ def cmd_figure(args, stream):
 
 def cmd_audit(args, stream):
     if args.j_zero:
+        _reject_unused(args, ("km",), "with --j-zero")
         loop = deformation.TwoQubitLoop.with_forced_zero_coupling(args.kp, args.kprime)
         inputs = {"kappa_plus": args.kp, "kappa_prime": args.kprime, "j_zero": True}
     else:
+        if args.km is None:
+            raise DomainError("audit needs --km unless --j-zero is given")
         loop = deformation.TwoQubitLoop.create(args.kp, args.km, args.kprime)
         inputs = {"kappa_plus": args.kp, "kappa_minus": args.km,
                   "kappa_prime": args.kprime, "j_zero": False}
@@ -237,9 +254,9 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["hadamard", "rx", "ry", "cphase", "cz"])
     p.add_argument("--theta", type=float, help="target angle in radians")
     p.add_argument("--eps", type=float, default=0.05)
-    p.add_argument("--kappa-max", type=int, default=500, dest="kappa_max")
-    p.add_argument("--kp-max", type=int, default=10, dest="kp_max")
-    p.add_argument("--n-max", type=int, default=500, dest="n_max")
+    p.add_argument("--kappa-max", type=int, dest="kappa_max")
+    p.add_argument("--kp-max", type=int, dest="kp_max")
+    p.add_argument("--n-max", type=int, dest="n_max")
     p.add_argument("--out")
     p.set_defaults(func=cmd_search)
 
@@ -249,9 +266,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kappa", type=int, help="one-qubit winding number")
     p.add_argument("--kp", type=int)
     p.add_argument("--km", type=int)
-    p.add_argument("--kprime", type=int, default=1)
+    p.add_argument("--kprime", type=int)
     p.add_argument("--j1", type=float, default=1.0)
-    p.add_argument("--j2", type=float, default=1.0)
+    p.add_argument("--j2", type=float)
     p.add_argument("--csv")
     p.add_argument("--out")
     p.set_defaults(func=cmd_sweep)
@@ -292,8 +309,6 @@ def run(argv=None, stdout=None, stderr=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
-        if args.command == "audit" and not args.j_zero and args.km is None:
-            raise DomainError("audit needs --km unless --j-zero is given")
         return args.func(args, stdout)
     except (DomainError, OSError) as exc:
         print(f"error: {exc}", file=stderr)

@@ -8,13 +8,14 @@ checked numerically after construction as well.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from holonome.errors import DomainError
-from holonome.matrix_kernel import expm_skew, frobenius
-from holonome.spin_model import SpinModel, ground_basis, pauli_site
+from holonome.matrix_kernel import _read_only, expm_skew, frobenius
+from holonome.spin_model import SpinModel, coding_space, ground_basis, pauli_site
 
 # Winding numbers above this would need angle reduction beyond double precision.
 MAX_WINDING = 10**6
@@ -64,6 +65,11 @@ class OneQubitLoop:
         )
 
 
+def coupling_strength(kappa_plus, kappa_minus):
+    """Closed-form inter-dimer coupling J for a closed two-qubit loop (scalars or arrays)."""
+    return (np.pi / (2.0 * np.sqrt(2.0))) * np.sqrt(kappa_minus**2 - kappa_plus**2)
+
+
 @dataclass(frozen=True)
 class TwoQubitLoop:
     """Loop parameters for a two-dimer deformation.
@@ -82,8 +88,6 @@ class TwoQubitLoop:
     n2z: float
     n2x: float
     a: float  # sqrt 2 * Omega_2 * n_2x, the logical x-drive on the target
-    nu_plus: float
-    nu_minus: float
 
     @classmethod
     def create(cls, kappa_plus: int, kappa_minus: int, kappa_prime: int) -> "TwoQubitLoop":
@@ -95,23 +99,7 @@ class TwoQubitLoop:
             raise DomainError(f"kappa_plus < kappa_minus violated: {kp} >= {km}")
         if not km < 3 * kp:
             raise DomainError(f"kappa_minus < 3 kappa_plus violated: {km} >= {3 * kp}")
-        omega2 = kp * np.pi
-        coupling_j = (np.pi / (2.0 * np.sqrt(2.0))) * np.sqrt(km**2 - kp**2)
-        n2z = -coupling_j / omega2
-        n2x = np.sqrt(1.0 - n2z**2)
-        return cls(
-            kappa_plus=kp,
-            kappa_minus=km,
-            kappa_prime=kpr,
-            omega1=float(kpr * np.pi),
-            omega2=float(omega2),
-            coupling_j=float(coupling_j),
-            n2z=float(n2z),
-            n2x=float(n2x),
-            a=float(np.sqrt(2.0) * omega2 * n2x),
-            nu_plus=float(omega2),
-            nu_minus=float(np.sqrt(omega2**2 + 8.0 * coupling_j**2)),
-        )
+        return cls._from_windings(kp, km, kpr)
 
     @classmethod
     def with_forced_zero_coupling(cls, kappa_plus: int, kappa_prime: int) -> "TwoQubitLoop":
@@ -120,31 +108,48 @@ class TwoQubitLoop:
         Not reachable with integer windings (it needs kappa_- = kappa_+); used
         to exercise the factorization audit in its trivially consistent limit.
         """
-        kp, kpr = int(kappa_plus), int(kappa_prime)
+        return cls._from_windings(int(kappa_plus), int(kappa_plus), int(kappa_prime))
+
+    @classmethod
+    def _from_windings(cls, kp: int, km: int, kpr: int) -> "TwoQubitLoop":
         omega2 = kp * np.pi
+        coupling_j = float(coupling_strength(kp, km))
+        n2z = -coupling_j / omega2 if coupling_j else 0.0  # +0.0 in the forced limit
+        n2x = np.sqrt(1.0 - n2z**2)
         return cls(
             kappa_plus=kp,
-            kappa_minus=kp,
+            kappa_minus=km,
             kappa_prime=kpr,
             omega1=float(kpr * np.pi),
             omega2=float(omega2),
-            coupling_j=0.0,
-            n2z=0.0,
-            n2x=1.0,
-            a=float(np.sqrt(2.0) * omega2),
-            nu_plus=float(omega2),
-            nu_minus=float(omega2),
+            coupling_j=coupling_j,
+            n2z=float(n2z),
+            n2x=float(n2x),
+            a=float(np.sqrt(2.0) * omega2 * n2x),
         )
 
 
 @dataclass(frozen=True)
 class DeformationGenerator:
-    """The anti-Hermitian generator X together with its loop parameters."""
+    """The anti-Hermitian generator X together with its loop parameters.
+
+    exp(X) is computed once, on first use; ``x`` is read-only so it cannot go stale.
+    """
 
     x: np.ndarray
     loop: object  # OneQubitLoop | TwoQubitLoop
     n_spins: int
     parts: dict = field(default_factory=dict)
+
+    @functools.cached_property
+    def closure(self) -> np.ndarray:
+        """exp(X), read-only; the identity for a closed loop."""
+        return _read_only(expm_skew(self.x))
+
+    @functools.cached_property
+    def closure_residual(self) -> float:
+        """Frobenius distance of exp(X) from the identity."""
+        return frobenius(self.closure - np.eye(self.x.shape[0]))
 
 
 def collective_spin(n, spins, n_spins: int) -> np.ndarray:
@@ -165,14 +170,18 @@ def closure_residual(x) -> float:
     return frobenius(expm_skew(x) - np.eye(x.shape[0]))
 
 
+def _checked(gen: DeformationGenerator, tol: float) -> DeformationGenerator:
+    """``gen`` if exp(X) is within ``tol`` of the identity, else DomainError."""
+    if gen.closure_residual > tol:
+        raise DomainError(f"loop failed to close: residual {gen.closure_residual:.3e}")
+    return gen
+
+
 def one_qubit_generator(n, kappa: int) -> DeformationGenerator:
     """X = i kappa pi n . (sigma_1 + sigma_2) on the single-dimer space."""
     loop = OneQubitLoop.create(n, kappa)
-    x = 1j * loop.omega * collective_spin(loop.n, (0, 1), 2)
-    residual = closure_residual(x)
-    if residual > ONE_QUBIT_CLOSURE_TOL:
-        raise DomainError(f"loop failed to close: residual {residual:.3e}")
-    return DeformationGenerator(x=x, loop=loop, n_spins=2)
+    x = _read_only(1j * loop.omega * collective_spin(loop.n, (0, 1), 2))
+    return _checked(DeformationGenerator(x=x, loop=loop, n_spins=2), ONE_QUBIT_CLOSURE_TOL)
 
 
 def two_qubit_generator(kappa_plus: int, kappa_minus: int, kappa_prime: int) -> DeformationGenerator:
@@ -184,16 +193,10 @@ def two_qubit_generator(kappa_plus: int, kappa_minus: int, kappa_prime: int) -> 
     cross = 1j * loop.coupling_j * (
         sz[0] @ sz[2] + sz[0] @ sz[3] + sz[1] @ sz[2] + sz[1] @ sz[3]
     )
-    x = x1 + x2 + cross
-    residual = closure_residual(x)
-    if residual > TWO_QUBIT_CLOSURE_TOL:
-        raise DomainError(f"loop failed to close: residual {residual:.3e}")
-    return DeformationGenerator(
-        x=x,
-        loop=loop,
-        n_spins=4,
-        parts={"dimer1": x1, "dimer2": x2, "cross": cross},
-    )
+    x = _read_only(x1 + x2 + cross)
+    parts = {"dimer1": x1, "dimer2": x2, "cross": cross}
+    gen = DeformationGenerator(x=x, loop=loop, n_spins=4, parts=parts)
+    return _checked(gen, TWO_QUBIT_CLOSURE_TOL)
 
 
 @dataclass(frozen=True)
@@ -214,7 +217,7 @@ class LeakageAudit:
 def leakage_audit(gen: DeformationGenerator, model: SpinModel) -> LeakageAudit:
     """Check that X never connects the coding space to the rest of the ground space."""
     labels, vecs = ground_basis(model)
-    dim_c = 2 if model.n_spins == 2 else 4
+    dim_c = coding_space(model).dim
     coding = vecs[:, :dim_c]
     noncoding = vecs[:, dim_c:]
     block = noncoding.conj().T @ gen.x @ coding

@@ -19,29 +19,28 @@ import numpy as np
 from holonome.deformation import DeformationGenerator, OneQubitLoop, TwoQubitLoop
 from holonome.errors import DomainError
 from holonome.matrix_kernel import (
+    _read_only,
     expm_skew,
     frobenius,
     is_unitary,
     phase_invariant_distance,
     tensor_product,
 )
-from holonome.spin_model import SIGMA_X, SIGMA_Y, SIGMA_Z, SpinModel, ground_basis
-
-ID2 = np.eye(2, dtype=complex)
-
-
-
-def _constant_product(a, b) -> np.ndarray:
-    out = tensor_product(a, b)
-    out.flags.writeable = False
-    return out
-
+from holonome.spin_model import (
+    ID2,
+    SIGMA_X,
+    SIGMA_Y,
+    SIGMA_Z,
+    SpinModel,
+    coding_space,
+    ground_basis,
+)
 
 # Constant (read-only) products in the closed-form two-qubit coding connection.
-II = _constant_product(ID2, ID2)
-ZI = _constant_product(SIGMA_Z, ID2)
-IX = _constant_product(ID2, SIGMA_X)
-ZZ = _constant_product(SIGMA_Z, SIGMA_Z)
+II = _read_only(tensor_product(ID2, ID2))
+ZI = _read_only(tensor_product(SIGMA_Z, ID2))
+IX = _read_only(tensor_product(ID2, SIGMA_X))
+ZZ = _read_only(tensor_product(SIGMA_Z, SIGMA_Z))
 
 # Bell ("magic") basis columns for the local-invariant computation.
 MAGIC = (1.0 / np.sqrt(2.0)) * np.array(
@@ -77,23 +76,18 @@ class HolonomyGate:
     """
 
     gamma: np.ndarray
-    loop: object
 
 
 def connection_on_ground_space(gen: DeformationGenerator, model: SpinModel) -> Connection:
     """A_ij = <i|X|j> over the ordered ground basis (coding vectors first)."""
     labels, vecs = ground_basis(model)  # raises DomainError off the working point
     matrix = vecs.conj().T @ gen.x @ vecs
-    return Connection(
-        matrix=matrix,
-        labels=labels,
-        coding_dim=2 if model.n_spins == 2 else 4,
-    )
+    return Connection(matrix=matrix, labels=labels, coding_dim=coding_space(model).dim)
 
 
 def holonomy(conn: Connection) -> HolonomyGate:
     """Gamma = exp(-A) restricted to the coding block."""
-    return HolonomyGate(gamma=expm_skew(-conn.coding_block), loop=None)
+    return HolonomyGate(gamma=expm_skew(-conn.coding_block))
 
 
 def one_qubit_coding_connection(loop: OneQubitLoop) -> np.ndarray:
@@ -125,7 +119,7 @@ def _rotation(theta: float, axis) -> np.ndarray:
 def analytic_one_qubit_gate(loop: OneQubitLoop) -> HolonomyGate:
     """Closed form exp(-i kappa pi n_z) exp(-i theta_kappa m . sigma)."""
     phase = np.exp(-1j * loop.kappa * np.pi * loop.n[2])
-    return HolonomyGate(gamma=phase * _rotation(loop.theta_kappa, loop.m), loop=loop)
+    return HolonomyGate(gamma=phase * _rotation(loop.theta_kappa, loop.m))
 
 
 @dataclass(frozen=True)
@@ -169,9 +163,10 @@ def analytic_two_qubit_gate(loop: TwoQubitLoop) -> TwoQubitFactorization:
     gamma_exact = expm_skew(-two_qubit_coding_connection(loop))
 
     # Split on the control (slow) sigma_z eigenspaces: scalar phases factor out.
-    u0 = np.exp(-1j * (2.0 * loop.omega1 + j)) * expm_skew(
-        -1j * (a * SIGMA_X + j * SIGMA_Z)
-    )
+    # The control-0 block and the target factor of the local unitary share
+    # exp(-i (a sigma_x + j sigma_z)).
+    drive = expm_skew(-1j * (a * SIGMA_X + j * SIGMA_Z))
+    u0 = np.exp(-1j * (2.0 * loop.omega1 + j)) * drive
     u1 = np.exp(1j * j) * expm_skew(-1j * (a * SIGMA_X - j * SIGMA_Z))
     block = np.zeros((4, 4), dtype=complex)
     block[:2, :2] = u0
@@ -179,10 +174,7 @@ def analytic_two_qubit_gate(loop: TwoQubitLoop) -> TwoQubitFactorization:
     if frobenius(gamma_exact - block) > 1e-10:
         raise AssertionError("control-block identity violated: construction bug")
 
-    local = tensor_product(
-        expm_skew(-1j * (loop.kappa_prime * np.pi + j) * SIGMA_Z),
-        expm_skew(-1j * (a * SIGMA_X + j * SIGMA_Z)),
-    )
+    local = tensor_product(expm_skew(-1j * (loop.kappa_prime * np.pi + j) * SIGMA_Z), drive)
     controlled = controlled_phase_gate(2.0 * j)
     paper = ((-1.0) ** loop.kappa_prime) * local @ controlled
 

@@ -20,6 +20,15 @@ from holonome.errors import DomainError
 # degenerate group.  All model spectra here have gaps of order 1.
 DEGENERACY_RTOL = 1e-9
 
+# Unit roundoff of float64.
+_U = 2.0**-53
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """Mark ``a`` read-only and return it: for arrays built once and shared."""
+    a.flags.writeable = False
+    return a
+
 
 def _as_square(m) -> np.ndarray:
     m = np.asarray(m, dtype=complex)
@@ -108,13 +117,10 @@ class Spectrum:
     def dim(self) -> int:
         return self.vectors.shape[0]
 
-    def group_vectors(self, level: int) -> np.ndarray:
-        """Orthonormal columns spanning the ``level``-th degenerate group."""
-        start = int(sum(self.multiplicities[:level]))
-        return self.vectors[:, start : start + self.multiplicities[level]]
-
     def projector(self, level: int) -> np.ndarray:
-        v = self.group_vectors(level)
+        """Projector onto the ``level``-th degenerate group."""
+        start = int(sum(self.multiplicities[:level]))
+        v = self.vectors[:, start : start + self.multiplicities[level]]
         return v @ v.conj().T
 
 

@@ -8,16 +8,22 @@ endings, no locale dependence and no timestamps in payload bodies.
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
 from holonome import __version__
+from holonome.errors import DomainError
 
 AUDIT_CONSISTENCY_TOL = 1e-8
 
 
 def format_float(x: float) -> str:
-    return f"{float(x):.17g}"
+    """17 significant digits; a non-finite value (no JSON form) is a DomainError."""
+    x = float(x)
+    if not math.isfinite(x):
+        raise DomainError(f"cannot report the non-finite value {x!r}")
+    return f"{x:.17g}"
 
 
 def _emit(value) -> str:
@@ -78,8 +84,9 @@ def csv_lines(header, rows):
 
 
 def emit_csv(path, header, rows):
+    text = csv_lines(header, rows)  # rendered first: a bad value leaves no file
     with open(path, "w", newline="\n") as fh:
-        fh.write(csv_lines(header, rows))
+        fh.write(text)
 
 
 def audit_payload(fact) -> dict:

@@ -13,6 +13,7 @@ and (3, 4) respectively (16 x 16, diagonal).
 from __future__ import annotations
 
 import functools
+import types
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +21,7 @@ import numpy as np
 from holonome.errors import DomainError
 from holonome.matrix_kernel import (
     Spectrum,
+    _read_only,
     hermitian_eigensystem,
     tensor_product,
 )
@@ -42,11 +44,6 @@ def site_operator(op, site: int, n_spins: int) -> np.ndarray:
     return out
 
 
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
-
-
 @functools.cache
 def pauli_site(axis: str, site: int, n_spins: int) -> np.ndarray:
     """``site_operator(PAULI[axis], site, n_spins)``, built once per process (read-only)."""
@@ -58,7 +55,6 @@ class SpinModel:
     """A dimer (or dimer-pair) Hamiltonian with its resolved spectrum."""
 
     n_spins: int
-    couplings: dict
     hamiltonian: np.ndarray
     spectrum: Spectrum
     ground_projector: np.ndarray
@@ -73,33 +69,19 @@ class SpinModel:
         return self.spectrum.multiplicities[0]
 
 
-@dataclass(frozen=True)
-class DimerBasis:
-    """Triplet/singlet eigenbasis of a single dimer (4-dim column vectors)."""
+_RT2 = 1.0 / np.sqrt(2.0)
 
-    t_plus: np.ndarray
-    t_zero: np.ndarray
-    t_minus: np.ndarray
-    s_zero: np.ndarray
-
-    def labeled(self):
-        return (
-            ("T+", self.t_plus),
-            ("T0", self.t_zero),
-            ("T-", self.t_minus),
-            ("S0", self.s_zero),
-        )
-
-
-def dimer_basis() -> DimerBasis:
-    """T+, T0, T-, S0 in the product z-basis (|++>, |+->, |-+>, |-->)."""
-    rt2 = 1.0 / np.sqrt(2.0)
-    return DimerBasis(
-        t_plus=np.array([1, 0, 0, 0], dtype=complex),
-        t_zero=np.array([0, rt2, rt2, 0], dtype=complex),
-        t_minus=np.array([0, 0, 0, 1], dtype=complex),
-        s_zero=np.array([0, rt2, -rt2, 0], dtype=complex),
+# Triplet/singlet eigenbasis of a single dimer: T+, T0, T-, S0 in the product
+# z-basis (|++>, |+->, |-+>, |-->), as read-only 4-vectors.
+DIMER_BASIS = types.MappingProxyType({
+    label: _read_only(np.array(vec, dtype=complex))
+    for label, vec in (
+        ("T+", [1, 0, 0, 0]),
+        ("T0", [0, _RT2, _RT2, 0]),
+        ("T-", [0, 0, 0, 1]),
+        ("S0", [0, _RT2, -_RT2, 0]),
     )
+})
 
 
 def _one_dimer_hamiltonian(omega: float, j1: float) -> np.ndarray:
@@ -114,37 +96,30 @@ def _check_couplings(**couplings) -> None:
             raise DomainError(f"{name} must be finite and > 0, got {value!r}")
 
 
-def build_one_dimer(omega: float, j1: float) -> SpinModel:
-    """Single Ising dimer; at omega = j1 the ground level is 3-fold degenerate."""
-    _check_couplings(j1=j1, omega=omega)
-    h = _one_dimer_hamiltonian(omega, j1)
+def _model(n_spins: int, h: np.ndarray) -> SpinModel:
     spec = hermitian_eigensystem(h)
     return SpinModel(
-        n_spins=2,
-        couplings={"omega": float(omega), "j1": float(j1)},
+        n_spins=n_spins,
         hamiltonian=h,
         spectrum=spec,
         ground_projector=spec.projector(0),
         ground_energy=float(spec.energies[0]),
     )
+
+
+def build_one_dimer(omega: float, j1: float) -> SpinModel:
+    """Single Ising dimer; at omega = j1 the ground level is 3-fold degenerate."""
+    _check_couplings(j1=j1, omega=omega)
+    return _model(2, _one_dimer_hamiltonian(omega, j1))
 
 
 def build_two_dimer(j1: float, j2: float) -> SpinModel:
     """Two decoupled dimers at their degenerate points; 9-fold ground level."""
     _check_couplings(j1=j1, j2=j2)
+    id4 = np.eye(4, dtype=complex)
     h1 = _one_dimer_hamiltonian(j1, j1)
     h2 = _one_dimer_hamiltonian(j2, j2)
-    id4 = np.eye(4, dtype=complex)
-    h = tensor_product(h1, id4) + tensor_product(id4, h2)
-    spec = hermitian_eigensystem(h)
-    return SpinModel(
-        n_spins=4,
-        couplings={"j1": float(j1), "j2": float(j2)},
-        hamiltonian=h,
-        spectrum=spec,
-        ground_projector=spec.projector(0),
-        ground_energy=float(spec.energies[0]),
-    )
+    return _model(4, tensor_product(h1, id4) + tensor_product(id4, h2))
 
 
 # Ground-space labels at the degenerate working point, coding vectors first;
@@ -168,16 +143,11 @@ def _check_working_point(model: SpinModel) -> int:
 
 @functools.cache
 def _ground_columns(n_spins: int) -> np.ndarray:
-    by_label = dict(dimer_basis().labeled())
-    if n_spins == 2:
-        cols = [by_label[label] for label in _GROUND_LABELS[2]]
-    else:
-        cols = [
-            tensor_product(
-                by_label[label[:2]].reshape(4, 1), by_label[label[2:]].reshape(4, 1)
-            ).ravel()
-            for label in _GROUND_LABELS[4]
-        ]
+    # A label names one dimer state per two characters, slow dimer first.
+    cols = []
+    for label in _GROUND_LABELS[n_spins]:
+        dimers = [DIMER_BASIS[label[i : i + 2]] for i in range(0, len(label), 2)]
+        cols.append(functools.reduce(tensor_product, dimers))
     return _read_only(np.column_stack(cols))
 
 
@@ -213,22 +183,23 @@ class CodingSpace:
 
     def logical(self, axis: str, qubit: int = 0) -> np.ndarray:
         """Logical Pauli (axis in 'x', 'y', 'z', 'i') on the given qubit."""
-        small = np.eye(2, dtype=complex) if axis == "i" else PAULI[axis]
+        small = ID2 if axis == "i" else PAULI[axis]
         op = np.eye(1, dtype=complex)
         for q in range(self.n_logical):
-            op = tensor_product(op, small if q == qubit else np.eye(2))
+            op = tensor_product(op, small if q == qubit else ID2)
         return self.vectors @ op @ self.vectors.conj().T
 
 
 @functools.cache
 def _coding_space(n_spins: int) -> CodingSpace:
-    dim_c = 2 if n_spins == 2 else 4
+    n_logical = n_spins // 2  # one logical qubit per dimer
+    dim_c = 2**n_logical
     coding_vecs = _ground_columns(n_spins)[:, :dim_c]
     return CodingSpace(
         labels=_GROUND_LABELS[n_spins][:dim_c],
         vectors=coding_vecs,
         projector=_read_only(coding_vecs @ coding_vecs.conj().T),
-        n_logical=1 if n_spins == 2 else 2,
+        n_logical=n_logical,
     )
 
 

@@ -38,22 +38,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from holonome.deformation import OneQubitLoop
+from holonome.deformation import OneQubitLoop, coupling_strength
 from holonome.errors import DomainError
 from holonome.holonomy import (
     analytic_one_qubit_gate,
     controlled_phase_gate,
     _rotation,
 )
-from holonome.matrix_kernel import is_unitary, phase_invariant_distance
+from holonome.matrix_kernel import _U, _read_only, is_unitary, phase_invariant_distance
 
 TWO_PI = 2.0 * np.pi
 
 # Lattice points per kernel step; bounds the kernel's temporary arrays.
 _CHUNK = 1 << 15
-
-# Unit roundoff of float64.
-_U = 2.0**-53
 
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0)
 
@@ -246,7 +243,9 @@ def search_rotation(axis, theta_target: float, eps: float, kappa_max: int) -> Se
     """
     _check_search_inputs(eps, theta_target, kappa_max=kappa_max)
     n = _resolve_axis(axis)
-    # Validates unit norm and |n_z| < 1 (|n_z| = 1 would make every gate trivial).
+    # Validates unit norm, |n_z| < 1 (|n_z| = 1 would make every gate trivial)
+    # and that every scanned winding is a valid loop, up to MAX_WINDING.
+    OneQubitLoop.create(n, kappa_max)
     step = OneQubitLoop.create(n, 1).theta_kappa
     i, best_err = _search_line(
         lambda _, k: theta_target - (k + 1) * step,
@@ -302,9 +301,7 @@ def _frame() -> np.ndarray:
     built once per process, read-only.
     """
     axis = np.array([1.0, 1.0, 1.0]) / np.sqrt(3.0)
-    frame = _rotation(-np.pi / 3.0, axis)  # half-angle pi/3, sense -2pi/3
-    frame.flags.writeable = False
-    return frame
+    return _read_only(_rotation(-np.pi / 3.0, axis))  # half-angle pi/3, sense -2pi/3
 
 
 def _euler_zyz(su2: np.ndarray):
@@ -388,11 +385,6 @@ def admissible_winding_pairs(kappa_plus_max: int):
         for kp in range(1, int(kappa_plus_max) + 1)
         for km in range(kp + 1, 3 * kp)
     ]
-
-
-def coupling_strength(kappa_plus: int, kappa_minus: int) -> float:
-    """Closed-form inter-dimer coupling for a closed two-qubit loop."""
-    return (np.pi / (2.0 * np.sqrt(2.0))) * np.sqrt(kappa_minus**2 - kappa_plus**2)
 
 
 def search_controlled_phase(

@@ -89,6 +89,14 @@ class TestExactPropagator:
         bare = expm_skew(-1j * (-1j * gen.x + 3.0 * model.hamiltonian))
         assert frobenius(u - bare) < 1e-9  # e^X = 1 for a closed loop
 
+    @pytest.mark.parametrize("qubits", [1, 2])
+    def test_bit_equal_to_one_time_closed_form(self, qubits):
+        model, gen, _ = oracle_setup(qubits)
+        for T in (0.0, 0.5, 57.3, 1e6):
+            rotating_frame = -1j * gen.x + model.hamiltonian * T
+            expected = expm_skew(gen.x) @ expm_skew(-1j * rotating_frame)
+            assert exact_propagator(model, gen, T).tobytes() == expected.tobytes()
+
     def test_unitary_at_any_time(self):
         model = build_two_dimer(1.0, 1.0)
         gen = two_qubit_generator(2, 3, 1)

@@ -7,8 +7,9 @@ import warnings
 import numpy as np
 import pytest
 
-from holonome import cli
+from holonome import cli, reporting
 from holonome.cli import run
+from holonome.errors import DomainError
 from holonome.reporting import csv_lines
 
 
@@ -306,3 +307,77 @@ class TestCsv:
         invoke(["figure", "fig4", "--csv", str(p1)])
         invoke(["figure", "fig4", "--csv", str(p2)])
         assert p1.read_bytes() == p2.read_bytes()
+
+
+class TestUnusedOptions:
+    """An option the request would not read is rejected by name, before any work."""
+
+    @pytest.mark.parametrize(
+        "argv,option",
+        [
+            (["search", "--target", "cz", "--theta", "1.0"], "--theta"),
+            (["search", "--target", "cz", "--theta", "0"], "--theta"),
+            (["search", "--target", "cz", "--kappa-max", "500"], "--kappa-max"),
+            (["search", "--target", "hadamard", "--theta", "1"], "--theta"),
+            (["search", "--target", "hadamard", "--kp-max", "3"], "--kp-max"),
+            (["search", "--target", "hadamard", "--n-max", "3"], "--n-max"),
+            (["search", "--target", "cphase", "--theta", "1", "--kappa-max", "10"], "--kappa-max"),
+            (["search", "--target", "rx", "--theta", "1", "--kp-max", "3"], "--kp-max"),
+            (["search", "--target", "ry", "--theta", "1", "--n-max", "500"], "--n-max"),
+            (["figure", "fig2", "--csv", "f.csv", "--out", "f.json"], "--out"),
+            (["figure", "fig2", "--caption-convention"], "--caption-convention"),
+            (["figure", "fig4", "--caption-convention"], "--caption-convention"),
+            (["sweep", "--n", "1,0,0", "--kappa", "1", "--kp", "2", "--km", "3", "--j2", "7",
+              "--T", "1"], "--kp"),
+            (["sweep", "--n", "1,0,0", "--kappa", "1", "--km", "3", "--T", "1"], "--km"),
+            (["sweep", "--n", "1,0,0", "--kappa", "1", "--kprime", "1", "--T", "1"], "--kprime"),
+            (["sweep", "--n", "1,0,0", "--kappa", "1", "--j2", "1", "--T", "1"], "--j2"),
+            (["sweep", "--kp", "2", "--km", "3", "--kappa", "4", "--T", "1"], "--kappa"),
+            (["audit", "--kp", "2", "--km", "5", "--j-zero"], "--km"),
+        ],
+    )
+    def test_exit_one_naming_the_option(self, tmp_path, monkeypatch, argv, option):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = invoke(argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: {option} is not used ") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "argv,inputs",
+        [
+            (["search", "--target", "cz"], {"kp_max": 10, "n_max": 500}),
+            (["search", "--target", "hadamard"], {"kappa_max": 500}),
+            (["search", "--target", "rx", "--theta", "1"], {"kappa_max": 500}),
+            (["sweep", "--kp", "2", "--km", "3", "--T", "1"], {"kappa_prime": 1}),
+            (["figure", "fig3", "--caption-convention"], {"caption_convention": True}),
+        ],
+    )
+    def test_defaults_filled_where_used(self, argv, inputs):
+        code, out, _ = invoke(argv)
+        assert code == 0
+        reported = json.loads(out)["inputs"]
+        assert {k: reported[k] for k in inputs} == inputs
+
+    def test_sweep_j2_default_matches_explicit(self):
+        argv = ["sweep", "--kp", "2", "--km", "3", "--T", "1,10"]
+        assert invoke(argv) == invoke(argv + ["--j2", "1.0", "--kprime", "1"])
+
+
+class TestNonFiniteOutput:
+    def test_format_float_rejects_non_finite(self):
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(DomainError, match="non-finite"):
+                reporting.format_float(bad)
+        assert reporting.format_float(0.1) == "0.10000000000000001"
+
+    def test_json_and_csv_reject_nan(self, tmp_path):
+        with pytest.raises(DomainError):
+            reporting.dumps_report({"x": [1.0, np.float64("nan")]})
+        with pytest.raises(DomainError):
+            reporting.dumps_report({"z": complex(1.0, np.inf)})
+        path = tmp_path / "t.csv"
+        with pytest.raises(DomainError):
+            reporting.emit_csv(path, ["a"], [(np.nan,)])
+        assert not path.exists()

@@ -1,21 +1,26 @@
 """Loop generators: closure, nontriviality, isospectrality and leakage."""
 
+import io
+
 import numpy as np
 import pytest
 
+from holonome import adiabatic, cli, deformation, synthesis
+from holonome.adiabatic import exact_propagator
 from holonome.deformation import (
     MAX_WINDING,
     OneQubitLoop,
     TwoQubitLoop,
     closure_residual,
     collective_spin,
+    coupling_strength,
     leakage_audit,
     one_qubit_generator,
     two_qubit_generator,
 )
 from holonome.errors import DomainError
 from holonome.matrix_kernel import expm_skew, frobenius
-from holonome.spin_model import build_one_dimer, build_two_dimer, dimer_basis
+from holonome.spin_model import DIMER_BASIS, build_one_dimer, build_two_dimer
 
 
 def random_axes(count, seed=3):
@@ -33,7 +38,7 @@ class TestOneQubitGenerator:
     def test_closes_and_annihilates_singlet(self):
         gen = one_qubit_generator((1.0, 0.0, 0.0), 1)
         assert closure_residual(gen.x) < 1e-10
-        assert np.linalg.norm(gen.x @ dimer_basis().s_zero) < 1e-12
+        assert np.linalg.norm(gen.x @ DIMER_BASIS["S0"]) < 1e-12
 
     def test_rejects_z_axis(self):
         with pytest.raises(DomainError):
@@ -77,7 +82,8 @@ class TestTwoQubitGenerator:
     def test_nu_minus_is_integer_multiple_of_pi(self):
         loop = TwoQubitLoop.create(1, 2, 1)
         assert abs(loop.coupling_j - np.pi * np.sqrt(3) / (2 * np.sqrt(2))) < 1e-12
-        assert abs(loop.nu_minus - 2 * np.pi) < 1e-12
+        nu_minus = np.sqrt(loop.omega2**2 + 8.0 * loop.coupling_j**2)
+        assert abs(nu_minus - 2 * np.pi) < 1e-12
 
     def test_rejects_violating_constraints(self):
         with pytest.raises(DomainError, match="3 kappa_plus"):
@@ -163,3 +169,103 @@ class TestLeakageAudit:
             "<S0T0|Xc|T0S0>",
         ):
             assert abs(named[key]) < 1e-12
+
+
+def float_bits(fields):
+    """Field values with floats as hex, so -0.0 and +0.0 differ."""
+    return {k: v.hex() if isinstance(v, float) else v for k, v in fields.items()}
+
+
+def closed_form_loop_fields(kp, km, kpr):
+    """TwoQubitLoop.create's fields, written out from the closure conditions."""
+    omega2 = kp * np.pi
+    j = (np.pi / (2.0 * np.sqrt(2.0))) * np.sqrt(km**2 - kp**2)
+    n2z = -j / omega2
+    n2x = np.sqrt(1.0 - n2z**2)
+    return {"kappa_plus": kp, "kappa_minus": km, "kappa_prime": kpr,
+            "omega1": float(kpr * np.pi), "omega2": float(omega2), "coupling_j": float(j),
+            "n2z": float(n2z), "n2x": float(n2x), "a": float(np.sqrt(2.0) * omega2 * n2x)}
+
+
+def admissible_pairs(count, seed=11):
+    rng = np.random.default_rng(seed)
+    kp = rng.integers(1, MAX_WINDING, size=count)
+    km = kp + 1 + (rng.random(count) * (np.minimum(3 * kp - 1, MAX_WINDING) - kp)).astype(np.int64)
+    km[:3] = (2, MAX_WINDING, MAX_WINDING)
+    kp[:3] = (1, MAX_WINDING - 1, MAX_WINDING // 3 + 1)
+    assert np.all((kp < km) & (km < 3 * kp) & (km <= MAX_WINDING))
+    return kp, km
+
+
+class TestLoopAssembly:
+    """Both TwoQubitLoop constructors assemble their fields in one place."""
+
+    def test_create_fields_bit_equal_to_closed_form(self):
+        kp, km = admissible_pairs(2000)
+        for a, b in zip(kp.tolist(), km.tolist()):
+            loop = TwoQubitLoop.create(a, b, a % 7 + 1)
+            expected = float_bits(closed_form_loop_fields(a, b, a % 7 + 1))
+            assert float_bits(vars(loop)) == expected, (a, b)
+
+    @pytest.mark.parametrize("kp,kpr", [(1, 1), (2, 1), (7, 3), (1000, 77), (MAX_WINDING, 5)])
+    def test_forced_zero_coupling_fields(self, kp, kpr):
+        loop = TwoQubitLoop.with_forced_zero_coupling(kp, kpr)
+        omega2 = kp * np.pi
+        expected = {"kappa_plus": kp, "kappa_minus": kp, "kappa_prime": kpr,
+                    "omega1": float(kpr * np.pi), "omega2": float(omega2), "coupling_j": 0.0,
+                    "n2z": 0.0, "n2x": 1.0, "a": float(np.sqrt(2.0) * omega2)}
+        assert float_bits(vars(loop)) == float_bits(expected)
+        assert np.copysign(1.0, loop.n2z) == 1.0  # +0.0, as reported by audit --j-zero
+
+    def test_coupling_strength_has_one_owner(self):
+        assert synthesis.coupling_strength is coupling_strength
+        kp, km = admissible_pairs(20000, seed=12)
+        closed_form = (np.pi / (2.0 * np.sqrt(2.0))) * np.sqrt(km**2 - kp**2)
+        array = coupling_strength(kp, km)
+        assert array.dtype == np.float64 and array.tobytes() == closed_form.tobytes()
+        scalars = [coupling_strength(a, b) for a, b in zip(kp.tolist(), km.tolist())]
+        assert np.array(scalars).tobytes() == closed_form.tobytes()
+        for a, b, j in list(zip(kp.tolist(), km.tolist(), scalars))[:500]:
+            assert TwoQubitLoop.create(a, b, 1).coupling_j.hex() == float(j).hex()
+
+
+GENERATORS = [
+    lambda: one_qubit_generator((1.0, 0.0, 0.0), 1),
+    lambda: one_qubit_generator((0.6, 0.48, 0.64), 999),
+    lambda: two_qubit_generator(2, 3, 1),
+    lambda: two_qubit_generator(1000, 2500, 77),
+]
+
+
+class TestClosureCache:
+    @pytest.mark.parametrize("make", GENERATORS)
+    def test_bit_equal_to_fresh_and_read_only(self, make):
+        gen = make()
+        assert gen.closure.tobytes() == expm_skew(gen.x).tobytes()
+        assert gen.closure_residual.hex() == closure_residual(gen.x).hex()
+        assert gen.closure is gen.closure
+        for a in (gen.x, gen.closure):
+            with pytest.raises(ValueError):
+                a[0, 0] = 7.0
+
+    def test_exp_x_computed_once_per_request(self, monkeypatch):
+        calls = []  # single matrices only: a sweep's stacked frames are 3-D
+
+        def counting(m, *args):
+            if np.ndim(m) == 2:
+                calls.append(np.shape(m))
+            return expm_skew(m, *args)
+
+        monkeypatch.setattr(deformation, "expm_skew", counting)
+        monkeypatch.setattr(adiabatic, "expm_skew", counting)
+        for argv in (["one-qubit", "--n", "1,0,0", "--kappa", "3"],
+                     ["two-qubit", "--kp", "2", "--km", "3", "--kprime", "1"],
+                     ["sweep", "--kp", "2", "--km", "3", "--T", "1,10"]):
+            calls.clear()
+            assert cli.run(argv, io.StringIO(), io.StringIO()) == 0
+            assert len(calls) == 1, argv
+        calls.clear()
+        model, gen = build_two_dimer(1.0, 1.0), two_qubit_generator(2, 3, 1)
+        for T in (0.5, 5.0):
+            exact_propagator(model, gen, T)
+        assert len(calls) == 1

@@ -6,12 +6,12 @@ import pytest
 from holonome.errors import DomainError
 from holonome.matrix_kernel import frobenius
 from holonome.spin_model import (
+    DIMER_BASIS,
     PAULI,
     SIGMA_Z,
     build_one_dimer,
     build_two_dimer,
     coding_space,
-    dimer_basis,
     ground_basis,
     pauli_site,
     site_operator,
@@ -94,28 +94,31 @@ class TestTwoDimer:
 
 class TestDimerBasis:
     def test_orthonormal(self):
-        basis = dimer_basis()
-        mat = np.column_stack([v for _, v in basis.labeled()])
+        assert tuple(DIMER_BASIS) == ("T+", "T0", "T-", "S0")
+        mat = np.column_stack(list(DIMER_BASIS.values()))
         assert frobenius(mat.conj().T @ mat - np.eye(4)) < 1e-15
 
     def test_z_action_identities(self):
         # sigma_kz T+ = T+, sigma_kz T0 = (-1)^(k+1) S0 for the two spins
-        basis = dimer_basis()
+        basis = DIMER_BASIS
         sz1 = site_operator(SIGMA_Z, 0, 2)
         sz2 = site_operator(SIGMA_Z, 1, 2)
-        assert np.allclose(sz1 @ basis.t_plus, basis.t_plus)
-        assert np.allclose(sz1 @ basis.t_zero, basis.s_zero)
-        assert np.allclose(sz2 @ basis.t_zero, -basis.s_zero)
-        assert np.allclose(np.vdot(basis.t_zero, basis.s_zero), 0.0)
+        assert np.allclose(sz1 @ basis["T+"], basis["T+"])
+        assert np.allclose(sz1 @ basis["T0"], basis["S0"])
+        assert np.allclose(sz2 @ basis["T0"], -basis["S0"])
+        assert np.allclose(np.vdot(basis["T0"], basis["S0"]), 0.0)
 
     def test_eigenvectors_of_hamiltonian(self):
         model = build_one_dimer(1.0, 2.0)
-        basis = dimer_basis()
         expected = closed_form_one_dimer_eigenvalues(1.0, 2.0)
-        for vec, ev in zip(
-            (basis.t_plus, basis.t_zero, basis.t_minus, basis.s_zero), expected
-        ):
+        for vec, ev in zip(DIMER_BASIS.values(), expected):
             assert np.allclose(model.hamiltonian @ vec, ev * vec, atol=1e-12)
+
+    def test_read_only(self):
+        with pytest.raises(TypeError):
+            DIMER_BASIS["T+"] = np.zeros(4, dtype=complex)
+        with pytest.raises(ValueError):
+            DIMER_BASIS["T0"][1] = 0.0
 
 
 class TestCodingSpace:
@@ -159,7 +162,10 @@ class TestCodingSpace:
 
 def fresh_ground_columns(n_spins):
     """The ground basis built from scratch with np.kron, coding vectors first."""
-    basis = dict(dimer_basis().labeled())
+    rt2 = 1.0 / np.sqrt(2.0)
+    basis = {"T+": np.array([1, 0, 0, 0], dtype=complex),
+             "T0": np.array([0, rt2, rt2, 0], dtype=complex),
+             "S0": np.array([0, rt2, -rt2, 0], dtype=complex)}
     if n_spins == 2:
         return np.column_stack([basis["T+"], basis["T0"], basis["S0"]])
     pairs = [("T+", "T+"), ("T+", "T0"), ("T0", "T+"), ("T0", "T0"),

@@ -431,6 +431,15 @@ class TestSearchRotation:
         with pytest.raises(DomainError, match="unit vector"):
             search_rotation(axis, 1.0, 0.1, 10)
 
+    @pytest.mark.parametrize("axis", ["x", "y", (0.6, 0.0, 0.8)])
+    def test_winding_bound_is_max_winding(self, axis):
+        # Beyond MAX_WINDING the search would fall back to scanning every point.
+        for bound in (MAX_WINDING + 1, 10**12):
+            with pytest.raises(DomainError, match="winding number"):
+                search_rotation(axis, 1.0, 1e-9, bound)
+        result = search_rotation(axis, 1.0, 1e-9, MAX_WINDING)
+        assert 1 <= result.params["kappa"] <= MAX_WINDING
+
     def test_hadamard_sine_peaks(self):
         # top three |sin theta_kappa| on the Hadamard axis for kappa <= 16
         sines = {
