@@ -3,8 +3,12 @@
 In the co-rotating frame the generator of the dynamics is the *constant*
 Hermitian matrix -iX + HT, so the full-loop propagator has the closed form
 U(1) = exp(X) exp(-i(-iX + HT)) and is exact at any T.  A sweep over T
-reads the generator's cached exp(X) and the coding space once and computes
-all the exp(-i(-iX + HT)) in one stacked eigendecomposition.
+is one stacked pass: the frames -iX + HT of all T are one broadcast, their
+exponentials one stacked eigendecomposition, and the coding-block
+restrictions, traces, ground-space escapes and phases e^{+-i E0 T} are
+stacked matrix products and array expressions.  Only the modulus of each
+trace, the Frobenius norm of each escape and the clamps are taken per T,
+as scalar steps, so every run is bit-identical to evaluating that T alone.
 
 A classical RK4 integration of the Schrodinger equation with the
 tau-dependent Hamiltonian is kept alongside purely as an independent oracle
@@ -74,16 +78,15 @@ def _finite_time(T, t_max: float) -> float:
     return T
 
 
-def _propagators(model: SpinModel, gen: DeformationGenerator, t_list) -> list:
-    """exp(X) exp(-i(-iX + HT)) for each (checked) T, from one stacked eigendecomposition."""
-    skew = -1j * gen.x
-    frames = np.stack([skew + model.hamiltonian * T for T in t_list])  # Hermitian
-    return [gen.closure @ evolution for evolution in expm_skew(-1j * frames)]
+def _propagators(model: SpinModel, gen: DeformationGenerator, ts: np.ndarray) -> np.ndarray:
+    """Stack of exp(X) exp(-i(-iX + HT)) over the (checked) times ``ts``, in one pass."""
+    frames = -1j * gen.x + model.hamiltonian * ts[:, None, None]  # Hermitian
+    return gen.closure @ expm_skew(-1j * frames)
 
 
 def exact_propagator(model: SpinModel, gen: DeformationGenerator, T: float) -> np.ndarray:
     """Full-loop propagator exp(X) exp(-i(-iX + HT)); exact for any T up to ``_t_max``."""
-    return _propagators(model, gen, [_finite_time(T, _t_max(model))])[0]
+    return _propagators(model, gen, np.array([_finite_time(T, _t_max(model))]))[0]
 
 
 def ode_propagator(model: SpinModel, gen: DeformationGenerator, T: float, steps: int) -> np.ndarray:
@@ -121,13 +124,24 @@ def _coding_vectors(model: SpinModel, gate: HolonomyGate) -> np.ndarray:
     return c
 
 
-def _fidelity_leakage(u, gate, model, c, T):
+def _fidelity_leakage(us: np.ndarray, gate, model, c, ts: np.ndarray) -> list:
+    """(fidelity, leakage) of each propagator in the stack ``us`` at its time in ``ts``.
+
+    The products, traces and phases are stacked; the modulus, the Frobenius
+    norm and the clamps are scalar steps per slice, which keep every value
+    bit-equal to the one-propagator computation (a vectorized np.abs or
+    norm rounds differently).
+    """
     dim_c = c.shape[1]
-    v = (c.conj().T @ u @ c) * np.exp(1j * model.ground_energy * T)
-    fidelity = float(abs(np.trace(gate.gamma.conj().T @ v)) / dim_c)
-    escaped = model.ground_projector @ u @ c
-    leakage = float(1.0 - np.linalg.norm(escaped) ** 2 / dim_c)
-    return min(fidelity, 1.0), min(max(leakage, 0.0), 1.0)
+    v = (c.conj().T @ us @ c) * np.exp(1j * model.ground_energy * ts)[:, None, None]
+    overlaps = np.trace(gate.gamma.conj().T @ v, axis1=-2, axis2=-1)
+    escaped = model.ground_projector @ us @ c
+    pairs = []
+    for overlap, block in zip(overlaps, escaped):
+        fidelity = float(abs(overlap) / dim_c)
+        leakage = float(1.0 - np.linalg.norm(block) ** 2 / dim_c)
+        pairs.append((min(fidelity, 1.0), min(max(leakage, 0.0), 1.0)))
+    return pairs
 
 
 def holonomy_fidelity(u, gate: HolonomyGate, model: SpinModel, T: float):
@@ -142,30 +156,24 @@ def holonomy_fidelity(u, gate: HolonomyGate, model: SpinModel, T: float):
     if u.shape != (model.dim, model.dim):
         raise DomainError("propagator dimension does not match the model")
     T = _finite_time(T, _t_max(model))
-    return _fidelity_leakage(u, gate, model, _coding_vectors(model, gate), T)
+    return _fidelity_leakage(u[None], gate, model, _coding_vectors(model, gate), np.array([T]))[0]
 
 
 def adiabatic_sweep(model, gen, gate, t_list) -> list:
     """One exact-propagator run per total time T, ordered by T.
 
-    The coding space is looked up once; the propagators of all T come from
-    one stacked eigendecomposition.
+    The coding space is looked up once; propagators, fidelities, leakages
+    and dynamical phases of all T come from one stacked pass.
     """
     t_max = _t_max(model)
     t_list = sorted(_finite_time(t, t_max) for t in t_list)
     if not t_list or not t_list[0] > 0:
         raise DomainError("T_list must be non-empty and positive")
-    c = _coding_vectors(model, gate)
-    runs = []
-    for T, u in zip(t_list, _propagators(model, gen, t_list)):
-        fidelity, leakage = _fidelity_leakage(u, gate, model, c, T)
-        runs.append(
-            AdiabaticRun(
-                T=T,
-                propagator=u,
-                fidelity=fidelity,
-                leakage=leakage,
-                dynamical_phase=complex(np.exp(-1j * model.ground_energy * T)),
-            )
-        )
-    return runs
+    ts = np.array(t_list)
+    us = _propagators(model, gen, ts)
+    pairs = _fidelity_leakage(us, gate, model, _coding_vectors(model, gate), ts)
+    phases = np.exp(-1j * model.ground_energy * ts).tolist()
+    return [
+        AdiabaticRun(T=T, propagator=u, fidelity=fidelity, leakage=leakage, dynamical_phase=phase)
+        for T, u, (fidelity, leakage), phase in zip(t_list, us, pairs, phases)
+    ]

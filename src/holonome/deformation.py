@@ -65,6 +65,15 @@ class OneQubitLoop:
         )
 
 
+def _checked_windings(**windings) -> tuple:
+    """The windings as ints, each in [1, MAX_WINDING], else DomainError naming it."""
+    windings = {name: int(k) for name, k in windings.items()}
+    for name, k in windings.items():
+        if not (1 <= k <= MAX_WINDING):
+            raise DomainError(f"{name} must be in [1, {MAX_WINDING}]")
+    return tuple(windings.values())
+
+
 def coupling_strength(kappa_plus, kappa_minus):
     """Closed-form inter-dimer coupling J for a closed two-qubit loop (scalars or arrays)."""
     return (np.pi / (2.0 * np.sqrt(2.0))) * np.sqrt(kappa_minus**2 - kappa_plus**2)
@@ -91,10 +100,9 @@ class TwoQubitLoop:
 
     @classmethod
     def create(cls, kappa_plus: int, kappa_minus: int, kappa_prime: int) -> "TwoQubitLoop":
-        kp, km, kpr = int(kappa_plus), int(kappa_minus), int(kappa_prime)
-        for name, k in (("kappa_plus", kp), ("kappa_minus", km), ("kappa_prime", kpr)):
-            if not (1 <= k <= MAX_WINDING):
-                raise DomainError(f"{name} must be in [1, {MAX_WINDING}]")
+        kp, km, kpr = _checked_windings(
+            kappa_plus=kappa_plus, kappa_minus=kappa_minus, kappa_prime=kappa_prime
+        )
         if not kp < km:
             raise DomainError(f"kappa_plus < kappa_minus violated: {kp} >= {km}")
         if not km < 3 * kp:
@@ -108,7 +116,8 @@ class TwoQubitLoop:
         Not reachable with integer windings (it needs kappa_- = kappa_+); used
         to exercise the factorization audit in its trivially consistent limit.
         """
-        return cls._from_windings(int(kappa_plus), int(kappa_plus), int(kappa_prime))
+        kp, kpr = _checked_windings(kappa_plus=kappa_plus, kappa_prime=kappa_prime)
+        return cls._from_windings(kp, kp, kpr)
 
     @classmethod
     def _from_windings(cls, kp: int, km: int, kpr: int) -> "TwoQubitLoop":

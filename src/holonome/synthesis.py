@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from holonome.deformation import OneQubitLoop, coupling_strength
+from holonome.deformation import MAX_WINDING, OneQubitLoop, coupling_strength
 from holonome.errors import DomainError
 from holonome.holonomy import (
     analytic_one_qubit_gate,
@@ -214,7 +214,11 @@ def _search_line(delta_at, theta: float, step_factors, size: int, period: float)
 
 
 def _check_search_inputs(eps, theta_target=0.0, **bounds):
-    """Reject a tolerance, target angle or scan bound no search can honour."""
+    """Reject a tolerance, target angle or scan bound no search can honour.
+
+    A ``kappa_max`` is also capped at MAX_WINDING, so that every winding it
+    admits is a valid loop; beyond it a line search would scan every point.
+    """
     if not eps > 0:
         raise DomainError("tolerance must be positive")
     if not np.isfinite(eps):
@@ -224,6 +228,8 @@ def _check_search_inputs(eps, theta_target=0.0, **bounds):
     for name, value in bounds.items():
         if not value >= 1:
             raise DomainError(f"{name} must be at least 1")
+    if "kappa_max" in bounds and not bounds["kappa_max"] <= MAX_WINDING:
+        raise DomainError(f"winding number must be in [1, {MAX_WINDING}]")
 
 
 def _resolve_axis(axis):
@@ -243,9 +249,7 @@ def search_rotation(axis, theta_target: float, eps: float, kappa_max: int) -> Se
     """
     _check_search_inputs(eps, theta_target, kappa_max=kappa_max)
     n = _resolve_axis(axis)
-    # Validates unit norm, |n_z| < 1 (|n_z| = 1 would make every gate trivial)
-    # and that every scanned winding is a valid loop, up to MAX_WINDING.
-    OneQubitLoop.create(n, kappa_max)
+    # Validates unit norm and |n_z| < 1 (|n_z| = 1 would make every gate trivial).
     step = OneQubitLoop.create(n, 1).theta_kappa
     i, best_err = _search_line(
         lambda _, k: theta_target - (k + 1) * step,
@@ -274,8 +278,6 @@ def search_hadamard(eps: float, kappa_max: int) -> SearchResult:
     gate to HADAMARD, and ``exhausted`` means it is at least ``eps``.
     """
     _check_search_inputs(eps, kappa_max=kappa_max)
-    # Every scanned winding must be a valid loop, up to MAX_WINDING.
-    OneQubitLoop.create(HADAMARD_AXIS, kappa_max)
     root = np.sqrt(2.0 - HADAMARD_AXIS[2] ** 2)  # as in OneQubitLoop.create
     i, err = _search_line(
         lambda _, k: np.pi / 2.0 - ((k + 1) * np.pi) * root,

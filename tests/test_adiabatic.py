@@ -1,26 +1,31 @@
 """Propagators and adiabatic convergence of the realized gates."""
 
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from holonome import adiabatic
 from holonome.adiabatic import (
+    AdiabaticRun,
     adiabatic_sweep,
     exact_propagator,
     holonomy_fidelity,
     ode_propagator,
 )
 from holonome.deformation import (
+    MAX_WINDING,
     DeformationGenerator,
+    OneQubitLoop,
+    collective_spin,
     one_qubit_generator,
     two_qubit_generator,
 )
 from holonome.errors import DomainError
 from holonome.holonomy import connection_on_ground_space, holonomy
 from holonome.matrix_kernel import expm_skew, frobenius, is_unitary
-from holonome.spin_model import build_one_dimer, build_two_dimer
+from holonome.spin_model import build_one_dimer, build_two_dimer, coding_space
 
 HADAMARD_AXIS = (np.sqrt(1 / 3), 0.0, np.sqrt(2 / 3))
 NON_FINITE = (np.nan, np.inf, -np.inf)
@@ -58,6 +63,40 @@ def loop_ode_propagator(model, gen, T, steps):
         u = u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         h_lo = h_hi
     return u
+
+
+def reference_sweep(model, gen, gate, t_list):
+    """Per-T reference: each T's propagator, fidelity, leakage and phase on its own."""
+    c = coding_space(model).vectors
+    dim_c = c.shape[1]
+    runs = []
+    for T in sorted(float(t) for t in t_list):
+        u = gen.closure @ expm_skew(-1j * (-1j * gen.x + model.hamiltonian * T))
+        v = (c.conj().T @ u @ c) * np.exp(1j * model.ground_energy * T)
+        fidelity = float(abs(np.trace(gate.gamma.conj().T @ v)) / dim_c)
+        escaped = model.ground_projector @ u @ c
+        leakage = float(1.0 - np.linalg.norm(escaped) ** 2 / dim_c)
+        runs.append(AdiabaticRun(
+            T=T,
+            propagator=u,
+            fidelity=min(fidelity, 1.0),
+            leakage=min(max(leakage, 0.0), 1.0),
+            dynamical_phase=complex(np.exp(-1j * model.ground_energy * T)),
+        ))
+    return runs
+
+
+def run_bits(run):
+    phase = run.dynamical_phase
+    return (run.T.hex(), run.propagator.tobytes(), run.fidelity.hex(), run.leakage.hex(),
+            phase.real.hex(), phase.imag.hex())
+
+
+def unchecked_one_qubit_generator(n, kappa):
+    """one_qubit_generator without its closure check, which fails near MAX_WINDING."""
+    loop = OneQubitLoop.create(n, kappa)
+    x = 1j * loop.omega * collective_spin(loop.n, (0, 1), 2)
+    return DeformationGenerator(x=x, loop=loop, n_spins=2)
 
 
 def oracle_setup(qubits):
@@ -274,3 +313,57 @@ class TestAdiabaticSweep:
             adiabatic_sweep(model, gen, gate, [])
         with pytest.raises(DomainError):
             adiabatic_sweep(model, gen, gate, [-1.0])
+
+
+# Loops up to MAX_WINDING, on default and non-default couplings.
+SWEEP_CASES = {
+    "1q-hadamard-3": lambda: (build_one_dimer(1.0, 1.0), one_qubit_generator(HADAMARD_AXIS, 3)),
+    "1q-x-1-omega": lambda: (build_one_dimer(2.0, 2.0), one_qubit_generator((1.0, 0.0, 0.0), 1)),
+    "1q-max": lambda: (build_one_dimer(1.0, 1.0),
+                       unchecked_one_qubit_generator((0.6, 0.0, 0.8), MAX_WINDING)),
+    "1q-max-1": lambda: (build_one_dimer(1.0, 1.0),
+                         unchecked_one_qubit_generator((1.0, 0.0, 0.0), MAX_WINDING - 1)),
+    "2q-2-3-1": lambda: (build_two_dimer(1.0, 1.0), two_qubit_generator(2, 3, 1)),
+    "2q-couplings": lambda: (build_two_dimer(1.0, 2.0), two_qubit_generator(2, 3, 1)),
+    "2q-max": lambda: (build_two_dimer(1.0, 1.0),
+                       two_qubit_generator(MAX_WINDING // 3 + 1, MAX_WINDING, 1)),
+    "2q-max-couplings": lambda: (build_two_dimer(1.0, 2.0),
+                                 two_qubit_generator(MAX_WINDING - 1, MAX_WINDING, MAX_WINDING)),
+}
+
+# Unsorted, with duplicates; the 20-point list spans 0.1 to 1e5 like a real sweep.
+T_LISTS = {
+    "one": lambda t_max: [25.0],
+    "two": lambda t_max: [1000.0, 0.5],
+    "twenty": lambda t_max: [float(t) for t in np.geomspace(0.1, 1e5, 18)[::-1]] + [3.0, 3.0],
+    "at-limit": lambda t_max: [t_max, np.nextafter(t_max, 0.0), 1.0, t_max],
+}
+
+
+class TestStackedSweep:
+    """The stacked sweep is bit-equal to evaluating each T on its own."""
+
+    @pytest.mark.parametrize("t_name", sorted(T_LISTS))
+    @pytest.mark.parametrize("case", sorted(SWEEP_CASES))
+    def test_bit_equal_to_per_time_reference(self, case, t_name):
+        model, gen = SWEEP_CASES[case]()
+        gate = holonomy(connection_on_ground_space(gen, model))
+        t_list = T_LISTS[t_name](adiabatic._t_max(model))
+        runs = adiabatic_sweep(model, gen, gate, t_list)
+        expected = reference_sweep(model, gen, gate, t_list)
+        assert [run_bits(r) for r in runs] == [run_bits(r) for r in expected]
+        for run in expected:
+            fidelity, leakage = holonomy_fidelity(run.propagator, gate, model, run.T)
+            assert (fidelity.hex(), leakage.hex()) == (run.fidelity.hex(), run.leakage.hex())
+            assert exact_propagator(model, gen, run.T).tobytes() == run.propagator.tobytes()
+
+    @pytest.mark.parametrize("count", [1, 2, 20])
+    def test_one_stacked_pass_per_sweep(self, monkeypatch, count):
+        model, gen, gate = oracle_setup(2)
+        spies = {name: mock.Mock(wraps=getattr(adiabatic, name))
+                 for name in ("expm_skew", "_fidelity_leakage")}
+        for name, spy in spies.items():
+            monkeypatch.setattr(adiabatic, name, spy)
+        runs = adiabatic_sweep(model, gen, gate, np.linspace(1.0, 100.0, count))
+        assert len(runs) == count
+        assert [spy.call_count for spy in spies.values()] == [1, 1]

@@ -49,6 +49,19 @@ class TestExitCodes:
         assert code == 1
         assert "3 kappa_plus" in err
 
+    @pytest.mark.parametrize(
+        "windings,message",
+        [
+            (["--kp", "0"], "kappa_plus must be in [1, 1000000]"),
+            (["--kp", "-3"], "kappa_plus must be in [1, 1000000]"),
+            (["--kp", "2000000"], "kappa_plus must be in [1, 1000000]"),
+            (["--kp", "2", "--kprime", "0"], "kappa_prime must be in [1, 1000000]"),
+        ],
+    )
+    def test_j_zero_audit_rejects_invalid_windings(self, windings, message):
+        code, out, err = invoke(["audit", *windings, "--j-zero"])
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
     def test_trivial_axis_exit_one(self):
         code, _, err = invoke(["one-qubit", "--n", "0,0,1", "--kappa", "2"])
         assert code == 1

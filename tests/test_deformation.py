@@ -1,6 +1,7 @@
 """Loop generators: closure, nontriviality, isospectrality and leakage."""
 
 import io
+import re
 
 import numpy as np
 import pytest
@@ -92,6 +93,19 @@ class TestTwoQubitGenerator:
             two_qubit_generator(3, 2, 1)
         with pytest.raises(DomainError):
             two_qubit_generator(2, 2, 1)
+
+    @pytest.mark.parametrize(
+        "kp,kpr,name",
+        [(0, 1, "kappa_plus"), (-3, 1, "kappa_plus"), (MAX_WINDING + 1, 1, "kappa_plus"),
+         (2 * MAX_WINDING, 1, "kappa_plus"), (2, 0, "kappa_prime"), (2, -1, "kappa_prime"),
+         (2, MAX_WINDING + 1, "kappa_prime")],
+    )
+    def test_forced_zero_coupling_checks_windings_as_create_does(self, kp, kpr, name):
+        message = f"{name} must be in [1, {MAX_WINDING}]"
+        with pytest.raises(DomainError, match=re.escape(message)):
+            TwoQubitLoop.with_forced_zero_coupling(kp, kpr)
+        with pytest.raises(DomainError, match=re.escape(message)):
+            TwoQubitLoop.create(kp, kp + 1, kpr)
 
     def test_closure_over_admissible_pairs(self):
         for kp in range(1, 5):

@@ -1,5 +1,7 @@
 """Discrete searches, SU(2) synthesis, equidistribution and figure tables."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -466,6 +468,23 @@ class TestSynthesizeSu2:
         program = synthesize_su2(np.eye(2), 0.05, 10)
         assert program.steps == ()
         assert program.total_distance == 0.0
+
+    @pytest.mark.parametrize(
+        "search",
+        [
+            lambda bound: search_hadamard(1e-3, bound),
+            lambda bound: synthesize_su2(np.eye(2), 1e-3, bound),
+            lambda bound: synthesize_su2(HADAMARD, 1e-3, bound),
+        ],
+        ids=["hadamard", "su2-identity", "su2-hadamard"],
+    )
+    def test_kappa_max_bound_is_shared(self, search):
+        # As search_rotation's (TestSearchRotation).  The identity target
+        # returns before any search, but not before the bound.
+        for bound in (MAX_WINDING + 1, 10**12):
+            with pytest.raises(DomainError, match=re.escape(f"must be in [1, {MAX_WINDING}]")):
+                search(bound)
+        search(MAX_WINDING)
 
     def test_pure_x_rotation_collapses(self):
         target = np.cos(np.pi / 3) * np.eye(2) - 1j * np.sin(np.pi / 3) * SX
