@@ -3,15 +3,20 @@
 The connection on the degenerate ground space of a constant-generator loop
 reduces to the matrix of X in the ordered ground basis, A_ij = <i|X|j>, and
 the holonomy is Gamma = exp(-A) restricted to the coding block.  Closed-form
-gate expressions exist for both the one- and two-qubit loops and are checked
-against the numeric exponential; the published two-qubit factorization into
-a local unitary times a controlled phase is reproduced and *audited* rather
-than assumed (its control-1 block differs from the exact one whenever the
-x-drive and z-coupling fail to commute).
+gate expressions exist for both the one- and two-qubit loops; the two-qubit
+gate is built from 2 x 2 Rodrigues rotations with no eigensolver, and its
+distance to the numeric exponential is a reported number, not an assertion.
+The published two-qubit factorization into a local unitary times a
+controlled phase is reproduced and *audited* rather than assumed (its
+control-1 block differs from the exact one whenever the x-drive and
+z-coupling fail to commute).
 """
 
 from __future__ import annotations
 
+import cmath
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -124,12 +129,15 @@ def analytic_one_qubit_gate(loop: OneQubitLoop) -> HolonomyGate:
 
 @dataclass(frozen=True)
 class TwoQubitFactorization:
-    """Exact two-qubit holonomy, its block form, and the published factorization.
+    """Exact two-qubit holonomy, its control blocks, and the published factorization.
 
-    ``gamma_exact`` and ``block_form`` are an analytic identity (asserted at
-    construction).  ``paper_factorization`` is the local-unitary x controlled
-    phase product; its distance to the exact gate is recorded in
-    ``discrepancy`` and deliberately *not* asserted to vanish.
+    ``gamma_exact`` is the block-diagonal closed form u0 (+) u1 of exp(-A);
+    ``block_residual`` is its Frobenius distance to the numeric exponential
+    of the coding connection A, a reported number (round-off of order
+    ||A||_F u), computed on first use.  ``paper_factorization`` is the
+    local-unitary x controlled phase product; its distance to the exact gate
+    is recorded in ``discrepancy`` and deliberately *not* asserted to vanish.
+    The Makhlin invariants are also computed on first use.
     """
 
     loop: TwoQubitLoop
@@ -139,50 +147,64 @@ class TwoQubitFactorization:
     paper_factorization: np.ndarray
     controlled_gate: np.ndarray
     discrepancy: float
-    invariants_exact: tuple
-    invariants_controlled: tuple
-    invariants_distance: float
+
+    @functools.cached_property
+    def block_residual(self) -> float:
+        """||expm_skew(-A) - gamma_exact||_F for A the closed-form coding connection."""
+        numeric = expm_skew(-two_qubit_coding_connection(self.loop))
+        return frobenius(numeric - self.gamma_exact)
+
+    @functools.cached_property
+    def invariants_exact(self) -> tuple:
+        return local_invariants(self.gamma_exact)
+
+    @functools.cached_property
+    def invariants_controlled(self) -> tuple:
+        return local_invariants(self.controlled_gate)
+
+    @functools.cached_property
+    def invariants_distance(self) -> float:
+        (g1e, g2e), (g1c, g2c) = self.invariants_exact, self.invariants_controlled
+        return float(np.hypot(abs(g1e - g1c), abs(g2e - g2c)))
 
     @property
     def invariants_match(self) -> bool:
         return self.invariants_distance < 1e-8
 
 
-def controlled_phase_gate(theta: float) -> np.ndarray:
-    """|0><0| x I + |1><1| x exp(i theta sigma_z) on the logical pair."""
-    target = np.diag([np.exp(1j * theta), np.exp(-1j * theta)])
+def _block_diagonal(u0, u1) -> np.ndarray:
+    """|0><0| x u0 + |1><1| x u1: 2 x 2 blocks on the control's sigma_z eigenspaces."""
     out = np.zeros((4, 4), dtype=complex)
-    out[:2, :2] = ID2
-    out[2:, 2:] = target
+    out[:2, :2] = u0
+    out[2:, 2:] = u1
     return out
 
 
+def controlled_phase_gate(theta: float) -> np.ndarray:
+    """|0><0| x I + |1><1| x exp(i theta sigma_z) on the logical pair."""
+    return _block_diagonal(ID2, np.diag([np.exp(1j * theta), np.exp(-1j * theta)]))
+
+
 def analytic_two_qubit_gate(loop: TwoQubitLoop) -> TwoQubitFactorization:
-    """Exact gate, control-block split and the published factorization, audited."""
+    """Exact gate, control-block split and the published factorization, in closed form.
+
+    On the control (slow) sigma_z eigenspaces, exp(-A) splits into
+    u0 = e^{-i (2 Omega_1 + J)} exp(-i (a sigma_x + J sigma_z)) and
+    u1 = e^{i J} exp(-i (a sigma_x - J sigma_z)), both Rodrigues rotations by
+    r = hypot(a, J).  Omega_1 = kappa' pi, so e^{-2 i Omega_1} = 1 exactly, and
+    exp(-i (kappa' pi + J) sigma_z) = (-1)^kappa' diag(e^{-iJ}, e^{iJ}): the
+    local factor's sign cancels the published prefactor (-1)^kappa'.
+    """
     a, j = loop.a, loop.coupling_j
-    gamma_exact = expm_skew(-two_qubit_coding_connection(loop))
-
-    # Split on the control (slow) sigma_z eigenspaces: scalar phases factor out.
-    # The control-0 block and the target factor of the local unitary share
-    # exp(-i (a sigma_x + j sigma_z)).
-    drive = expm_skew(-1j * (a * SIGMA_X + j * SIGMA_Z))
-    u0 = np.exp(-1j * (2.0 * loop.omega1 + j)) * drive
-    u1 = np.exp(1j * j) * expm_skew(-1j * (a * SIGMA_X - j * SIGMA_Z))
-    block = np.zeros((4, 4), dtype=complex)
-    block[:2, :2] = u0
-    block[2:, 2:] = u1
-    if frobenius(gamma_exact - block) > 1e-10:
-        raise AssertionError("control-block identity violated: construction bug")
-
-    local = tensor_product(expm_skew(-1j * (loop.kappa_prime * np.pi + j) * SIGMA_Z), drive)
+    r = math.hypot(a, j)  # a > 0 on every loop
+    phase = cmath.exp(1j * j)
+    drive = _rotation(r, (a / r, 0.0, j / r))
+    u0 = phase.conjugate() * drive
+    u1 = phase * _rotation(r, (a / r, 0.0, -j / r))
+    gamma_exact = _block_diagonal(u0, u1)
+    # (diag(e^{-iJ}, e^{iJ}) x drive) times the controlled phase, block by block.
     controlled = controlled_phase_gate(2.0 * j)
-    paper = ((-1.0) ** loop.kappa_prime) * local @ controlled
-
-    inv_exact = local_invariants(gamma_exact)
-    inv_ctrl = local_invariants(controlled)
-    inv_dist = float(
-        np.hypot(abs(inv_exact[0] - inv_ctrl[0]), abs(inv_exact[1] - inv_ctrl[1]))
-    )
+    paper = _block_diagonal(u0, (phase * drive) @ controlled[2:, 2:])
     return TwoQubitFactorization(
         loop=loop,
         gamma_exact=gamma_exact,
@@ -191,9 +213,6 @@ def analytic_two_qubit_gate(loop: TwoQubitLoop) -> TwoQubitFactorization:
         paper_factorization=paper,
         controlled_gate=controlled,
         discrepancy=phase_invariant_distance(gamma_exact, paper),
-        invariants_exact=inv_exact,
-        invariants_controlled=inv_ctrl,
-        invariants_distance=inv_dist,
     )
 
 

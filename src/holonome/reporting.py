@@ -26,6 +26,20 @@ def format_float(x: float) -> str:
     return f"{x:.17g}"
 
 
+def _emit_floats(a: np.ndarray) -> str:
+    """A float array as nested JSON lists, with one finiteness check for all of it."""
+    finite = np.isfinite(a)
+    if not finite.all():
+        format_float(a[~finite][0])  # raises DomainError naming the value
+    return _float_lists(a.tolist())
+
+
+def _float_lists(rows: list) -> str:
+    if rows and isinstance(rows[0], list):
+        return "[" + ",".join(_float_lists(r) for r in rows) + "]"
+    return "[" + ",".join([f"{x:.17g}" for x in rows]) + "]"  # as format_float
+
+
 def _emit(value) -> str:
     if isinstance(value, dict):
         items = sorted(value.items(), key=lambda kv: kv[0])
@@ -42,6 +56,8 @@ def _emit(value) -> str:
     if isinstance(value, (complex, np.complexfloating)):
         return _emit({"re": float(value.real), "im": float(value.imag)})
     if isinstance(value, np.ndarray):
+        if value.dtype.kind == "f" and value.ndim:
+            return _emit_floats(value)
         return _emit(value.tolist())
     if isinstance(value, str):
         return json.dumps(value)
@@ -53,8 +69,9 @@ def dumps_report(report: dict) -> str:
 
 
 def matrix_payload(m) -> dict:
+    """Real and imaginary parts as float arrays, serialized by the flat emitter."""
     m = np.asarray(m, dtype=complex)
-    return {"real": m.real.tolist(), "imag": m.imag.tolist()}
+    return {"real": m.real, "imag": m.imag}
 
 
 def build_report(kind: str, inputs: dict, outputs: dict) -> dict:
@@ -103,6 +120,7 @@ def audit_payload(fact) -> dict:
         "invariants_controlled": {"g1": complex(g1_ctrl), "g2": g2_ctrl},
         "invariants_distance": fact.invariants_distance,
         "invariants_match": fact.invariants_match,
+        "block_residual": fact.block_residual,
         "gamma_exact": matrix_payload(fact.gamma_exact),
         "paper_factorization": matrix_payload(fact.paper_factorization),
     }

@@ -49,6 +49,10 @@ from holonome.matrix_kernel import _U, _read_only, is_unitary, phase_invariant_d
 
 TWO_PI = 2.0 * np.pi
 
+# Largest kappa_plus_max of a controlled-phase search: it admits
+# kappa_plus_max^2 winding pairs, 10^6 at this bound.
+MAX_KAPPA_PLUS = 1000
+
 # Lattice points per kernel step; bounds the kernel's temporary arrays.
 _CHUNK = 1 << 15
 
@@ -218,6 +222,8 @@ def _check_search_inputs(eps, theta_target=0.0, **bounds):
 
     A ``kappa_max`` is also capped at MAX_WINDING, so that every winding it
     admits is a valid loop; beyond it a line search would scan every point.
+    A ``kappa_plus_max`` is capped at MAX_KAPPA_PLUS, which bounds the table
+    of winding pairs at 10^6 rows.
     """
     if not eps > 0:
         raise DomainError("tolerance must be positive")
@@ -230,6 +236,8 @@ def _check_search_inputs(eps, theta_target=0.0, **bounds):
             raise DomainError(f"{name} must be at least 1")
     if "kappa_max" in bounds and not bounds["kappa_max"] <= MAX_WINDING:
         raise DomainError(f"winding number must be in [1, {MAX_WINDING}]")
+    if "kappa_plus_max" in bounds and not bounds["kappa_plus_max"] <= MAX_KAPPA_PLUS:
+        raise DomainError(f"kappa_plus_max must be in [1, {MAX_KAPPA_PLUS}]")
 
 
 def _resolve_axis(axis):
@@ -380,13 +388,21 @@ def synthesize_su2(target, eps_per_rotation: float, kappa_max: int) -> Synthesis
     )
 
 
+def _winding_pair_array(kappa_plus_max: int) -> np.ndarray:
+    """The admissible pairs as int64 rows (kappa_+, kappa_-), kappa_+ major.
+
+    kappa_+ = k owns the 2k - 1 rows kappa_- = k + 1, ..., 3k - 1, which
+    start at row (k - 1)^2; kappa_plus_max^2 rows in all.
+    """
+    k = np.arange(1, int(kappa_plus_max) + 1, dtype=np.int64)
+    kp = np.repeat(k, 2 * k - 1)
+    km = kp + 1 + np.arange(kp.size, dtype=np.int64) - (kp - 1) ** 2
+    return np.stack([kp, km], axis=1)
+
+
 def admissible_winding_pairs(kappa_plus_max: int):
-    """All (kappa_+, kappa_-) with kappa_+ < kappa_- < 3 kappa_+."""
-    return [
-        (kp, km)
-        for kp in range(1, int(kappa_plus_max) + 1)
-        for km in range(kp + 1, 3 * kp)
-    ]
+    """All (kappa_+, kappa_-) with kappa_+ < kappa_- < 3 kappa_+, as int tuples."""
+    return [tuple(p) for p in _winding_pair_array(kappa_plus_max).tolist()]
 
 
 def search_controlled_phase(
@@ -402,7 +418,7 @@ def search_controlled_phase(
     _check_search_inputs(
         eps, theta_target, kappa_plus_max=kappa_plus_max, n_max=n_max
     )
-    pairs = np.array(admissible_winding_pairs(kappa_plus_max))
+    pairs = _winding_pair_array(kappa_plus_max)
     pair_j = coupling_strength(pairs[:, 0], pairs[:, 1])
     row, col, err = _scan_lattice(
         lambda r, c: theta_target - (2.0 * (r + 1)) * pair_j[c],

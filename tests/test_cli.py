@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from holonome import cli, reporting
+from holonome import cli, holonomy, reporting
 from holonome.cli import run
 from holonome.errors import DomainError
 from holonome.reporting import csv_lines
@@ -80,6 +80,7 @@ class TestExitCodes:
             ["--target", "rx", "--theta", "1.0", "--eps", "nan"],
             ["--target", "rx", "--theta", "nan"],
             ["--target", "cphase", "--theta", "inf"],
+            ["--target", "cz", "--kp-max", "1001"],
         ],
     )
     def test_invalid_search_input_exit_one(self, argv):
@@ -165,6 +166,36 @@ class TestReports:
         g1 = payload["invariants_exact"]["g1"]
         assert abs(complex(g1["re"], g1["im"]) - 1.0) < 1e-9  # local gate
         assert abs(payload["invariants_exact"]["g2"] - 3.0) < 1e-9
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["two-qubit", "--kp", "333333", "--km", "500000", "--kprime", "1"],
+            ["audit", "--kp", "300000", "--km", "500000"],
+            ["audit", "--kp", "1000000", "--j-zero"],
+        ],
+    )
+    def test_large_windings_report(self, argv):
+        code, out, err = invoke(argv)
+        assert (code, err) == (0, "")
+        outputs = json.loads(out)["outputs"]
+        if argv[0] == "audit":
+            assert 0.0 <= outputs["block_residual"] < 1e-8
+        if "--j-zero" in argv:
+            assert outputs["verdict"] == "consistent"
+
+    def test_two_qubit_request_skips_invariants(self, monkeypatch):
+        calls, original = [], holonomy.local_invariants
+
+        def counted(u):
+            calls.append(u)
+            return original(u)
+
+        monkeypatch.setattr(holonomy, "local_invariants", counted)
+        assert invoke(["two-qubit", "--kp", "2", "--km", "3", "--kprime", "1"])[0] == 0
+        assert calls == []
+        assert invoke(["audit", "--kp", "2", "--km", "3", "--kprime", "1"])[0] == 0
+        assert len(calls) == 2
 
     def test_audit_requires_km_or_j_zero(self):
         code, _, err = invoke(["audit", "--kp", "2"])
@@ -394,3 +425,37 @@ class TestNonFiniteOutput:
         with pytest.raises(DomainError):
             reporting.emit_csv(path, ["a"], [(np.nan,)])
         assert not path.exists()
+
+
+def _float_arrays():
+    """Float arrays of every shape the reports use, and the corner values."""
+    rng = np.random.default_rng(1729)
+    corners = np.array([0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e308, 0.1, 1.0,
+                        -1.0, 1e16, 123456789012345678.0, np.pi, 1e-17, 2.0**-53])
+    arrays = [corners, corners.reshape(1, -1), corners[:12].reshape(3, 2, 2),
+              np.zeros(0), np.zeros((2, 0)), np.zeros((0, 3)),
+              np.array([0.1, -0.0, 3.4e38, 1e-45], dtype=np.float32), np.array([[7.0]])]
+    for shape in ((4, 4), (2, 2), (16,), (3, 5)):
+        scale = 10.0 ** rng.integers(-300, 300, size=shape)
+        arrays.append(rng.normal(size=shape) * scale)
+    m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    arrays.extend(reporting.matrix_payload(m).values())
+    return arrays
+
+
+class TestFlatEmitter:
+    @pytest.mark.parametrize("array", _float_arrays())
+    def test_bytes_match_element_emitter(self, array):
+        assert reporting._emit(array) == reporting._emit(array.tolist())
+        payload = {"m": array, "nested": [array]}
+        listed = {"m": array.tolist(), "nested": [array.tolist()]}
+        assert reporting.dumps_report(payload) == reporting.dumps_report(listed)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_by_value(self, bad):
+        array = np.array([[1.0, 2.0], [bad, np.nan]])
+        with pytest.raises(DomainError, match=f"non-finite value {float(bad)!r}$"):
+            reporting._emit(array)
+        payload = reporting.matrix_payload(np.array([[1.0, complex(0.0, bad)]]))
+        with pytest.raises(DomainError):
+            reporting.dumps_report(payload)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from holonome.deformation import (
+    MAX_WINDING,
     OneQubitLoop,
     TwoQubitLoop,
     one_qubit_generator,
@@ -23,6 +24,7 @@ from holonome.holonomy import (
     two_qubit_coding_connection,
 )
 from holonome.matrix_kernel import (
+    _U,
     expm_skew,
     frobenius,
     phase_invariant_distance,
@@ -31,6 +33,33 @@ from holonome.matrix_kernel import (
 from holonome.spin_model import build_one_dimer, build_two_dimer, ground_basis
 
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
+
+# c in the forward-error bound c ||A||_F u on the closed-form two-qubit gate
+# (Higham, Accuracy and Stability of Numerical Algorithms, ch. 10).
+BLOCK_RESIDUAL_C = 16.0
+
+
+def _winding_corpus(rng, size=200):
+    """Admissible and forced-zero-coupling loops, windings log-spread up to MAX_WINDING."""
+    top = MAX_WINDING // 3
+    loops = [
+        TwoQubitLoop.create(1, 2, 1),
+        TwoQubitLoop.create(top, top + 1, MAX_WINDING),
+        TwoQubitLoop.create(top, 3 * top - 1, MAX_WINDING),
+        TwoQubitLoop.create(333333, 500000, 1),
+        TwoQubitLoop.with_forced_zero_coupling(MAX_WINDING, MAX_WINDING),
+    ]
+    while len(loops) < size:
+        kp = int(np.exp(rng.uniform(np.log(2), np.log(top))))
+        km = int(rng.integers(kp + 1, 3 * kp))
+        kpr = int(np.exp(rng.uniform(0.0, np.log(MAX_WINDING))))
+        loops.append(TwoQubitLoop.create(kp, km, kpr))
+        if len(loops) % 10 == 0:
+            loops.append(TwoQubitLoop.with_forced_zero_coupling(kp, kpr))
+    return loops
+
+
+WINDING_CORPUS = _winding_corpus(np.random.default_rng(20081223))
 HADAMARD_AXIS = (np.sqrt(1 / 3), 0.0, np.sqrt(2 / 3))
 
 
@@ -141,12 +170,19 @@ class TestTwoQubitGate:
         assert frobenius(fact.block_u1 - u1) < 1e-12
 
     def test_exact_equals_block_form(self):
-        for kp, km in ((1, 2), (2, 3), (3, 5)):
-            fact = analytic_two_qubit_gate(TwoQubitLoop.create(kp, km, 2))
-            block = np.zeros((4, 4), dtype=complex)
-            block[:2, :2] = fact.block_u0
-            block[2:, 2:] = fact.block_u1
-            assert frobenius(fact.gamma_exact - block) < 1e-10
+        # The closed-form blocks against the eigensolver's exp(-A), within the
+        # forward-error bound c ||A||_F u; the largest ratio seen on random
+        # loops up to MAX_WINDING is about 3.
+        for loop in WINDING_CORPUS:
+            fact = analytic_two_qubit_gate(loop)
+            a = two_qubit_coding_connection(loop)
+            residual = frobenius(expm_skew(-a) - fact.gamma_exact)
+            assert residual <= BLOCK_RESIDUAL_C * frobenius(a) * _U
+            assert fact.block_residual == residual
+            assert fact.gamma_exact[:2, 2:].tobytes() == bytes(64)
+            assert fact.gamma_exact[2:, :2].tobytes() == bytes(64)
+            assert fact.gamma_exact[:2, :2].tobytes() == fact.block_u0.tobytes()
+            assert fact.gamma_exact[2:, 2:].tobytes() == fact.block_u1.tobytes()
 
     def test_exact_equals_numeric_holonomy(self):
         model = build_two_dimer(1.0, 1.0)
@@ -167,6 +203,42 @@ class TestTwoQubitGate:
     def test_generic_discrepancy_is_nonzero(self):
         fact = analytic_two_qubit_gate(TwoQubitLoop.create(2, 3, 1))
         assert fact.discrepancy > 1e-3
+
+
+class TestClosedFormCost:
+    @pytest.fixture
+    def expm_calls(self, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return expm_skew(*args, **kwargs)
+
+        monkeypatch.setattr(holonomy_module, "expm_skew", counted)
+        return calls
+
+    def test_gate_makes_no_expm_skew_call(self, expm_calls):
+        facts = [analytic_two_qubit_gate(loop) for loop in WINDING_CORPUS[:20]]
+        assert expm_calls == []
+        facts[0].block_residual  # the counter sees the module's calls
+        facts[0].block_residual  # computed once
+        assert len(expm_calls) == 1
+
+    def test_invariants_computed_on_first_use(self, monkeypatch):
+        calls = []
+
+        def counted(u):
+            calls.append(u)
+            return local_invariants(u)
+
+        monkeypatch.setattr(holonomy_module, "local_invariants", counted)
+        fact = analytic_two_qubit_gate(TwoQubitLoop.create(2, 3, 1))
+        assert calls == []
+        assert fact.invariants_match is False
+        assert fact.invariants_distance > 1e-3
+        assert len(calls) == 2
+        assert fact.invariants_exact == local_invariants(fact.gamma_exact)
+        assert fact.invariants_controlled == local_invariants(fact.controlled_gate)
 
 
 class TestConstantProducts:

@@ -560,6 +560,23 @@ class TestSearchControlledPhase:
         for kp, km in pairs:
             assert kp < km < 3 * kp
 
+    @pytest.mark.parametrize("kp_max", [-1, 0, 1, 2, 3, 7, 40, 190])
+    def test_pair_array_matches_loop(self, kp_max):
+        loop = [(kp, km) for kp in range(1, kp_max + 1) for km in range(kp + 1, 3 * kp)]
+        pairs = synthesis._winding_pair_array(kp_max)
+        assert pairs.dtype == np.int64 and pairs.shape == (len(loop), 2)
+        assert [tuple(p) for p in pairs.tolist()] == loop
+        listed = admissible_winding_pairs(kp_max)
+        assert listed == loop and all(type(k) is int for p in listed for k in p)
+
+    def test_kappa_plus_bound(self):
+        bound = synthesis.MAX_KAPPA_PLUS
+        assert len(synthesis._winding_pair_array(bound)) == bound**2
+        with pytest.raises(DomainError, match=f"kappa_plus_max must be in \\[1, {bound}\\]"):
+            search_controlled_phase(0.7, 0.1, bound + 1, 1)
+        result = search_controlled_phase(0.7, 0.1, bound, 1)
+        assert result.params["kappa_plus"] <= bound
+
     def test_repeated_exact_gate_matches_controlled_block_angles(self):
         # the repeated controlled gate reproduces the target phase pattern
         result = search_controlled_phase(np.pi / 2, 0.05, 10, 500)
