@@ -5,10 +5,11 @@ Hermitian matrix -iX + HT, so the full-loop propagator has the closed form
 U(1) = exp(X) exp(-i(-iX + HT)) and is exact at any T.  A sweep over T
 is one stacked pass: the frames -iX + HT of all T are one broadcast, their
 exponentials one stacked eigendecomposition, and the coding-block
-restrictions, traces, ground-space escapes and phases e^{+-i E0 T} are
-stacked matrix products and array expressions.  Only the modulus of each
-trace, the Frobenius norm of each escape and the clamps are taken per T,
-as scalar steps, so every run is bit-identical to evaluating that T alone.
+restrictions, traces, ground-space escapes, their moduli and norms and the
+phases e^{+-i E0 T} are stacked matrix products and array expressions that
+round as the one-T computation does.  Only the square of each norm, the
+divisions and the clamps are taken per T, as scalar steps, so every run is
+bit-identical to evaluating that T alone.
 
 A classical RK4 integration of the Schrodinger equation with the
 tau-dependent Hamiltonian is kept alongside purely as an independent oracle
@@ -127,19 +128,27 @@ def _coding_vectors(model: SpinModel, gate: HolonomyGate) -> np.ndarray:
 def _fidelity_leakage(us: np.ndarray, gate, model, c, ts: np.ndarray) -> list:
     """(fidelity, leakage) of each propagator in the stack ``us`` at its time in ``ts``.
 
-    The products, traces and phases are stacked; the modulus, the Frobenius
-    norm and the clamps are scalar steps per slice, which keep every value
-    bit-equal to the one-propagator computation (a vectorized np.abs or
-    norm rounds differently).
+    Everything up to the modulus of each trace and the Frobenius norm of
+    each escape block is stacked, in forms that round as the one-propagator
+    computation does: the modulus is np.hypot of the real and imaginary
+    parts (as abs of a complex scalar; a vectorized np.abs rounds
+    differently), and the squared norm is one BLAS dot each over the strided
+    real and imaginary views of the block (as np.linalg.norm).  The square,
+    the division and the clamps stay scalar steps per slice: squaring the
+    norms as an array rounds differently.
     """
     dim_c = c.shape[1]
     v = (c.conj().T @ us @ c) * np.exp(1j * model.ground_energy * ts)[:, None, None]
     overlaps = np.trace(gate.gamma.conj().T @ v, axis1=-2, axis2=-1)
-    escaped = model.ground_projector @ us @ c
+    moduli = np.hypot(overlaps.real, overlaps.imag)
+    escaped = (model.ground_projector @ us @ c).reshape(len(us), -1)
+    re, im = escaped.real, escaped.imag
+    sqnorms = re[:, None, :] @ re[:, :, None] + im[:, None, :] @ im[:, :, None]
+    norms = np.sqrt(sqnorms.ravel())
     pairs = []
-    for overlap, block in zip(overlaps, escaped):
-        fidelity = float(abs(overlap) / dim_c)
-        leakage = float(1.0 - np.linalg.norm(block) ** 2 / dim_c)
+    for modulus, norm in zip(moduli, norms):
+        fidelity = float(modulus / dim_c)
+        leakage = float(1.0 - norm ** 2 / dim_c)
         pairs.append((min(fidelity, 1.0), min(max(leakage, 0.0), 1.0)))
     return pairs
 

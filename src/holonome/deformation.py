@@ -43,16 +43,16 @@ class OneQubitLoop:
 
     @classmethod
     def create(cls, n, kappa: int) -> "OneQubitLoop":
+        kappa = _checked_int("kappa", kappa)
         n = np.asarray(n, dtype=float)
         if n.shape != (3,):
             raise DomainError("axis must be a real 3-vector")
         if not abs(np.linalg.norm(n) - 1.0) <= 1e-12:  # NaN fails too
             raise DomainError("axis must be a unit vector")
-        if not (1 <= int(kappa) <= MAX_WINDING):
+        if not (1 <= kappa <= MAX_WINDING):
             raise DomainError(f"winding number must be in [1, {MAX_WINDING}]")
         if abs(abs(n[2]) - 1.0) < 1e-12:
             raise DomainError("|n_z| = 1 gives [H, X] = 0: the loop is trivial")
-        kappa = int(kappa)
         omega = kappa * np.pi
         root = np.sqrt(2.0 - n[2] ** 2)
         m = np.array([np.sqrt(2.0) * n[0], np.sqrt(2.0) * n[1], n[2]]) / root
@@ -65,9 +65,16 @@ class OneQubitLoop:
         )
 
 
+def _checked_int(name: str, value) -> int:
+    """``value`` as an int if it is an int or numpy integer (not a bool), else DomainError."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise DomainError(f"{name} must be an int, got {value!r}")
+    return int(value)
+
+
 def _checked_windings(**windings) -> tuple:
     """The windings as ints, each in [1, MAX_WINDING], else DomainError naming it."""
-    windings = {name: int(k) for name, k in windings.items()}
+    windings = {name: _checked_int(name, k) for name, k in windings.items()}
     for name, k in windings.items():
         if not (1 <= k <= MAX_WINDING):
             raise DomainError(f"{name} must be in [1, {MAX_WINDING}]")
@@ -173,6 +180,13 @@ def collective_spin(n, spins, n_spins: int) -> np.ndarray:
     return out
 
 
+@functools.cache
+def _cross_zz() -> np.ndarray:
+    """sz_1 sz_3 + sz_1 sz_4 + sz_2 sz_3 + sz_2 sz_4 on four spins, built once per process (read-only)."""
+    sz = [pauli_site("z", s, 4) for s in range(4)]
+    return _read_only(sz[0] @ sz[2] + sz[0] @ sz[3] + sz[1] @ sz[2] + sz[1] @ sz[3])
+
+
 def closure_residual(x) -> float:
     """Frobenius distance of exp(X) from the identity."""
     x = np.asarray(x, dtype=complex)
@@ -198,10 +212,7 @@ def two_qubit_generator(kappa_plus: int, kappa_minus: int, kappa_prime: int) -> 
     loop = TwoQubitLoop.create(kappa_plus, kappa_minus, kappa_prime)
     x1 = 1j * loop.omega1 * collective_spin((0.0, 0.0, 1.0), (0, 1), 4)
     x2 = 1j * loop.omega2 * collective_spin((loop.n2x, 0.0, loop.n2z), (2, 3), 4)
-    sz = [pauli_site("z", s, 4) for s in range(4)]
-    cross = 1j * loop.coupling_j * (
-        sz[0] @ sz[2] + sz[0] @ sz[3] + sz[1] @ sz[2] + sz[1] @ sz[3]
-    )
+    cross = 1j * loop.coupling_j * _cross_zz()
     x = _read_only(x1 + x2 + cross)
     parts = {"dimer1": x1, "dimer2": x2, "cross": cross}
     gen = DeformationGenerator(x=x, loop=loop, n_spins=4, parts=parts)
@@ -212,48 +223,55 @@ def two_qubit_generator(kappa_plus: int, kappa_minus: int, kappa_prime: int) -> 
 class LeakageAudit:
     """Matrix elements of X between coding and non-coding ground vectors.
 
-    ``entries`` lists (non-coding label, coding label, element); the audit
-    passes iff all of them vanish.  ``named_elements`` carries the handful of
-    cross-coupling elements with known closed-form values (two dimers only).
+    ``block`` holds them, non-coding rows by coding columns; the audit passes
+    iff all of them vanish.  ``entries`` lists them as (non-coding label,
+    coding label, element) and ``named_elements`` carries the handful of
+    cross-coupling elements with known closed-form values (two dimers only);
+    both are computed on first use, so a caller that reads only the verdict
+    pays for nothing else.
     """
 
-    entries: tuple
+    block: np.ndarray
     max_abs: float
     passed: bool
-    named_elements: dict
+    gen: DeformationGenerator
+    model: SpinModel
+
+    @functools.cached_property
+    def entries(self) -> tuple:
+        labels, _ = ground_basis(self.model)
+        dim_c = self.block.shape[1]
+        return tuple(
+            (labels[dim_c + i], labels[j], complex(self.block[i, j]))
+            for i in range(self.block.shape[0])
+            for j in range(dim_c)
+        )
+
+    @functools.cached_property
+    def named_elements(self) -> dict:
+        named = {}
+        if self.model.n_spins == 4 and "cross" in self.gen.parts:
+            cross = self.gen.parts["cross"]
+            labels, vecs = ground_basis(self.model)
+            col = {lab: vecs[:, k] for k, lab in enumerate(labels)}
+
+            def elem(bra, ket):
+                return complex(col[bra].conj() @ cross @ col[ket])
+
+            named["<T+T+|Xc|T+T+>"] = elem("T+T+", "T+T+")
+            named["<T+S0|Xc|T+T0>"] = elem("T+S0", "T+T0")
+            named["<S0T+|Xc|T0T+>"] = elem("S0T+", "T0T+")
+            named["<S0S0|Xc|T0S0>"] = elem("S0S0", "T0S0")
+            named["<S0T0|Xc|T0S0>"] = elem("S0T0", "T0S0")
+        return named
 
 
 def leakage_audit(gen: DeformationGenerator, model: SpinModel) -> LeakageAudit:
     """Check that X never connects the coding space to the rest of the ground space."""
-    labels, vecs = ground_basis(model)
+    _, vecs = ground_basis(model)
     dim_c = coding_space(model).dim
-    coding = vecs[:, :dim_c]
-    noncoding = vecs[:, dim_c:]
-    block = noncoding.conj().T @ gen.x @ coding
-    entries = tuple(
-        (labels[dim_c + i], labels[j], complex(block[i, j]))
-        for i in range(block.shape[0])
-        for j in range(block.shape[1])
-    )
+    block = vecs[:, dim_c:].conj().T @ gen.x @ vecs[:, :dim_c]
     max_abs = float(np.max(np.abs(block))) if block.size else 0.0
-
-    named = {}
-    if model.n_spins == 4 and "cross" in gen.parts:
-        cross = gen.parts["cross"]
-        col = {lab: vecs[:, k] for k, lab in enumerate(labels)}
-
-        def elem(bra, ket):
-            return complex(col[bra].conj() @ cross @ col[ket])
-
-        named["<T+T+|Xc|T+T+>"] = elem("T+T+", "T+T+")
-        named["<T+S0|Xc|T+T0>"] = elem("T+S0", "T+T0")
-        named["<S0T+|Xc|T0T+>"] = elem("S0T+", "T0T+")
-        named["<S0S0|Xc|T0S0>"] = elem("S0S0", "T0S0")
-        named["<S0T0|Xc|T0S0>"] = elem("S0T0", "T0S0")
-
     return LeakageAudit(
-        entries=entries,
-        max_abs=max_abs,
-        passed=max_abs < LEAKAGE_TOL,
-        named_elements=named,
+        block=block, max_abs=max_abs, passed=max_abs < LEAKAGE_TOL, gen=gen, model=model
     )

@@ -10,15 +10,10 @@ results unitary to machine precision at these dimensions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from holonome.errors import DomainError
-
-# Eigenvalues closer than this (relative to max(1, ||H||)) form one
-# degenerate group.  All model spectra here have gaps of order 1.
-DEGENERACY_RTOL = 1e-9
 
 # Unit roundoff of float64.
 _U = 2.0**-53
@@ -98,53 +93,3 @@ def phase_invariant_distance(u, v, tol=1e-10) -> float:
     overlap = np.trace(u.conj().T @ v)
     phase = np.exp(-1j * np.angle(overlap)) if abs(overlap) > 0 else 1.0
     return float(frobenius(u - phase * v) / np.sqrt(2.0 * u.shape[0]))
-
-
-@dataclass(frozen=True)
-class Spectrum:
-    """Eigensystem of a Hermitian matrix with degenerate groups resolved.
-
-    ``energies`` holds one representative value per degenerate group in
-    ascending order, ``multiplicities`` the group sizes, and ``vectors`` the
-    orthonormal eigenvectors as columns, grouped to match.
-    """
-
-    energies: np.ndarray
-    multiplicities: tuple
-    vectors: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.vectors.shape[0]
-
-    def projector(self, level: int) -> np.ndarray:
-        """Projector onto the ``level``-th degenerate group."""
-        start = int(sum(self.multiplicities[:level]))
-        v = self.vectors[:, start : start + self.multiplicities[level]]
-        return v @ v.conj().T
-
-
-def hermitian_eigensystem(h, tol=1e-10) -> Spectrum:
-    """Eigendecomposition with gap-threshold degeneracy grouping."""
-    h = _as_square(h)
-    norm = frobenius(h)
-    if not math.isfinite(norm):
-        raise DomainError("hermitian_eigensystem requires a finite argument")
-    scale = max(1.0, norm)
-    if frobenius(h - h.conj().T) > tol * scale:
-        raise DomainError("hermitian_eigensystem requires a Hermitian argument")
-    evals, evecs = np.linalg.eigh(0.5 * (h + h.conj().T))
-    gap = DEGENERACY_RTOL * scale
-    energies = []
-    mults = []
-    last = None
-    for w in evals:
-        if last is not None and w - last < gap:
-            mults[-1] += 1
-        else:
-            energies.append(float(w))
-            mults.append(1)
-        last = w
-    return Spectrum(
-        energies=np.array(energies), multiplicities=tuple(mults), vectors=evecs
-    )

@@ -7,8 +7,10 @@ endings, no locale dependence and no timestamps in payload bodies.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
+import operator
 
 import numpy as np
 
@@ -40,13 +42,61 @@ def _float_lists(rows: list) -> str:
     return "[" + ",".join([f"{x:.17g}" for x in rows]) + "]"  # as format_float
 
 
+def _emit_dict(value: dict) -> str:
+    items = sorted(value.items(), key=operator.itemgetter(0))
+    return "{" + ",".join([_key(k) + ":" + _emit(v) for k, v in items]) + "}"
+
+
+def _emit_sequence(value) -> str:
+    return "[" + ",".join([_emit(v) for v in value]) + "]"
+
+
+def _emit_complex(value) -> str:
+    # The form and order of _emit({"re": ..., "im": ...}): sorted keys, "im" first.
+    return '{"im":' + format_float(value.imag) + ',"re":' + format_float(value.real) + "}"
+
+
+def _emit_array(value: np.ndarray) -> str:
+    if value.dtype.kind == "f" and value.ndim:
+        return _emit_floats(value)
+    return _emit(value.tolist())
+
+
+@functools.lru_cache(maxsize=1024)
+def _quoted(key: str) -> str:
+    return json.dumps(key)
+
+
+def _key(key) -> str:
+    """A dict key as a JSON string; a str key is quoted once per process."""
+    return _quoted(key) if type(key) is str else json.dumps(str(key))
+
+
+# Emitters by exact type; a subclass or numpy scalar goes through _emit_any.
+_EMITTERS = {
+    dict: _emit_dict,
+    list: _emit_sequence,
+    tuple: _emit_sequence,
+    bool: json.dumps,
+    type(None): json.dumps,
+    int: str,
+    float: format_float,
+    complex: _emit_complex,
+    np.ndarray: _emit_array,
+    str: json.dumps,
+}
+
+
 def _emit(value) -> str:
+    emitter = _EMITTERS.get(type(value))
+    return emitter(value) if emitter is not None else _emit_any(value)
+
+
+def _emit_any(value) -> str:
     if isinstance(value, dict):
-        items = sorted(value.items(), key=lambda kv: kv[0])
-        inner = ",".join(f"{json.dumps(str(k))}:{_emit(v)}" for k, v in items)
-        return "{" + inner + "}"
+        return _emit_dict(value)
     if isinstance(value, (list, tuple)):
-        return "[" + ",".join(_emit(v) for v in value) + "]"
+        return _emit_sequence(value)
     if isinstance(value, bool) or value is None:
         return json.dumps(value)
     if isinstance(value, (int, np.integer)):
@@ -54,11 +104,9 @@ def _emit(value) -> str:
     if isinstance(value, (float, np.floating)):
         return format_float(value)
     if isinstance(value, (complex, np.complexfloating)):
-        return _emit({"re": float(value.real), "im": float(value.imag)})
+        return _emit_complex(value)
     if isinstance(value, np.ndarray):
-        if value.dtype.kind == "f" and value.ndim:
-            return _emit_floats(value)
-        return _emit(value.tolist())
+        return _emit_array(value)
     if isinstance(value, str):
         return json.dumps(value)
     raise TypeError(f"cannot serialize {type(value)!r}")

@@ -8,6 +8,10 @@ Conventions, fixed once and asserted by the basis tests:
 One dimer:  H = -omega sz_1 - omega sz_2 + J1 sz_1 sz_2  (4 x 4, diagonal).
 Two dimers: the sum of two such Hamiltonians at omega = J on spins (1, 2)
 and (3, 4) respectively (16 x 16, diagonal).
+
+Both are diagonal in the product z-basis, so a model is built from its
+diagonal: the spectrum is the sorted diagonal and the eigenvectors are
+identity columns, with no eigensolver.
 """
 
 from __future__ import annotations
@@ -19,12 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from holonome.errors import DomainError
-from holonome.matrix_kernel import (
-    Spectrum,
-    _read_only,
-    hermitian_eigensystem,
-    tensor_product,
-)
+from holonome.matrix_kernel import _read_only, frobenius, tensor_product
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -48,6 +47,40 @@ def site_operator(op, site: int, n_spins: int) -> np.ndarray:
 def pauli_site(axis: str, site: int, n_spins: int) -> np.ndarray:
     """``site_operator(PAULI[axis], site, n_spins)``, built once per process (read-only)."""
     return _read_only(site_operator(PAULI[axis], site, n_spins))
+
+
+# Eigenvalues closer than this (relative to max(1, ||H||)) form one
+# degenerate group.  All model spectra here have gaps of order 1.
+DEGENERACY_RTOL = 1e-9
+
+# Largest coupling a model accepts.  The two-dimer diagonal is at most
+# 6 max(J1, J2) in magnitude, so ||H||_F^2 <= 576 max(J1, J2)^2 stays far
+# below the largest double (1.8e308) and every norm of H is finite.
+MAX_COUPLING = 1e150
+
+
+@dataclass(frozen=True)
+class Spectrum:
+    """Eigensystem of a Hermitian matrix with degenerate groups resolved.
+
+    ``energies`` holds one representative value per degenerate group in
+    ascending order, ``multiplicities`` the group sizes, and ``vectors`` the
+    orthonormal eigenvectors as columns, grouped to match.
+    """
+
+    energies: np.ndarray
+    multiplicities: tuple
+    vectors: np.ndarray
+
+    @property
+    def dim(self) -> int:
+        return self.vectors.shape[0]
+
+    def projector(self, level: int) -> np.ndarray:
+        """Projector onto the ``level``-th degenerate group."""
+        start = int(sum(self.multiplicities[:level]))
+        v = self.vectors[:, start : start + self.multiplicities[level]]
+        return v @ v.conj().T
 
 
 @dataclass(frozen=True)
@@ -84,20 +117,39 @@ DIMER_BASIS = types.MappingProxyType({
 })
 
 
-def _one_dimer_hamiltonian(omega: float, j1: float) -> np.ndarray:
-    sz1 = pauli_site("z", 0, 2)
-    sz2 = pauli_site("z", 1, 2)
-    return -omega * sz1 - omega * sz2 + j1 * (sz1 @ sz2)
+def _one_dimer_diagonal(omega: float, j1: float) -> np.ndarray:
+    """Diagonal of H over |++>, |+->, |-+>, |-->: bit for bit that of the dense operator sum."""
+    return np.array([-2.0 * omega + j1, -j1, -j1, 2.0 * omega + j1])
 
 
 def _check_couplings(**couplings) -> None:
     for name, value in couplings.items():
-        if not (np.isfinite(value) and value > 0):
-            raise DomainError(f"{name} must be finite and > 0, got {value!r}")
+        if not (np.isfinite(value) and 0 < value <= MAX_COUPLING):
+            raise DomainError(
+                f"{name} must be finite, > 0 and at most {MAX_COUPLING:g}, got {value!r}"
+            )
 
 
-def _model(n_spins: int, h: np.ndarray) -> SpinModel:
-    spec = hermitian_eigensystem(h)
+def _model(n_spins: int, diagonal: np.ndarray) -> SpinModel:
+    """The model of the diagonal Hamiltonian diag(``diagonal``).
+
+    Its eigenvalues are the stably sorted diagonal, grouped where consecutive
+    values differ by less than DEGENERACY_RTOL max(1, ||H||_F), and its
+    eigenvectors the matching identity columns.
+    """
+    dim = diagonal.size
+    h = np.zeros((dim, dim), dtype=complex)
+    h.flat[:: dim + 1] = diagonal
+    order = np.argsort(diagonal, kind="stable")
+    evals = diagonal[order]
+    gap = DEGENERACY_RTOL * max(1.0, frobenius(h))
+    values = evals.tolist()
+    starts = [0] + [i for i in range(1, dim) if values[i] - values[i - 1] >= gap]
+    spec = Spectrum(
+        energies=evals[starts],
+        multiplicities=tuple(b - a for a, b in zip(starts, starts[1:] + [dim])),
+        vectors=np.eye(dim, dtype=complex)[:, order],
+    )
     return SpinModel(
         n_spins=n_spins,
         hamiltonian=h,
@@ -110,16 +162,15 @@ def _model(n_spins: int, h: np.ndarray) -> SpinModel:
 def build_one_dimer(omega: float, j1: float) -> SpinModel:
     """Single Ising dimer; at omega = j1 the ground level is 3-fold degenerate."""
     _check_couplings(j1=j1, omega=omega)
-    return _model(2, _one_dimer_hamiltonian(omega, j1))
+    return _model(2, _one_dimer_diagonal(omega, j1))
 
 
 def build_two_dimer(j1: float, j2: float) -> SpinModel:
     """Two decoupled dimers at their degenerate points; 9-fold ground level."""
     _check_couplings(j1=j1, j2=j2)
-    id4 = np.eye(4, dtype=complex)
-    h1 = _one_dimer_hamiltonian(j1, j1)
-    h2 = _one_dimer_hamiltonian(j2, j2)
-    return _model(4, tensor_product(h1, id4) + tensor_product(id4, h2))
+    d1 = _one_dimer_diagonal(j1, j1)
+    d2 = _one_dimer_diagonal(j2, j2)
+    return _model(4, (d1[:, None] + d2[None, :]).ravel())
 
 
 # Ground-space labels at the degenerate working point, coding vectors first;

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from holonome.deformation import MAX_WINDING, OneQubitLoop, coupling_strength
+from holonome.deformation import MAX_WINDING, OneQubitLoop, _checked_int, coupling_strength
 from holonome.errors import DomainError
 from holonome.holonomy import (
     analytic_one_qubit_gate,
@@ -52,6 +52,10 @@ TWO_PI = 2.0 * np.pi
 # Largest kappa_plus_max of a controlled-phase search: it admits
 # kappa_plus_max^2 winding pairs, 10^6 at this bound.
 MAX_KAPPA_PLUS = 1000
+
+# Most lattice points a controlled-phase search may scan, kappa_plus_max^2
+# n_max: about 6 s at the scan kernel's ~17 M points/s.
+MAX_SCAN_POINTS = 10**8
 
 # Lattice points per kernel step; bounds the kernel's temporary arrays.
 _CHUNK = 1 << 15
@@ -223,7 +227,9 @@ def _check_search_inputs(eps, theta_target=0.0, **bounds):
     A ``kappa_max`` is also capped at MAX_WINDING, so that every winding it
     admits is a valid loop; beyond it a line search would scan every point.
     A ``kappa_plus_max`` is capped at MAX_KAPPA_PLUS, which bounds the table
-    of winding pairs at 10^6 rows.
+    of winding pairs at 10^6 rows, and with an ``n_max`` the scan is capped
+    at MAX_SCAN_POINTS lattice points.  Every bound must be an int (a numpy
+    integer, not a bool): a float would be truncated.
     """
     if not eps > 0:
         raise DomainError("tolerance must be positive")
@@ -231,6 +237,7 @@ def _check_search_inputs(eps, theta_target=0.0, **bounds):
         raise DomainError("tolerance must be finite")
     if not np.isfinite(theta_target):
         raise DomainError("target angle must be finite")
+    bounds = {name: _checked_int(name, value) for name, value in bounds.items()}
     for name, value in bounds.items():
         if not value >= 1:
             raise DomainError(f"{name} must be at least 1")
@@ -238,6 +245,13 @@ def _check_search_inputs(eps, theta_target=0.0, **bounds):
         raise DomainError(f"winding number must be in [1, {MAX_WINDING}]")
     if "kappa_plus_max" in bounds and not bounds["kappa_plus_max"] <= MAX_KAPPA_PLUS:
         raise DomainError(f"kappa_plus_max must be in [1, {MAX_KAPPA_PLUS}]")
+    if "n_max" in bounds:
+        kp, n = bounds["kappa_plus_max"], bounds["n_max"]
+        if kp**2 * n > MAX_SCAN_POINTS:
+            raise DomainError(
+                f"kappa_plus_max**2 * n_max must be at most {MAX_SCAN_POINTS} "
+                f"lattice points, got {kp}**2 * {n}"
+            )
 
 
 def _resolve_axis(axis):

@@ -340,6 +340,27 @@ T_LISTS = {
 }
 
 
+def sweep_corpus(count, seed=20261018):
+    """Seeded (model, generator, T list) sweeps, alternating one and two qubits, 1-20 T each."""
+    rng = np.random.default_rng(seed)
+    cases = []
+    for i in range(count):
+        t_list = (10.0 ** rng.uniform(-1.0, 3.0, size=rng.integers(1, 21))).tolist()
+        j1, j2 = (float(x) for x in 10.0 ** rng.uniform(-1.0, 1.0, size=2))
+        if i % 2:
+            axis = rng.normal(size=3)
+            axis /= np.linalg.norm(axis)
+            model = build_one_dimer(j1, j1)
+            gen = one_qubit_generator(axis, int(rng.integers(1, 1000)))
+        else:
+            kp = int(rng.integers(1, 300))
+            km = int(rng.integers(kp + 1, 3 * kp)) if kp > 1 else 2
+            model = build_two_dimer(j1, j2)
+            gen = two_qubit_generator(kp, km, int(rng.integers(1, 300)))
+        cases.append((model, gen, t_list))
+    return cases
+
+
 class TestStackedSweep:
     """The stacked sweep is bit-equal to evaluating each T on its own."""
 
@@ -356,6 +377,17 @@ class TestStackedSweep:
             fidelity, leakage = holonomy_fidelity(run.propagator, gate, model, run.T)
             assert (fidelity.hex(), leakage.hex()) == (run.fidelity.hex(), run.leakage.hex())
             assert exact_propagator(model, gen, run.T).tobytes() == run.propagator.tobytes()
+
+    def test_seeded_corpus_bit_equal_to_per_time_reference(self):
+        # Enough fidelities and leakages (~5000) that a stacked form rounding
+        # differently in one case in a thousand shows up.
+        cases = sweep_corpus(500)
+        assert {gen.n_spins for _, gen, _ in cases} == {2, 4}
+        for model, gen, t_list in cases:
+            gate = holonomy(connection_on_ground_space(gen, model))
+            runs = adiabatic_sweep(model, gen, gate, t_list)
+            expected = reference_sweep(model, gen, gate, t_list)
+            assert [run_bits(r) for r in runs] == [run_bits(r) for r in expected]
 
     @pytest.mark.parametrize("count", [1, 2, 20])
     def test_one_stacked_pass_per_sweep(self, monkeypatch, count):

@@ -1,5 +1,6 @@
 """CLI surface: exit codes, report determinism, CSV schemas and round-trips."""
 
+import enum
 import io
 import json
 import warnings
@@ -7,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from holonome import cli, holonomy, reporting
+from holonome import cli, deformation, holonomy, reporting, spin_model
 from holonome.cli import run
 from holonome.errors import DomainError
 from holonome.reporting import csv_lines
@@ -81,6 +82,7 @@ class TestExitCodes:
             ["--target", "rx", "--theta", "nan"],
             ["--target", "cphase", "--theta", "inf"],
             ["--target", "cz", "--kp-max", "1001"],
+            ["--target", "cz", "--kp-max", "1000", "--n-max", "1000000"],
         ],
     )
     def test_invalid_search_input_exit_one(self, argv):
@@ -246,6 +248,12 @@ class TestNonFiniteCouplings:
             (["two-qubit", "--kp", "2", "--km", "3", "--kprime", "1", "--j1=-inf"], "j1"),
             (["sweep", "--n", "1,0,0", "--kappa", "1", "--T", "1", "--j1", "nan"], "j1"),
             (["sweep", "--kp", "2", "--km", "3", "--T", "1", "--j2", "inf"], "j2"),
+            (["two-qubit", "--kp", "2", "--km", "3", "--kprime", "1", "--j1", "1e200"], "j1"),
+            (["one-qubit", "--n", "1,0,0", "--kappa", "1", "--omega", "1e200", "--j1", "1e200"],
+             "j1"),
+            (["sweep", "--kp", "2", "--km", "3", "--T", "1", "--j2", "1e200"], "j2"),
+            (["two-qubit", "--kp", "2", "--km", "3", "--kprime", "1", "--j2", "1.0000001e150"],
+             "j2"),
         ],
     )
     def test_exit_one_without_warning(self, argv, name):
@@ -255,6 +263,55 @@ class TestNonFiniteCouplings:
         assert code == 1
         assert out == ""
         assert err.startswith(f"error: {name} ") and err.count("\n") == 1
+
+    def test_largest_coupling_is_accepted(self):
+        argv = ["two-qubit", "--kp", "2", "--km", "3", "--kprime", "1",
+                "--j1", "1e150", "--j2", "1e150"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = invoke(argv)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["outputs"]["leakage_audit_passed"] is True
+
+
+class TestRequestWork:
+    """A gate request builds its model without an eigensolver and reads only the audit verdict."""
+
+    def test_models_use_no_eigh_or_kron(self, monkeypatch):
+        calls = []
+        building = []
+        for module, name in ((np.linalg, "eigh"), (np, "kron")):
+            def spy(*args, _original=getattr(module, name), _name=name, **kwargs):
+                if building:
+                    calls.append(_name)
+                return _original(*args, **kwargs)
+            monkeypatch.setattr(module, name, spy)
+        for name in ("build_one_dimer", "build_two_dimer"):
+            def build(*args, _original=getattr(spin_model, name)):
+                building.append(True)
+                try:
+                    return _original(*args)
+                finally:
+                    building.pop()
+            monkeypatch.setattr(spin_model, name, build)
+        assert invoke(["two-qubit", "--kp", "2", "--km", "3", "--kprime", "1"])[0] == 0
+        assert invoke(["one-qubit", "--n", "1,0,0", "--kappa", "1"])[0] == 0
+        assert calls == []
+        np.linalg.eigh(np.eye(2))  # the spies do see calls outside the builders
+        building.append(True)
+        np.kron(np.eye(2), np.eye(2))
+        assert calls == ["kron"]
+
+    def test_gate_requests_never_compute_audit_details(self, monkeypatch):
+        def unread(self):
+            raise AssertionError("computed an audit detail the report does not contain")
+
+        for name in ("entries", "named_elements"):
+            monkeypatch.setattr(deformation.LeakageAudit, name, property(unread))
+        for argv in (["two-qubit", "--kp", "2", "--km", "3", "--kprime", "1"],
+                     ["one-qubit", "--n", "1,0,0", "--kappa", "1"]):
+            code, out, _ = invoke(argv)
+            assert code == 0 and json.loads(out)["outputs"]["leakage_audit_passed"] is True
 
 
 class TestUsageStreams:
@@ -459,3 +516,181 @@ class TestFlatEmitter:
         payload = reporting.matrix_payload(np.array([[1.0, complex(0.0, bad)]]))
         with pytest.raises(DomainError):
             reporting.dumps_report(payload)
+
+
+def listing_emit(value) -> str:
+    """Reference: the isinstance chain the report emitter replaced, one json.dumps per key."""
+    if isinstance(value, dict):
+        items = sorted(value.items(), key=lambda kv: kv[0])
+        inner = ",".join(f"{json.dumps(str(k))}:{listing_emit(v)}" for k, v in items)
+        return "{" + inner + "}"
+    if isinstance(value, (list, tuple)):
+        return "[" + ",".join(listing_emit(v) for v in value) + "]"
+    if isinstance(value, bool) or value is None:
+        return json.dumps(value)
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, (float, np.floating)):
+        return reporting.format_float(value)
+    if isinstance(value, (complex, np.complexfloating)):
+        return listing_emit({"re": float(value.real), "im": float(value.imag)})
+    if isinstance(value, np.ndarray):
+        if value.dtype.kind == "f" and value.ndim:
+            return reporting._emit_floats(value)
+        return listing_emit(value.tolist())
+    if isinstance(value, str):
+        return json.dumps(value)
+    raise TypeError(f"cannot serialize {type(value)!r}")
+
+
+def request_corpus(seed=20261018):
+    """Seeded CLI requests of every subcommand and search target."""
+    rng = np.random.default_rng(seed)
+
+    def axis():
+        v = rng.normal(size=3)
+        return "--n=" + ",".join(repr(float(x)) for x in v / np.linalg.norm(v))
+
+    def windings():
+        kp = int(rng.integers(1, 60))
+        km = int(rng.integers(kp + 1, 3 * kp)) if kp > 1 else 2
+        return ["--kp", str(kp), "--km", str(km), "--kprime", str(int(rng.integers(1, 30)))]
+
+    def number(lo, hi):
+        return repr(float(rng.uniform(lo, hi)))
+
+    def t_list():
+        return ",".join(repr(float(t)) for t in 10.0 ** rng.uniform(-1, 3, rng.integers(1, 8)))
+
+    requests = [["figure", "fig2"], ["figure", "fig3"], ["figure", "fig3", "--caption-convention"],
+                ["figure", "fig4"], ["search", "--target", "cz"],
+                ["search", "--target", "hadamard"]]
+    for _ in range(8):
+        j = number(0.2, 5.0)
+        requests += [
+            ["one-qubit", axis(), "--kappa", str(int(rng.integers(1, 1000))),
+             "--omega", j, "--j1", j],
+            ["two-qubit", *windings(), "--j1", number(0.2, 5.0), "--j2", number(0.2, 5.0)],
+            ["search", "--target", str(rng.choice(["rx", "ry"])), "--theta", number(0, 7),
+             "--eps", number(1e-4, 0.1), "--kappa-max", str(int(rng.integers(1, 300)))],
+            ["search", "--target", "cphase", "--theta", number(-7, 7),
+             "--kp-max", str(int(rng.integers(1, 6))), "--n-max", str(int(rng.integers(1, 60)))],
+            ["search", "--target", "hadamard", "--eps", number(1e-3, 0.1),
+             "--kappa-max", str(int(rng.integers(1, 300)))],
+            ["sweep", axis(), "--kappa", str(int(rng.integers(1, 100))), "--T", t_list()],
+            ["sweep", *windings(), "--T", t_list(), "--j2", number(0.2, 5.0)],
+            ["audit", *windings()],
+            ["audit", "--kp", str(int(rng.integers(1, 100))), "--j-zero"],
+        ]
+    return requests
+
+
+class _Label(str):
+    pass
+
+
+class _Count(enum.IntEnum):
+    ONE = 1
+
+
+class _Ratio(float):
+    pass
+
+
+class _Mapping(dict):
+    pass
+
+
+class _Row(list):
+    pass
+
+
+# Values the reports never hold but the emitter accepts or rejects: escaped keys,
+# non-str keys, numpy scalars, subclasses, and every error path.
+EDGE_VALUES = [
+    {'quote"': 1, "back\\slash": 2, "tab\t": 3, "line sep": 4, "ünï": 5, "": 6, "\x00": 7},
+    {3: "a", 1: "b", -2: "c"},
+    {2.5: 1, -0.0: 2},
+    {True: 1, False: 0},
+    {None: 1},
+    {_Label("sub"): 1, "plain": 2},
+    {_Count.ONE: "enum"},
+    {np.int64(4): 1, np.int64(-1): 2},
+    {np.float64(0.5): [1, 2]},
+    [np.float64(0.1), np.float32(0.1), np.float16(0.1), np.longdouble(0.1)],
+    [np.int8(-3), np.uint64(2**64 - 1), np.int64(-(2**63)), 10**30, -(10**30)],
+    [np.complex128(1.5 - 0.25j), np.complex64(0.1 + 0.2j), complex(-0.0, 0.0), 1j],
+    [np.str_("numpy"), _Label("sub"), "é\U0001f600"],
+    [_Count.ONE, _Ratio(0.3), _Mapping(b=1, a=2), _Row([1, 2.5]), (1, (2, (3,)))],
+    [True, False, None, 0, -0.0, 5e-324, 1e308, -1e-17],
+    [np.array(3.0), np.array(2), np.array([1, 2, 3]), np.array([[1j, 2]]),
+     np.array([True, False]), np.array([], dtype=np.int64), np.array(["a", "b"]),
+     np.arange(6.0).reshape(2, 3), np.array([np.float32(0.1)])],
+    np.arange(4.0),
+    np.array(0.5),
+    np.float64(2.0),
+    7,
+    "top",
+    (),
+    {},
+]
+
+BAD_VALUES = [
+    float("nan"), float("inf"), -np.inf, np.float64("nan"), np.float32("inf"),
+    complex(np.nan, 1.0), complex(1.0, np.inf), complex(np.inf, np.nan),
+    np.complex128(complex(np.inf, 0.0)), {"x": [1.0, float("nan")]}, np.array([1.0, np.inf]),
+    np.array(np.nan), np.array([complex(0, np.nan)]), _Ratio("inf"),
+    {1, 2}, frozenset(), object(), b"bytes", bytearray(b"x"), np.bool_(True), np.void(b"x"),
+    {"a": 1, 2: "b"}, {"a": {"b": [1, object()]}}, [1, np.datetime64("2026-01-01")],
+    np.array([object()], dtype=object),
+]
+
+
+def error_of(emit, value):
+    try:
+        emit(value)
+    except Exception as exc:  # any error: its type and message are what is compared
+        return type(exc), str(exc)
+    return None
+
+
+class TestEmitterDispatch:
+    """The table-dispatched emitter gives the isinstance chain's bytes and errors."""
+
+    def test_every_report_of_a_seeded_corpus(self, monkeypatch):
+        reports = []
+        original = reporting.dumps_report
+
+        def recording(report):
+            reports.append(report)
+            return original(report)
+
+        monkeypatch.setattr(reporting, "dumps_report", recording)
+        requests = request_corpus()
+        for argv in requests:
+            code, out, err = invoke(argv)
+            assert (code, err) == (0, ""), argv
+        assert len(reports) == len(requests)
+        assert {r["kind"] for r in reports} == {"holonomy", "search", "sweep", "figure", "audit"}
+        for report in reports:
+            assert original(report) == listing_emit(report) + "\n"
+
+    @pytest.mark.parametrize("value", EDGE_VALUES)
+    def test_edge_values(self, value):
+        assert reporting._emit(value) == listing_emit(value)
+        wrapped = {"k": value, "list": [value], "tuple": (value,)}
+        assert reporting.dumps_report(wrapped) == listing_emit(wrapped) + "\n"
+
+    @pytest.mark.parametrize("value", BAD_VALUES)
+    def test_error_paths(self, value):
+        expected = error_of(listing_emit, value)
+        assert expected is not None
+        assert error_of(reporting._emit, value) == expected
+        assert error_of(reporting.dumps_report, {"k": [value]}) == error_of(
+            listing_emit, {"k": [value]})
+
+    def test_key_quoting_is_cached_per_str_key(self):
+        assert reporting._key("a\"b") == json.dumps("a\"b")
+        assert reporting._key("a\"b") is reporting._key("a\"b")
+        assert reporting._key(1) == '"1"' and reporting._key(True) == '"True"'
+        assert reporting._key(1.0) == '"1.0"'

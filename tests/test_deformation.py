@@ -21,7 +21,14 @@ from holonome.deformation import (
 )
 from holonome.errors import DomainError
 from holonome.matrix_kernel import expm_skew, frobenius
-from holonome.spin_model import DIMER_BASIS, build_one_dimer, build_two_dimer
+from holonome.spin_model import (
+    DIMER_BASIS,
+    build_one_dimer,
+    build_two_dimer,
+    coding_space,
+    ground_basis,
+    pauli_site,
+)
 
 
 def random_axes(count, seed=3):
@@ -59,6 +66,16 @@ class TestOneQubitGenerator:
     def test_rejects_oversized_winding(self):
         with pytest.raises(DomainError):
             one_qubit_generator((1.0, 0.0, 0.0), MAX_WINDING + 1)
+
+    @pytest.mark.parametrize("kappa", [2.5, 2.0, np.float64(2.0), True, "2", None])
+    def test_rejects_non_int_winding(self, kappa):
+        with pytest.raises(DomainError, match=r"^kappa must be an int"):
+            OneQubitLoop.create((1.0, 0.0, 0.0), kappa)
+
+    def test_accepts_numpy_integer_winding(self):
+        loop = OneQubitLoop.create((1.0, 0.0, 0.0), np.int64(2))
+        assert loop.kappa == 2 and type(loop.kappa) is int
+        assert loop == OneQubitLoop.create((1.0, 0.0, 0.0), 2)
 
     def test_hadamard_axis_derived_quantities(self):
         loop = OneQubitLoop.create((np.sqrt(1 / 3), 0.0, np.sqrt(2 / 3)), 3)
@@ -158,7 +175,47 @@ class TestIsospectrality:
         assert frobenius(comm2) > 1e-6
 
 
+def eager_leakage_audit(gen, model):
+    """Reference: every audit field computed at once, as the audit once did."""
+    labels, vecs = ground_basis(model)
+    dim_c = coding_space(model).dim
+    block = vecs[:, dim_c:].conj().T @ gen.x @ vecs[:, :dim_c]
+    entries = tuple(
+        (labels[dim_c + i], labels[j], complex(block[i, j]))
+        for i in range(block.shape[0])
+        for j in range(block.shape[1])
+    )
+    max_abs = float(np.max(np.abs(block)))
+    named = {}
+    if model.n_spins == 4:
+        cross = gen.parts["cross"]
+        col = {lab: vecs[:, k] for k, lab in enumerate(labels)}
+        for bra, ket in (("T+T+", "T+T+"), ("T+S0", "T+T0"), ("S0T+", "T0T+"),
+                         ("S0S0", "T0S0"), ("S0T0", "T0S0")):
+            named[f"<{bra}|Xc|{ket}>"] = complex(col[bra].conj() @ cross @ col[ket])
+    return entries, max_abs, max_abs < 1e-12, named
+
+
+def complex_bits(z):
+    return (z.real.hex(), z.imag.hex())
+
+
 class TestLeakageAudit:
+    @pytest.mark.parametrize("case", range(4))
+    def test_lazy_fields_equal_eager_reference(self, case):
+        gen = GENERATORS[case]()
+        model = build_one_dimer(1.0, 1.0) if gen.n_spins == 2 else build_two_dimer(1.0, 2.0)
+        audit = leakage_audit(gen, model)
+        entries, max_abs, passed, named = eager_leakage_audit(gen, model)
+        assert (audit.max_abs.hex(), audit.passed) == (max_abs.hex(), passed)
+        assert "entries" not in vars(audit) and "named_elements" not in vars(audit)
+        assert [(a, b, complex_bits(z)) for a, b, z in audit.entries] == [
+            (a, b, complex_bits(z)) for a, b, z in entries]
+        assert {k: complex_bits(z) for k, z in audit.named_elements.items()} == {
+            k: complex_bits(z) for k, z in named.items()}
+        assert audit.entries is audit.entries
+        assert audit.named_elements is audit.named_elements
+
     def test_one_dimer_passes(self):
         model = build_one_dimer(1.0, 1.0)
         gen = one_qubit_generator((0.6, 0.0, 0.8), 3)
@@ -230,6 +287,46 @@ class TestLoopAssembly:
                     "n2z": 0.0, "n2x": 1.0, "a": float(np.sqrt(2.0) * omega2)}
         assert float_bits(vars(loop)) == float_bits(expected)
         assert np.copysign(1.0, loop.n2z) == 1.0  # +0.0, as reported by audit --j-zero
+
+    @pytest.mark.parametrize(
+        "windings", [(2.9, 3.2, 1.7), (2, 3.0, 1), (2, 3, True), (np.float64(2), 3, 1)]
+    )
+    def test_rejects_non_int_windings_by_name(self, windings):
+        name = ("kappa_plus", "kappa_minus", "kappa_prime")[
+            next(i for i, k in enumerate(windings) if type(k) is not int)]
+        with pytest.raises(DomainError, match=f"^{name} must be an int"):
+            TwoQubitLoop.create(*windings)
+
+    def test_forced_zero_coupling_rejects_non_int_windings(self):
+        with pytest.raises(DomainError, match="^kappa_plus must be an int"):
+            TwoQubitLoop.with_forced_zero_coupling(2.5, 1)
+        with pytest.raises(DomainError, match="^kappa_prime must be an int"):
+            TwoQubitLoop.with_forced_zero_coupling(2, False)
+        loop = TwoQubitLoop.with_forced_zero_coupling(np.int32(2), np.uint8(1))
+        assert loop == TwoQubitLoop.with_forced_zero_coupling(2, 1)
+
+    def test_generator_bit_equal_to_four_product_assembly(self, monkeypatch):
+        # Closure fails near MAX_WINDING; the assembly of X is checked everywhere.
+        monkeypatch.setattr(deformation, "_checked", lambda gen, tol: gen)
+        kp, km = admissible_pairs(300, seed=13)
+        for a, b in zip(kp.tolist(), km.tolist()):
+            kpr = a % MAX_WINDING + 1
+            gen = two_qubit_generator(a, b, kpr)
+            loop = gen.loop
+            x1 = 1j * loop.omega1 * collective_spin((0.0, 0.0, 1.0), (0, 1), 4)
+            x2 = 1j * loop.omega2 * collective_spin((loop.n2x, 0.0, loop.n2z), (2, 3), 4)
+            sz = [pauli_site("z", s, 4) for s in range(4)]
+            cross = 1j * loop.coupling_j * (
+                sz[0] @ sz[2] + sz[0] @ sz[3] + sz[1] @ sz[2] + sz[1] @ sz[3]
+            )
+            assert gen.parts["cross"].tobytes() == cross.tobytes(), (a, b)
+            assert gen.x.tobytes() == (x1 + x2 + cross).tobytes(), (a, b)
+
+    def test_cross_operator_built_once_read_only(self):
+        zz = deformation._cross_zz()
+        assert deformation._cross_zz() is zz
+        with pytest.raises(ValueError):
+            zz[0, 0] = 0.0
 
     def test_coupling_strength_has_one_owner(self):
         assert synthesis.coupling_strength is coupling_strength

@@ -1,5 +1,7 @@
 """Kernel tests: exponentials, tensor products, distances, eigensystems."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -7,12 +9,20 @@ from holonome.errors import DomainError
 from holonome.matrix_kernel import (
     expm_skew,
     frobenius,
-    hermitian_eigensystem,
     is_unitary,
     phase_invariant_distance,
     tensor_product,
 )
-from holonome.spin_model import SIGMA_X, SIGMA_Y, SIGMA_Z, build_one_dimer, build_two_dimer
+from holonome.spin_model import (
+    DEGENERACY_RTOL,
+    SIGMA_X,
+    SIGMA_Y,
+    SIGMA_Z,
+    Spectrum,
+    build_one_dimer,
+    build_two_dimer,
+    pauli_site,
+)
 
 RNG = np.random.default_rng(20260826)
 
@@ -141,6 +151,64 @@ class TestPhaseInvariantDistance:
         assert abs(phase_invariant_distance(u, v) - expected) < 1e-12
 
 
+def hermitian_eigensystem(h, tol=1e-10) -> Spectrum:
+    """Reference: LAPACK eigendecomposition with gap-threshold degeneracy grouping.
+
+    The models are built from their diagonals with no eigensolver; this is
+    the eigensolver path they replaced, kept to check them against.
+    """
+    h = np.asarray(h, dtype=complex)
+    norm = frobenius(h)
+    if not math.isfinite(norm):
+        raise DomainError("hermitian_eigensystem requires a finite argument")
+    scale = max(1.0, norm)
+    if frobenius(h - h.conj().T) > tol * scale:
+        raise DomainError("hermitian_eigensystem requires a Hermitian argument")
+    evals, evecs = np.linalg.eigh(0.5 * (h + h.conj().T))
+    gap = DEGENERACY_RTOL * scale
+    energies = []
+    mults = []
+    last = None
+    for w in evals:
+        if last is not None and w - last < gap:
+            mults[-1] += 1
+        else:
+            energies.append(float(w))
+            mults.append(1)
+        last = w
+    return Spectrum(
+        energies=np.array(energies), multiplicities=tuple(mults), vectors=evecs
+    )
+
+
+def dense_one_dimer(omega, j1):
+    """Reference: -omega sz_1 - omega sz_2 + J1 sz_1 sz_2 as dense products."""
+    sz1 = pauli_site("z", 0, 2)
+    sz2 = pauli_site("z", 1, 2)
+    return -omega * sz1 - omega * sz2 + j1 * (sz1 @ sz2)
+
+
+def dense_two_dimer(j1, j2):
+    id4 = np.eye(4, dtype=complex)
+    return (tensor_product(dense_one_dimer(j1, j1), id4)
+            + tensor_product(id4, dense_one_dimer(j2, j2)))
+
+
+def coupling_corpus(seed=20261018, count=120):
+    """Seeded (a, b) pairs: log-uniform off the working point, and a = b (1 + f) on
+    both sides of the grouping threshold.
+
+    At omega = J (1 + f) one dimer's lowest gap 2 |f| J meets the threshold
+    1e-9 ||H||_F ~ 1e-9 sqrt(12) J at |f| ~ 1.732e-9.
+    """
+    rng = np.random.default_rng(seed)
+    pairs = [tuple(np.exp(rng.uniform(-6.0, 6.0, size=2))) for _ in range(count)]
+    near = (1e-10, 1e-8, 1.6e-9, 1.731e-9, 1.733e-9)
+    for b in np.exp(rng.uniform(-6.0, 6.0, size=count // 4)):
+        pairs += [(b * (1.0 + sign * f), b) for f in near for sign in (1.0, -1.0)]
+    return pairs
+
+
 class TestHermitianEigensystem:
     def test_diagonal_with_degeneracy(self):
         spec = hermitian_eigensystem(np.diag([-1.0, -1.0, -1.0, 3.0]))
@@ -167,6 +235,29 @@ class TestHermitianEigensystem:
             hermitian_eigensystem(np.array([[0.0, entry], [0.0, 0.0]]))
         with pytest.raises(DomainError):
             hermitian_eigensystem(np.diag([1.0, entry]))
+
+    @pytest.mark.parametrize("qubits", [1, 2])
+    def test_diagonal_models_match_reference(self, qubits):
+        # Energies, multiplicities, H and the ground projector byte for byte.
+        pairs = coupling_corpus()
+        assert len(pairs) >= 200
+        grouped = set()
+        for a, b in pairs:
+            if qubits == 1:
+                model, h = build_one_dimer(a, b), dense_one_dimer(a, b)
+            else:
+                model, h = build_two_dimer(a, b), dense_two_dimer(a, b)
+            ref = hermitian_eigensystem(h)
+            assert model.hamiltonian.tobytes() == h.tobytes()
+            assert model.spectrum.energies.tobytes() == ref.energies.tobytes()
+            assert model.spectrum.multiplicities == ref.multiplicities
+            assert model.ground_projector.tobytes() == ref.projector(0).tobytes()
+            assert model.ground_energy.hex() == float(ref.energies[0]).hex()
+            grouped.add(model.spectrum.multiplicities)
+        # Both sides of the threshold occur: (3, 1) at omega = J (1 +- 1e-10).
+        assert len(grouped) > 1
+        if qubits == 1:
+            assert {(3, 1), (1, 2, 1), (2, 1, 1)} <= grouped
 
     def test_orthonormal_and_reconstructs(self):
         rng = np.random.default_rng(11)

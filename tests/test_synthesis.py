@@ -577,6 +577,17 @@ class TestSearchControlledPhase:
         result = search_controlled_phase(0.7, 0.1, bound, 1)
         assert result.params["kappa_plus"] <= bound
 
+    def test_scan_size_bound(self):
+        cap = synthesis.MAX_SCAN_POINTS
+        assert cap == 10**8
+        for kp, n in ((1000, 20), (1000, 100), (10, 10**6), (1, cap)):
+            synthesis._check_search_inputs(0.1, 0.7, kappa_plus_max=kp, n_max=n)
+        for kp, n in ((1000, 101), (10, 10**6 + 1), (1000, 10**6), (1, cap + 1)):
+            message = (f"kappa_plus_max**2 * n_max must be at most {cap} lattice points, "
+                       f"got {kp}**2 * {n}")
+            with pytest.raises(DomainError, match=re.escape(message) + "$"):
+                search_controlled_phase(0.7, 0.1, kp, n)
+
     def test_repeated_exact_gate_matches_controlled_block_angles(self):
         # the repeated controlled gate reproduces the target phase pattern
         result = search_controlled_phase(np.pi / 2, 0.05, 10, 500)
@@ -590,6 +601,32 @@ class TestSearchControlledPhase:
         gate = result.gate
         target = controlled_phase_gate(np.pi / 2)
         assert phase_invariant_distance(gate, target) < 0.05
+
+
+class TestIntegerBounds:
+    """Scan bounds are ints: a float or bool is rejected by name, never truncated."""
+
+    @pytest.mark.parametrize(
+        "search, name",
+        [
+            (lambda: search_rotation("x", 1.0, 1e-3, 10.9), "kappa_max"),
+            (lambda: search_rotation("y", 1.0, 1e-3, 10.0), "kappa_max"),
+            (lambda: search_hadamard(0.1, True), "kappa_max"),
+            (lambda: search_controlled_phase(0.7, 0.1, 10.0, 5), "kappa_plus_max"),
+            (lambda: search_controlled_phase(0.7, 0.1, 10, 5.5), "n_max"),
+            (lambda: search_controlled_phase(0.7, 0.1, 10, np.float64(5)), "n_max"),
+            (lambda: synthesis.synthesize_su2(synthesis.HADAMARD, 0.1, 10.5), "kappa_max"),
+        ],
+    )
+    def test_rejects_non_int_bound_by_name(self, search, name):
+        with pytest.raises(DomainError, match=f"^{name} must be an int"):
+            search()
+
+    def test_accepts_numpy_integers(self):
+        assert (search_rotation("x", 1.0, 1e-3, np.int64(10)).params
+                == search_rotation("x", 1.0, 1e-3, 10).params)
+        assert (search_controlled_phase(0.7, 0.1, np.int16(4), np.uint32(20)).params
+                == search_controlled_phase(0.7, 0.1, 4, 20).params)
 
 
 class TestEquidistribution:
