@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 domain error, an option the request would not use,
 or a failed file write (one ``error:`` line on stderr), 2 usage error.  All
-outputs are deterministic; angles are accepted in radians only.
+outputs are deterministic for a given numpy and OpenBLAS kernel; angles are
+accepted in radians only.
 """
 
 from __future__ import annotations

@@ -187,12 +187,6 @@ def _cross_zz() -> np.ndarray:
     return _read_only(sz[0] @ sz[2] + sz[0] @ sz[3] + sz[1] @ sz[2] + sz[1] @ sz[3])
 
 
-def closure_residual(x) -> float:
-    """Frobenius distance of exp(X) from the identity."""
-    x = np.asarray(x, dtype=complex)
-    return frobenius(expm_skew(x) - np.eye(x.shape[0]))
-
-
 def _checked(gen: DeformationGenerator, tol: float) -> DeformationGenerator:
     """``gen`` if exp(X) is within ``tol`` of the identity, else DomainError."""
     if gen.closure_residual > tol:
@@ -224,46 +218,12 @@ class LeakageAudit:
     """Matrix elements of X between coding and non-coding ground vectors.
 
     ``block`` holds them, non-coding rows by coding columns; the audit passes
-    iff all of them vanish.  ``entries`` lists them as (non-coding label,
-    coding label, element) and ``named_elements`` carries the handful of
-    cross-coupling elements with known closed-form values (two dimers only);
-    both are computed on first use, so a caller that reads only the verdict
-    pays for nothing else.
+    iff all of them vanish.
     """
 
     block: np.ndarray
     max_abs: float
     passed: bool
-    gen: DeformationGenerator
-    model: SpinModel
-
-    @functools.cached_property
-    def entries(self) -> tuple:
-        labels, _ = ground_basis(self.model)
-        dim_c = self.block.shape[1]
-        return tuple(
-            (labels[dim_c + i], labels[j], complex(self.block[i, j]))
-            for i in range(self.block.shape[0])
-            for j in range(dim_c)
-        )
-
-    @functools.cached_property
-    def named_elements(self) -> dict:
-        named = {}
-        if self.model.n_spins == 4 and "cross" in self.gen.parts:
-            cross = self.gen.parts["cross"]
-            labels, vecs = ground_basis(self.model)
-            col = {lab: vecs[:, k] for k, lab in enumerate(labels)}
-
-            def elem(bra, ket):
-                return complex(col[bra].conj() @ cross @ col[ket])
-
-            named["<T+T+|Xc|T+T+>"] = elem("T+T+", "T+T+")
-            named["<T+S0|Xc|T+T0>"] = elem("T+S0", "T+T0")
-            named["<S0T+|Xc|T0T+>"] = elem("S0T+", "T0T+")
-            named["<S0S0|Xc|T0S0>"] = elem("S0S0", "T0S0")
-            named["<S0T0|Xc|T0S0>"] = elem("S0T0", "T0S0")
-        return named
 
 
 def leakage_audit(gen: DeformationGenerator, model: SpinModel) -> LeakageAudit:
@@ -272,6 +232,4 @@ def leakage_audit(gen: DeformationGenerator, model: SpinModel) -> LeakageAudit:
     dim_c = coding_space(model).dim
     block = vecs[:, dim_c:].conj().T @ gen.x @ vecs[:, :dim_c]
     max_abs = float(np.max(np.abs(block))) if block.size else 0.0
-    return LeakageAudit(
-        block=block, max_abs=max_abs, passed=max_abs < LEAKAGE_TOL, gen=gen, model=model
-    )
+    return LeakageAudit(block=block, max_abs=max_abs, passed=max_abs < LEAKAGE_TOL)

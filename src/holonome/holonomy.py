@@ -129,9 +129,10 @@ def analytic_one_qubit_gate(loop: OneQubitLoop) -> HolonomyGate:
 
 @dataclass(frozen=True)
 class TwoQubitFactorization:
-    """Exact two-qubit holonomy, its control blocks, and the published factorization.
+    """Exact two-qubit holonomy and the published factorization.
 
-    ``gamma_exact`` is the block-diagonal closed form u0 (+) u1 of exp(-A);
+    ``gamma_exact`` is the block-diagonal closed form u0 (+) u1 of exp(-A),
+    u0 (control 0) at [:2, :2] and u1 (control 1) at [2:, 2:].
     ``block_residual`` is its Frobenius distance to the numeric exponential
     of the coding connection A, a reported number (round-off of order
     ||A||_F u), computed on first use.  ``paper_factorization`` is the
@@ -142,8 +143,6 @@ class TwoQubitFactorization:
 
     loop: TwoQubitLoop
     gamma_exact: np.ndarray
-    block_u0: np.ndarray
-    block_u1: np.ndarray
     paper_factorization: np.ndarray
     controlled_gate: np.ndarray
     discrepancy: float
@@ -208,8 +207,6 @@ def analytic_two_qubit_gate(loop: TwoQubitLoop) -> TwoQubitFactorization:
     return TwoQubitFactorization(
         loop=loop,
         gamma_exact=gamma_exact,
-        block_u0=u0,
-        block_u1=u1,
         paper_factorization=paper,
         controlled_gate=controlled,
         discrepancy=phase_invariant_distance(gamma_exact, paper),

@@ -18,6 +18,9 @@ from holonome.errors import DomainError
 # Unit roundoff of float64.
 _U = 2.0**-53
 
+# Relative defect at which a matrix stops counting as unitary or anti-Hermitian.
+_STRUCTURE_TOL = 1e-10
+
 
 def _read_only(a: np.ndarray) -> np.ndarray:
     """Mark ``a`` read-only and return it: for arrays built once and shared."""
@@ -36,9 +39,9 @@ def frobenius(m) -> float:
     return float(np.linalg.norm(np.asarray(m)))
 
 
-def is_unitary(u, tol=1e-10) -> bool:
+def is_unitary(u) -> bool:
     u = _as_square(u)
-    return frobenius(u.conj().T @ u - np.eye(u.shape[0])) < tol * u.shape[0]
+    return frobenius(u.conj().T @ u - np.eye(u.shape[0])) < _STRUCTURE_TOL * u.shape[0]
 
 
 def _slice_norms(m: np.ndarray) -> np.ndarray:
@@ -46,7 +49,7 @@ def _slice_norms(m: np.ndarray) -> np.ndarray:
     return np.sqrt(np.add.reduce((m.conj() * m).real, axis=(-2, -1)))
 
 
-def expm_skew(m, tol=1e-10) -> np.ndarray:
+def expm_skew(m) -> np.ndarray:
     """Exponential of an anti-Hermitian matrix, or of each slice of a stack.
 
     Diagonalizes the Hermitian matrix iM and exponentiates the (real)
@@ -60,7 +63,7 @@ def expm_skew(m, tol=1e-10) -> np.ndarray:
     # Every slice is checked at once; the first bad slice names the error.
     norm = _slice_norms(m)
     defect = _slice_norms(m + m.conj().swapaxes(-1, -2))
-    bad = ~np.isfinite(norm) | (defect > tol * np.maximum(1.0, norm))
+    bad = ~np.isfinite(norm) | (defect > _STRUCTURE_TOL * np.maximum(1.0, norm))
     if bad.any():
         if not math.isfinite(np.ravel(norm)[np.argmax(bad)]):
             raise DomainError("expm_skew requires a finite argument")
@@ -76,7 +79,7 @@ def tensor_product(a, b) -> np.ndarray:
     return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
 
 
-def phase_invariant_distance(u, v, tol=1e-10) -> float:
+def phase_invariant_distance(u, v) -> float:
     """Gate distance insensitive to a global phase.
 
     d(U, V) = sqrt(1 - |tr(U^dag V)| / dim), zero iff U = e^{i phi} V.
@@ -88,7 +91,7 @@ def phase_invariant_distance(u, v, tol=1e-10) -> float:
     v = _as_square(v)
     if u.shape != v.shape:
         raise DomainError(f"dimension mismatch: {u.shape} vs {v.shape}")
-    if not (is_unitary(u, tol) and is_unitary(v, tol)):
+    if not (is_unitary(u) and is_unitary(v)):
         raise DomainError("phase_invariant_distance requires unitary inputs")
     overlap = np.trace(u.conj().T @ v)
     phase = np.exp(-1j * np.angle(overlap)) if abs(overlap) > 0 else 1.0

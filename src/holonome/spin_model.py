@@ -10,8 +10,9 @@ Two dimers: the sum of two such Hamiltonians at omega = J on spins (1, 2)
 and (3, 4) respectively (16 x 16, diagonal).
 
 Both are diagonal in the product z-basis, so a model is built from its
-diagonal: the spectrum is the sorted diagonal and the eigenvectors are
-identity columns, with no eigensolver.
+diagonal with no eigensolver: the ground energy is the least diagonal
+entry, and the ground level is the basis states whose entries lie within
+DEGENERACY_RTOL ||H||_F of it.
 """
 
 from __future__ import annotations
@@ -49,8 +50,9 @@ def pauli_site(axis: str, site: int, n_spins: int) -> np.ndarray:
     return _read_only(site_operator(PAULI[axis], site, n_spins))
 
 
-# Eigenvalues closer than this (relative to max(1, ||H||)) form one
-# degenerate group.  All model spectra here have gaps of order 1.
+# Diagonal entries less than DEGENERACY_RTOL ||H||_F above the least one form
+# the ground level.  The threshold scales with H, so the working point is found
+# at any coupling scale; there the next level lies 4 min(J) above the ground.
 DEGENERACY_RTOL = 1e-9
 
 # Largest coupling a model accepts.  The two-dimer diagonal is at most
@@ -60,46 +62,18 @@ MAX_COUPLING = 1e150
 
 
 @dataclass(frozen=True)
-class Spectrum:
-    """Eigensystem of a Hermitian matrix with degenerate groups resolved.
-
-    ``energies`` holds one representative value per degenerate group in
-    ascending order, ``multiplicities`` the group sizes, and ``vectors`` the
-    orthonormal eigenvectors as columns, grouped to match.
-    """
-
-    energies: np.ndarray
-    multiplicities: tuple
-    vectors: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.vectors.shape[0]
-
-    def projector(self, level: int) -> np.ndarray:
-        """Projector onto the ``level``-th degenerate group."""
-        start = int(sum(self.multiplicities[:level]))
-        v = self.vectors[:, start : start + self.multiplicities[level]]
-        return v @ v.conj().T
-
-
-@dataclass(frozen=True)
 class SpinModel:
-    """A dimer (or dimer-pair) Hamiltonian with its resolved spectrum."""
+    """A dimer (or dimer-pair) Hamiltonian with its ground level."""
 
     n_spins: int
     hamiltonian: np.ndarray
-    spectrum: Spectrum
     ground_projector: np.ndarray
     ground_energy: float
+    ground_multiplicity: int
 
     @property
     def dim(self) -> int:
         return self.hamiltonian.shape[0]
-
-    @property
-    def ground_multiplicity(self) -> int:
-        return self.spectrum.multiplicities[0]
 
 
 _RT2 = 1.0 / np.sqrt(2.0)
@@ -133,29 +107,21 @@ def _check_couplings(**couplings) -> None:
 def _model(n_spins: int, diagonal: np.ndarray) -> SpinModel:
     """The model of the diagonal Hamiltonian diag(``diagonal``).
 
-    Its eigenvalues are the stably sorted diagonal, grouped where consecutive
-    values differ by less than DEGENERACY_RTOL max(1, ||H||_F), and its
-    eigenvectors the matching identity columns.
+    Its ground energy is the least entry; the ground level is the entries
+    less than DEGENERACY_RTOL ||H||_F above it, and its projector the
+    diagonal 0/1 mask of those basis states.
     """
     dim = diagonal.size
     h = np.zeros((dim, dim), dtype=complex)
     h.flat[:: dim + 1] = diagonal
-    order = np.argsort(diagonal, kind="stable")
-    evals = diagonal[order]
-    gap = DEGENERACY_RTOL * max(1.0, frobenius(h))
-    values = evals.tolist()
-    starts = [0] + [i for i in range(1, dim) if values[i] - values[i - 1] >= gap]
-    spec = Spectrum(
-        energies=evals[starts],
-        multiplicities=tuple(b - a for a, b in zip(starts, starts[1:] + [dim])),
-        vectors=np.eye(dim, dtype=complex)[:, order],
-    )
+    e0 = diagonal.min()
+    ground = diagonal - e0 < DEGENERACY_RTOL * frobenius(h)
     return SpinModel(
         n_spins=n_spins,
         hamiltonian=h,
-        spectrum=spec,
-        ground_projector=spec.projector(0),
-        ground_energy=float(spec.energies[0]),
+        ground_projector=np.diag(ground.astype(complex)),
+        ground_energy=float(e0),
+        ground_multiplicity=int(ground.sum()),
     )
 
 

@@ -18,7 +18,6 @@ from holonome.spin_model import (
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
-    Spectrum,
     build_one_dimer,
     build_two_dimer,
     pauli_site,
@@ -151,11 +150,14 @@ class TestPhaseInvariantDistance:
         assert abs(phase_invariant_distance(u, v) - expected) < 1e-12
 
 
-def hermitian_eigensystem(h, tol=1e-10) -> Spectrum:
+def hermitian_eigensystem(h, tol=1e-10):
     """Reference: LAPACK eigendecomposition with gap-threshold degeneracy grouping.
 
-    The models are built from their diagonals with no eigensolver; this is
-    the eigensolver path they replaced, kept to check them against.
+    Returns (energies, multiplicities, vectors): one energy per group of
+    ascending eigenvalues whose consecutive gaps are below DEGENERACY_RTOL
+    ||H||_F, the group sizes, and the eigenvectors as columns.  The models
+    are built from their diagonals with no eigensolver; this is the
+    eigensolver path they replaced, kept to check them against.
     """
     h = np.asarray(h, dtype=complex)
     norm = frobenius(h)
@@ -165,7 +167,7 @@ def hermitian_eigensystem(h, tol=1e-10) -> Spectrum:
     if frobenius(h - h.conj().T) > tol * scale:
         raise DomainError("hermitian_eigensystem requires a Hermitian argument")
     evals, evecs = np.linalg.eigh(0.5 * (h + h.conj().T))
-    gap = DEGENERACY_RTOL * scale
+    gap = DEGENERACY_RTOL * norm
     energies = []
     mults = []
     last = None
@@ -176,9 +178,7 @@ def hermitian_eigensystem(h, tol=1e-10) -> Spectrum:
             energies.append(float(w))
             mults.append(1)
         last = w
-    return Spectrum(
-        energies=np.array(energies), multiplicities=tuple(mults), vectors=evecs
-    )
+    return np.array(energies), tuple(mults), evecs
 
 
 def dense_one_dimer(omega, j1):
@@ -211,19 +211,19 @@ def coupling_corpus(seed=20261018, count=120):
 
 class TestHermitianEigensystem:
     def test_diagonal_with_degeneracy(self):
-        spec = hermitian_eigensystem(np.diag([-1.0, -1.0, -1.0, 3.0]))
-        assert np.allclose(spec.energies, [-1.0, 3.0])
-        assert spec.multiplicities == (3, 1)
+        energies, mults, _ = hermitian_eigensystem(np.diag([-1.0, -1.0, -1.0, 3.0]))
+        assert np.allclose(energies, [-1.0, 3.0])
+        assert mults == (3, 1)
 
     def test_one_dimer_working_point(self):
-        spec = build_one_dimer(1.0, 1.0).spectrum
-        assert abs(spec.energies[0] + 1.0) < 1e-12
-        assert spec.multiplicities[0] == 3
+        energies, mults, _ = hermitian_eigensystem(build_one_dimer(1.0, 1.0).hamiltonian)
+        assert abs(energies[0] + 1.0) < 1e-12
+        assert mults[0] == 3
 
     def test_two_dimer_working_point(self):
-        spec = build_two_dimer(1.0, 1.0).spectrum
-        assert abs(spec.energies[0] + 2.0) < 1e-12
-        assert spec.multiplicities[0] == 9
+        energies, mults, _ = hermitian_eigensystem(build_two_dimer(1.0, 1.0).hamiltonian)
+        assert abs(energies[0] + 2.0) < 1e-12
+        assert mults[0] == 9
 
     def test_rejects_non_hermitian(self):
         with pytest.raises(DomainError):
@@ -238,7 +238,8 @@ class TestHermitianEigensystem:
 
     @pytest.mark.parametrize("qubits", [1, 2])
     def test_diagonal_models_match_reference(self, qubits):
-        # Energies, multiplicities, H and the ground projector byte for byte.
+        # H, the ground energy, multiplicity and projector byte for byte
+        # against the reference's first group.
         pairs = coupling_corpus()
         assert len(pairs) >= 200
         grouped = set()
@@ -247,13 +248,13 @@ class TestHermitianEigensystem:
                 model, h = build_one_dimer(a, b), dense_one_dimer(a, b)
             else:
                 model, h = build_two_dimer(a, b), dense_two_dimer(a, b)
-            ref = hermitian_eigensystem(h)
+            energies, mults, vectors = hermitian_eigensystem(h)
+            v = vectors[:, : mults[0]]
             assert model.hamiltonian.tobytes() == h.tobytes()
-            assert model.spectrum.energies.tobytes() == ref.energies.tobytes()
-            assert model.spectrum.multiplicities == ref.multiplicities
-            assert model.ground_projector.tobytes() == ref.projector(0).tobytes()
-            assert model.ground_energy.hex() == float(ref.energies[0]).hex()
-            grouped.add(model.spectrum.multiplicities)
+            assert model.ground_energy.hex() == float(energies[0]).hex()
+            assert model.ground_multiplicity == mults[0]
+            assert model.ground_projector.tobytes() == (v @ v.conj().T).tobytes()
+            grouped.add(mults)
         # Both sides of the threshold occur: (3, 1) at omega = J (1 +- 1e-10).
         assert len(grouped) > 1
         if qubits == 1:
@@ -263,10 +264,9 @@ class TestHermitianEigensystem:
         rng = np.random.default_rng(11)
         z = rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9))
         h = z + z.conj().T
-        spec = hermitian_eigensystem(h)
-        v = spec.vectors
+        energies, mults, v = hermitian_eigensystem(h)
         assert frobenius(v.conj().T @ v - np.eye(9)) < 1e-12
-        evals = np.repeat(spec.energies, spec.multiplicities)
+        evals = np.repeat(energies, mults)
         assert frobenius(v @ np.diag(evals) @ v.conj().T - h) < 1e-12 * max(
             1.0, frobenius(h)
         )

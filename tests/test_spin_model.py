@@ -7,6 +7,7 @@ from holonome.errors import DomainError
 from holonome.matrix_kernel import frobenius
 from holonome.spin_model import (
     DIMER_BASIS,
+    MAX_COUPLING,
     PAULI,
     SIGMA_Z,
     build_one_dimer,
@@ -23,13 +24,18 @@ def closed_form_one_dimer_eigenvalues(omega, j1):
     return np.array([-2 * omega + j1, -j1, 2 * omega + j1, -j1])
 
 
+def sorted_diagonal(model):
+    """The spectrum of a (diagonal) model Hamiltonian, ascending with multiplicity."""
+    return np.sort(np.diag(model.hamiltonian).real)
+
+
 class TestOneDimer:
     def test_working_point_spectrum(self):
         model = build_one_dimer(1.0, 1.0)
-        assert np.allclose(model.spectrum.energies, [-1.0, 3.0], atol=1e-12)
-        assert model.spectrum.multiplicities == (3, 1)
-        gap = model.spectrum.energies[1] - model.spectrum.energies[0]
-        assert abs(gap - 4.0) < 1e-12
+        evals = sorted_diagonal(model)
+        assert np.allclose(evals, [-1.0, -1.0, -1.0, 3.0], atol=1e-12)
+        assert model.ground_multiplicity == 3
+        assert abs(evals[3] - evals[0] - 4.0) < 1e-12
 
     def test_off_working_point_unique_ground(self):
         model = build_one_dimer(2.0, 1.0)
@@ -46,8 +52,7 @@ class TestOneDimer:
             omega, j1 = rng.uniform(0.1, 5.0, size=2)
             model = build_one_dimer(omega, j1)
             expected = np.sort(closed_form_one_dimer_eigenvalues(omega, j1))
-            actual = np.repeat(model.spectrum.energies, model.spectrum.multiplicities)
-            assert np.allclose(actual, expected, atol=1e-12)
+            assert np.allclose(sorted_diagonal(model), expected, atol=1e-12)
 
     def test_rejects_nonpositive_couplings(self):
         with pytest.raises(DomainError):
@@ -86,10 +91,21 @@ class TestTwoDimer:
     def test_spectrum_is_minkowski_sum(self):
         model = build_two_dimer(1.0, 1.0)
         single = build_one_dimer(1.0, 1.0)
-        ev1 = np.repeat(single.spectrum.energies, single.spectrum.multiplicities)
+        ev1 = sorted_diagonal(single)
         expected = np.sort((ev1[:, None] + ev1[None, :]).ravel())
-        actual = np.repeat(model.spectrum.energies, model.spectrum.multiplicities)
-        assert np.allclose(actual, expected, atol=1e-12)
+        assert np.allclose(sorted_diagonal(model), expected, atol=1e-12)
+
+
+@pytest.mark.parametrize("s", [1e-150, 1e-10, 1.0, MAX_COUPLING])
+def test_working_point_at_any_scale(s):
+    # The ground level is judged relative to ||H||_F, so a uniform rescaling
+    # of the couplings keeps the degeneracy.  2s would exceed MAX_COUPLING at
+    # the top of the range, so the two-dimer pair is (s / 2, s).
+    one = build_one_dimer(s, s)
+    assert (one.ground_multiplicity, one.ground_energy) == (3, -s)
+    two = build_two_dimer(s / 2, s)
+    assert two.ground_multiplicity == 9
+    assert np.trace(two.ground_projector).real == 9.0
 
 
 class TestDimerBasis:
