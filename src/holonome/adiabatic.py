@@ -2,9 +2,13 @@
 
 In the co-rotating frame the generator of the dynamics is the *constant*
 Hermitian matrix -iX + HT, so the full-loop propagator has the closed form
-U(1) = exp(X) exp(-i(-iX + HT)) and is exact at any T.  A sweep over T
-is one stacked pass: the frames -iX + HT of all T are one broadcast, their
-exponentials one stacked eigendecomposition, and the coding-block
+U(1) = exp(X) exp(-i(-iX + HT)) and is exact at any T.  H is diagonal and
+X is zero between the generator's sectors (for two dimers, dimer 1's four
+sigma_z states: X^1 and X^{1-2} are diagonal there), so the frame and its
+exponential are block diagonal.  A sweep over T is one stacked pass: the
+frame blocks of all T are one broadcast, the exponentials of the distinct
+blocks (3 of 4 for two dimers, whose |+-> and |-+> blocks are bit-equal)
+one stacked eigendecomposition of 4 x 4 matrices, and the coding-block
 restrictions, traces, ground-space escapes, their moduli and norms and the
 phases e^{+-i E0 T} are stacked matrix products and array expressions that
 round as the one-T computation does.  Only the square of each norm, the
@@ -26,13 +30,15 @@ U~ = P_{N-1} ... P_0 = D(1) (D(dt)^dag P_0)^N.  P_0 is built once and raised
 to the N-th power by binary squaring: about 2 log2 N products and O(dim^2)
 memory whatever the number of steps.  This is the same RK4 on the same step
 grid, not a different integrator.  The oracle stays independent of the
-closed form: it never uses the rotating-frame generator or a matrix
-exponential, only H, the eigenvectors of X and fourth-order time stepping,
-so a wrong generator, frame or sign shows up as an O(1) disagreement.
+closed form: it never uses the rotating-frame generator, its sectors or a
+matrix exponential, only H, the eigenvectors of the dense X and
+fourth-order time stepping, so a wrong generator, sector, frame or sign
+shows up as an O(1) disagreement.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,7 +46,7 @@ import numpy as np
 from holonome.deformation import DeformationGenerator
 from holonome.errors import DomainError
 from holonome.holonomy import HolonomyGate
-from holonome.matrix_kernel import _U, expm_skew
+from holonome.matrix_kernel import _U, _block_diagonal, _read_only, expm_skew
 from holonome.spin_model import SpinModel, coding_space
 
 
@@ -63,7 +69,7 @@ _PHASE_TOL = 1e-6
 
 def _t_max(model: SpinModel) -> float:
     """Largest |T| whose phase error (|E0| + ||H||) |T| u stays within _PHASE_TOL."""
-    scale = abs(model.ground_energy) + float(np.linalg.norm(model.hamiltonian))
+    scale = abs(model.ground_energy) + model.hamiltonian_norm
     return _PHASE_TOL / (scale * _U)
 
 
@@ -79,10 +85,37 @@ def _finite_time(T, t_max: float) -> float:
     return T
 
 
+@functools.cache
+def _distinct_blocks(first: tuple, d: int) -> tuple:
+    """The distinct sectors, and the flat index that repeats their d x d blocks over all sectors.
+
+    ``first[a]`` is the first sector whose blocks equal those of sector a.
+    """
+    distinct = sorted(set(first))
+    slot = np.array([distinct.index(f) for f in first])
+    return distinct, _read_only((slot[:, None] * d * d + np.arange(d * d)).ravel())
+
+
 def _propagators(model: SpinModel, gen: DeformationGenerator, ts: np.ndarray) -> np.ndarray:
-    """Stack of exp(X) exp(-i(-iX + HT)) over the (checked) times ``ts``, in one pass."""
-    frames = -1j * gen.x + model.hamiltonian * ts[:, None, None]  # Hermitian
-    return gen.closure @ expm_skew(-1j * frames)
+    """Stack of exp(X) exp(-i(-iX + HT)) over the (checked) times ``ts``, in one pass.
+
+    H is diagonal, so the frame -iX + HT is block diagonal over the
+    generator's sectors, and so is its exponential.  The blocks of every T
+    and every distinct sector go through one stacked ``expm_skew``: sectors
+    whose frames are bit-equal at every T (dimer 1's |+-> and |-+>) share
+    one.  With one sector this is the dense computation, bit for bit.
+    """
+    xs = gen.sectors
+    k, d = xs.shape[:2]
+    diagonal = _block_diagonal(k, d)
+    hs = model.hamiltonian.take(diagonal).reshape(k, d, d)
+    frames = -1j * xs + hs * ts[:, None, None, None]  # Hermitian, (T, sector, d, d)
+    keys = [frames[:, a].tobytes() for a in range(k)]
+    distinct, repeat = _distinct_blocks(tuple(map(keys.index, keys)), d)
+    blocks = expm_skew(-1j * frames.take(distinct, 1)).reshape(len(ts), -1)
+    us = np.zeros((len(ts), (k * d) ** 2), dtype=complex)
+    us[:, diagonal] = blocks.take(repeat, 1)
+    return gen.closure @ us.reshape(len(ts), k * d, k * d)
 
 
 def exact_propagator(model: SpinModel, gen: DeformationGenerator, T: float) -> np.ndarray:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from holonome.errors import DomainError
-from holonome.matrix_kernel import _read_only, expm_skew, frobenius
+from holonome.matrix_kernel import _block_diagonal, _read_only, expm_skew, frobenius
 from holonome.spin_model import SpinModel, coding_space, ground_basis, pauli_site
 
 # Winding numbers above this would need angle reduction beyond double precision.
@@ -150,12 +150,20 @@ class DeformationGenerator:
     """The anti-Hermitian generator X together with its loop parameters.
 
     exp(X) is computed once, on first use; ``x`` is read-only so it cannot go stale.
+    ``sectors`` stacks the diagonal blocks of X over sectors between which X
+    is zero: for two dimers the four 4 x 4 blocks over dimer 1's sigma_z
+    states, built by ``two_qubit_generator``; otherwise X itself, one sector.
     """
 
     x: np.ndarray
     loop: object  # OneQubitLoop | TwoQubitLoop
     n_spins: int
     parts: dict = field(default_factory=dict)
+    sectors: np.ndarray = None
+
+    def __post_init__(self):
+        if self.sectors is None:
+            object.__setattr__(self, "sectors", self.x[None])
 
     @functools.cached_property
     def closure(self) -> np.ndarray:
@@ -209,7 +217,11 @@ def two_qubit_generator(kappa_plus: int, kappa_minus: int, kappa_prime: int) -> 
     cross = 1j * loop.coupling_j * _cross_zz()
     x = _read_only(x1 + x2 + cross)
     parts = {"dimer1": x1, "dimer2": x2, "cross": cross}
-    gen = DeformationGenerator(x=x, loop=loop, n_spins=4, parts=parts)
+    # X^1 and X^{1-2} are diagonal in dimer 1's sigma_z basis (spins 1 and 2
+    # slow), so X is zero between its four sigma_z states |++>, |+->, |-+>,
+    # |-->; each diagonal block acts on dimer 2.
+    sectors = _read_only(x.take(_block_diagonal(4, 4)).reshape(4, 4, 4))
+    gen = DeformationGenerator(x=x, loop=loop, n_spins=4, parts=parts, sectors=sectors)
     return _checked(gen, TWO_QUBIT_CLOSURE_TOL)
 
 

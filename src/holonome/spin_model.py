@@ -11,13 +11,15 @@ and (3, 4) respectively (16 x 16, diagonal).
 
 Both are diagonal in the product z-basis, so a model is built from its
 diagonal with no eigensolver: the ground energy is the least diagonal
-entry, and the ground level is the basis states whose entries lie within
-DEGENERACY_RTOL ||H||_F of it.
+entry, and the ground level is the product of each dimer's: the basis
+states whose entries lie within DEGENERACY_RTOL ||H_d||_F of that dimer's
+least entry, H_d the dimer's own Hamiltonian.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 import types
 from dataclasses import dataclass
 
@@ -50,9 +52,11 @@ def pauli_site(axis: str, site: int, n_spins: int) -> np.ndarray:
     return _read_only(site_operator(PAULI[axis], site, n_spins))
 
 
-# Diagonal entries less than DEGENERACY_RTOL ||H||_F above the least one form
-# the ground level.  The threshold scales with H, so the working point is found
-# at any coupling scale; there the next level lies 4 min(J) above the ground.
+# A dimer's diagonal entries less than DEGENERACY_RTOL ||H_d||_F above its
+# least one form its ground level (H_d the dimer's own Hamiltonian).  The
+# threshold scales with the dimer, so the working point is found at any
+# coupling scale and any ratio of the couplings: at omega = J the dimer's next
+# level lies 4 J above its ground, and ||H_d||_F = sqrt(12) J.
 DEGENERACY_RTOL = 1e-9
 
 # Largest coupling a model accepts.  The two-dimer diagonal is at most
@@ -63,10 +67,11 @@ MAX_COUPLING = 1e150
 
 @dataclass(frozen=True)
 class SpinModel:
-    """A dimer (or dimer-pair) Hamiltonian with its ground level."""
+    """A dimer (or dimer-pair) Hamiltonian with its ground level and its Frobenius norm."""
 
     n_spins: int
     hamiltonian: np.ndarray
+    hamiltonian_norm: float
     ground_projector: np.ndarray
     ground_energy: float
     ground_multiplicity: int
@@ -104,23 +109,36 @@ def _check_couplings(**couplings) -> None:
             )
 
 
-def _model(n_spins: int, diagonal: np.ndarray) -> SpinModel:
-    """The model of the diagonal Hamiltonian diag(``diagonal``).
+def _ground_level(diagonal: list, norm: float) -> list:
+    """One dimer's ground level: is each entry less than DEGENERACY_RTOL ``norm`` above the least?"""
+    least, threshold = min(diagonal), DEGENERACY_RTOL * norm
+    return [entry - least < threshold for entry in diagonal]
 
-    Its ground energy is the least entry; the ground level is the entries
-    less than DEGENERACY_RTOL ||H||_F above it, and its projector the
-    diagonal 0/1 mask of those basis states.
+
+def _model(n_spins: int, *dimers: np.ndarray) -> SpinModel:
+    """The model of H, the Kronecker sum of diag(d) over the dimers' diagonals (slow first).
+
+    Its ground energy is the least diagonal entry.  Its ground level is the
+    product of the dimers' ground levels, each judged on its own scale
+    ||H_d||_F, and its projector the diagonal 0/1 mask of those basis states.
     """
+    diagonal = dimers[0] if len(dimers) == 1 else np.add.outer(*dimers).ravel()
     dim = diagonal.size
     h = np.zeros((dim, dim), dtype=complex)
     h.flat[:: dim + 1] = diagonal
-    e0 = diagonal.min()
-    ground = diagonal - e0 < DEGENERACY_RTOL * frobenius(h)
+    norm = frobenius(h)
+    # Four entries per dimer: Python floats beat numpy calls here, with the same rounding.
+    entries = [d.tolist() for d in dimers]
+    # One dimer is its own H_d; otherwise ||H_d||_F = ||d||_2.
+    norms = [norm] if len(dimers) == 1 else [math.hypot(*e) for e in entries]
+    levels = [_ground_level(e, n) for e, n in zip(entries, norms)]
+    ground = np.ravel(functools.reduce(np.logical_and.outer, levels))
     return SpinModel(
         n_spins=n_spins,
         hamiltonian=h,
+        hamiltonian_norm=norm,
         ground_projector=np.diag(ground.astype(complex)),
-        ground_energy=float(e0),
+        ground_energy=float(diagonal.min()),
         ground_multiplicity=int(ground.sum()),
     )
 
@@ -134,9 +152,7 @@ def build_one_dimer(omega: float, j1: float) -> SpinModel:
 def build_two_dimer(j1: float, j2: float) -> SpinModel:
     """Two decoupled dimers at their degenerate points; 9-fold ground level."""
     _check_couplings(j1=j1, j2=j2)
-    d1 = _one_dimer_diagonal(j1, j1)
-    d2 = _one_dimer_diagonal(j2, j2)
-    return _model(4, (d1[:, None] + d2[None, :]).ravel())
+    return _model(4, _one_dimer_diagonal(j1, j1), _one_dimer_diagonal(j2, j2))
 
 
 # Ground-space labels at the degenerate working point, coding vectors first;

@@ -1,12 +1,13 @@
 """Propagators and adiabatic convergence of the realized gates."""
 
+import dataclasses
 import re
 from unittest import mock
 
 import numpy as np
 import pytest
 
-from holonome import adiabatic
+from holonome import adiabatic, deformation
 from holonome.adiabatic import (
     AdiabaticRun,
     adiabatic_sweep,
@@ -65,13 +66,28 @@ def loop_ode_propagator(model, gen, T, steps):
     return u
 
 
+def sector_propagator(model, gen, T):
+    """Per-T reference: exp(X) times the block diagonal of exp(-i(-iX_s + H_s T)) over
+    dimer 1's four sigma_z sectors s (two dimers) or the one sector (one dimer), each
+    block exponentiated on its own.  With one sector this is the dense closed form."""
+    k = 4 if model.n_spins == 4 else 1
+    d = model.dim // k
+    x = gen.x.reshape(k, d, k, d)
+    h = model.hamiltonian.reshape(k, d, k, d)
+    u = np.zeros((model.dim, model.dim), dtype=complex)
+    for s in range(k):
+        frame = -1j * x[s, :, s, :] + h[s, :, s, :] * T
+        u[s * d:(s + 1) * d, s * d:(s + 1) * d] = expm_skew(-1j * frame)
+    return gen.closure @ u
+
+
 def reference_sweep(model, gen, gate, t_list):
     """Per-T reference: each T's propagator, fidelity, leakage and phase on its own."""
     c = coding_space(model).vectors
     dim_c = c.shape[1]
     runs = []
     for T in sorted(float(t) for t in t_list):
-        u = gen.closure @ expm_skew(-1j * (-1j * gen.x + model.hamiltonian * T))
+        u = sector_propagator(model, gen, T)
         v = (c.conj().T @ u @ c) * np.exp(1j * model.ground_energy * T)
         fidelity = float(abs(np.trace(gate.gamma.conj().T @ v)) / dim_c)
         escaped = model.ground_projector @ u @ c
@@ -132,9 +148,12 @@ class TestExactPropagator:
     def test_bit_equal_to_one_time_closed_form(self, qubits):
         model, gen, _ = oracle_setup(qubits)
         for T in (0.0, 0.5, 57.3, 1e6):
-            rotating_frame = -1j * gen.x + model.hamiltonian * T
-            expected = expm_skew(gen.x) @ expm_skew(-1j * rotating_frame)
-            assert exact_propagator(model, gen, T).tobytes() == expected.tobytes()
+            u = exact_propagator(model, gen, T)
+            assert u.tobytes() == sector_propagator(model, gen, T).tobytes()
+            if qubits == 1:  # one sector: the dense closed form
+                rotating_frame = -1j * gen.x + model.hamiltonian * T
+                expected = expm_skew(gen.x) @ expm_skew(-1j * rotating_frame)
+                assert u.tobytes() == expected.tobytes()
 
     def test_unitary_at_any_time(self):
         model = build_two_dimer(1.0, 1.0)
@@ -399,3 +418,92 @@ class TestStackedSweep:
         runs = adiabatic_sweep(model, gen, gate, np.linspace(1.0, 100.0, count))
         assert len(runs) == count
         assert [spy.call_count for spy in spies.values()] == [1, 1]
+        # Dimer 1's |+-> and |-+> sectors share one block: 3 of 4 per T.
+        assert spies["expm_skew"].call_args.args[0].shape == (count, 3, 4, 4)
+
+
+def frobenius_stack(m):
+    """Frobenius norm of each matrix in a stack."""
+    return np.sqrt(np.sum(np.abs(m) ** 2, axis=(-2, -1)))
+
+
+def dense_propagators(model, gen, ts):
+    """The dense closed form exp(X) exp(-i(-iX + HT)) of every T in ``ts``, stacked."""
+    return gen.closure @ expm_skew(-1j * (-1j * gen.x + model.hamiltonian * ts[:, None, None]))
+
+
+def generator_corpus(qubits, count, seed):
+    """Seeded (model, generator, times) with windings up to MAX_WINDING and |T| up to _t_max."""
+    rng = np.random.default_rng(seed)
+    cases = []
+    for i in range(count):
+        j1, j2 = (float(x) for x in 10.0 ** rng.uniform(-3.0, 3.0, size=2))
+        if qubits == 1:
+            axis = rng.normal(size=3)
+            axis /= np.linalg.norm(axis)
+            kappa = MAX_WINDING if i == 0 else int(10.0 ** rng.uniform(0.0, 6.0))
+            model, gen = build_one_dimer(j1, j1), one_qubit_generator(axis, kappa)
+        else:
+            kp = MAX_WINDING // 3 + 1 if i == 0 else int(10.0 ** rng.uniform(0.0, 6.0 - 0.5))
+            km = min(kp + 1 + int(rng.random() * (2 * kp - 1)), MAX_WINDING)
+            km = MAX_WINDING if i == 0 else km
+            kpr = MAX_WINDING if i == 1 else int(10.0 ** rng.uniform(0.0, 6.0))
+            model, gen = build_two_dimer(j1, j2), two_qubit_generator(kp, km, kpr)
+        t_max = adiabatic._t_max(model)
+        ts = 10.0 ** rng.uniform(-2.0, np.log10(t_max), size=5) * rng.choice((-1.0, 1.0), size=5)
+        ts[0] = t_max if i % 3 == 0 else 0.0
+        cases.append((model, gen, ts))
+    return cases
+
+
+class TestSectorPropagators:
+    """Two-dimer propagators come from dimer 1's sigma_z sectors, one dimer's from one sector."""
+
+    def test_two_dimer_within_error_bound_of_dense(self, monkeypatch):
+        # Error model (Higham, Functions of Matrices, 2008, ch. 10): both paths
+        # exponentiate the Hermitian frame F = -iX + HT through a backward-stable
+        # eigendecomposition, so each is exp(-i(F + E)) up to O(n u) rounding
+        # of the reconstruction, with ||E||_F of order n u ||F||_F.  On Hermitian
+        # arguments ||e^{-iA} - e^{-iB}||_F <= ||A - B||_F, and exp(X) is
+        # unitary, so the two differ by at most about n u ||F||_F <= n u
+        # (||X||_F + |T| ||H||_F), n = 16.
+        monkeypatch.setattr(deformation, "_checked", lambda gen, tol: gen)  # fails near MAX_WINDING
+        worst = 0.0
+        cases = generator_corpus(2, 300, seed=20261018)
+        for model, gen, ts in cases:
+            us = adiabatic._propagators(model, gen, ts)
+            errors = frobenius_stack(us - dense_propagators(model, gen, ts))
+            scale = frobenius(gen.x) + np.abs(ts) * model.hamiltonian_norm
+            bounds = 16 * scale * np.finfo(float).eps / 2
+            assert np.all(errors <= bounds), (gen.loop, ts)
+            worst = max(worst, float(np.max(errors / bounds)))
+        assert sum(len(ts) for _, _, ts in cases) == 1500
+        assert worst > 0.0  # the paths round differently; the bound is not vacuous
+
+    def test_one_dimer_bit_equal_to_dense(self, monkeypatch):
+        monkeypatch.setattr(deformation, "_checked", lambda gen, tol: gen)  # fails near MAX_WINDING
+        for model, gen, ts in generator_corpus(1, 300, seed=20261019):
+            assert gen.sectors.shape == (1, 4, 4)
+            expected = dense_propagators(model, gen, ts)
+            assert adiabatic._propagators(model, gen, ts).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("qubits", [1, 2])
+    def test_oracle_reads_dense_generator(self, qubits):
+        # The RK4 oracle stays an independent check of the sector path: wrong
+        # sectors move the exact propagator, not the oracle.
+        model, gen, _ = oracle_setup(qubits)
+        wrong = dataclasses.replace(gen, sectors=np.zeros_like(gen.sectors))
+        oracle = ode_propagator(model, gen, 10.0, 1000)
+        assert ode_propagator(model, wrong, 10.0, 1000).tobytes() == oracle.tobytes()
+        assert frobenius(exact_propagator(model, gen, 10.0) - oracle) < 1e-4
+        assert frobenius(exact_propagator(model, wrong, 10.0) - oracle) > 0.1
+
+    def test_directly_built_generator_is_one_sector(self):
+        model, gen, _ = oracle_setup(2)
+        dense = DeformationGenerator(x=gen.x, loop=None, n_spins=4)
+        assert dense.sectors.shape == (1, 16, 16)
+        assert dense.sectors[0].tobytes() == gen.x.tobytes()
+        ts = np.array([0.5, 57.3])
+        expected = dense_propagators(model, gen, ts)
+        assert adiabatic._propagators(model, dense, ts).tobytes() == expected.tobytes()
+

@@ -280,6 +280,9 @@ class TestCouplingScale:
     @pytest.mark.parametrize("argv", [
         ["one-qubit", "--n", "1,0,0", "--kappa", "1", "--omega", "1e-10", "--j1", "1e-10"],
         ["two-qubit", "--kp", "2", "--km", "3", "--kprime", "1", "--j1", "1e-10", "--j2", "1e-10"],
+        # Couplings 1e15 apart: each dimer's ground level is judged on its own scale.
+        ["two-qubit", "--kp", "3", "--km", "6", "--kprime", "2",
+         "--j1", "1.8244511890553932e-14", "--j2", "14.52630271632801"],
     ])
     def test_small_couplings_at_working_point(self, argv):
         code, out, err = invoke(argv)

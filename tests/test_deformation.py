@@ -241,6 +241,36 @@ def admissible_pairs(count, seed=11):
     return kp, km
 
 
+class TestSectors:
+    """X is zero between dimer 1's four sigma_z states; the generator carries its blocks."""
+
+    def test_two_qubit_generators(self, monkeypatch):
+        monkeypatch.setattr(deformation, "_checked", lambda gen, tol: gen)  # fails near MAX_WINDING
+        kp, km = admissible_pairs(300, seed=17)
+        kpr = np.random.default_rng(17).integers(1, MAX_WINDING + 1, size=300)
+        kpr[:2] = (1, MAX_WINDING)
+        for a, b, c in zip(kp.tolist(), km.tolist(), kpr.tolist()):
+            gen = two_qubit_generator(a, b, c)
+            x = gen.x.reshape(4, 4, 4, 4)
+            off = x.copy()
+            for s in range(4):
+                off[s, :, s, :] = 0.0
+            assert not off.any(), (a, b, c)
+            blocks = np.stack([x[s, :, s, :] for s in range(4)])
+            assert gen.sectors.tobytes() == blocks.tobytes(), (a, b, c)
+            # |+-> and |-+>: both have S1 = 0.
+            assert gen.sectors[1].tobytes() == gen.sectors[2].tobytes(), (a, b, c)
+            assert not gen.sectors.flags.writeable
+
+    def test_one_qubit_generators(self, monkeypatch):
+        monkeypatch.setattr(deformation, "_checked", lambda gen, tol: gen)  # fails near MAX_WINDING
+        for axis, kappa in zip(random_axes(50, seed=17), [1, MAX_WINDING] + list(range(2, 50))):
+            gen = one_qubit_generator(axis, kappa)
+            assert gen.sectors.shape == (1, 4, 4)
+            assert gen.sectors.tobytes() == gen.x.tobytes()
+            assert not gen.sectors.flags.writeable
+
+
 class TestLoopAssembly:
     """Both TwoQubitLoop constructors assemble their fields in one place."""
 

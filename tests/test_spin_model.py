@@ -108,6 +108,30 @@ def test_working_point_at_any_scale(s):
     assert np.trace(two.ground_projector).real == 9.0
 
 
+@pytest.mark.parametrize("j1,j2", [
+    (1.7e-9, 1.0), (1.0, 1.7e-9), (1.8244511890553932e-14, 14.52630271632801),
+    (1e-150, MAX_COUPLING), (MAX_COUPLING, 1e-150), (1.0, 1.0), (0.3, 7.0),
+])
+def test_two_dimer_ground_level_per_dimer(j1, j2):
+    # Each dimer's ground level is judged on its own scale, so any ratio of
+    # the couplings keeps the 9-fold product of two 3-fold levels.
+    two = build_two_dimer(j1, j2)
+    one1, one2 = build_one_dimer(j1, j1), build_one_dimer(j2, j2)
+    assert two.ground_multiplicity == 9
+    expected = np.kron(one1.ground_projector, one2.ground_projector)
+    assert two.ground_projector.tobytes() == expected.tobytes()
+    assert two.ground_energy == float(np.diag(two.hamiltonian).real.min())
+
+
+@pytest.mark.parametrize("build,args", [
+    (build_one_dimer, (1.0, 1.0)), (build_one_dimer, (2.5e-7, 3.0)), (build_two_dimer, (1.0, 1.0)),
+    (build_two_dimer, (1e-150, MAX_COUPLING)), (build_two_dimer, (0.3, 7.0)),
+])
+def test_hamiltonian_norm_is_frobenius(build, args):
+    model = build(*args)
+    assert model.hamiltonian_norm.hex() == frobenius(model.hamiltonian).hex()
+
+
 class TestDimerBasis:
     def test_orthonormal(self):
         assert tuple(DIMER_BASIS) == ("T+", "T0", "T-", "S0")
