@@ -38,7 +38,6 @@ shows up as an O(1) disagreement.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,7 +45,7 @@ import numpy as np
 from holonome.deformation import DeformationGenerator
 from holonome.errors import DomainError
 from holonome.holonomy import HolonomyGate
-from holonome.matrix_kernel import _U, _block_diagonal, _read_only, expm_skew
+from holonome.matrix_kernel import _U, _block_diagonal, expm_skew
 from holonome.spin_model import SpinModel, coding_space
 
 
@@ -85,17 +84,6 @@ def _finite_time(T, t_max: float) -> float:
     return T
 
 
-@functools.cache
-def _distinct_blocks(first: tuple, d: int) -> tuple:
-    """The distinct sectors, and the flat index that repeats their d x d blocks over all sectors.
-
-    ``first[a]`` is the first sector whose blocks equal those of sector a.
-    """
-    distinct = sorted(set(first))
-    slot = np.array([distinct.index(f) for f in first])
-    return distinct, _read_only((slot[:, None] * d * d + np.arange(d * d)).ravel())
-
-
 def _propagators(model: SpinModel, gen: DeformationGenerator, ts: np.ndarray) -> np.ndarray:
     """Stack of exp(X) exp(-i(-iX + HT)) over the (checked) times ``ts``, in one pass.
 
@@ -105,16 +93,20 @@ def _propagators(model: SpinModel, gen: DeformationGenerator, ts: np.ndarray) ->
     whose frames are bit-equal at every T (dimer 1's |+-> and |-+>) share
     one.  With one sector this is the dense computation, bit for bit.
     """
+    if gen.x.shape != model.hamiltonian.shape:
+        raise DomainError("generator dimension does not match the model")
     xs = gen.sectors
     k, d = xs.shape[:2]
     diagonal = _block_diagonal(k, d)
     hs = model.hamiltonian.take(diagonal).reshape(k, d, d)
     frames = -1j * xs + hs * ts[:, None, None, None]  # Hermitian, (T, sector, d, d)
-    keys = [frames[:, a].tobytes() for a in range(k)]
-    distinct, repeat = _distinct_blocks(tuple(map(keys.index, keys)), d)
-    blocks = expm_skew(-1j * frames.take(distinct, 1)).reshape(len(ts), -1)
+    # slot[a] numbers sector a's frames among the distinct ones, in order of first use.
+    index = {}
+    slot = [index.setdefault(frames[:, a].tobytes(), len(index)) for a in range(k)]
+    firsts = [slot.index(i) for i in range(len(index))]
+    blocks = expm_skew(-1j * frames.take(firsts, 1)).take(slot, 1)
     us = np.zeros((len(ts), (k * d) ** 2), dtype=complex)
-    us[:, diagonal] = blocks.take(repeat, 1)
+    us[:, diagonal] = blocks.reshape(len(ts), -1)
     return gen.closure @ us.reshape(len(ts), k * d, k * d)
 
 

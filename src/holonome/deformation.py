@@ -149,26 +149,34 @@ class TwoQubitLoop:
 class DeformationGenerator:
     """The anti-Hermitian generator X together with its loop parameters.
 
-    exp(X) is computed once, on first use; ``x`` is read-only so it cannot go stale.
-    ``sectors`` stacks the diagonal blocks of X over sectors between which X
-    is zero: for two dimers the four 4 x 4 blocks over dimer 1's sigma_z
-    states, built by ``two_qubit_generator``; otherwise X itself, one sector.
+    exp(X) and the sectors are computed once, on first use; ``x`` is read-only
+    so they cannot go stale.
     """
 
     x: np.ndarray
     loop: object  # OneQubitLoop | TwoQubitLoop
     n_spins: int
     parts: dict = field(default_factory=dict)
-    sectors: np.ndarray = None
-
-    def __post_init__(self):
-        if self.sectors is None:
-            object.__setattr__(self, "sectors", self.x[None])
 
     @functools.cached_property
     def closure(self) -> np.ndarray:
         """exp(X), read-only; the identity for a closed loop."""
         return _read_only(expm_skew(self.x))
+
+    @functools.cached_property
+    def sectors(self) -> np.ndarray:
+        """The diagonal blocks of X over sectors between which X is zero, stacked, read-only.
+
+        On four spins these are the four 4 x 4 blocks over dimer 1's sigma_z
+        states |++>, |+->, |-+>, |--> (spins 1 and 2 slow), each acting on
+        dimer 2, when X is zero between them: X^1 and X^{1-2} are diagonal in
+        that basis.  Otherwise X itself is the one sector.
+        """
+        if self.n_spins == 4:
+            blocks = self.x.take(_block_diagonal(4, 4))
+            if np.count_nonzero(blocks) == np.count_nonzero(self.x):
+                return _read_only(blocks.reshape(4, 4, 4))
+        return self.x[None]
 
     @functools.cached_property
     def closure_residual(self) -> float:
@@ -217,11 +225,7 @@ def two_qubit_generator(kappa_plus: int, kappa_minus: int, kappa_prime: int) -> 
     cross = 1j * loop.coupling_j * _cross_zz()
     x = _read_only(x1 + x2 + cross)
     parts = {"dimer1": x1, "dimer2": x2, "cross": cross}
-    # X^1 and X^{1-2} are diagonal in dimer 1's sigma_z basis (spins 1 and 2
-    # slow), so X is zero between its four sigma_z states |++>, |+->, |-+>,
-    # |-->; each diagonal block acts on dimer 2.
-    sectors = _read_only(x.take(_block_diagonal(4, 4)).reshape(4, 4, 4))
-    gen = DeformationGenerator(x=x, loop=loop, n_spins=4, parts=parts, sectors=sectors)
+    gen = DeformationGenerator(x=x, loop=loop, n_spins=4, parts=parts)
     return _checked(gen, TWO_QUBIT_CLOSURE_TOL)
 
 

@@ -1,6 +1,5 @@
 """Propagators and adiabatic convergence of the realized gates."""
 
-import dataclasses
 import re
 from unittest import mock
 
@@ -154,6 +153,15 @@ class TestExactPropagator:
                 rotating_frame = -1j * gen.x + model.hamiltonian * T
                 expected = expm_skew(gen.x) @ expm_skew(-1j * rotating_frame)
                 assert u.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("model_qubits,gen_qubits", [(2, 1), (1, 2)])
+    def test_rejects_generator_of_other_size(self, model_qubits, gen_qubits):
+        model = oracle_setup(model_qubits)[0]
+        gen = oracle_setup(gen_qubits)[1]
+        with pytest.raises(DomainError, match="generator dimension does not match the model"):
+            exact_propagator(model, gen, 1.0)
+        with pytest.raises(DomainError, match="generator dimension does not match the model"):
+            adiabatic._propagators(model, gen, np.array([1.0, 2.0]))
 
     def test_unitary_at_any_time(self):
         model = build_two_dimer(1.0, 1.0)
@@ -488,22 +496,31 @@ class TestSectorPropagators:
             assert adiabatic._propagators(model, gen, ts).tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("qubits", [1, 2])
-    def test_oracle_reads_dense_generator(self, qubits):
+    def test_oracle_reads_dense_generator(self, monkeypatch, qubits):
         # The RK4 oracle stays an independent check of the sector path: wrong
         # sectors move the exact propagator, not the oracle.
         model, gen, _ = oracle_setup(qubits)
-        wrong = dataclasses.replace(gen, sectors=np.zeros_like(gen.sectors))
         oracle = ode_propagator(model, gen, 10.0, 1000)
-        assert ode_propagator(model, wrong, 10.0, 1000).tobytes() == oracle.tobytes()
-        assert frobenius(exact_propagator(model, gen, 10.0) - oracle) < 1e-4
-        assert frobenius(exact_propagator(model, wrong, 10.0) - oracle) > 0.1
+        exact = exact_propagator(model, gen, 10.0)
+        wrong = np.zeros_like(gen.sectors)
+        monkeypatch.setattr(DeformationGenerator, "sectors", property(lambda self: wrong))
+        assert gen.sectors is wrong
+        assert ode_propagator(model, gen, 10.0, 1000).tobytes() == oracle.tobytes()
+        assert frobenius(exact - oracle) < 1e-4
+        assert frobenius(exact_propagator(model, gen, 10.0) - oracle) > 0.1
 
-    def test_directly_built_generator_is_one_sector(self):
+    def test_sectors_derived_from_x(self):
         model, gen, _ = oracle_setup(2)
-        dense = DeformationGenerator(x=gen.x, loop=None, n_spins=4)
+        # A generator built directly from the same X has the same sectors.
+        same = DeformationGenerator(x=gen.x, loop=None, n_spins=4)
+        assert same.sectors.tobytes() == gen.sectors.tobytes()
+        assert same.sectors.shape == (4, 4, 4)
+        # An X with entries between dimer 1's sigma_z states is one sector.
+        x = gen.x.copy()
+        x[0, 4] = x[4, 0] = 0.25j  # anti-Hermitian
+        dense = DeformationGenerator(x=x, loop=None, n_spins=4)
         assert dense.sectors.shape == (1, 16, 16)
-        assert dense.sectors[0].tobytes() == gen.x.tobytes()
+        assert dense.sectors[0].tobytes() == x.tobytes()
         ts = np.array([0.5, 57.3])
-        expected = dense_propagators(model, gen, ts)
+        expected = dense_propagators(model, dense, ts)
         assert adiabatic._propagators(model, dense, ts).tobytes() == expected.tobytes()
-
