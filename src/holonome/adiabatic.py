@@ -2,18 +2,22 @@
 
 In the co-rotating frame the generator of the dynamics is the *constant*
 Hermitian matrix -iX + HT, so the full-loop propagator has the closed form
-U(1) = exp(X) exp(-i(-iX + HT)) and is exact at any T.  H is diagonal and
-X is zero between the generator's sectors (for two dimers, dimer 1's four
-sigma_z states: X^1 and X^{1-2} are diagonal there), so the frame and its
-exponential are block diagonal.  A sweep over T is one stacked pass: the
-frame blocks of all T are one broadcast, the exponentials of the distinct
-blocks (3 of 4 for two dimers, whose |+-> and |-+> blocks are bit-equal)
-one stacked eigendecomposition of 4 x 4 matrices, and the coding-block
-restrictions, traces, ground-space escapes, their moduli and norms and the
-phases e^{+-i E0 T} are stacked matrix products and array expressions that
-round as the one-T computation does.  Only the square of each norm, the
-divisions and the clamps are taken per T, as scalar steps, so every run is
-bit-identical to evaluating that T alone.
+U(1) = exp(X) exp(-i(-iX + HT)) and is exact at any T.  For two dimers H is
+diagonal and X is zero between dimer 1's four sigma_z states (X^1 and
+X^{1-2} are diagonal there), and both commute with swapping dimer 2's
+spins, so in each of these sectors the frame is a real symmetric 3 x 3
+block over dimer 2's triplet T+, T0, T- and a value on its singlet S0.  A
+sweep over T is one stacked pass: the frames of all T are one broadcast,
+the exponentials of the distinct triplet blocks (3 of 4 sectors, whose
+|+-> and |-+> blocks are bit-equal) one stacked real eigendecomposition of
+3 x 3 matrices, each singlet one phase, and the coding-block restrictions,
+traces, ground-space escapes (the ground projector is a 0/1 row mask),
+their moduli and norms and the phases e^{+-i E0 T} are stacked matrix
+products and array expressions that round as the one-T computation does.
+Only the square of each norm, the divisions and the clamps are taken per
+T, as scalar steps on Python floats, so every run is bit-identical to
+evaluating that T alone.  One dimer, and any X or H without this
+structure, takes the dense frame through one stacked exponential.
 
 A classical RK4 integration of the Schrodinger equation with the
 tau-dependent Hamiltonian is kept alongside purely as an independent oracle
@@ -30,22 +34,23 @@ U~ = P_{N-1} ... P_0 = D(1) (D(dt)^dag P_0)^N.  P_0 is built once and raised
 to the N-th power by binary squaring: about 2 log2 N products and O(dim^2)
 memory whatever the number of steps.  This is the same RK4 on the same step
 grid, not a different integrator.  The oracle stays independent of the
-closed form: it never uses the rotating-frame generator, its sectors or a
-matrix exponential, only H, the eigenvectors of the dense X and
-fourth-order time stepping, so a wrong generator, sector, frame or sign
+closed form: it never uses the rotating-frame generator, the triplet
+split or a matrix exponential, only H, the eigenvectors of the dense X and
+fourth-order time stepping, so a wrong generator, split, frame or sign
 shows up as an O(1) disagreement.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from holonome.deformation import DeformationGenerator
+from holonome.deformation import DeformationGenerator, _check_size
 from holonome.errors import DomainError
 from holonome.holonomy import HolonomyGate
-from holonome.matrix_kernel import _U, _block_diagonal, expm_skew
+from holonome.matrix_kernel import _U, _block_diagonal, exp_minus_i, expm_skew
 from holonome.spin_model import SpinModel, coding_space
 
 
@@ -74,7 +79,7 @@ def _t_max(model: SpinModel) -> float:
 
 def _finite_time(T, t_max: float) -> float:
     T = float(T)
-    if not np.isfinite(T):
+    if not math.isfinite(T):
         raise DomainError(f"T must be finite, got {T!r}")
     if abs(T) > t_max:
         raise DomainError(
@@ -84,30 +89,67 @@ def _finite_time(T, t_max: float) -> float:
     return T
 
 
+def _from_triplet_basis() -> np.ndarray:
+    """The linear map from a sector's exponential over dimer 2's triplet/singlet basis to its
+    block over dimer 2's product basis, as a 10 x 16 matrix.
+
+    Row 3 i + j takes entry (i, j) of the triplet block E over T+, T0, T-, row 9 the singlet
+    phase p, and column 4 k + l is entry (k, l) over |++>, |+->, |-+>, |-->.  With B's columns
+    T+, T0, T-, S0 (``spin_model.DIMER_BASIS``), B (E + p) B^T has entry (k, l) = w_k w_l
+    E[t(k), t(l)], t = (0, 1, 1, 2), w = (1, r, r, 1), r = 1/sqrt2 and w_1 w_2 = 1/2 exactly,
+    plus p/2 [[1, -1], [-1, 1]] in the middle 2 x 2.  Each entry is one product by 1, r or
+    1/2, or the sum of two halves, so a matrix product rounds it alike in any summation order.
+    """
+    t, w = (0, 1, 1, 2), (1.0, math.sqrt(0.5), math.sqrt(0.5), 1.0)
+    out = np.zeros((10, 16))
+    for k in range(4):
+        for l in range(4):
+            out[3 * t[k] + t[l], 4 * k + l] = 0.5 if t[k] == t[l] == 1 else w[k] * w[l]
+    out[9, [5, 6, 9, 10]] = (0.5, -0.5, -0.5, 0.5)
+    return out
+
+
+_FROM_TRIPLET_BASIS = _from_triplet_basis()
+
+
 def _propagators(model: SpinModel, gen: DeformationGenerator, ts: np.ndarray) -> np.ndarray:
     """Stack of exp(X) exp(-i(-iX + HT)) over the (checked) times ``ts``, in one pass.
 
-    H is diagonal, so the frame -iX + HT is block diagonal over the
-    generator's sectors, and so is its exponential.  The blocks of every T
-    and every distinct sector go through one stacked ``expm_skew``: sectors
-    whose frames are bit-equal at every T (dimer 1's |+-> and |-+>) share
-    one.  With one sector this is the dense computation, bit for bit.
+    When X splits over dimer 2's triplet and singlet (``triplet_split``)
+    and so does H, whose |+-> and |-+> entries of dimer 2 are equal in
+    each of dimer 1's sectors (H is diagonal: every model is built from its
+    diagonal), the frame -iX + HT is block diagonal over dimer 1's sectors,
+    and each block is a real symmetric 3 x 3 triplet block and a singlet
+    value.  The triplet blocks of every T and every distinct sector go
+    through one stacked real eigendecomposition (``exp_minus_i``): sectors
+    whose split and H entries are bit-equal (dimer 1's |+-> and |-+>) have
+    bit-equal frames at every T and share one.  Each singlet is one phase.
+    Otherwise (one dimer, or any X or H that breaks the symmetry) the dense
+    frame goes through one stacked ``expm_skew``.
     """
-    if gen.x.shape != model.hamiltonian.shape:
-        raise DomainError("generator dimension does not match the model")
-    xs = gen.sectors
-    k, d = xs.shape[:2]
-    diagonal = _block_diagonal(k, d)
-    hs = model.hamiltonian.take(diagonal).reshape(k, d, d)
-    frames = -1j * xs + hs * ts[:, None, None, None]  # Hermitian, (T, sector, d, d)
+    _check_size(gen, model)
+    split = gen.triplet_split
+    h = model.hamiltonian.diagonal().real
+    hl = h.tolist()
+    if split is None or hl[1::4] != hl[2::4]:  # dimer 2's |+-> and |-+> entries, per sector
+        return gen.closure @ expm_skew(-1j * (-1j * gen.x + model.hamiltonian * ts[:, None, None]))
     # slot[a] numbers sector a's frames among the distinct ones, in order of first use.
+    xb, hb = split.tobytes(), h.tobytes()  # 128 and 32 bytes per sector
     index = {}
-    slot = [index.setdefault(frames[:, a].tobytes(), len(index)) for a in range(k)]
+    slot = [index.setdefault(xb[128 * a:128 * (a + 1)] + hb[32 * a:32 * (a + 1)], len(index))
+            for a in range(4)]
     firsts = [slot.index(i) for i in range(len(index))]
-    blocks = expm_skew(-1j * frames.take(firsts, 1)).take(slot, 1)
-    us = np.zeros((len(ts), (k * d) ** 2), dtype=complex)
-    us[:, diagonal] = blocks.reshape(len(ts), -1)
-    return gen.closure @ us.reshape(len(ts), k * d, k * d)
+    # H_s over T+, T0, T-, S0 is diag(h_++, h_+-, h_--, h_-+) of dimer 2's entries in sector s.
+    hs = np.zeros((len(firsts), 16))
+    hs[:, ::5] = [[hl[4 * f], hl[4 * f + 1], hl[4 * f + 3], hl[4 * f + 2]] for f in firsts]
+    frames = split[firsts] + hs.reshape(-1, 4, 4) * ts[:, None, None, None]  # (T, sector, 4, 4)
+    n, k = frames.shape[:2]
+    triplets = exp_minus_i(frames[..., :3, :3]).reshape(n, k, 9)
+    singlets = np.exp(-1j * frames[..., 3:, 3])
+    blocks = np.concatenate((triplets, singlets), axis=-1) @ _FROM_TRIPLET_BASIS
+    us = np.zeros((n, 256), dtype=complex)
+    us[:, _block_diagonal(4, 4)] = blocks.take(slot, 1).reshape(n, -1)
+    return gen.closure @ us.reshape(n, 16, 16)
 
 
 def exact_propagator(model: SpinModel, gen: DeformationGenerator, T: float) -> np.ndarray:
@@ -117,6 +159,7 @@ def exact_propagator(model: SpinModel, gen: DeformationGenerator, T: float) -> n
 
 def ode_propagator(model: SpinModel, gen: DeformationGenerator, T: float, steps: int) -> np.ndarray:
     """RK4 integration of i dU/dtau = T H(tau) U with H(tau) = e^{X tau} H e^{-X tau}."""
+    _check_size(gen, model)
     T = _finite_time(T, _t_max(model))
     if isinstance(steps, bool) or not isinstance(steps, (int, np.integer)):
         raise DomainError(f"steps must be an int, got {steps!r}")
@@ -157,23 +200,26 @@ def _fidelity_leakage(us: np.ndarray, gate, model, c, ts: np.ndarray) -> list:
     each escape block is stacked, in forms that round as the one-propagator
     computation does: the modulus is np.hypot of the real and imaginary
     parts (as abs of a complex scalar; a vectorized np.abs rounds
-    differently), and the squared norm is one BLAS dot each over the strided
-    real and imaginary views of the block (as np.linalg.norm).  The square,
-    the division and the clamps stay scalar steps per slice: squaring the
+    differently), the escape block is U c with the rows outside the ground
+    level zeroed (the ground projector is a diagonal 0/1 mask), and the
+    squared norm is one BLAS dot each over the strided real and imaginary
+    views of the block (as np.linalg.norm).  The square, the division and
+    the clamps stay scalar steps per slice, on Python floats: squaring the
     norms as an array rounds differently.
     """
     dim_c = c.shape[1]
     v = (c.conj().T @ us @ c) * np.exp(1j * model.ground_energy * ts)[:, None, None]
-    overlaps = np.trace(gate.gamma.conj().T @ v, axis1=-2, axis2=-1)
-    moduli = np.hypot(overlaps.real, overlaps.imag)
-    escaped = (model.ground_projector @ us @ c).reshape(len(us), -1)
+    overlaps = (gate.gamma.conj().T @ v).trace(axis1=-2, axis2=-1)
+    moduli = np.hypot(overlaps.real, overlaps.imag).tolist()
+    ground = model.ground_projector.diagonal().real[:, None]
+    escaped = ((us @ c) * ground).reshape(len(us), -1)
     re, im = escaped.real, escaped.imag
     sqnorms = re[:, None, :] @ re[:, :, None] + im[:, None, :] @ im[:, :, None]
-    norms = np.sqrt(sqnorms.ravel())
+    norms = np.sqrt(sqnorms.ravel()).tolist()
     pairs = []
     for modulus, norm in zip(moduli, norms):
-        fidelity = float(modulus / dim_c)
-        leakage = float(1.0 - norm ** 2 / dim_c)
+        fidelity = modulus / dim_c
+        leakage = 1.0 - norm**2 / dim_c
         pairs.append((min(fidelity, 1.0), min(max(leakage, 0.0), 1.0)))
     return pairs
 

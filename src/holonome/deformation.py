@@ -9,6 +9,7 @@ checked numerically after construction as well.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,6 +26,8 @@ ONE_QUBIT_CLOSURE_TOL = 1e-10
 TWO_QUBIT_CLOSURE_TOL = 1e-8
 
 LEAKAGE_TOL = 1e-12
+
+_SQRT2 = math.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -149,8 +152,8 @@ class TwoQubitLoop:
 class DeformationGenerator:
     """The anti-Hermitian generator X together with its loop parameters.
 
-    exp(X) and the sectors are computed once, on first use; ``x`` is read-only
-    so they cannot go stale.
+    exp(X) and the triplet/singlet split are computed from ``x`` once, on
+    first use; ``x`` is read-only so they cannot go stale.
     """
 
     x: np.ndarray
@@ -164,24 +167,60 @@ class DeformationGenerator:
         return _read_only(expm_skew(self.x))
 
     @functools.cached_property
-    def sectors(self) -> np.ndarray:
-        """The diagonal blocks of X over sectors between which X is zero, stacked, read-only.
+    def triplet_split(self):
+        """-iX_s over dimer 2's triplet/singlet basis in each of dimer 1's sectors s, or None.
 
-        On four spins these are the four 4 x 4 blocks over dimer 1's sigma_z
-        states |++>, |+->, |-+>, |--> (spins 1 and 2 slow), each acting on
-        dimer 2, when X is zero between them: X^1 and X^{1-2} are diagonal in
-        that basis.  Otherwise X itself is the one sector.
+        On four spins X^1 and X^{1-2} are diagonal in dimer 1's sigma_z basis
+        (spins 1 and 2 slow), so X is zero between its four sectors |++>,
+        |+->, |-+>, |-->, and every term commutes with swapping dimer 2's
+        spins.  With n_2 in the x-z plane X is purely imaginary, so each -iX_s
+        is real symmetric, and over dimer 2's T+, T0, T-, S0
+        (``spin_model.DIMER_BASIS``) it is a 3 x 3 triplet block and a singlet
+        value, uncoupled.  Returns these four 4 x 4 matrices, real and
+        read-only, shape (4, 4, 4), when X's entries show it exactly: zero
+        between the sectors, purely imaginary and finite in them, and -iX_s
+        symmetric and equal under the swap, entry by entry.  Otherwise (one
+        dimer, or any X that breaks the symmetry) None.
         """
-        if self.n_spins == 4:
-            blocks = self.x.take(_block_diagonal(4, 4))
-            if np.count_nonzero(blocks) == np.count_nonzero(self.x):
-                return _read_only(blocks.reshape(4, 4, 4))
-        return self.x[None]
+        if self.n_spins != 4:
+            return None
+        blocks = self.x.take(_block_diagonal(4, 4))
+        if np.count_nonzero(blocks) != np.count_nonzero(self.x) or blocks.real.any():
+            return None
+        split = []
+        # m = -iX_s over |++>, |+->, |-+>, |-->, flat: m[4 i + j] = M_ij.  Python floats beat
+        # numpy calls on 16 entries, with the same rounding.
+        for m in blocks.imag.reshape(4, 16).tolist():
+            if not (
+                m[1] == m[2] == m[4] == m[8]
+                and m[3] == m[12]
+                and m[5] == m[10]
+                and m[6] == m[9]
+                and m[7] == m[11] == m[13] == m[14]
+            ):
+                return None
+            # <T+|M|T0> = sqrt2 M01, <T0|M|T0> = M11 + M12, <T0|M|T-> = sqrt2 M13,
+            # <S0|M|S0> = M11 - M12.
+            t01, t0, t12 = _SQRT2 * m[1], m[5] + m[6], _SQRT2 * m[7]
+            split += [m[0], t01, m[3], 0.0,
+                      t01, t0, t12, 0.0,
+                      m[3], t12, m[15], 0.0,
+                      0.0, 0.0, 0.0, m[5] - m[6]]
+        # Every entry of -iX_s is equal to one that the split reads, so this rejects inf and nan.
+        if not math.isfinite(sum(split)):
+            return None
+        return _read_only(np.array(split).reshape(4, 4, 4))
 
     @functools.cached_property
     def closure_residual(self) -> float:
         """Frobenius distance of exp(X) from the identity."""
         return frobenius(self.closure - np.eye(self.x.shape[0]))
+
+
+def _check_size(gen: DeformationGenerator, model: SpinModel) -> None:
+    """DomainError unless the generator acts on the model's space."""
+    if gen.x.shape != model.hamiltonian.shape:
+        raise DomainError("generator dimension does not match the model")
 
 
 def collective_spin(n, spins, n_spins: int) -> np.ndarray:
@@ -244,6 +283,7 @@ class LeakageAudit:
 
 def leakage_audit(gen: DeformationGenerator, model: SpinModel) -> LeakageAudit:
     """Check that X never connects the coding space to the rest of the ground space."""
+    _check_size(gen, model)
     _, vecs = ground_basis(model)
     dim_c = coding_space(model).dim
     block = vecs[:, dim_c:].conj().T @ gen.x @ vecs[:, :dim_c]

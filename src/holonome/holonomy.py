@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from holonome.deformation import DeformationGenerator, OneQubitLoop, TwoQubitLoop
+from holonome.deformation import DeformationGenerator, OneQubitLoop, TwoQubitLoop, _check_size
 from holonome.errors import DomainError
 from holonome.matrix_kernel import (
     _read_only,
@@ -85,6 +85,7 @@ class HolonomyGate:
 
 def connection_on_ground_space(gen: DeformationGenerator, model: SpinModel) -> Connection:
     """A_ij = <i|X|j> over the ordered ground basis (coding vectors first)."""
+    _check_size(gen, model)
     labels, vecs = ground_basis(model)  # raises DomainError off the working point
     matrix = vecs.conj().T @ gen.x @ vecs
     return Connection(matrix=matrix, labels=labels, coding_dim=coding_space(model).dim)

@@ -85,6 +85,18 @@ def expm_skew(m) -> np.ndarray:
     return (evecs * np.exp(-1j * evals)[..., None, :]) @ evecs.conj().swapaxes(-1, -2)
 
 
+def exp_minus_i(h: np.ndarray) -> np.ndarray:
+    """exp(-i h) of a real symmetric matrix, or of each slice of a stack ``(..., n, n)``.
+
+    One stacked real eigendecomposition h = V diag(lam) V^T gives the
+    unitary V diag(e^{-i lam}) V^T.  Unlike ``expm_skew`` it checks and
+    symmetrises nothing: the caller builds ``h`` real, symmetric and finite
+    (the eigensolver reads one triangle only).
+    """
+    evals, evecs = np.linalg.eigh(h)
+    return (evecs * np.exp(-1j * evals)[..., None, :]) @ evecs.swapaxes(-1, -2)
+
+
 def tensor_product(a, b) -> np.ndarray:
     """Kronecker product with the first factor slow (leftmost)."""
     return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))

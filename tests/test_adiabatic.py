@@ -1,5 +1,6 @@
 """Propagators and adiabatic convergence of the realized gates."""
 
+import dataclasses
 import re
 from unittest import mock
 
@@ -19,6 +20,7 @@ from holonome.deformation import (
     DeformationGenerator,
     OneQubitLoop,
     collective_spin,
+    leakage_audit,
     one_qubit_generator,
     two_qubit_generator,
 )
@@ -65,19 +67,56 @@ def loop_ode_propagator(model, gen, T, steps):
     return u
 
 
+def triplet_block(frame):
+    """exp(-i F) of one real symmetric 3 x 3 triplet frame F, by its own eigendecomposition."""
+    lam, v = np.linalg.eigh(frame)
+    return (v * np.exp(-1j * lam)) @ v.T
+
+
 def sector_propagator(model, gen, T):
     """Per-T reference: exp(X) times the block diagonal of exp(-i(-iX_s + H_s T)) over
-    dimer 1's four sigma_z sectors s (two dimers) or the one sector (one dimer), each
-    block exponentiated on its own.  With one sector this is the dense closed form."""
-    k = 4 if model.n_spins == 4 else 1
-    d = model.dim // k
-    x = gen.x.reshape(k, d, k, d)
-    h = model.hamiltonian.reshape(k, d, k, d)
-    u = np.zeros((model.dim, model.dim), dtype=complex)
-    for s in range(k):
-        frame = -1j * x[s, :, s, :] + h[s, :, s, :] * T
-        u[s * d:(s + 1) * d, s * d:(s + 1) * d] = expm_skew(-1j * frame)
+    dimer 1's four sigma_z sectors s, each from its own triplet eigendecomposition and
+    singlet phase over dimer 2's T+, T0, T-, S0, written back entry by entry (two dimers);
+    the dense closed form when X does not split (one dimer)."""
+    split = gen.triplet_split
+    if split is None:
+        return gen.closure @ expm_skew(-1j * (-1j * gen.x + model.hamiltonian * T))
+    h = model.hamiltonian.diagonal().real.reshape(4, 4)
+    r = np.sqrt(0.5)
+    w = (1.0, r, r, 1.0)
+    t = (0, 1, 1, 2)
+    u = np.zeros((16, 16), dtype=complex)
+    for s in range(4):
+        frame = split[s] + np.diag(h[s, [0, 1, 3, 2]]) * T
+        e = triplet_block(frame[:3, :3])
+        p = np.exp(-1j * frame[3, 3])
+        for k in range(4):
+            for l in range(4):
+                if t[k] == t[l] == 1:  # |+->, |-+>: half the T0 entry and -+ half the S0 phase
+                    value = 0.5 * e[1, 1] + (0.5 if k == l else -0.5) * p
+                else:
+                    value = (w[k] * w[l]) * e[t[k], t[l]]
+                u[4 * s + k, 4 * s + l] = value
     return gen.closure @ u
+
+
+def reference_fidelity_leakage(us, gate, model, c, ts):
+    """The stacked (fidelity, leakage) computation with the dense ground projector and numpy
+    scalars in its per-T tail, as the sweep computed them before the row mask."""
+    dim_c = c.shape[1]
+    v = (c.conj().T @ us @ c) * np.exp(1j * model.ground_energy * ts)[:, None, None]
+    overlaps = np.trace(gate.gamma.conj().T @ v, axis1=-2, axis2=-1)
+    moduli = np.hypot(overlaps.real, overlaps.imag)
+    escaped = (model.ground_projector @ us @ c).reshape(len(us), -1)
+    re, im = escaped.real, escaped.imag
+    sqnorms = re[:, None, :] @ re[:, :, None] + im[:, None, :] @ im[:, :, None]
+    norms = np.sqrt(sqnorms.ravel())
+    pairs = []
+    for modulus, norm in zip(moduli, norms):
+        fidelity = float(modulus / dim_c)
+        leakage = float(1.0 - norm ** 2 / dim_c)
+        pairs.append((min(fidelity, 1.0), min(max(leakage, 0.0), 1.0)))
+    return pairs
 
 
 def reference_sweep(model, gen, gate, t_list):
@@ -156,12 +195,17 @@ class TestExactPropagator:
 
     @pytest.mark.parametrize("model_qubits,gen_qubits", [(2, 1), (1, 2)])
     def test_rejects_generator_of_other_size(self, model_qubits, gen_qubits):
+        # One size check, one message, for every function that reads X against the model.
         model = oracle_setup(model_qubits)[0]
         gen = oracle_setup(gen_qubits)[1]
-        with pytest.raises(DomainError, match="generator dimension does not match the model"):
-            exact_propagator(model, gen, 1.0)
-        with pytest.raises(DomainError, match="generator dimension does not match the model"):
-            adiabatic._propagators(model, gen, np.array([1.0, 2.0]))
+        calls = (lambda: exact_propagator(model, gen, 1.0),
+                 lambda: adiabatic._propagators(model, gen, np.array([1.0, 2.0])),
+                 lambda: ode_propagator(model, gen, 1.0, 10),
+                 lambda: connection_on_ground_space(gen, model),
+                 lambda: leakage_audit(gen, model))
+        for call in calls:
+            with pytest.raises(DomainError, match="^generator dimension does not match the model$"):
+                call()
 
     def test_unitary_at_any_time(self):
         model = build_two_dimer(1.0, 1.0)
@@ -420,14 +464,35 @@ class TestStackedSweep:
     def test_one_stacked_pass_per_sweep(self, monkeypatch, count):
         model, gen, gate = oracle_setup(2)
         spies = {name: mock.Mock(wraps=getattr(adiabatic, name))
-                 for name in ("expm_skew", "_fidelity_leakage")}
+                 for name in ("exp_minus_i", "expm_skew", "_fidelity_leakage")}
         for name, spy in spies.items():
             monkeypatch.setattr(adiabatic, name, spy)
         runs = adiabatic_sweep(model, gen, gate, np.linspace(1.0, 100.0, count))
         assert len(runs) == count
-        assert [spy.call_count for spy in spies.values()] == [1, 1]
-        # Dimer 1's |+-> and |-+> sectors share one block: 3 of 4 per T.
-        assert spies["expm_skew"].call_args.args[0].shape == (count, 3, 4, 4)
+        assert [spy.call_count for spy in spies.values()] == [1, 0, 1]
+        # Real 3 x 3 triplet frames; dimer 1's |+-> and |-+> sectors share one: 3 of 4 per T.
+        (frames,) = spies["exp_minus_i"].call_args.args
+        assert frames.shape == (count, 3, 3, 3)
+        assert frames.dtype == np.float64
+
+    def test_fidelity_leakage_bit_equal_to_projector_form(self):
+        # The row mask and the Python-float tail round as the dense ground projector
+        # and the numpy-scalar tail did, on every run of a seeded corpus.
+        cases = sweep_corpus(1000, seed=20261020)
+        runs = 0
+        for model, gen, t_list in cases:
+            gate = holonomy(connection_on_ground_space(gen, model))
+            ts = np.array(sorted(t_list))
+            us = adiabatic._propagators(model, gen, ts)
+            c = coding_space(model).vectors
+            pairs = adiabatic._fidelity_leakage(us, gate, model, c, ts)
+            expected = reference_fidelity_leakage(us, gate, model, c, ts)
+            bits = [(f.hex(), l.hex()) for f, l in pairs]
+            assert bits == [(f.hex(), l.hex()) for f, l in expected]
+            assert all(type(f) is float and type(l) is float for f, l in pairs)
+            runs += len(ts)
+        assert {gen.n_spins for _, gen, _ in cases} == {2, 4}
+        assert runs > 10000
 
 
 def frobenius_stack(m):
@@ -465,20 +530,24 @@ def generator_corpus(qubits, count, seed):
 
 
 class TestSectorPropagators:
-    """Two-dimer propagators come from dimer 1's sigma_z sectors, one dimer's from one sector."""
+    """Two-dimer propagators come from dimer 2's triplet/singlet split in each of dimer 1's
+    sigma_z sectors; one dimer's, and those of any X that does not split, from the dense frame."""
 
     def test_two_dimer_within_error_bound_of_dense(self, monkeypatch):
         # Error model (Higham, Functions of Matrices, 2008, ch. 10): both paths
         # exponentiate the Hermitian frame F = -iX + HT through a backward-stable
         # eigendecomposition, so each is exp(-i(F + E)) up to O(n u) rounding
-        # of the reconstruction, with ||E||_F of order n u ||F||_F.  On Hermitian
-        # arguments ||e^{-iA} - e^{-iB}||_F <= ||A - B||_F, and exp(X) is
-        # unitary, so the two differ by at most about n u ||F||_F <= n u
+        # of the reconstruction, with ||E||_F of order n u ||F||_F; the split
+        # path also rounds the change to dimer 2's triplet/singlet basis and
+        # back (products by sqrt2, 1/sqrt2 and 1/2), a few u ||F||_F more.  On
+        # Hermitian arguments ||e^{-iA} - e^{-iB}||_F <= ||A - B||_F, and exp(X)
+        # is unitary, so the two differ by at most about n u ||F||_F <= n u
         # (||X||_F + |T| ||H||_F), n = 16.
         monkeypatch.setattr(deformation, "_checked", lambda gen, tol: gen)  # fails near MAX_WINDING
         worst = 0.0
         cases = generator_corpus(2, 300, seed=20261018)
         for model, gen, ts in cases:
+            assert gen.triplet_split is not None, gen.loop
             us = adiabatic._propagators(model, gen, ts)
             errors = frobenius_stack(us - dense_propagators(model, gen, ts))
             scale = frobenius(gen.x) + np.abs(ts) * model.hamiltonian_norm
@@ -491,36 +560,53 @@ class TestSectorPropagators:
     def test_one_dimer_bit_equal_to_dense(self, monkeypatch):
         monkeypatch.setattr(deformation, "_checked", lambda gen, tol: gen)  # fails near MAX_WINDING
         for model, gen, ts in generator_corpus(1, 300, seed=20261019):
-            assert gen.sectors.shape == (1, 4, 4)
+            assert gen.triplet_split is None
             expected = dense_propagators(model, gen, ts)
             assert adiabatic._propagators(model, gen, ts).tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("qubits", [1, 2])
     def test_oracle_reads_dense_generator(self, monkeypatch, qubits):
-        # The RK4 oracle stays an independent check of the sector path: wrong
-        # sectors move the exact propagator, not the oracle.
+        # The RK4 oracle stays an independent check of the closed form: a wrong
+        # split (two dimers) or a wrong exp(X) (one dimer, which has no split)
+        # moves the exact propagator, not the oracle.
         model, gen, _ = oracle_setup(qubits)
         oracle = ode_propagator(model, gen, 10.0, 1000)
         exact = exact_propagator(model, gen, 10.0)
-        wrong = np.zeros_like(gen.sectors)
-        monkeypatch.setattr(DeformationGenerator, "sectors", property(lambda self: wrong))
-        assert gen.sectors is wrong
+        if qubits == 2:
+            name, wrong = "triplet_split", np.zeros((4, 4, 4))
+        else:
+            name, wrong = "closure", -np.eye(4)
+        monkeypatch.setattr(DeformationGenerator, name, property(lambda self: wrong))
+        assert getattr(gen, name) is wrong
         assert ode_propagator(model, gen, 10.0, 1000).tobytes() == oracle.tobytes()
         assert frobenius(exact - oracle) < 1e-4
         assert frobenius(exact_propagator(model, gen, 10.0) - oracle) > 0.1
 
     def test_sectors_derived_from_x(self):
         model, gen, _ = oracle_setup(2)
-        # A generator built directly from the same X has the same sectors.
+        # A generator built directly from the same X has the same split.
         same = DeformationGenerator(x=gen.x, loop=None, n_spins=4)
-        assert same.sectors.tobytes() == gen.sectors.tobytes()
-        assert same.sectors.shape == (4, 4, 4)
-        # An X with entries between dimer 1's sigma_z states is one sector.
-        x = gen.x.copy()
-        x[0, 4] = x[4, 0] = 0.25j  # anti-Hermitian
-        dense = DeformationGenerator(x=x, loop=None, n_spins=4)
-        assert dense.sectors.shape == (1, 16, 16)
-        assert dense.sectors[0].tobytes() == x.tobytes()
+        assert same.triplet_split.tobytes() == gen.triplet_split.tobytes()
+        # Real blocks, no triplet entry coupled to the singlet.
+        assert same.triplet_split.shape == (4, 4, 4)
+        assert same.triplet_split.dtype == np.float64
+        assert not same.triplet_split[:, 3, :3].any() and not same.triplet_split[:, :3, 3].any()
         ts = np.array([0.5, 57.3])
-        expected = dense_propagators(model, dense, ts)
-        assert adiabatic._propagators(model, dense, ts).tobytes() == expected.tobytes()
+        # One triplet-singlet entry <T0|X|S0> = <S0|X|T0> = 1e-300i in dimer 1's |+-> sector
+        # (X_{+-,+-} = -X_{-+,-+} there), or one entry between sectors: the dense path.
+        couple = gen.x.copy()
+        couple[5, 5], couple[6, 6] = couple[5, 5] + 1e-300j, couple[6, 6] - 1e-300j
+        between = gen.x.copy()
+        between[0, 4] = between[4, 0] = 0.25j  # anti-Hermitian
+        for x in (couple, between):
+            assert not np.array_equal(x, gen.x)
+            dense = DeformationGenerator(x=x, loop=None, n_spins=4)
+            assert dense.triplet_split is None
+            expected = dense_propagators(model, dense, ts)
+            assert adiabatic._propagators(model, dense, ts).tobytes() == expected.tobytes()
+        # H must split too: unequal |+-> and |-+> entries of dimer 2 take the dense path.
+        h = model.hamiltonian.copy()
+        h[1, 1] += 0.5
+        skewed = dataclasses.replace(model, hamiltonian=h)
+        expected = gen.closure @ expm_skew(-1j * (-1j * gen.x + h * ts[:, None, None]))
+        assert adiabatic._propagators(skewed, gen, ts).tobytes() == expected.tobytes()

@@ -242,13 +242,16 @@ def admissible_pairs(count, seed=11):
 
 
 class TestSectors:
-    """X is zero between dimer 1's four sigma_z states; the generator carries its blocks."""
+    """X is zero between dimer 1's four sigma_z states and splits over dimer 2's triplet and
+    singlet in each; the generator derives that split from X."""
 
     def test_two_qubit_generators(self, monkeypatch):
         monkeypatch.setattr(deformation, "_checked", lambda gen, tol: gen)  # fails near MAX_WINDING
         kp, km = admissible_pairs(300, seed=17)
         kpr = np.random.default_rng(17).integers(1, MAX_WINDING + 1, size=300)
         kpr[:2] = (1, MAX_WINDING)
+        # Dimer 2's T+, T0, T-, S0 over its product basis, as columns.
+        basis = np.column_stack([DIMER_BASIS[k] for k in ("T+", "T0", "T-", "S0")]).real
         for a, b, c in zip(kp.tolist(), km.tolist(), kpr.tolist()):
             gen = two_qubit_generator(a, b, c)
             x = gen.x.reshape(4, 4, 4, 4)
@@ -256,19 +259,36 @@ class TestSectors:
             for s in range(4):
                 off[s, :, s, :] = 0.0
             assert not off.any(), (a, b, c)
-            blocks = np.stack([x[s, :, s, :] for s in range(4)])
-            assert gen.sectors.tobytes() == blocks.tobytes(), (a, b, c)
+            split = gen.triplet_split
+            assert split.dtype == np.float64 and not split.flags.writeable, (a, b, c)
+            for s in range(4):
+                m = (-1j * x[s, :, s, :])
+                assert not m.imag.any(), (a, b, c)
+                expected = basis.T @ m.real @ basis
+                tol = 4 * np.finfo(float).eps * np.linalg.norm(m.real)
+                assert np.all(np.abs(split[s] - expected) <= tol), (a, b, c)
+                # Exactly zero between triplet and singlet; T+ and T- diagonal read off X.
+                assert not split[s, 3, :3].any() and not split[s, :3, 3].any(), (a, b, c)
+                assert (split[s, 0, 0], split[s, 2, 2]) == (m.real[0, 0], m.real[3, 3]), (a, b, c)
             # |+-> and |-+>: both have S1 = 0.
-            assert gen.sectors[1].tobytes() == gen.sectors[2].tobytes(), (a, b, c)
-            assert not gen.sectors.flags.writeable
+            assert split[1].tobytes() == split[2].tobytes(), (a, b, c)
 
     def test_one_qubit_generators(self, monkeypatch):
         monkeypatch.setattr(deformation, "_checked", lambda gen, tol: gen)  # fails near MAX_WINDING
         for axis, kappa in zip(random_axes(50, seed=17), [1, MAX_WINDING] + list(range(2, 50))):
-            gen = one_qubit_generator(axis, kappa)
-            assert gen.sectors.shape == (1, 4, 4)
-            assert gen.sectors.tobytes() == gen.x.tobytes()
-            assert not gen.sectors.flags.writeable
+            assert one_qubit_generator(axis, kappa).triplet_split is None
+
+    @pytest.mark.parametrize("entry", ["inf", "nan", "real", "y-axis"])
+    def test_non_splitting_x_is_rejected(self, entry):
+        # Any X the split cannot represent exactly leaves the split to the dense path.
+        x = two_qubit_generator(2, 3, 1).x.copy()
+        if entry in ("inf", "nan"):
+            x[0, 0] = complex(0.0, float(entry))
+        elif entry == "real":
+            x[0, 1], x[1, 0] = x[0, 1] + 0.5, x[1, 0] - 0.5  # still anti-Hermitian
+        else:  # n_2 off the x-z plane: i n_y (sigma_y3 + sigma_y4) has real entries
+            x = x + 1j * 0.3 * collective_spin((0.0, 1.0, 0.0), (2, 3), 4)
+        assert DeformationGenerator(x=x, loop=None, n_spins=4).triplet_split is None
 
 
 class TestLoopAssembly:
