@@ -101,8 +101,8 @@ def sector_propagator(model, gen, T):
 
 
 def reference_fidelity_leakage(us, gate, model, c, ts):
-    """The stacked (fidelity, leakage) computation with the dense ground projector and numpy
-    scalars in its per-T tail, as the sweep computed them before the row mask."""
+    """Reference: the stacked (fidelity, leakage) computation with the dense ground projector
+    and numpy scalars in its per-T tail."""
     dim_c = c.shape[1]
     v = (c.conj().T @ us @ c) * np.exp(1j * model.ground_energy * ts)[:, None, None]
     overlaps = np.trace(gate.gamma.conj().T @ v, axis1=-2, axis2=-1)
@@ -477,7 +477,7 @@ class TestStackedSweep:
 
     def test_fidelity_leakage_bit_equal_to_projector_form(self):
         # The row mask and the Python-float tail round as the dense ground projector
-        # and the numpy-scalar tail did, on every run of a seeded corpus.
+        # and a numpy-scalar tail do, on every run of a seeded corpus.
         cases = sweep_corpus(1000, seed=20261020)
         runs = 0
         for model, gen, t_list in cases:
