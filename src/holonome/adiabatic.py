@@ -2,12 +2,13 @@
 
 In the co-rotating frame the generator of the dynamics is the *constant*
 Hermitian matrix -iX + HT, so the full-loop propagator has the closed form
-U(1) = exp(X) exp(-i(-iX + HT)) and is exact at any T.  For two dimers H is
-diagonal and X is zero between dimer 1's four sigma_z states (X^1 and
-X^{1-2} are diagonal there), and both commute with swapping dimer 2's
-spins, so in each of these sectors the frame is a real symmetric 3 x 3
-block over dimer 2's triplet T+, T0, T- and a value on its singlet S0.  A
-sweep over T is one stacked pass: the frames of all T are one broadcast,
+U(1) = exp(X) exp(-i(-iX + HT)) and is exact at any T.  A closed loop has
+exp(X) = 1 exactly, so U(1) = exp(-i(-iX + HT)); only a raw X multiplies by
+its exp(X).  For two dimers H is diagonal and X is zero between dimer 1's
+four sigma_z states (X^1 and X^{1-2} are diagonal there), and both commute
+with swapping dimer 2's spins, so in each of these sectors the frame is a
+real symmetric 3 x 3 block over dimer 2's triplet T+, T0, T- and a value on
+its singlet S0.  A sweep over T is one stacked pass: the frames of all T are one broadcast,
 the exponentials of the distinct triplet blocks (3 of 4 sectors, whose
 |+-> and |-+> blocks are bit-equal) one stacked real eigendecomposition of
 3 x 3 matrices, each singlet one phase, and the coding-block restrictions,
@@ -115,24 +116,27 @@ _FROM_TRIPLET_BASIS = _from_triplet_basis()
 def _propagators(model: SpinModel, gen: DeformationGenerator, ts: np.ndarray) -> np.ndarray:
     """Stack of exp(X) exp(-i(-iX + HT)) over the (checked) times ``ts``, in one pass.
 
-    When X splits over dimer 2's triplet and singlet (``triplet_split``)
-    and so does H, whose |+-> and |-+> entries of dimer 2 are equal in
-    each of dimer 1's sectors (H is diagonal: every model is built from its
-    diagonal), the frame -iX + HT is block diagonal over dimer 1's sectors,
-    and each block is a real symmetric 3 x 3 triplet block and a singlet
-    value.  The triplet blocks of every T and every distinct sector go
-    through one stacked real eigendecomposition (``exp_minus_i``): sectors
-    whose split and H entries are bit-equal (dimer 1's |+-> and |-+>) have
-    bit-equal frames at every T and share one.  Each singlet is one phase.
-    Otherwise (one dimer, or any X or H that breaks the symmetry) the dense
-    frame goes through one stacked ``expm_skew``.
+    exp(X) = 1 for a loop and is left out.  When X splits over dimer 2's
+    triplet and singlet (``triplet_split``) and so does H, which is its real
+    diagonal (as every built model is) with equal |+-> and |-+> entries of
+    dimer 2 in each of dimer 1's sectors, the frame -iX + HT is block
+    diagonal over them, each block a real symmetric 3 x 3 triplet block and
+    a singlet value.  The triplet blocks of every T and every distinct
+    sector go through one stacked real eigendecomposition (``exp_minus_i``):
+    sectors whose split and H entries are bit-equal (dimer 1's |+-> and
+    |-+>) have bit-equal frames at every T and share one.  Each singlet is
+    one phase.  Otherwise (one dimer, or any X or H that breaks the
+    symmetry) the dense frame goes through one stacked ``expm_skew``.
     """
     _check_size(gen, model)
     split = gen.triplet_split
-    h = model.hamiltonian.diagonal().real
+    hm = model.hamiltonian
+    h = hm.diagonal().real
     hl = h.tolist()
-    if split is None or hl[1::4] != hl[2::4]:  # dimer 2's |+-> and |-+> entries, per sector
-        return gen.closure @ expm_skew(-1j * (-1j * gen.x + model.hamiltonian * ts[:, None, None]))
+    if (split is None or hl[1::4] != hl[2::4]  # dimer 2's |+-> and |-+> entries, per sector
+            or np.count_nonzero(hm.real) + np.count_nonzero(hm.imag) != np.count_nonzero(h)):
+        us = expm_skew(-1j * (-1j * gen.x + hm * ts[:, None, None]))
+        return us if gen.loop is not None else gen.closure @ us
     # slot[a] numbers sector a's frames among the distinct ones, in order of first use.
     xb, hb = split.tobytes(), h.tobytes()  # 128 and 32 bytes per sector
     index = {}
@@ -147,9 +151,9 @@ def _propagators(model: SpinModel, gen: DeformationGenerator, ts: np.ndarray) ->
     triplets = exp_minus_i(frames[..., :3, :3]).reshape(n, k, 9)
     singlets = np.exp(-1j * frames[..., 3:, 3])
     blocks = np.concatenate((triplets, singlets), axis=-1) @ _FROM_TRIPLET_BASIS
-    us = np.zeros((n, 256), dtype=complex)
-    us[:, _block_diagonal(4, 4)] = blocks.take(slot, 1).reshape(n, -1)
-    return gen.closure @ us.reshape(n, 16, 16)
+    us = np.zeros((n, 16, 16), dtype=complex)
+    us.reshape(n, 256)[:, _block_diagonal(4, 4)] = blocks.take(slot, 1).reshape(n, -1)
+    return us if gen.loop is not None else gen.closure @ us
 
 
 def exact_propagator(model: SpinModel, gen: DeformationGenerator, T: float) -> np.ndarray:

@@ -1,9 +1,11 @@
-"""Anti-Hermitian loop generators and their closure/leakage checks.
+"""Anti-Hermitian loop generators, their closure and their leakage checks.
 
 A loop is a one-parameter isospectral deformation exp(X tau) H exp(-X tau)
-with constant anti-Hermitian X.  Closure of the loop means exp(X) = 1; the
-parameter choices below guarantee it analytically, and the residual is
-checked numerically after construction as well.
+with constant anti-Hermitian X.  The loop closes, exp(X) = 1, exactly for
+the integer windings the loop classes accept: n . (sigma_1 + sigma_2) has
+eigenvalues 2, 0, 0, -2, and in dimer 1's sigma_z sector s in {2, 0, -2}
+the two-dimer X is e^{i kappa' pi s} times a rotation of dimer 2 by kappa_+ pi
+(s = 2, 0) or kappa_- pi (s = -2).  So exp(X) is taken only for a raw X.
 """
 
 from __future__ import annotations
@@ -21,8 +23,9 @@ from holonome.spin_model import SpinModel, coding_space, ground_basis, pauli_sit
 # Winding numbers above this would need angle reduction beyond double precision.
 MAX_WINDING = 10**6
 
+# Documented bounds on the reports' float residual ||exp(X) - 1||_F (read by the
+# benchmark's checks); it grows as ||X||_F u past them near MAX_WINDING.
 ONE_QUBIT_CLOSURE_TOL = 1e-10
-# Looser for two qubits: J is irrational and cancels against kappa_minus pi.
 TWO_QUBIT_CLOSURE_TOL = 1e-8
 
 LEAKAGE_TOL = 1e-12
@@ -152,8 +155,9 @@ class TwoQubitLoop:
 class DeformationGenerator:
     """The anti-Hermitian generator X together with its loop parameters.
 
-    exp(X) and the triplet/singlet split are computed from ``x`` once, on
-    first use; ``x`` is read-only so they cannot go stale.
+    ``loop`` is None for a raw X, whose path may be open.  The split and the
+    residual are computed from ``x`` once, on first use; ``x`` is read-only
+    so they cannot go stale.
     """
 
     x: np.ndarray
@@ -163,7 +167,9 @@ class DeformationGenerator:
 
     @functools.cached_property
     def closure(self) -> np.ndarray:
-        """exp(X), read-only; the identity for a closed loop."""
+        """exp(X), read-only: the shared exact identity for a loop, expm_skew(X) for a raw X."""
+        if self.loop is not None:
+            return _identity(self.x.shape[0])
         return _read_only(expm_skew(self.x))
 
     @functools.cached_property
@@ -213,8 +219,14 @@ class DeformationGenerator:
 
     @functools.cached_property
     def closure_residual(self) -> float:
-        """Frobenius distance of exp(X) from the identity."""
-        return frobenius(self.closure - np.eye(self.x.shape[0]))
+        """Frobenius distance of the float exp(X) from the identity: a loop's rounding."""
+        return frobenius(expm_skew(self.x) - np.eye(self.x.shape[0]))
+
+
+@functools.cache
+def _identity(dim: int) -> np.ndarray:
+    """exp(X) of every loop on ``dim`` states, built once per dimension (read-only)."""
+    return _read_only(np.eye(dim, dtype=complex))
 
 
 def _check_size(gen: DeformationGenerator, model: SpinModel) -> None:
@@ -242,18 +254,11 @@ def _cross_zz() -> np.ndarray:
     return _read_only(sz[0] @ sz[2] + sz[0] @ sz[3] + sz[1] @ sz[2] + sz[1] @ sz[3])
 
 
-def _checked(gen: DeformationGenerator, tol: float) -> DeformationGenerator:
-    """``gen`` if exp(X) is within ``tol`` of the identity, else DomainError."""
-    if gen.closure_residual > tol:
-        raise DomainError(f"loop failed to close: residual {gen.closure_residual:.3e}")
-    return gen
-
-
 def one_qubit_generator(n, kappa: int) -> DeformationGenerator:
     """X = i kappa pi n . (sigma_1 + sigma_2) on the single-dimer space."""
     loop = OneQubitLoop.create(n, kappa)
     x = _read_only(1j * loop.omega * collective_spin(loop.n, (0, 1), 2))
-    return _checked(DeformationGenerator(x=x, loop=loop, n_spins=2), ONE_QUBIT_CLOSURE_TOL)
+    return DeformationGenerator(x=x, loop=loop, n_spins=2)
 
 
 def two_qubit_generator(kappa_plus: int, kappa_minus: int, kappa_prime: int) -> DeformationGenerator:
@@ -264,8 +269,7 @@ def two_qubit_generator(kappa_plus: int, kappa_minus: int, kappa_prime: int) -> 
     cross = 1j * loop.coupling_j * _cross_zz()
     x = _read_only(x1 + x2 + cross)
     parts = {"dimer1": x1, "dimer2": x2, "cross": cross}
-    gen = DeformationGenerator(x=x, loop=loop, n_spins=4, parts=parts)
-    return _checked(gen, TWO_QUBIT_CLOSURE_TOL)
+    return DeformationGenerator(x=x, loop=loop, n_spins=4, parts=parts)
 
 
 @dataclass(frozen=True)

@@ -96,14 +96,6 @@ def holonomy(conn: Connection) -> HolonomyGate:
     return HolonomyGate(gamma=expm_skew(-conn.coding_block))
 
 
-def one_qubit_coding_connection(loop: OneQubitLoop) -> np.ndarray:
-    """Closed-form coding block: i Omega [n_z (I + sz) + sqrt2 (n_x sx + n_y sy)]."""
-    nx, ny, nz = loop.n
-    return 1j * loop.omega * (
-        nz * (ID2 + SIGMA_Z) + np.sqrt(2.0) * (nx * SIGMA_X + ny * SIGMA_Y)
-    )
-
-
 def two_qubit_coding_connection(loop: TwoQubitLoop) -> np.ndarray:
     """Closed-form coding block on C2 (control slow, target fast)."""
     j = loop.coupling_j

@@ -4,7 +4,7 @@ import numpy as np
 from hypothesis import configuration
 
 from holonome.matrix_kernel import expm_skew, frobenius
-from holonome.spin_model import coding_space, ground_basis
+from holonome.spin_model import ID2, SIGMA_X, SIGMA_Y, SIGMA_Z, coding_space, ground_basis
 
 
 def pytest_configure(config):
@@ -20,6 +20,14 @@ def closure_residual(x) -> float:
     """Reference for ``DeformationGenerator.closure_residual``: ||exp(X) - 1||_F afresh."""
     x = np.asarray(x, dtype=complex)
     return frobenius(expm_skew(x) - np.eye(x.shape[0]))
+
+
+def one_qubit_coding_connection(loop) -> np.ndarray:
+    """Reference closed-form coding block: i Omega [n_z (I + sz) + sqrt2 (n_x sx + n_y sy)]."""
+    nx, ny, nz = loop.n
+    return 1j * loop.omega * (
+        nz * (ID2 + SIGMA_Z) + np.sqrt(2.0) * (nx * SIGMA_X + ny * SIGMA_Y)
+    )
 
 
 def eager_leakage_audit(gen, model):

@@ -19,7 +19,6 @@ from holonome.holonomy import (
     analytic_two_qubit_gate,
     connection_on_ground_space,
     holonomy,
-    one_qubit_coding_connection,
     two_qubit_coding_connection,
 )
 from holonome.matrix_kernel import frobenius, phase_invariant_distance
@@ -31,7 +30,7 @@ from holonome.synthesis import (
     search_controlled_phase,
 )
 
-from conftest import closure_residual, eager_leakage_audit
+from conftest import closure_residual, eager_leakage_audit, one_qubit_coding_connection
 
 HADAMARD_AXIS = (np.sqrt(1 / 3), 0.0, np.sqrt(2 / 3))
 

@@ -7,7 +7,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from holonome import adiabatic, deformation
+from holonome import adiabatic
 from holonome.adiabatic import (
     AdiabaticRun,
     adiabatic_sweep,
@@ -18,8 +18,6 @@ from holonome.adiabatic import (
 from holonome.deformation import (
     MAX_WINDING,
     DeformationGenerator,
-    OneQubitLoop,
-    collective_spin,
     leakage_audit,
     one_qubit_generator,
     two_qubit_generator,
@@ -73,6 +71,11 @@ def triplet_block(frame):
     return (v * np.exp(-1j * lam)) @ v.T
 
 
+def with_closure(gen, u):
+    """exp(X) u: u for a loop, whose exp(X) is exactly 1; expm_skew(X) u for a raw X."""
+    return u if gen.loop is not None else expm_skew(gen.x) @ u
+
+
 def sector_propagator(model, gen, T):
     """Per-T reference: exp(X) times the block diagonal of exp(-i(-iX_s + H_s T)) over
     dimer 1's four sigma_z sectors s, each from its own triplet eigendecomposition and
@@ -80,7 +83,7 @@ def sector_propagator(model, gen, T):
     the dense closed form when X does not split (one dimer)."""
     split = gen.triplet_split
     if split is None:
-        return gen.closure @ expm_skew(-1j * (-1j * gen.x + model.hamiltonian * T))
+        return with_closure(gen, expm_skew(-1j * (-1j * gen.x + model.hamiltonian * T)))
     h = model.hamiltonian.diagonal().real.reshape(4, 4)
     r = np.sqrt(0.5)
     w = (1.0, r, r, 1.0)
@@ -97,7 +100,7 @@ def sector_propagator(model, gen, T):
                 else:
                     value = (w[k] * w[l]) * e[t[k], t[l]]
                 u[4 * s + k, 4 * s + l] = value
-    return gen.closure @ u
+    return with_closure(gen, u)
 
 
 def reference_fidelity_leakage(us, gate, model, c, ts):
@@ -146,13 +149,6 @@ def run_bits(run):
             phase.real.hex(), phase.imag.hex())
 
 
-def unchecked_one_qubit_generator(n, kappa):
-    """one_qubit_generator without its closure check, which fails near MAX_WINDING."""
-    loop = OneQubitLoop.create(n, kappa)
-    x = 1j * loop.omega * collective_spin(loop.n, (0, 1), 2)
-    return DeformationGenerator(x=x, loop=loop, n_spins=2)
-
-
 def oracle_setup(qubits):
     if qubits == 1:
         model = build_one_dimer(1.0, 1.0)
@@ -180,7 +176,7 @@ class TestExactPropagator:
         gen = one_qubit_generator((0.6, 0.0, 0.8), 1)
         u = exact_propagator(model, gen, 3.0)
         bare = expm_skew(-1j * (-1j * gen.x + 3.0 * model.hamiltonian))
-        assert frobenius(u - bare) < 1e-9  # e^X = 1 for a closed loop
+        assert u.tobytes() == bare.tobytes()  # e^X = 1 exactly for a closed loop
 
     @pytest.mark.parametrize("qubits", [1, 2])
     def test_bit_equal_to_one_time_closed_form(self, qubits):
@@ -188,10 +184,9 @@ class TestExactPropagator:
         for T in (0.0, 0.5, 57.3, 1e6):
             u = exact_propagator(model, gen, T)
             assert u.tobytes() == sector_propagator(model, gen, T).tobytes()
-            if qubits == 1:  # one sector: the dense closed form
+            if qubits == 1:  # one sector: the dense closed form, with no exp(X) for a loop
                 rotating_frame = -1j * gen.x + model.hamiltonian * T
-                expected = expm_skew(gen.x) @ expm_skew(-1j * rotating_frame)
-                assert u.tobytes() == expected.tobytes()
+                assert u.tobytes() == expm_skew(-1j * rotating_frame).tobytes()
 
     @pytest.mark.parametrize("model_qubits,gen_qubits", [(2, 1), (1, 2)])
     def test_rejects_generator_of_other_size(self, model_qubits, gen_qubits):
@@ -391,9 +386,9 @@ SWEEP_CASES = {
     "1q-hadamard-3": lambda: (build_one_dimer(1.0, 1.0), one_qubit_generator(HADAMARD_AXIS, 3)),
     "1q-x-1-omega": lambda: (build_one_dimer(2.0, 2.0), one_qubit_generator((1.0, 0.0, 0.0), 1)),
     "1q-max": lambda: (build_one_dimer(1.0, 1.0),
-                       unchecked_one_qubit_generator((0.6, 0.0, 0.8), MAX_WINDING)),
+                       one_qubit_generator((0.6, 0.0, 0.8), MAX_WINDING)),
     "1q-max-1": lambda: (build_one_dimer(1.0, 1.0),
-                         unchecked_one_qubit_generator((1.0, 0.0, 0.0), MAX_WINDING - 1)),
+                         one_qubit_generator((1.0, 0.0, 0.0), MAX_WINDING - 1)),
     "2q-2-3-1": lambda: (build_two_dimer(1.0, 1.0), two_qubit_generator(2, 3, 1)),
     "2q-couplings": lambda: (build_two_dimer(1.0, 2.0), two_qubit_generator(2, 3, 1)),
     "2q-max": lambda: (build_two_dimer(1.0, 1.0),
@@ -501,8 +496,9 @@ def frobenius_stack(m):
 
 
 def dense_propagators(model, gen, ts):
-    """The dense closed form exp(X) exp(-i(-iX + HT)) of every T in ``ts``, stacked."""
-    return gen.closure @ expm_skew(-1j * (-1j * gen.x + model.hamiltonian * ts[:, None, None]))
+    """The dense closed form exp(X) exp(-i(-iX + HT)) of every T in ``ts``, stacked; for a
+    loop exp(X) = 1 exactly, and the product is left out."""
+    return with_closure(gen, expm_skew(-1j * (-1j * gen.x + model.hamiltonian * ts[:, None, None])))
 
 
 def generator_corpus(qubits, count, seed):
@@ -533,7 +529,7 @@ class TestSectorPropagators:
     """Two-dimer propagators come from dimer 2's triplet/singlet split in each of dimer 1's
     sigma_z sectors; one dimer's, and those of any X that does not split, from the dense frame."""
 
-    def test_two_dimer_within_error_bound_of_dense(self, monkeypatch):
+    def test_two_dimer_within_error_bound_of_dense(self):
         # Error model (Higham, Functions of Matrices, 2008, ch. 10): both paths
         # exponentiate the Hermitian frame F = -iX + HT through a backward-stable
         # eigendecomposition, so each is exp(-i(F + E)) up to O(n u) rounding
@@ -543,7 +539,6 @@ class TestSectorPropagators:
         # Hermitian arguments ||e^{-iA} - e^{-iB}||_F <= ||A - B||_F, and exp(X)
         # is unitary, so the two differ by at most about n u ||F||_F <= n u
         # (||X||_F + |T| ||H||_F), n = 16.
-        monkeypatch.setattr(deformation, "_checked", lambda gen, tol: gen)  # fails near MAX_WINDING
         worst = 0.0
         cases = generator_corpus(2, 300, seed=20261018)
         for model, gen, ts in cases:
@@ -557,8 +552,7 @@ class TestSectorPropagators:
         assert sum(len(ts) for _, _, ts in cases) == 1500
         assert worst > 0.0  # the paths round differently; the bound is not vacuous
 
-    def test_one_dimer_bit_equal_to_dense(self, monkeypatch):
-        monkeypatch.setattr(deformation, "_checked", lambda gen, tol: gen)  # fails near MAX_WINDING
+    def test_one_dimer_bit_equal_to_dense(self):
         for model, gen, ts in generator_corpus(1, 300, seed=20261019):
             assert gen.triplet_split is None
             expected = dense_propagators(model, gen, ts)
@@ -567,9 +561,13 @@ class TestSectorPropagators:
     @pytest.mark.parametrize("qubits", [1, 2])
     def test_oracle_reads_dense_generator(self, monkeypatch, qubits):
         # The RK4 oracle stays an independent check of the closed form: a wrong
-        # split (two dimers) or a wrong exp(X) (one dimer, which has no split)
-        # moves the exact propagator, not the oracle.
+        # split (two dimers) or a wrong exp(X) moves the exact propagator, not
+        # the oracle.  A one-dimer loop's closed form reads only X and H, which
+        # the oracle reads too, so one dimer takes the same X as a raw
+        # generator, whose exp(X) the closed form reads and the oracle does not.
         model, gen, _ = oracle_setup(qubits)
+        if qubits == 1:
+            gen = DeformationGenerator(x=gen.x, loop=None, n_spins=2)
         oracle = ode_propagator(model, gen, 10.0, 1000)
         exact = exact_propagator(model, gen, 10.0)
         if qubits == 2:
@@ -608,5 +606,62 @@ class TestSectorPropagators:
         h = model.hamiltonian.copy()
         h[1, 1] += 0.5
         skewed = dataclasses.replace(model, hamiltonian=h)
-        expected = gen.closure @ expm_skew(-1j * (-1j * gen.x + h * ts[:, None, None]))
+        expected = expm_skew(-1j * (-1j * gen.x + h * ts[:, None, None]))
         assert adiabatic._propagators(skewed, gen, ts).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("qubits", [1, 2])
+    @pytest.mark.parametrize("scale", [1.0, 0.3])
+    def test_raw_x_keeps_exp_x(self, qubits, scale):
+        # A generator built from a raw X (0.3 X is an open path) multiplies the closure-free
+        # stack by its exp(X).
+        model, gen, _ = oracle_setup(qubits)
+        raw = DeformationGenerator(x=scale * gen.x, loop=None, n_spins=gen.n_spins)
+        loop = DeformationGenerator(x=raw.x, loop=gen.loop, n_spins=gen.n_spins)
+        ts = np.array([0.0, 0.5, 57.3])
+        us = adiabatic._propagators(model, raw, ts)
+        assert us.tobytes() == (expm_skew(raw.x) @ adiabatic._propagators(model, loop, ts)).tobytes()
+        if qubits == 1:
+            frames = -1j * (-1j * raw.x + model.hamiltonian * ts[:, None, None])
+            assert us.tobytes() == (expm_skew(raw.x) @ expm_skew(frames)).tobytes()
+
+    @pytest.mark.parametrize("qubits", [1, 2])
+    def test_loops_near_max_winding(self, qubits):
+        # Windings whose float exp(X) misses the fixed closure tolerances build, and their
+        # propagators are unitary and within the error bound of the closure-free dense frame.
+        if qubits == 1:
+            model = build_one_dimer(1.0, 1.0)
+            gens = [one_qubit_generator(n, MAX_WINDING) for n in ((1.0, 0.0, 0.0), (0.6, 0.0, 0.8))]
+        else:
+            model = build_two_dimer(1.0, 2.0)
+            gens = [two_qubit_generator(MAX_WINDING // 3 + 1, MAX_WINDING, 1),
+                    two_qubit_generator(MAX_WINDING - 1, MAX_WINDING, MAX_WINDING)]
+        ts = np.array([0.0, 1.0, 1e3, adiabatic._t_max(model)])
+        for gen in gens:
+            us = adiabatic._propagators(model, gen, ts)
+            frames = -1j * (-1j * gen.x + model.hamiltonian * ts[:, None, None])
+            errors = frobenius_stack(us - expm_skew(frames))
+            bounds = 16 * (frobenius(gen.x) + ts * model.hamiltonian_norm) * np.finfo(float).eps / 2
+            assert np.all(errors <= bounds), gen.loop
+            assert all(is_unitary(u) for u in us)
+
+    @pytest.mark.parametrize("entry", [(0, 5), (1, 2), (3, 3)])
+    def test_off_diagonal_hamiltonian_takes_dense_frame(self, entry):
+        # The split reads H's diagonal only, so any other entry of H sends the model to the
+        # dense frame: an off-diagonal coupling, between or inside dimer 1's sectors, or an
+        # imaginary part on the diagonal.
+        model, gen, _ = oracle_setup(2)
+        h = model.hamiltonian.copy()
+        i, j = entry
+        if i == j:
+            h[i, i] += 0.3j
+        else:
+            h[i, j] = h[j, i] = 0.3
+        skewed = dataclasses.replace(model, hamiltonian=h)
+        if i != j:
+            u = exact_propagator(skewed, gen, 10.0)
+            assert u.tobytes() == expm_skew(-1j * (-1j * gen.x + h * 10.0)).tobytes()
+            assert frobenius(u - exact_propagator(model, gen, 10.0)) > 0.1
+        else:  # not Hermitian: the dense frame rejects it
+            with pytest.raises(DomainError, match="anti-Hermitian"):
+                exact_propagator(skewed, gen, 10.0)
+

@@ -1,7 +1,9 @@
 """Loop generators: closure, nontriviality, isospectrality and leakage."""
 
 import io
+import json
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -245,8 +247,7 @@ class TestSectors:
     """X is zero between dimer 1's four sigma_z states and splits over dimer 2's triplet and
     singlet in each; the generator derives that split from X."""
 
-    def test_two_qubit_generators(self, monkeypatch):
-        monkeypatch.setattr(deformation, "_checked", lambda gen, tol: gen)  # fails near MAX_WINDING
+    def test_two_qubit_generators(self):
         kp, km = admissible_pairs(300, seed=17)
         kpr = np.random.default_rng(17).integers(1, MAX_WINDING + 1, size=300)
         kpr[:2] = (1, MAX_WINDING)
@@ -273,8 +274,7 @@ class TestSectors:
             # |+-> and |-+>: both have S1 = 0.
             assert split[1].tobytes() == split[2].tobytes(), (a, b, c)
 
-    def test_one_qubit_generators(self, monkeypatch):
-        monkeypatch.setattr(deformation, "_checked", lambda gen, tol: gen)  # fails near MAX_WINDING
+    def test_one_qubit_generators(self):
         for axis, kappa in zip(random_axes(50, seed=17), [1, MAX_WINDING] + list(range(2, 50))):
             assert one_qubit_generator(axis, kappa).triplet_split is None
 
@@ -328,9 +328,7 @@ class TestLoopAssembly:
         loop = TwoQubitLoop.with_forced_zero_coupling(np.int32(2), np.uint8(1))
         assert loop == TwoQubitLoop.with_forced_zero_coupling(2, 1)
 
-    def test_generator_bit_equal_to_four_product_assembly(self, monkeypatch):
-        # Closure fails near MAX_WINDING; the assembly of X is checked everywhere.
-        monkeypatch.setattr(deformation, "_checked", lambda gen, tol: gen)
+    def test_generator_bit_equal_to_four_product_assembly(self):
         kp, km = admissible_pairs(300, seed=13)
         for a, b in zip(kp.tolist(), km.tolist()):
             kpr = a % MAX_WINDING + 1
@@ -373,16 +371,51 @@ GENERATORS = [
 
 class TestClosureCache:
     @pytest.mark.parametrize("make", GENERATORS)
-    def test_bit_equal_to_fresh_and_read_only(self, make):
+    def test_loop_closure_is_shared_exact_identity(self, monkeypatch, make):
+        # Closure is decided from the integer windings: no exponential is taken.
+        monkeypatch.setattr(deformation, "expm_skew", mock.Mock(side_effect=AssertionError))
         gen = make()
-        assert gen.closure.tobytes() == expm_skew(gen.x).tobytes()
+        dim = gen.x.shape[0]
+        assert gen.closure.tobytes() == np.eye(dim, dtype=complex).tobytes()
+        assert gen.closure is make().closure is deformation._identity(dim)
+
+    @pytest.mark.parametrize("make", GENERATORS)
+    def test_bit_equal_to_fresh_and_read_only(self, make):
+        # The reported residual is the float exp(X)'s, computed afresh from x.
+        gen = make()
         assert gen.closure_residual.hex() == closure_residual(gen.x).hex()
         assert gen.closure is gen.closure
         for a in (gen.x, gen.closure):
             with pytest.raises(ValueError):
                 a[0, 0] = 7.0
 
+    @pytest.mark.parametrize("make", GENERATORS)
+    @pytest.mark.parametrize("scale", [1.0, 0.3])
+    def test_raw_x_closure_is_its_exponential(self, make, scale):
+        # A generator built from a raw X keeps exp(X): 0.3 X is an open path.
+        x = scale * make().x
+        gen = DeformationGenerator(x=x, loop=None, n_spins=make().n_spins)
+        assert gen.closure.tobytes() == expm_skew(x).tobytes()
+        assert gen.closure is gen.closure
+        assert gen.closure_residual.hex() == closure_residual(x).hex()
+        with pytest.raises(ValueError):
+            gen.closure[0, 0] = 7.0
+
+    def test_residual_within_rounding_bound_up_to_max_winding(self):
+        # A closed loop's float X differs from the exact one by about ||X||_F u, and
+        # expm_skew adds O(n u ||X||_F) more, so ||exp(X) - 1||_F <= 16 ||X||_F u; the
+        # fixed ONE_QUBIT_CLOSURE_TOL / TWO_QUBIT_CLOSURE_TOL cannot hold near MAX_WINDING.
+        gens = [one_qubit_generator(n, kappa)
+                for n, kappa in zip(random_axes(20, seed=5), [MAX_WINDING, MAX_WINDING - 1]
+                                    + [int(10.0 ** e) for e in np.linspace(0.0, 6.0, 18)])]
+        kp, km = admissible_pairs(20, seed=5)
+        gens += [two_qubit_generator(a, b, a % 7 + 1) for a, b in zip(kp.tolist(), km.tolist())]
+        for gen in gens:
+            bound = 16 * frobenius(gen.x) * np.finfo(float).eps / 2
+            assert gen.closure_residual <= bound, gen.loop
+
     def test_exp_x_computed_once_per_request(self, monkeypatch):
+        # Only the reported residual takes exp(X): none for sweeps and propagators.
         calls = []  # single matrices only: a sweep's stacked frames are 3-D
 
         def counting(m, *args):
@@ -392,14 +425,30 @@ class TestClosureCache:
 
         monkeypatch.setattr(deformation, "expm_skew", counting)
         monkeypatch.setattr(adiabatic, "expm_skew", counting)
-        for argv in (["one-qubit", "--n", "1,0,0", "--kappa", "3"],
-                     ["two-qubit", "--kp", "2", "--km", "3", "--kprime", "1"],
-                     ["sweep", "--kp", "2", "--km", "3", "--T", "1,10"]):
+        for argv, count in ((["one-qubit", "--n", "1,0,0", "--kappa", "3"], 1),
+                            (["two-qubit", "--kp", "2", "--km", "3", "--kprime", "1"], 1),
+                            (["sweep", "--kp", "2", "--km", "3", "--T", "1,10"], 0),
+                            (["sweep", "--n", "1,0,0", "--kappa", "3", "--T", "1,10"], 0)):
             calls.clear()
             assert cli.run(argv, io.StringIO(), io.StringIO()) == 0
-            assert len(calls) == 1, argv
+            assert len(calls) == count, argv
         calls.clear()
-        model, gen = build_two_dimer(1.0, 1.0), two_qubit_generator(2, 3, 1)
-        for T in (0.5, 5.0):
-            exact_propagator(model, gen, T)
-        assert len(calls) == 1
+        for model, gen in ((build_two_dimer(1.0, 1.0), two_qubit_generator(2, 3, 1)),
+                           (build_one_dimer(1.0, 1.0), one_qubit_generator((1.0, 0.0, 0.0), 3))):
+            for T in (0.5, 5.0):
+                exact_propagator(model, gen, T)
+        assert calls == []
+
+    @pytest.mark.parametrize("argv", [
+        ["one-qubit", "--n", "1,0,0", "--kappa", str(MAX_WINDING)],
+        ["sweep", "--n", "1,0,0", "--kappa", str(MAX_WINDING), "--T", "1,10"],
+        ["two-qubit", "--kp", str(MAX_WINDING // 3 + 1), "--km", str(MAX_WINDING), "--kprime", "1"],
+    ])
+    def test_requests_near_max_winding_build(self, argv):
+        # Closure is exact at every admissible winding, so these build; a gate report
+        # states its float residual.
+        out, err = io.StringIO(), io.StringIO()
+        assert cli.run(argv, out, err) == 0, err.getvalue()
+        outputs = json.loads(out.getvalue())["outputs"]
+        if argv[0] != "sweep":
+            assert 0.0 < outputs["closure_residual"] < 1e-7

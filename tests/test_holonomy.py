@@ -20,7 +20,6 @@ from holonome.holonomy import (
     controlled_phase_gate,
     holonomy,
     local_invariants,
-    one_qubit_coding_connection,
     two_qubit_coding_connection,
 )
 from holonome.matrix_kernel import (
@@ -31,6 +30,8 @@ from holonome.matrix_kernel import (
     tensor_product,
 )
 from holonome.spin_model import build_one_dimer, build_two_dimer, ground_basis
+
+from conftest import one_qubit_coding_connection
 
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 
