@@ -17,8 +17,9 @@ their moduli and norms and the phases e^{+-i E0 T} are stacked matrix
 products and array expressions that round as the one-T computation does.
 Only the square of each norm, the divisions and the clamps are taken per
 T, as scalar steps on Python floats, so every run is bit-identical to
-evaluating that T alone.  One dimer, and any X or H without this
-structure, takes the dense frame through one stacked exponential.
+evaluating that T alone.  Every model is its diagonal, so X alone decides:
+one dimer, and any X without this structure, takes the dense frame through
+one stacked exponential.
 
 A classical RK4 integration of the Schrodinger equation with the
 tau-dependent Hamiltonian is kept alongside purely as an independent oracle
@@ -117,26 +118,24 @@ def _propagators(model: SpinModel, gen: DeformationGenerator, ts: np.ndarray) ->
     """Stack of exp(X) exp(-i(-iX + HT)) over the (checked) times ``ts``, in one pass.
 
     exp(X) = 1 for a loop and is left out.  When X splits over dimer 2's
-    triplet and singlet (``triplet_split``) and so does H, which is its real
-    diagonal (as every built model is) with equal |+-> and |-+> entries of
-    dimer 2 in each of dimer 1's sectors, the frame -iX + HT is block
-    diagonal over them, each block a real symmetric 3 x 3 triplet block and
-    a singlet value.  The triplet blocks of every T and every distinct
-    sector go through one stacked real eigendecomposition (``exp_minus_i``):
-    sectors whose split and H entries are bit-equal (dimer 1's |+-> and
-    |-+>) have bit-equal frames at every T and share one.  Each singlet is
-    one phase.  Otherwise (one dimer, or any X or H that breaks the
-    symmetry) the dense frame goes through one stacked ``expm_skew``.
+    triplet and singlet (``triplet_split``), so does H, the real diagonal
+    ``model.diagonal`` with equal |+-> and |-+> entries of dimer 2 in each
+    of dimer 1's sectors (as in every two-dimer model), and the frame
+    -iX + HT is block diagonal over them, each block a real symmetric 3 x 3
+    triplet block and a singlet value.  The triplet blocks of every T and
+    every distinct sector go through one stacked real eigendecomposition
+    (``exp_minus_i``): sectors whose split and H entries are bit-equal
+    (dimer 1's |+-> and |-+>) have bit-equal frames at every T and share
+    one.  Each singlet is one phase.  Otherwise (one dimer, or any X that
+    breaks the symmetry) the dense frame goes through one stacked ``expm_skew``.
     """
     _check_size(gen, model)
     split = gen.triplet_split
-    hm = model.hamiltonian
-    h = hm.diagonal().real
-    hl = h.tolist()
-    if (split is None or hl[1::4] != hl[2::4]  # dimer 2's |+-> and |-+> entries, per sector
-            or np.count_nonzero(hm.real) + np.count_nonzero(hm.imag) != np.count_nonzero(h)):
-        us = expm_skew(-1j * (-1j * gen.x + hm * ts[:, None, None]))
+    if split is None:
+        us = expm_skew(-1j * (-1j * gen.x + model.hamiltonian * ts[:, None, None]))
         return us if gen.loop is not None else gen.closure @ us
+    h = model.diagonal
+    hl = h.tolist()
     # slot[a] numbers sector a's frames among the distinct ones, in order of first use.
     xb, hb = split.tobytes(), h.tobytes()  # 128 and 32 bytes per sector
     index = {}

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,7 +53,7 @@ class OneQubitLoop:
         n = np.asarray(n, dtype=float)
         if n.shape != (3,):
             raise DomainError("axis must be a real 3-vector")
-        if not abs(np.linalg.norm(n) - 1.0) <= 1e-12:  # NaN fails too
+        if not abs(math.hypot(*n) - 1.0) <= 1e-12:  # NaN fails too; hypot does not overflow
             raise DomainError("axis must be a unit vector")
         if not (1 <= kappa <= MAX_WINDING):
             raise DomainError(f"winding number must be in [1, {MAX_WINDING}]")
@@ -153,17 +153,21 @@ class TwoQubitLoop:
 
 @dataclass(frozen=True)
 class DeformationGenerator:
-    """The anti-Hermitian generator X together with its loop parameters.
+    """The anti-Hermitian generator X, fixed by exactly one input (both or neither: DomainError).
 
-    ``loop`` is None for a raw X, whose path may be open.  The split and the
-    residual are computed from ``x`` once, on first use; ``x`` is read-only
-    so they cannot go stale.
+    Either ``loop``, from which X is assembled, or a raw ``x`` (``loop`` None),
+    whose path may be open.  ``x`` is read-only (a copy of a raw X), so the
+    split and the residual, computed from it once on first use, cannot go stale.
     """
 
-    x: np.ndarray
-    loop: object  # OneQubitLoop | TwoQubitLoop
-    n_spins: int
-    parts: dict = field(default_factory=dict)
+    x: np.ndarray = None
+    loop: object = None  # OneQubitLoop | TwoQubitLoop
+
+    def __post_init__(self):
+        if (self.x is None) == (self.loop is None):
+            raise DomainError("a generator takes exactly one of a loop or a raw X")
+        x = _loop_x(self.loop) if self.x is None else _read_only(np.array(self.x, dtype=complex))
+        object.__setattr__(self, "x", x)
 
     @functools.cached_property
     def closure(self) -> np.ndarray:
@@ -188,7 +192,7 @@ class DeformationGenerator:
         symmetric and equal under the swap, entry by entry.  Otherwise (one
         dimer, or any X that breaks the symmetry) None.
         """
-        if self.n_spins != 4:
+        if self.x.shape != (16, 16):
             return None
         blocks = self.x.take(_block_diagonal(4, 4))
         if np.count_nonzero(blocks) != np.count_nonzero(self.x) or blocks.real.any():
@@ -231,7 +235,7 @@ def _identity(dim: int) -> np.ndarray:
 
 def _check_size(gen: DeformationGenerator, model: SpinModel) -> None:
     """DomainError unless the generator acts on the model's space."""
-    if gen.x.shape != model.hamiltonian.shape:
+    if gen.x.shape != (model.dim, model.dim):
         raise DomainError("generator dimension does not match the model")
 
 
@@ -254,22 +258,24 @@ def _cross_zz() -> np.ndarray:
     return _read_only(sz[0] @ sz[2] + sz[0] @ sz[3] + sz[1] @ sz[2] + sz[1] @ sz[3])
 
 
+def _loop_x(loop) -> np.ndarray:
+    """A loop's X, read-only: i kappa pi n . (sigma_1 + sigma_2) on one dimer, or
+    X^1 + X^2 + X^{1-2} on two."""
+    if isinstance(loop, OneQubitLoop):
+        return _read_only(1j * loop.omega * collective_spin(loop.n, (0, 1), 2))
+    x1 = 1j * loop.omega1 * collective_spin((0.0, 0.0, 1.0), (0, 1), 4)
+    x2 = 1j * loop.omega2 * collective_spin((loop.n2x, 0.0, loop.n2z), (2, 3), 4)
+    return _read_only(x1 + x2 + 1j * loop.coupling_j * _cross_zz())
+
+
 def one_qubit_generator(n, kappa: int) -> DeformationGenerator:
     """X = i kappa pi n . (sigma_1 + sigma_2) on the single-dimer space."""
-    loop = OneQubitLoop.create(n, kappa)
-    x = _read_only(1j * loop.omega * collective_spin(loop.n, (0, 1), 2))
-    return DeformationGenerator(x=x, loop=loop, n_spins=2)
+    return DeformationGenerator(loop=OneQubitLoop.create(n, kappa))
 
 
 def two_qubit_generator(kappa_plus: int, kappa_minus: int, kappa_prime: int) -> DeformationGenerator:
     """Two-dimer generator X^1 + X^2 + X^{1-2} with closure built in."""
-    loop = TwoQubitLoop.create(kappa_plus, kappa_minus, kappa_prime)
-    x1 = 1j * loop.omega1 * collective_spin((0.0, 0.0, 1.0), (0, 1), 4)
-    x2 = 1j * loop.omega2 * collective_spin((loop.n2x, 0.0, loop.n2z), (2, 3), 4)
-    cross = 1j * loop.coupling_j * _cross_zz()
-    x = _read_only(x1 + x2 + cross)
-    parts = {"dimer1": x1, "dimer2": x2, "cross": cross}
-    return DeformationGenerator(x=x, loop=loop, n_spins=4, parts=parts)
+    return DeformationGenerator(loop=TwoQubitLoop.create(kappa_plus, kappa_minus, kappa_prime))
 
 
 @dataclass(frozen=True)

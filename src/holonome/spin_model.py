@@ -9,11 +9,12 @@ One dimer:  H = -omega sz_1 - omega sz_2 + J1 sz_1 sz_2  (4 x 4, diagonal).
 Two dimers: the sum of two such Hamiltonians at omega = J on spins (1, 2)
 and (3, 4) respectively (16 x 16, diagonal).
 
-Both are diagonal in the product z-basis, so a model is built from its
-diagonal with no eigensolver: the ground energy is the least diagonal
-entry, and the ground level is the product of each dimer's: the basis
-states whose entries lie within DEGENERACY_RTOL ||H_d||_F of that dimer's
-least entry, H_d the dimer's own Hamiltonian.
+A model holds only its couplings.  Both Hamiltonians are diagonal in the
+product z-basis, so all else is derived from the diagonal, read-only on first
+read, with no eigensolver: the ground energy is the least diagonal entry,
+and the ground level is the product of each dimer's: the basis states whose
+entries lie within DEGENERACY_RTOL ||H_d||_F of that dimer's least entry,
+H_d the dimer's own Hamiltonian.
 """
 
 from __future__ import annotations
@@ -67,18 +68,62 @@ MAX_COUPLING = 1e150
 
 @dataclass(frozen=True)
 class SpinModel:
-    """A dimer (or dimer-pair) Hamiltonian with its ground level and its Frobenius norm."""
+    """A dimer (or dimer-pair) Hamiltonian, fixed by its couplings.
 
-    n_spins: int
-    hamiltonian: np.ndarray
-    hamiltonian_norm: float
-    ground_projector: np.ndarray
-    ground_energy: float
-    ground_multiplicity: int
+    ``couplings`` holds each dimer's (omega, J), slow dimer first:
+    ``((omega, j1),)`` for one dimer, ``((j1, j1), (j2, j2))`` for two.
+    """
+
+    couplings: tuple
+
+    @property
+    def n_spins(self) -> int:
+        return 2 * len(self.couplings)
 
     @property
     def dim(self) -> int:
-        return self.hamiltonian.shape[0]
+        return 4 ** len(self.couplings)
+
+    @functools.cached_property
+    def diagonal(self) -> np.ndarray:
+        """H's real diagonal, the Kronecker sum of the dimers' diagonals (read-only)."""
+        dimers = [_one_dimer_diagonal(*c) for c in self.couplings]
+        return _read_only(dimers[0] if len(dimers) == 1 else np.add.outer(*dimers).ravel())
+
+    @functools.cached_property
+    def hamiltonian(self) -> np.ndarray:
+        """H = diag(``diagonal``) as a dense complex matrix (read-only)."""
+        h = np.zeros((self.dim, self.dim), dtype=complex)
+        h.flat[:: self.dim + 1] = self.diagonal
+        return _read_only(h)
+
+    @functools.cached_property
+    def hamiltonian_norm(self) -> float:
+        return frobenius(self.hamiltonian)
+
+    @functools.cached_property
+    def ground_energy(self) -> float:
+        return float(self.diagonal.min())
+
+    @functools.cached_property
+    def _ground(self) -> np.ndarray:
+        """The ground level as a 0/1 mask over the product basis: the product of the
+        dimers' ground levels, each judged on its own scale ||H_d||_F."""
+        # Four entries per dimer: Python floats beat numpy calls here, with the same rounding.
+        entries = [_one_dimer_diagonal(*c).tolist() for c in self.couplings]
+        # One dimer is its own H_d; otherwise ||H_d||_F = ||d||_2.
+        norms = [self.hamiltonian_norm] if len(entries) == 1 else [math.hypot(*e) for e in entries]
+        levels = [_ground_level(e, n) for e, n in zip(entries, norms)]
+        return np.ravel(functools.reduce(np.logical_and.outer, levels))
+
+    @functools.cached_property
+    def ground_multiplicity(self) -> int:
+        return int(self._ground.sum())
+
+    @functools.cached_property
+    def ground_projector(self) -> np.ndarray:
+        """The diagonal 0/1 projector onto the ground level (read-only)."""
+        return _read_only(np.diag(self._ground.astype(complex)))
 
 
 _RT2 = 1.0 / np.sqrt(2.0)
@@ -115,44 +160,16 @@ def _ground_level(diagonal: list, norm: float) -> list:
     return [entry - least < threshold for entry in diagonal]
 
 
-def _model(n_spins: int, *dimers: np.ndarray) -> SpinModel:
-    """The model of H, the Kronecker sum of diag(d) over the dimers' diagonals (slow first).
-
-    Its ground energy is the least diagonal entry.  Its ground level is the
-    product of the dimers' ground levels, each judged on its own scale
-    ||H_d||_F, and its projector the diagonal 0/1 mask of those basis states.
-    """
-    diagonal = dimers[0] if len(dimers) == 1 else np.add.outer(*dimers).ravel()
-    dim = diagonal.size
-    h = np.zeros((dim, dim), dtype=complex)
-    h.flat[:: dim + 1] = diagonal
-    norm = frobenius(h)
-    # Four entries per dimer: Python floats beat numpy calls here, with the same rounding.
-    entries = [d.tolist() for d in dimers]
-    # One dimer is its own H_d; otherwise ||H_d||_F = ||d||_2.
-    norms = [norm] if len(dimers) == 1 else [math.hypot(*e) for e in entries]
-    levels = [_ground_level(e, n) for e, n in zip(entries, norms)]
-    ground = np.ravel(functools.reduce(np.logical_and.outer, levels))
-    return SpinModel(
-        n_spins=n_spins,
-        hamiltonian=h,
-        hamiltonian_norm=norm,
-        ground_projector=np.diag(ground.astype(complex)),
-        ground_energy=float(diagonal.min()),
-        ground_multiplicity=int(ground.sum()),
-    )
-
-
 def build_one_dimer(omega: float, j1: float) -> SpinModel:
     """Single Ising dimer; at omega = j1 the ground level is 3-fold degenerate."""
     _check_couplings(j1=j1, omega=omega)
-    return _model(2, _one_dimer_diagonal(omega, j1))
+    return SpinModel(((omega, j1),))
 
 
 def build_two_dimer(j1: float, j2: float) -> SpinModel:
     """Two decoupled dimers at their degenerate points; 9-fold ground level."""
     _check_couplings(j1=j1, j2=j2)
-    return _model(4, _one_dimer_diagonal(j1, j1), _one_dimer_diagonal(j2, j2))
+    return SpinModel(((j1, j1), (j2, j2)))
 
 
 # Ground-space labels at the degenerate working point, coding vectors first;

@@ -1,10 +1,23 @@
 """Session setup and reference computations shared by the test modules."""
 
+import functools
+import math
+import types
+
 import numpy as np
 from hypothesis import configuration
 
+from holonome import deformation
 from holonome.matrix_kernel import expm_skew, frobenius
-from holonome.spin_model import ID2, SIGMA_X, SIGMA_Y, SIGMA_Z, coding_space, ground_basis
+from holonome.spin_model import (
+    DEGENERACY_RTOL,
+    ID2,
+    SIGMA_X,
+    SIGMA_Y,
+    SIGMA_Z,
+    coding_space,
+    ground_basis,
+)
 
 
 def pytest_configure(config):
@@ -48,9 +61,37 @@ def eager_leakage_audit(gen, model):
     max_abs = float(np.max(np.abs(block)))
     named = {}
     if model.n_spins == 4:
-        cross = gen.parts["cross"]
+        cross = 1j * gen.loop.coupling_j * deformation._cross_zz()
         col = {lab: vecs[:, k] for k, lab in enumerate(labels)}
         for bra, ket in (("T+T+", "T+T+"), ("T+S0", "T+T0"), ("S0T+", "T0T+"),
                          ("S0S0", "T0S0"), ("S0T0", "T0S0")):
             named[f"<{bra}|Xc|{ket}>"] = complex(col[bra].conj() @ cross @ col[ket])
     return entries, max_abs, max_abs < 1e-12, named
+
+
+def reference_model(*couplings):
+    """Reference: every derived field of the model of ``couplings`` ((omega, J) per dimer,
+    slow first), computed eagerly.
+
+    H is the Kronecker sum of diag(d) over the dimers' diagonals d.  Its ground
+    energy is the least diagonal entry.  Its ground level is the product of the
+    dimers' ground levels, each the entries within DEGENERACY_RTOL ||H_d||_F of the
+    dimer's least one, and its projector the diagonal 0/1 mask of those basis states.
+    """
+    dimers = [np.array([-2.0 * w + j, -j, -j, 2.0 * w + j]) for w, j in couplings]
+    diagonal = dimers[0] if len(dimers) == 1 else np.add.outer(*dimers).ravel()
+    dim = diagonal.size
+    h = np.zeros((dim, dim), dtype=complex)
+    h.flat[:: dim + 1] = diagonal
+    norm = frobenius(h)
+    entries = [d.tolist() for d in dimers]
+    norms = [norm] if len(dimers) == 1 else [math.hypot(*e) for e in entries]
+    levels = [[x - min(e) < DEGENERACY_RTOL * n for x in e] for e, n in zip(entries, norms)]
+    ground = np.ravel(functools.reduce(np.logical_and.outer, levels))
+    return types.SimpleNamespace(
+        hamiltonian=h,
+        hamiltonian_norm=norm,
+        ground_projector=np.diag(ground.astype(complex)),
+        ground_energy=float(diagonal.min()),
+        ground_multiplicity=int(ground.sum()),
+    )

@@ -32,10 +32,7 @@ NON_FINITE = (np.nan, np.inf, -np.inf)
 
 
 def zero_generator(model):
-    return DeformationGenerator(
-        x=np.zeros((model.dim, model.dim), dtype=complex), loop=None,
-        n_spins=model.n_spins,
-    )
+    return DeformationGenerator(x=np.zeros((model.dim, model.dim), dtype=complex))
 
 
 def loop_ode_propagator(model, gen, T, steps):
@@ -77,13 +74,18 @@ def with_closure(gen, u):
 
 
 def sector_propagator(model, gen, T):
-    """Per-T reference: exp(X) times the block diagonal of exp(-i(-iX_s + H_s T)) over
-    dimer 1's four sigma_z sectors s, each from its own triplet eigendecomposition and
+    """Per-T reference: exp(X) times ``frame_propagator``."""
+    return with_closure(gen, frame_propagator(model, gen, T))
+
+
+def frame_propagator(model, gen, T):
+    """Per-T reference with no exp(X) factor: the block diagonal of exp(-i(-iX_s + H_s T))
+    over dimer 1's four sigma_z sectors s, each from its own triplet eigendecomposition and
     singlet phase over dimer 2's T+, T0, T-, S0, written back entry by entry (two dimers);
-    the dense closed form when X does not split (one dimer)."""
+    the dense exp(-i(-iX + HT)) when X does not split (one dimer)."""
     split = gen.triplet_split
     if split is None:
-        return with_closure(gen, expm_skew(-1j * (-1j * gen.x + model.hamiltonian * T)))
+        return expm_skew(-1j * (-1j * gen.x + model.hamiltonian * T))
     h = model.hamiltonian.diagonal().real.reshape(4, 4)
     r = np.sqrt(0.5)
     w = (1.0, r, r, 1.0)
@@ -100,7 +102,7 @@ def sector_propagator(model, gen, T):
                 else:
                     value = (w[k] * w[l]) * e[t[k], t[l]]
                 u[4 * s + k, 4 * s + l] = value
-    return with_closure(gen, u)
+    return u
 
 
 def reference_fidelity_leakage(us, gate, model, c, ts):
@@ -256,7 +258,7 @@ class TestOdePropagator:
         # A closed loop has e^X = 1, so only an open path checks the final
         # phases e^{X} that the propagator applies after the RK4 steps.
         model, gen, _ = oracle_setup(qubits)
-        part = DeformationGenerator(x=0.3 * gen.x, loop=None, n_spins=model.n_spins)
+        part = DeformationGenerator(x=0.3 * gen.x)
         ref = loop_ode_propagator(model, part, 10.0, 1000)
         u = ode_propagator(model, part, 10.0, 1000)
         assert frobenius(u - ref) <= 1e-12 * max(1.0, frobenius(ref))
@@ -448,7 +450,7 @@ class TestStackedSweep:
         # Enough fidelities and leakages (~5000) that a stacked form rounding
         # differently in one case in a thousand shows up.
         cases = sweep_corpus(500)
-        assert {gen.n_spins for _, gen, _ in cases} == {2, 4}
+        assert {gen.x.shape[0] for _, gen, _ in cases} == {4, 16}
         for model, gen, t_list in cases:
             gate = holonomy(connection_on_ground_space(gen, model))
             runs = adiabatic_sweep(model, gen, gate, t_list)
@@ -486,7 +488,7 @@ class TestStackedSweep:
             assert bits == [(f.hex(), l.hex()) for f, l in expected]
             assert all(type(f) is float and type(l) is float for f, l in pairs)
             runs += len(ts)
-        assert {gen.n_spins for _, gen, _ in cases} == {2, 4}
+        assert {gen.x.shape[0] for _, gen, _ in cases} == {4, 16}
         assert runs > 10000
 
 
@@ -567,7 +569,7 @@ class TestSectorPropagators:
         # generator, whose exp(X) the closed form reads and the oracle does not.
         model, gen, _ = oracle_setup(qubits)
         if qubits == 1:
-            gen = DeformationGenerator(x=gen.x, loop=None, n_spins=2)
+            gen = DeformationGenerator(x=gen.x)
         oracle = ode_propagator(model, gen, 10.0, 1000)
         exact = exact_propagator(model, gen, 10.0)
         if qubits == 2:
@@ -583,7 +585,7 @@ class TestSectorPropagators:
     def test_sectors_derived_from_x(self):
         model, gen, _ = oracle_setup(2)
         # A generator built directly from the same X has the same split.
-        same = DeformationGenerator(x=gen.x, loop=None, n_spins=4)
+        same = DeformationGenerator(x=gen.x)
         assert same.triplet_split.tobytes() == gen.triplet_split.tobytes()
         # Real blocks, no triplet entry coupled to the singlet.
         assert same.triplet_split.shape == (4, 4, 4)
@@ -598,16 +600,10 @@ class TestSectorPropagators:
         between[0, 4] = between[4, 0] = 0.25j  # anti-Hermitian
         for x in (couple, between):
             assert not np.array_equal(x, gen.x)
-            dense = DeformationGenerator(x=x, loop=None, n_spins=4)
+            dense = DeformationGenerator(x=x)
             assert dense.triplet_split is None
             expected = dense_propagators(model, dense, ts)
             assert adiabatic._propagators(model, dense, ts).tobytes() == expected.tobytes()
-        # H must split too: unequal |+-> and |-+> entries of dimer 2 take the dense path.
-        h = model.hamiltonian.copy()
-        h[1, 1] += 0.5
-        skewed = dataclasses.replace(model, hamiltonian=h)
-        expected = expm_skew(-1j * (-1j * gen.x + h * ts[:, None, None]))
-        assert adiabatic._propagators(skewed, gen, ts).tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("qubits", [1, 2])
     @pytest.mark.parametrize("scale", [1.0, 0.3])
@@ -615,11 +611,12 @@ class TestSectorPropagators:
         # A generator built from a raw X (0.3 X is an open path) multiplies the closure-free
         # stack by its exp(X).
         model, gen, _ = oracle_setup(qubits)
-        raw = DeformationGenerator(x=scale * gen.x, loop=None, n_spins=gen.n_spins)
-        loop = DeformationGenerator(x=raw.x, loop=gen.loop, n_spins=gen.n_spins)
+        raw = DeformationGenerator(x=scale * gen.x)
+        assert (raw.triplet_split is None) == (qubits == 1)
         ts = np.array([0.0, 0.5, 57.3])
         us = adiabatic._propagators(model, raw, ts)
-        assert us.tobytes() == (expm_skew(raw.x) @ adiabatic._propagators(model, loop, ts)).tobytes()
+        frames_only = np.array([frame_propagator(model, raw, T) for T in ts])
+        assert us.tobytes() == (expm_skew(raw.x) @ frames_only).tobytes()
         if qubits == 1:
             frames = -1j * (-1j * raw.x + model.hamiltonian * ts[:, None, None])
             assert us.tobytes() == (expm_skew(raw.x) @ expm_skew(frames)).tobytes()
@@ -645,10 +642,11 @@ class TestSectorPropagators:
             assert all(is_unitary(u) for u in us)
 
     @pytest.mark.parametrize("entry", [(0, 5), (1, 2), (3, 3)])
-    def test_off_diagonal_hamiltonian_takes_dense_frame(self, entry):
-        # The split reads H's diagonal only, so any other entry of H sends the model to the
-        # dense frame: an off-diagonal coupling, between or inside dimer 1's sectors, or an
-        # imaginary part on the diagonal.
+    def test_off_diagonal_hamiltonian_cannot_be_built(self, entry):
+        # The split reads H's diagonal only.  A model holds only its couplings, and H is
+        # derived from them as its real diagonal, so no model holds any other entry: an
+        # off-diagonal coupling, between or inside dimer 1's sectors, or an imaginary part
+        # on the diagonal.  H can be neither replaced nor written into.
         model, gen, _ = oracle_setup(2)
         h = model.hamiltonian.copy()
         i, j = entry
@@ -656,12 +654,10 @@ class TestSectorPropagators:
             h[i, i] += 0.3j
         else:
             h[i, j] = h[j, i] = 0.3
-        skewed = dataclasses.replace(model, hamiltonian=h)
-        if i != j:
-            u = exact_propagator(skewed, gen, 10.0)
-            assert u.tobytes() == expm_skew(-1j * (-1j * gen.x + h * 10.0)).tobytes()
-            assert frobenius(u - exact_propagator(model, gen, 10.0)) > 0.1
-        else:  # not Hermitian: the dense frame rejects it
-            with pytest.raises(DomainError, match="anti-Hermitian"):
-                exact_propagator(skewed, gen, 10.0)
-
+        with pytest.raises(TypeError):
+            dataclasses.replace(model, hamiltonian=h)
+        with pytest.raises(ValueError):
+            model.hamiltonian[i, j] = h[i, j]
+        assert model.hamiltonian.tobytes() == np.diag(model.diagonal.astype(complex)).tobytes()
+        u = exact_propagator(model, gen, 10.0)
+        assert frobenius(u - expm_skew(-1j * (-1j * gen.x + model.hamiltonian * 10.0))) < 1e-12

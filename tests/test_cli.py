@@ -254,6 +254,11 @@ class TestNonFiniteCouplings:
             (["sweep", "--kp", "2", "--km", "3", "--T", "1", "--j2", "1e200"], "j2"),
             (["two-qubit", "--kp", "2", "--km", "3", "--kprime", "1", "--j2", "1.0000001e150"],
              "j2"),
+            # An axis whose norm overflows is rejected without an overflow warning.
+            (["one-qubit", "--n", "1e200,0,0", "--kappa", "1"], "axis"),
+            (["one-qubit", "--n", "1e308,1e308,0", "--kappa", "1"], "axis"),
+            (["sweep", "--n", "1e200,0,0", "--kappa", "1", "--T", "1"], "axis"),
+            (["sweep", "--n", "1e308,1e308,0", "--kappa", "1", "--T", "1"], "axis"),
         ],
     )
     def test_exit_one_without_warning(self, argv, name):
@@ -297,7 +302,10 @@ class TestCouplingScale:
 
 
 class TestRequestWork:
-    """A gate request builds its model without an eigensolver and reads only the audit verdict."""
+    """A gate request builds its model without an eigensolver and reads only the audit verdict.
+
+    A model derives its fields when they are first read, so the spied window reads all of them.
+    """
 
     def test_models_use_no_eigh_or_kron(self, monkeypatch):
         calls = []
@@ -312,7 +320,11 @@ class TestRequestWork:
             def build(*args, _original=getattr(spin_model, name)):
                 building.append(True)
                 try:
-                    return _original(*args)
+                    model = _original(*args)
+                    for field in ("diagonal", "hamiltonian", "hamiltonian_norm", "ground_energy",
+                                  "ground_multiplicity", "ground_projector"):
+                        getattr(model, field)
+                    return model
                 finally:
                     building.pop()
             monkeypatch.setattr(spin_model, name, build)
@@ -323,6 +335,7 @@ class TestRequestWork:
         building.append(True)
         np.kron(np.eye(2), np.eye(2))
         assert calls == ["kron"]
+
 
 
 class TestUsageStreams:

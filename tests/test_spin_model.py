@@ -1,7 +1,10 @@
 """Dimer Hamiltonians, the triplet/singlet basis and coding spaces."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+from conftest import reference_model
 
 from holonome.errors import DomainError
 from holonome.matrix_kernel import frobenius
@@ -10,6 +13,7 @@ from holonome.spin_model import (
     MAX_COUPLING,
     PAULI,
     SIGMA_Z,
+    SpinModel,
     build_one_dimer,
     build_two_dimer,
     coding_space,
@@ -132,6 +136,58 @@ def test_hamiltonian_norm_is_frobenius(build, args):
     assert model.hamiltonian_norm.hex() == frobenius(model.hamiltonian).hex()
 
 
+def model_corpus(count, seed=20261019):
+    """Seeded (builder, couplings) pairs: log-uniform couplings from 1e-150 to 1e150 with
+    ratios up to 1e15 on both builders, at and off the working point."""
+    rng = np.random.default_rng(seed)
+    cases = []
+    for i in range(count):
+        a = rng.uniform(-150.0, 150.0)
+        b = np.clip(a + rng.uniform(-15.0, 15.0), -150.0, 150.0)
+        pair = (float(10.0**a), float(10.0**b))
+        if i % 4 == 1:  # one dimer at its working point, or just off it
+            pair = (pair[0] * (1.0 + rng.choice((0.0, 1e-10, -1e-8))), pair[0])
+        cases.append((build_one_dimer, pair) if i % 2 else (build_two_dimer, pair))
+    return cases
+
+
+class TestDerivedFields:
+    """A model holds its couplings; every other field is derived from them, read-only."""
+
+    def test_bit_equal_to_eager_reference(self):
+        cases = model_corpus(2000)
+        multiplicities = set()
+        for build, (a, b) in cases:
+            model = build(a, b)
+            ref = reference_model((a, b)) if build is build_one_dimer else reference_model(
+                (a, a), (b, b))
+            assert model.hamiltonian.tobytes() == ref.hamiltonian.tobytes(), (build, a, b)
+            assert model.diagonal.tobytes() == ref.hamiltonian.diagonal().real.tobytes()
+            assert model.hamiltonian_norm.hex() == ref.hamiltonian_norm.hex(), (build, a, b)
+            assert model.ground_energy.hex() == ref.ground_energy.hex(), (build, a, b)
+            assert model.ground_multiplicity == ref.ground_multiplicity, (build, a, b)
+            assert model.ground_projector.tobytes() == ref.ground_projector.tobytes()
+            multiplicities.add((model.n_spins, model.ground_multiplicity))
+        # Both builders, at and off the working point.
+        assert {(2, 3), (2, 1), (4, 9)} <= multiplicities
+        assert min(min(p) for _, p in cases) < 1e-140 and max(max(p) for _, p in cases) > 1e140
+
+    def test_only_field_is_couplings(self):
+        assert [f.name for f in dataclasses.fields(SpinModel)] == ["couplings"]
+        assert build_one_dimer(2.0, 0.5).couplings == ((2.0, 0.5),)
+        model = build_two_dimer(0.5, 3.0)
+        assert model.couplings == ((0.5, 0.5), (3.0, 3.0))
+        assert (model.n_spins, model.dim) == (4, 16)
+
+    @pytest.mark.parametrize("field", ["hamiltonian", "diagonal", "ground_projector"])
+    def test_replace_cannot_set_derived_field(self, field):
+        model = build_two_dimer(1.0, 1.0)
+        with pytest.raises(TypeError):
+            dataclasses.replace(model, **{field: getattr(model, field).copy()})
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(model, field, getattr(model, field).copy())
+
+
 class TestDimerBasis:
     def test_orthonormal(self):
         assert tuple(DIMER_BASIS) == ("T+", "T0", "T-", "S0")
@@ -223,7 +279,8 @@ MODELS = {2: lambda: build_one_dimer(1.0, 1.0), 4: lambda: build_two_dimer(1.0, 
 
 
 class TestCaches:
-    """Request-independent operators and bases are built once and read-only."""
+    """Request-independent operators and bases are built once and read-only, and so are a
+    model's derived arrays."""
 
     @pytest.mark.parametrize("n_spins", [2, 4])
     def test_pauli_sites_bit_equal_fresh(self, n_spins):
@@ -252,10 +309,11 @@ class TestCaches:
         coding = coding_space(model)
         arrays = [pauli_site(a, 0, n_spins) for a in "xyz"]
         arrays += [ground_basis(model)[1], coding.vectors, coding.projector]
+        arrays += [model.hamiltonian, model.diagonal, model.ground_projector]
         for a in arrays:
             before = a.copy()
             with pytest.raises(ValueError):
-                a[0, 0] = 7.0
+                a[(0,) * a.ndim] = 7.0
             with pytest.raises(ValueError):
                 a *= 2.0
             assert bit_equal(a, before)
