@@ -9,17 +9,17 @@ four sigma_z states (X^1 and X^{1-2} are diagonal there), and both commute
 with swapping dimer 2's spins, so in each of these sectors the frame is a
 real symmetric 3 x 3 block over dimer 2's triplet T+, T0, T- and a value on
 its singlet S0.  A sweep over T is one stacked pass: the frames of all T are one broadcast,
-the exponentials of the distinct triplet blocks (3 of 4 sectors, whose
-|+-> and |-+> blocks are bit-equal) one stacked real eigendecomposition of
+the exponentials of the triplet blocks of the three sectors S1 = 2, 0, -2
+(dimer 1's |+-> and |-+> share S1 = 0) one stacked real eigendecomposition of
 3 x 3 matrices, each singlet one phase, and the coding-block restrictions,
 traces, ground-space escapes (the ground projector is a 0/1 row mask),
 their moduli and norms and the phases e^{+-i E0 T} are stacked matrix
 products and array expressions that round as the one-T computation does.
 Only the square of each norm, the divisions and the clamps are taken per
 T, as scalar steps on Python floats, so every run is bit-identical to
-evaluating that T alone.  Every model is its diagonal, so X alone decides:
-one dimer, and any X without this structure, takes the dense frame through
-one stacked exponential.
+evaluating that T alone.  Every model is its diagonal, so the loop decides:
+a two-qubit loop splits, and one dimer, like any raw X, takes the dense
+frame through one stacked exponential.
 
 A classical RK4 integration of the Schrodinger equation with the
 tau-dependent Hamiltonian is kept alongside purely as an independent oracle
@@ -52,7 +52,7 @@ import numpy as np
 from holonome.deformation import DeformationGenerator, _check_size
 from holonome.errors import DomainError
 from holonome.holonomy import HolonomyGate
-from holonome.matrix_kernel import _U, _block_diagonal, exp_minus_i, expm_skew
+from holonome.matrix_kernel import _U, _block_diagonal, _read_only, exp_minus_i, expm_skew
 from holonome.spin_model import SpinModel, coding_space
 
 
@@ -76,7 +76,8 @@ _PHASE_TOL = 1e-6
 def _t_max(model: SpinModel) -> float:
     """Largest |T| whose phase error (|E0| + ||H||) |T| u stays within _PHASE_TOL."""
     scale = abs(model.ground_energy) + model.hamiltonian_norm
-    return _PHASE_TOL / (scale * _U)
+    # Rounds as _PHASE_TOL / (scale _U) (_U is a power of two), which underflows to 0 / 0.
+    return _PHASE_TOL / _U / scale
 
 
 def _finite_time(T, t_max: float) -> float:
@@ -111,48 +112,40 @@ def _from_triplet_basis() -> np.ndarray:
     return out
 
 
-_FROM_TRIPLET_BASIS = _from_triplet_basis()
+_FROM_TRIPLET_BASIS = _read_only(_from_triplet_basis())
 
 
 def _propagators(model: SpinModel, gen: DeformationGenerator, ts: np.ndarray) -> np.ndarray:
     """Stack of exp(X) exp(-i(-iX + HT)) over the (checked) times ``ts``, in one pass.
 
-    exp(X) = 1 for a loop and is left out.  When X splits over dimer 2's
-    triplet and singlet (``triplet_split``), so does H, the real diagonal
-    ``model.diagonal`` with equal |+-> and |-+> entries of dimer 2 in each
-    of dimer 1's sectors (as in every two-dimer model), and the frame
-    -iX + HT is block diagonal over them, each block a real symmetric 3 x 3
-    triplet block and a singlet value.  The triplet blocks of every T and
-    every distinct sector go through one stacked real eigendecomposition
-    (``exp_minus_i``): sectors whose split and H entries are bit-equal
-    (dimer 1's |+-> and |-+>) have bit-equal frames at every T and share
-    one.  Each singlet is one phase.  Otherwise (one dimer, or any X that
-    breaks the symmetry) the dense frame goes through one stacked ``expm_skew``.
+    A two-qubit loop (exp(X) = 1) splits over dimer 2's triplet and singlet
+    in dimer 1's sectors S1 = 2, 0, -2 (``triplet_split``), and so does H,
+    the real diagonal ``model.diagonal``, whose |+-> and |-+> entries are
+    equal for each dimer, so the frame -iX + HT is a real symmetric 3 x 3
+    triplet block and a singlet value per sector.  The triplet blocks of
+    every T and sector go through one stacked real eigendecomposition
+    (``exp_minus_i``), each singlet is one phase, and dimer 1's |++>, |+->,
+    |-+>, |--> take the blocks of S1 = 2, 0, 0, -2.  Otherwise (one dimer,
+    or any raw X) the dense frame goes through one stacked ``expm_skew``,
+    and a raw X multiplies it by its exp(X).
     """
     _check_size(gen, model)
     split = gen.triplet_split
     if split is None:
         us = expm_skew(-1j * (-1j * gen.x + model.hamiltonian * ts[:, None, None]))
         return us if gen.loop is not None else gen.closure @ us
-    h = model.diagonal
-    hl = h.tolist()
-    # slot[a] numbers sector a's frames among the distinct ones, in order of first use.
-    xb, hb = split.tobytes(), h.tobytes()  # 128 and 32 bytes per sector
-    index = {}
-    slot = [index.setdefault(xb[128 * a:128 * (a + 1)] + hb[32 * a:32 * (a + 1)], len(index))
-            for a in range(4)]
-    firsts = [slot.index(i) for i in range(len(index))]
-    # H_s over T+, T0, T-, S0 is diag(h_++, h_+-, h_--, h_-+) of dimer 2's entries in sector s.
-    hs = np.zeros((len(firsts), 16))
-    hs[:, ::5] = [[hl[4 * f], hl[4 * f + 1], hl[4 * f + 3], hl[4 * f + 2]] for f in firsts]
-    frames = split[firsts] + hs.reshape(-1, 4, 4) * ts[:, None, None, None]  # (T, sector, 4, 4)
-    n, k = frames.shape[:2]
-    triplets = exp_minus_i(frames[..., :3, :3]).reshape(n, k, 9)
-    singlets = np.exp(-1j * frames[..., 3:, 3])
-    blocks = np.concatenate((triplets, singlets), axis=-1) @ _FROM_TRIPLET_BASIS
-    us = np.zeros((n, 16, 16), dtype=complex)
-    us.reshape(n, 256)[:, _block_diagonal(4, 4)] = blocks.take(slot, 1).reshape(n, -1)
-    return us if gen.loop is not None else gen.closure @ us
+    triplets, singlets = split
+    # Dimer 2's entries in dimer 1's |++>, |+->, |--> rows (S1 = 2, 0, -2): H_s over
+    # T+, T0, T-, S0 is diag(h_++, h_+-, h_--, h_-+).
+    h = model.diagonal.reshape(4, 4)[[0, 1, 3]]
+    hs = np.zeros((3, 3, 3))
+    hs[:, range(3), range(3)] = h[:, [0, 1, 3]]
+    triplet_exps = exp_minus_i(triplets + hs * ts[:, None, None, None]).reshape(len(ts), 3, 9)
+    singlet_phases = np.exp(-1j * (singlets + h[:, 2] * ts[:, None]))[..., None]
+    blocks = np.concatenate((triplet_exps, singlet_phases), axis=-1) @ _FROM_TRIPLET_BASIS
+    us = np.zeros((len(ts), 16, 16), dtype=complex)
+    us.reshape(-1, 256)[:, _block_diagonal(4, 4)] = blocks.take((0, 1, 1, 2), 1).reshape(-1, 64)
+    return us
 
 
 def exact_propagator(model: SpinModel, gen: DeformationGenerator, T: float) -> np.ndarray:
@@ -189,7 +182,7 @@ def ode_propagator(model: SpinModel, gen: DeformationGenerator, T: float, steps:
 
 
 def _coding_vectors(model: SpinModel, gate: HolonomyGate) -> np.ndarray:
-    c = coding_space(model).vectors
+    c = coding_space(model)
     dim_c = c.shape[1]
     if gate.gamma.shape != (dim_c, dim_c):
         raise DomainError("gate dimension does not match the model's coding space")

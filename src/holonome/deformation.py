@@ -5,19 +5,21 @@ with constant anti-Hermitian X.  The loop closes, exp(X) = 1, exactly for
 the integer windings the loop classes accept: n . (sigma_1 + sigma_2) has
 eigenvalues 2, 0, 0, -2, and in dimer 1's sigma_z sector s in {2, 0, -2}
 the two-dimer X is e^{i kappa' pi s} times a rotation of dimer 2 by kappa_+ pi
-(s = 2, 0) or kappa_- pi (s = -2).  So exp(X) is taken only for a raw X.
+(s = 2, 0) or kappa_- pi (s = -2).  So exp(X) is taken only for a raw X, and
+the propagator's split of X over dimer 2's triplet and singlet in each sector
+is written from the loop, not read off X.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from holonome.errors import DomainError
-from holonome.matrix_kernel import _block_diagonal, _read_only, expm_skew, frobenius
+from holonome.matrix_kernel import _read_only, expm_skew, frobenius
 from holonome.spin_model import SpinModel, coding_space, ground_basis, pauli_site
 
 # Winding numbers above this would need angle reduction beyond double precision.
@@ -151,23 +153,27 @@ class TwoQubitLoop:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class DeformationGenerator:
     """The anti-Hermitian generator X, fixed by exactly one input (both or neither: DomainError).
 
     Either ``loop``, from which X is assembled, or a raw ``x`` (``loop`` None),
     whose path may be open.  ``x`` is read-only (a copy of a raw X), so the
-    split and the residual, computed from it once on first use, cannot go stale.
+    residual, computed from it once on first use, cannot go stale; it is no
+    ``dataclasses.replace`` argument, so replacing the loop builds its generator.
     """
 
-    x: np.ndarray = None
+    x: np.ndarray = field(init=False)
     loop: object = None  # OneQubitLoop | TwoQubitLoop
 
-    def __post_init__(self):
-        if (self.x is None) == (self.loop is None):
+    def __init__(self, x=None, loop=None):
+        if (x is None) == (loop is None):
             raise DomainError("a generator takes exactly one of a loop or a raw X")
-        x = _loop_x(self.loop) if self.x is None else _read_only(np.array(self.x, dtype=complex))
+        if loop is not None and not isinstance(loop, (OneQubitLoop, TwoQubitLoop)):
+            raise DomainError(f"a loop must be a OneQubitLoop or TwoQubitLoop, got {loop!r}")
+        x = _loop_x(loop) if x is None else _read_only(np.array(x, dtype=complex))
         object.__setattr__(self, "x", x)
+        object.__setattr__(self, "loop", loop)
 
     @functools.cached_property
     def closure(self) -> np.ndarray:
@@ -178,48 +184,24 @@ class DeformationGenerator:
 
     @functools.cached_property
     def triplet_split(self):
-        """-iX_s over dimer 2's triplet/singlet basis in each of dimer 1's sectors s, or None.
+        """(triplets, singlets): -iX_s over dimer 2's T+, T0, T- and S0 in dimer 1's sigma_z
+        sectors s = 2, 0, -2, read-only, shapes (3, 3, 3) and (3,); None unless a two-qubit loop.
 
-        On four spins X^1 and X^{1-2} are diagonal in dimer 1's sigma_z basis
-        (spins 1 and 2 slow), so X is zero between its four sectors |++>,
-        |+->, |-+>, |-->, and every term commutes with swapping dimer 2's
-        spins.  With n_2 in the x-z plane X is purely imaginary, so each -iX_s
-        is real symmetric, and over dimer 2's T+, T0, T-, S0
-        (``spin_model.DIMER_BASIS``) it is a 3 x 3 triplet block and a singlet
-        value, uncoupled.  Returns these four 4 x 4 matrices, real and
-        read-only, shape (4, 4, 4), when X's entries show it exactly: zero
-        between the sectors, purely imaginary and finite in them, and -iX_s
-        symmetric and equal under the swap, entry by entry.  Otherwise (one
-        dimer, or any X that breaks the symmetry) None.
+        -iX_s = Omega_1 s + Omega_2 n_2 . S + J s S_z, S = sigma_3 + sigma_4, is Omega_1 s on
+        S0 and a real symmetric block over T+, T0, T- (``spin_model.DIMER_BASIS``), with
+        S_z = diag(2, 0, -2) and <T+|S_x|T0> = <T0|S_x|T-> = sqrt2.  Each entry is built
+        from the loop and rounds as the same entry of X does.
         """
-        if self.x.shape != (16, 16):
+        loop = self.loop
+        if not isinstance(loop, TwoQubitLoop):
             return None
-        blocks = self.x.take(_block_diagonal(4, 4))
-        if np.count_nonzero(blocks) != np.count_nonzero(self.x) or blocks.real.any():
-            return None
-        split = []
-        # m = -iX_s over |++>, |+->, |-+>, |-->, flat: m[4 i + j] = M_ij.  Python floats beat
-        # numpy calls on 16 entries, with the same rounding.
-        for m in blocks.imag.reshape(4, 16).tolist():
-            if not (
-                m[1] == m[2] == m[4] == m[8]
-                and m[3] == m[12]
-                and m[5] == m[10]
-                and m[6] == m[9]
-                and m[7] == m[11] == m[13] == m[14]
-            ):
-                return None
-            # <T+|M|T0> = sqrt2 M01, <T0|M|T0> = M11 + M12, <T0|M|T-> = sqrt2 M13,
-            # <S0|M|S0> = M11 - M12.
-            t01, t0, t12 = _SQRT2 * m[1], m[5] + m[6], _SQRT2 * m[7]
-            split += [m[0], t01, m[3], 0.0,
-                      t01, t0, t12, 0.0,
-                      m[3], t12, m[15], 0.0,
-                      0.0, 0.0, 0.0, m[5] - m[6]]
-        # Every entry of -iX_s is equal to one that the split reads, so this rejects inf and nan.
-        if not math.isfinite(sum(split)):
-            return None
-        return _read_only(np.array(split).reshape(4, 4, 4))
+        tilt, d = loop.omega2 * (2.0 * loop.n2z), _SQRT2 * (loop.omega2 * loop.n2x)
+        triplets, singlets = [], []
+        for s in (2.0, 0.0, -2.0):
+            e, c = loop.omega1 * s, loop.coupling_j * (2.0 * s)
+            triplets.append([[(e + tilt) + c, d, 0.0], [d, e, d], [0.0, d, (e - tilt) - c]])
+            singlets.append(e)
+        return _read_only(np.array(triplets)), _read_only(np.array(singlets))
 
     @functools.cached_property
     def closure_residual(self) -> float:
@@ -294,8 +276,8 @@ class LeakageAudit:
 def leakage_audit(gen: DeformationGenerator, model: SpinModel) -> LeakageAudit:
     """Check that X never connects the coding space to the rest of the ground space."""
     _check_size(gen, model)
-    _, vecs = ground_basis(model)
-    dim_c = coding_space(model).dim
+    vecs = ground_basis(model)
+    dim_c = coding_space(model).shape[1]
     block = vecs[:, dim_c:].conj().T @ gen.x @ vecs[:, :dim_c]
     max_abs = float(np.max(np.abs(block))) if block.size else 0.0
     return LeakageAudit(block=block, max_abs=max_abs, passed=max_abs < LEAKAGE_TOL)

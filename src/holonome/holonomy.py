@@ -48,7 +48,7 @@ IX = _read_only(tensor_product(ID2, SIGMA_X))
 ZZ = _read_only(tensor_product(SIGMA_Z, SIGMA_Z))
 
 # Bell ("magic") basis columns for the local-invariant computation.
-MAGIC = (1.0 / np.sqrt(2.0)) * np.array(
+MAGIC = _read_only((1.0 / np.sqrt(2.0)) * np.array(
     [
         [1, 0, 0, 1j],
         [0, 1j, 1, 0],
@@ -56,7 +56,7 @@ MAGIC = (1.0 / np.sqrt(2.0)) * np.array(
         [1, 0, 0, -1j],
     ],
     dtype=complex,
-)
+))
 
 
 @dataclass(frozen=True)
@@ -64,7 +64,6 @@ class Connection:
     """Anti-Hermitian connection on the ground space, coding vectors first."""
 
     matrix: np.ndarray
-    labels: tuple
     coding_dim: int
 
     @property
@@ -86,9 +85,9 @@ class HolonomyGate:
 def connection_on_ground_space(gen: DeformationGenerator, model: SpinModel) -> Connection:
     """A_ij = <i|X|j> over the ordered ground basis (coding vectors first)."""
     _check_size(gen, model)
-    labels, vecs = ground_basis(model)  # raises DomainError off the working point
+    vecs = ground_basis(model)  # raises DomainError off the working point
     matrix = vecs.conj().T @ gen.x @ vecs
-    return Connection(matrix=matrix, labels=labels, coding_dim=coding_space(model).dim)
+    return Connection(matrix=matrix, coding_dim=coding_space(model).shape[1])
 
 
 def holonomy(conn: Connection) -> HolonomyGate:

@@ -1,4 +1,4 @@
-"""Ising dimer Hamiltonians, the triplet/singlet dimer basis and coding spaces.
+"""Ising dimer Hamiltonians, the triplet/singlet dimer basis, ground and coding bases.
 
 Conventions, fixed once and asserted by the basis tests:
   * spin 1 is the slow (leftmost) tensor factor;
@@ -29,12 +29,12 @@ import numpy as np
 from holonome.errors import DomainError
 from holonome.matrix_kernel import _read_only, frobenius, tensor_product
 
-SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
-SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-ID2 = np.eye(2, dtype=complex)
+SIGMA_X = _read_only(np.array([[0, 1], [1, 0]], dtype=complex))
+SIGMA_Y = _read_only(np.array([[0, -1j], [1j, 0]], dtype=complex))
+SIGMA_Z = _read_only(np.array([[1, 0], [0, -1]], dtype=complex))
+ID2 = _read_only(np.eye(2, dtype=complex))
 
-PAULI = {"x": SIGMA_X, "y": SIGMA_Y, "z": SIGMA_Z}
+PAULI = types.MappingProxyType({"x": SIGMA_X, "y": SIGMA_Y, "z": SIGMA_Z})
 
 
 def site_operator(op, site: int, n_spins: int) -> np.ndarray:
@@ -66,6 +66,21 @@ DEGENERACY_RTOL = 1e-9
 MAX_COUPLING = 1e150
 
 
+def _least_coupling() -> float:
+    """The least J whose dimer at omega = J has DEGENERACY_RTOL ||H_d||_F > 0: a subnormal
+    k 2^-1074 with k < 2^52, found by bisection on k (the diagonal is (-J, -J, -J, 3 J))."""
+    lo, hi = 0, 2**52
+    while hi - lo > 1:
+        j = (mid := (lo + hi) // 2) * 2.0**-1074
+        lo, hi = (lo, mid) if DEGENERACY_RTOL * math.hypot(-j, -j, -j, 3.0 * j) > 0 else (mid, hi)
+    return hi * 2.0**-1074
+
+
+# Least coupling a model accepts: below it a dimer's ground-level threshold
+# rounds to zero and no level is found.
+MIN_COUPLING = _least_coupling()
+
+
 @dataclass(frozen=True)
 class SpinModel:
     """A dimer (or dimer-pair) Hamiltonian, fixed by its couplings.
@@ -75,6 +90,14 @@ class SpinModel:
     """
 
     couplings: tuple
+
+    def __post_init__(self):
+        couplings = self.couplings
+        if not (isinstance(couplings, tuple) and len(couplings) in (1, 2)
+                and all(isinstance(c, tuple) and len(c) == 2 for c in couplings)):
+            raise DomainError("couplings must be one or two (omega, J) pairs")
+        for d, (omega, j) in enumerate(couplings, 1):
+            _check_couplings(**{f"dimer {d} omega": omega, f"dimer {d} J": j})
 
     @property
     def n_spins(self) -> int:
@@ -110,10 +133,7 @@ class SpinModel:
         """The ground level as a 0/1 mask over the product basis: the product of the
         dimers' ground levels, each judged on its own scale ||H_d||_F."""
         # Four entries per dimer: Python floats beat numpy calls here, with the same rounding.
-        entries = [_one_dimer_diagonal(*c).tolist() for c in self.couplings]
-        # One dimer is its own H_d; otherwise ||H_d||_F = ||d||_2.
-        norms = [self.hamiltonian_norm] if len(entries) == 1 else [math.hypot(*e) for e in entries]
-        levels = [_ground_level(e, n) for e, n in zip(entries, norms)]
+        levels = [_ground_level(_one_dimer_diagonal(*c).tolist()) for c in self.couplings]
         return np.ravel(functools.reduce(np.logical_and.outer, levels))
 
     @functools.cached_property
@@ -148,15 +168,19 @@ def _one_dimer_diagonal(omega: float, j1: float) -> np.ndarray:
 
 def _check_couplings(**couplings) -> None:
     for name, value in couplings.items():
-        if not (np.isfinite(value) and 0 < value <= MAX_COUPLING):
+        if not (math.isfinite(value) and 0 < value <= MAX_COUPLING):
             raise DomainError(
                 f"{name} must be finite, > 0 and at most {MAX_COUPLING:g}, got {value!r}"
             )
+        if value < MIN_COUPLING:
+            raise DomainError(f"{name} must be at least {MIN_COUPLING!r} for a ground level "
+                              f"to be resolved, got {value!r}")
 
 
-def _ground_level(diagonal: list, norm: float) -> list:
-    """One dimer's ground level: is each entry less than DEGENERACY_RTOL ``norm`` above the least?"""
-    least, threshold = min(diagonal), DEGENERACY_RTOL * norm
+def _ground_level(diagonal: list) -> list:
+    """One dimer's ground level: is each entry less than DEGENERACY_RTOL ||H_d||_F above the
+    least?  ||H_d||_F = ||d||_2 by math.hypot, which neither overflows nor underflows."""
+    least, threshold = min(diagonal), DEGENERACY_RTOL * math.hypot(*diagonal)
     return [entry - least < threshold for entry in diagonal]
 
 
@@ -182,10 +206,7 @@ _GROUND_LABELS = {
 
 def _check_working_point(model: SpinModel) -> int:
     """Spin count of a model at its degenerate working point, else DomainError."""
-    labels = _GROUND_LABELS.get(model.n_spins)
-    if labels is None:
-        raise DomainError(f"unsupported spin count {model.n_spins}")
-    if model.ground_multiplicity != len(labels):
+    if model.ground_multiplicity != len(_GROUND_LABELS[model.n_spins]):
         dimers = "one" if model.n_spins == 2 else "two"
         raise DomainError(f"{dimers}-dimer model is not at its degenerate point")
     return model.n_spins
@@ -201,61 +222,20 @@ def _ground_columns(n_spins: int) -> np.ndarray:
     return _read_only(np.column_stack(cols))
 
 
-def ground_basis(model: SpinModel):
-    """Ordered ground-space basis: coding vectors first, then S0 products.
+def ground_basis(model: SpinModel) -> np.ndarray:
+    """Ordered ground-space basis (``_GROUND_LABELS``): coding vectors first, then S0 products.
 
-    Returns (labels, vectors) with vectors as read-only columns of a
-    full-dimension matrix, built once per spin count.  Requires the model to
-    sit at its degenerate working point.
+    Read-only columns of a full-dimension matrix, built once per spin count.
+    Requires the model to sit at its degenerate working point.
+    """
+    return _ground_columns(_check_working_point(model))
+
+
+def coding_space(model: SpinModel) -> np.ndarray:
+    """Coding space C1 (one dimer, rank 2) or C2 (two dimers, rank 4) as read-only columns.
+
+    The first 2^(n_spins / 2) ground-basis columns: |0>_L = T+, |1>_L = T0 per
+    dimer, two-dimer order T+T+, T+T0, T0T+, T0T0.
     """
     n_spins = _check_working_point(model)
-    return _GROUND_LABELS[n_spins], _ground_columns(n_spins)
-
-
-@dataclass(frozen=True)
-class CodingSpace:
-    """Logical subspace of the degenerate ground space.
-
-    ``vectors`` holds the ordered logical basis as full-space columns
-    (|0>_L = T+, |1>_L = T0 per dimer; two-dimer order T+T+, T+T0, T0T+,
-    T0T0).  Logical operators act within the coding space only: the logical
-    identity is the coding projector, not the full identity.
-    """
-
-    labels: tuple
-    vectors: np.ndarray
-    projector: np.ndarray
-    n_logical: int
-
-    @property
-    def dim(self) -> int:
-        return self.vectors.shape[1]
-
-    def logical(self, axis: str, qubit: int = 0) -> np.ndarray:
-        """Logical Pauli (axis in 'x', 'y', 'z', 'i') on the given qubit."""
-        small = ID2 if axis == "i" else PAULI[axis]
-        op = np.eye(1, dtype=complex)
-        for q in range(self.n_logical):
-            op = tensor_product(op, small if q == qubit else ID2)
-        return self.vectors @ op @ self.vectors.conj().T
-
-
-@functools.cache
-def _coding_space(n_spins: int) -> CodingSpace:
-    n_logical = n_spins // 2  # one logical qubit per dimer
-    dim_c = 2**n_logical
-    coding_vecs = _ground_columns(n_spins)[:, :dim_c]
-    return CodingSpace(
-        labels=_GROUND_LABELS[n_spins][:dim_c],
-        vectors=coding_vecs,
-        projector=_read_only(coding_vecs @ coding_vecs.conj().T),
-        n_logical=n_logical,
-    )
-
-
-def coding_space(model: SpinModel) -> CodingSpace:
-    """Coding space C1 (one dimer, rank 2) or C2 (two dimers, rank 4).
-
-    Built once per spin count; its arrays are read-only.
-    """
-    return _coding_space(_check_working_point(model))
+    return _ground_columns(n_spins)[:, : 2 ** (n_spins // 2)]

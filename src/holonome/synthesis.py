@@ -34,6 +34,7 @@ cannot rule out.
 from __future__ import annotations
 
 import functools
+import types
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,13 +61,13 @@ MAX_SCAN_POINTS = 10**8
 # Lattice points per kernel step; bounds the kernel's temporary arrays.
 _CHUNK = 1 << 15
 
-HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0)
+HADAMARD = _read_only(np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0))
 
 # Axis n = (1/sqrt3, 0, sqrt(2/3)) realizes the logical rotation axis
 # m = (1, 0, 1)/sqrt2 with theta_kappa = 2 kappa pi / sqrt 3.
 HADAMARD_AXIS = (np.sqrt(1.0 / 3.0), 0.0, np.sqrt(2.0 / 3.0))
 
-NAMED_AXES = {"x": (1.0, 0.0, 0.0), "y": (0.0, 1.0, 0.0)}
+NAMED_AXES = types.MappingProxyType({"x": (1.0, 0.0, 0.0), "y": (0.0, 1.0, 0.0)})
 
 
 def circular_distance(delta: float) -> float:

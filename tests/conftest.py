@@ -8,8 +8,9 @@ import numpy as np
 from hypothesis import configuration
 
 from holonome import deformation
-from holonome.matrix_kernel import expm_skew, frobenius
+from holonome.matrix_kernel import _block_diagonal, expm_skew, frobenius
 from holonome.spin_model import (
+    _GROUND_LABELS,
     DEGENERACY_RTOL,
     ID2,
     SIGMA_X,
@@ -50,8 +51,8 @@ def eager_leakage_audit(gen, model):
     Returns (entries, max_abs, passed, named) with ``entries`` as
     (non-coding label, coding label, element) triples.
     """
-    labels, vecs = ground_basis(model)
-    dim_c = coding_space(model).dim
+    labels, vecs = _GROUND_LABELS[model.n_spins], ground_basis(model)
+    dim_c = coding_space(model).shape[1]
     block = vecs[:, dim_c:].conj().T @ gen.x @ vecs[:, :dim_c]
     entries = tuple(
         (labels[dim_c + i], labels[j], complex(block[i, j]))
@@ -76,7 +77,8 @@ def reference_model(*couplings):
     H is the Kronecker sum of diag(d) over the dimers' diagonals d.  Its ground
     energy is the least diagonal entry.  Its ground level is the product of the
     dimers' ground levels, each the entries within DEGENERACY_RTOL ||H_d||_F of the
-    dimer's least one, and its projector the diagonal 0/1 mask of those basis states.
+    dimer's least one (||H_d||_F = ||d||_2 by math.hypot, for one dimer too), and its
+    projector the diagonal 0/1 mask of those basis states.
     """
     dimers = [np.array([-2.0 * w + j, -j, -j, 2.0 * w + j]) for w, j in couplings]
     diagonal = dimers[0] if len(dimers) == 1 else np.add.outer(*dimers).ravel()
@@ -85,7 +87,7 @@ def reference_model(*couplings):
     h.flat[:: dim + 1] = diagonal
     norm = frobenius(h)
     entries = [d.tolist() for d in dimers]
-    norms = [norm] if len(dimers) == 1 else [math.hypot(*e) for e in entries]
+    norms = [math.hypot(*e) for e in entries]
     levels = [[x - min(e) < DEGENERACY_RTOL * n for x in e] for e, n in zip(entries, norms)]
     ground = np.ravel(functools.reduce(np.logical_and.outer, levels))
     return types.SimpleNamespace(
@@ -95,3 +97,41 @@ def reference_model(*couplings):
         ground_energy=float(diagonal.min()),
         ground_multiplicity=int(ground.sum()),
     )
+
+
+def reference_triplet_split(x):
+    """Reference: -iX_s over dimer 2's T+, T0, T-, S0 in each of dimer 1's four sigma_z
+    sectors, read off the entries of a 16 x 16 X, or None.
+
+    Returns four real 4 x 4 matrices, shape (4, 4, 4), when X's entries show the split
+    exactly: zero between the sectors, purely imaginary and finite in them, and -iX_s
+    symmetric and equal under swapping dimer 2's spins, entry by entry.  Otherwise
+    (one dimer, or any X that breaks the symmetry) None.
+    """
+    if x.shape != (16, 16):
+        return None
+    blocks = x.take(_block_diagonal(4, 4))
+    if np.count_nonzero(blocks) != np.count_nonzero(x) or blocks.real.any():
+        return None
+    split = []
+    # m = -iX_s over |++>, |+->, |-+>, |-->, flat: m[4 i + j] = M_ij.
+    for m in blocks.imag.reshape(4, 16).tolist():
+        if not (
+            m[1] == m[2] == m[4] == m[8]
+            and m[3] == m[12]
+            and m[5] == m[10]
+            and m[6] == m[9]
+            and m[7] == m[11] == m[13] == m[14]
+        ):
+            return None
+        # <T+|M|T0> = sqrt2 M01, <T0|M|T0> = M11 + M12, <T0|M|T-> = sqrt2 M13,
+        # <S0|M|S0> = M11 - M12.
+        t01, t0, t12 = math.sqrt(2.0) * m[1], m[5] + m[6], math.sqrt(2.0) * m[7]
+        split += [m[0], t01, m[3], 0.0,
+                  t01, t0, t12, 0.0,
+                  m[3], t12, m[15], 0.0,
+                  0.0, 0.0, 0.0, m[5] - m[6]]
+    # Every entry of -iX_s is equal to one that the split reads, so this rejects inf and nan.
+    if not math.isfinite(sum(split)):
+        return None
+    return np.array(split).reshape(4, 4, 4)

@@ -74,27 +74,23 @@ def with_closure(gen, u):
 
 
 def sector_propagator(model, gen, T):
-    """Per-T reference: exp(X) times ``frame_propagator``."""
-    return with_closure(gen, frame_propagator(model, gen, T))
-
-
-def frame_propagator(model, gen, T):
-    """Per-T reference with no exp(X) factor: the block diagonal of exp(-i(-iX_s + H_s T))
-    over dimer 1's four sigma_z sectors s, each from its own triplet eigendecomposition and
-    singlet phase over dimer 2's T+, T0, T-, S0, written back entry by entry (two dimers);
-    the dense exp(-i(-iX + HT)) when X does not split (one dimer)."""
+    """Per-T reference: the block diagonal of exp(-i(-iX_s + H_s T)) over dimer 1's four
+    sigma_z sectors s, each from its own triplet eigendecomposition and singlet phase over
+    dimer 2's T+, T0, T-, S0, written back entry by entry (two-qubit loops, whose exp(X) = 1;
+    |+-> and |-+> read the split of S1 = 0 and their own H entries); exp(X) times the dense
+    exp(-i(-iX + HT)) when there is no split (one dimer, or a raw X)."""
     split = gen.triplet_split
     if split is None:
-        return expm_skew(-1j * (-1j * gen.x + model.hamiltonian * T))
+        return with_closure(gen, expm_skew(-1j * (-1j * gen.x + model.hamiltonian * T)))
+    triplets, singlets = split
     h = model.hamiltonian.diagonal().real.reshape(4, 4)
     r = np.sqrt(0.5)
     w = (1.0, r, r, 1.0)
     t = (0, 1, 1, 2)
     u = np.zeros((16, 16), dtype=complex)
     for s in range(4):
-        frame = split[s] + np.diag(h[s, [0, 1, 3, 2]]) * T
-        e = triplet_block(frame[:3, :3])
-        p = np.exp(-1j * frame[3, 3])
+        e = triplet_block(triplets[t[s]] + np.diag(h[s, [0, 1, 3]]) * T)
+        p = np.exp(-1j * (singlets[t[s]] + h[s, 2] * T))
         for k in range(4):
             for l in range(4):
                 if t[k] == t[l] == 1:  # |+->, |-+>: half the T0 entry and -+ half the S0 phase
@@ -126,7 +122,7 @@ def reference_fidelity_leakage(us, gate, model, c, ts):
 
 def reference_sweep(model, gen, gate, t_list):
     """Per-T reference: each T's propagator, fidelity, leakage and phase on its own."""
-    c = coding_space(model).vectors
+    c = coding_space(model)
     dim_c = c.shape[1]
     runs = []
     for T in sorted(float(t) for t in t_list):
@@ -467,7 +463,8 @@ class TestStackedSweep:
         runs = adiabatic_sweep(model, gen, gate, np.linspace(1.0, 100.0, count))
         assert len(runs) == count
         assert [spy.call_count for spy in spies.values()] == [1, 0, 1]
-        # Real 3 x 3 triplet frames; dimer 1's |+-> and |-+> sectors share one: 3 of 4 per T.
+        # Real 3 x 3 triplet frames of the sectors S1 = 2, 0, -2 (dimer 1's |+-> and |-+>
+        # share S1 = 0): 3 per T.
         (frames,) = spies["exp_minus_i"].call_args.args
         assert frames.shape == (count, 3, 3, 3)
         assert frames.dtype == np.float64
@@ -481,7 +478,7 @@ class TestStackedSweep:
             gate = holonomy(connection_on_ground_space(gen, model))
             ts = np.array(sorted(t_list))
             us = adiabatic._propagators(model, gen, ts)
-            c = coding_space(model).vectors
+            c = coding_space(model)
             pairs = adiabatic._fidelity_leakage(us, gate, model, c, ts)
             expected = reference_fidelity_leakage(us, gate, model, c, ts)
             bits = [(f.hex(), l.hex()) for f, l in pairs]
@@ -573,7 +570,7 @@ class TestSectorPropagators:
         oracle = ode_propagator(model, gen, 10.0, 1000)
         exact = exact_propagator(model, gen, 10.0)
         if qubits == 2:
-            name, wrong = "triplet_split", np.zeros((4, 4, 4))
+            name, wrong = "triplet_split", (np.zeros((3, 3, 3)), np.zeros(3))
         else:
             name, wrong = "closure", -np.eye(4)
         monkeypatch.setattr(DeformationGenerator, name, property(lambda self: wrong))
@@ -582,24 +579,21 @@ class TestSectorPropagators:
         assert frobenius(exact - oracle) < 1e-4
         assert frobenius(exact_propagator(model, gen, 10.0) - oracle) > 0.1
 
-    def test_sectors_derived_from_x(self):
+    def test_sectors_built_from_loop(self):
         model, gen, _ = oracle_setup(2)
-        # A generator built directly from the same X has the same split.
-        same = DeformationGenerator(x=gen.x)
-        assert same.triplet_split.tobytes() == gen.triplet_split.tobytes()
-        # Real blocks, no triplet entry coupled to the singlet.
-        assert same.triplet_split.shape == (4, 4, 4)
-        assert same.triplet_split.dtype == np.float64
-        assert not same.triplet_split[:, 3, :3].any() and not same.triplet_split[:, :3, 3].any()
+        # A generator of the same loop has the same split; one of the same X has none.
+        same = DeformationGenerator(loop=gen.loop)
+        assert [a.tobytes() for a in same.triplet_split] == [
+            b.tobytes() for b in gen.triplet_split]
         ts = np.array([0.5, 57.3])
-        # One triplet-singlet entry <T0|X|S0> = <S0|X|T0> = 1e-300i in dimer 1's |+-> sector
-        # (X_{+-,+-} = -X_{-+,-+} there), or one entry between sectors: the dense path.
+        # A raw X takes the dense path with its exp(X): the loop's own X, one triplet-singlet
+        # entry <T0|X|S0> = <S0|X|T0> = 1e-300i in dimer 1's |+-> sector (X_{+-,+-} =
+        # -X_{-+,-+} there), or one entry between sectors.
         couple = gen.x.copy()
         couple[5, 5], couple[6, 6] = couple[5, 5] + 1e-300j, couple[6, 6] - 1e-300j
         between = gen.x.copy()
         between[0, 4] = between[4, 0] = 0.25j  # anti-Hermitian
-        for x in (couple, between):
-            assert not np.array_equal(x, gen.x)
+        for x in (gen.x, couple, between):
             dense = DeformationGenerator(x=x)
             assert dense.triplet_split is None
             expected = dense_propagators(model, dense, ts)
@@ -608,18 +602,15 @@ class TestSectorPropagators:
     @pytest.mark.parametrize("qubits", [1, 2])
     @pytest.mark.parametrize("scale", [1.0, 0.3])
     def test_raw_x_keeps_exp_x(self, qubits, scale):
-        # A generator built from a raw X (0.3 X is an open path) multiplies the closure-free
-        # stack by its exp(X).
+        # A generator built from a raw X (0.3 X is an open path) takes the dense frame and
+        # multiplies it by its exp(X), for one dimer and two alike.
         model, gen, _ = oracle_setup(qubits)
         raw = DeformationGenerator(x=scale * gen.x)
-        assert (raw.triplet_split is None) == (qubits == 1)
+        assert raw.triplet_split is None
         ts = np.array([0.0, 0.5, 57.3])
         us = adiabatic._propagators(model, raw, ts)
-        frames_only = np.array([frame_propagator(model, raw, T) for T in ts])
-        assert us.tobytes() == (expm_skew(raw.x) @ frames_only).tobytes()
-        if qubits == 1:
-            frames = -1j * (-1j * raw.x + model.hamiltonian * ts[:, None, None])
-            assert us.tobytes() == (expm_skew(raw.x) @ expm_skew(frames)).tobytes()
+        frames = -1j * (-1j * raw.x + model.hamiltonian * ts[:, None, None])
+        assert us.tobytes() == (expm_skew(raw.x) @ expm_skew(frames)).tobytes()
 
     @pytest.mark.parametrize("qubits", [1, 2])
     def test_loops_near_max_winding(self, qubits):

@@ -294,6 +294,36 @@ class TestCouplingScale:
         assert (code, err) == (0, "")
         assert json.loads(out)["outputs"]["leakage_audit_passed"] is True
 
+    @pytest.mark.parametrize("c", ["1e-150", "1e-200", "1e-300", repr(spin_model.MIN_COUPLING)])
+    @pytest.mark.parametrize("request_argv", [
+        ["one-qubit", "--n", "1,0,0", "--kappa", "1", "--omega", "{c}", "--j1", "{c}"],
+        ["two-qubit", "--kp", "2", "--km", "3", "--kprime", "1", "--j1", "{c}", "--j2", "{c}"],
+        ["sweep", "--n", "1,0,0", "--kappa", "1", "--j1", "{c}", "--T", "1,10"],
+        ["sweep", "--kp", "2", "--km", "3", "--j1", "{c}", "--j2", "{c}", "--T", "1,10"],
+    ])
+    def test_least_couplings_at_working_point(self, request_argv, c):
+        # Each dimer is judged on math.hypot of its four entries, which does not underflow
+        # where the squares of ||H||_F do (below about 1e-162), down to MIN_COUPLING.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = invoke([a.format(c=c) for a in request_argv])
+        assert (code, err) == (0, "")
+        assert json.loads(out)["outputs"]
+
+    @pytest.mark.parametrize("argv, name", [
+        (["one-qubit", "--n", "1,0,0", "--kappa", "1", "--omega", "{c}", "--j1", "{c}"], "j1"),
+        (["two-qubit", "--kp", "2", "--km", "3", "--kprime", "1", "--j2", "{c}"], "j2"),
+        (["sweep", "--n", "1,0,0", "--kappa", "1", "--j1", "{c}", "--T", "1"], "j1"),
+        (["sweep", "--kp", "2", "--km", "3", "--j1", "{c}", "--T", "1"], "j1"),
+    ])
+    @pytest.mark.parametrize("c", [
+        repr(float(np.nextafter(spin_model.MIN_COUPLING, 0.0))), "1e-320", "5e-324"])
+    def test_below_least_coupling_exit_one_naming_the_bound(self, argv, name, c):
+        code, out, err = invoke([a.format(c=c) for a in argv])
+        assert (code, out) == (1, "")
+        assert err == (f"error: {name} must be at least {spin_model.MIN_COUPLING!r} for a "
+                       f"ground level to be resolved, got {float(c)!r}\n")
+
     def test_small_couplings_off_working_point(self):
         code, out, err = invoke(
             ["one-qubit", "--n", "1,0,0", "--kappa", "1", "--omega", "2e-10", "--j1", "1e-10"])

@@ -26,7 +26,7 @@ from holonome.errors import DomainError
 from holonome.matrix_kernel import expm_skew, frobenius
 from holonome.spin_model import DIMER_BASIS, build_one_dimer, build_two_dimer, pauli_site
 
-from conftest import closure_residual, eager_leakage_audit
+from conftest import closure_residual, eager_leakage_audit, reference_triplet_split
 
 
 def random_axes(count, seed=3):
@@ -246,7 +246,7 @@ def admissible_pairs(count, seed=11):
 
 class TestSectors:
     """X is zero between dimer 1's four sigma_z states and splits over dimer 2's triplet and
-    singlet in each; the generator derives that split from X."""
+    singlet in each; a two-qubit loop's generator writes that split from the loop."""
 
     def test_two_qubit_generators(self):
         kp, km = admissible_pairs(300, seed=17)
@@ -261,19 +261,41 @@ class TestSectors:
             for s in range(4):
                 off[s, :, s, :] = 0.0
             assert not off.any(), (a, b, c)
-            split = gen.triplet_split
-            assert split.dtype == np.float64 and not split.flags.writeable, (a, b, c)
-            for s in range(4):
+            # |+-> and |-+>: both have S1 = 0.
+            assert x[1, :, 1, :].tobytes() == x[2, :, 2, :].tobytes(), (a, b, c)
+            triplets, singlets = gen.triplet_split
+            assert (triplets.shape, singlets.shape) == ((3, 3, 3), (3,)), (a, b, c)
+            for part in (triplets, singlets):
+                assert part.dtype == np.float64 and not part.flags.writeable, (a, b, c)
+            for k, s in enumerate((0, 1, 3)):  # S1 = 2, 0, -2
                 m = (-1j * x[s, :, s, :])
                 assert not m.imag.any(), (a, b, c)
                 expected = basis.T @ m.real @ basis
                 tol = 4 * np.finfo(float).eps * np.linalg.norm(m.real)
-                assert np.all(np.abs(split[s] - expected) <= tol), (a, b, c)
-                # Exactly zero between triplet and singlet; T+ and T- diagonal read off X.
-                assert not split[s, 3, :3].any() and not split[s, :3, 3].any(), (a, b, c)
-                assert (split[s, 0, 0], split[s, 2, 2]) == (m.real[0, 0], m.real[3, 3]), (a, b, c)
-            # |+-> and |-+>: both have S1 = 0.
-            assert split[1].tobytes() == split[2].tobytes(), (a, b, c)
+                assert np.all(np.abs(triplets[k] - expected[:3, :3]) <= tol), (a, b, c)
+                assert abs(singlets[k] - expected[3, 3]) <= tol, (a, b, c)
+                # The triplet and the singlet are uncoupled; T+ and T- diagonal equal X's.
+                assert np.all(np.abs(expected[3, :3]) <= tol), (a, b, c)
+                assert (triplets[k, 0, 0], triplets[k, 2, 2]) == (m.real[0, 0], m.real[3, 3])
+
+    def test_split_bit_equal_to_entry_reference(self):
+        # The loop-built split is the split an exact reading of X's entries gives, byte for
+        # byte (signed zeros too), on seeded log-uniform windings up to MAX_WINDING.
+        rng = np.random.default_rng(20261019)
+        kp = np.exp(rng.uniform(0.0, np.log(MAX_WINDING // 3), size=20000)).astype(np.int64)
+        km = np.minimum(kp + 1 + (rng.random(20000) * (2 * kp - 1)).astype(np.int64),
+                        MAX_WINDING)
+        kpr = np.exp(rng.uniform(0.0, np.log(MAX_WINDING), size=20000)).astype(np.int64)
+        loops = [(1, 2, 1), (2, 3, 1), (MAX_WINDING // 3 + 1, MAX_WINDING, MAX_WINDING)]
+        loops += list(zip(kp.tolist(), km.tolist(), kpr.tolist()))
+        assert max(max(loop) for loop in loops) == MAX_WINDING
+        for loop in loops:
+            gen = two_qubit_generator(*loop)
+            triplets, singlets = gen.triplet_split
+            ref = reference_triplet_split(gen.x)
+            assert ref[1].tobytes() == ref[2].tobytes(), loop
+            assert triplets.tobytes() == ref[[0, 1, 3], :3, :3].tobytes(), loop
+            assert singlets.tobytes() == ref[[0, 1, 3], 3, 3].tobytes(), loop
 
     def test_one_qubit_generators(self):
         for axis, kappa in zip(random_axes(50, seed=17), [1, MAX_WINDING] + list(range(2, 50))):
@@ -281,7 +303,9 @@ class TestSectors:
 
     @pytest.mark.parametrize("entry", ["inf", "nan", "real", "y-axis"])
     def test_non_splitting_x_is_rejected(self, entry):
-        # Any X the split cannot represent exactly leaves the split to the dense path.
+        # A raw X has no split: it has no loop to write one from, so it takes the dense path
+        # (as a loop's own X does when given raw, see test_adiabatic), and so does any X
+        # whose entries do not show the split.
         x = two_qubit_generator(2, 3, 1).x.copy()
         if entry in ("inf", "nan"):
             x[0, 0] = complex(0.0, float(entry))
@@ -290,6 +314,7 @@ class TestSectors:
         else:  # n_2 off the x-z plane: i n_y (sigma_y3 + sigma_y4) has real entries
             x = x + 1j * 0.3 * collective_spin((0.0, 1.0, 0.0), (2, 3), 4)
         assert DeformationGenerator(x=x).triplet_split is None
+        assert reference_triplet_split(x) is None
 
 
 class TestLoopAssembly:
@@ -379,10 +404,27 @@ class TestGeneratorInputs:
         gen = make()
         with pytest.raises(DomainError, match="exactly one"):
             DeformationGenerator(x=0.3 * gen.x, loop=gen.loop)
-        with pytest.raises(DomainError, match="exactly one"):
+        with pytest.raises(ValueError, match="init=False"):  # x is not a replace argument
             dataclasses.replace(gen, x=0.3 * gen.x)
         with pytest.raises(DomainError, match="exactly one"):
             DeformationGenerator()
+
+    @pytest.mark.parametrize("make", GENERATORS)
+    @pytest.mark.parametrize("raw", [False, True])
+    def test_replace_loop_builds_its_generator(self, make, raw):
+        gen = make()
+        if raw:
+            gen = DeformationGenerator(x=0.3 * gen.x)
+        other = (one_qubit_generator((0.0, 0.6, 0.8), 5) if gen.x.shape == (4, 4)
+                 else two_qubit_generator(1000, 2500, 77)).loop
+        replaced = dataclasses.replace(gen, loop=other)
+        assert replaced.loop is other
+        assert replaced.x.tobytes() == DeformationGenerator(loop=other).x.tobytes()
+
+    @pytest.mark.parametrize("loop", [(1, 0, 0), "loop", TwoQubitLoop])
+    def test_loop_of_another_type_is_rejected(self, loop):
+        with pytest.raises(DomainError, match="OneQubitLoop or TwoQubitLoop"):
+            DeformationGenerator(loop=loop)
 
     def test_raw_x_is_a_read_only_copy(self):
         x = 0.3 * two_qubit_generator(2, 3, 1).x

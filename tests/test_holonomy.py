@@ -66,7 +66,7 @@ HADAMARD_AXIS = (np.sqrt(1 / 3), 0.0, np.sqrt(2 / 3))
 
 def finite_difference_connection(gen, model, tau, h=1e-6):
     """Oracle: A_ij(tau) = <i; tau| d/dtau |j; tau> by central differences."""
-    _, vecs = ground_basis(model)
+    vecs = ground_basis(model)
     frame = expm_skew(tau * gen.x)
     plus = expm_skew((tau + h) * gen.x) @ vecs
     minus = expm_skew((tau - h) * gen.x) @ vecs
@@ -120,7 +120,7 @@ class TestConnection:
 
 class TestOneQubitGate:
     def test_zero_connection_gives_identity(self):
-        conn = Connection(matrix=np.zeros((3, 3), dtype=complex), labels=("T+", "T0", "S0"), coding_dim=2)
+        conn = Connection(matrix=np.zeros((3, 3), dtype=complex), coding_dim=2)
         assert frobenius(holonomy(conn).gamma - np.eye(2)) == 0.0
 
     def test_x_axis_rotation(self):

@@ -1,16 +1,23 @@
 """Dimer Hamiltonians, the triplet/singlet basis and coding spaces."""
 
 import dataclasses
+import importlib
+import pkgutil
+import types
 
 import numpy as np
 import pytest
 from conftest import reference_model
 
+import holonome
+from holonome import synthesis
 from holonome.errors import DomainError
 from holonome.matrix_kernel import frobenius
 from holonome.spin_model import (
+    _GROUND_LABELS,
     DIMER_BASIS,
     MAX_COUPLING,
+    MIN_COUPLING,
     PAULI,
     SIGMA_Z,
     SpinModel,
@@ -188,6 +195,36 @@ class TestDerivedFields:
             setattr(model, field, getattr(model, field).copy())
 
 
+class TestConstructor:
+    """A model checks its couplings as the builders do."""
+
+    @pytest.mark.parametrize("couplings", [
+        ((1.0, 1.0),) * 3, (), [(1.0, 1.0)], ((1.0, 1.0), [1.0, 1.0]), ((1.0,),),
+        ((1.0, 1.0, 1.0),), (1.0, 1.0),
+    ])
+    def test_one_or_two_pairs(self, couplings):
+        with pytest.raises(DomainError, match=r"^couplings must be one or two \(omega, J\) pairs$"):
+            SpinModel(couplings)
+
+    @pytest.mark.parametrize("couplings, name", [
+        (((np.nan, 1.0),), "dimer 1 omega"), (((1.0, np.inf),), "dimer 1 J"),
+        (((1.0, 1.0), (0.0, 1.0)), "dimer 2 omega"), (((1.0, 1.0), (1.0, -2.0)), "dimer 2 J"),
+        (((1.0, 1.0), (1.0, 2 * MAX_COUPLING)), "dimer 2 J"),
+        (((1.0, MIN_COUPLING / 2),), "dimer 1 J"),
+    ])
+    def test_values_checked_by_name(self, couplings, name):
+        with pytest.raises(DomainError, match=f"^{name} must be "):
+            SpinModel(couplings)
+
+    def test_builders_check_first_with_their_names(self):
+        # The builders' messages name their own arguments, as before the model checked.
+        with pytest.raises(DomainError, match=r"^j1 must be finite, > 0 and at most 1e\+150, got nan$"):
+            build_one_dimer(1.0, np.nan)
+        with pytest.raises(DomainError, match=r"^j2 must be finite, > 0 and at most 1e\+150, got 0\.0$"):
+            build_two_dimer(1.0, 0.0)
+        assert build_two_dimer(MIN_COUPLING, MAX_COUPLING).ground_multiplicity == 9
+
+
 class TestDimerBasis:
     def test_orthonormal(self):
         assert tuple(DIMER_BASIS) == ("T+", "T0", "T-", "S0")
@@ -217,40 +254,52 @@ class TestDimerBasis:
             DIMER_BASIS["T0"][1] = 0.0
 
 
+def logical_pauli(coding, axis, qubit=0):
+    """Logical Pauli (axis in 'x', 'y', 'z') on ``qubit`` of the coding columns, built in the
+    test: C (I x .. x sigma x .. x I) C^dag, zero off the coding space."""
+    op = np.eye(1)
+    for q in range(coding.shape[1].bit_length() - 1):
+        op = np.kron(op, PAULI[axis] if q == qubit else np.eye(2))
+    return coding @ op @ coding.conj().T
+
+
 class TestCodingSpace:
     def test_one_dimer_ranks(self):
         model = build_one_dimer(1.0, 1.0)
         coding = coding_space(model)
-        assert coding.dim == 2
-        assert abs(np.trace(coding.projector).real - 2.0) < 1e-12
+        assert coding.shape == (4, 2)
+        assert abs(np.trace(coding @ coding.conj().T).real - 2.0) < 1e-12
         assert abs(np.trace(model.ground_projector).real - 3.0) < 1e-12
 
     def test_two_dimer_ranks(self):
         model = build_two_dimer(1.0, 1.0)
         coding = coding_space(model)
-        assert coding.dim == 4
-        assert abs(np.trace(coding.projector).real - 4.0) < 1e-12
+        assert coding.shape == (16, 4)
+        assert abs(np.trace(coding @ coding.conj().T).real - 4.0) < 1e-12
         assert abs(np.trace(model.ground_projector).real - 9.0) < 1e-12
 
     def test_subset_of_ground_space(self):
         for model in (build_one_dimer(1.0, 1.0), build_two_dimer(1.0, 2.0)):
-            pc = coding_space(model).projector
+            coding = coding_space(model)
+            pc = coding @ coding.conj().T
             assert frobenius(pc @ model.ground_projector - pc) < 1e-12
 
     def test_logical_pauli_algebra(self):
-        model = build_one_dimer(1.0, 1.0)
-        coding = coding_space(model)
-        sx, sy, sz = (coding.logical(a) for a in "xyz")
-        assert frobenius(sx @ sy - 1j * sz) < 1e-12
-        zero_logical = coding.vectors[:, 0]
-        assert np.allclose(sz @ zero_logical, zero_logical)
+        for model in (build_one_dimer(1.0, 1.0), build_two_dimer(1.0, 2.0)):
+            coding = coding_space(model)
+            for qubit in range(coding.shape[1].bit_length() - 1):
+                sx, sy, sz = (logical_pauli(coding, a, qubit) for a in "xyz")
+                assert frobenius(sx @ sy - 1j * sz) < 1e-12
+                zero_logical = coding[:, 0]  # |0>_L = T+ on every dimer
+                assert np.allclose(sz @ zero_logical, zero_logical)
 
     def test_rejects_nondegenerate_model(self):
         with pytest.raises(DomainError):
             coding_space(build_one_dimer(2.0, 1.0))
 
     def test_ground_basis_order(self):
-        labels, vecs = ground_basis(build_two_dimer(1.0, 1.0))
+        vecs = ground_basis(build_two_dimer(1.0, 1.0))
+        labels = _GROUND_LABELS[4]
         assert labels[:4] == ("T+T+", "T+T0", "T0T+", "T0T0")
         assert all("S0" in lab for lab in labels[4:])
         assert frobenius(vecs.conj().T @ vecs - np.eye(9)) < 1e-12
@@ -293,22 +342,19 @@ class TestCaches:
     @pytest.mark.parametrize("n_spins", [2, 4])
     def test_ground_columns_and_coding_space_bit_equal_fresh(self, n_spins):
         model = MODELS[n_spins]()
-        labels, vecs = ground_basis(model)
+        vecs = ground_basis(model)
         assert bit_equal(vecs, fresh_ground_columns(n_spins))
         dim_c = 2 if n_spins == 2 else 4
-        fresh = fresh_ground_columns(n_spins)[:, :dim_c]
         coding = coding_space(model)
-        assert coding.labels == labels[:dim_c]
-        assert bit_equal(coding.vectors, fresh)
-        assert bit_equal(coding.projector, fresh @ fresh.conj().T)
-        assert coding_space(MODELS[n_spins]()) is coding
+        assert bit_equal(coding, fresh_ground_columns(n_spins)[:, :dim_c])
+        # Both are the columns built once per spin count.
+        assert ground_basis(MODELS[n_spins]()) is vecs and coding.base is vecs
 
     @pytest.mark.parametrize("n_spins", [2, 4])
     def test_cached_arrays_are_read_only(self, n_spins):
         model = MODELS[n_spins]()
-        coding = coding_space(model)
         arrays = [pauli_site(a, 0, n_spins) for a in "xyz"]
-        arrays += [ground_basis(model)[1], coding.vectors, coding.projector]
+        arrays += [ground_basis(model), coding_space(model)]
         arrays += [model.hamiltonian, model.diagonal, model.ground_projector]
         for a in arrays:
             before = a.copy()
@@ -317,6 +363,26 @@ class TestCaches:
             with pytest.raises(ValueError):
                 a *= 2.0
             assert bit_equal(a, before)
+
+    def test_module_constants_are_read_only(self):
+        # Every module-level array of the package, and every array in its module-level
+        # mappings, is read-only, so no caller can change a constant that others share.
+        arrays = {}
+        for info in pkgutil.iter_modules(holonome.__path__):
+            module = importlib.import_module(f"holonome.{info.name}")
+            for name, value in vars(module).items():
+                values = value.items() if isinstance(value, types.MappingProxyType) else ()
+                for key, v in [(None, value), *values]:
+                    if isinstance(v, np.ndarray):
+                        arrays[f"{info.name}.{name}" + ("" if key is None else f"[{key!r}]")] = v
+        assert {"spin_model.SIGMA_Z", "spin_model.ID2", "holonomy.MAGIC", "synthesis.HADAMARD",
+                "adiabatic._FROM_TRIPLET_BASIS", "spin_model.PAULI['x']"} <= set(arrays)
+        assert [name for name, a in arrays.items() if a.flags.writeable] == []
+        sigma_z = SIGMA_Z
+        with pytest.raises(ValueError):
+            sigma_z *= -1
+        assert isinstance(PAULI, types.MappingProxyType)
+        assert isinstance(synthesis.NAMED_AXES, types.MappingProxyType)
 
     def test_degeneracy_checked_after_caching(self):
         ground_basis(build_one_dimer(1.0, 1.0))
