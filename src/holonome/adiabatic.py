@@ -56,7 +56,7 @@ from holonome.matrix_kernel import _U, _block_diagonal, _read_only, exp_minus_i,
 from holonome.spin_model import SpinModel, coding_space
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AdiabaticRun:
     """One point of an adiabatic sweep: exact propagator and its quality."""
 

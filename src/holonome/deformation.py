@@ -55,21 +55,22 @@ class OneQubitLoop:
         n = np.asarray(n, dtype=float)
         if n.shape != (3,):
             raise DomainError("axis must be a real 3-vector")
-        if not abs(math.hypot(*n) - 1.0) <= 1e-12:  # NaN fails too; hypot does not overflow
+        nx, ny, nz = n.tolist()
+        if not abs(math.hypot(nx, ny, nz) - 1.0) <= 1e-12:  # NaN fails too; no overflow
             raise DomainError("axis must be a unit vector")
         if not (1 <= kappa <= MAX_WINDING):
             raise DomainError(f"winding number must be in [1, {MAX_WINDING}]")
-        if abs(abs(n[2]) - 1.0) < 1e-12:
+        if abs(abs(nz) - 1.0) < 1e-12:
             raise DomainError("|n_z| = 1 gives [H, X] = 0: the loop is trivial")
-        omega = kappa * np.pi
-        root = np.sqrt(2.0 - n[2] ** 2)
-        m = np.array([np.sqrt(2.0) * n[0], np.sqrt(2.0) * n[1], n[2]]) / root
+        omega = kappa * math.pi
+        # nz ** 2 is libm's pow, as numpy's scalar power is; it can differ from nz * nz.
+        root = math.sqrt(2.0 - nz**2)
         return cls(
-            n=tuple(float(x) for x in n),
+            n=(nx, ny, nz),
             kappa=kappa,
-            omega=float(omega),
-            theta_kappa=float(omega * root),
-            m=tuple(float(x) for x in m),
+            omega=omega,
+            theta_kappa=omega * root,
+            m=(_SQRT2 * nx / root, _SQRT2 * ny / root, nz / root),
         )
 
 
@@ -153,7 +154,7 @@ class TwoQubitLoop:
         )
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, init=False, eq=False)
 class DeformationGenerator:
     """The anti-Hermitian generator X, fixed by exactly one input (both or neither: DomainError).
 
@@ -260,7 +261,7 @@ def two_qubit_generator(kappa_plus: int, kappa_minus: int, kappa_prime: int) -> 
     return DeformationGenerator(loop=TwoQubitLoop.create(kappa_plus, kappa_minus, kappa_prime))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LeakageAudit:
     """Matrix elements of X between coding and non-coding ground vectors.
 

@@ -59,7 +59,7 @@ MAGIC = _read_only((1.0 / np.sqrt(2.0)) * np.array(
 ))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Connection:
     """Anti-Hermitian connection on the ground space, coding vectors first."""
 
@@ -71,7 +71,7 @@ class Connection:
         return self.matrix[: self.coding_dim, : self.coding_dim]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HolonomyGate:
     """Unitary holonomy on the coding space.
 
@@ -119,7 +119,7 @@ def analytic_one_qubit_gate(loop: OneQubitLoop) -> HolonomyGate:
     return HolonomyGate(gamma=phase * _rotation(loop.theta_kappa, loop.m))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TwoQubitFactorization:
     """Exact two-qubit holonomy and the published factorization.
 

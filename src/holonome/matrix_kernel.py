@@ -116,6 +116,11 @@ def phase_invariant_distance(u, v) -> float:
         raise DomainError(f"dimension mismatch: {u.shape} vs {v.shape}")
     if not (is_unitary(u) and is_unitary(v)):
         raise DomainError("phase_invariant_distance requires unitary inputs")
+    return _distance(u, v)
+
+
+def _distance(u: np.ndarray, v: np.ndarray) -> float:
+    """``phase_invariant_distance`` of two complex unitaries of one shape, unchecked."""
     overlap = np.trace(u.conj().T @ v)
     phase = np.exp(-1j * np.angle(overlap)) if abs(overlap) > 0 else 1.0
     return float(frobenius(u - phase * v) / np.sqrt(2.0 * u.shape[0]))

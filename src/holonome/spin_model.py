@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from holonome.errors import DomainError
-from holonome.matrix_kernel import _read_only, frobenius, tensor_product
+from holonome.matrix_kernel import _read_only, tensor_product
 
 SIGMA_X = _read_only(np.array([[0, 1], [1, 0]], dtype=complex))
 SIGMA_Y = _read_only(np.array([[0, -1j], [1j, 0]], dtype=complex))
@@ -122,7 +122,8 @@ class SpinModel:
 
     @functools.cached_property
     def hamiltonian_norm(self) -> float:
-        return frobenius(self.hamiltonian)
+        """||H||_F = ||diagonal||_2 by math.hypot, which neither overflows nor underflows."""
+        return math.hypot(*self.diagonal.tolist())
 
     @functools.cached_property
     def ground_energy(self) -> float:

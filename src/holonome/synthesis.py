@@ -29,11 +29,17 @@ The scan kernel, ``_scan_lattice``, evaluates at most 2^15 lattice points at
 a time, so its memory stays a few hundred KiB whatever the search bounds,
 and computes the exact error only at the points a cheap rounding estimate
 cannot rule out.
+
+Each returned gate is a closed form of its lattice point, and so is its
+``gate_distance``, from the target angle a and the winner's angle b:
+sqrt2 min(|sin(d / 2)|, |cos(d / 2)|) for a rotation and |sin(d / 2)| for a
+controlled phase, d = a - b, from the half-angle sines and cosines of a and b.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 import types
 from dataclasses import dataclass
 
@@ -46,9 +52,11 @@ from holonome.holonomy import (
     controlled_phase_gate,
     _rotation,
 )
-from holonome.matrix_kernel import _U, _read_only, is_unitary, phase_invariant_distance
+from holonome.matrix_kernel import _U, _distance, _read_only, is_unitary
 
 TWO_PI = 2.0 * np.pi
+
+_SQRT2 = math.sqrt(2.0)
 
 # Largest kappa_plus_max of a controlled-phase search: it admits
 # kappa_plus_max^2 winding pairs, 10^6 at this bound.
@@ -72,11 +80,32 @@ NAMED_AXES = types.MappingProxyType({"x": (1.0, 0.0, 0.0), "y": (0.0, 1.0, 0.0)}
 
 def circular_distance(delta: float) -> float:
     """Distance on the circle: min(r, 2 pi - r) with r = |delta| mod 2 pi."""
-    r = abs(delta) % TWO_PI
-    return float(min(r, TWO_PI - r))
+    return float(_circular(delta, TWO_PI))
 
 
-@dataclass(frozen=True)
+def _circular(delta, period: float):
+    """min(r, period - r) with r = |delta| mod period: ``_circular_error`` on one scalar."""
+    r = abs(delta) % period
+    return min(r, period - r)
+
+
+def _half_angle_sin_cos(a: float, b: float):
+    """(sin(d / 2), cos(d / 2)) for d = a - b, from the half-angle sines and cosines.
+
+    d is never formed: near MAX_WINDING its rounding alone, ulp(b) / 2, would be
+    ~1e6 u, while these stay within a few u of the exact values for the floats a, b.
+    """
+    sa, ca, sb, cb = math.sin(0.5 * a), math.cos(0.5 * a), math.sin(0.5 * b), math.cos(0.5 * b)
+    return sa * cb - ca * sb, ca * cb + sa * sb
+
+
+def _rotation_distance(a: float, b: float) -> float:
+    """Phase-invariant distance of rotations by a and b about one axis, sqrt(1 - |cos d|)."""
+    s, c = _half_angle_sin_cos(a, b)
+    return _SQRT2 * min(abs(s), abs(c))
+
+
+@dataclass(frozen=True, eq=False)
 class SearchResult:
     """Outcome of a discrete search.
 
@@ -180,9 +209,10 @@ def _search_line(delta_at, theta: float, step_factors, size: int, period: float)
     """(position, error) that ``_scan_lattice`` finds on the line theta - (k + 1) step.
 
     ``delta_at(_, k)`` evaluates the line in floating point at the int64
-    positions ``k``; the step is the exact product of the floats
-    ``step_factors``.  Over one power-of-two denominator theta, step and
-    period are integers, and ``_min_mod`` gives exactly:
+    positions ``k``, or with the same operations at one int ``k``; the step
+    is the exact product of the floats ``step_factors``.  Over one
+    power-of-two denominator theta, step and period are integers, and
+    ``_min_mod`` gives exactly:
 
     - k_u, the first minimum of (theta - (k + 1) step) mod period (the best
       lattice point below theta), and k_l, that of
@@ -216,10 +246,8 @@ def _search_line(delta_at, theta: float, step_factors, size: int, period: float)
             return _scan_lattice(delta_at, 1, size, period)[1:]
     k_u = _min_mod(neg, (t - s) % m, m, size)[1]
     k_l = _min_mod(s, (s - t) % m, m, size)[1]
-    k = np.array(sorted({k_u, k_l}), dtype=np.int64)
-    err = _circular_error(delta_at(0, k), period)
-    i = int(np.argmin(err))
-    return int(k[i]), float(err[i])
+    err, k = min((_circular(delta_at(0, k), period), k) for k in {k_u, k_l})
+    return k, float(err)
 
 
 def _check_search_inputs(eps, theta_target=0.0, **bounds):
@@ -271,22 +299,20 @@ def search_rotation(axis, theta_target: float, eps: float, kappa_max: int) -> Se
     over 1 <= kappa <= kappa_max; ties go to the smallest kappa.
     """
     _check_search_inputs(eps, theta_target, kappa_max=kappa_max)
+    theta_target = float(theta_target)
     n = _resolve_axis(axis)
     # Validates unit norm and |n_z| < 1 (|n_z| = 1 would make every gate trivial).
     step = OneQubitLoop.create(n, 1).theta_kappa
     i, best_err = _search_line(
         lambda _, k: theta_target - (k + 1) * step,
-        float(theta_target), (step,), int(kappa_max), TWO_PI,
+        theta_target, (step,), int(kappa_max), TWO_PI,
     )
-    best_kappa = i + 1
-    loop = OneQubitLoop.create(n, best_kappa)
-    gate = analytic_one_qubit_gate(loop).gamma
-    target = _rotation(theta_target, loop.m)
+    loop = OneQubitLoop.create(n, i + 1)
     return SearchResult(
-        params={"kappa": best_kappa},
+        params={"kappa": loop.kappa},
         angle_error=best_err,
-        gate_distance=phase_invariant_distance(gate, target),
-        gate=gate,
+        gate_distance=_rotation_distance(theta_target, loop.theta_kappa),
+        gate=analytic_one_qubit_gate(loop).gamma,
         exhausted=best_err >= eps,
     )
 
@@ -301,19 +327,18 @@ def search_hadamard(eps: float, kappa_max: int) -> SearchResult:
     gate to HADAMARD, and ``exhausted`` means it is at least ``eps``.
     """
     _check_search_inputs(eps, kappa_max=kappa_max)
-    root = np.sqrt(2.0 - HADAMARD_AXIS[2] ** 2)  # as in OneQubitLoop.create
+    root = math.sqrt(2.0 - HADAMARD_AXIS[2] ** 2)  # as in OneQubitLoop.create
     i, err = _search_line(
         lambda _, k: np.pi / 2.0 - ((k + 1) * np.pi) * root,
-        np.pi / 2.0, (np.pi, float(root)), int(kappa_max), np.pi,
+        np.pi / 2.0, (np.pi, root), int(kappa_max), np.pi,
     )
     loop = OneQubitLoop.create(HADAMARD_AXIS, i + 1)
-    gate = analytic_one_qubit_gate(loop).gamma
-    dist = phase_invariant_distance(gate, HADAMARD)
+    dist = _rotation_distance(np.pi / 2.0, loop.theta_kappa)
     return SearchResult(
         params={"kappa": loop.kappa},
         angle_error=err,
         gate_distance=dist,
-        gate=gate,
+        gate=analytic_one_qubit_gate(loop).gamma,
         exhausted=dist >= eps,
     )
 
@@ -359,12 +384,17 @@ def euler_yxy(target: np.ndarray):
     u = np.asarray(target, dtype=complex)
     if u.shape != (2, 2) or not is_unitary(u):
         raise DomainError("target must be a 2 x 2 unitary")
+    return _euler_yxy(u)
+
+
+def _euler_yxy(u: np.ndarray):
+    """``euler_yxy`` of a complex 2 x 2 unitary, unchecked."""
     su2 = u / np.sqrt(np.linalg.det(u))
     frame = _frame()
     return _euler_zyz(frame.conj().T @ su2 @ frame)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SynthesisProgram:
     """A sequence of axis rotations approximating a one-qubit target."""
 
@@ -378,14 +408,14 @@ def synthesize_su2(target, eps_per_rotation: float, kappa_max: int) -> Synthesis
     """Approximate an arbitrary 2 x 2 unitary by y-x-y holonomic rotations."""
     _check_search_inputs(eps_per_rotation, kappa_max=kappa_max)
     u = np.asarray(target, dtype=complex)
-    if u.shape != (2, 2) or not is_unitary(u):
+    if u.shape != (2, 2) or not is_unitary(u):  # the one check: what follows reads u unchecked
         raise DomainError("target must be a 2 x 2 unitary")
-    if phase_invariant_distance(u, np.eye(2)) < 1e-12:
+    if _distance(u, np.eye(2, dtype=complex)) < 1e-12:
         return SynthesisProgram(
             steps=(), composite=np.eye(2, dtype=complex), total_distance=0.0,
             exhausted=False,
         )
-    alpha, beta, gamma = euler_yxy(u)
+    alpha, beta, gamma = _euler_yxy(u)
     steps = []
     composite = np.eye(2, dtype=complex)
     for axis_name, angle in (("y", alpha), ("x", beta), ("y", gamma)):
@@ -398,7 +428,7 @@ def synthesize_su2(target, eps_per_rotation: float, kappa_max: int) -> Synthesis
     return SynthesisProgram(
         steps=tuple(steps),
         composite=composite,
-        total_distance=phase_invariant_distance(composite, u),
+        total_distance=_distance(composite, u),
         exhausted=any(r.exhausted for _, r in steps),
     )
 
@@ -427,8 +457,9 @@ def search_controlled_phase(
 
     Scans repetitions n and admissible winding pairs for the smallest circular
     error |(2 n J - theta_target) mod 2 pi|; ties go to the smallest n, then
-    the smallest kappa_plus.  The returned gate is the repeated controlled
-    phase (e^{i 2 J sigma_z} conditioned on the control)^n.
+    the smallest kappa_plus.  The returned gate is the controlled phase by
+    2 n J, the angle the scan scored: n repetitions of the loop's controlled
+    phase e^{i 2 J sigma_z}.
     """
     _check_search_inputs(
         eps, theta_target, kappa_plus_max=kappa_plus_max, n_max=n_max
@@ -443,14 +474,12 @@ def search_controlled_phase(
     )
     n = row + 1
     kp, km = (int(x) for x in pairs[col])
-    j = coupling_strength(kp, km)
-    gate = np.linalg.matrix_power(controlled_phase_gate(2.0 * j), n)
-    target = controlled_phase_gate(theta_target)
+    alpha = (2.0 * n) * float(pair_j[col])  # 2 n J as the scan scored it
     return SearchResult(
         params={"kappa_plus": kp, "kappa_minus": km, "n": n},
         angle_error=err,
-        gate_distance=phase_invariant_distance(gate, target),
-        gate=gate,
+        gate_distance=abs(_half_angle_sin_cos(float(theta_target), alpha)[0]),
+        gate=controlled_phase_gate(alpha),
         exhausted=err >= eps,
     )
 

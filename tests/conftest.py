@@ -74,7 +74,8 @@ def reference_model(*couplings):
     """Reference: every derived field of the model of ``couplings`` ((omega, J) per dimer,
     slow first), computed eagerly.
 
-    H is the Kronecker sum of diag(d) over the dimers' diagonals d.  Its ground
+    H is the Kronecker sum of diag(d) over the dimers' diagonals d, and ||H||_F the
+    2-norm of its diagonal by math.hypot.  Its ground
     energy is the least diagonal entry.  Its ground level is the product of the
     dimers' ground levels, each the entries within DEGENERACY_RTOL ||H_d||_F of the
     dimer's least one (||H_d||_F = ||d||_2 by math.hypot, for one dimer too), and its
@@ -85,7 +86,7 @@ def reference_model(*couplings):
     dim = diagonal.size
     h = np.zeros((dim, dim), dtype=complex)
     h.flat[:: dim + 1] = diagonal
-    norm = frobenius(h)
+    norm = math.hypot(*diagonal.tolist())  # ||H||_F, whose dense squares would underflow
     entries = [d.tolist() for d in dimers]
     norms = [math.hypot(*e) for e in entries]
     levels = [[x - min(e) < DEGENERACY_RTOL * n for x in e] for e, n in zip(entries, norms)]
@@ -135,3 +136,14 @@ def reference_triplet_split(x):
     if not math.isfinite(sum(split)):
         return None
     return np.array(split).reshape(4, 4, 4)
+
+
+def reference_one_qubit_loop(n, kappa):
+    """Reference: the fields (n, omega, theta_kappa, m) of ``OneQubitLoop.create(n, kappa)``
+    for a valid unit axis n, evaluated on numpy float64 scalars and arrays."""
+    n = np.asarray(n, dtype=float)
+    omega = kappa * np.pi
+    root = np.sqrt(2.0 - n[2] ** 2)
+    m = np.array([np.sqrt(2.0) * n[0], np.sqrt(2.0) * n[1], n[2]]) / root
+    return (tuple(float(x) for x in n), float(omega), float(omega * root),
+            tuple(float(x) for x in m))

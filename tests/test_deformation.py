@@ -26,7 +26,12 @@ from holonome.errors import DomainError
 from holonome.matrix_kernel import expm_skew, frobenius
 from holonome.spin_model import DIMER_BASIS, build_one_dimer, build_two_dimer, pauli_site
 
-from conftest import closure_residual, eager_leakage_audit, reference_triplet_split
+from conftest import (
+    closure_residual,
+    eager_leakage_audit,
+    reference_one_qubit_loop,
+    reference_triplet_split,
+)
 
 
 def random_axes(count, seed=3):
@@ -74,6 +79,29 @@ class TestOneQubitGenerator:
         loop = OneQubitLoop.create((1.0, 0.0, 0.0), np.int64(2))
         assert loop.kappa == 2 and type(loop.kappa) is int
         assert loop == OneQubitLoop.create((1.0, 0.0, 0.0), 2)
+
+    def test_bit_equal_to_numpy_reference(self):
+        # Python floats and math, with numpy's rounding: 20 000 seeded axes (sphere points,
+        # unnormalised within the 1e-12 tolerance, near the poles and on the axes) and
+        # windings log-spread up to MAX_WINDING.
+        rng = np.random.default_rng(20261020)
+        axes = rng.normal(size=(20000, 3))
+        axes /= np.linalg.norm(axes, axis=1)[:, None]
+        axes[::7] *= 1.0 + rng.uniform(-9e-13, 9e-13, size=(len(axes[::7]), 1))
+        axes[1::11, 2] = rng.choice([-1.0, 1.0], len(axes[1::11])) * (1.0 - 10.0 ** rng.uniform(
+            -11.9, -1.0, len(axes[1::11])))
+        axes[1::11, 0] = np.sqrt(1.0 - axes[1::11, 2] ** 2)
+        axes[1::11, 1] = 0.0
+        axes[2::101] = (1.0, 0.0, 0.0)
+        axes[3::101] = (np.sqrt(1 / 3), 0.0, np.sqrt(2 / 3))
+        kappas = np.exp(rng.uniform(0.0, np.log(MAX_WINDING), len(axes))).astype(int)
+        kappas[::50] = MAX_WINDING
+        for n, kappa in zip(axes, kappas.tolist()):
+            loop = OneQubitLoop.create(n if kappa % 2 else tuple(n.tolist()), kappa)
+            fields = (loop.n, loop.omega, loop.theta_kappa, loop.m)
+            expected = reference_one_qubit_loop(n, kappa)
+            assert repr(fields) == repr(expected), (n, kappa)
+            assert all(type(x) is float for x in (*loop.n, loop.omega, loop.theta_kappa, *loop.m))
 
     def test_hadamard_axis_derived_quantities(self):
         loop = OneQubitLoop.create((np.sqrt(1 / 3), 0.0, np.sqrt(2 / 3)), 3)

@@ -10,6 +10,7 @@ from holonome.deformation import (
     one_qubit_generator,
     two_qubit_generator,
 )
+from holonome import adiabatic, deformation, synthesis
 from holonome.errors import DomainError
 from holonome import holonomy as holonomy_module
 from holonome.holonomy import (
@@ -293,3 +294,38 @@ class TestLocalInvariants:
         g1a, _ = local_invariants(controlled_phase_gate(0.3))
         g1b, _ = local_invariants(controlled_phase_gate(1.2))
         assert abs(g1a - g1b) > 1e-3
+
+
+def _equal_result_pairs():
+    """(name, build) for every frozen dataclass that holds an array: build() makes a new,
+    equal object each call."""
+
+    def run():
+        gen, model = two_qubit_generator(2, 3, 1), build_two_dimer(1.0, 1.0)
+        gate = holonomy(connection_on_ground_space(gen, model))
+        return adiabatic.adiabatic_sweep(model, gen, gate, [10.0])[0]
+
+    return [
+        ("DeformationGenerator", lambda: two_qubit_generator(2, 3, 1)),
+        ("LeakageAudit", lambda: deformation.leakage_audit(
+            two_qubit_generator(2, 3, 1), build_two_dimer(1.0, 1.0))),
+        ("Connection", lambda: connection_on_ground_space(
+            one_qubit_generator((1.0, 0.0, 0.0), 2), build_one_dimer(1.0, 1.0))),
+        ("HolonomyGate", lambda: analytic_one_qubit_gate(OneQubitLoop.create((1.0, 0.0, 0.0), 2))),
+        ("TwoQubitFactorization", lambda: analytic_two_qubit_gate(TwoQubitLoop.create(2, 3, 1))),
+        ("AdiabaticRun", run),
+        ("SearchResult", lambda: synthesis.search_rotation("x", 1.0, 0.1, 10)),
+        ("SynthesisProgram", lambda: synthesis.synthesize_su2(HADAMARD, 0.1, 10)),
+    ]
+
+
+EQUAL_RESULT_PAIRS = _equal_result_pairs()
+
+
+@pytest.mark.parametrize("name,build", EQUAL_RESULT_PAIRS, ids=[n for n, _ in EQUAL_RESULT_PAIRS])
+def test_equality_is_identity(name, build):
+    # A generated __eq__ would compare the arrays and raise ValueError.
+    a, b = build(), build()
+    assert type(a).__name__ == name
+    assert (a == b) is False and (a == a) is True and (a != b) is True
+    assert len({a, b, a}) == 2

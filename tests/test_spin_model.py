@@ -2,6 +2,7 @@
 
 import dataclasses
 import importlib
+import math
 import pkgutil
 import types
 
@@ -10,7 +11,7 @@ import pytest
 from conftest import reference_model
 
 import holonome
-from holonome import synthesis
+from holonome import adiabatic, synthesis
 from holonome.errors import DomainError
 from holonome.matrix_kernel import frobenius
 from holonome.spin_model import (
@@ -139,8 +140,23 @@ def test_two_dimer_ground_level_per_dimer(j1, j2):
     (build_two_dimer, (1e-150, MAX_COUPLING)), (build_two_dimer, (0.3, 7.0)),
 ])
 def test_hamiltonian_norm_is_frobenius(build, args):
+    # The dense norm is the reference wherever its squares do not underflow.
     model = build(*args)
-    assert model.hamiltonian_norm.hex() == frobenius(model.hamiltonian).hex()
+    dense = frobenius(model.hamiltonian)
+    assert abs(model.hamiltonian_norm - dense) <= math.ulp(dense)
+
+
+@pytest.mark.parametrize("build", [build_one_dimer, build_two_dimer])
+def test_hamiltonian_norm_does_not_underflow(build):
+    # The dense norm squares H's entries: it reads 3.46408e-160 at 1e-160 and 0.0 below
+    # about 1e-162, where _t_max would admit a |T| 4.5 (one dimer) to 5.9 (two) times too
+    # large.  The time bound scales as 1 / J.
+    at_one = adiabatic._t_max(build(1.0, 1.0))
+    for j in (1e-160, 1e-200):
+        assert adiabatic._t_max(build(j, j)) * j == at_one, j
+    # At 1e-300 the bound, ~1e309 for one dimer, is past the largest float: every
+    # finite T is within it.
+    assert adiabatic._t_max(build(1e-300, 1e-300)) == math.inf
 
 
 def model_corpus(count, seed=20261019):
@@ -171,6 +187,9 @@ class TestDerivedFields:
             assert model.hamiltonian.tobytes() == ref.hamiltonian.tobytes(), (build, a, b)
             assert model.diagonal.tobytes() == ref.hamiltonian.diagonal().real.tobytes()
             assert model.hamiltonian_norm.hex() == ref.hamiltonian_norm.hex(), (build, a, b)
+            # The corpus's squares do not underflow: the dense norm is within 1 ulp.
+            dense = frobenius(model.hamiltonian)
+            assert abs(model.hamiltonian_norm - dense) <= math.ulp(dense), (build, a, b)
             assert model.ground_energy.hex() == ref.ground_energy.hex(), (build, a, b)
             assert model.ground_multiplicity == ref.ground_multiplicity, (build, a, b)
             assert model.ground_projector.tobytes() == ref.ground_projector.tobytes()

@@ -10,6 +10,7 @@ from holonome import synthesis
 from holonome.deformation import MAX_WINDING, OneQubitLoop, TwoQubitLoop
 from holonome.errors import DomainError
 from holonome.holonomy import (
+    _rotation,
     analytic_one_qubit_gate,
     analytic_two_qubit_gate,
     controlled_phase_gate,
@@ -32,6 +33,8 @@ from holonome.synthesis import (
 
 # Deterministic hypothesis runs that leave no example database behind.
 DETERMINISTIC = settings(derandomize=True, database=None, deadline=None)
+
+U = 2.0**-53  # unit roundoff
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -138,7 +141,8 @@ class TestScanKernelEquivalence:
         dist, kappa, err = brute_force_hadamard_scan(kappa_max)
         result = search_hadamard(eps, kappa_max)
         assert result.params == {"kappa": kappa}
-        assert result.gate_distance == dist
+        # A closed form of the winner's angle, not the numeric distance: within 8 u.
+        assert abs(result.gate_distance - dist) <= 8 * U
         assert result.angle_error == err
         assert result.exhausted == (dist >= eps)
 
@@ -262,6 +266,10 @@ class TestLineSearch:
             assert result.params == {"kappa": i + 1}, case
             assert result.angle_error.hex() == err.hex(), case
             assert result.exhausted == (err >= eps), case
+            loop = OneQubitLoop.create(synthesis._resolve_axis(axis), i + 1)
+            assert result.gate.tobytes() == analytic_one_qubit_gate(loop).gamma.tobytes()
+            numeric = phase_invariant_distance(result.gate, _rotation(theta, loop.m))
+            assert abs(result.gate_distance - numeric) <= 8 * U, case
 
     @pytest.mark.parametrize("group", range(GROUPS))
     def test_product_step_lines(self, group):
@@ -284,7 +292,10 @@ class TestLineSearch:
             assert result.params == {"kappa": i + 1}, kappa_max
             assert result.angle_error.hex() == err.hex(), kappa_max
             gate = analytic_one_qubit_gate(OneQubitLoop.create(HADAMARD_AXIS, i + 1)).gamma
-            assert result.exhausted == (phase_invariant_distance(gate, HADAMARD) >= 1e-3)
+            assert result.gate.tobytes() == gate.tobytes()
+            numeric = phase_invariant_distance(gate, HADAMARD)
+            assert abs(result.gate_distance - numeric) <= 8 * U, kappa_max
+            assert result.exhausted == (numeric >= 1e-3)
 
     @pytest.mark.parametrize(
         "axis,theta,kappa_max,scans",
@@ -365,9 +376,19 @@ class TestControlledPhaseKernel:
         )
         kp, km = (int(x) for x in pairs[i % size])
         result = search_controlled_phase(theta, eps, kp_max, n_max)
-        assert result.params == {"kappa_plus": kp, "kappa_minus": km, "n": i // size + 1}
+        n = i // size + 1
+        assert result.params == {"kappa_plus": kp, "kappa_minus": km, "n": n}
         assert result.angle_error.hex() == err.hex()
         assert result.exhausted == (err >= eps)
+        # The gate is the controlled phase by the angle the scan scored, 2 n J; n
+        # products of the one-loop gate round differently, by at most 4 u (|alpha| + 16).
+        alpha = (2.0 * n) * coupling_strength(kp, km)
+        assert result.gate.tobytes() == controlled_phase_gate(alpha).tobytes()
+        one_loop = controlled_phase_gate(2.0 * coupling_strength(kp, km))
+        repeated = np.linalg.matrix_power(one_loop, n)
+        assert np.max(np.abs(result.gate - repeated)) <= 4 * U * (abs(alpha) + 16)
+        numeric = phase_invariant_distance(result.gate, controlled_phase_gate(theta))
+        assert abs(result.gate_distance - numeric) <= 8 * U
 
     def test_exact_ties_decided_by_rounding(self):
         # 2 J = 2 pi j exactly when km^2 - kp^2 = 8 j^2, e.g. (7, 9) and
@@ -401,6 +422,69 @@ class TestControlledPhaseKernel:
         i, expected = reference_scan(lambda k: table.ravel()[k], rows * cols, period)
         assert (row, col) == divmod(i, cols)
         assert err.hex() == expected.hex()
+
+
+def _distance_corpus(rng, count):
+    """Seeded (target angle, gate, target gate, winner angle, closed form) cases.
+
+    Rotations about random axes and Hadamard targets at windings log-spread up
+    to MAX_WINDING (every tenth at it), with targets anywhere in [-7, 7] or
+    near the winner modulo pi; controlled phases by 2 n J at the search bounds
+    (kappa_+ up to MAX_KAPPA_PLUS, kappa_+^2 n up to MAX_SCAN_POINTS).
+    """
+    cases = []
+    for i in range(count):
+        kind = ("rotation", "hadamard", "cphase")[i % 3]
+        if kind == "cphase":
+            kp = int(np.exp(rng.uniform(0.0, np.log(synthesis.MAX_KAPPA_PLUS))))
+            km = int(rng.integers(kp + 1, 3 * kp)) if kp > 1 else 2
+            n = int(np.exp(rng.uniform(0.0, np.log(synthesis.MAX_SCAN_POINTS // kp**2))))
+            alpha = (2.0 * n) * coupling_strength(kp, km)
+            theta = float(rng.uniform(-7.0, 7.0))
+            if rng.random() < 0.5:
+                theta = float(alpha % synthesis.TWO_PI + rng.choice([0.0, 1e-9, -1e-6]))
+            cases.append((kind, theta, controlled_phase_gate(alpha), controlled_phase_gate(theta),
+                          alpha, abs(synthesis._half_angle_sin_cos(theta, alpha)[0])))
+            continue
+        kappa = MAX_WINDING if i % 10 == 0 else int(np.exp(rng.uniform(0.0, np.log(MAX_WINDING))))
+        axis = HADAMARD_AXIS if kind == "hadamard" else _random_axis(rng)
+        loop = OneQubitLoop.create(synthesis._resolve_axis(axis), kappa)
+        if kind == "hadamard":
+            theta, target = np.pi / 2.0, HADAMARD
+        else:
+            theta = float(rng.uniform(-7.0, 7.0))
+            if rng.random() < 0.5:
+                theta = float(loop.theta_kappa % np.pi + rng.choice([0.0, 1e-9, -1e-6]))
+            target = _rotation(theta, loop.m)
+        cases.append((kind, theta, analytic_one_qubit_gate(loop).gamma, target,
+                      loop.theta_kappa, synthesis._rotation_distance(theta, loop.theta_kappa)))
+    return cases
+
+
+DISTANCE_CASES = _distance_corpus(np.random.default_rng(20261021), 1200)
+
+
+class TestClosedFormDistances:
+    """The reported distances are closed forms of two angles, within 8 u of the numeric
+    phase-invariant distance up to MAX_WINDING, where a float difference of the angles
+    reduced mod pi is not."""
+
+    def test_within_8u_of_numeric_distance(self):
+        float_mod_misses = set()
+        for kind, theta, gate, target, angle, closed in DISTANCE_CASES:
+            numeric = phase_invariant_distance(gate, target)
+            assert abs(closed - numeric) <= 8 * U, (kind, theta, angle)
+            # The same quantity from the rounded difference theta - angle.
+            delta = theta - angle
+            if kind == "cphase":
+                float_mod = abs(np.sin(delta / 2.0))
+            else:
+                r = abs(delta) % np.pi
+                float_mod = np.sqrt(2.0) * np.sin(min(r, np.pi - r) / 2.0)
+            if abs(float_mod - numeric) > 8 * U:
+                float_mod_misses.add(kind)
+        assert {kind for kind, *_ in DISTANCE_CASES} == {"rotation", "hadamard", "cphase"}
+        assert float_mod_misses == {"rotation", "hadamard", "cphase"}
 
 
 class TestSearchRotation:
