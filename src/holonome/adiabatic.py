@@ -2,24 +2,23 @@
 
 In the co-rotating frame the generator of the dynamics is the *constant*
 Hermitian matrix -iX + HT, so the full-loop propagator has the closed form
-U(1) = exp(X) exp(-i(-iX + HT)) and is exact at any T.  A closed loop has
-exp(X) = 1 exactly, so U(1) = exp(-i(-iX + HT)); only a raw X multiplies by
-its exp(X).  For two dimers H is diagonal and X is zero between dimer 1's
-four sigma_z states (X^1 and X^{1-2} are diagonal there), and both commute
-with swapping dimer 2's spins, so in each of these sectors the frame is a
-real symmetric 3 x 3 block over dimer 2's triplet T+, T0, T- and a value on
-its singlet S0.  A sweep over T is one stacked pass: the frames of all T are one broadcast,
-the exponentials of the triplet blocks of the three sectors S1 = 2, 0, -2
-(dimer 1's |+-> and |-+> share S1 = 0) one stacked real eigendecomposition of
-3 x 3 matrices, each singlet one phase, and the coding-block restrictions,
-traces, ground-space escapes (the ground projector is a 0/1 row mask),
-their moduli and norms and the phases e^{+-i E0 T} are stacked matrix
-products and array expressions that round as the one-T computation does.
-Only the square of each norm, the divisions and the clamps are taken per
-T, as scalar steps on Python floats, so every run is bit-identical to
-evaluating that T alone.  Every model is its diagonal, so the loop decides:
-a two-qubit loop splits, and one dimer, like any raw X, takes the dense
-frame through one stacked exponential.
+U(1) = exp(X) exp(-i(-iX + HT)) and is exact at any T.  A loop closes,
+exp(X) = 1 exactly, so U(1) = exp(-i(-iX + HT)).  H is diagonal, X acts on
+the last dimer's triplet T+, T0, T- and singlet S0 in each sigma_z sector of
+the dimers before it (one sector for one dimer; dimer 1's four sigma_z
+states for two, where X^1 and X^{1-2} are diagonal), and both commute with
+swapping that dimer's spins, so in each sector the frame is a 3 x 3 block
+over the triplet and a value on the singlet.  The block is real, up to a
+fixed diagonal phase conjugation for one dimer whose axis has n_y != 0.  A
+sweep over T is one stacked pass: the frames of all T are one broadcast,
+the exponentials of the triplet blocks of every sector (dimer 1's |+-> and
+|-+> share S1 = 0) one stacked real eigendecomposition of 3 x 3 matrices,
+each singlet one phase, and the coding-block restrictions, traces,
+ground-space escapes (the ground projector is a 0/1 row mask), their moduli
+and norms and the phases e^{+-i E0 T} are stacked matrix products and array
+expressions that round as the one-T computation does.  Only the square of
+each norm, the divisions and the clamps are taken per T, as scalar steps on
+Python floats, so every run is bit-identical to evaluating that T alone.
 
 A classical RK4 integration of the Schrodinger equation with the
 tau-dependent Hamiltonian is kept alongside purely as an independent oracle
@@ -52,7 +51,7 @@ import numpy as np
 from holonome.deformation import DeformationGenerator, _check_size
 from holonome.errors import DomainError
 from holonome.holonomy import HolonomyGate
-from holonome.matrix_kernel import _U, _block_diagonal, _read_only, exp_minus_i, expm_skew
+from holonome.matrix_kernel import _U, _block_diagonal, _read_only, exp_minus_i
 from holonome.spin_model import SpinModel, coding_space
 
 
@@ -116,40 +115,41 @@ _FROM_TRIPLET_BASIS = _read_only(_from_triplet_basis())
 
 
 def _propagators(model: SpinModel, gen: DeformationGenerator, ts: np.ndarray) -> np.ndarray:
-    """Stack of exp(X) exp(-i(-iX + HT)) over the (checked) times ``ts``, in one pass.
+    """Stack of exp(-i(-iX + HT)) over the (checked) times ``ts``, in one pass.
 
-    A two-qubit loop (exp(X) = 1) splits over dimer 2's triplet and singlet
-    in dimer 1's sectors S1 = 2, 0, -2 (``triplet_split``), and so does H,
-    the real diagonal ``model.diagonal``, whose |+-> and |-+> entries are
-    equal for each dimer, so the frame -iX + HT is a real symmetric 3 x 3
-    triplet block and a singlet value per sector.  The triplet blocks of
-    every T and sector go through one stacked real eigendecomposition
+    X splits over the last dimer's triplet and singlet in each sigma_z sector
+    of the dimers before it (``triplet_split``): one sector for one dimer,
+    S1 = 2, 0, -2 of dimer 1 for two.  So does H, the real diagonal
+    ``model.diagonal``, whose |+-> and |-+> entries are equal for each dimer,
+    so the frame -iX + HT is a 3 x 3 triplet block, real up to one dimer's
+    fixed ``phases``, and a singlet value per sector.  The real triplet blocks
+    of every T and sector go through one stacked eigendecomposition
     (``exp_minus_i``), each singlet is one phase, and dimer 1's |++>, |+->,
-    |-+>, |--> take the blocks of S1 = 2, 0, 0, -2.  Otherwise (one dimer,
-    or any raw X) the dense frame goes through one stacked ``expm_skew``,
-    and a raw X multiplies it by its exp(X).
+    |-+>, |--> take the blocks of S1 = 2, 0, 0, -2.
     """
     _check_size(gen, model)
-    split = gen.triplet_split
-    if split is None:
-        us = expm_skew(-1j * (-1j * gen.x + model.hamiltonian * ts[:, None, None]))
-        return us if gen.loop is not None else gen.closure @ us
-    triplets, singlets = split
-    # Dimer 2's entries in dimer 1's |++>, |+->, |--> rows (S1 = 2, 0, -2): H_s over
-    # T+, T0, T-, S0 is diag(h_++, h_+-, h_--, h_-+).
-    h = model.diagonal.reshape(4, 4)[[0, 1, 3]]
-    hs = np.zeros((3, 3, 3))
+    triplets, singlets, phases = gen.triplet_split
+    # H over the last dimer in each sector: one dimer's own entries, or those in dimer 1's
+    # |++>, |+->, |--> rows (S1 = 2, 0, -2).  H_s over T+, T0, T-, S0 is diag(h_++, h_+-, h_--, h_-+).
+    h = model.diagonal.reshape(-1, 4)
+    if len(h) == 4:
+        h = h[[0, 1, 3]]
+    hs = np.zeros(triplets.shape)
     hs[:, range(3), range(3)] = h[:, [0, 1, 3]]
-    triplet_exps = exp_minus_i(triplets + hs * ts[:, None, None, None]).reshape(len(ts), 3, 9)
+    triplet_exps = exp_minus_i(triplets + hs * ts[:, None, None, None]).reshape(len(ts), -1, 9)
+    if phases is not None:
+        triplet_exps = triplet_exps * phases.ravel()
     singlet_phases = np.exp(-1j * (singlets + h[:, 2] * ts[:, None]))[..., None]
     blocks = np.concatenate((triplet_exps, singlet_phases), axis=-1) @ _FROM_TRIPLET_BASIS
+    if len(singlets) == 1:
+        return blocks.reshape(len(ts), 4, 4)
     us = np.zeros((len(ts), 16, 16), dtype=complex)
     us.reshape(-1, 256)[:, _block_diagonal(4, 4)] = blocks.take((0, 1, 1, 2), 1).reshape(-1, 64)
     return us
 
 
 def exact_propagator(model: SpinModel, gen: DeformationGenerator, T: float) -> np.ndarray:
-    """Full-loop propagator exp(X) exp(-i(-iX + HT)); exact for any T up to ``_t_max``."""
+    """Full-loop propagator exp(-i(-iX + HT)) (exp(X) = 1); exact for any T up to ``_t_max``."""
     return _propagators(model, gen, np.array([_finite_time(T, _t_max(model))]))[0]
 
 
@@ -231,6 +231,8 @@ def holonomy_fidelity(u, gate: HolonomyGate, model: SpinModel, T: float):
     u = np.asarray(u, dtype=complex)
     if u.shape != (model.dim, model.dim):
         raise DomainError("propagator dimension does not match the model")
+    if not np.isfinite(u).all():
+        raise DomainError("propagator must be finite")
     T = _finite_time(T, _t_max(model))
     return _fidelity_leakage(u[None], gate, model, _coding_vectors(model, gate), np.array([T]))[0]
 

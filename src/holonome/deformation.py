@@ -5,9 +5,11 @@ with constant anti-Hermitian X.  The loop closes, exp(X) = 1, exactly for
 the integer windings the loop classes accept: n . (sigma_1 + sigma_2) has
 eigenvalues 2, 0, 0, -2, and in dimer 1's sigma_z sector s in {2, 0, -2}
 the two-dimer X is e^{i kappa' pi s} times a rotation of dimer 2 by kappa_+ pi
-(s = 2, 0) or kappa_- pi (s = -2).  So exp(X) is taken only for a raw X, and
-the propagator's split of X over dimer 2's triplet and singlet in each sector
-is written from the loop, not read off X.
+(s = 2, 0) or kappa_- pi (s = -2).  So a generator is built from a loop
+alone, exp(X) is taken only for the float residual a report states, and the
+propagator's split of X over the last dimer's triplet and singlet in each
+sector (one for one dimer, dimer 1's for two) is written from the loop, not
+read off X.
 """
 
 from __future__ import annotations
@@ -154,66 +156,64 @@ class TwoQubitLoop:
         )
 
 
-@dataclass(frozen=True, init=False, eq=False)
+@dataclass(frozen=True, eq=False)
 class DeformationGenerator:
-    """The anti-Hermitian generator X, fixed by exactly one input (both or neither: DomainError).
+    """The anti-Hermitian generator X of a closed loop, assembled from the loop.
 
-    Either ``loop``, from which X is assembled, or a raw ``x`` (``loop`` None),
-    whose path may be open.  ``x`` is read-only (a copy of a raw X), so the
-    residual, computed from it once on first use, cannot go stale; it is no
-    ``dataclasses.replace`` argument, so replacing the loop builds its generator.
+    ``x`` is read-only, and it is no ``dataclasses.replace`` argument, so
+    replacing the loop builds its generator.
     """
 
     x: np.ndarray = field(init=False)
-    loop: object = None  # OneQubitLoop | TwoQubitLoop
+    loop: object  # OneQubitLoop | TwoQubitLoop
 
-    def __init__(self, x=None, loop=None):
-        if (x is None) == (loop is None):
-            raise DomainError("a generator takes exactly one of a loop or a raw X")
-        if loop is not None and not isinstance(loop, (OneQubitLoop, TwoQubitLoop)):
-            raise DomainError(f"a loop must be a OneQubitLoop or TwoQubitLoop, got {loop!r}")
-        x = _loop_x(loop) if x is None else _read_only(np.array(x, dtype=complex))
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "loop", loop)
-
-    @functools.cached_property
-    def closure(self) -> np.ndarray:
-        """exp(X), read-only: the shared exact identity for a loop, expm_skew(X) for a raw X."""
-        if self.loop is not None:
-            return _identity(self.x.shape[0])
-        return _read_only(expm_skew(self.x))
+    def __post_init__(self):
+        if not isinstance(self.loop, (OneQubitLoop, TwoQubitLoop)):
+            raise DomainError(f"a loop must be a OneQubitLoop or TwoQubitLoop, got {self.loop!r}")
+        object.__setattr__(self, "x", _loop_x(self.loop))
 
     @functools.cached_property
     def triplet_split(self):
-        """(triplets, singlets): -iX_s over dimer 2's T+, T0, T- and S0 in dimer 1's sigma_z
-        sectors s = 2, 0, -2, read-only, shapes (3, 3, 3) and (3,); None unless a two-qubit loop.
+        """(triplets, singlets, phases): -iX over the last dimer's T+, T0, T-
+        (``spin_model.DIMER_BASIS``) and S0 in each sigma_z sector of the dimers before it.
 
-        -iX_s = Omega_1 s + Omega_2 n_2 . S + J s S_z, S = sigma_3 + sigma_4, is Omega_1 s on
-        S0 and a real symmetric block over T+, T0, T- (``spin_model.DIMER_BASIS``), with
-        S_z = diag(2, 0, -2) and <T+|S_x|T0> = <T0|S_x|T-> = sqrt2.  Each entry is built
+        Real symmetric 3 x 3 blocks and singlet values, read-only, shapes (k, 3, 3) and (k,);
+        each block times ``phases`` entry by entry, unless that is None.  Every entry is built
         from the loop and rounds as the same entry of X does.
+
+        One dimer is one sector: -iX = Omega n . S, S = sigma_1 + sigma_2, is 0 on S0, and on
+        the triplet Omega diag(2 n_z, 0, -2 n_z) with <T+|.|T0> = <T0|.|T-> =
+        sqrt2 Omega (n_x - i n_y).  For n_y != 0 that is D R D^dag, R real with
+        r = hypot(n_x, n_y) for n_x, D = diag(e^{-i phi}, 1, e^{i phi}), phi = atan2(n_y, n_x),
+        and ``phases`` holds e^{-i phi (m_j - m_k)}, m = (1, 0, -1).  D is diagonal over the
+        product basis too, so it commutes with H: exp(-i(-iX + HT)) = D exp(-i(R + HT)) D^dag.
+
+        Two dimers have dimer 1's sectors s = 2, 0, -2 and no phases: -iX_s = Omega_1 s +
+        Omega_2 n_2 . S + J s S_z, S = sigma_3 + sigma_4, S_z = diag(2, 0, -2) and
+        <T+|S_x|T0> = <T0|S_x|T-> = sqrt2.
         """
-        loop = self.loop
-        if not isinstance(loop, TwoQubitLoop):
-            return None
-        tilt, d = loop.omega2 * (2.0 * loop.n2z), _SQRT2 * (loop.omega2 * loop.n2x)
-        triplets, singlets = [], []
-        for s in (2.0, 0.0, -2.0):
-            e, c = loop.omega1 * s, loop.coupling_j * (2.0 * s)
-            triplets.append([[(e + tilt) + c, d, 0.0], [d, e, d], [0.0, d, (e - tilt) - c]])
-            singlets.append(e)
-        return _read_only(np.array(triplets)), _read_only(np.array(singlets))
+        loop, phases = self.loop, None
+        if isinstance(loop, OneQubitLoop):
+            nx, ny, nz = loop.n
+            tilt = loop.omega * (2.0 * nz)
+            d = _SQRT2 * (loop.omega * (math.hypot(nx, ny) if ny else nx))
+            triplets, singlets = [[[tilt, d, 0.0], [d, 0.0, d], [0.0, d, -tilt]]], [0.0]
+            if ny:
+                m = np.array([1.0, 0.0, -1.0])
+                phases = _read_only(np.exp(-1j * math.atan2(ny, nx) * np.subtract.outer(m, m)))
+        else:
+            tilt, d = loop.omega2 * (2.0 * loop.n2z), _SQRT2 * (loop.omega2 * loop.n2x)
+            triplets, singlets = [], []
+            for s in (2.0, 0.0, -2.0):
+                e, c = loop.omega1 * s, loop.coupling_j * (2.0 * s)
+                triplets.append([[(e + tilt) + c, d, 0.0], [d, e, d], [0.0, d, (e - tilt) - c]])
+                singlets.append(e)
+        return _read_only(np.array(triplets)), _read_only(np.array(singlets)), phases
 
     @functools.cached_property
     def closure_residual(self) -> float:
         """Frobenius distance of the float exp(X) from the identity: a loop's rounding."""
         return frobenius(expm_skew(self.x) - np.eye(self.x.shape[0]))
-
-
-@functools.cache
-def _identity(dim: int) -> np.ndarray:
-    """exp(X) of every loop on ``dim`` states, built once per dimension (read-only)."""
-    return _read_only(np.eye(dim, dtype=complex))
 
 
 def _check_size(gen: DeformationGenerator, model: SpinModel) -> None:

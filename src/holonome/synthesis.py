@@ -23,7 +23,7 @@ scan order, so the scan order alone sets the tie-break:
   proof (a step near a rational multiple of the period), the line is
   scanned.
 - ``search_controlled_phase`` (period 2 pi) scans n = 1, 2, ... and, within
-  each n, the winding pairs in ``admissible_winding_pairs`` order.
+  each n, the winding pairs in ``_winding_pair_array`` order.
 
 The scan kernel, ``_scan_lattice``, evaluates at most 2^15 lattice points at
 a time, so its memory stays a few hundred KiB whatever the search bounds,
@@ -434,7 +434,7 @@ def synthesize_su2(target, eps_per_rotation: float, kappa_max: int) -> Synthesis
 
 
 def _winding_pair_array(kappa_plus_max: int) -> np.ndarray:
-    """The admissible pairs as int64 rows (kappa_+, kappa_-), kappa_+ major.
+    """All (kappa_+, kappa_-) with kappa_+ < kappa_- < 3 kappa_+ as int64 rows, kappa_+ major.
 
     kappa_+ = k owns the 2k - 1 rows kappa_- = k + 1, ..., 3k - 1, which
     start at row (k - 1)^2; kappa_plus_max^2 rows in all.
@@ -443,11 +443,6 @@ def _winding_pair_array(kappa_plus_max: int) -> np.ndarray:
     kp = np.repeat(k, 2 * k - 1)
     km = kp + 1 + np.arange(kp.size, dtype=np.int64) - (kp - 1) ** 2
     return np.stack([kp, km], axis=1)
-
-
-def admissible_winding_pairs(kappa_plus_max: int):
-    """All (kappa_+, kappa_-) with kappa_+ < kappa_- < 3 kappa_+, as int tuples."""
-    return [tuple(p) for p in _winding_pair_array(kappa_plus_max).tolist()]
 
 
 def search_controlled_phase(
@@ -524,7 +519,7 @@ def figure_table(which: str, caption_convention: bool = False):
     if which == "fig4":
         header = ["kappa_plus", "kappa_minus", "J", "two_J_mod_2pi", "cos_2J", "sin_2J"]
         rows = []
-        for kp, km in admissible_winding_pairs(5):
+        for kp, km in _winding_pair_array(5).tolist():
             j = coupling_strength(kp, km)
             rows.append(
                 (kp, km, j, (2.0 * j) % TWO_PI, float(np.cos(2 * j)), float(np.sin(2 * j)))

@@ -1,5 +1,6 @@
 """Session setup and reference computations shared by the test modules."""
 
+import cmath
 import functools
 import math
 import types
@@ -34,6 +35,26 @@ def closure_residual(x) -> float:
     """Reference for ``DeformationGenerator.closure_residual``: ||exp(X) - 1||_F afresh."""
     x = np.asarray(x, dtype=complex)
     return frobenius(expm_skew(x) - np.eye(x.shape[0]))
+
+
+def open_path(x):
+    """A stand-in generator for a raw anti-Hermitian X, closed or not: the read-only ``x``
+    that the RK4 oracle, the connection, the leakage audit and ``closure_residual`` read."""
+    x = np.array(x, dtype=complex)
+    x.flags.writeable = False
+    return types.SimpleNamespace(x=x)
+
+
+def dense_frames(model, x, ts):
+    """Reference: exp(-i(-iX + HT)) of every T in ``ts``, stacked, through one dense
+    ``expm_skew``; a closed loop's propagators, whose exp(X) is 1."""
+    ts = np.asarray(ts, dtype=float)
+    return expm_skew(-1j * (-1j * np.asarray(x) + model.hamiltonian * ts[:, None, None]))
+
+
+def open_path_propagators(model, x, ts):
+    """Reference: exp(X) exp(-i(-iX + HT)) of every T in ``ts``, stacked, for any X."""
+    return expm_skew(x) @ dense_frames(model, x, ts)
 
 
 def one_qubit_coding_connection(loop) -> np.ndarray:
@@ -101,41 +122,47 @@ def reference_model(*couplings):
 
 
 def reference_triplet_split(x):
-    """Reference: -iX_s over dimer 2's T+, T0, T-, S0 in each of dimer 1's four sigma_z
-    sectors, read off the entries of a 16 x 16 X, or None.
+    """Reference: -iX_s over the last dimer's T+, T0, T-, S0 in each sigma_z sector s of the
+    dimers before it (one for a 4 x 4 X, dimer 1's four for a 16 x 16 X), read off the entries
+    of X, or None.
 
-    Returns four real 4 x 4 matrices, shape (4, 4, 4), when X's entries show the split
-    exactly: zero between the sectors, purely imaginary and finite in them, and -iX_s
-    symmetric and equal under swapping dimer 2's spins, entry by entry.  Otherwise
-    (one dimer, or any X that breaks the symmetry) None.
+    Returns one 4 x 4 matrix per sector, shape (k, 4, 4), when X's entries show the split
+    exactly: zero between the sectors, finite in them, and -iX_s Hermitian and equal under
+    swapping the last dimer's spins, entry by entry.  The matrices are real when -iX is; a
+    two-dimer -iX_s must be (no two-dimer loop has n_2y != 0), one dimer's may be complex.
+    Otherwise (any X that breaks the symmetry) None.
     """
-    if x.shape != (16, 16):
+    k = {(4, 4): 1, (16, 16): 4}.get(x.shape)
+    if k is None:
         return None
-    blocks = x.take(_block_diagonal(4, 4))
-    if np.count_nonzero(blocks) != np.count_nonzero(x) or blocks.real.any():
+    blocks = x.take(_block_diagonal(k, 4))
+    real = not blocks.real.any()
+    if np.count_nonzero(blocks) != np.count_nonzero(x) or (k == 4 and not real):
         return None
     split = []
     # m = -iX_s over |++>, |+->, |-+>, |-->, flat: m[4 i + j] = M_ij.
-    for m in blocks.imag.reshape(4, 16).tolist():
+    for m in (blocks.imag if real else blocks.imag - 1j * blocks.real).reshape(k, 16).tolist():
+        c = [z.conjugate() for z in m]
         if not (
-            m[1] == m[2] == m[4] == m[8]
-            and m[3] == m[12]
-            and m[5] == m[10]
-            and m[6] == m[9]
-            and m[7] == m[11] == m[13] == m[14]
+            m[1] == m[2] == c[4] == c[8]
+            and m[3] == c[12]
+            and m[5] == m[10] == c[5]
+            and m[6] == m[9] == c[6]
+            and m[7] == m[11] == c[13] == c[14]
+            and m[0] == c[0] and m[15] == c[15]
         ):
             return None
         # <T+|M|T0> = sqrt2 M01, <T0|M|T0> = M11 + M12, <T0|M|T-> = sqrt2 M13,
         # <S0|M|S0> = M11 - M12.
         t01, t0, t12 = math.sqrt(2.0) * m[1], m[5] + m[6], math.sqrt(2.0) * m[7]
         split += [m[0], t01, m[3], 0.0,
-                  t01, t0, t12, 0.0,
-                  m[3], t12, m[15], 0.0,
+                  t01.conjugate(), t0, t12, 0.0,
+                  c[3], t12.conjugate(), m[15], 0.0,
                   0.0, 0.0, 0.0, m[5] - m[6]]
     # Every entry of -iX_s is equal to one that the split reads, so this rejects inf and nan.
-    if not math.isfinite(sum(split)):
+    if not cmath.isfinite(sum(split)):
         return None
-    return np.array(split).reshape(4, 4, 4)
+    return np.array(split).reshape(k, 4, 4)
 
 
 def reference_one_qubit_loop(n, kappa):

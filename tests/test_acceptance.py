@@ -24,9 +24,9 @@ from holonome.holonomy import (
 from holonome.matrix_kernel import frobenius, phase_invariant_distance
 from holonome.spin_model import build_one_dimer, build_two_dimer
 from holonome.synthesis import (
-    admissible_winding_pairs,
     circular_distance,
     coupling_strength,
+    figure_table,
     search_controlled_phase,
 )
 
@@ -140,7 +140,7 @@ def test_criterion_07_controlled_phase_lattice():
     expected = {
         (kp, km) for kp in range(1, 6) for km in range(kp + 1, 3 * kp)
     }
-    ok = ok and set(admissible_winding_pairs(5)) == expected
+    ok = ok and {(kp, km) for kp, km, *_ in figure_table("fig4")[1]} == expected
     verdict(7, "2J closed form and admissible winding pairs", ok)
 
 

@@ -19,7 +19,6 @@ from holonome.matrix_kernel import phase_invariant_distance
 from holonome.synthesis import (
     HADAMARD,
     HADAMARD_AXIS,
-    admissible_winding_pairs,
     circular_distance,
     coupling_strength,
     equidistribution_scan,
@@ -69,7 +68,7 @@ def brute_force_rotation_scan(step, theta, kappa_max):
 
 def brute_force_controlled_phase_scan(theta, kappa_plus_max, n_max):
     """(err, n, kp, km): first minimum in n-major, pair-minor order."""
-    pairs = admissible_winding_pairs(kappa_plus_max)
+    pairs = synthesis._winding_pair_array(kappa_plus_max).tolist()
     best = None
     for n in range(1, n_max + 1):
         for kp, km in pairs:
@@ -367,7 +366,7 @@ class TestControlledPhaseKernel:
 
     @pytest.mark.parametrize("theta,eps,kp_max,n_max", CPHASE_LINES)
     def test_matches_plain_scan(self, theta, eps, kp_max, n_max):
-        pairs = np.array(admissible_winding_pairs(kp_max))
+        pairs = synthesis._winding_pair_array(kp_max)
         pair_j = coupling_strength(pairs[:, 0], pairs[:, 1])
         size = len(pairs)
         i, err = reference_scan(
@@ -638,7 +637,7 @@ class TestSearchControlledPhase:
             assert kp < km < 3 * kp
 
     def test_pair_enumeration(self):
-        pairs = admissible_winding_pairs(5)
+        pairs = synthesis._winding_pair_array(5).tolist()
         assert [km for kp, km in pairs if kp == 1] == [2]
         assert [km for kp, km in pairs if kp == 2] == [3, 4, 5]
         for kp, km in pairs:
@@ -650,8 +649,6 @@ class TestSearchControlledPhase:
         pairs = synthesis._winding_pair_array(kp_max)
         assert pairs.dtype == np.int64 and pairs.shape == (len(loop), 2)
         assert [tuple(p) for p in pairs.tolist()] == loop
-        listed = admissible_winding_pairs(kp_max)
-        assert listed == loop and all(type(k) is int for p in listed for k in p)
 
     def test_kappa_plus_bound(self):
         bound = synthesis.MAX_KAPPA_PLUS
@@ -748,7 +745,10 @@ class TestFigureTables:
     def test_fig4(self):
         header, rows = figure_table("fig4")
         assert header == ["kappa_plus", "kappa_minus", "J", "two_J_mod_2pi", "cos_2J", "sin_2J"]
-        assert (2, 3) in {(r[0], r[1]) for r in rows}
+        # The admissible pairs up to kappa_+ = 5 in scan order, as Python ints.
+        loop = [(kp, km) for kp in range(1, 6) for km in range(kp + 1, 3 * kp)]
+        assert [(r[0], r[1]) for r in rows] == loop
+        assert all(type(k) is int for r in rows for k in r[:2])
         row23 = next(r for r in rows if (r[0], r[1]) == (2, 3))
         assert abs(2 * row23[2] - np.pi * np.sqrt(5 / 2)) < 1e-12
 
