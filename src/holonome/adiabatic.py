@@ -3,7 +3,8 @@
 In the co-rotating frame the generator of the dynamics is the *constant*
 Hermitian matrix -iX + HT, so the full-loop propagator has the closed form
 U(1) = exp(X) exp(-i(-iX + HT)) and is exact at any T.  A loop closes,
-exp(X) = 1 exactly, so U(1) = exp(-i(-iX + HT)).  H is diagonal, X acts on
+exp(X) = 1 exactly, so U(1) = exp(-i(-iX + HT)).  Each function here takes
+the loop, which carries X and its triplet split.  H is diagonal, X acts on
 the last dimer's triplet T+, T0, T- and singlet S0 in each sigma_z sector of
 the dimers before it (one sector for one dimer; dimer 1's four sigma_z
 states for two, where X^1 and X^{1-2} are diagonal), and both commute with
@@ -48,10 +49,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from holonome.deformation import DeformationGenerator, _check_size
+from holonome.deformation import _check_size
 from holonome.errors import DomainError
 from holonome.holonomy import HolonomyGate
-from holonome.matrix_kernel import _U, _block_diagonal, _read_only, exp_minus_i
+from holonome.matrix_kernel import _U, _block_diagonal, _read_only, exp_minus_i, is_unitary
 from holonome.spin_model import SpinModel, coding_space
 
 
@@ -114,7 +115,7 @@ def _from_triplet_basis() -> np.ndarray:
 _FROM_TRIPLET_BASIS = _read_only(_from_triplet_basis())
 
 
-def _propagators(model: SpinModel, gen: DeformationGenerator, ts: np.ndarray) -> np.ndarray:
+def _propagators(model: SpinModel, loop, ts: np.ndarray) -> np.ndarray:
     """Stack of exp(-i(-iX + HT)) over the (checked) times ``ts``, in one pass.
 
     X splits over the last dimer's triplet and singlet in each sigma_z sector
@@ -127,8 +128,8 @@ def _propagators(model: SpinModel, gen: DeformationGenerator, ts: np.ndarray) ->
     (``exp_minus_i``), each singlet is one phase, and dimer 1's |++>, |+->,
     |-+>, |--> take the blocks of S1 = 2, 0, 0, -2.
     """
-    _check_size(gen, model)
-    triplets, singlets, phases = gen.triplet_split
+    _check_size(loop, model)
+    triplets, singlets, phases = loop.triplet_split
     # H over the last dimer in each sector: one dimer's own entries, or those in dimer 1's
     # |++>, |+->, |--> rows (S1 = 2, 0, -2).  H_s over T+, T0, T-, S0 is diag(h_++, h_+-, h_--, h_-+).
     h = model.diagonal.reshape(-1, 4)
@@ -148,21 +149,21 @@ def _propagators(model: SpinModel, gen: DeformationGenerator, ts: np.ndarray) ->
     return us
 
 
-def exact_propagator(model: SpinModel, gen: DeformationGenerator, T: float) -> np.ndarray:
+def exact_propagator(model: SpinModel, loop, T: float) -> np.ndarray:
     """Full-loop propagator exp(-i(-iX + HT)) (exp(X) = 1); exact for any T up to ``_t_max``."""
-    return _propagators(model, gen, np.array([_finite_time(T, _t_max(model))]))[0]
+    return _propagators(model, loop, np.array([_finite_time(T, _t_max(model))]))[0]
 
 
-def ode_propagator(model: SpinModel, gen: DeformationGenerator, T: float, steps: int) -> np.ndarray:
+def ode_propagator(model: SpinModel, loop, T: float, steps: int) -> np.ndarray:
     """RK4 integration of i dU/dtau = T H(tau) U with H(tau) = e^{X tau} H e^{-X tau}."""
-    _check_size(gen, model)
+    _check_size(loop, model)
     T = _finite_time(T, _t_max(model))
     if isinstance(steps, bool) or not isinstance(steps, (int, np.integer)):
         raise DomainError(f"steps must be an int, got {steps!r}")
     if steps < 1:
         raise DomainError("steps must be >= 1")
     # X = W diag(i lam) W^dag with lam real, so e^{X tau} = W diag(e^{i lam tau}) W^dag.
-    lam, w = np.linalg.eigh(1j * gen.x)
+    lam, w = np.linalg.eigh(1j * loop.x)
     lam = -lam  # X = -i (iX); e^{X tau} has phases e^{-i lam_iX tau}
     # In X's eigenbasis dU~/dtau = A(tau) U~ with A(tau) = D a0 D^dag, D = diag(e^{i lam tau}).
     a0 = -1j * T * (w.conj().T @ model.hamiltonian @ w)
@@ -233,11 +234,13 @@ def holonomy_fidelity(u, gate: HolonomyGate, model: SpinModel, T: float):
         raise DomainError("propagator dimension does not match the model")
     if not np.isfinite(u).all():
         raise DomainError("propagator must be finite")
+    if not is_unitary(u):  # a scaled U would otherwise be clamped to a perfect score
+        raise DomainError("propagator must be unitary")
     T = _finite_time(T, _t_max(model))
     return _fidelity_leakage(u[None], gate, model, _coding_vectors(model, gate), np.array([T]))[0]
 
 
-def adiabatic_sweep(model, gen, gate, t_list) -> list:
+def adiabatic_sweep(model, loop, gate, t_list) -> list:
     """One exact-propagator run per total time T, ordered by T.
 
     The coding space is looked up once; propagators, fidelities, leakages
@@ -248,7 +251,7 @@ def adiabatic_sweep(model, gen, gate, t_list) -> list:
     if not t_list or not t_list[0] > 0:
         raise DomainError("T_list must be non-empty and positive")
     ts = np.array(t_list)
-    us = _propagators(model, gen, ts)
+    us = _propagators(model, loop, ts)
     pairs = _fidelity_leakage(us, gate, model, _coding_vectors(model, gate), ts)
     phases = np.exp(-1j * model.ground_energy * ts).tolist()
     return [

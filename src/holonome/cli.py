@@ -57,21 +57,21 @@ def _write_report(report: dict, out_path, stream):
 
 
 def cmd_one_qubit(args, stream):
-    gen = deformation.one_qubit_generator(_parse_vector(args.n), args.kappa)
+    loop = deformation.one_qubit_generator(_parse_vector(args.n), args.kappa)
     model = spin_model.build_one_dimer(args.omega, args.j1)
-    conn = holonomy.connection_on_ground_space(gen, model)
+    conn = holonomy.connection_on_ground_space(loop, model)
     numeric = holonomy.holonomy(conn)
-    analytic = holonomy.analytic_one_qubit_gate(gen.loop)
-    audit = deformation.leakage_audit(gen, model)
+    analytic = holonomy.analytic_one_qubit_gate(loop)
+    audit = deformation.leakage_audit(loop, model)
     report = reporting.build_report(
         "holonomy",
-        inputs={"n": list(gen.loop.n), "kappa": gen.loop.kappa,
+        inputs={"n": list(loop.n), "kappa": loop.kappa,
                 "omega": args.omega, "j1": args.j1},
         outputs={
-            "theta_kappa": gen.loop.theta_kappa,
-            "m": list(gen.loop.m),
+            "theta_kappa": loop.theta_kappa,
+            "m": list(loop.m),
             "gamma": reporting.matrix_payload(analytic.gamma),
-            "closure_residual": gen.closure_residual,
+            "closure_residual": loop.closure_residual,
             "analytic_vs_numeric_distance": phase_invariant_distance(
                 analytic.gamma, numeric.gamma
             ),
@@ -83,22 +83,22 @@ def cmd_one_qubit(args, stream):
 
 
 def cmd_two_qubit(args, stream):
-    gen = deformation.two_qubit_generator(args.kp, args.km, args.kprime)
+    loop = deformation.two_qubit_generator(args.kp, args.km, args.kprime)
     model = spin_model.build_two_dimer(args.j1, args.j2)
-    conn = holonomy.connection_on_ground_space(gen, model)
+    conn = holonomy.connection_on_ground_space(loop, model)
     numeric = holonomy.holonomy(conn)
-    fact = holonomy.analytic_two_qubit_gate(gen.loop)
-    audit = deformation.leakage_audit(gen, model)
+    fact = holonomy.analytic_two_qubit_gate(loop)
+    audit = deformation.leakage_audit(loop, model)
     report = reporting.build_report(
         "holonomy",
         inputs={"kappa_plus": args.kp, "kappa_minus": args.km,
                 "kappa_prime": args.kprime, "j1": args.j1, "j2": args.j2},
         outputs={
-            "coupling_j": gen.loop.coupling_j,
-            "n2z": gen.loop.n2z,
-            "controlled_phase_angle": 2.0 * gen.loop.coupling_j,
+            "coupling_j": loop.coupling_j,
+            "n2z": loop.n2z,
+            "controlled_phase_angle": 2.0 * loop.coupling_j,
             "gamma_exact": reporting.matrix_payload(fact.gamma_exact),
-            "closure_residual": gen.closure_residual,
+            "closure_residual": loop.closure_residual,
             "analytic_vs_numeric_distance": phase_invariant_distance(
                 fact.gamma_exact, numeric.gamma
             ),
@@ -158,23 +158,23 @@ def cmd_sweep(args, stream):
         _reject_unused(args, ("kp", "km", "kprime", "j2"), "with --n")
         if args.kappa is None:
             raise DomainError("sweep needs --kappa with --n")
-        gen = deformation.one_qubit_generator(_parse_vector(args.n), args.kappa)
+        loop = deformation.one_qubit_generator(_parse_vector(args.n), args.kappa)
         model = spin_model.build_one_dimer(args.j1, args.j1)
-        inputs = {"n": list(gen.loop.n), "kappa": gen.loop.kappa, "T": t_list}
+        inputs = {"n": list(loop.n), "kappa": loop.kappa, "T": t_list}
     elif args.kp is not None:
         _reject_unused(args, ("kappa",), "with --kp")
         if args.km is None:
             raise DomainError("sweep needs --km with --kp")
         kprime = 1 if args.kprime is None else args.kprime
-        gen = deformation.two_qubit_generator(args.kp, args.km, kprime)
+        loop = deformation.two_qubit_generator(args.kp, args.km, kprime)
         model = spin_model.build_two_dimer(args.j1, 1.0 if args.j2 is None else args.j2)
         inputs = {"kappa_plus": args.kp, "kappa_minus": args.km,
                   "kappa_prime": kprime, "T": t_list}
     else:
         raise DomainError("sweep needs either --n/--kappa or --kp/--km/--kprime")
-    conn = holonomy.connection_on_ground_space(gen, model)
+    conn = holonomy.connection_on_ground_space(loop, model)
     gate = holonomy.holonomy(conn)
-    runs = adiabatic.adiabatic_sweep(model, gen, gate, t_list)
+    runs = adiabatic.adiabatic_sweep(model, loop, gate, t_list)
     rows = [(run.T, run.fidelity, run.leakage) for run in runs]
     if args.csv:
         reporting.emit_csv(args.csv, ["T", "fidelity", "leakage"], rows)

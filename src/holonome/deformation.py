@@ -1,15 +1,16 @@
-"""Anti-Hermitian loop generators, their closure and their leakage checks.
+"""Closed loops: their anti-Hermitian generators, closure and leakage checks.
 
 A loop is a one-parameter isospectral deformation exp(X tau) H exp(-X tau)
 with constant anti-Hermitian X.  The loop closes, exp(X) = 1, exactly for
 the integer windings the loop classes accept: n . (sigma_1 + sigma_2) has
 eigenvalues 2, 0, 0, -2, and in dimer 1's sigma_z sector s in {2, 0, -2}
 the two-dimer X is e^{i kappa' pi s} times a rotation of dimer 2 by kappa_+ pi
-(s = 2, 0) or kappa_- pi (s = -2).  So a generator is built from a loop
-alone, exp(X) is taken only for the float residual a report states, and the
-propagator's split of X over the last dimer's triplet and singlet in each
-sector (one for one dimer, dimer 1's for two) is written from the loop, not
-read off X.
+(s = 2, 0) or kappa_- pi (s = -2).  So a loop is its own generator: it holds
+its windings, derives its other fields from them, and carries X, built from
+the loop on first read.  exp(X) is taken only for the float residual a report
+states, and the propagator's split of X over the last dimer's triplet and
+singlet in each sector (one for one dimer, dimer 1's for two) is written from
+the loop, not read off X.
 """
 
 from __future__ import annotations
@@ -37,8 +38,32 @@ LEAKAGE_TOL = 1e-12
 _SQRT2 = math.sqrt(2.0)
 
 
+class _Loop:
+    """A closed loop, fixed by its windings, and what it derives from them.
+
+    The windings (and one dimer's axis) are a loop's only constructor arguments; its other
+    fields are derived from them, so ``dataclasses.replace`` derives them afresh.  ``dim``
+    is the size of the space X acts on, so a size check builds no X.  Read-only, built on
+    first read: ``x``, the anti-Hermitian generator X; ``closure_residual``; ``triplet_split``,
+    (triplets, singlets, phases): -iX over the last dimer's T+, T0, T-
+    (``spin_model.DIMER_BASIS``) and S0 in each sigma_z sector of the dimers before it, as
+    real symmetric 3 x 3 blocks and singlet values, shapes (k, 3, 3) and (k,), each block
+    times ``phases`` entry by entry unless that is None.  Every entry of the split is built
+    from the loop and rounds as the same entry of X does.
+    """
+
+    @functools.cached_property
+    def x(self) -> np.ndarray:
+        return _read_only(self._x())
+
+    @functools.cached_property
+    def closure_residual(self) -> float:
+        """Frobenius distance of the float exp(X) from the identity: a loop's rounding."""
+        return frobenius(expm_skew(self.x) - np.eye(self.dim))
+
+
 @dataclass(frozen=True)
-class OneQubitLoop:
+class OneQubitLoop(_Loop):
     """Loop parameters for a single-dimer deformation.
 
     The generator is i kappa pi n . (sigma_1 + sigma_2).  The induced logical
@@ -47,9 +72,19 @@ class OneQubitLoop:
 
     n: tuple
     kappa: int
-    omega: float
-    theta_kappa: float
-    m: tuple
+    omega: float = field(init=False)
+    theta_kappa: float = field(init=False)
+    m: tuple = field(init=False)
+
+    dim = 4
+
+    def __post_init__(self):
+        nx, ny, nz = self.n
+        omega = self.kappa * math.pi
+        # nz ** 2 is libm's pow, as numpy's scalar power is; it can differ from nz * nz.
+        root = math.sqrt(2.0 - nz**2)
+        vars(self).update(omega=omega, theta_kappa=omega * root,  # frozen: no setattr
+                          m=(_SQRT2 * nx / root, _SQRT2 * ny / root, nz / root))
 
     @classmethod
     def create(cls, n, kappa: int) -> "OneQubitLoop":
@@ -64,16 +99,30 @@ class OneQubitLoop:
             raise DomainError(f"winding number must be in [1, {MAX_WINDING}]")
         if abs(abs(nz) - 1.0) < 1e-12:
             raise DomainError("|n_z| = 1 gives [H, X] = 0: the loop is trivial")
-        omega = kappa * math.pi
-        # nz ** 2 is libm's pow, as numpy's scalar power is; it can differ from nz * nz.
-        root = math.sqrt(2.0 - nz**2)
-        return cls(
-            n=(nx, ny, nz),
-            kappa=kappa,
-            omega=omega,
-            theta_kappa=omega * root,
-            m=(_SQRT2 * nx / root, _SQRT2 * ny / root, nz / root),
-        )
+        return cls(n=(nx, ny, nz), kappa=kappa)
+
+    def _x(self) -> np.ndarray:
+        """X = i kappa pi n . (sigma_1 + sigma_2)."""
+        return 1j * self.omega * collective_spin(self.n, (0, 1), 2)
+
+    @functools.cached_property
+    def triplet_split(self):
+        """One sector: -iX = Omega n . S, S = sigma_1 + sigma_2, is 0 on S0, and on the triplet
+        Omega diag(2 n_z, 0, -2 n_z) with <T+|.|T0> = <T0|.|T-> = sqrt2 Omega (n_x - i n_y).
+        For n_y != 0 that is D R D^dag, R real with r = hypot(n_x, n_y) for n_x,
+        D = diag(e^{-i phi}, 1, e^{i phi}), phi = atan2(n_y, n_x), and ``phases`` holds
+        e^{-i phi (m_j - m_k)}, m = (1, 0, -1).  D is diagonal over the product basis too, so
+        it commutes with H: exp(-i(-iX + HT)) = D exp(-i(R + HT)) D^dag.
+        """
+        nx, ny, nz = self.n
+        tilt = self.omega * (2.0 * nz)
+        d = _SQRT2 * (self.omega * (math.hypot(nx, ny) if ny else nx))
+        triplets = _read_only(np.array([[[tilt, d, 0.0], [d, 0.0, d], [0.0, d, -tilt]]]))
+        phases = None
+        if ny:
+            m = np.array([1.0, 0.0, -1.0])
+            phases = _read_only(np.exp(-1j * math.atan2(ny, nx) * np.subtract.outer(m, m)))
+        return triplets, _read_only(np.array([0.0])), phases
 
 
 def _checked_int(name: str, value) -> int:
@@ -98,7 +147,7 @@ def coupling_strength(kappa_plus, kappa_minus):
 
 
 @dataclass(frozen=True)
-class TwoQubitLoop:
+class TwoQubitLoop(_Loop):
     """Loop parameters for a two-dimer deformation.
 
     Closure fixes Omega_2 = kappa_+ pi, Omega_1 = kappa' pi and
@@ -109,12 +158,23 @@ class TwoQubitLoop:
     kappa_plus: int
     kappa_minus: int
     kappa_prime: int
-    omega1: float
-    omega2: float
-    coupling_j: float
-    n2z: float
-    n2x: float
-    a: float  # sqrt 2 * Omega_2 * n_2x, the logical x-drive on the target
+    omega1: float = field(init=False)
+    omega2: float = field(init=False)
+    coupling_j: float = field(init=False)
+    n2z: float = field(init=False)
+    n2x: float = field(init=False)
+    a: float = field(init=False)  # sqrt 2 * Omega_2 * n_2x, the logical x-drive on the target
+
+    dim = 16
+
+    def __post_init__(self):
+        omega2 = self.kappa_plus * np.pi
+        coupling_j = float(coupling_strength(self.kappa_plus, self.kappa_minus))
+        n2z = -coupling_j / omega2 if coupling_j else 0.0  # +0.0 in the forced limit
+        n2x = np.sqrt(1.0 - n2z**2)
+        vars(self).update(omega1=float(self.kappa_prime * np.pi), omega2=float(omega2),
+                          coupling_j=coupling_j, n2z=float(n2z), n2x=float(n2x),
+                          a=float(np.sqrt(2.0) * omega2 * n2x))
 
     @classmethod
     def create(cls, kappa_plus: int, kappa_minus: int, kappa_prime: int) -> "TwoQubitLoop":
@@ -125,7 +185,7 @@ class TwoQubitLoop:
             raise DomainError(f"kappa_plus < kappa_minus violated: {kp} >= {km}")
         if not km < 3 * kp:
             raise DomainError(f"kappa_minus < 3 kappa_plus violated: {km} >= {3 * kp}")
-        return cls._from_windings(kp, km, kpr)
+        return cls(kp, km, kpr)
 
     @classmethod
     def with_forced_zero_coupling(cls, kappa_plus: int, kappa_prime: int) -> "TwoQubitLoop":
@@ -135,90 +195,31 @@ class TwoQubitLoop:
         to exercise the factorization audit in its trivially consistent limit.
         """
         kp, kpr = _checked_windings(kappa_plus=kappa_plus, kappa_prime=kappa_prime)
-        return cls._from_windings(kp, kp, kpr)
+        return cls(kp, kp, kpr)
 
-    @classmethod
-    def _from_windings(cls, kp: int, km: int, kpr: int) -> "TwoQubitLoop":
-        omega2 = kp * np.pi
-        coupling_j = float(coupling_strength(kp, km))
-        n2z = -coupling_j / omega2 if coupling_j else 0.0  # +0.0 in the forced limit
-        n2x = np.sqrt(1.0 - n2z**2)
-        return cls(
-            kappa_plus=kp,
-            kappa_minus=km,
-            kappa_prime=kpr,
-            omega1=float(kpr * np.pi),
-            omega2=float(omega2),
-            coupling_j=coupling_j,
-            n2z=float(n2z),
-            n2x=float(n2x),
-            a=float(np.sqrt(2.0) * omega2 * n2x),
-        )
-
-
-@dataclass(frozen=True, eq=False)
-class DeformationGenerator:
-    """The anti-Hermitian generator X of a closed loop, assembled from the loop.
-
-    ``x`` is read-only, and it is no ``dataclasses.replace`` argument, so
-    replacing the loop builds its generator.
-    """
-
-    x: np.ndarray = field(init=False)
-    loop: object  # OneQubitLoop | TwoQubitLoop
-
-    def __post_init__(self):
-        if not isinstance(self.loop, (OneQubitLoop, TwoQubitLoop)):
-            raise DomainError(f"a loop must be a OneQubitLoop or TwoQubitLoop, got {self.loop!r}")
-        object.__setattr__(self, "x", _loop_x(self.loop))
+    def _x(self) -> np.ndarray:
+        """X^1 + X^2 + X^{1-2}."""
+        x1 = 1j * self.omega1 * collective_spin((0.0, 0.0, 1.0), (0, 1), 4)
+        x2 = 1j * self.omega2 * collective_spin((self.n2x, 0.0, self.n2z), (2, 3), 4)
+        return x1 + x2 + 1j * self.coupling_j * _cross_zz()
 
     @functools.cached_property
     def triplet_split(self):
-        """(triplets, singlets, phases): -iX over the last dimer's T+, T0, T-
-        (``spin_model.DIMER_BASIS``) and S0 in each sigma_z sector of the dimers before it.
-
-        Real symmetric 3 x 3 blocks and singlet values, read-only, shapes (k, 3, 3) and (k,);
-        each block times ``phases`` entry by entry, unless that is None.  Every entry is built
-        from the loop and rounds as the same entry of X does.
-
-        One dimer is one sector: -iX = Omega n . S, S = sigma_1 + sigma_2, is 0 on S0, and on
-        the triplet Omega diag(2 n_z, 0, -2 n_z) with <T+|.|T0> = <T0|.|T-> =
-        sqrt2 Omega (n_x - i n_y).  For n_y != 0 that is D R D^dag, R real with
-        r = hypot(n_x, n_y) for n_x, D = diag(e^{-i phi}, 1, e^{i phi}), phi = atan2(n_y, n_x),
-        and ``phases`` holds e^{-i phi (m_j - m_k)}, m = (1, 0, -1).  D is diagonal over the
-        product basis too, so it commutes with H: exp(-i(-iX + HT)) = D exp(-i(R + HT)) D^dag.
-
-        Two dimers have dimer 1's sectors s = 2, 0, -2 and no phases: -iX_s = Omega_1 s +
-        Omega_2 n_2 . S + J s S_z, S = sigma_3 + sigma_4, S_z = diag(2, 0, -2) and
-        <T+|S_x|T0> = <T0|S_x|T-> = sqrt2.
+        """Dimer 1's sectors s = 2, 0, -2 and no phases: -iX_s = Omega_1 s + Omega_2 n_2 . S
+        + J s S_z, S = sigma_3 + sigma_4, S_z = diag(2, 0, -2), <T+|S_x|T0> = <T0|S_x|T-> = sqrt2.
         """
-        loop, phases = self.loop, None
-        if isinstance(loop, OneQubitLoop):
-            nx, ny, nz = loop.n
-            tilt = loop.omega * (2.0 * nz)
-            d = _SQRT2 * (loop.omega * (math.hypot(nx, ny) if ny else nx))
-            triplets, singlets = [[[tilt, d, 0.0], [d, 0.0, d], [0.0, d, -tilt]]], [0.0]
-            if ny:
-                m = np.array([1.0, 0.0, -1.0])
-                phases = _read_only(np.exp(-1j * math.atan2(ny, nx) * np.subtract.outer(m, m)))
-        else:
-            tilt, d = loop.omega2 * (2.0 * loop.n2z), _SQRT2 * (loop.omega2 * loop.n2x)
-            triplets, singlets = [], []
-            for s in (2.0, 0.0, -2.0):
-                e, c = loop.omega1 * s, loop.coupling_j * (2.0 * s)
-                triplets.append([[(e + tilt) + c, d, 0.0], [d, e, d], [0.0, d, (e - tilt) - c]])
-                singlets.append(e)
-        return _read_only(np.array(triplets)), _read_only(np.array(singlets)), phases
-
-    @functools.cached_property
-    def closure_residual(self) -> float:
-        """Frobenius distance of the float exp(X) from the identity: a loop's rounding."""
-        return frobenius(expm_skew(self.x) - np.eye(self.x.shape[0]))
+        tilt, d = self.omega2 * (2.0 * self.n2z), _SQRT2 * (self.omega2 * self.n2x)
+        triplets, singlets = [], []
+        for s in (2.0, 0.0, -2.0):
+            e, c = self.omega1 * s, self.coupling_j * (2.0 * s)
+            triplets.append([[(e + tilt) + c, d, 0.0], [d, e, d], [0.0, d, (e - tilt) - c]])
+            singlets.append(e)
+        return _read_only(np.array(triplets)), _read_only(np.array(singlets)), None
 
 
-def _check_size(gen: DeformationGenerator, model: SpinModel) -> None:
-    """DomainError unless the generator acts on the model's space."""
-    if gen.x.shape != (model.dim, model.dim):
+def _check_size(loop, model: SpinModel) -> None:
+    """DomainError unless the loop's X acts on the model's space."""
+    if loop.dim != model.dim:
         raise DomainError("generator dimension does not match the model")
 
 
@@ -241,24 +242,14 @@ def _cross_zz() -> np.ndarray:
     return _read_only(sz[0] @ sz[2] + sz[0] @ sz[3] + sz[1] @ sz[2] + sz[1] @ sz[3])
 
 
-def _loop_x(loop) -> np.ndarray:
-    """A loop's X, read-only: i kappa pi n . (sigma_1 + sigma_2) on one dimer, or
-    X^1 + X^2 + X^{1-2} on two."""
-    if isinstance(loop, OneQubitLoop):
-        return _read_only(1j * loop.omega * collective_spin(loop.n, (0, 1), 2))
-    x1 = 1j * loop.omega1 * collective_spin((0.0, 0.0, 1.0), (0, 1), 4)
-    x2 = 1j * loop.omega2 * collective_spin((loop.n2x, 0.0, loop.n2z), (2, 3), 4)
-    return _read_only(x1 + x2 + 1j * loop.coupling_j * _cross_zz())
+def one_qubit_generator(n, kappa: int) -> OneQubitLoop:
+    """The loop of X = i kappa pi n . (sigma_1 + sigma_2) on the single-dimer space."""
+    return OneQubitLoop.create(n, kappa)
 
 
-def one_qubit_generator(n, kappa: int) -> DeformationGenerator:
-    """X = i kappa pi n . (sigma_1 + sigma_2) on the single-dimer space."""
-    return DeformationGenerator(loop=OneQubitLoop.create(n, kappa))
-
-
-def two_qubit_generator(kappa_plus: int, kappa_minus: int, kappa_prime: int) -> DeformationGenerator:
-    """Two-dimer generator X^1 + X^2 + X^{1-2} with closure built in."""
-    return DeformationGenerator(loop=TwoQubitLoop.create(kappa_plus, kappa_minus, kappa_prime))
+def two_qubit_generator(kappa_plus: int, kappa_minus: int, kappa_prime: int) -> TwoQubitLoop:
+    """The loop of the two-dimer generator X^1 + X^2 + X^{1-2}, with closure built in."""
+    return TwoQubitLoop.create(kappa_plus, kappa_minus, kappa_prime)
 
 
 @dataclass(frozen=True, eq=False)
@@ -274,11 +265,11 @@ class LeakageAudit:
     passed: bool
 
 
-def leakage_audit(gen: DeformationGenerator, model: SpinModel) -> LeakageAudit:
+def leakage_audit(loop, model: SpinModel) -> LeakageAudit:
     """Check that X never connects the coding space to the rest of the ground space."""
-    _check_size(gen, model)
+    _check_size(loop, model)
     vecs = ground_basis(model)
     dim_c = coding_space(model).shape[1]
-    block = vecs[:, dim_c:].conj().T @ gen.x @ vecs[:, :dim_c]
+    block = vecs[:, dim_c:].conj().T @ loop.x @ vecs[:, :dim_c]
     max_abs = float(np.max(np.abs(block))) if block.size else 0.0
     return LeakageAudit(block=block, max_abs=max_abs, passed=max_abs < LEAKAGE_TOL)

@@ -1,7 +1,7 @@
 """Ground-space connection, holonomy gates and two-qubit diagnostics.
 
-The connection on the degenerate ground space of a constant-generator loop
-reduces to the matrix of X in the ordered ground basis, A_ij = <i|X|j>, and
+The connection on the degenerate ground space of a loop reduces to the matrix
+of the X that the loop carries in the ordered ground basis, A_ij = <i|X|j>, and
 the holonomy is Gamma = exp(-A) restricted to the coding block.  Closed-form
 gate expressions exist for both the one- and two-qubit loops; the two-qubit
 gate is built from 2 x 2 Rodrigues rotations with no eigensolver, and its
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from holonome.deformation import DeformationGenerator, OneQubitLoop, TwoQubitLoop, _check_size
+from holonome.deformation import OneQubitLoop, TwoQubitLoop, _check_size
 from holonome.errors import DomainError
 from holonome.matrix_kernel import (
     _read_only,
@@ -82,11 +82,11 @@ class HolonomyGate:
     gamma: np.ndarray
 
 
-def connection_on_ground_space(gen: DeformationGenerator, model: SpinModel) -> Connection:
-    """A_ij = <i|X|j> over the ordered ground basis (coding vectors first)."""
-    _check_size(gen, model)
+def connection_on_ground_space(loop, model: SpinModel) -> Connection:
+    """A_ij = <i|X|j> over the ordered ground basis (coding vectors first), X the loop's."""
+    _check_size(loop, model)
     vecs = ground_basis(model)  # raises DomainError off the working point
-    matrix = vecs.conj().T @ gen.x @ vecs
+    matrix = vecs.conj().T @ loop.x @ vecs
     return Connection(matrix=matrix, coding_dim=coding_space(model).shape[1])
 
 

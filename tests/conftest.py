@@ -32,17 +32,17 @@ def pytest_configure(config):
 
 
 def closure_residual(x) -> float:
-    """Reference for ``DeformationGenerator.closure_residual``: ||exp(X) - 1||_F afresh."""
+    """Reference for a loop's ``closure_residual``: ||exp(X) - 1||_F afresh, for any X."""
     x = np.asarray(x, dtype=complex)
     return frobenius(expm_skew(x) - np.eye(x.shape[0]))
 
 
 def open_path(x):
-    """A stand-in generator for a raw anti-Hermitian X, closed or not: the read-only ``x``
-    that the RK4 oracle, the connection, the leakage audit and ``closure_residual`` read."""
+    """A stand-in loop for a raw anti-Hermitian X, closed or not: the read-only ``x`` that
+    the RK4 oracle, the connection and the leakage audit read, and its size ``dim``."""
     x = np.array(x, dtype=complex)
     x.flags.writeable = False
-    return types.SimpleNamespace(x=x)
+    return types.SimpleNamespace(x=x, dim=x.shape[0])
 
 
 def dense_frames(model, x, ts):
@@ -83,7 +83,7 @@ def eager_leakage_audit(gen, model):
     max_abs = float(np.max(np.abs(block)))
     named = {}
     if model.n_spins == 4:
-        cross = 1j * gen.loop.coupling_j * deformation._cross_zz()
+        cross = 1j * gen.coupling_j * deformation._cross_zz()
         col = {lab: vecs[:, k] for k, lab in enumerate(labels)}
         for bra, ket in (("T+T+", "T+T+"), ("T+S0", "T+T0"), ("S0T+", "T0T+"),
                          ("S0S0", "T0S0"), ("S0T0", "T0S0")):

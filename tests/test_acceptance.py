@@ -76,18 +76,18 @@ def test_criterion_03_connection_analytics():
     model1 = build_one_dimer(1.0, 1.0)
     gen1 = one_qubit_generator((0.6, 0.0, 0.8), 2)
     conn1 = connection_on_ground_space(gen1, model1)
-    ok = frobenius(conn1.coding_block - one_qubit_coding_connection(gen1.loop)) < 1e-12
+    ok = frobenius(conn1.coding_block - one_qubit_coding_connection(gen1)) < 1e-12
     ok = ok and np.linalg.norm(conn1.matrix[2, :]) < 1e-12
     ok = ok and np.linalg.norm(conn1.matrix[:, 2]) < 1e-12
 
     model2 = build_two_dimer(1.0, 1.0)
     gen2 = two_qubit_generator(2, 3, 1)
     conn2 = connection_on_ground_space(gen2, model2)
-    ok = ok and frobenius(conn2.coding_block - two_qubit_coding_connection(gen2.loop)) < 1e-12
+    ok = ok and frobenius(conn2.coding_block - two_qubit_coding_connection(gen2)) < 1e-12
 
     ok = ok and leakage_audit(gen2, model2).passed
     named = eager_leakage_audit(gen2, model2)[3]
-    ok = ok and abs(named["<T+T+|Xc|T+T+>"] - 1j * 4.0 * gen2.loop.coupling_j) < 1e-12
+    ok = ok and abs(named["<T+T+|Xc|T+T+>"] - 1j * 4.0 * gen2.coupling_j) < 1e-12
     for key in ("<T+S0|Xc|T+T0>", "<S0T+|Xc|T0T+>", "<S0S0|Xc|T0S0>", "<S0T0|Xc|T0S0>"):
         ok = ok and abs(named[key]) < 1e-12
     verdict(3, "connection matches closed forms; no leakage elements", ok)
@@ -105,7 +105,7 @@ def test_criterion_04_one_qubit_gate_identity():
             n /= np.linalg.norm(n)
         gen = one_qubit_generator(n, int(rng.integers(1, 10)))
         numeric = holonomy(connection_on_ground_space(gen, model)).gamma
-        analytic = analytic_one_qubit_gate(gen.loop).gamma
+        analytic = analytic_one_qubit_gate(gen).gamma
         ok = ok and phase_invariant_distance(numeric, analytic) < 1e-10
     verdict(4, "closed-form one-qubit gate equals exp(-A) on 20 loops", ok)
 

@@ -18,7 +18,8 @@ from holonome.adiabatic import (
 )
 from holonome.deformation import (
     MAX_WINDING,
-    DeformationGenerator,
+    OneQubitLoop,
+    TwoQubitLoop,
     leakage_audit,
     one_qubit_generator,
     two_qubit_generator,
@@ -35,10 +36,11 @@ NON_FINITE = (np.nan, np.inf, -np.inf)
 
 
 def zero_generator(model):
-    """A stand-in for X = 0: its dense X and its split, zero in each sector."""
+    """A stand-in for X = 0: its dense X, its size and its split, zero in each sector."""
     k = 1 if model.dim == 4 else 3
     split = (np.zeros((k, 3, 3)), np.zeros(k), None)
-    return types.SimpleNamespace(x=open_path(np.zeros((model.dim, model.dim))).x, triplet_split=split)
+    return types.SimpleNamespace(**vars(open_path(np.zeros((model.dim, model.dim)))),
+                                 triplet_split=split)
 
 
 def loop_ode_propagator(model, gen, T, steps):
@@ -192,16 +194,29 @@ class TestExactPropagator:
     @pytest.mark.parametrize("model_qubits,gen_qubits", [(2, 1), (1, 2)])
     def test_rejects_generator_of_other_size(self, model_qubits, gen_qubits):
         # One size check, one message, for every function that reads X against the model.
-        model = oracle_setup(model_qubits)[0]
-        gen = oracle_setup(gen_qubits)[1]
+        model, _, gate = oracle_setup(model_qubits)
+        gen = dataclasses.replace(oracle_setup(gen_qubits)[1])  # a fresh loop, no X built yet
         calls = (lambda: exact_propagator(model, gen, 1.0),
                  lambda: adiabatic._propagators(model, gen, np.array([1.0, 2.0])),
+                 lambda: adiabatic_sweep(model, gen, gate, [1.0, 2.0]),
                  lambda: ode_propagator(model, gen, 1.0, 10),
                  lambda: connection_on_ground_space(gen, model),
                  lambda: leakage_audit(gen, model))
         for call in calls:
             with pytest.raises(DomainError, match="^generator dimension does not match the model$"):
                 call()
+        # The check reads the loop's size: it builds no X.
+        assert "x" not in vars(gen)
+
+    @pytest.mark.parametrize("qubits", [1, 2])
+    def test_propagators_build_no_generator(self, qubits):
+        # The propagator and the sweep read the split, never the dense X, of a fresh loop.
+        model, gen, gate = oracle_setup(qubits)
+        for run in (lambda loop: exact_propagator(model, loop, 10.0),
+                    lambda loop: adiabatic_sweep(model, loop, gate, [1.0, 10.0])):
+            loop = dataclasses.replace(gen)
+            run(loop)
+            assert "triplet_split" in vars(loop) and "x" not in vars(loop)
 
     def test_unitary_at_any_time(self):
         model = build_two_dimer(1.0, 1.0)
@@ -311,6 +326,18 @@ class TestHolonomyFidelity:
             broken[entry] = value
             with pytest.raises(DomainError, match="^propagator must be finite$"):
                 holonomy_fidelity(broken, gate, model, 10.0)
+
+    @pytest.mark.parametrize("qubits", [1, 2])
+    @pytest.mark.parametrize("factor", [3.0, 0.0, 1.0 + 1e-6])
+    def test_rejects_non_unitary_propagator(self, qubits, factor):
+        # A scaled U would be clamped to a score: 3 U to (1.0, 0.0), as if the gate were
+        # perfect, and 0 U to (0.0, 1.0).  The exact propagator itself is scored.
+        model, gen, gate = oracle_setup(qubits)
+        u = exact_propagator(model, gen, 1000.0)
+        with pytest.raises(DomainError, match="^propagator must be unitary$"):
+            holonomy_fidelity(factor * u, gate, model, 1000.0)
+        fidelity, leakage = holonomy_fidelity(u, gate, model, 1000.0)
+        assert 0.0 < fidelity <= 1.0 and 0.0 <= leakage < 1.0
 
 
 class TestAdiabaticSweep:
@@ -564,7 +591,7 @@ class TestSectorPropagators:
             errors = frobenius_stack(us - dense_frames(model, gen.x, ts))
             scale = frobenius(gen.x) + np.abs(ts) * model.hamiltonian_norm
             bounds = 16 * scale * np.finfo(float).eps / 2
-            assert np.all(errors <= bounds), (gen.loop, ts)
+            assert np.all(errors <= bounds), (gen, ts)
             worst = max(worst, float(np.max(errors / bounds)))
         assert sum(len(ts) for _, _, ts in cases) == 1500
         assert worst > 0.0  # the paths round differently; the bound is not vacuous
@@ -579,9 +606,9 @@ class TestSectorPropagators:
             errors = frobenius_stack(us - dense_frames(model, gen.x, ts))
             scale = frobenius(gen.x) + np.abs(ts) * model.hamiltonian_norm
             bounds = 16 * scale * np.finfo(float).eps / 2
-            assert np.all(errors <= bounds), (gen.loop, ts)
+            assert np.all(errors <= bounds), (gen, ts)
             worst = max(worst, float(np.max(errors / bounds)))
-        axes = np.array([gen.loop.n for _, gen, _ in cases])
+        axes = np.array([gen.n for _, gen, _ in cases])
         assert sum(len(ts) for _, _, ts in cases) == 1500
         assert np.count_nonzero(axes[:, 1] == 0.0) == 150
         assert np.count_nonzero(np.abs(axes[:, 2]) > 0.995) >= 150
@@ -597,22 +624,23 @@ class TestSectorPropagators:
         exact = exact_propagator(model, gen, 10.0)
         k = len(gen.triplet_split[1])
         wrong = (np.zeros((k, 3, 3)), np.zeros(k), None)
-        monkeypatch.setattr(DeformationGenerator, "triplet_split", property(lambda self: wrong))
+        for cls in (OneQubitLoop, TwoQubitLoop):
+            monkeypatch.setattr(cls, "triplet_split", property(lambda self: wrong))
         assert gen.triplet_split is wrong
         assert ode_propagator(model, gen, 10.0, 1000).tobytes() == oracle.tobytes()
         assert frobenius(exact - oracle) < 1e-4
         assert frobenius(exact_propagator(model, gen, 10.0) - oracle) > 0.1
 
     def test_sectors_built_from_loop(self):
-        # A generator of the same loop has the same split, byte for byte.
+        # An equal loop, built afresh from the same windings, has the same split, byte for byte.
         for qubits in (1, 2):
             gen = oracle_setup(qubits)[1]
-            same = DeformationGenerator(loop=gen.loop)
-            assert same.triplet_split is not gen.triplet_split
+            same = dataclasses.replace(gen)
+            assert same == gen and same.triplet_split is not gen.triplet_split
             assert [a.tobytes() for a in same.triplet_split if a is not None] == [
                 b.tobytes() for b in gen.triplet_split if b is not None]
         gen = one_qubit_generator((0.6, 0.48, 0.64), 999)
-        same = DeformationGenerator(loop=gen.loop)
+        same = dataclasses.replace(gen)
         assert [a.tobytes() for a in same.triplet_split] == [b.tobytes() for b in gen.triplet_split]
 
     @pytest.mark.parametrize("qubits", [1, 2])
@@ -649,7 +677,7 @@ class TestSectorPropagators:
             frames = -1j * (-1j * gen.x + model.hamiltonian * ts[:, None, None])
             errors = frobenius_stack(us - expm_skew(frames))
             bounds = 16 * (frobenius(gen.x) + ts * model.hamiltonian_norm) * np.finfo(float).eps / 2
-            assert np.all(errors <= bounds), gen.loop
+            assert np.all(errors <= bounds), gen
             assert all(is_unitary(u) for u in us)
 
     @pytest.mark.parametrize("entry", [(0, 5), (1, 2), (3, 3)])

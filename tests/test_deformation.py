@@ -14,7 +14,6 @@ from holonome.adiabatic import exact_propagator
 from holonome.deformation import (
     MAX_WINDING,
     OneQubitLoop,
-    DeformationGenerator,
     TwoQubitLoop,
     collective_spin,
     coupling_strength,
@@ -29,7 +28,6 @@ from holonome.spin_model import DIMER_BASIS, build_one_dimer, build_two_dimer, p
 from conftest import (
     closure_residual,
     eager_leakage_audit,
-    open_path,
     reference_one_qubit_loop,
     reference_triplet_split,
 )
@@ -118,11 +116,10 @@ class TestOneQubitGenerator:
 
 class TestTwoQubitGenerator:
     def test_example_231(self):
-        gen = two_qubit_generator(2, 3, 1)
-        loop = gen.loop
+        loop = two_qubit_generator(2, 3, 1)
         assert abs(loop.coupling_j - np.pi * np.sqrt(5) / (2 * np.sqrt(2))) < 1e-12
         assert abs(loop.n2z + loop.coupling_j / (2 * np.pi)) < 1e-12
-        assert closure_residual(gen.x) < 1e-8
+        assert closure_residual(loop.x) < 1e-8
 
     def test_nu_minus_is_integer_multiple_of_pi(self):
         loop = TwoQubitLoop.create(1, 2, 1)
@@ -165,24 +162,19 @@ class TestTwoQubitGenerator:
                 assert loop.omega2 > loop.coupling_j
 
 
-def residual_of(x) -> float:
-    """``DeformationGenerator.closure_residual`` evaluated on a stand-in for the raw ``x``."""
-    return DeformationGenerator.closure_residual.func(open_path(x))
-
-
 class TestClosureResidual:
     def test_zero_generator(self):
         x = np.zeros((4, 4), dtype=complex)
-        assert residual_of(x) == closure_residual(x) == 0.0
+        assert closure_residual(x) == 0.0
 
     def test_closed_loop_small(self):
         gen = one_qubit_generator((1.0, 0.0, 0.0), 2)
         assert gen.closure_residual < 1e-10
 
     def test_non_integer_winding_stays_open(self):
+        # A half winding is no loop: its X, built as a loop's is, leaves exp(X) far from 1.
         x = 1j * 0.5 * np.pi * collective_spin((1.0, 0.0, 0.0), (0, 1), 2)
-        assert residual_of(x).hex() == closure_residual(x).hex()
-        assert residual_of(x) >= 1.0
+        assert closure_residual(x) >= 1.0
 
 
 class TestIsospectrality:
@@ -238,7 +230,7 @@ class TestLeakageAudit:
         gen = two_qubit_generator(2, 3, 1)
         assert leakage_audit(gen, model).passed
         named = eager_leakage_audit(gen, model)[3]
-        expected = 1j * 4.0 * gen.loop.coupling_j
+        expected = 1j * 4.0 * gen.coupling_j
         assert abs(named["<T+T+|Xc|T+T+>"] - expected) < 1e-12
         for key in (
             "<T+S0|Xc|T+T0>",
@@ -342,7 +334,7 @@ class TestSectors:
             for part in (triplets, singlets):
                 assert part.dtype == np.float64 and not part.flags.writeable
             assert np.array_equal(triplets, triplets.swapaxes(1, 2)) and singlets[0] == 0.0
-            assert (phases is None) == (gen.loop.n[1] == 0.0)
+            assert (phases is None) == (gen.n[1] == 0.0)
             block = triplets[0] if phases is None else triplets[0] * phases
             if phases is not None:
                 assert phases.shape == (3, 3) and not phases.flags.writeable
@@ -445,15 +437,14 @@ class TestLoopAssembly:
         kp, km = admissible_pairs(300, seed=13)
         for a, b in zip(kp.tolist(), km.tolist()):
             kpr = a % MAX_WINDING + 1
-            gen = two_qubit_generator(a, b, kpr)
-            loop = gen.loop
+            loop = two_qubit_generator(a, b, kpr)
             x1 = 1j * loop.omega1 * collective_spin((0.0, 0.0, 1.0), (0, 1), 4)
             x2 = 1j * loop.omega2 * collective_spin((loop.n2x, 0.0, loop.n2z), (2, 3), 4)
             sz = [pauli_site("z", s, 4) for s in range(4)]
             cross = 1j * loop.coupling_j * (
                 sz[0] @ sz[2] + sz[0] @ sz[3] + sz[1] @ sz[2] + sz[1] @ sz[3]
             )
-            assert gen.x.tobytes() == (x1 + x2 + cross).tobytes(), (a, b)
+            assert loop.x.tobytes() == (x1 + x2 + cross).tobytes(), (a, b)
 
     def test_cross_operator_built_once_read_only(self):
         zz = deformation._cross_zz()
@@ -482,51 +473,115 @@ GENERATORS = [
 
 
 class TestGeneratorInputs:
-    """A generator holds one input, its loop, from which X is assembled."""
+    """A loop is its own generator: its windings (and one dimer's axis) are its only inputs,
+    and X and every other field are derived from them."""
 
     @pytest.mark.parametrize("make", GENERATORS)
     def test_loop_and_x_together_are_rejected(self, make):
         # X is no input: 0.3 X with the loop of X would be an open path treated as closed.
-        assert [f.name for f in dataclasses.fields(DeformationGenerator)] == ["x", "loop"]
+        # Nor is any derived field, which could disagree with the windings.
         gen = make()
-        with pytest.raises(TypeError, match="'x'"):
-            DeformationGenerator(x=0.3 * gen.x, loop=gen.loop)
-        with pytest.raises(ValueError, match="init=False"):  # x is not a replace argument
+        names = [f.name for f in dataclasses.fields(gen)]
+        inputs = [f.name for f in dataclasses.fields(gen) if f.init]
+        assert inputs == (["n", "kappa"] if gen.dim == 4
+                          else ["kappa_plus", "kappa_minus", "kappa_prime"])
+        given = {name: getattr(gen, name) for name in inputs}
+        for name in ["x"] + names[len(inputs):]:
+            with pytest.raises(TypeError, match=f"'{name}'"):
+                type(gen)(**given, **{name: getattr(gen, name)})
+        with pytest.raises(TypeError, match="'x'"):  # no replace argument either
             dataclasses.replace(gen, x=0.3 * gen.x)
-        with pytest.raises(TypeError, match="'loop'"):
-            DeformationGenerator()
+        for name in names[len(inputs):]:
+            with pytest.raises(ValueError, match="init=False"):
+                dataclasses.replace(gen, **{name: getattr(gen, name)})
+        with pytest.raises(TypeError, match=f"'{inputs[0]}'"):
+            type(gen)()
 
     @pytest.mark.parametrize("make", GENERATORS)
     @pytest.mark.parametrize("cached", [False, True])
     def test_replace_loop_builds_its_generator(self, make, cached):
-        # Derived values cached on first read stay with their generator: the replaced one
-        # builds its own.
+        # Derived values cached on first read stay with their loop: one replaced with other
+        # windings builds its own.
         gen = make()
         if cached:
-            gen.triplet_split, gen.closure_residual
-        other = (one_qubit_generator((0.0, 0.6, 0.8), 5) if gen.x.shape == (4, 4)
-                 else two_qubit_generator(1000, 2500, 77)).loop
-        replaced = dataclasses.replace(gen, loop=other)
-        assert replaced.loop is other
-        fresh = DeformationGenerator(loop=other)
+            gen.x, gen.triplet_split, gen.closure_residual
+        if gen.dim == 4:
+            inputs, fresh = {"n": (0.0, 0.6, 0.8), "kappa": 5}, one_qubit_generator((0.0, 0.6, 0.8), 5)
+        else:
+            inputs = {"kappa_plus": 1000, "kappa_minus": 2500, "kappa_prime": 78}
+            fresh = two_qubit_generator(1000, 2500, 78)
+        replaced = dataclasses.replace(gen, **inputs)
+        assert replaced == fresh and repr(replaced) == repr(fresh)
         assert replaced.x.tobytes() == fresh.x.tobytes()
         assert [a.tobytes() for a in replaced.triplet_split if a is not None] == [
             b.tobytes() for b in fresh.triplet_split if b is not None]
         assert replaced.closure_residual.hex() == fresh.closure_residual.hex()
 
-    @pytest.mark.parametrize("loop", [(1, 0, 0), "loop", TwoQubitLoop])
-    def test_loop_of_another_type_is_rejected(self, loop):
-        with pytest.raises(DomainError, match="OneQubitLoop or TwoQubitLoop"):
-            DeformationGenerator(loop=loop)
+
+VALUE_AXES = [(1.0, 0.0, 0.0), (0.6, 0.0, -0.8), (0.6, 0.48, 0.64), (-0.36, -0.48, 0.8)]
+
+
+class TestLoopsAreValues:
+    """A loop derives every field from its inputs, so ``replace`` gives the loop ``create``
+    would, and equality and hash read the fields, never a cached array."""
+
+    @pytest.mark.parametrize("n", VALUE_AXES)
+    @pytest.mark.parametrize("kappa", [2, 7, MAX_WINDING])
+    def test_replace_winding_bit_equal_to_create(self, n, kappa):
+        replaced = dataclasses.replace(OneQubitLoop.create(n, 1), kappa=kappa)
+        created = OneQubitLoop.create(n, kappa)
+        assert float_bits(vars(replaced)) == float_bits(vars(created))
+        assert replaced == created and hash(replaced) == hash(created)
+        assert [a.tobytes() for a in replaced.triplet_split if a is not None] == [
+            b.tobytes() for b in created.triplet_split if b is not None]
+        assert replaced.x.tobytes() == created.x.tobytes()
+
+    @pytest.mark.parametrize("kp,km,kpr", [(2, 4, 1), (2, 5, 3), (1000, 2999, 77)])
+    def test_replace_two_qubit_winding_bit_equal_to_create(self, kp, km, kpr):
+        replaced = dataclasses.replace(TwoQubitLoop.create(kp, kp + 1, kpr), kappa_minus=km)
+        created = TwoQubitLoop.create(kp, km, kpr)
+        assert float_bits(vars(replaced)) == float_bits(closed_form_loop_fields(kp, km, kpr))
+        assert float_bits(vars(replaced)) == float_bits(vars(created))
+        assert replaced == created and hash(replaced) == hash(created)
+        assert replaced.x.tobytes() == created.x.tobytes()
+
+    @pytest.mark.parametrize("make", GENERATORS + [
+        lambda: OneQubitLoop.create((0.6, 0.0, 0.8), 3),
+        lambda: TwoQubitLoop.with_forced_zero_coupling(2, 1)])
+    def test_equality_and_hash_read_fields_after_caching(self, make):
+        # The cached X, split and residual are no fields: == and hash compare the fields,
+        # which the inputs fix, and raise no ValueError on an array.
+        a, b = make(), make()
+        a.x, a.triplet_split, a.closure_residual
+        assert {"x", "triplet_split", "closure_residual"} <= set(vars(a))
+        assert not {"x", "triplet_split", "closure_residual"} & set(vars(b))
+        assert a == b and not (a != b) and hash(a) == hash(b) and len({a, b}) == 1
+        other = dataclasses.replace(a, **({"kappa": a.kappa + 1} if a.dim == 4
+                                          else {"kappa_prime": a.kappa_prime + 1}))
+        assert a != other and other.x.tobytes() != a.x.tobytes()
+
+    @pytest.mark.parametrize("make", GENERATORS)
+    def test_derived_arrays_are_read_only(self, make):
+        # A frozen loop's cached values cannot be set, deleted or written into.
+        loop = make()
+        for name in ("x", "triplet_split", "closure_residual", "dim"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(loop, name, None)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del loop.x
+        for part in (loop.x, *(p for p in loop.triplet_split if p is not None)):
+            assert not part.flags.writeable
+        assert loop.x.shape == (loop.dim, loop.dim)
 
 
 class TestClosureCache:
     @pytest.mark.parametrize("make", GENERATORS)
     def test_loop_closure_is_shared_exact_identity(self, monkeypatch, make):
         # Closure is decided from the integer windings: exp(X) = 1 is no computed value, so
-        # a generator, its X and its split take no exponential, and nothing multiplies by one.
+        # a loop, its X and its split take no exponential, and nothing multiplies by one.
         monkeypatch.setattr(deformation, "expm_skew", mock.Mock(side_effect=AssertionError))
-        make().triplet_split
+        loop = make()
+        loop.x, loop.triplet_split
         assert not hasattr(make(), "closure") and not hasattr(deformation, "_identity")
 
     @pytest.mark.parametrize("make", GENERATORS)
@@ -540,11 +595,13 @@ class TestClosureCache:
     @pytest.mark.parametrize("make", GENERATORS)
     @pytest.mark.parametrize("scale", [1.0, 0.3])
     def test_raw_x_closure_is_its_exponential(self, make, scale):
-        # The residual reads x alone, so on a raw X (0.3 X is an open path) it is the
-        # reference ||exp(X) - 1||_F of that X too.
-        x = scale * make().x
-        assert residual_of(x).hex() == closure_residual(x).hex()
-        assert (residual_of(x) >= 1e-3) == (scale != 1.0)
+        # A loop's residual is the reference ||exp(X) - 1||_F of its X; the reference on 0.3 X,
+        # an open path that no loop can hold, is O(1).
+        loop = make()
+        x = scale * loop.x
+        if scale == 1.0:
+            assert loop.closure_residual.hex() == closure_residual(x).hex()
+        assert (closure_residual(x) >= 1e-3) == (scale != 1.0)
 
     def test_residual_within_rounding_bound_up_to_max_winding(self):
         # A closed loop's float X differs from the exact one by about ||X||_F u, and
@@ -557,7 +614,7 @@ class TestClosureCache:
         gens += [two_qubit_generator(a, b, a % 7 + 1) for a, b in zip(kp.tolist(), km.tolist())]
         for gen in gens:
             bound = 16 * frobenius(gen.x) * np.finfo(float).eps / 2
-            assert gen.closure_residual <= bound, gen.loop
+            assert gen.closure_residual <= bound, gen
 
     def test_exp_x_computed_once_per_request(self, monkeypatch):
         # Only the reported residual takes exp(X): none for sweeps and propagators.

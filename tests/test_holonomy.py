@@ -80,7 +80,7 @@ class TestConnection:
         model = build_one_dimer(1.0, 1.0)
         gen = one_qubit_generator((0.6, 0.0, 0.8), 2)
         conn = connection_on_ground_space(gen, model)
-        assert frobenius(conn.coding_block - one_qubit_coding_connection(gen.loop)) < 1e-12
+        assert frobenius(conn.coding_block - one_qubit_coding_connection(gen)) < 1e-12
         assert frobenius(conn.matrix + conn.matrix.conj().T) < 1e-12
 
     def test_singlet_sector_decouples(self):
@@ -94,7 +94,7 @@ class TestConnection:
         model = build_two_dimer(1.0, 1.0)
         gen = two_qubit_generator(2, 3, 1)
         conn = connection_on_ground_space(gen, model)
-        expected = two_qubit_coding_connection(gen.loop)
+        expected = two_qubit_coding_connection(gen)
         assert np.allclose(conn.coding_block, expected, atol=1e-12)
 
     def test_block_diagonal_between_coding_and_rest(self):
@@ -145,7 +145,7 @@ class TestOneQubitGate:
             kappa = int(rng.integers(1, 8))
             gen = one_qubit_generator(n, kappa)
             numeric = holonomy(connection_on_ground_space(gen, model)).gamma
-            analytic = analytic_one_qubit_gate(gen.loop).gamma
+            analytic = analytic_one_qubit_gate(gen).gamma
             assert phase_invariant_distance(numeric, analytic) < 1e-10
 
     def test_hadamard_distance_at_kappa_3(self):
@@ -188,7 +188,7 @@ class TestTwoQubitGate:
         model = build_two_dimer(1.0, 1.0)
         gen = two_qubit_generator(2, 3, 1)
         numeric = holonomy(connection_on_ground_space(gen, model)).gamma
-        fact = analytic_two_qubit_gate(gen.loop)
+        fact = analytic_two_qubit_gate(gen)
         assert phase_invariant_distance(numeric, fact.gamma_exact) < 1e-10
 
     def test_forced_zero_coupling_is_consistent(self):
@@ -306,7 +306,6 @@ def _equal_result_pairs():
         return adiabatic.adiabatic_sweep(model, gen, gate, [10.0])[0]
 
     return [
-        ("DeformationGenerator", lambda: two_qubit_generator(2, 3, 1)),
         ("LeakageAudit", lambda: deformation.leakage_audit(
             two_qubit_generator(2, 3, 1), build_two_dimer(1.0, 1.0))),
         ("Connection", lambda: connection_on_ground_space(

@@ -525,6 +525,25 @@ class TestSearchRotation:
         result = search_rotation(axis, 1.0, 1e-9, MAX_WINDING)
         assert 1 <= result.params["kappa"] <= MAX_WINDING
 
+    @pytest.mark.parametrize("search", [
+        lambda: search_rotation("x", 1.0, 1e-3, 500),
+        lambda: search_rotation("y", 2.5, 1e-9, MAX_WINDING),
+        lambda: search_rotation((0.6, 0.48, 0.64), 1.0, 1e-3, 500),
+        lambda: search_hadamard(1e-3, 2000),
+    ])
+    def test_search_builds_no_generator(self, monkeypatch, search):
+        # A search reads each loop's closed-form angle and axis, never its X.
+        loops = []
+        create = OneQubitLoop.create.__func__
+
+        def recording(cls, *args):
+            loops.append(create(cls, *args))
+            return loops[-1]
+
+        monkeypatch.setattr(OneQubitLoop, "create", classmethod(recording))
+        search()
+        assert loops and all("x" not in vars(loop) for loop in loops)
+
     def test_hadamard_sine_peaks(self):
         # top three |sin theta_kappa| on the Hadamard axis for kappa <= 16
         sines = {
