@@ -42,7 +42,9 @@ class _Loop:
     """A closed loop, fixed by its windings, and what it derives from them.
 
     The windings (and one dimer's axis) are a loop's only constructor arguments; its other
-    fields are derived from them, so ``dataclasses.replace`` derives them afresh.  ``dim``
+    fields are derived from them, so ``dataclasses.replace`` derives them afresh.  Every
+    construction (``create``, the generated constructor, ``replace``) checks them first and
+    raises one ``DomainError`` for a loop that would not close or would be trivial.  ``dim``
     is the size of the space X acts on, so a size check builds no X.  Read-only, built on
     first read: ``x``, the anti-Hermitian generator X; ``closure_residual``; ``triplet_split``,
     (triplets, singlets, phases): -iX over the last dimer's T+, T0, T-
@@ -79,17 +81,8 @@ class OneQubitLoop(_Loop):
     dim = 4
 
     def __post_init__(self):
-        nx, ny, nz = self.n
-        omega = self.kappa * math.pi
-        # nz ** 2 is libm's pow, as numpy's scalar power is; it can differ from nz * nz.
-        root = math.sqrt(2.0 - nz**2)
-        vars(self).update(omega=omega, theta_kappa=omega * root,  # frozen: no setattr
-                          m=(_SQRT2 * nx / root, _SQRT2 * ny / root, nz / root))
-
-    @classmethod
-    def create(cls, n, kappa: int) -> "OneQubitLoop":
-        kappa = _checked_int("kappa", kappa)
-        n = np.asarray(n, dtype=float)
+        kappa = _checked_int("kappa", self.kappa)
+        n = np.asarray(self.n, dtype=float)
         if n.shape != (3,):
             raise DomainError("axis must be a real 3-vector")
         nx, ny, nz = n.tolist()
@@ -99,7 +92,17 @@ class OneQubitLoop(_Loop):
             raise DomainError(f"winding number must be in [1, {MAX_WINDING}]")
         if abs(abs(nz) - 1.0) < 1e-12:
             raise DomainError("|n_z| = 1 gives [H, X] = 0: the loop is trivial")
-        return cls(n=(nx, ny, nz), kappa=kappa)
+        omega = kappa * math.pi
+        # nz ** 2 is libm's pow, as numpy's scalar power is; it can differ from nz * nz.
+        root = math.sqrt(2.0 - nz**2)
+        vars(self).update(n=(nx, ny, nz), kappa=kappa,  # frozen: no setattr
+                          omega=omega, theta_kappa=omega * root,
+                          m=(_SQRT2 * nx / root, _SQRT2 * ny / root, nz / root))
+
+    @classmethod
+    def create(cls, n, kappa: int) -> "OneQubitLoop":
+        """The loop of axis n and winding kappa; the constructor checks both."""
+        return cls(n, kappa)
 
     def _x(self) -> np.ndarray:
         """X = i kappa pi n . (sigma_1 + sigma_2)."""
@@ -153,6 +156,8 @@ class TwoQubitLoop(_Loop):
     Closure fixes Omega_2 = kappa_+ pi, Omega_1 = kappa' pi and
     J = (pi / (2 sqrt 2)) sqrt(kappa_-^2 - kappa_+^2); the admissibility
     window is kappa_+ < kappa_- < 3 kappa_+ (equivalently Omega_2 > J > 0).
+    The constructor also admits kappa_- = kappa_+, the commuting limit J = 0
+    that ``with_forced_zero_coupling`` builds and ``create`` rejects.
     """
 
     kappa_plus: int
@@ -168,24 +173,30 @@ class TwoQubitLoop(_Loop):
     dim = 16
 
     def __post_init__(self):
-        omega2 = self.kappa_plus * np.pi
-        coupling_j = float(coupling_strength(self.kappa_plus, self.kappa_minus))
+        kp, km, kpr = _checked_windings(kappa_plus=self.kappa_plus,
+                                        kappa_minus=self.kappa_minus,
+                                        kappa_prime=self.kappa_prime)
+        if not kp <= km:  # kappa_- = kappa_+ is the commuting limit
+            raise DomainError(f"kappa_plus < kappa_minus violated: {kp} >= {km}")
+        if not km < 3 * kp:
+            raise DomainError(f"kappa_minus < 3 kappa_plus violated: {km} >= {3 * kp}")
+        omega2 = kp * np.pi
+        coupling_j = float(coupling_strength(kp, km))
         n2z = -coupling_j / omega2 if coupling_j else 0.0  # +0.0 in the forced limit
         n2x = np.sqrt(1.0 - n2z**2)
-        vars(self).update(omega1=float(self.kappa_prime * np.pi), omega2=float(omega2),
+        vars(self).update(kappa_plus=kp, kappa_minus=km, kappa_prime=kpr,
+                          omega1=float(kpr * np.pi), omega2=float(omega2),
                           coupling_j=coupling_j, n2z=float(n2z), n2x=float(n2x),
                           a=float(np.sqrt(2.0) * omega2 * n2x))
 
     @classmethod
     def create(cls, kappa_plus: int, kappa_minus: int, kappa_prime: int) -> "TwoQubitLoop":
-        kp, km, kpr = _checked_windings(
-            kappa_plus=kappa_plus, kappa_minus=kappa_minus, kappa_prime=kappa_prime
-        )
-        if not kp < km:
-            raise DomainError(f"kappa_plus < kappa_minus violated: {kp} >= {km}")
-        if not km < 3 * kp:
-            raise DomainError(f"kappa_minus < 3 kappa_plus violated: {km} >= {3 * kp}")
-        return cls(kp, km, kpr)
+        """The coupled loop of these windings: the constructor's checks, and kappa_+ < kappa_-."""
+        loop = cls(kappa_plus, kappa_minus, kappa_prime)
+        if loop.kappa_minus == loop.kappa_plus:
+            raise DomainError(f"kappa_plus < kappa_minus violated: {loop.kappa_plus} >= "
+                              f"{loop.kappa_minus}")
+        return loop
 
     @classmethod
     def with_forced_zero_coupling(cls, kappa_plus: int, kappa_prime: int) -> "TwoQubitLoop":
@@ -194,8 +205,7 @@ class TwoQubitLoop(_Loop):
         Not reachable with integer windings (it needs kappa_- = kappa_+); used
         to exercise the factorization audit in its trivially consistent limit.
         """
-        kp, kpr = _checked_windings(kappa_plus=kappa_plus, kappa_prime=kappa_prime)
-        return cls(kp, kp, kpr)
+        return cls(kappa_plus, kappa_plus, kappa_prime)
 
     def _x(self) -> np.ndarray:
         """X^1 + X^2 + X^{1-2}."""

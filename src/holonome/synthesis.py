@@ -15,13 +15,15 @@ scan order, so the scan order alone sets the tie-break:
 - ``search_rotation`` (period 2 pi) and ``search_hadamard`` (period pi,
   because the Hadamard gate is a rotation by pi/2 up to a global phase, and
   the gate distance ignores global phase) search one line, kappa = 1, 2,
-  ...  ``_search_line`` finds its first minimum without scanning it: an
-  exact integer search over the continued-fraction structure of the step
-  finds the best lattice point on each side of the target in
-  O(log kappa_max) steps, and the gap between lattice points proves that no
-  other point can win after rounding.  Where the gap is too small for that
-  proof (a step near a rational multiple of the period), the line is
-  scanned.
+  ...  ``_search_line`` finds its first minimum without scanning it: one
+  exact integer walk over the continued fraction of step / period
+  (``_walk``, O(log kappa_max) steps) gives the step's best one-sided
+  approximations, and so the least gap between lattice points (Lagrange),
+  and the best lattice point below the target (its Ostrowski digits); the
+  best point above the target is the next one on the circle, by the
+  three-distance theorem (Sos 1958).  The gap proves that no other point can
+  win after rounding.  Where it is too small for that proof (a step near a
+  rational multiple of the period), the line is scanned.
 - ``search_controlled_phase`` (period 2 pi) scans n = 1, 2, ... and, within
   each n, the winding pairs in ``_winding_pair_array`` order.
 
@@ -63,7 +65,8 @@ _SQRT2 = math.sqrt(2.0)
 MAX_KAPPA_PLUS = 1000
 
 # Most lattice points a controlled-phase search may scan, kappa_plus_max^2
-# n_max: about 6 s at the scan kernel's ~17 M points/s.
+# n_max: about 1 s at the scan kernel's 85-160 M points/s (10^7-point scans
+# took 0.06-0.12 s on one thread of a 2-vCPU Xeon VM).
 MAX_SCAN_POINTS = 10**8
 
 # Lattice points per kernel step; bounds the kernel's temporary arrays.
@@ -173,36 +176,78 @@ def _scan_lattice(delta_at, rows: int, cols: int, period: float):
     return best[0], best[1], best_err
 
 
-def _min_mod(a: int, b: int, m: int, n: int):
-    """(value, x) of the first minimum of (a x + b) mod m over 0 <= x < n.
+def _walk(s: int, t: int, m: int, n: int):
+    """One continued-fraction walk over the points q s mod m, 0 <= q <= n.
 
-    Needs 0 <= a, b < m and n >= 1.  Each level hands a problem of at most
-    ceil(n / 2) points on a modulus of at most m / 2 to the next, so the
-    depth is O(log n):
+    Needs 0 <= s, t < m and n >= 0.  Returns (d+, x, d-, y, j, v):
 
-    - 2a <= m: the values climb by a and drop only when they wrap, so the
-      first minimum is x = 0 or the first point after some wrap.  The point
-      after wrap j >= 1 has value (b - j m) mod a, a line in j modulo a.
-    - 2a > m: the values descend by c = m - a in runs that end below c, so
-      the first minimum is the end of some complete run, x_j = (b + j m) // c
-      with value (b + j m) mod c, or, with no complete run, x = n - 1.
+    - x = d+ s mod m and y = -d- s mod m, the first minima of q s mod m and of
+      -q s mod m over 1 <= q <= n (for n >= 1), so min(x, y) is the least
+      circular distance between two points.  By Lagrange's theorem the records
+      on either side are the intermediate fractions of s / m: each step takes
+      the larger residue down by k times the smaller, k the partial quotient
+      cut to the bound n.  A zero residue is the minimum of both sides.
+    - j and v = (t - j s) mod m: the point at or below t, the first minimum of
+      (t - q s) mod m when x and y are nonzero (otherwise the points repeat).
+
+    While d+ + d- - 1 <= n, the points 0 <= q < d+ + d- cut the circle into d-
+    gaps of length x, from each q < d- to q + d+, and d+ gaps of length y, from
+    each q >= d- to q - d- (the three-distance theorem, Sos 1958, at a step of
+    the walk, where d+ y + d- x = m).  Taking y down by k x inserts in each y
+    gap the points q + d+, ..., q + k d+ at x, ..., k x past its start; taking
+    x down by k y inserts in each x gap the points q + d+ + d-, ...,
+    q + d+ + k d- at x - y, ..., x - k y.  So j, the start of the gap that
+    holds t at offset v, follows each step to the last point it inserts at or
+    below t with index at most n: the Ostrowski digits of t over the same
+    partial quotients.  A step is cut short only where the bound n stops it,
+    and the walk then ends, so every step starts from a whole two-distance
+    state.  There are O(log n) steps.
     """
-    if n == 1 or a == 0:
-        return b, 0
-    if 2 * a <= m:
-        wraps = (a * (n - 1) + b) // m
-        if wraps == 0:
-            return b, 0
-        value, j = _min_mod(-m % a, (b - m) % a, a, wraps)
-        if b <= value:
-            return b, 0
-        return value, -((b - (j + 1) * m) // a)  # ceil(((j + 1) m - b) / a)
-    c = m - a
-    runs = (c * n - 1 - b) // m + 1
-    if runs <= 0:
-        return b - c * (n - 1), n - 1
-    value, j = _min_mod(m % c, b % c, c, runs)
-    return value, (b + j * m) // c
+    dp, x, dm, y = 1, s, 0, m
+    j, v = 0, t
+    while x and y:
+        if x < y:  # take y down: each y gap gains points x, 2x, ... past its start
+            k = y // x
+            if (n - dm) // dp < k:
+                k = (n - dm) // dp
+                if not k:
+                    break
+            i = v // x  # a y gap holds t at v >= x; an x gap never does
+            if i > k:
+                i = k
+            if j + i * dp > n:
+                i = (n - j) // dp
+            j, v = j + i * dp, v - i * x
+            dm, y = dm + k * dp, y - k * x
+        else:  # take x down: each x gap gains points x - y, x - 2y, ... past its start
+            k = x // y
+            if (n - dp) // dm < k:
+                k = (n - dp) // dm
+                if not k:
+                    break
+            if j < dm:  # t is in an x gap: the first point inserted at or below it
+                i = (x - v - 1) // y + 1
+                if i <= k and j + dp + i * dm <= n:
+                    j, v = j + dp + i * dm, v - x + i * y
+            dp, x = dp + k * dm, x - k * y
+    else:  # q s = 0 mod m at some q <= n, the first minimum on both sides
+        d = dm if x else dp
+        return d, 0, d, 0, j, v
+    return dp, x, dm, y, j, v
+
+
+def _successor(q: int, dp: int, dm: int, n: int) -> int:
+    """Index of the point after point q on the circle, among p s mod m, 0 <= p <= n.
+
+    Needs n >= 1 and d+ = dp, d- = dm from ``_walk`` over the same points with
+    x and y nonzero: the gap after q is then x, y or x + y (the three-distance
+    theorem, Sos 1958).
+    """
+    if q + dp <= n:
+        return q + dp
+    if q >= dm:
+        return q - dm
+    return q + dp - dm
 
 
 def _search_line(delta_at, theta: float, step_factors, size: int, period: float):
@@ -211,14 +256,16 @@ def _search_line(delta_at, theta: float, step_factors, size: int, period: float)
     ``delta_at(_, k)`` evaluates the line in floating point at the int64
     positions ``k``, or with the same operations at one int ``k``; the step
     is the exact product of the floats ``step_factors``.  Over one
-    power-of-two denominator theta, step and period are integers, and
-    ``_min_mod`` gives exactly:
+    power-of-two denominator theta, step and period are integers, and one
+    ``_walk`` over the points (k + 1) step, 0 <= k < size, gives exactly:
 
-    - k_u, the first minimum of (theta - (k + 1) step) mod period (the best
-      lattice point below theta), and k_l, that of
-      ((k + 1) step - theta) mod period (the best one above);
     - the gap g, the least circular distance of q step from 0 over
-      1 <= q < size.
+      1 <= q < size, from the best one-sided approximations d+ and d-;
+    - k_u, the first minimum of (theta - (k + 1) step) mod period (the best
+      lattice point below theta), and from it k_l, that of
+      ((k + 1) step - theta) mod period (the best one above): k_u itself when
+      theta is on that point, and otherwise the point after it on the circle,
+      ``_successor``.
 
     Every other k is at least g farther from theta than k_u or k_l.  The
     float error differs from the exact one by at most
@@ -238,14 +285,12 @@ def _search_line(delta_at, theta: float, step_factors, size: int, period: float)
     m = period_num * (d // period_den)
     s = num * (d // den) % m
     t = theta_num * (d // theta_den) % m
-    neg = -s % m
+    dp, x, dm, y, k_u, v = _walk(s, (t - s) % m, m, size - 1)
     if size > 1:
-        gap = min(_min_mod(s, s, m, size - 1)[0], _min_mod(neg, neg, m, size - 1)[0])
         tol = 4.0 * _U * (abs(theta) + size * abs(num / den) + period)
-        if not gap / d > 2.0 * tol:
+        if not min(x, y) / d > 2.0 * tol:
             return _scan_lattice(delta_at, 1, size, period)[1:]
-    k_u = _min_mod(neg, (t - s) % m, m, size)[1]
-    k_l = _min_mod(s, (s - t) % m, m, size)[1]
+    k_l = _successor(k_u, dp, dm, size - 1) if v and size > 1 else k_u
     err, k = min((_circular(delta_at(0, k), period), k) for k in {k_u, k_l})
     return k, float(err)
 

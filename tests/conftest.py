@@ -174,3 +174,35 @@ def reference_one_qubit_loop(n, kappa):
     m = np.array([np.sqrt(2.0) * n[0], np.sqrt(2.0) * n[1], n[2]]) / root
     return (tuple(float(x) for x in n), float(omega), float(omega * root),
             tuple(float(x) for x in m))
+
+
+def reference_min_mod(a: int, b: int, m: int, n: int):
+    """Reference: (value, x) of the first minimum of (a x + b) mod m over 0 <= x < n.
+
+    Needs 0 <= a, b < m and n >= 1.  Each level hands a problem of at most
+    ceil(n / 2) points on a modulus of at most m / 2 to the next, so the
+    depth is O(log n):
+
+    - 2a <= m: the values climb by a and drop only when they wrap, so the
+      first minimum is x = 0 or the first point after some wrap.  The point
+      after wrap j >= 1 has value (b - j m) mod a, a line in j modulo a.
+    - 2a > m: the values descend by c = m - a in runs that end below c, so
+      the first minimum is the end of some complete run, x_j = (b + j m) // c
+      with value (b + j m) mod c, or, with no complete run, x = n - 1.
+    """
+    if n == 1 or a == 0:
+        return b, 0
+    if 2 * a <= m:
+        wraps = (a * (n - 1) + b) // m
+        if wraps == 0:
+            return b, 0
+        value, j = reference_min_mod(-m % a, (b - m) % a, a, wraps)
+        if b <= value:
+            return b, 0
+        return value, -((b - (j + 1) * m) // a)  # ceil(((j + 1) m - b) / a)
+    c = m - a
+    runs = (c * n - 1 - b) // m + 1
+    if runs <= 0:
+        return b - c * (n - 1), n - 1
+    value, j = reference_min_mod(m % c, b % c, c, runs)
+    return value, (b + j * m) // c

@@ -574,6 +574,59 @@ class TestLoopsAreValues:
         assert loop.x.shape == (loop.dim, loop.dim)
 
 
+class TestEveryConstructionChecks:
+    """``replace`` and the generated constructors run the checks ``create`` runs, so no
+    construction builds an open, trivial or complex-valued loop."""
+
+    @pytest.mark.parametrize("build,message", [
+        (lambda: dataclasses.replace(OneQubitLoop.create((1, 0, 0), 1), kappa=2.5),
+         "kappa must be an int, got 2.5"),
+        (lambda: dataclasses.replace(OneQubitLoop.create((1, 0, 0), 1), kappa=0),
+         f"winding number must be in [1, {MAX_WINDING}]"),
+        (lambda: OneQubitLoop((2, 0, 0), 1), "axis must be a unit vector"),
+        (lambda: OneQubitLoop((0.0, 0.0, 1.0), 1), "|n_z| = 1"),
+        (lambda: dataclasses.replace(OneQubitLoop.create((1, 0, 0), 1), n=(1, 0)),
+         "axis must be a real 3-vector"),
+        (lambda: dataclasses.replace(TwoQubitLoop.create(2, 3, 1), kappa_minus=7),
+         "kappa_minus < 3 kappa_plus violated: 7 >= 6"),
+        (lambda: dataclasses.replace(TwoQubitLoop.create(2, 3, 1), kappa_minus=1),
+         "kappa_plus < kappa_minus violated: 2 >= 1"),
+        (lambda: TwoQubitLoop(2, 3, 0), f"kappa_prime must be in [1, {MAX_WINDING}]"),
+        (lambda: TwoQubitLoop(2, 3.0, 1), "kappa_minus must be an int"),
+        (lambda: dataclasses.replace(TwoQubitLoop.with_forced_zero_coupling(2, 1),
+                                     kappa_plus=MAX_WINDING + 1),
+         f"kappa_plus must be in [1, {MAX_WINDING}]"),
+    ])
+    def test_each_bad_construction_raises_one_domain_error(self, build, message):
+        with pytest.raises(DomainError, match=re.escape(message)):
+            build()
+
+    def test_constructor_normalises_its_inputs_as_create_does(self):
+        loop = OneQubitLoop(np.array([0.6, 0.0, 0.8]), np.int64(3))
+        assert loop == OneQubitLoop.create((0.6, 0.0, 0.8), 3)
+        assert type(loop.n) is tuple and type(loop.kappa) is int
+        two = TwoQubitLoop(np.int32(2), np.int64(3), np.uint8(1))
+        assert repr(two) == repr(TwoQubitLoop.create(2, 3, 1))
+
+    def test_commuting_limit_is_kept_by_replace_and_refused_by_create(self):
+        forced = TwoQubitLoop.with_forced_zero_coupling(2, 1)
+        assert forced.coupling_j == 0.0 and forced.kappa_minus == forced.kappa_plus
+        assert dataclasses.replace(forced, kappa_prime=3) == (
+            TwoQubitLoop.with_forced_zero_coupling(2, 3))
+        with pytest.raises(DomainError, match=re.escape("kappa_plus < kappa_minus violated: 2 >= 2")):
+            TwoQubitLoop.create(2, 2, 1)
+
+    def test_create_checks_once(self, monkeypatch):
+        calls = []
+        checked = deformation._checked_int
+        monkeypatch.setattr(deformation, "_checked_int",
+                            lambda *args: calls.append(args) or checked(*args))
+        OneQubitLoop.create((1.0, 0.0, 0.0), 2)
+        TwoQubitLoop.create(2, 3, 1)
+        TwoQubitLoop.with_forced_zero_coupling(2, 1)
+        assert len(calls) == 1 + 3 + 3
+
+
 class TestClosureCache:
     @pytest.mark.parametrize("make", GENERATORS)
     def test_loop_closure_is_shared_exact_identity(self, monkeypatch, make):

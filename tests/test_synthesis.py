@@ -1,10 +1,13 @@
 """Discrete searches, SU(2) synthesis, equidistribution and figure tables."""
 
+import inspect
 import re
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from conftest import reference_min_mod
+from hypothesis import example, given, settings, strategies as st
 
 from holonome import synthesis
 from holonome.deformation import MAX_WINDING, OneQubitLoop, TwoQubitLoop
@@ -247,6 +250,18 @@ def rotation_reference(axis, theta, kappa_max):
     return reference_scan(lambda k: theta - (k + 1) * step, kappa_max, synthesis.TWO_PI)
 
 
+@st.composite
+def small_lines(draw):
+    """(m, s, t, size, e): points (k + 1) s mod m, 0 <= k < size, a target t, and
+    a power-of-two scale 2^-e for the float line; t is often on a point."""
+    m = draw(st.integers(1, 60))
+    s = draw(st.integers(0, m - 1))
+    size = draw(st.one_of(st.sampled_from([1, 2]), st.integers(1, 90)))
+    t = draw(st.one_of(st.integers(0, m - 1),
+                       st.integers(1, size).map(lambda q: q * s % m)))
+    return m, s, t, size, draw(st.integers(0, 3))
+
+
 class TestLineSearch:
     """The exact line search returns what the plain scan of every point returns."""
 
@@ -318,13 +333,47 @@ class TestLineSearch:
         assert result.params == {"kappa": i + 1}
         assert result.angle_error.hex() == err.hex()
 
+    def test_rational_step_is_scanned(self):
+        # The float step is exactly 0.6 of the float 2 pi, so 5 step = 0 mod 2 pi
+        # and the points repeat: the gap is 0, and only the scan can decide the
+        # rounded ties (a walk that missed the zero residue would skip it)
+        axis = (0.6633249580710799, 0.0, 0.7483314773547883)
+        step = OneQubitLoop.create(np.array(axis), 1).theta_kappa
+        assert step / synthesis.TWO_PI == 0.6
+        calls = []
+        scan = synthesis._scan_lattice
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(synthesis, "_scan_lattice",
+                       lambda *args: calls.append(args) or scan(*args))
+            result = search_rotation(axis, -6.28318530717959, 1e-3, 3815)
+        assert len(calls) == 1
+        assert result.params == {"kappa": 15}
+        i, err = rotation_reference(axis, -6.28318530717959, 3815)
+        assert (i + 1, err.hex()) == (15, result.angle_error.hex())
+
     def test_descending_runs_stay_logarithmic(self):
-        # (a x + b) mod m with a = m - 1 descends by 1 per step: a recursion
-        # that only follows wraps would need one level per point.
+        # Steps 1 and 3 make (t - q s) mod m descend by 1 or 3 per point, steps
+        # m - 1 and m - 3 climb by as little: a walk that took one point per
+        # step would need one step per point.  The golden-ratio step has every
+        # partial quotient 1, the most steps for its bound.
         m, n = 10**12, 10**6
-        assert synthesis._min_mod(m - 1, 5 * 10**5, m, n) == (0, 5 * 10**5)
-        assert synthesis._min_mod(m - 1, 10**7, m, n) == (10**7 - n + 1, n - 1)
-        assert synthesis._min_mod(m - 3, 10**6 + 1, m, n) == (2, 333333)
+        golden = round(m / ((1 + 5**0.5) / 2))
+        cases = {
+            (1, 5 * 10**5): (5 * 10**5, 0),
+            (1, 10**7): (n - 1, 10**7 - n + 1),
+            (3, 10**6 + 1): (333333, 2),
+            (m - 1, 5 * 10**5): None,
+            (m - 3, 10**6 + 1): None,
+            (m - 1, m - 1): None,
+            (golden, 12345): None,
+        }
+        for (s, t), expected in cases.items():
+            (dp, x, dm, y, j, v), steps = walk_steps(s, t, m, n - 1)
+            assert steps <= 2 * np.log2(n) + 2, (s, t, steps)
+            assert (j, v) == (expected or reference_min_mod(-s % m, t, m, n)[::-1])
+            assert (x, y) == (reference_min_mod(s, s, m, n - 1)[0],
+                              reference_min_mod(-s % m, -s % m, m, n - 1)[0])
+        assert walk_steps(golden, 0, m, n - 1)[1] > np.log2(n)
 
     @DETERMINISTIC
     @given(st.data())
@@ -333,7 +382,65 @@ class TestLineSearch:
         a = data.draw(st.integers(0, m - 1))
         b = data.draw(st.integers(0, m - 1))
         n = data.draw(st.integers(1, 400))
-        assert synthesis._min_mod(a, b, m, n) == brute_min_mod(a, b, m, n)
+        assert reference_min_mod(a, b, m, n) == brute_min_mod(a, b, m, n)
+
+    @DETERMINISTIC
+    @given(small_lines())
+    @example((1, 0, 0, 1, 0))  # one point, s = 0
+    @example((7, 3, 5, 1, 2))  # one point
+    @example((7, 3, 5, 2, 0))  # two points
+    @example((9, 0, 4, 6, 1))  # s = 0: every point at 0
+    @example((10, 4, 8, 6, 0))  # t on the point q = 2
+    @example((10, 6, 3, 30, 3))  # rational step, 5 s = 0 mod m: gap 0
+    @example((5, 3, 1, 12, 0))  # step / m = 0.6, as in test_rational_step_is_scanned: gap 0
+    def test_walk_and_successor_match_brute_force(self, line):
+        m, s, t, size, e = line
+        n = size - 1
+        dp, x, dm, y, j, v = synthesis._walk(s, (t - s) % m, m, n)
+        below = [(t - (k + 1) * s) % m for k in range(size)]
+        if n:
+            ups = [q * s % m for q in range(1, n + 1)]
+            downs = [-q * s % m for q in range(1, n + 1)]
+            assert (dp, x) == (ups.index(min(ups)) + 1, min(ups))
+            assert (dm, y) == (downs.index(min(downs)) + 1, min(downs))
+        if not n or (x and y):
+            assert (j, v) == (below.index(min(below)), min(below))
+            assert (v, j) == reference_min_mod(-s % m, (t - s) % m, m, size)
+        if n and x and y:
+            order = sorted(range(size), key=lambda k: (k + 1) * s % m)
+            for q, after in zip(order, order[1:] + order[:1]):
+                assert synthesis._successor(q, dp, dm, n) == after
+        # _search_line on the same line, scaled by 2^-e: every float is exact
+        scale = 2.0**-e
+        theta, step, period = t * scale, s * scale, m * scale
+
+        def delta_at(_, k):
+            return theta - (k + 1) * step
+
+        expected = reference_scan(lambda k: delta_at(0, k), size, period)
+        got = synthesis._search_line(delta_at, theta, (step,), size, period)
+        assert (got[0], got[1].hex()) == (expected[0], expected[1].hex())
+
+
+def walk_steps(*args):
+    """(``synthesis._walk(*args)``, the number of steps its loop took), by tracing it."""
+    code = synthesis._walk.__code__
+    lines, first = inspect.getsourcelines(synthesis._walk)
+    body = first + next(i for i, line in enumerate(lines) if line.strip().startswith("if x < y"))
+    steps = 0
+
+    def local(frame, event, arg):
+        nonlocal steps
+        steps += event == "line" and frame.f_lineno == body
+        return local
+
+    previous = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: local if frame.f_code is code else None)
+    try:
+        result = synthesis._walk(*args)
+    finally:
+        sys.settrace(previous)
+    return result, steps
 
 
 def brute_min_mod(a, b, m, n):
