@@ -10,16 +10,29 @@ the dimers before it (one sector for one dimer; dimer 1's four sigma_z
 states for two, where X^1 and X^{1-2} are diagonal), and both commute with
 swapping that dimer's spins, so in each sector the frame is a 3 x 3 block
 over the triplet and a value on the singlet.  The block is real, up to a
-fixed diagonal phase conjugation for one dimer whose axis has n_y != 0.  A
-sweep over T is one stacked pass: the frames of all T are one broadcast,
+fixed diagonal phase conjugation for one dimer whose axis has n_y != 0.
+
+A sweep over T is one stacked pass: the frames of all T are one broadcast,
 the exponentials of the triplet blocks of every sector (dimer 1's |+-> and
 |-+> share S1 = 0) one stacked real eigendecomposition of 3 x 3 matrices,
-each singlet one phase, and the coding-block restrictions, traces,
-ground-space escapes (the ground projector is a 0/1 row mask), their moduli
-and norms and the phases e^{+-i E0 T} are stacked matrix products and array
-expressions that round as the one-T computation does.  Only the square of
-each norm, the divisions and the clamps are taken per T, as scalar steps on
-Python floats, so every run is bit-identical to evaluating that T alone.
+and each singlet one phase.  Fidelity and leakage are read off those triplet
+exponentials, not off the dense propagators.  The coding space is T+, T0 of
+the last dimer, for two dimers in dimer 1's T+ and T0, and a loop propagator
+keeps dimer 1's sigma_z sector and the last dimer's triplet, so its coding
+restriction V = C^dag U C is block diagonal: the top-left 2 x 2 of sector 0
+for one dimer, and of S1 = 2 (control T+) and S1 = 0 (control T0, whose
+|+-> and |-+> share one block) for two.  The fidelity |tr(Gamma^dag V)|
+/ dim_C sums conj(Gamma) V over those entries (the phase e^{i E0 T} has
+modulus 1).  The leakage 1 - ||P U C||_F^2 / dim_C needs no projector: U
+maps the coding space into the last dimer's triplet in the same sector of
+dimer 1, whose T+ and T0 lie in the ground level and whose T- does not, and
+into no singlet, so the escape from the ground space equals the escape from
+the coding block, ||P U C||_F = ||V||_F.  Both are sums of real entrywise
+products in one fixed order, so every run is bit-identical to evaluating
+that T alone.  They round differently from ``holonomy_fidelity``, which
+computes the dense C^dag U C and P U C of one propagator; on the same
+propagator the two agree within 8 u (at most 4 u in fidelity and 6 u in
+leakage measured over 9000 points up to MAX_WINDING, u the unit roundoff).
 
 A classical RK4 integration of the Schrodinger equation with the
 tau-dependent Hamiltonian is kept alongside purely as an independent oracle
@@ -39,7 +52,12 @@ grid, not a different integrator.  The oracle stays independent of the
 closed form: it never uses the rotating-frame generator, the triplet
 split or a matrix exponential, only H, the eigenvectors of the dense X and
 fourth-order time stepping, so a wrong generator, split, frame or sign
-shows up as an O(1) disagreement.
+shows up as an O(1) disagreement.  iX is real for every two-dimer loop
+and for one dimer with n_y = 0, and then W is taken real, from the real
+eigendecomposition; W^dag H W is one product from H's real diagonal.  Against
+the same RK4 in a complex eigenbasis (``tests/conftest.py``) it moves by
+rounding only, within 16 (N + ||X||_F + |T| ||H||_F) u max(1, ||U||_F)
+(at most 4.6 of that unit measured).
 """
 
 from __future__ import annotations
@@ -94,7 +112,7 @@ def _finite_time(T, t_max: float) -> float:
 
 def _from_triplet_basis() -> np.ndarray:
     """The linear map from a sector's exponential over dimer 2's triplet/singlet basis to its
-    block over dimer 2's product basis, as a 10 x 16 matrix.
+    block over dimer 2's product basis, as a complex 10 x 16 matrix (real entries).
 
     Row 3 i + j takes entry (i, j) of the triplet block E over T+, T0, T-, row 9 the singlet
     phase p, and column 4 k + l is entry (k, l) over |++>, |+->, |-+>, |-->.  With B's columns
@@ -104,7 +122,7 @@ def _from_triplet_basis() -> np.ndarray:
     1/2, or the sum of two halves, so a matrix product rounds it alike in any summation order.
     """
     t, w = (0, 1, 1, 2), (1.0, math.sqrt(0.5), math.sqrt(0.5), 1.0)
-    out = np.zeros((10, 16))
+    out = np.zeros((10, 16), dtype=complex)
     for k in range(4):
         for l in range(4):
             out[3 * t[k] + t[l], 4 * k + l] = 0.5 if t[k] == t[l] == 1 else w[k] * w[l]
@@ -113,10 +131,45 @@ def _from_triplet_basis() -> np.ndarray:
 
 
 _FROM_TRIPLET_BASIS = _read_only(_from_triplet_basis())
+_EYE3 = _read_only(np.eye(3))
+
+# H over the last dimer in each sector, as flat indices into ``model.diagonal`` by model size:
+# one dimer's own entries, or those in dimer 1's |++>, |+->, |--> rows (S1 = 2, 0, -2).
+# H_s over T+, T0, T-, S0 is diag(h_++, h_+-, h_--, h_-+): the triplet entries, then the singlet.
+_SECTOR_H = {
+    4: (_read_only(np.array([[0, 1, 3]])), _read_only(np.array([2]))),
+    16: (_read_only(np.array([[0, 1, 3], [4, 5, 7], [12, 13, 15]])),
+         _read_only(np.array([2, 6, 14]))),
+}
 
 
-def _propagators(model: SpinModel, loop, ts: np.ndarray) -> np.ndarray:
-    """Stack of exp(-i(-iX + HT)) over the (checked) times ``ts``, in one pass.
+def _score_indices(exp_entries, gamma_entries) -> tuple:
+    """What ``_scores`` reads for one coding dimension: rows of the float view of the flat
+    triplet exponentials, the real parts of the coding restriction's entries and then their
+    imaginary parts, and for each row the entries of Gamma's float view it multiplies, with
+    their signs, for Re and for Im of conj(Gamma) V."""
+    e, g = np.array(exp_entries), np.array(gamma_entries)
+    rows = np.concatenate((2 * e, 2 * e + 1))
+    # Re: Re V Re G and Im V Im G; Im: -Re V Im G and Im V Re G.
+    cols = np.stack((np.concatenate((2 * g, 2 * g + 1)), np.concatenate((2 * g + 1, 2 * g))), 1)
+    signs = np.ones(cols.shape)
+    signs[: len(e), 1] = -1.0
+    return _read_only(rows), _read_only(cols), _read_only(signs)
+
+
+# By coding dimension: the coding restriction's entries among the (k, 9) flat triplet
+# exponentials, and the entries of Gamma they meet: the top-left 2 x 2 (T+, T0) of sector 0
+# for one dimer; for two, those of S1 = 2 (control T+) and S1 = 0 (control T0), which meet
+# Gamma's diagonal 2 x 2 blocks.
+_SCORE_INDICES = {
+    2: _score_indices([0, 1, 3, 4], [0, 1, 2, 3]),
+    4: _score_indices([0, 1, 3, 4, 9, 10, 12, 13], [0, 1, 4, 5, 10, 11, 14, 15]),
+}
+
+
+def _propagators(model: SpinModel, loop, ts: np.ndarray) -> tuple:
+    """Stack of exp(-i(-iX + HT)) over the (checked) times ``ts``, in one pass, and the
+    triplet exponentials it is built from, shape (len(ts), k, 9), entries (i, j) flat.
 
     X splits over the last dimer's triplet and singlet in each sigma_z sector
     of the dimers before it (``triplet_split``): one sector for one dimer,
@@ -125,37 +178,39 @@ def _propagators(model: SpinModel, loop, ts: np.ndarray) -> np.ndarray:
     so the frame -iX + HT is a 3 x 3 triplet block, real up to one dimer's
     fixed ``phases``, and a singlet value per sector.  The real triplet blocks
     of every T and sector go through one stacked eigendecomposition
-    (``exp_minus_i``), each singlet is one phase, and dimer 1's |++>, |+->,
-    |-+>, |--> take the blocks of S1 = 2, 0, 0, -2.
+    (``exp_minus_i``) and are then multiplied by ``phases`` entry by entry
+    (these are the returned exponentials), each singlet is one phase, and
+    dimer 1's |++>, |+->, |-+>, |--> take the blocks of S1 = 2, 0, 0, -2.
     """
     _check_size(loop, model)
     triplets, singlets, phases = loop.triplet_split
-    # H over the last dimer in each sector: one dimer's own entries, or those in dimer 1's
-    # |++>, |+->, |--> rows (S1 = 2, 0, -2).  H_s over T+, T0, T-, S0 is diag(h_++, h_+-, h_--, h_-+).
-    h = model.diagonal.reshape(-1, 4)
-    if len(h) == 4:
-        h = h[[0, 1, 3]]
-    hs = np.zeros(triplets.shape)
-    hs[:, range(3), range(3)] = h[:, [0, 1, 3]]
+    triplet_h, singlet_h = (model.diagonal.take(i) for i in _SECTOR_H[model.dim])
+    hs = triplet_h[..., None] * _EYE3
     triplet_exps = exp_minus_i(triplets + hs * ts[:, None, None, None]).reshape(len(ts), -1, 9)
     if phases is not None:
         triplet_exps = triplet_exps * phases.ravel()
-    singlet_phases = np.exp(-1j * (singlets + h[:, 2] * ts[:, None]))[..., None]
+    singlet_phases = np.exp(-1j * (singlets + singlet_h * ts[:, None]))[..., None]
     blocks = np.concatenate((triplet_exps, singlet_phases), axis=-1) @ _FROM_TRIPLET_BASIS
     if len(singlets) == 1:
-        return blocks.reshape(len(ts), 4, 4)
+        return blocks.reshape(len(ts), 4, 4), triplet_exps
     us = np.zeros((len(ts), 16, 16), dtype=complex)
     us.reshape(-1, 256)[:, _block_diagonal(4, 4)] = blocks.take((0, 1, 1, 2), 1).reshape(-1, 64)
-    return us
+    return us, triplet_exps
 
 
 def exact_propagator(model: SpinModel, loop, T: float) -> np.ndarray:
     """Full-loop propagator exp(-i(-iX + HT)) (exp(X) = 1); exact for any T up to ``_t_max``."""
-    return _propagators(model, loop, np.array([_finite_time(T, _t_max(model))]))[0]
+    return _propagators(model, loop, np.array([_finite_time(T, _t_max(model))]))[0][0]
 
 
 def ode_propagator(model: SpinModel, loop, T: float, steps: int) -> np.ndarray:
-    """RK4 integration of i dU/dtau = T H(tau) U with H(tau) = e^{X tau} H e^{-X tau}."""
+    """RK4 integration of i dU/dtau = T H(tau) U with H(tau) = e^{X tau} H e^{-X tau}.
+
+    Runs in the eigenbasis W of the loop's dense X (module docstring).  iX is
+    Hermitian, and real for every two-dimer loop and for one dimer with
+    n_y = 0; W is then taken real, from the real ``eigh``.  W^dag H W is one
+    product (W^dag * diag(H)) W of H's real ``model.diagonal``.
+    """
     _check_size(loop, model)
     T = _finite_time(T, _t_max(model))
     if isinstance(steps, bool) or not isinstance(steps, (int, np.integer)):
@@ -163,22 +218,27 @@ def ode_propagator(model: SpinModel, loop, T: float, steps: int) -> np.ndarray:
     if steps < 1:
         raise DomainError("steps must be >= 1")
     # X = W diag(i lam) W^dag with lam real, so e^{X tau} = W diag(e^{i lam tau}) W^dag.
-    lam, w = np.linalg.eigh(1j * loop.x)
+    # iX = -Im X + i Re X is real exactly when Re X = 0.
+    x = loop.x
+    lam, w = np.linalg.eigh(1j * x if x.real.any() else -x.imag)
     lam = -lam  # X = -i (iX); e^{X tau} has phases e^{-i lam_iX tau}
     # In X's eigenbasis dU~/dtau = A(tau) U~ with A(tau) = D a0 D^dag, D = diag(e^{i lam tau}).
-    a0 = -1j * T * (w.conj().T @ model.hamiltonian @ w)
-    eye = np.eye(model.dim, dtype=complex)
+    # The stages carry the step, b = dt A, at tau = 0, dt/2 and dt: the first step only.
     dt = 1.0 / steps
-    # A at tau = 0, dt/2 and dt: the first step only.
-    phases = np.exp(1j * np.array([0.0, 0.5 * dt, dt])[:, None] * lam[None, :])
-    a_lo, a_mid, a_hi = phases[:, :, None] * a0 * phases.conj()[:, None, :]
-    # The first RK4 step is U~ -> P_0 U~; K2..K4 are k2..k4 with U~ factored out.
-    k2 = a_mid @ (eye + (0.5 * dt) * a_lo)
-    k3 = a_mid @ (eye + (0.5 * dt) * k2)
-    k4 = a_hi @ (eye + dt * k3)
-    p0 = eye + (dt / 6.0) * (a_lo + 2.0 * k2 + 2.0 * k3 + k4)
+    b_lo = (-1j * T * dt) * ((w.conj().T * model.diagonal) @ w)
+    phases = np.exp(1j * np.array([0.5 * dt, dt])[:, None] * lam[None, :])
+    b_mid, b_hi = phases[:, :, None] * b_lo * phases.conj()[:, None, :]
+    # The first RK4 step is U~ -> P_0 U~, P_0 = I + (b_lo + 2 k2 + 2 k3 + k4) / 6 with U~
+    # factored out of dt K2..K4: k2 = b_mid (I + b_lo / 2), k3 = b_mid (I + k2 / 2) and
+    # k4 = b_hi (I + k3).
+    half_mid = 0.5 * b_mid
+    k2 = b_mid + half_mid @ b_lo
+    k3 = b_mid + half_mid @ k2
+    k4 = b_hi + b_hi @ k3
+    p0 = (b_lo + k4 + 2.0 * (k2 + k3)) / 6.0
+    p0.reshape(-1)[:: model.dim + 1] += 1.0
     # P_n = D(n dt) P_0 D(n dt)^dag, so P_{N-1} ... P_0 = D(1) (D(dt)^dag P_0)^N.
-    u = np.linalg.matrix_power(phases[2].conj()[:, None] * p0, steps)
+    u = np.linalg.matrix_power(phases[1].conj()[:, None] * p0, steps)
     return w @ (np.exp(1j * lam)[:, None] * u) @ w.conj().T
 
 
@@ -190,44 +250,14 @@ def _coding_vectors(model: SpinModel, gate: HolonomyGate) -> np.ndarray:
     return c
 
 
-def _fidelity_leakage(us: np.ndarray, gate, model, c, ts: np.ndarray) -> list:
-    """(fidelity, leakage) of each propagator in the stack ``us`` at its time in ``ts``.
-
-    Everything up to the modulus of each trace and the Frobenius norm of
-    each escape block is stacked, in forms that round as the one-propagator
-    computation does: the modulus is np.hypot of the real and imaginary
-    parts (as abs of a complex scalar; a vectorized np.abs rounds
-    differently), the escape block is U c with the rows outside the ground
-    level zeroed (the ground projector is a diagonal 0/1 mask), and the
-    squared norm is one BLAS dot each over the strided real and imaginary
-    views of the block (as np.linalg.norm).  The square, the division and
-    the clamps stay scalar steps per slice, on Python floats: squaring the
-    norms as an array rounds differently.
-    """
-    dim_c = c.shape[1]
-    v = (c.conj().T @ us @ c) * np.exp(1j * model.ground_energy * ts)[:, None, None]
-    overlaps = (gate.gamma.conj().T @ v).trace(axis1=-2, axis2=-1)
-    moduli = np.hypot(overlaps.real, overlaps.imag).tolist()
-    ground = model.ground_projector.diagonal().real[:, None]
-    escaped = ((us @ c) * ground).reshape(len(us), -1)
-    re, im = escaped.real, escaped.imag
-    sqnorms = re[:, None, :] @ re[:, :, None] + im[:, None, :] @ im[:, :, None]
-    norms = np.sqrt(sqnorms.ravel()).tolist()
-    pairs = []
-    for modulus, norm in zip(moduli, norms):
-        fidelity = modulus / dim_c
-        leakage = 1.0 - norm**2 / dim_c
-        pairs.append((min(fidelity, 1.0), min(max(leakage, 0.0), 1.0)))
-    return pairs
-
-
 def holonomy_fidelity(u, gate: HolonomyGate, model: SpinModel, T: float):
     """(fidelity, leakage) of a propagator against the predicted holonomy.
 
-    The coding-block restriction of U is phase-corrected by exp(+i E0 T)
-    before comparison; fidelity is |tr(Gamma^dag V)| / dim_C.  Leakage
-    measures escape from the *ground space* under evolution started in the
-    coding space.
+    The coding-block restriction V = C^dag U C is phase-corrected by
+    exp(+i E0 T) before comparison; fidelity is |tr(Gamma^dag V)| / dim_C.
+    Leakage 1 - ||P U C||_F^2 / dim_C measures escape from the *ground space*
+    under evolution started in the coding space (P the ground projector, a
+    0/1 mask over the rows).
     """
     u = np.asarray(u, dtype=complex)
     if u.shape != (model.dim, model.dim):
@@ -237,24 +267,59 @@ def holonomy_fidelity(u, gate: HolonomyGate, model: SpinModel, T: float):
     if not is_unitary(u):  # a scaled U would otherwise be clamped to a perfect score
         raise DomainError("propagator must be unitary")
     T = _finite_time(T, _t_max(model))
-    return _fidelity_leakage(u[None], gate, model, _coding_vectors(model, gate), np.array([T]))[0]
+    c = _coding_vectors(model, gate)
+    dim_c = c.shape[1]
+    v = (c.conj().T @ u @ c) * np.exp(1j * model.ground_energy * T)
+    fidelity = float(abs(np.trace(gate.gamma.conj().T @ v))) / dim_c
+    leakage = 1.0 - float(np.linalg.norm((u @ c) * model._ground[:, None])) ** 2 / dim_c
+    return min(fidelity, 1.0), min(max(leakage, 0.0), 1.0)
+
+
+def _scores(triplet_exps: np.ndarray, gamma: np.ndarray) -> tuple:
+    """(fidelities, leakages), as lists, of the loop propagators whose triplet exponentials
+    (``_propagators``) are stacked in ``triplet_exps``.
+
+    The coding restriction V of such a propagator is block diagonal, its blocks the coding
+    sectors' top-left 2 x 2 (module docstring), so the fidelity is |sum conj(Gamma) V| / dim_C
+    over those entries and the leakage 1 - ||V||_F^2 / dim_C.  Every product is real and
+    entrywise, and the sums run by halves over the rows: the first halving adds the real-part
+    and imaginary-part products of each entry, the next ones add entries.  The clamps are
+    entrywise too, so every score is bit-identical to that of its T alone.
+    """
+    rows, cols, signs = _SCORE_INDICES[len(gamma)]
+    x = triplet_exps.reshape(len(triplet_exps), -1).view(float).T.take(rows, axis=0)[:, None]
+    coef = np.asarray(gamma, dtype=complex).ravel().view(float).take(cols) * signs
+    # Shape (rows, 3, len(ts)): the row's terms of Re and Im of conj(Gamma) V and of ||V||_F^2.
+    terms = np.concatenate((x * coef[..., None], x * x), axis=1)
+    while len(terms) > 1:
+        half = len(terms) // 2
+        terms = terms[:half] + terms[half:]
+    overlap_re, overlap_im, sqnorm = terms[0]
+    dim_c = float(len(gamma))
+    fidelities = np.minimum(np.hypot(overlap_re, overlap_im) / dim_c, 1.0)
+    leakages = np.minimum(np.maximum(1.0 - sqnorm / dim_c, 0.0), 1.0)
+    return fidelities.tolist(), leakages.tolist()
 
 
 def adiabatic_sweep(model, loop, gate, t_list) -> list:
     """One exact-propagator run per total time T, ordered by T.
 
-    The coding space is looked up once; propagators, fidelities, leakages
-    and dynamical phases of all T come from one stacked pass.
+    Propagators, fidelities, leakages and dynamical phases of all T come
+    from one stacked pass; the scores are read off the triplet exponentials
+    (``_scores``), not off the dense propagators.
     """
     t_max = _t_max(model)
     t_list = sorted(_finite_time(t, t_max) for t in t_list)
     if not t_list or not t_list[0] > 0:
         raise DomainError("T_list must be non-empty and positive")
     ts = np.array(t_list)
-    us = _propagators(model, loop, ts)
-    pairs = _fidelity_leakage(us, gate, model, _coding_vectors(model, gate), ts)
+    us, triplet_exps = _propagators(model, loop, ts)
+    _coding_vectors(model, gate)  # the gate must match the model's coding space
+    fidelities, leakages = _scores(triplet_exps, gate.gamma)
     phases = np.exp(-1j * model.ground_energy * ts).tolist()
-    return [
-        AdiabaticRun(T=T, propagator=u, fidelity=fidelity, leakage=leakage, dynamical_phase=phase)
-        for T, u, (fidelity, leakage), phase in zip(t_list, us, pairs, phases)
-    ]
+    # Filled in place: a frozen dataclass's __init__ sets each field through object.__setattr__.
+    runs = [object.__new__(AdiabaticRun) for _ in t_list]
+    for run, T, u, fidelity, leakage, phase in zip(runs, t_list, us, fidelities, leakages, phases):
+        vars(run).update(T=T, propagator=u, fidelity=fidelity, leakage=leakage,
+                         dynamical_phase=phase)
+    return runs

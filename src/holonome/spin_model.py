@@ -115,7 +115,10 @@ class SpinModel:
 
     @functools.cached_property
     def hamiltonian(self) -> np.ndarray:
-        """H = diag(``diagonal``) as a dense complex matrix (read-only)."""
+        """H = diag(``diagonal``) as a dense complex matrix (read-only).
+
+        Public API for callers that want the dense operator; nothing in holonome reads it.
+        """
         h = np.zeros((self.dim, self.dim), dtype=complex)
         h.flat[:: self.dim + 1] = self.diagonal
         return _read_only(h)
@@ -143,7 +146,10 @@ class SpinModel:
 
     @functools.cached_property
     def ground_projector(self) -> np.ndarray:
-        """The diagonal 0/1 projector onto the ground level (read-only)."""
+        """The diagonal 0/1 projector onto the ground level (read-only).
+
+        Public API; holonome itself reads the 0/1 mask it is built from.
+        """
         return _read_only(np.diag(self._ground.astype(complex)))
 
 

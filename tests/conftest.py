@@ -57,6 +57,28 @@ def open_path_propagators(model, x, ts):
     return expm_skew(x) @ dense_frames(model, x, ts)
 
 
+def reference_ode_propagator(model, loop, T, steps):
+    """Reference: the RK4 transfer-matrix oracle in a complex eigenbasis, for any X.
+
+    The complex ``eigh`` of iX and the dense H, W^dag H W as two products and
+    K2..K4 through explicit identities: the same RK4 on the same step grid as
+    ``adiabatic.ode_propagator``, rounded differently.
+    """
+    lam, w = np.linalg.eigh(1j * loop.x)
+    lam = -lam
+    a0 = -1j * T * (w.conj().T @ model.hamiltonian @ w)
+    eye = np.eye(model.dim, dtype=complex)
+    dt = 1.0 / steps
+    phases = np.exp(1j * np.array([0.0, 0.5 * dt, dt])[:, None] * lam[None, :])
+    a_lo, a_mid, a_hi = phases[:, :, None] * a0 * phases.conj()[:, None, :]
+    k2 = a_mid @ (eye + (0.5 * dt) * a_lo)
+    k3 = a_mid @ (eye + (0.5 * dt) * k2)
+    k4 = a_hi @ (eye + dt * k3)
+    p0 = eye + (dt / 6.0) * (a_lo + 2.0 * k2 + 2.0 * k3 + k4)
+    u = np.linalg.matrix_power(phases[2].conj()[:, None] * p0, steps)
+    return w @ (np.exp(1j * lam)[:, None] * u) @ w.conj().T
+
+
 def one_qubit_coding_connection(loop) -> np.ndarray:
     """Reference closed-form coding block: i Omega [n_z (I + sz) + sqrt2 (n_x sx + n_y sy)]."""
     nx, ny, nz = loop.n

@@ -25,13 +25,14 @@ from holonome.deformation import (
     two_qubit_generator,
 )
 from holonome.errors import DomainError
-from holonome.holonomy import connection_on_ground_space, holonomy
+from holonome.holonomy import HolonomyGate, connection_on_ground_space, holonomy
 from holonome.matrix_kernel import expm_skew, frobenius, is_unitary
 from holonome.spin_model import build_one_dimer, build_two_dimer, coding_space
 
-from conftest import dense_frames, open_path, open_path_propagators
+from conftest import dense_frames, open_path, open_path_propagators, reference_ode_propagator
 
 HADAMARD_AXIS = (np.sqrt(1 / 3), 0.0, np.sqrt(2 / 3))
+U = np.finfo(float).eps / 2  # unit roundoff
 NON_FINITE = (np.nan, np.inf, -np.inf)
 
 
@@ -76,24 +77,35 @@ def triplet_block(frame):
     return (v * np.exp(-1j * lam)) @ v.T
 
 
-def sector_propagator(model, gen, T):
-    """Per-T reference: the block diagonal of exp(-i(-iX_s + H_s T)) over the sigma_z sectors s
-    of the dimers before the last (one for one dimer, dimer 1's four for two), each from its
-    own triplet eigendecomposition, times the split's phases entry by entry, and singlet phase
-    over the last dimer's T+, T0, T-, S0, written back entry by entry (dimer 1's |+-> and |-+>
-    read the split of S1 = 0 and their own H entries)."""
+def sector_exponentials(model, gen, T):
+    """Per-T reference: exp(-i(-iX_s + H_s T)) of each sector s of the split, each from its own
+    triplet eigendecomposition, as its 3 x 3 triplet block times the split's phases entry by
+    entry, and its singlet phase.  H_s is read from dimer 1's |++>, |+->, |--> rows for two
+    dimers (S1 = 2, 0, -2)."""
     triplets, singlets, phases = gen.triplet_split
     h = model.hamiltonian.diagonal().real.reshape(-1, 4)
+    rows = (0,) if len(h) == 1 else (0, 1, 3)
+    exps, singlet_phases = [], []
+    for sector, row in enumerate(rows):
+        e = triplet_block(triplets[sector] + np.diag(h[row, [0, 1, 3]]) * T)
+        exps.append(e if phases is None else e * phases)
+        singlet_phases.append(np.exp(-1j * (singlets[sector] + h[row, 2] * T)))
+    return exps, singlet_phases
+
+
+def sector_propagator(model, gen, T):
+    """Per-T reference: the block diagonal of the sector exponentials over the sigma_z sectors
+    of the dimers before the last (one for one dimer, dimer 1's four for two) over the last
+    dimer's T+, T0, T-, S0, written back entry by entry (dimer 1's |+-> and |-+> read the
+    sector of S1 = 0)."""
+    exps, singlet_phases = sector_exponentials(model, gen, T)
     r = np.sqrt(0.5)
     w = (1.0, r, r, 1.0)
     t = (0, 1, 1, 2)
-    sectors = (0,) if len(h) == 1 else t
+    sectors = (0,) if len(exps) == 1 else t
     u = np.zeros((model.dim, model.dim), dtype=complex)
     for s, sector in enumerate(sectors):
-        e = triplet_block(triplets[sector] + np.diag(h[s, [0, 1, 3]]) * T)
-        if phases is not None:
-            e = e * phases
-        p = np.exp(-1j * (singlets[sector] + h[s, 2] * T))
+        e, p = exps[sector], singlet_phases[sector]
         for k in range(4):
             for l in range(4):
                 if t[k] == t[l] == 1:  # |+->, |-+>: half the T0 entry and -+ half the S0 phase
@@ -104,44 +116,62 @@ def sector_propagator(model, gen, T):
     return u
 
 
-def reference_fidelity_leakage(us, gate, model, c, ts):
-    """Reference: the stacked (fidelity, leakage) computation with the dense ground projector
-    and numpy scalars in its per-T tail."""
+def dense_scores(model, u, gate, T):
+    """Reference: (fidelity, leakage) of one propagator through the dense coding vectors and
+    ground projector, with a numpy-scalar tail."""
+    c = coding_space(model)
     dim_c = c.shape[1]
-    v = (c.conj().T @ us @ c) * np.exp(1j * model.ground_energy * ts)[:, None, None]
-    overlaps = np.trace(gate.gamma.conj().T @ v, axis1=-2, axis2=-1)
-    moduli = np.hypot(overlaps.real, overlaps.imag)
-    escaped = (model.ground_projector @ us @ c).reshape(len(us), -1)
-    re, im = escaped.real, escaped.imag
-    sqnorms = re[:, None, :] @ re[:, :, None] + im[:, None, :] @ im[:, :, None]
-    norms = np.sqrt(sqnorms.ravel())
-    pairs = []
-    for modulus, norm in zip(moduli, norms):
-        fidelity = float(modulus / dim_c)
-        leakage = float(1.0 - norm ** 2 / dim_c)
-        pairs.append((min(fidelity, 1.0), min(max(leakage, 0.0), 1.0)))
-    return pairs
+    v = (c.conj().T @ u @ c) * np.exp(1j * model.ground_energy * T)
+    fidelity = float(abs(np.trace(gate.gamma.conj().T @ v)) / dim_c)
+    leakage = float(1.0 - np.linalg.norm(model.ground_projector @ u @ c) ** 2 / dim_c)
+    return min(fidelity, 1.0), min(max(leakage, 0.0), 1.0)
+
+
+def by_halves(terms):
+    """The sum of ``terms`` (a power of two of them) by halves: the first half plus the second,
+    entry by entry, until one is left."""
+    while len(terms) > 1:
+        half = len(terms) // 2
+        terms = [a + b for a, b in zip(terms[:half], terms[half:])]
+    return terms[0]
+
+
+def block_scores(model, gen, gate, T):
+    """Per-T reference for the sweep's scores, on Python floats: the coding sectors' top-left
+    2 x 2 of their own sector exponentials (sector 0 for one dimer; S1 = 2 and S1 = 0, against
+    Gamma's diagonal 2 x 2 blocks, for two) give |sum conj(Gamma) V| and ||V||_F^2, each
+    entry's product rounded alone and the entries summed by halves."""
+    exps, _ = sector_exponentials(model, gen, T)
+    gamma = gate.gamma
+    pairs = [(complex(exps[b][i, j]), complex(gamma[2 * b + i, 2 * b + j]))
+             for b in range(len(gamma) // 2) for i in range(2) for j in range(2)]
+    re = by_halves([v.real * g.real + v.imag * g.imag for v, g in pairs])
+    im = by_halves([v.imag * g.real - v.real * g.imag for v, g in pairs])
+    sqnorm = by_halves([v.real * v.real + v.imag * v.imag for v, _ in pairs])
+    dim_c = len(gamma)
+    return min(abs(complex(re, im)) / dim_c, 1.0), min(max(1.0 - sqnorm / dim_c, 0.0), 1.0)
 
 
 def reference_sweep(model, gen, gate, t_list):
     """Per-T reference: each T's propagator, fidelity, leakage and phase on its own."""
-    c = coding_space(model)
-    dim_c = c.shape[1]
     runs = []
     for T in sorted(float(t) for t in t_list):
-        u = sector_propagator(model, gen, T)
-        v = (c.conj().T @ u @ c) * np.exp(1j * model.ground_energy * T)
-        fidelity = float(abs(np.trace(gate.gamma.conj().T @ v)) / dim_c)
-        escaped = model.ground_projector @ u @ c
-        leakage = float(1.0 - np.linalg.norm(escaped) ** 2 / dim_c)
+        fidelity, leakage = block_scores(model, gen, gate, T)
         runs.append(AdiabaticRun(
             T=T,
-            propagator=u,
-            fidelity=min(fidelity, 1.0),
-            leakage=min(max(leakage, 0.0), 1.0),
+            propagator=sector_propagator(model, gen, T),
+            fidelity=fidelity,
+            leakage=leakage,
             dynamical_phase=complex(np.exp(-1j * model.ground_energy * T)),
         ))
     return runs
+
+
+# The sweep reads its scores off the sector blocks and ``holonomy_fidelity`` off the dense
+# propagator; on the same propagator they differ by a few rounding errors of entries of
+# modulus at most 1 (measured on 9000 points up to MAX_WINDING: at most 4 u in fidelity and
+# 6 u in leakage).
+SCORE_BOUND = 8 * U
 
 
 def run_bits(run):
@@ -278,6 +308,62 @@ class TestOdePropagator:
         assert frobenius(u - ref) <= 1e-12 * max(1.0, frobenius(ref))
         assert frobenius(u - open_path_propagators(model, part.x, [10.0])[0]) < 1e-4
 
+    @pytest.mark.parametrize("steps", [1, 10, 1000])
+    def test_real_basis_matches_complex_reference(self, steps):
+        # Where iX is real (every two-dimer loop, one dimer with n_y = 0) the oracle takes X's
+        # eigenbasis from the real eigh; the complex-basis reference runs the same RK4 on the
+        # same grid.  They differ by rounding: the eigenbases by O(||X||_F u), W^dag H W by
+        # O(|T| ||H||_F u), and each of the ~2 log2 N products of the power by O(u), which the
+        # power accumulates N-fold, all relative to |U|, which grows where few steps at large
+        # |T| ||H|| are unstable.  Measured: at most 4.6 of the unit below over 9000 cases.
+        worst = 0.0
+        for model, gen, T in real_oracle_corpus(100, seed=20261021):
+            u = ode_propagator(model, gen, T, steps)
+            ref = reference_ode_propagator(model, gen, T, steps)
+            unit = (steps + frobenius(gen.x) + abs(T) * model.hamiltonian_norm) * U
+            error = frobenius(u - ref) / (unit * max(1.0, frobenius(ref)))
+            assert error <= 16.0, (gen, T)
+            worst = max(worst, error)
+        assert worst > 0.0  # the paths round differently; the bound is not vacuous
+
+    @pytest.mark.parametrize("qubits,axis,real", [(1, HADAMARD_AXIS, True),
+                                                  (1, (0.6, 0.48, 0.64), False),
+                                                  (2, None, True)])
+    def test_real_eigh_exactly_when_ix_is_real(self, monkeypatch, qubits, axis, real):
+        # One eigendecomposition of iX, in real arithmetic when iX is real; no dense H.
+        model, gen, _ = oracle_setup(qubits)
+        if axis is not None:
+            gen = one_qubit_generator(axis, 3)
+        spy = mock.Mock(wraps=np.linalg.eigh)
+        monkeypatch.setattr(adiabatic.np.linalg, "eigh", spy)
+        u = ode_propagator(model, gen, 10.0, 1000)
+        ((matrix,), _), = spy.call_args_list
+        assert matrix.dtype == (np.float64 if real else np.complex128)
+        assert "hamiltonian" not in vars(model)
+        assert frobenius(u - exact_propagator(model, gen, 10.0)) < 1e-4
+        assert frobenius(u - reference_ode_propagator(model, gen, 10.0, 1000)) < 1e-12
+
+
+def real_oracle_corpus(count, seed):
+    """Seeded (model, loop, T) whose iX is real, alternating two dimers and one dimer with
+    n_y = 0: couplings 0.1 to 10, windings log-spread up to 1000, T from 0.1 to 10."""
+    rng = np.random.default_rng(seed)
+    cases = []
+    for i in range(count):
+        j1, j2 = (float(x) for x in 10.0 ** rng.uniform(-1.0, 1.0, size=2))
+        if i % 2:
+            z = rng.uniform(-0.95, 0.95)
+            axis = (np.copysign(np.sqrt(1.0 - z * z), rng.normal()), 0.0, z)
+            model = build_one_dimer(j1, j1)
+            gen = one_qubit_generator(axis, int(10.0 ** rng.uniform(0.0, 3.0)))
+        else:
+            kp = int(10.0 ** rng.uniform(0.0, 3.0))
+            km = kp + 1 + int(rng.random() * (2 * kp - 1)) if kp > 1 else 2
+            model = build_two_dimer(j1, j2)
+            gen = two_qubit_generator(kp, km, int(10.0 ** rng.uniform(0.0, 3.0)))
+        cases.append((model, gen, float(10.0 ** rng.uniform(-1.0, 1.0))))
+    return cases
+
 
 class TestHolonomyFidelity:
     def _setup(self, kappa=1):
@@ -378,7 +464,9 @@ class TestAdiabaticSweep:
         for run in runs:
             u = exact_propagator(model, gen, run.T)
             assert np.array_equal(run.propagator, u)
-            assert (run.fidelity, run.leakage) == holonomy_fidelity(u, gate, model, run.T)
+            fidelity, leakage = holonomy_fidelity(u, gate, model, run.T)
+            assert abs(run.fidelity - fidelity) <= SCORE_BOUND
+            assert abs(run.leakage - leakage) <= SCORE_BOUND
 
     @pytest.mark.parametrize("bad", NON_FINITE)
     def test_rejects_non_finite_time(self, bad):
@@ -481,7 +569,10 @@ class TestStackedSweep:
         assert [run_bits(r) for r in runs] == [run_bits(r) for r in expected]
         for run in expected:
             fidelity, leakage = holonomy_fidelity(run.propagator, gate, model, run.T)
-            assert (fidelity.hex(), leakage.hex()) == (run.fidelity.hex(), run.leakage.hex())
+            dense = dense_scores(model, run.propagator, gate, run.T)
+            assert (fidelity.hex(), leakage.hex()) == (dense[0].hex(), dense[1].hex())
+            assert abs(run.fidelity - fidelity) <= SCORE_BOUND
+            assert abs(run.leakage - leakage) <= SCORE_BOUND
             assert exact_propagator(model, gen, run.T).tobytes() == run.propagator.tobytes()
 
     def test_seeded_corpus_bit_equal_to_per_time_reference(self):
@@ -497,10 +588,12 @@ class TestStackedSweep:
 
     @pytest.mark.parametrize("count", [1, 2, 20])
     def test_one_stacked_pass_per_sweep(self, monkeypatch, count):
-        # Every loop takes the split: there is no dense exponential to call.
+        # Every loop takes the split: there is no dense exponential to call, and the scores
+        # come from the triplet exponentials, not from the dense propagators.
         assert not hasattr(adiabatic, "expm_skew")
+        assert not hasattr(adiabatic, "_fidelity_leakage")
         spies = {name: mock.Mock(wraps=getattr(adiabatic, name))
-                 for name in ("exp_minus_i", "_fidelity_leakage")}
+                 for name in ("exp_minus_i", "_scores")}
         for name, spy in spies.items():
             monkeypatch.setattr(adiabatic, name, spy)
         # Real 3 x 3 triplet frames: one sector per T for one dimer, and for two those of
@@ -513,24 +606,24 @@ class TestStackedSweep:
             (frames,) = spies["exp_minus_i"].call_args.args
             assert frames.shape == (count, sectors, 3, 3)
             assert frames.dtype == np.float64
+            exps, gamma = spies["_scores"].call_args.args
+            assert exps.shape == (count, sectors, 9) and gamma is gate.gamma
             for spy in spies.values():
                 spy.reset_mock()
 
     def test_fidelity_leakage_bit_equal_to_projector_form(self):
-        # The row mask and the Python-float tail round as the dense ground projector
-        # and a numpy-scalar tail do, on every run of a seeded corpus.
+        # holonomy_fidelity's row mask and Python-float tail round as the dense ground
+        # projector and a numpy-scalar tail do, on every propagator of a seeded corpus.
         cases = sweep_corpus(1000, seed=20261020)
         runs = 0
         for model, gen, t_list in cases:
             gate = holonomy(connection_on_ground_space(gen, model))
             ts = np.array(sorted(t_list))
-            us = adiabatic._propagators(model, gen, ts)
-            c = coding_space(model)
-            pairs = adiabatic._fidelity_leakage(us, gate, model, c, ts)
-            expected = reference_fidelity_leakage(us, gate, model, c, ts)
-            bits = [(f.hex(), l.hex()) for f, l in pairs]
-            assert bits == [(f.hex(), l.hex()) for f, l in expected]
-            assert all(type(f) is float and type(l) is float for f, l in pairs)
+            for T, u in zip(ts, adiabatic._propagators(model, gen, ts)[0]):
+                pair = holonomy_fidelity(u, gate, model, T)
+                expected = dense_scores(model, u, gate, T)
+                assert [x.hex() for x in pair] == [x.hex() for x in expected]
+                assert all(type(x) is float for x in pair)
             runs += len(ts)
         assert {gen.x.shape[0] for _, gen, _ in cases} == {4, 16}
         assert runs > 10000
@@ -587,7 +680,7 @@ class TestSectorPropagators:
         worst = 0.0
         cases = generator_corpus(2, 300, seed=20261018)
         for model, gen, ts in cases:
-            us = adiabatic._propagators(model, gen, ts)
+            us = adiabatic._propagators(model, gen, ts)[0]
             errors = frobenius_stack(us - dense_frames(model, gen.x, ts))
             scale = frobenius(gen.x) + np.abs(ts) * model.hamiltonian_norm
             bounds = 16 * scale * np.finfo(float).eps / 2
@@ -602,7 +695,7 @@ class TestSectorPropagators:
         worst = 0.0
         cases = generator_corpus(1, 300, seed=20261019)
         for model, gen, ts in cases:
-            us = adiabatic._propagators(model, gen, ts)
+            us = adiabatic._propagators(model, gen, ts)[0]
             errors = frobenius_stack(us - dense_frames(model, gen.x, ts))
             scale = frobenius(gen.x) + np.abs(ts) * model.hamiltonian_norm
             bounds = 16 * scale * np.finfo(float).eps / 2
@@ -653,7 +746,7 @@ class TestSectorPropagators:
         model, gen, _ = oracle_setup(qubits)
         ts = np.array([0.0, 0.5, 57.3])
         reference = open_path_propagators(model, scale * gen.x, ts)
-        errors = frobenius_stack(adiabatic._propagators(model, gen, ts) - reference)
+        errors = frobenius_stack(adiabatic._propagators(model, gen, ts)[0] - reference)
         scale_sum = frobenius(gen.x) + ts * model.hamiltonian_norm
         bounds = 16 * scale_sum * np.finfo(float).eps / 2 + gen.closure_residual
         assert np.all(errors <= bounds) == (scale == 1.0)
@@ -673,7 +766,7 @@ class TestSectorPropagators:
                     two_qubit_generator(MAX_WINDING - 1, MAX_WINDING, MAX_WINDING)]
         ts = np.array([0.0, 1.0, 1e3, adiabatic._t_max(model)])
         for gen in gens:
-            us = adiabatic._propagators(model, gen, ts)
+            us = adiabatic._propagators(model, gen, ts)[0]
             frames = -1j * (-1j * gen.x + model.hamiltonian * ts[:, None, None])
             errors = frobenius_stack(us - expm_skew(frames))
             bounds = 16 * (frobenius(gen.x) + ts * model.hamiltonian_norm) * np.finfo(float).eps / 2
@@ -700,3 +793,68 @@ class TestSectorPropagators:
         assert model.hamiltonian.tobytes() == np.diag(model.diagonal.astype(complex)).tobytes()
         u = exact_propagator(model, gen, 10.0)
         assert frobenius(u - expm_skew(-1j * (-1j * gen.x + model.hamiltonian * 10.0))) < 1e-12
+
+
+def positive_time_corpus(qubits, count, seed):
+    """``generator_corpus`` with each T made positive (T = 0 becomes ``_t_max``), for sweeps."""
+    cases = []
+    for model, gen, ts in generator_corpus(qubits, count, seed):
+        ts = np.abs(ts)
+        ts[ts == 0.0] = adiabatic._t_max(model)
+        cases.append((model, gen, ts))
+    return cases
+
+
+class TestBlockScores:
+    """The sweep reads fidelity and leakage off the coding sectors' triplet exponentials."""
+
+    def test_within_bound_of_dense_holonomy_fidelity(self):
+        # Windings log-spread up to MAX_WINDING, couplings from 1e-3 to 1e3 and T up to _t_max.
+        worst, points = 0.0, 0
+        for qubits, seed in ((1, 20261022), (2, 20261023)):
+            for model, gen, ts in positive_time_corpus(qubits, 250, seed):
+                gate = holonomy(connection_on_ground_space(gen, model))
+                for run in adiabatic_sweep(model, gen, gate, ts):
+                    dense = holonomy_fidelity(run.propagator, gate, model, run.T)
+                    errors = abs(run.fidelity - dense[0]), abs(run.leakage - dense[1])
+                    assert max(errors) <= SCORE_BOUND, (gen, run.T)
+                    worst = max(worst, *errors)
+                    points += 1
+        assert points == 2500
+        assert worst > 0.0  # the two forms round differently; the bound is not vacuous
+
+    def test_ground_escape_is_coding_escape(self):
+        # A loop propagator keeps dimer 1's sigma_z sector and maps the coding space into the
+        # last dimer's triplet, whose T+ and T0 are ground states and T- is not, and into no
+        # singlet: ||P U C||_F = ||C^dag U C||_F.  Checked densely; both squares are at most
+        # dim_C and round to within a few dim_C u of each other (at most 6 dim_C u measured).
+        for qubits, seed in ((1, 20261024), (2, 20261025)):
+            for model, gen, ts in generator_corpus(qubits, 100, seed):
+                c = coding_space(model)
+                dim_c = c.shape[1]
+                for u in adiabatic._propagators(model, gen, ts)[0]:
+                    ground = np.linalg.norm(model.ground_projector @ u @ c) ** 2
+                    coding = np.linalg.norm(c.conj().T @ u @ c) ** 2
+                    assert abs(ground - coding) <= 16 * dim_c * U, (gen, ts)
+        # Not so for a unitary that mixes the coding space with other ground states: turning
+        # |++++> (T+T+) into the ground state |+++-> (half T+T0, half T+S0) keeps it in the
+        # ground space, but not in the coding space.
+        model = build_two_dimer(1.0, 1.0)
+        c = coding_space(model)
+        swap = np.zeros((16, 16))
+        swap[0, 1] = swap[1, 0] = 1.0
+        mixing = expm_skew(-0.5j * np.pi * swap)
+        ground = np.linalg.norm(model.ground_projector @ mixing @ c) ** 2
+        assert ground - np.linalg.norm(c.conj().T @ mixing @ c) ** 2 > 0.1
+
+    def test_real_gamma_scores_as_complex(self):
+        # A gate may hold a real Gamma (or a transposed view); it scores as its complex copy.
+        model, gen, gate = oracle_setup(2)
+        ts = [1.0, 10.0, 100.0]
+        for gamma in (np.eye(4), gate.gamma.real.copy(), gate.gamma.T):
+            runs = adiabatic_sweep(model, gen, HolonomyGate(gamma=gamma), ts)
+            expected = adiabatic_sweep(model, gen, HolonomyGate(gamma=np.array(gamma, complex)), ts)
+            assert [run_bits(r) for r in runs] == [run_bits(r) for r in expected]
+            for run in runs:
+                dense = holonomy_fidelity(run.propagator, HolonomyGate(gamma=gamma), model, run.T)
+                assert abs(run.fidelity - dense[0]) <= SCORE_BOUND

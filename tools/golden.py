@@ -7,10 +7,15 @@ A CLI request runs in process through ``holonome.cli.run`` in an empty working
 directory, and its digest covers the exit code, stdout, stderr and every file it
 wrote; a library request digests its result, floats as hex and arrays as bytes.
 The corpus: every subcommand, windings log-spread up to MAX_WINDING, rejected
-requests, every ``holonome ...`` line of this tree's README.md, and line-search
+requests, every ``holonome ...`` line of this tree's README.md, line-search
 edges (bounds 1, 2 and MAX_WINDING, targets on a lattice point, steps at 0.6 of
-2 pi and within 1e-9 of pi).  ``--diff`` runs this script with each tree's
-``src`` on PYTHONPATH.
+2 pi and within 1e-9 of pi), and the adiabatic library on seeded loops (one and
+two dimers, couplings 0.1 to 10): ``lib propagators`` (exact and sweep
+propagators, windings up to MAX_WINDING and T up to the model's ``_t_max``, and
+``holonomy_fidelity`` of each), ``lib sweep scores`` (the sweep's fidelity and
+leakage on the same loops) and ``lib rk4`` (``ode_propagator`` at 1, 10 and 1000
+steps, windings up to 1000, T from 0.1 to 10).  ``--diff`` runs this script
+with each tree's ``src`` on PYTHONPATH.
 """
 
 from __future__ import annotations
@@ -40,6 +45,35 @@ def _log_int(rng, lo: int, hi: int) -> int:
 
 def _times(rng) -> str:
     return ",".join(repr(10.0 ** rng.uniform(-1.0, 3.0)) for _ in range(rng.randint(1, 6)))
+
+
+def _adiabatic_corpus(top: int):
+    """More ``sweep`` requests, and the adiabatic library requests (class, (kind, args)):
+    args are the loop's windings (and one dimer's axis), the couplings and the times, where
+    "t_max" stands for the model's ``_t_max``."""
+    rng = random.Random(20261019)
+    reqs = []
+    for _ in range(30):
+        k = _log_int(rng, 1, top - 1)
+        kp, km, kpr = str(k), str(rng.randint(k + 1, min(3 * k - 1, top))), str(_log_int(rng, 1, top))
+        reqs += [("sweep", ["sweep", "--kp", kp, "--km", km, "--kprime", kpr, "--T", _times(rng)]),
+                 ("sweep", ["sweep", _axis(rng), "--kappa", kpr, "--T", _times(rng)])]
+    for i in range(40):
+        for cls, bound in (("lib propagators", top), ("lib rk4", 1000)):
+            couplings = tuple(10.0 ** rng.uniform(-1.0, 1.0) for _ in range(1 + i % 2))
+            if i % 2:
+                k = _log_int(rng, 1, bound - 1)
+                loop = (k, rng.randint(k + 1, min(3 * k - 1, bound)), _log_int(rng, 1, bound))
+            else:
+                loop = (tuple(float(x) for x in _axis(rng)[4:].split(",")), _log_int(rng, 1, bound))
+            if cls == "lib rk4":
+                times = tuple(10.0 ** rng.uniform(-1.0, 1.0) for _ in range(2))
+            else:
+                times = tuple(10.0 ** rng.uniform(-1.0, 4.0) for _ in range(rng.randint(1, 5)))
+                times += ("t_max",) if i % 3 == 0 else ()
+                reqs.append(("lib sweep scores", ("sweep scores", (loop, couplings, times))))
+            reqs.append((cls, (cls[4:], (loop, couplings, times))))
+    return reqs
 
 
 def corpus(top: int):
@@ -99,7 +133,7 @@ def corpus(top: int):
         a, b = (z / math.hypot(*map(abs, g)) for z in g)
         target = [[a, -b.conjugate()], [b, a.conjugate()]]
         reqs.append(("lib synthesize_su2", ("synthesize_su2", (target, 1e-3, _log_int(rng, 1, top)))))
-    return reqs
+    return reqs + _adiabatic_corpus(top)
 
 
 def _value(obj) -> str:
@@ -117,11 +151,38 @@ def _value(obj) -> str:
     return repr(obj)
 
 
+def _adiabatic(kind: str, loop, couplings, times):
+    """One adiabatic library request: exact and sweep propagators with ``holonomy_fidelity``
+    of each, the sweep's scores, or RK4 propagators at 1, 10 and 1000 steps."""
+    from holonome import adiabatic, deformation, holonomy, spin_model
+
+    if len(loop) == 2:
+        gen = deformation.one_qubit_generator(*loop)
+        model = spin_model.build_one_dimer(couplings[0], couplings[0])
+    else:
+        gen = deformation.two_qubit_generator(*loop)
+        model = spin_model.build_two_dimer(*couplings)
+    gate = holonomy.holonomy(holonomy.connection_on_ground_space(gen, model))
+    ts = [adiabatic._t_max(model) if t == "t_max" else t for t in times]
+    if kind == "rk4":
+        return [adiabatic.ode_propagator(model, gen, T, n) for T in ts for n in (1, 10, 1000)]
+    runs = adiabatic.adiabatic_sweep(model, gen, gate, ts)
+    if kind == "sweep scores":
+        return [(run.fidelity, run.leakage) for run in runs]
+    exact = [adiabatic.exact_propagator(model, gen, T) for T in ts]
+    return [(u, adiabatic.holonomy_fidelity(u, gate, model, T)) for u, T in zip(exact, ts)] + [
+        (run.T, run.propagator, run.dynamical_phase,
+         adiabatic.holonomy_fidelity(run.propagator, gate, model, run.T)) for run in runs]
+
+
 def run(request) -> bytes:
     from holonome import cli, synthesis
 
     if isinstance(request, tuple):
-        return _value(getattr(synthesis, request[0])(*request[1])).encode()
+        name, args = request
+        if hasattr(synthesis, name):
+            return _value(getattr(synthesis, name)(*args)).encode()
+        return _value(_adiabatic(name, *args)).encode()
     out, err, here = io.StringIO(), io.StringIO(), os.getcwd()
     with tempfile.TemporaryDirectory() as work:
         os.chdir(work)
