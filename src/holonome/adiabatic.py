@@ -4,60 +4,11 @@ In the co-rotating frame the generator of the dynamics is the *constant*
 Hermitian matrix -iX + HT, so the full-loop propagator has the closed form
 U(1) = exp(X) exp(-i(-iX + HT)) and is exact at any T.  A loop closes,
 exp(X) = 1 exactly, so U(1) = exp(-i(-iX + HT)).  Each function here takes
-the loop, which carries X and its triplet split.  H is diagonal, X acts on
-the last dimer's triplet T+, T0, T- and singlet S0 in each sigma_z sector of
-the dimers before it (one sector for one dimer; dimer 1's four sigma_z
-states for two, where X^1 and X^{1-2} are diagonal), and both commute with
-swapping that dimer's spins, so in each sector the frame is a 3 x 3 block
-over the triplet and a value on the singlet.  The block is real, up to a
-fixed diagonal phase conjugation for one dimer whose axis has n_y != 0.
-
-A sweep over T is one stacked pass: the frames of all T are one broadcast,
-the exponentials of the triplet blocks of every sector (dimer 1's |+-> and
-|-+> share S1 = 0) one stacked real eigendecomposition of 3 x 3 matrices,
-and each singlet one phase.  Fidelity and leakage are read off those triplet
-exponentials, not off the dense propagators.  The coding space is T+, T0 of
-the last dimer, for two dimers in dimer 1's T+ and T0, and a loop propagator
-keeps dimer 1's sigma_z sector and the last dimer's triplet, so its coding
-restriction V = C^dag U C is block diagonal: the top-left 2 x 2 of sector 0
-for one dimer, and of S1 = 2 (control T+) and S1 = 0 (control T0, whose
-|+-> and |-+> share one block) for two.  The fidelity |tr(Gamma^dag V)|
-/ dim_C sums conj(Gamma) V over those entries (the phase e^{i E0 T} has
-modulus 1).  The leakage 1 - ||P U C||_F^2 / dim_C needs no projector: U
-maps the coding space into the last dimer's triplet in the same sector of
-dimer 1, whose T+ and T0 lie in the ground level and whose T- does not, and
-into no singlet, so the escape from the ground space equals the escape from
-the coding block, ||P U C||_F = ||V||_F.  Both are sums of real entrywise
-products in one fixed order, so every run is bit-identical to evaluating
-that T alone.  They round differently from ``holonomy_fidelity``, which
-computes the dense C^dag U C and P U C of one propagator; on the same
-propagator the two agree within 8 u (at most 4 u in fidelity and 6 u in
-leakage measured over 9000 points up to MAX_WINDING, u the unit roundoff).
-
-A classical RK4 integration of the Schrodinger equation with the
-tau-dependent Hamiltonian is kept alongside purely as an independent oracle
-against construction bugs.  It runs in the eigenbasis W of X, where
-e^{X tau} is the diagonal D(tau) = diag(e^{i lam tau}), so the integrated
-U~ = W^dag U W obeys dU~/dtau = A(tau) U~ with A(tau) = D(tau) (-iT W^dag H W)
-D(tau)^dag.  Each RK4 step is linear in U~, so it is a transfer matrix
-P_n = I + dt/6 (A_lo + 2 K2 + 2 K3 + K4) with K2 = A_mid (I + dt/2 A_lo),
-K3 = A_mid (I + dt/2 K2) and K4 = A_hi (I + dt K3).  On the uniform grid
-tau_n = n dt the deformation is covariant, A(tau_n + s) = D(tau_n) A(s)
-D(tau_n)^dag, so every step is the first one conjugated by phases,
-P_n = D(tau_n) P_0 D(tau_n)^dag, and the ordered product collapses to
-U~ = P_{N-1} ... P_0 = D(1) (D(dt)^dag P_0)^N.  P_0 is built once and raised
-to the N-th power by binary squaring: about 2 log2 N products and O(dim^2)
-memory whatever the number of steps.  This is the same RK4 on the same step
-grid, not a different integrator.  The oracle stays independent of the
-closed form: it never uses the rotating-frame generator, the triplet
-split or a matrix exponential, only H, the eigenvectors of the dense X and
-fourth-order time stepping, so a wrong generator, split, frame or sign
-shows up as an O(1) disagreement.  iX is real for every two-dimer loop
-and for one dimer with n_y = 0, and then W is taken real, from the real
-eigendecomposition; W^dag H W is one product from H's real diagonal.  Against
-the same RK4 in a complex eigenbasis (``tests/conftest.py``) it moves by
-rounding only, within 16 (N + ||X||_F + |T| ||H||_F) u max(1, ||U||_F)
-(at most 4.6 of that unit measured).
+the loop, which carries X and its triplet split (``_propagators``).  A sweep
+over T is one stacked pass (``adiabatic_sweep``) whose fidelity and leakage
+are read off the triplet exponentials (``_scores``).  A classical RK4
+integration (``ode_propagator``) is kept alongside purely as an independent
+oracle against construction bugs.
 """
 
 from __future__ import annotations
@@ -67,10 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from holonome.deformation import _check_size
+from holonome.deformation import _check_size, _checked_int
 from holonome.errors import DomainError
 from holonome.holonomy import HolonomyGate
-from holonome.matrix_kernel import _U, _block_diagonal, _read_only, exp_minus_i, is_unitary
+from holonome.matrix_kernel import _U, _read_only, exp_minus_i, is_unitary
 from holonome.spin_model import SpinModel, coding_space
 
 
@@ -191,10 +142,12 @@ def _propagators(model: SpinModel, loop, ts: np.ndarray) -> tuple:
         triplet_exps = triplet_exps * phases.ravel()
     singlet_phases = np.exp(-1j * (singlets + singlet_h * ts[:, None]))[..., None]
     blocks = np.concatenate((triplet_exps, singlet_phases), axis=-1) @ _FROM_TRIPLET_BASIS
+    blocks = blocks.reshape(len(ts), -1, 4, 4)
     if len(singlets) == 1:
-        return blocks.reshape(len(ts), 4, 4), triplet_exps
+        return blocks[:, 0], triplet_exps
     us = np.zeros((len(ts), 16, 16), dtype=complex)
-    us.reshape(-1, 256)[:, _block_diagonal(4, 4)] = blocks.take((0, 1, 1, 2), 1).reshape(-1, 64)
+    for i, sector in enumerate((0, 1, 1, 2)):
+        us[:, 4 * i : 4 * i + 4, 4 * i : 4 * i + 4] = blocks[:, sector]
     return us, triplet_exps
 
 
@@ -206,16 +159,30 @@ def exact_propagator(model: SpinModel, loop, T: float) -> np.ndarray:
 def ode_propagator(model: SpinModel, loop, T: float, steps: int) -> np.ndarray:
     """RK4 integration of i dU/dtau = T H(tau) U with H(tau) = e^{X tau} H e^{-X tau}.
 
-    Runs in the eigenbasis W of the loop's dense X (module docstring).  iX is
-    Hermitian, and real for every two-dimer loop and for one dimer with
-    n_y = 0; W is then taken real, from the real ``eigh``.  W^dag H W is one
-    product (W^dag * diag(H)) W of H's real ``model.diagonal``.
+    It runs in the eigenbasis W of the loop's dense X, where e^{X tau} is the diagonal
+    D(tau) = diag(e^{i lam tau}), so the integrated U~ = W^dag U W obeys dU~/dtau = A(tau) U~
+    with A(tau) = D(tau) (-iT W^dag H W) D(tau)^dag.  Each RK4 step is linear in U~, so it is a
+    transfer matrix P_n = I + dt/6 (A_lo + 2 K2 + 2 K3 + K4) with K2 = A_mid (I + dt/2 A_lo),
+    K3 = A_mid (I + dt/2 K2) and K4 = A_hi (I + dt K3).  On the uniform grid tau_n = n dt the
+    deformation is covariant, A(tau_n + s) = D(tau_n) A(s) D(tau_n)^dag, so every step is the
+    first one conjugated by phases, P_n = D(tau_n) P_0 D(tau_n)^dag, and the ordered product
+    collapses to U~ = P_{N-1} ... P_0 = D(1) (D(dt)^dag P_0)^N.  P_0 is built once and raised
+    to the N-th power by binary squaring: about 2 log2 N products and O(dim^2) memory whatever
+    the number of steps.  This is the same RK4 on the same step grid, not a different
+    integrator.  The oracle stays independent of the closed form: it never uses the
+    rotating-frame generator, the triplet split or a matrix exponential, only H, the
+    eigenvectors of the dense X and fourth-order time stepping, so a wrong generator, split,
+    frame or sign shows up as an O(1) disagreement.
+
+    iX is Hermitian, and real for every two-dimer loop and for one dimer with n_y = 0; W is
+    then taken real, from the real ``eigh``.  W^dag H W is one product (W^dag * diag(H)) W of
+    H's real ``model.diagonal``.  Against the same RK4 in a complex eigenbasis
+    (``tests/conftest.py``) it moves by rounding only, within
+    16 (N + ||X||_F + |T| ||H||_F) u max(1, ||U||_F) (at most 4.6 of that unit measured).
     """
     _check_size(loop, model)
     T = _finite_time(T, _t_max(model))
-    if isinstance(steps, bool) or not isinstance(steps, (int, np.integer)):
-        raise DomainError(f"steps must be an int, got {steps!r}")
-    if steps < 1:
+    if _checked_int("steps", steps) < 1:
         raise DomainError("steps must be >= 1")
     # X = W diag(i lam) W^dag with lam real, so e^{X tau} = W diag(e^{i lam tau}) W^dag.
     # iX = -Im X + i Re X is real exactly when Re X = 0.
@@ -279,12 +246,24 @@ def _scores(triplet_exps: np.ndarray, gamma: np.ndarray) -> tuple:
     """(fidelities, leakages), as lists, of the loop propagators whose triplet exponentials
     (``_propagators``) are stacked in ``triplet_exps``.
 
-    The coding restriction V of such a propagator is block diagonal, its blocks the coding
-    sectors' top-left 2 x 2 (module docstring), so the fidelity is |sum conj(Gamma) V| / dim_C
-    over those entries and the leakage 1 - ||V||_F^2 / dim_C.  Every product is real and
-    entrywise, and the sums run by halves over the rows: the first halving adds the real-part
-    and imaginary-part products of each entry, the next ones add entries.  The clamps are
-    entrywise too, so every score is bit-identical to that of its T alone.
+    The coding space is T+, T0 of the last dimer, for two dimers in dimer 1's T+ and T0, and
+    a loop propagator U keeps dimer 1's sigma_z sector and the last dimer's triplet, so its
+    coding restriction V = C^dag U C is block diagonal: the top-left 2 x 2 of sector 0 for one
+    dimer, and of S1 = 2 (control T+) and S1 = 0 (control T0, whose |+-> and |-+> share one
+    block) for two.  The fidelity |tr(Gamma^dag V)| / dim_C sums conj(Gamma) V over those
+    entries (the phase e^{i E0 T} has modulus 1).  The leakage 1 - ||P U C||_F^2 / dim_C needs
+    no projector: U maps the coding space into the last dimer's triplet in the same sector of
+    dimer 1, whose T+ and T0 lie in the ground level and whose T- does not, and into no
+    singlet, so the escape from the ground space equals the escape from the coding block,
+    ||P U C||_F = ||V||_F.
+
+    Every product is real and entrywise, and the sums run by halves over the rows: the first
+    halving adds the real-part and imaginary-part products of each entry, the next ones add
+    entries.  The clamps are entrywise too, so every score is bit-identical to that of its T
+    alone.  The scores round differently from ``holonomy_fidelity``, which computes the dense
+    C^dag U C and P U C of one propagator; on the same propagator the two agree within 8 u (at
+    most 4 u in fidelity and 6 u in leakage measured over 9000 points up to MAX_WINDING, u the
+    unit roundoff).
     """
     rows, cols, signs = _SCORE_INDICES[len(gamma)]
     x = triplet_exps.reshape(len(triplet_exps), -1).view(float).T.take(rows, axis=0)[:, None]

@@ -1,9 +1,10 @@
 """Command-line surface: gate construction, searches, sweeps, figures, audits.
 
 Exit codes: 0 success, 1 domain error, an option the request would not use,
-or a failed file write (one ``error:`` line on stderr), 2 usage error.  All
-outputs are deterministic for a given numpy and OpenBLAS kernel; angles are
-accepted in radians only.
+or a failed file write (one ``error:`` line on stderr; a sweep whose --out write
+fails removes the --csv file it created), 2 usage error.  All outputs are
+deterministic for a given numpy and OpenBLAS kernel; angles are accepted in
+radians only.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import os
 import sys
 
 import numpy as np
@@ -62,7 +64,7 @@ def cmd_one_qubit(args, stream):
     conn = holonomy.connection_on_ground_space(loop, model)
     numeric = holonomy.holonomy(conn)
     analytic = holonomy.analytic_one_qubit_gate(loop)
-    audit = deformation.leakage_audit(loop, model)
+    audit = holonomy.leakage_audit(conn)
     report = reporting.build_report(
         "holonomy",
         inputs={"n": list(loop.n), "kappa": loop.kappa,
@@ -88,7 +90,7 @@ def cmd_two_qubit(args, stream):
     conn = holonomy.connection_on_ground_space(loop, model)
     numeric = holonomy.holonomy(conn)
     fact = holonomy.analytic_two_qubit_gate(loop)
-    audit = deformation.leakage_audit(loop, model)
+    audit = holonomy.leakage_audit(conn)
     report = reporting.build_report(
         "holonomy",
         inputs={"kappa_plus": args.kp, "kappa_minus": args.km,
@@ -176,14 +178,16 @@ def cmd_sweep(args, stream):
     gate = holonomy.holonomy(conn)
     runs = adiabatic.adiabatic_sweep(model, loop, gate, t_list)
     rows = [(run.T, run.fidelity, run.leakage) for run in runs]
+    report = reporting.build_report("sweep", inputs, {"rows": [list(r) for r in rows]})
+    created = bool(args.csv) and not os.path.exists(args.csv)
     if args.csv:
         reporting.emit_csv(args.csv, ["T", "fidelity", "leakage"], rows)
-    report = reporting.build_report(
-        "sweep",
-        inputs=inputs,
-        outputs={"rows": [list(r) for r in rows]},
-    )
-    _write_report(report, args.out, stream)
+    try:
+        _write_report(report, args.out, stream)
+    except (DomainError, OSError):
+        if created:  # a failed sweep leaves no CSV it created
+            os.remove(args.csv)
+        raise
     return 0
 
 
@@ -215,7 +219,7 @@ def cmd_audit(args, stream):
     else:
         if args.km is None:
             raise DomainError("audit needs --km unless --j-zero is given")
-        loop = deformation.TwoQubitLoop.create(args.kp, args.km, args.kprime)
+        loop = deformation.two_qubit_generator(args.kp, args.km, args.kprime)
         inputs = {"kappa_plus": args.kp, "kappa_minus": args.km,
                   "kappa_prime": args.kprime, "j_zero": False}
     fact = holonomy.analytic_two_qubit_gate(loop)

@@ -1,4 +1,4 @@
-"""Closed loops: their anti-Hermitian generators, closure and leakage checks.
+"""Closed loops: their anti-Hermitian generators and closure checks.
 
 A loop is a one-parameter isospectral deformation exp(X tau) H exp(-X tau)
 with constant anti-Hermitian X.  The loop closes, exp(X) = 1, exactly for
@@ -23,7 +23,7 @@ import numpy as np
 
 from holonome.errors import DomainError
 from holonome.matrix_kernel import _read_only, expm_skew, frobenius
-from holonome.spin_model import SpinModel, coding_space, ground_basis, pauli_site
+from holonome.spin_model import SpinModel, pauli_site
 
 # Winding numbers above this would need angle reduction beyond double precision.
 MAX_WINDING = 10**6
@@ -33,8 +33,6 @@ MAX_WINDING = 10**6
 ONE_QUBIT_CLOSURE_TOL = 1e-10
 TWO_QUBIT_CLOSURE_TOL = 1e-8
 
-LEAKAGE_TOL = 1e-12
-
 _SQRT2 = math.sqrt(2.0)
 
 
@@ -43,7 +41,7 @@ class _Loop:
 
     The windings (and one dimer's axis) are a loop's only constructor arguments; its other
     fields are derived from them, so ``dataclasses.replace`` derives them afresh.  Every
-    construction (``create``, the generated constructor, ``replace``) checks them first and
+    construction (the generated constructor, ``replace``) checks them first and
     raises one ``DomainError`` for a loop that would not close or would be trivial.  ``dim``
     is the size of the space X acts on, so a size check builds no X.  Read-only, built on
     first read: ``x``, the anti-Hermitian generator X; ``closure_residual``; ``triplet_split``,
@@ -99,11 +97,6 @@ class OneQubitLoop(_Loop):
                           omega=omega, theta_kappa=omega * root,
                           m=(_SQRT2 * nx / root, _SQRT2 * ny / root, nz / root))
 
-    @classmethod
-    def create(cls, n, kappa: int) -> "OneQubitLoop":
-        """The loop of axis n and winding kappa; the constructor checks both."""
-        return cls(n, kappa)
-
     def _x(self) -> np.ndarray:
         """X = i kappa pi n . (sigma_1 + sigma_2)."""
         return 1j * self.omega * collective_spin(self.n, (0, 1), 2)
@@ -157,7 +150,7 @@ class TwoQubitLoop(_Loop):
     J = (pi / (2 sqrt 2)) sqrt(kappa_-^2 - kappa_+^2); the admissibility
     window is kappa_+ < kappa_- < 3 kappa_+ (equivalently Omega_2 > J > 0).
     The constructor also admits kappa_- = kappa_+, the commuting limit J = 0
-    that ``with_forced_zero_coupling`` builds and ``create`` rejects.
+    that ``with_forced_zero_coupling`` builds and ``two_qubit_generator`` rejects.
     """
 
     kappa_plus: int
@@ -188,15 +181,6 @@ class TwoQubitLoop(_Loop):
                           omega1=float(kpr * np.pi), omega2=float(omega2),
                           coupling_j=coupling_j, n2z=float(n2z), n2x=float(n2x),
                           a=float(np.sqrt(2.0) * omega2 * n2x))
-
-    @classmethod
-    def create(cls, kappa_plus: int, kappa_minus: int, kappa_prime: int) -> "TwoQubitLoop":
-        """The coupled loop of these windings: the constructor's checks, and kappa_+ < kappa_-."""
-        loop = cls(kappa_plus, kappa_minus, kappa_prime)
-        if loop.kappa_minus == loop.kappa_plus:
-            raise DomainError(f"kappa_plus < kappa_minus violated: {loop.kappa_plus} >= "
-                              f"{loop.kappa_minus}")
-        return loop
 
     @classmethod
     def with_forced_zero_coupling(cls, kappa_plus: int, kappa_prime: int) -> "TwoQubitLoop":
@@ -254,32 +238,14 @@ def _cross_zz() -> np.ndarray:
 
 def one_qubit_generator(n, kappa: int) -> OneQubitLoop:
     """The loop of X = i kappa pi n . (sigma_1 + sigma_2) on the single-dimer space."""
-    return OneQubitLoop.create(n, kappa)
+    return OneQubitLoop(n, kappa)
 
 
 def two_qubit_generator(kappa_plus: int, kappa_minus: int, kappa_prime: int) -> TwoQubitLoop:
-    """The loop of the two-dimer generator X^1 + X^2 + X^{1-2}, with closure built in."""
-    return TwoQubitLoop.create(kappa_plus, kappa_minus, kappa_prime)
-
-
-@dataclass(frozen=True, eq=False)
-class LeakageAudit:
-    """Matrix elements of X between coding and non-coding ground vectors.
-
-    ``block`` holds them, non-coding rows by coding columns; the audit passes
-    iff all of them vanish.
-    """
-
-    block: np.ndarray
-    max_abs: float
-    passed: bool
-
-
-def leakage_audit(loop, model: SpinModel) -> LeakageAudit:
-    """Check that X never connects the coding space to the rest of the ground space."""
-    _check_size(loop, model)
-    vecs = ground_basis(model)
-    dim_c = coding_space(model).shape[1]
-    block = vecs[:, dim_c:].conj().T @ loop.x @ vecs[:, :dim_c]
-    max_abs = float(np.max(np.abs(block))) if block.size else 0.0
-    return LeakageAudit(block=block, max_abs=max_abs, passed=max_abs < LEAKAGE_TOL)
+    """The loop of the two-dimer generator X^1 + X^2 + X^{1-2}, with closure built in: the
+    constructor's checks, and kappa_+ < kappa_- (the coupled loop, J > 0)."""
+    loop = TwoQubitLoop(kappa_plus, kappa_minus, kappa_prime)
+    if loop.kappa_minus == loop.kappa_plus:
+        raise DomainError(f"kappa_plus < kappa_minus violated: {loop.kappa_plus} >= "
+                          f"{loop.kappa_minus}")
+    return loop

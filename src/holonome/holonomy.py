@@ -1,8 +1,9 @@
-"""Ground-space connection, holonomy gates and two-qubit diagnostics.
+"""Ground-space connection, holonomy gates, leakage audit and two-qubit diagnostics.
 
 The connection on the degenerate ground space of a loop reduces to the matrix
 of the X that the loop carries in the ordered ground basis, A_ij = <i|X|j>, and
-the holonomy is Gamma = exp(-A) restricted to the coding block.  Closed-form
+the holonomy is Gamma = exp(-A) restricted to the coding block; the leakage
+audit reads A's block between non-coding and coding vectors.  Closed-form
 gate expressions exist for both the one- and two-qubit loops; the two-qubit
 gate is built from 2 x 2 Rodrigues rotations with no eigensolver, and its
 distance to the numeric exponential is a reported number, not an assertion.
@@ -71,6 +72,22 @@ class Connection:
         return self.matrix[: self.coding_dim, : self.coding_dim]
 
 
+LEAKAGE_TOL = 1e-12
+
+
+@dataclass(frozen=True, eq=False)
+class LeakageAudit:
+    """Matrix elements of X between coding and non-coding ground vectors.
+
+    ``block`` holds them, non-coding rows by coding columns; the audit passes
+    iff all of them vanish.
+    """
+
+    block: np.ndarray
+    max_abs: float
+    passed: bool
+
+
 @dataclass(frozen=True, eq=False)
 class HolonomyGate:
     """Unitary holonomy on the coding space.
@@ -88,6 +105,13 @@ def connection_on_ground_space(loop, model: SpinModel) -> Connection:
     vecs = ground_basis(model)  # raises DomainError off the working point
     matrix = vecs.conj().T @ loop.x @ vecs
     return Connection(matrix=matrix, coding_dim=coding_space(model).shape[1])
+
+
+def leakage_audit(conn: Connection) -> LeakageAudit:
+    """Check that X never connects the coding space to the rest of the ground space."""
+    block = conn.matrix[conn.coding_dim :, : conn.coding_dim]
+    max_abs = float(np.max(np.abs(block))) if block.size else 0.0
+    return LeakageAudit(block=block, max_abs=max_abs, passed=max_abs < LEAKAGE_TOL)
 
 
 def holonomy(conn: Connection) -> HolonomyGate:

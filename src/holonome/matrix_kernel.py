@@ -9,7 +9,6 @@ results unitary to machine precision at these dimensions.
 
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
@@ -27,16 +26,6 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     """Mark ``a`` read-only and return it: for arrays built once and shared."""
     a.flags.writeable = False
     return a
-
-
-@functools.cache
-def _block_diagonal(k: int, d: int) -> np.ndarray:
-    """Flat indices of the k diagonal d x d blocks of a kd x kd matrix, block by block.
-
-    Built once per shape, read-only.
-    """
-    a, i, j = np.ogrid[:k, :d, :d]
-    return _read_only(((a * d + i) * (k * d) + a * d + j).ravel())
 
 
 def _as_square(m) -> np.ndarray:

@@ -133,18 +133,8 @@ def build_report(kind: str, inputs: dict, outputs: dict) -> dict:
 
 
 def csv_lines(header, rows):
-    """Render rows with the exact header; ints bare, floats at 17 digits."""
-    lines = [",".join(header)]
-    for row in rows:
-        cells = []
-        for cell in row:
-            if isinstance(cell, (int, np.integer)) and not isinstance(cell, bool):
-                cells.append(str(int(cell)))
-            elif isinstance(cell, (float, np.floating)):
-                cells.append(format_float(cell))
-            else:
-                cells.append(str(cell))
-        lines.append(",".join(cells))
+    """Render numeric rows with the exact header; ints bare, floats at 17 digits."""
+    lines = [",".join(header)] + [",".join([_emit(cell) for cell in row]) for row in rows]
     return "\n".join(lines) + "\n"
 
 

@@ -114,16 +114,6 @@ class SpinModel:
         return _read_only(dimers[0] if len(dimers) == 1 else np.add.outer(*dimers).ravel())
 
     @functools.cached_property
-    def hamiltonian(self) -> np.ndarray:
-        """H = diag(``diagonal``) as a dense complex matrix (read-only).
-
-        Public API for callers that want the dense operator; nothing in holonome reads it.
-        """
-        h = np.zeros((self.dim, self.dim), dtype=complex)
-        h.flat[:: self.dim + 1] = self.diagonal
-        return _read_only(h)
-
-    @functools.cached_property
     def hamiltonian_norm(self) -> float:
         """||H||_F = ||diagonal||_2 by math.hypot, which neither overflows nor underflows."""
         return math.hypot(*self.diagonal.tolist())
@@ -143,14 +133,6 @@ class SpinModel:
     @functools.cached_property
     def ground_multiplicity(self) -> int:
         return int(self._ground.sum())
-
-    @functools.cached_property
-    def ground_projector(self) -> np.ndarray:
-        """The diagonal 0/1 projector onto the ground level (read-only).
-
-        Public API; holonome itself reads the 0/1 mask it is built from.
-        """
-        return _read_only(np.diag(self._ground.astype(complex)))
 
 
 _RT2 = 1.0 / np.sqrt(2.0)

@@ -81,15 +81,12 @@ HADAMARD_AXIS = (np.sqrt(1.0 / 3.0), 0.0, np.sqrt(2.0 / 3.0))
 NAMED_AXES = types.MappingProxyType({"x": (1.0, 0.0, 0.0), "y": (0.0, 1.0, 0.0)})
 
 
-def circular_distance(delta: float) -> float:
-    """Distance on the circle: min(r, 2 pi - r) with r = |delta| mod 2 pi."""
-    return float(_circular(delta, TWO_PI))
-
-
-def _circular(delta, period: float):
-    """min(r, period - r) with r = |delta| mod period: ``_circular_error`` on one scalar."""
+def circular_distance(delta, period: float):
+    """Distance on a circle of length ``period``: min(r, period - r) with r = |delta| mod period,
+    of a float, or elementwise of an array.  Every search reports the error this returns at its
+    winner."""
     r = abs(delta) % period
-    return min(r, period - r)
+    return np.minimum(r, period - r)
 
 
 def _half_angle_sin_cos(a: float, b: float):
@@ -124,22 +121,12 @@ class SearchResult:
     exhausted: bool
 
 
-def _circular_error(delta, period: float) -> np.ndarray:
-    """min(r, period - r) with r = |delta| mod period, elementwise.
-
-    The float operations of ``circular_distance``; every search reports the
-    error this returns at its winner.
-    """
-    r = np.abs(delta) % period
-    return np.minimum(r, period - r)
-
-
 def _scan_lattice(delta_at, rows: int, cols: int, period: float):
     """(row, col, error) of the first minimum of the circular error over a lattice.
 
     ``delta_at(r, c)`` returns target - lattice angle on the block of rows
     ``r`` (an int64 column) and columns ``c`` (an int64 row); the scan order
-    is row-major and the error is ``_circular_error``.  A block holds whole
+    is row-major and the error is ``circular_distance``.  A block holds whole
     rows, or one row in pieces when a row is longer than ``_CHUNK``, so it
     never exceeds ``_CHUNK`` points.
 
@@ -168,7 +155,7 @@ def _scan_lattice(delta_at, rows: int, cols: int, period: float):
             np.abs(approx, out=approx)
             slack = 16.0 * _U * (max(delta.max(), -delta.min()) + period)
             keep = np.flatnonzero(approx <= approx.min() + slack)
-            err = _circular_error(delta[keep], period)
+            err = circular_distance(delta[keep], period)
             i = int(np.argmin(err))
             if err[i] < best_err:
                 row, col = divmod(int(keep[i]), len(c))
@@ -291,7 +278,7 @@ def _search_line(delta_at, theta: float, step_factors, size: int, period: float)
         if not min(x, y) / d > 2.0 * tol:
             return _scan_lattice(delta_at, 1, size, period)[1:]
     k_l = _successor(k_u, dp, dm, size - 1) if v and size > 1 else k_u
-    err, k = min((_circular(delta_at(0, k), period), k) for k in {k_u, k_l})
+    err, k = min((circular_distance(delta_at(0, k), period), k) for k in {k_u, k_l})
     return k, float(err)
 
 
@@ -347,12 +334,12 @@ def search_rotation(axis, theta_target: float, eps: float, kappa_max: int) -> Se
     theta_target = float(theta_target)
     n = _resolve_axis(axis)
     # Validates unit norm and |n_z| < 1 (|n_z| = 1 would make every gate trivial).
-    step = OneQubitLoop.create(n, 1).theta_kappa
+    step = OneQubitLoop(n, 1).theta_kappa
     i, best_err = _search_line(
         lambda _, k: theta_target - (k + 1) * step,
         theta_target, (step,), int(kappa_max), TWO_PI,
     )
-    loop = OneQubitLoop.create(n, i + 1)
+    loop = OneQubitLoop(n, i + 1)
     return SearchResult(
         params={"kappa": loop.kappa},
         angle_error=best_err,
@@ -372,12 +359,12 @@ def search_hadamard(eps: float, kappa_max: int) -> SearchResult:
     gate to HADAMARD, and ``exhausted`` means it is at least ``eps``.
     """
     _check_search_inputs(eps, kappa_max=kappa_max)
-    root = math.sqrt(2.0 - HADAMARD_AXIS[2] ** 2)  # as in OneQubitLoop.create
+    root = math.sqrt(2.0 - HADAMARD_AXIS[2] ** 2)  # as OneQubitLoop computes it
     i, err = _search_line(
         lambda _, k: np.pi / 2.0 - ((k + 1) * np.pi) * root,
         np.pi / 2.0, (np.pi, root), int(kappa_max), np.pi,
     )
-    loop = OneQubitLoop.create(HADAMARD_AXIS, i + 1)
+    loop = OneQubitLoop(HADAMARD_AXIS, i + 1)
     dist = _rotation_distance(np.pi / 2.0, loop.theta_kappa)
     return SearchResult(
         params={"kappa": loop.kappa},
@@ -465,7 +452,7 @@ def synthesize_su2(target, eps_per_rotation: float, kappa_max: int) -> Synthesis
     composite = np.eye(2, dtype=complex)
     for axis_name, angle in (("y", alpha), ("x", beta), ("y", gamma)):
         theta = 0.5 * angle  # full-angle exponent convention exp(-i theta sigma)
-        if circular_distance(theta) < 1e-12:
+        if circular_distance(theta, TWO_PI) < 1e-12:
             continue
         result = search_rotation(axis_name, theta, eps_per_rotation, kappa_max)
         steps.append((axis_name, result))
@@ -522,21 +509,6 @@ def search_controlled_phase(
         gate=controlled_phase_gate(alpha),
         exhausted=err >= eps,
     )
-
-
-def equidistribution_scan(step: float, k_list) -> dict:
-    """Covering radius of {kappa * step mod 2 pi : 0 <= kappa <= K} per K.
-
-    The covering radius is half the largest circular gap between consecutive
-    points; it is non-increasing in K and decays to zero iff step / pi is
-    irrational.
-    """
-    out = {}
-    for k_max in k_list:
-        pts = np.sort(np.arange(0, int(k_max) + 1) * step % TWO_PI)
-        gaps = np.diff(np.concatenate([pts, [pts[0] + TWO_PI]]))
-        out[int(k_max)] = float(np.max(gaps) / 2.0)
-    return out
 
 
 def figure_table(which: str, caption_convention: bool = False):

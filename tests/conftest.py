@@ -9,7 +9,7 @@ import numpy as np
 from hypothesis import configuration
 
 from holonome import deformation
-from holonome.matrix_kernel import _block_diagonal, expm_skew, frobenius
+from holonome.matrix_kernel import expm_skew, frobenius
 from holonome.spin_model import (
     _GROUND_LABELS,
     DEGENERACY_RTOL,
@@ -31,6 +31,33 @@ def pytest_configure(config):
         configuration.set_hypothesis_home_dir(cache.mkdir("hypothesis"))
 
 
+def hamiltonian(model) -> np.ndarray:
+    """Reference: H = diag(``model.diagonal``) as a dense complex matrix."""
+    h = np.zeros((model.dim, model.dim), dtype=complex)
+    h.flat[:: model.dim + 1] = model.diagonal
+    return h
+
+
+def ground_projector(model) -> np.ndarray:
+    """Reference: the diagonal 0/1 projector onto the model's ground level."""
+    return np.diag(model._ground.astype(complex))
+
+
+def equidistribution_scan(step: float, k_list) -> dict:
+    """Covering radius of {kappa * step mod 2 pi : 0 <= kappa <= K} per K.
+
+    The covering radius is half the largest circular gap between consecutive
+    points; it is non-increasing in K and decays to zero iff step / pi is
+    irrational.
+    """
+    out = {}
+    for k_max in k_list:
+        pts = np.sort(np.arange(0, int(k_max) + 1) * step % (2.0 * np.pi))
+        gaps = np.diff(np.concatenate([pts, [pts[0] + 2.0 * np.pi]]))
+        out[int(k_max)] = float(np.max(gaps) / 2.0)
+    return out
+
+
 def closure_residual(x) -> float:
     """Reference for a loop's ``closure_residual``: ||exp(X) - 1||_F afresh, for any X."""
     x = np.asarray(x, dtype=complex)
@@ -49,7 +76,7 @@ def dense_frames(model, x, ts):
     """Reference: exp(-i(-iX + HT)) of every T in ``ts``, stacked, through one dense
     ``expm_skew``; a closed loop's propagators, whose exp(X) is 1."""
     ts = np.asarray(ts, dtype=float)
-    return expm_skew(-1j * (-1j * np.asarray(x) + model.hamiltonian * ts[:, None, None]))
+    return expm_skew(-1j * (-1j * np.asarray(x) + hamiltonian(model) * ts[:, None, None]))
 
 
 def open_path_propagators(model, x, ts):
@@ -66,7 +93,7 @@ def reference_ode_propagator(model, loop, T, steps):
     """
     lam, w = np.linalg.eigh(1j * loop.x)
     lam = -lam
-    a0 = -1j * T * (w.conj().T @ model.hamiltonian @ w)
+    a0 = -1j * T * (w.conj().T @ hamiltonian(model) @ w)
     eye = np.eye(model.dim, dtype=complex)
     dt = 1.0 / steps
     phases = np.exp(1j * np.array([0.0, 0.5 * dt, dt])[:, None] * lam[None, :])
@@ -143,6 +170,13 @@ def reference_model(*couplings):
     )
 
 
+@functools.cache
+def _diagonal_blocks(k: int) -> np.ndarray:
+    """Flat indices of the k diagonal 4 x 4 blocks of a 4k x 4k matrix, block by block."""
+    a, i, j = np.ogrid[:k, :4, :4]
+    return ((a * 4 + i) * (4 * k) + a * 4 + j).ravel()
+
+
 def reference_triplet_split(x):
     """Reference: -iX_s over the last dimer's T+, T0, T-, S0 in each sigma_z sector s of the
     dimers before it (one for a 4 x 4 X, dimer 1's four for a 16 x 16 X), read off the entries
@@ -157,7 +191,7 @@ def reference_triplet_split(x):
     k = {(4, 4): 1, (16, 16): 4}.get(x.shape)
     if k is None:
         return None
-    blocks = x.take(_block_diagonal(k, 4))
+    blocks = x.take(_diagonal_blocks(k))
     real = not blocks.real.any()
     if np.count_nonzero(blocks) != np.count_nonzero(x) or (k == 4 and not real):
         return None
@@ -188,7 +222,7 @@ def reference_triplet_split(x):
 
 
 def reference_one_qubit_loop(n, kappa):
-    """Reference: the fields (n, omega, theta_kappa, m) of ``OneQubitLoop.create(n, kappa)``
+    """Reference: the fields (n, omega, theta_kappa, m) of ``OneQubitLoop(n, kappa)``
     for a valid unit axis n, evaluated on numpy float64 scalars and arrays."""
     n = np.asarray(n, dtype=float)
     omega = kappa * np.pi

@@ -3,6 +3,7 @@
 import enum
 import io
 import json
+import sys
 import warnings
 
 import numpy as np
@@ -237,6 +238,25 @@ class TestFilesystemErrors:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not path.parent.exists()
 
+    @pytest.mark.parametrize("bad", ["out", "csv"])
+    def test_failed_sweep_leaves_no_file(self, tmp_path, bad):
+        # A sweep that exits 1 leaves no file it created, whichever of its two writes fails.
+        paths = {"csv": tmp_path / "rows.csv", "out": tmp_path / "r.json"}
+        paths[bad] = tmp_path / "missing" / paths[bad].name
+        code, out, err = invoke(["sweep", "--n", "1,0,0", "--kappa", "1", "--T", "1,10",
+                                 "--csv", str(paths["csv"]), "--out", str(paths["out"])])
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_sweep_keeps_a_csv_it_did_not_create(self, tmp_path):
+        # Only a CSV the sweep created is removed: one that was there stays, rewritten.
+        csv = tmp_path / "rows.csv"
+        csv.write_text("before\n")
+        argv = ["sweep", "--n", "1,0,0", "--kappa", "1", "--T", "1,10", "--csv", str(csv)]
+        assert invoke([*argv, "--out", str(tmp_path / "missing" / "r.json")])[0] == 1
+        assert csv.read_text().startswith("T,fidelity,leakage\n")
+
 
 class TestNonFiniteCouplings:
     @pytest.mark.parametrize(
@@ -351,8 +371,8 @@ class TestRequestWork:
                 building.append(True)
                 try:
                     model = _original(*args)
-                    for field in ("diagonal", "hamiltonian", "hamiltonian_norm", "ground_energy",
-                                  "ground_multiplicity", "ground_projector"):
+                    for field in ("diagonal", "hamiltonian_norm", "ground_energy",
+                                  "ground_multiplicity"):
                         getattr(model, field)
                     return model
                 finally:
@@ -366,6 +386,26 @@ class TestRequestWork:
         np.kron(np.eye(2), np.eye(2))
         assert calls == ["kron"]
 
+
+
+    @pytest.mark.parametrize("argv", [
+        ["one-qubit", "--n", "0.6,0,0.8", "--kappa", "3"],
+        ["two-qubit", "--kp", "2", "--km", "3", "--kprime", "1"],
+    ])
+    def test_one_connection_per_gate_request(self, monkeypatch, argv):
+        # The leakage audit reads its block off the request's connection: one connection,
+        # and no other product over the ground basis, in any module.
+        calls = []
+        for module in [m for name, m in sys.modules.items() if name.startswith("holonome.")]:
+            for name in ("connection_on_ground_space", "ground_basis"):
+                if hasattr(module, name):
+                    def spy(*args, _original=getattr(module, name), _name=name):
+                        calls.append(_name)
+                        return _original(*args)
+                    monkeypatch.setattr(module, name, spy)
+        code, out, _ = invoke(argv)
+        assert code == 0 and json.loads(out)["outputs"]["leakage_audit_passed"] is True
+        assert calls == ["connection_on_ground_space", "ground_basis"]
 
 
 class TestUsageStreams:

@@ -17,17 +17,18 @@ from holonome.deformation import (
     TwoQubitLoop,
     collective_spin,
     coupling_strength,
-    leakage_audit,
     one_qubit_generator,
     two_qubit_generator,
 )
 from holonome.errors import DomainError
+from holonome.holonomy import connection_on_ground_space, leakage_audit
 from holonome.matrix_kernel import expm_skew, frobenius
 from holonome.spin_model import DIMER_BASIS, build_one_dimer, build_two_dimer, pauli_site
 
 from conftest import (
     closure_residual,
     eager_leakage_audit,
+    hamiltonian,
     reference_one_qubit_loop,
     reference_triplet_split,
 )
@@ -63,7 +64,7 @@ class TestOneQubitGenerator:
     )
     def test_rejects_non_finite_axis(self, n):
         with pytest.raises(DomainError, match="unit vector"):
-            OneQubitLoop.create(n, 1)
+            OneQubitLoop(n, 1)
 
     def test_rejects_oversized_winding(self):
         with pytest.raises(DomainError):
@@ -72,12 +73,12 @@ class TestOneQubitGenerator:
     @pytest.mark.parametrize("kappa", [2.5, 2.0, np.float64(2.0), True, "2", None])
     def test_rejects_non_int_winding(self, kappa):
         with pytest.raises(DomainError, match=r"^kappa must be an int"):
-            OneQubitLoop.create((1.0, 0.0, 0.0), kappa)
+            OneQubitLoop((1.0, 0.0, 0.0), kappa)
 
     def test_accepts_numpy_integer_winding(self):
-        loop = OneQubitLoop.create((1.0, 0.0, 0.0), np.int64(2))
+        loop = OneQubitLoop((1.0, 0.0, 0.0), np.int64(2))
         assert loop.kappa == 2 and type(loop.kappa) is int
-        assert loop == OneQubitLoop.create((1.0, 0.0, 0.0), 2)
+        assert loop == OneQubitLoop((1.0, 0.0, 0.0), 2)
 
     def test_bit_equal_to_numpy_reference(self):
         # Python floats and math, with numpy's rounding: 20 000 seeded axes (sphere points,
@@ -96,14 +97,14 @@ class TestOneQubitGenerator:
         kappas = np.exp(rng.uniform(0.0, np.log(MAX_WINDING), len(axes))).astype(int)
         kappas[::50] = MAX_WINDING
         for n, kappa in zip(axes, kappas.tolist()):
-            loop = OneQubitLoop.create(n if kappa % 2 else tuple(n.tolist()), kappa)
+            loop = OneQubitLoop(n if kappa % 2 else tuple(n.tolist()), kappa)
             fields = (loop.n, loop.omega, loop.theta_kappa, loop.m)
             expected = reference_one_qubit_loop(n, kappa)
             assert repr(fields) == repr(expected), (n, kappa)
             assert all(type(x) is float for x in (*loop.n, loop.omega, loop.theta_kappa, *loop.m))
 
     def test_hadamard_axis_derived_quantities(self):
-        loop = OneQubitLoop.create((np.sqrt(1 / 3), 0.0, np.sqrt(2 / 3)), 3)
+        loop = OneQubitLoop((np.sqrt(1 / 3), 0.0, np.sqrt(2 / 3)), 3)
         assert abs(loop.theta_kappa - 2 * 3 * np.pi / np.sqrt(3)) < 1e-12
         assert np.allclose(loop.m, (1 / np.sqrt(2), 0.0, 1 / np.sqrt(2)), atol=1e-12)
 
@@ -122,7 +123,7 @@ class TestTwoQubitGenerator:
         assert closure_residual(loop.x) < 1e-8
 
     def test_nu_minus_is_integer_multiple_of_pi(self):
-        loop = TwoQubitLoop.create(1, 2, 1)
+        loop = two_qubit_generator(1, 2, 1)
         assert abs(loop.coupling_j - np.pi * np.sqrt(3) / (2 * np.sqrt(2))) < 1e-12
         nu_minus = np.sqrt(loop.omega2**2 + 8.0 * loop.coupling_j**2)
         assert abs(nu_minus - 2 * np.pi) < 1e-12
@@ -141,12 +142,12 @@ class TestTwoQubitGenerator:
          (2 * MAX_WINDING, 1, "kappa_plus"), (2, 0, "kappa_prime"), (2, -1, "kappa_prime"),
          (2, MAX_WINDING + 1, "kappa_prime")],
     )
-    def test_forced_zero_coupling_checks_windings_as_create_does(self, kp, kpr, name):
+    def test_forced_zero_coupling_checks_windings_as_generator_does(self, kp, kpr, name):
         message = f"{name} must be in [1, {MAX_WINDING}]"
         with pytest.raises(DomainError, match=re.escape(message)):
             TwoQubitLoop.with_forced_zero_coupling(kp, kpr)
         with pytest.raises(DomainError, match=re.escape(message)):
-            TwoQubitLoop.create(kp, kp + 1, kpr)
+            two_qubit_generator(kp, kp + 1, kpr)
 
     def test_closure_over_admissible_pairs(self):
         for kp in range(1, 5):
@@ -158,7 +159,7 @@ class TestTwoQubitGenerator:
     def test_omega2_exceeds_coupling(self):
         for kp in range(1, 5):
             for km in range(kp + 1, 3 * kp):
-                loop = TwoQubitLoop.create(kp, km, 1)
+                loop = two_qubit_generator(kp, km, 1)
                 assert loop.omega2 > loop.coupling_j
 
 
@@ -183,21 +184,21 @@ class TestIsospectrality:
         model = build_one_dimer(1.0, 1.0)
         gen = one_qubit_generator((0.6, 0.0, 0.8), 2)
         frame = expm_skew(tau * gen.x)
-        h_tau = frame @ model.hamiltonian @ frame.conj().T
+        h_tau = frame @ hamiltonian(model) @ frame.conj().T
         assert np.allclose(
             np.linalg.eigvalsh(h_tau),
-            np.linalg.eigvalsh(model.hamiltonian),
+            np.linalg.eigvalsh(hamiltonian(model)),
             atol=1e-10,
         )
 
     def test_generator_does_not_commute_with_hamiltonian(self):
         model = build_one_dimer(1.0, 1.0)
         gen = one_qubit_generator((1.0, 0.0, 0.0), 1)
-        comm = model.hamiltonian @ gen.x - gen.x @ model.hamiltonian
+        comm = hamiltonian(model) @ gen.x - gen.x @ hamiltonian(model)
         assert frobenius(comm) > 1e-6
         model2 = build_two_dimer(1.0, 1.0)
         gen2 = two_qubit_generator(2, 3, 1)
-        comm2 = model2.hamiltonian @ gen2.x - gen2.x @ model2.hamiltonian
+        comm2 = hamiltonian(model2) @ gen2.x - gen2.x @ hamiltonian(model2)
         assert frobenius(comm2) > 1e-6
 
 
@@ -205,21 +206,59 @@ def complex_bits(z):
     return (z.real.hex(), z.imag.hex())
 
 
+def unsigned_zero_bits(z):
+    """complex_bits with -0.0 read as +0.0."""
+    return complex_bits(z + 0j)
+
+
+def leakage_corpus(count, seed=20261020):
+    """Seeded (loop, model) pairs, one and two dimers in turn: windings log-spread up to
+    MAX_WINDING (both ends included), couplings 0.1 to 10."""
+    rng = np.random.default_rng(seed)
+    cases = []
+    for i in range(count):
+        j1, j2 = (float(x) for x in 10.0 ** rng.uniform(-1.0, 1.0, size=2))
+        if i % 2 == 0:
+            axis = rng.normal(size=3)
+            if i % 4 == 2:  # in the x-z plane
+                axis[1] = 0.0
+            kappa = MAX_WINDING if i == 0 else 1 if i == 2 else int(10.0 ** rng.uniform(0.0, 6.0))
+            loop = one_qubit_generator(axis / np.linalg.norm(axis), kappa)
+            cases.append((loop, build_one_dimer(j1, j1)))
+        else:
+            kp = MAX_WINDING // 3 + 1 if i == 1 else int(10.0 ** rng.uniform(0.0, 5.5))
+            km = MAX_WINDING if i == 1 else kp + 1 + int(rng.random() * (2 * kp - 1))
+            kpr = MAX_WINDING if i == 3 else int(10.0 ** rng.uniform(0.0, 6.0))
+            cases.append((two_qubit_generator(kp, km, kpr), build_two_dimer(j1, j2)))
+    return cases
+
+
 class TestLeakageAudit:
-    @pytest.mark.parametrize("case", range(4))
+    @pytest.mark.parametrize("case", [*range(4), "corpus"])
     def test_lazy_fields_equal_eager_reference(self, case):
-        gen = GENERATORS[case]()
-        model = build_one_dimer(1.0, 1.0) if gen.x.shape == (4, 4) else build_two_dimer(1.0, 2.0)
-        audit = leakage_audit(gen, model)
-        entries, max_abs, passed, _ = eager_leakage_audit(gen, model)
-        assert (audit.max_abs.hex(), audit.passed) == (max_abs.hex(), passed)
-        assert [complex_bits(z) for z in audit.block.ravel().tolist()] == [
-            complex_bits(z) for _, _, z in entries]
+        # The audit's block is the connection's non-coding-by-coding block, equal to the
+        # separate product V[:, dc:]^dag X V[:, :dc] bit for bit except for the sign of a
+        # zero entry: an FMA gemm kernel (OpenBLAS SkylakeX) rounds an exactly cancelling
+        # entry to -0.0 in one product and +0.0 in the other (one entry of case 1, and 170 of
+        # 3000 seeded loops), so zero entries compare by value (adding +0 clears the sign).
+        # Every nonzero entry, the maximum and the verdict stay bit-equal.
+        if case == "corpus":
+            cases = leakage_corpus(500)
+        else:
+            gen = GENERATORS[case]()
+            model = build_one_dimer(1.0, 1.0) if gen.dim == 4 else build_two_dimer(1.0, 2.0)
+            cases = [(gen, model)]
+        for gen, model in cases:
+            audit = leakage_audit(connection_on_ground_space(gen, model))
+            entries, max_abs, passed, _ = eager_leakage_audit(gen, model)
+            assert (audit.max_abs.hex(), audit.passed) == (max_abs.hex(), passed)
+            assert [unsigned_zero_bits(z) for z in audit.block.ravel().tolist()] == [
+                unsigned_zero_bits(z) for _, _, z in entries]
 
     def test_one_dimer_passes(self):
         model = build_one_dimer(1.0, 1.0)
         gen = one_qubit_generator((0.6, 0.0, 0.8), 3)
-        audit = leakage_audit(gen, model)
+        audit = leakage_audit(connection_on_ground_space(gen, model))
         assert audit.passed
         assert audit.max_abs < 1e-12
         labels = {(bra, ket) for bra, ket, _ in eager_leakage_audit(gen, model)[0]}
@@ -228,7 +267,7 @@ class TestLeakageAudit:
     def test_two_dimer_named_elements(self):
         model = build_two_dimer(1.0, 1.0)
         gen = two_qubit_generator(2, 3, 1)
-        assert leakage_audit(gen, model).passed
+        assert leakage_audit(connection_on_ground_space(gen, model)).passed
         named = eager_leakage_audit(gen, model)[3]
         expected = 1j * 4.0 * gen.coupling_j
         assert abs(named["<T+T+|Xc|T+T+>"] - expected) < 1e-12
@@ -247,7 +286,7 @@ def float_bits(fields):
 
 
 def closed_form_loop_fields(kp, km, kpr):
-    """TwoQubitLoop.create's fields, written out from the closure conditions."""
+    """``two_qubit_generator``'s loop fields, written out from the closure conditions."""
     omega2 = kp * np.pi
     j = (np.pi / (2.0 * np.sqrt(2.0))) * np.sqrt(km**2 - kp**2)
     n2z = -j / omega2
@@ -399,10 +438,10 @@ class TestSectors:
 class TestLoopAssembly:
     """Both TwoQubitLoop constructors assemble their fields in one place."""
 
-    def test_create_fields_bit_equal_to_closed_form(self):
+    def test_generator_fields_bit_equal_to_closed_form(self):
         kp, km = admissible_pairs(2000)
         for a, b in zip(kp.tolist(), km.tolist()):
-            loop = TwoQubitLoop.create(a, b, a % 7 + 1)
+            loop = two_qubit_generator(a, b, a % 7 + 1)
             expected = float_bits(closed_form_loop_fields(a, b, a % 7 + 1))
             assert float_bits(vars(loop)) == expected, (a, b)
 
@@ -423,7 +462,7 @@ class TestLoopAssembly:
         name = ("kappa_plus", "kappa_minus", "kappa_prime")[
             next(i for i, k in enumerate(windings) if type(k) is not int)]
         with pytest.raises(DomainError, match=f"^{name} must be an int"):
-            TwoQubitLoop.create(*windings)
+            two_qubit_generator(*windings)
 
     def test_forced_zero_coupling_rejects_non_int_windings(self):
         with pytest.raises(DomainError, match="^kappa_plus must be an int"):
@@ -461,7 +500,7 @@ class TestLoopAssembly:
         scalars = [coupling_strength(a, b) for a, b in zip(kp.tolist(), km.tolist())]
         assert np.array(scalars).tobytes() == closed_form.tobytes()
         for a, b, j in list(zip(kp.tolist(), km.tolist(), scalars))[:500]:
-            assert TwoQubitLoop.create(a, b, 1).coupling_j.hex() == float(j).hex()
+            assert two_qubit_generator(a, b, 1).coupling_j.hex() == float(j).hex()
 
 
 GENERATORS = [
@@ -522,14 +561,14 @@ VALUE_AXES = [(1.0, 0.0, 0.0), (0.6, 0.0, -0.8), (0.6, 0.48, 0.64), (-0.36, -0.4
 
 
 class TestLoopsAreValues:
-    """A loop derives every field from its inputs, so ``replace`` gives the loop ``create``
+    """A loop derives every field from its inputs, so ``replace`` gives the loop the constructor
     would, and equality and hash read the fields, never a cached array."""
 
     @pytest.mark.parametrize("n", VALUE_AXES)
     @pytest.mark.parametrize("kappa", [2, 7, MAX_WINDING])
-    def test_replace_winding_bit_equal_to_create(self, n, kappa):
-        replaced = dataclasses.replace(OneQubitLoop.create(n, 1), kappa=kappa)
-        created = OneQubitLoop.create(n, kappa)
+    def test_replace_winding_bit_equal_to_constructor(self, n, kappa):
+        replaced = dataclasses.replace(OneQubitLoop(n, 1), kappa=kappa)
+        created = OneQubitLoop(n, kappa)
         assert float_bits(vars(replaced)) == float_bits(vars(created))
         assert replaced == created and hash(replaced) == hash(created)
         assert [a.tobytes() for a in replaced.triplet_split if a is not None] == [
@@ -537,16 +576,16 @@ class TestLoopsAreValues:
         assert replaced.x.tobytes() == created.x.tobytes()
 
     @pytest.mark.parametrize("kp,km,kpr", [(2, 4, 1), (2, 5, 3), (1000, 2999, 77)])
-    def test_replace_two_qubit_winding_bit_equal_to_create(self, kp, km, kpr):
-        replaced = dataclasses.replace(TwoQubitLoop.create(kp, kp + 1, kpr), kappa_minus=km)
-        created = TwoQubitLoop.create(kp, km, kpr)
+    def test_replace_two_qubit_winding_bit_equal_to_generator(self, kp, km, kpr):
+        replaced = dataclasses.replace(two_qubit_generator(kp, kp + 1, kpr), kappa_minus=km)
+        created = two_qubit_generator(kp, km, kpr)
         assert float_bits(vars(replaced)) == float_bits(closed_form_loop_fields(kp, km, kpr))
         assert float_bits(vars(replaced)) == float_bits(vars(created))
         assert replaced == created and hash(replaced) == hash(created)
         assert replaced.x.tobytes() == created.x.tobytes()
 
     @pytest.mark.parametrize("make", GENERATORS + [
-        lambda: OneQubitLoop.create((0.6, 0.0, 0.8), 3),
+        lambda: OneQubitLoop((0.6, 0.0, 0.8), 3),
         lambda: TwoQubitLoop.with_forced_zero_coupling(2, 1)])
     def test_equality_and_hash_read_fields_after_caching(self, make):
         # The cached X, split and residual are no fields: == and hash compare the fields,
@@ -575,21 +614,21 @@ class TestLoopsAreValues:
 
 
 class TestEveryConstructionChecks:
-    """``replace`` and the generated constructors run the checks ``create`` runs, so no
-    construction builds an open, trivial or complex-valued loop."""
+    """``replace`` and the generated constructors run the same checks, so no construction
+    builds an open, trivial or complex-valued loop."""
 
     @pytest.mark.parametrize("build,message", [
-        (lambda: dataclasses.replace(OneQubitLoop.create((1, 0, 0), 1), kappa=2.5),
+        (lambda: dataclasses.replace(OneQubitLoop((1, 0, 0), 1), kappa=2.5),
          "kappa must be an int, got 2.5"),
-        (lambda: dataclasses.replace(OneQubitLoop.create((1, 0, 0), 1), kappa=0),
+        (lambda: dataclasses.replace(OneQubitLoop((1, 0, 0), 1), kappa=0),
          f"winding number must be in [1, {MAX_WINDING}]"),
         (lambda: OneQubitLoop((2, 0, 0), 1), "axis must be a unit vector"),
         (lambda: OneQubitLoop((0.0, 0.0, 1.0), 1), "|n_z| = 1"),
-        (lambda: dataclasses.replace(OneQubitLoop.create((1, 0, 0), 1), n=(1, 0)),
+        (lambda: dataclasses.replace(OneQubitLoop((1, 0, 0), 1), n=(1, 0)),
          "axis must be a real 3-vector"),
-        (lambda: dataclasses.replace(TwoQubitLoop.create(2, 3, 1), kappa_minus=7),
+        (lambda: dataclasses.replace(two_qubit_generator(2, 3, 1), kappa_minus=7),
          "kappa_minus < 3 kappa_plus violated: 7 >= 6"),
-        (lambda: dataclasses.replace(TwoQubitLoop.create(2, 3, 1), kappa_minus=1),
+        (lambda: dataclasses.replace(two_qubit_generator(2, 3, 1), kappa_minus=1),
          "kappa_plus < kappa_minus violated: 2 >= 1"),
         (lambda: TwoQubitLoop(2, 3, 0), f"kappa_prime must be in [1, {MAX_WINDING}]"),
         (lambda: TwoQubitLoop(2, 3.0, 1), "kappa_minus must be an int"),
@@ -601,28 +640,28 @@ class TestEveryConstructionChecks:
         with pytest.raises(DomainError, match=re.escape(message)):
             build()
 
-    def test_constructor_normalises_its_inputs_as_create_does(self):
+    def test_constructor_normalises_its_inputs(self):
         loop = OneQubitLoop(np.array([0.6, 0.0, 0.8]), np.int64(3))
-        assert loop == OneQubitLoop.create((0.6, 0.0, 0.8), 3)
+        assert loop == OneQubitLoop((0.6, 0.0, 0.8), 3)
         assert type(loop.n) is tuple and type(loop.kappa) is int
         two = TwoQubitLoop(np.int32(2), np.int64(3), np.uint8(1))
-        assert repr(two) == repr(TwoQubitLoop.create(2, 3, 1))
+        assert repr(two) == repr(two_qubit_generator(2, 3, 1))
 
-    def test_commuting_limit_is_kept_by_replace_and_refused_by_create(self):
+    def test_commuting_limit_is_kept_by_replace_and_refused_by_generator(self):
         forced = TwoQubitLoop.with_forced_zero_coupling(2, 1)
         assert forced.coupling_j == 0.0 and forced.kappa_minus == forced.kappa_plus
         assert dataclasses.replace(forced, kappa_prime=3) == (
             TwoQubitLoop.with_forced_zero_coupling(2, 3))
         with pytest.raises(DomainError, match=re.escape("kappa_plus < kappa_minus violated: 2 >= 2")):
-            TwoQubitLoop.create(2, 2, 1)
+            two_qubit_generator(2, 2, 1)
 
-    def test_create_checks_once(self, monkeypatch):
+    def test_construction_checks_once(self, monkeypatch):
         calls = []
         checked = deformation._checked_int
         monkeypatch.setattr(deformation, "_checked_int",
                             lambda *args: calls.append(args) or checked(*args))
-        OneQubitLoop.create((1.0, 0.0, 0.0), 2)
-        TwoQubitLoop.create(2, 3, 1)
+        OneQubitLoop((1.0, 0.0, 0.0), 2)
+        two_qubit_generator(2, 3, 1)
         TwoQubitLoop.with_forced_zero_coupling(2, 1)
         assert len(calls) == 1 + 3 + 3
 

@@ -10,7 +10,7 @@ from holonome.deformation import (
     one_qubit_generator,
     two_qubit_generator,
 )
-from holonome import adiabatic, deformation, synthesis
+from holonome import adiabatic, synthesis
 from holonome.errors import DomainError
 from holonome import holonomy as holonomy_module
 from holonome.holonomy import (
@@ -45,17 +45,17 @@ def _winding_corpus(rng, size=200):
     """Admissible and forced-zero-coupling loops, windings log-spread up to MAX_WINDING."""
     top = MAX_WINDING // 3
     loops = [
-        TwoQubitLoop.create(1, 2, 1),
-        TwoQubitLoop.create(top, top + 1, MAX_WINDING),
-        TwoQubitLoop.create(top, 3 * top - 1, MAX_WINDING),
-        TwoQubitLoop.create(333333, 500000, 1),
+        two_qubit_generator(1, 2, 1),
+        two_qubit_generator(top, top + 1, MAX_WINDING),
+        two_qubit_generator(top, 3 * top - 1, MAX_WINDING),
+        two_qubit_generator(333333, 500000, 1),
         TwoQubitLoop.with_forced_zero_coupling(MAX_WINDING, MAX_WINDING),
     ]
     while len(loops) < size:
         kp = int(np.exp(rng.uniform(np.log(2), np.log(top))))
         km = int(rng.integers(kp + 1, 3 * kp))
         kpr = int(np.exp(rng.uniform(0.0, np.log(MAX_WINDING))))
-        loops.append(TwoQubitLoop.create(kp, km, kpr))
+        loops.append(two_qubit_generator(kp, km, kpr))
         if len(loops) % 10 == 0:
             loops.append(TwoQubitLoop.with_forced_zero_coupling(kp, kpr))
     return loops
@@ -125,7 +125,7 @@ class TestOneQubitGate:
         assert frobenius(holonomy(conn).gamma - np.eye(2)) == 0.0
 
     def test_x_axis_rotation(self):
-        loop = OneQubitLoop.create((1.0, 0.0, 0.0), 1)
+        loop = OneQubitLoop((1.0, 0.0, 0.0), 1)
         gate = analytic_one_qubit_gate(loop)
         theta = np.sqrt(2.0) * np.pi
         expected = np.cos(theta) * np.eye(2) - 1j * np.sin(theta) * np.array(
@@ -149,7 +149,7 @@ class TestOneQubitGate:
             assert phase_invariant_distance(numeric, analytic) < 1e-10
 
     def test_hadamard_distance_at_kappa_3(self):
-        gate = analytic_one_qubit_gate(OneQubitLoop.create(HADAMARD_AXIS, 3))
+        gate = analytic_one_qubit_gate(OneQubitLoop(HADAMARD_AXIS, 3))
         dist = phase_invariant_distance(gate.gamma, HADAMARD)
         # |sin theta_3| ~ 0.9937 -> distance ~ sqrt(1 - 0.9937)
         assert abs(dist - 0.079) < 2e-3
@@ -162,7 +162,7 @@ class TestOneQubitGate:
 
 class TestTwoQubitGate:
     def test_block_axes_differ_in_z_sign(self):
-        fact = analytic_two_qubit_gate(TwoQubitLoop.create(2, 3, 1))
+        fact = analytic_two_qubit_gate(two_qubit_generator(2, 3, 1))
         a, j = fact.loop.a, fact.loop.coupling_j
         sx = np.array([[0, 1], [1, 0]], dtype=complex)
         sz = np.diag([1.0, -1.0]).astype(complex)
@@ -201,7 +201,7 @@ class TestTwoQubitGate:
         assert phase_invariant_distance(fact.gamma_exact, expected) < 1e-10
 
     def test_generic_discrepancy_is_nonzero(self):
-        fact = analytic_two_qubit_gate(TwoQubitLoop.create(2, 3, 1))
+        fact = analytic_two_qubit_gate(two_qubit_generator(2, 3, 1))
         assert fact.discrepancy > 1e-3
 
 
@@ -232,7 +232,7 @@ class TestClosedFormCost:
             return local_invariants(u)
 
         monkeypatch.setattr(holonomy_module, "local_invariants", counted)
-        fact = analytic_two_qubit_gate(TwoQubitLoop.create(2, 3, 1))
+        fact = analytic_two_qubit_gate(two_qubit_generator(2, 3, 1))
         assert calls == []
         assert fact.invariants_match is False
         assert fact.invariants_distance > 1e-3
@@ -306,12 +306,12 @@ def _equal_result_pairs():
         return adiabatic.adiabatic_sweep(model, gen, gate, [10.0])[0]
 
     return [
-        ("LeakageAudit", lambda: deformation.leakage_audit(
-            two_qubit_generator(2, 3, 1), build_two_dimer(1.0, 1.0))),
+        ("LeakageAudit", lambda: holonomy_module.leakage_audit(connection_on_ground_space(
+            two_qubit_generator(2, 3, 1), build_two_dimer(1.0, 1.0)))),
         ("Connection", lambda: connection_on_ground_space(
             one_qubit_generator((1.0, 0.0, 0.0), 2), build_one_dimer(1.0, 1.0))),
-        ("HolonomyGate", lambda: analytic_one_qubit_gate(OneQubitLoop.create((1.0, 0.0, 0.0), 2))),
-        ("TwoQubitFactorization", lambda: analytic_two_qubit_gate(TwoQubitLoop.create(2, 3, 1))),
+        ("HolonomyGate", lambda: analytic_one_qubit_gate(OneQubitLoop((1.0, 0.0, 0.0), 2))),
+        ("TwoQubitFactorization", lambda: analytic_two_qubit_gate(two_qubit_generator(2, 3, 1))),
         ("AdiabaticRun", run),
         ("SearchResult", lambda: synthesis.search_rotation("x", 1.0, 0.1, 10)),
         ("SynthesisProgram", lambda: synthesis.synthesize_su2(HADAMARD, 0.1, 10)),

@@ -23,6 +23,8 @@ from holonome.spin_model import (
     pauli_site,
 )
 
+from conftest import ground_projector, hamiltonian
+
 RNG = np.random.default_rng(20260826)
 
 
@@ -216,12 +218,12 @@ class TestHermitianEigensystem:
         assert mults == (3, 1)
 
     def test_one_dimer_working_point(self):
-        energies, mults, _ = hermitian_eigensystem(build_one_dimer(1.0, 1.0).hamiltonian)
+        energies, mults, _ = hermitian_eigensystem(hamiltonian(build_one_dimer(1.0, 1.0)))
         assert abs(energies[0] + 1.0) < 1e-12
         assert mults[0] == 3
 
     def test_two_dimer_working_point(self):
-        energies, mults, _ = hermitian_eigensystem(build_two_dimer(1.0, 1.0).hamiltonian)
+        energies, mults, _ = hermitian_eigensystem(hamiltonian(build_two_dimer(1.0, 1.0)))
         assert abs(energies[0] + 2.0) < 1e-12
         assert mults[0] == 9
 
@@ -250,10 +252,10 @@ class TestHermitianEigensystem:
                 model, h = build_two_dimer(a, b), dense_two_dimer(a, b)
             energies, mults, vectors = hermitian_eigensystem(h)
             v = vectors[:, : mults[0]]
-            assert model.hamiltonian.tobytes() == h.tobytes()
+            assert hamiltonian(model).tobytes() == h.tobytes()
             assert model.ground_energy.hex() == float(energies[0]).hex()
             assert model.ground_multiplicity == mults[0]
-            assert model.ground_projector.tobytes() == (v @ v.conj().T).tobytes()
+            assert ground_projector(model).tobytes() == (v @ v.conj().T).tobytes()
             grouped.add(mults)
         # Both sides of the threshold occur: (3, 1) at omega = J (1 +- 1e-10).
         assert len(grouped) > 1

@@ -6,11 +6,11 @@ import sys
 
 import numpy as np
 import pytest
-from conftest import reference_min_mod
+from conftest import equidistribution_scan, reference_min_mod
 from hypothesis import example, given, settings, strategies as st
 
 from holonome import synthesis
-from holonome.deformation import MAX_WINDING, OneQubitLoop, TwoQubitLoop
+from holonome.deformation import MAX_WINDING, OneQubitLoop, two_qubit_generator
 from holonome.errors import DomainError
 from holonome.holonomy import (
     _rotation,
@@ -22,9 +22,9 @@ from holonome.matrix_kernel import phase_invariant_distance
 from holonome.synthesis import (
     HADAMARD,
     HADAMARD_AXIS,
+    TWO_PI,
     circular_distance,
     coupling_strength,
-    equidistribution_scan,
     euler_yxy,
     figure_table,
     search_controlled_phase,
@@ -44,7 +44,7 @@ SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
 
 def repeated_exact_gate(kappa_plus, kappa_minus, n, kappa_prime=1):
     """(exp(-A|C2))^n for the winning loop, for auditing the repetition scheme."""
-    loop = TwoQubitLoop.create(kappa_plus, kappa_minus, kappa_prime)
+    loop = two_qubit_generator(kappa_plus, kappa_minus, kappa_prime)
     return np.linalg.matrix_power(analytic_two_qubit_gate(loop).gamma_exact, n)
 
 
@@ -65,7 +65,7 @@ def reference_scan(delta_at, size, period, chunk=1 << 15):
 
 
 def brute_force_rotation_scan(step, theta, kappa_max):
-    errs = [(circular_distance(theta - k * step), k) for k in range(1, kappa_max + 1)]
+    errs = [(circular_distance(theta - k * step, TWO_PI), k) for k in range(1, kappa_max + 1)]
     return min(errs)
 
 
@@ -75,7 +75,7 @@ def brute_force_controlled_phase_scan(theta, kappa_plus_max, n_max):
     best = None
     for n in range(1, n_max + 1):
         for kp, km in pairs:
-            err = circular_distance(2.0 * n * coupling_strength(kp, km) - theta)
+            err = circular_distance(2.0 * n * coupling_strength(kp, km) - theta, TWO_PI)
             if best is None or err < best[0]:
                 best = (err, n, kp, km)
     return best
@@ -85,7 +85,7 @@ def brute_force_hadamard_scan(kappa_max):
     """(gate distance, kappa, angle error mod pi), one gate matrix per winding."""
     best = None
     for kappa in range(1, kappa_max + 1):
-        loop = OneQubitLoop.create(HADAMARD_AXIS, kappa)
+        loop = OneQubitLoop(HADAMARD_AXIS, kappa)
         gate = analytic_one_qubit_gate(loop).gamma
         dist = phase_invariant_distance(gate, HADAMARD)
         if best is None or dist < best[0]:
@@ -104,7 +104,7 @@ ROTATION_CASES = [
     for bound in (1, 1, 2, 2, 3, 17, 500, _CHUNK, _CHUNK + 1, _CHUNK + 7)
 ] + [
     # exact hit on the last point, alone in the second chunk
-    ("x", (_CHUNK + 1) * OneQubitLoop.create((1.0, 0.0, 0.0), 1).theta_kappa, 1e-9, _CHUNK + 1),
+    ("x", (_CHUNK + 1) * OneQubitLoop((1.0, 0.0, 0.0), 1).theta_kappa, 1e-9, _CHUNK + 1),
 ]
 CPHASE_CASES = [
     (float(_RNG.uniform(-7.0, 7.0)), float(_RNG.choice([1e-6, 1e-2, 0.5])), kp, n)
@@ -123,7 +123,7 @@ class TestScanKernelEquivalence:
 
     @pytest.mark.parametrize("axis,theta,eps,kappa_max", ROTATION_CASES)
     def test_rotation(self, axis, theta, eps, kappa_max):
-        step = OneQubitLoop.create(synthesis.NAMED_AXES[axis], 1).theta_kappa
+        step = OneQubitLoop(synthesis.NAMED_AXES[axis], 1).theta_kappa
         err, kappa = brute_force_rotation_scan(step, theta, kappa_max)
         result = search_rotation(axis, theta, eps, kappa_max)
         assert result.params == {"kappa": kappa}
@@ -214,7 +214,7 @@ def _rotation_lines(count, rng):
     for i in range(count):
         axis = _random_axis(rng)
         size = MAX_WINDING if i % 50 == 0 else _bound(rng)
-        step = OneQubitLoop.create(synthesis._resolve_axis(axis), 1).theta_kappa
+        step = OneQubitLoop(synthesis._resolve_axis(axis), 1).theta_kappa
         theta = (float(rng.uniform(-7.0, 7.0)) if size == MAX_WINDING
                  else _target(step, size, synthesis.TWO_PI, rng))
         cases.append((axis, theta, float(rng.choice([1e-6, 1e-3, 0.5])), size))
@@ -246,7 +246,7 @@ GROUPS = 10
 
 
 def rotation_reference(axis, theta, kappa_max):
-    step = OneQubitLoop.create(synthesis._resolve_axis(axis), 1).theta_kappa
+    step = OneQubitLoop(synthesis._resolve_axis(axis), 1).theta_kappa
     return reference_scan(lambda k: theta - (k + 1) * step, kappa_max, synthesis.TWO_PI)
 
 
@@ -280,7 +280,7 @@ class TestLineSearch:
             assert result.params == {"kappa": i + 1}, case
             assert result.angle_error.hex() == err.hex(), case
             assert result.exhausted == (err >= eps), case
-            loop = OneQubitLoop.create(synthesis._resolve_axis(axis), i + 1)
+            loop = OneQubitLoop(synthesis._resolve_axis(axis), i + 1)
             assert result.gate.tobytes() == analytic_one_qubit_gate(loop).gamma.tobytes()
             numeric = phase_invariant_distance(result.gate, _rotation(theta, loop.m))
             assert abs(result.gate_distance - numeric) <= 8 * U, case
@@ -305,7 +305,7 @@ class TestLineSearch:
             result = search_hadamard(1e-3, kappa_max)
             assert result.params == {"kappa": i + 1}, kappa_max
             assert result.angle_error.hex() == err.hex(), kappa_max
-            gate = analytic_one_qubit_gate(OneQubitLoop.create(HADAMARD_AXIS, i + 1)).gamma
+            gate = analytic_one_qubit_gate(OneQubitLoop(HADAMARD_AXIS, i + 1)).gamma
             assert result.gate.tobytes() == gate.tobytes()
             numeric = phase_invariant_distance(gate, HADAMARD)
             assert abs(result.gate_distance - numeric) <= 8 * U, kappa_max
@@ -338,7 +338,7 @@ class TestLineSearch:
         # and the points repeat: the gap is 0, and only the scan can decide the
         # rounded ties (a walk that missed the zero residue would skip it)
         axis = (0.6633249580710799, 0.0, 0.7483314773547883)
-        step = OneQubitLoop.create(np.array(axis), 1).theta_kappa
+        step = OneQubitLoop(np.array(axis), 1).theta_kappa
         assert step / synthesis.TWO_PI == 0.6
         calls = []
         scan = synthesis._scan_lattice
@@ -554,7 +554,7 @@ def _distance_corpus(rng, count):
             continue
         kappa = MAX_WINDING if i % 10 == 0 else int(np.exp(rng.uniform(0.0, np.log(MAX_WINDING))))
         axis = HADAMARD_AXIS if kind == "hadamard" else _random_axis(rng)
-        loop = OneQubitLoop.create(synthesis._resolve_axis(axis), kappa)
+        loop = OneQubitLoop(synthesis._resolve_axis(axis), kappa)
         if kind == "hadamard":
             theta, target = np.pi / 2.0, HADAMARD
         else:
@@ -641,20 +641,19 @@ class TestSearchRotation:
     def test_search_builds_no_generator(self, monkeypatch, search):
         # A search reads each loop's closed-form angle and axis, never its X.
         loops = []
-        create = OneQubitLoop.create.__func__
 
-        def recording(cls, *args):
-            loops.append(create(cls, *args))
+        def recording(*args):
+            loops.append(OneQubitLoop(*args))
             return loops[-1]
 
-        monkeypatch.setattr(OneQubitLoop, "create", classmethod(recording))
+        monkeypatch.setattr(synthesis, "OneQubitLoop", recording)
         search()
         assert loops and all("x" not in vars(loop) for loop in loops)
 
     def test_hadamard_sine_peaks(self):
         # top three |sin theta_kappa| on the Hadamard axis for kappa <= 16
         sines = {
-            kappa: abs(np.sin(OneQubitLoop.create(HADAMARD_AXIS, kappa).theta_kappa))
+            kappa: abs(np.sin(OneQubitLoop(HADAMARD_AXIS, kappa).theta_kappa))
             for kappa in range(1, 17)
         }
         top3 = sorted(sines, key=sines.get, reverse=True)[:3]
@@ -752,7 +751,7 @@ class TestSearchControlledPhase:
             result.params["kappa_minus"],
             result.params["n"],
         )
-        err = circular_distance(2 * n * coupling_strength(kp, km) - np.pi / 2)
+        err = circular_distance(2 * n * coupling_strength(kp, km) - np.pi / 2, TWO_PI)
         assert abs(err - result.angle_error) < 1e-15
         assert err < 0.05
 
@@ -834,6 +833,26 @@ class TestIntegerBounds:
                 == search_rotation("x", 1.0, 1e-3, 10).params)
         assert (search_controlled_phase(0.7, 0.1, np.int16(4), np.uint32(20)).params
                 == search_controlled_phase(0.7, 0.1, 4, 20).params)
+
+
+class TestCircularDistance:
+    @pytest.mark.parametrize("period", [np.pi, TWO_PI])
+    def test_float_and_array_give_the_same_bits(self, period):
+        # One function for a float and elementwise for an array: Python's % and abs on a
+        # float and numpy's on an array round alike, so every edge gives the same bits.
+        half = period / 2.0
+        edges = [0.0, -0.0, period, -period, half, -half, np.nextafter(half, 0.0),
+                 np.nextafter(half, 4.0), -np.nextafter(half, 4.0), 2.0 * period,
+                 np.nextafter(period, 0.0), np.nextafter(period, 8.0), 1e308, -1e308,
+                 5e-324, -5e-324, 2.2250738585072014e-308, 1e-310, 0.1, -7.0]
+        edges = [float(x) for x in edges]
+        array = circular_distance(np.array(edges), period)
+        assert array.shape == (len(edges),)
+        for x, y in zip(edges, array.tolist()):
+            assert float(circular_distance(x, period)).hex() == y.hex(), x
+        assert circular_distance(half, period) == half and circular_distance(period, period) == 0.0
+        assert circular_distance(-0.1, period) == circular_distance(0.1, period) == 0.1
+        assert circular_distance(period - 0.5, period) == 0.5  # period - r, not r
 
 
 class TestEquidistribution:

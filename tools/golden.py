@@ -6,8 +6,10 @@
 A CLI request runs in process through ``holonome.cli.run`` in an empty working
 directory, and its digest covers the exit code, stdout, stderr and every file it
 wrote; a library request digests its result, floats as hex and arrays as bytes.
-The corpus: every subcommand, windings log-spread up to MAX_WINDING, rejected
-requests, every ``holonome ...`` line of this tree's README.md, line-search
+The corpus: every subcommand, windings log-spread up to MAX_WINDING (100
+requests each of ``one-qubit`` and ``two-qubit``, couplings 0.1 to 10, which pin
+the leakage verdicts near their 1e-12 tolerance), rejected requests, every
+``holonome ...`` line of this tree's README.md, line-search
 edges (bounds 1, 2 and MAX_WINDING, targets on a lattice point, steps at 0.6 of
 2 pi and within 1e-9 of pi), and the adiabatic library on seeded loops (one and
 two dimers, couplings 0.1 to 10): ``lib propagators`` (exact and sweep
@@ -76,6 +78,24 @@ def _adiabatic_corpus(top: int):
     return reqs
 
 
+def _gate_corpus(top: int):
+    """80 more ``one-qubit`` and ``two-qubit`` requests each, from their own seeded generator:
+    windings log-spread up to MAX_WINDING (both ends included) and couplings 0.1 to 10, so the
+    leakage verdicts, whose block rounds to about 1e-12 at the largest windings, are pinned."""
+    rng = random.Random(20261020)
+    reqs = []
+    for i in range(80):
+        k = top // 3 + 1 if i == 0 else _log_int(rng, 1, top // 3)
+        km = top if i == 0 else rng.randint(k + 1, 3 * k - 1)
+        kpr, kappa = (top if i == 1 else _log_int(rng, 1, top) for _ in range(2))
+        j1, j2 = (repr(10.0 ** rng.uniform(-1.0, 1.0)) for _ in range(2))
+        reqs += [("one-qubit", ["one-qubit", _axis(rng), "--kappa", str(kappa),
+                                "--omega", j1, "--j1", j1]),
+                 ("two-qubit", ["two-qubit", "--kp", str(k), "--km", str(km), "--kprime", str(kpr),
+                                "--j1", j1, "--j2", j2])]
+    return reqs
+
+
 def corpus(top: int):
     """(class, request) pairs: a request is an argv list, or a (function name, args) tuple."""
     rng = random.Random(20081223)
@@ -133,7 +153,7 @@ def corpus(top: int):
         a, b = (z / math.hypot(*map(abs, g)) for z in g)
         target = [[a, -b.conjugate()], [b, a.conjugate()]]
         reqs.append(("lib synthesize_su2", ("synthesize_su2", (target, 1e-3, _log_int(rng, 1, top)))))
-    return reqs + _adiabatic_corpus(top)
+    return reqs + _adiabatic_corpus(top) + _gate_corpus(top)
 
 
 def _value(obj) -> str:

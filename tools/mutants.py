@@ -1,0 +1,96 @@
+"""Mutation suite: each entry breaks one contract, and the tests it names must catch it.
+
+    python3 tools/mutants.py    # every mutant; exit 1 on a survivor or a stale entry
+
+An entry is (file, exact old text, new text, test node IDs).  For each entry the tree's
+``src``, ``tests`` and ``pyproject.toml`` are copied to a temporary directory, the old text
+is replaced by the new one there, and the named tests run on that copy
+(``python -m pytest -x``, its ``src`` on PYTHONPATH).  A mutant is killed when they fail
+(pytest exit code 1).  The tool prints one line per mutant and exits 1 if any survives, if
+its tests could not run (another exit code, such as a node ID that no longer exists), or if
+its old text does not occur exactly once in the file: then the entry is stale, and so is
+what it checks.  The source tree itself is never edited.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+ADIABATIC, CLI = "src/holonome/adiabatic.py", "src/holonome/cli.py"
+BLOCK_SCORES = "tests/test_adiabatic.py::TestBlockScores::test_within_bound_of_dense_holonomy_fidelity"
+
+# (file, old text, new text, test node IDs): one contract each.
+MUTANTS = [
+    # The leakage audit reads the connection's non-coding-by-coding block, not its transpose.
+    ("src/holonome/holonomy.py",
+     "block = conn.matrix[conn.coding_dim :, : conn.coding_dim]",
+     "block = conn.matrix[: conn.coding_dim, conn.coding_dim :]",
+     ["tests/test_deformation.py::TestLeakageAudit::test_lazy_fields_equal_eager_reference"]),
+    # The circular distance is min(r, period - r).
+    ("src/holonome/synthesis.py", "np.minimum(r, period - r)", "np.minimum(r, period + r)",
+     ["tests/test_synthesis.py::TestCircularDistance"]),
+    # Dimer 1's |++>, |+->, |-+>, |--> take the blocks of S1 = 2, 0, 0, -2.
+    (ADIABATIC, "enumerate((0, 1, 1, 2))", "enumerate((0, 1, 2, 2))",
+     ["tests/test_adiabatic.py::TestSectorPropagators::test_two_dimer_within_error_bound_of_dense"]),
+    # two_qubit_generator builds the coupled loop only: it refuses kappa_- = kappa_+.
+    ("src/holonome/deformation.py",
+     "    if loop.kappa_minus == loop.kappa_plus:\n",
+     "    if False:\n",
+     ["tests/test_deformation.py::TestEveryConstructionChecks::"
+      "test_commuting_limit_is_kept_by_replace_and_refused_by_generator"]),
+    # A sweep whose --out write fails removes the --csv file it created.
+    (CLI, "            os.remove(args.csv)\n", "            pass\n",
+     ["tests/test_cli.py::TestFilesystemErrors::test_failed_sweep_leaves_no_file"]),
+    # _scores sums conj(Gamma) V: the imaginary part of Gamma enters with a minus sign.
+    (ADIABATIC, "signs[: len(e), 1] = -1.0", "signs[: len(e), 1] = 1.0", [BLOCK_SCORES]),
+    # The coding block of control T0 is dimer 1's S1 = 0 sector (entries 9..13), not S1 = -2.
+    (ADIABATIC, "_score_indices([0, 1, 3, 4, 9, 10, 12, 13],",
+     "_score_indices([0, 1, 3, 4, 18, 19, 21, 22],", [BLOCK_SCORES]),
+    # A real iX is -Im X, not Im X.
+    (ADIABATIC, "if x.real.any() else -x.imag)", "if x.real.any() else x.imag)",
+     ["tests/test_adiabatic.py::TestOdePropagator::test_real_basis_matches_complex_reference"]),
+]
+
+
+def run_mutant(path: str, old: str, new: str, tests: list) -> str:
+    """'killed', 'SURVIVED', 'STALE' (the old text is not there exactly once) or 'ERROR'."""
+    text = (ROOT / path).read_text()
+    if text.count(old) != 1:
+        return "STALE"
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        ignore = shutil.ignore_patterns("__pycache__", ".pytest_cache", ".hypothesis")
+        for part in ("src", "tests"):
+            shutil.copytree(ROOT / part, work / part, ignore=ignore)
+        shutil.copy2(ROOT / "pyproject.toml", work / "pyproject.toml")
+        (work / path).write_text(text.replace(old, new))
+        proc = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests],
+            cwd=work, capture_output=True, text=True, check=False,
+            env=dict(os.environ, PYTHONPATH=str(work / "src"), PYTHONDONTWRITEBYTECODE="1"))
+    return {0: "SURVIVED", 1: "killed"}.get(proc.returncode, f"ERROR (pytest exit {proc.returncode})")
+
+
+def main() -> int:
+    bad = []
+    for path, old, new, tests in MUTANTS:
+        verdict = run_mutant(path, old, new, tests)
+        label = f"{path}: {old.strip()!r} -> {new.strip()!r}"
+        print(f"{verdict:9s} {label}", flush=True)
+        if verdict != "killed":
+            bad.append(f"{verdict} {label}")
+    print(f"{len(MUTANTS) - len(bad)} of {len(MUTANTS)} mutants killed")
+    for line in bad:
+        print("not killed:", line)
+    return int(bool(bad))
+
+
+if __name__ == "__main__":
+    sys.exit(main())
