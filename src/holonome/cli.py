@@ -1,16 +1,19 @@
 """Command-line surface: gate construction, searches, sweeps, figures, audits.
 
-Exit codes: 0 success, 1 domain error, an option the request would not use,
-or a failed file write (one ``error:`` line on stderr; a sweep whose --out write
-fails removes the --csv file it created), 2 usage error.  All outputs are
-deterministic for a given numpy and OpenBLAS kernel; angles are accepted in
-radians only.
+Each ``cmd_*(args)`` computes only: it returns its report and its CSV table
+(``None`` for an output it does not make), and ``run`` writes them, all or
+nothing (``_write_outputs``).  Exit codes: 0 success, 1 domain error, an option
+the request would not use, or a failed file write (one ``error:`` line on
+stderr, nothing on stdout, and no file created or changed), 2 usage error.  All
+outputs are deterministic for a given numpy and OpenBLAS kernel; angles are
+accepted in radians only.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import errno
 import functools
 import os
 import sys
@@ -49,67 +52,40 @@ def _reject_unused(args, dests, context: str) -> None:
             raise DomainError(f"--{dest.replace('_', '-')} is not used {context}")
 
 
-def _write_report(report: dict, out_path, stream):
-    text = reporting.dumps_report(report)
-    if out_path:
-        with open(out_path, "w", newline="\n") as fh:
-            fh.write(text)
-    else:
-        stream.write(text)
+def _gate_checks(loop, model, gamma) -> dict:
+    """A gate report's verdict fields, from one connection of (loop, model) and the
+    closed-form gamma: closure, analytic-vs-numeric distance and leakage."""
+    conn = holonomy.connection_on_ground_space(loop, model)
+    numeric = holonomy.holonomy(conn).gamma
+    return {
+        "closure_residual": loop.closure_residual,
+        "analytic_vs_numeric_distance": phase_invariant_distance(gamma, numeric),
+        "leakage_audit_passed": holonomy.leakage_audit(conn).passed,
+    }
 
 
-def cmd_one_qubit(args, stream):
+def cmd_one_qubit(args):
     loop = deformation.one_qubit_generator(_parse_vector(args.n), args.kappa)
     model = spin_model.build_one_dimer(args.omega, args.j1)
-    conn = holonomy.connection_on_ground_space(loop, model)
-    numeric = holonomy.holonomy(conn)
-    analytic = holonomy.analytic_one_qubit_gate(loop)
-    audit = holonomy.leakage_audit(conn)
-    report = reporting.build_report(
-        "holonomy",
-        inputs={"n": list(loop.n), "kappa": loop.kappa,
-                "omega": args.omega, "j1": args.j1},
-        outputs={
-            "theta_kappa": loop.theta_kappa,
-            "m": list(loop.m),
-            "gamma": reporting.matrix_payload(analytic.gamma),
-            "closure_residual": loop.closure_residual,
-            "analytic_vs_numeric_distance": phase_invariant_distance(
-                analytic.gamma, numeric.gamma
-            ),
-            "leakage_audit_passed": audit.passed,
-        },
-    )
-    _write_report(report, args.out, stream)
-    return 0
+    gamma = holonomy.analytic_one_qubit_gate(loop).gamma
+    inputs = {"n": list(loop.n), "kappa": loop.kappa, "omega": args.omega, "j1": args.j1}
+    outputs = {"theta_kappa": loop.theta_kappa, "m": list(loop.m),
+               "gamma": reporting.matrix_payload(gamma), **_gate_checks(loop, model, gamma)}
+    return reporting.build_report("holonomy", inputs, outputs), None
 
 
-def cmd_two_qubit(args, stream):
+def cmd_two_qubit(args):
     loop = deformation.two_qubit_generator(args.kp, args.km, args.kprime)
     model = spin_model.build_two_dimer(args.j1, args.j2)
-    conn = holonomy.connection_on_ground_space(loop, model)
-    numeric = holonomy.holonomy(conn)
     fact = holonomy.analytic_two_qubit_gate(loop)
-    audit = holonomy.leakage_audit(conn)
-    report = reporting.build_report(
-        "holonomy",
-        inputs={"kappa_plus": args.kp, "kappa_minus": args.km,
-                "kappa_prime": args.kprime, "j1": args.j1, "j2": args.j2},
-        outputs={
-            "coupling_j": loop.coupling_j,
-            "n2z": loop.n2z,
-            "controlled_phase_angle": 2.0 * loop.coupling_j,
-            "gamma_exact": reporting.matrix_payload(fact.gamma_exact),
-            "closure_residual": loop.closure_residual,
-            "analytic_vs_numeric_distance": phase_invariant_distance(
-                fact.gamma_exact, numeric.gamma
-            ),
-            "factorization_discrepancy": fact.discrepancy,
-            "leakage_audit_passed": audit.passed,
-        },
-    )
-    _write_report(report, args.out, stream)
-    return 0
+    inputs = {"kappa_plus": args.kp, "kappa_minus": args.km, "kappa_prime": args.kprime,
+              "j1": args.j1, "j2": args.j2}
+    outputs = {"coupling_j": loop.coupling_j, "n2z": loop.n2z,
+               "controlled_phase_angle": 2.0 * loop.coupling_j,
+               "gamma_exact": reporting.matrix_payload(fact.gamma_exact),
+               "factorization_discrepancy": fact.discrepancy,
+               **_gate_checks(loop, model, fact.gamma_exact)}
+    return reporting.build_report("holonomy", inputs, outputs), None
 
 
 # The search options each target does not read.
@@ -122,7 +98,7 @@ _UNUSED_BY_TARGET = {
 }
 
 
-def cmd_search(args, stream):
+def cmd_search(args):
     target = args.target
     _reject_unused(args, _UNUSED_BY_TARGET[target], f"by target {target}")
     if target in ("rx", "ry", "cphase") and args.theta is None:
@@ -149,12 +125,10 @@ def cmd_search(args, stream):
     }
     if target != "hadamard":  # its exhaustion is judged on the gate distance
         payload["angle_error"] = result.angle_error
-    report = reporting.build_report("search", inputs=inputs, outputs=payload)
-    _write_report(report, args.out, stream)
-    return 0
+    return reporting.build_report("search", inputs=inputs, outputs=payload), None
 
 
-def cmd_sweep(args, stream):
+def cmd_sweep(args):
     t_list = _parse_floats(args.T)
     if args.n is not None:
         _reject_unused(args, ("kp", "km", "kprime", "j2"), "with --n")
@@ -179,19 +153,10 @@ def cmd_sweep(args, stream):
     runs = adiabatic.adiabatic_sweep(model, loop, gate, t_list)
     rows = [(run.T, run.fidelity, run.leakage) for run in runs]
     report = reporting.build_report("sweep", inputs, {"rows": [list(r) for r in rows]})
-    created = bool(args.csv) and not os.path.exists(args.csv)
-    if args.csv:
-        reporting.emit_csv(args.csv, ["T", "fidelity", "leakage"], rows)
-    try:
-        _write_report(report, args.out, stream)
-    except (DomainError, OSError):
-        if created:  # a failed sweep leaves no CSV it created
-            os.remove(args.csv)
-        raise
-    return 0
+    return report, (["T", "fidelity", "leakage"], rows) if args.csv else None
 
 
-def cmd_figure(args, stream):
+def cmd_figure(args):
     if args.which != "fig3":
         _reject_unused(args, ("caption_convention",), f"by {args.which}")
     if args.csv:
@@ -200,18 +165,13 @@ def cmd_figure(args, stream):
         args.which, caption_convention=args.caption_convention
     )
     if args.csv:
-        reporting.emit_csv(args.csv, header, rows)
-        return 0
-    report = reporting.build_report(
-        "figure",
-        inputs={"which": args.which, "caption_convention": args.caption_convention},
-        outputs={"header": header, "rows": [list(r) for r in rows]},
-    )
-    _write_report(report, args.out, stream)
-    return 0
+        return None, (header, rows)
+    inputs = {"which": args.which, "caption_convention": args.caption_convention}
+    outputs = {"header": header, "rows": [list(r) for r in rows]}
+    return reporting.build_report("figure", inputs, outputs), None
 
 
-def cmd_audit(args, stream):
+def cmd_audit(args):
     if args.j_zero:
         _reject_unused(args, ("km",), "with --j-zero")
         loop = deformation.TwoQubitLoop.with_forced_zero_coupling(args.kp, args.kprime)
@@ -223,11 +183,7 @@ def cmd_audit(args, stream):
         inputs = {"kappa_plus": args.kp, "kappa_minus": args.km,
                   "kappa_prime": args.kprime, "j_zero": False}
     fact = holonomy.analytic_two_qubit_gate(loop)
-    report = reporting.build_report(
-        "audit", inputs=inputs, outputs=reporting.audit_payload(fact)
-    )
-    _write_report(report, args.out, stream)
-    return 0
+    return reporting.build_report("audit", inputs, reporting.audit_payload(fact)), None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -304,6 +260,47 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _write_outputs(outputs, stdout) -> None:
+    """Write rendered (path, text) pairs, all or nothing; path None is stdout.
+
+    Each file goes to a temporary sibling, opened with "x" (so with default
+    permissions), and the siblings replace their paths once all are written; a
+    failure removes them.  A directory is refused first.  stdout, and a path
+    that exists but is not a regular file (a device or a pipe), are written
+    last, in place.
+    """
+    staged, in_place = [], []
+    try:
+        for i, (path, text) in enumerate(outputs):
+            if path is not None and os.path.isdir(path):
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+            if path is None or os.path.exists(path) and not os.path.isfile(path):
+                in_place.append((path, text))
+                continue
+            # A name of its own, so that a path at the file name length limit still works.
+            tmp = os.path.join(os.path.dirname(path), f".holonome-{os.getpid()}-{i}.tmp")
+            try:
+                fh = open(tmp, "x", newline="\n")
+            except OSError as exc:  # named by the path asked for, not by its sibling
+                raise OSError(exc.errno, exc.strerror, path) from None
+            with fh:
+                staged.append((fh.name, path))
+                fh.write(text)
+        for tmp, path in staged:
+            os.replace(tmp, path)
+        staged.clear()
+    finally:
+        for tmp, _ in staged:
+            with contextlib.suppress(OSError):
+                os.remove(tmp)
+    for path, text in in_place:
+        if path is None:
+            stdout.write(text)
+        else:
+            with open(path, "w", newline="\n") as fh:
+                fh.write(text)
+
+
 def run(argv=None, stdout=None, stderr=None) -> int:
     stdout = stdout or sys.stdout
     stderr = stderr or sys.stderr
@@ -314,10 +311,16 @@ def run(argv=None, stdout=None, stderr=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
-        return args.func(args, stdout)
+        report, table = args.func(args)
+        # Rendered before any I/O: a value with no JSON or CSV form writes nothing.
+        outputs = [] if table is None else [(args.csv, reporting.csv_lines(*table))]
+        if report is not None:
+            outputs.append((args.out, reporting.dumps_report(report)))
+        _write_outputs(outputs, stdout)
     except (DomainError, OSError) as exc:
         print(f"error: {exc}", file=stderr)
         return 1
+    return 0
 
 
 def main() -> None:

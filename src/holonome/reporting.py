@@ -1,8 +1,9 @@
-"""Deterministic JSON / CSV serialization for reports and figure data.
+"""Deterministic JSON / CSV rendering for reports and figure data.
 
-Byte determinism is part of the contract: keys are emitted sorted, floats
-with 17 significant digits (enough to round-trip a double exactly), LF line
-endings, no locale dependence and no timestamps in payload bodies.
+It renders text only; ``holonome.cli`` writes it.  Byte determinism is part
+of the contract: keys are emitted sorted, floats with 17 significant digits
+(enough to round-trip a double exactly), LF line endings, no locale dependence
+and no timestamps in payload bodies.
 """
 
 from __future__ import annotations
@@ -136,12 +137,6 @@ def csv_lines(header, rows):
     """Render numeric rows with the exact header; ints bare, floats at 17 digits."""
     lines = [",".join(header)] + [",".join([_emit(cell) for cell in row]) for row in rows]
     return "\n".join(lines) + "\n"
-
-
-def emit_csv(path, header, rows):
-    text = csv_lines(header, rows)  # rendered first: a bad value leaves no file
-    with open(path, "w", newline="\n") as fh:
-        fh.write(text)
 
 
 def audit_payload(fact) -> dict:

@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import types
 from dataclasses import dataclass
 
@@ -237,12 +238,12 @@ def _successor(q: int, dp: int, dm: int, n: int) -> int:
     return q + dp - dm
 
 
-def _search_line(delta_at, theta: float, step_factors, size: int, period: float):
+def _search_line(theta: float, step_factors, size: int, period: float):
     """(position, error) that ``_scan_lattice`` finds on the line theta - (k + 1) step.
 
-    ``delta_at(_, k)`` evaluates the line in floating point at the int64
-    positions ``k``, or with the same operations at one int ``k``; the step
-    is the exact product of the floats ``step_factors``.  Over one
+    The line is evaluated in floating point as theta - (((k + 1) f1) f2 ...)
+    over the floats f of ``step_factors``, at int64 positions ``k`` or at one
+    int ``k``; the step is their exact product.  Over one
     power-of-two denominator theta, step and period are integers, and one
     ``_walk`` over the points (k + 1) step, 0 <= k < size, gives exactly:
 
@@ -262,6 +263,10 @@ def _search_line(delta_at, theta: float, step_factors, size: int, period: float)
     scan's.  Otherwise (a step near a rational multiple of the period, where
     rounding decides between exact ties) the line is scanned.
     """
+
+    def delta_at(_, k):
+        return theta - functools.reduce(operator.mul, step_factors, k + 1)
+
     num, den = 1, 1
     for factor in step_factors:
         p, q = factor.as_integer_ratio()
@@ -335,10 +340,7 @@ def search_rotation(axis, theta_target: float, eps: float, kappa_max: int) -> Se
     n = _resolve_axis(axis)
     # Validates unit norm and |n_z| < 1 (|n_z| = 1 would make every gate trivial).
     step = OneQubitLoop(n, 1).theta_kappa
-    i, best_err = _search_line(
-        lambda _, k: theta_target - (k + 1) * step,
-        theta_target, (step,), int(kappa_max), TWO_PI,
-    )
+    i, best_err = _search_line(theta_target, (step,), int(kappa_max), TWO_PI)
     loop = OneQubitLoop(n, i + 1)
     return SearchResult(
         params={"kappa": loop.kappa},
@@ -360,10 +362,7 @@ def search_hadamard(eps: float, kappa_max: int) -> SearchResult:
     """
     _check_search_inputs(eps, kappa_max=kappa_max)
     root = math.sqrt(2.0 - HADAMARD_AXIS[2] ** 2)  # as OneQubitLoop computes it
-    i, err = _search_line(
-        lambda _, k: np.pi / 2.0 - ((k + 1) * np.pi) * root,
-        np.pi / 2.0, (np.pi, root), int(kappa_max), np.pi,
-    )
+    i, err = _search_line(np.pi / 2.0, (np.pi, root), int(kappa_max), np.pi)
     loop = OneQubitLoop(HADAMARD_AXIS, i + 1)
     dist = _rotation_distance(np.pi / 2.0, loop.theta_kappa)
     return SearchResult(

@@ -1,15 +1,18 @@
 """CLI surface: exit codes, report determinism, CSV schemas and round-trips."""
 
+import dataclasses
 import enum
 import io
 import json
+import os
+import stat
 import sys
 import warnings
 
 import numpy as np
 import pytest
 
-from holonome import cli, holonomy, reporting, spin_model
+from holonome import adiabatic, cli, holonomy, reporting, spin_model
 from holonome.cli import run
 from holonome.errors import DomainError
 from holonome.reporting import csv_lines
@@ -29,6 +32,12 @@ def parse_csv(text: str):
                 cells.append(float(cell))
         rows.append(tuple(cells))
     return header, rows
+
+
+def tree_snapshot(root):
+    """Every path under root, with the bytes of each file (None for a directory)."""
+    return {str(p.relative_to(root)): None if p.is_dir() else p.read_bytes()
+            for p in sorted(root.rglob("*"))}
 
 
 def invoke(argv):
@@ -235,27 +244,54 @@ class TestFilesystemErrors:
         code, out, err = invoke([*argv, str(path)])
         assert code == 1
         assert out == ""
-        assert err.startswith("error: ") and err.count("\n") == 1
+        assert err == f"error: [Errno 2] No such file or directory: {str(path)!r}\n"
         assert not path.parent.exists()
 
-    @pytest.mark.parametrize("bad", ["out", "csv"])
-    def test_failed_sweep_leaves_no_file(self, tmp_path, bad):
-        # A sweep that exits 1 leaves no file it created, whichever of its two writes fails.
-        paths = {"csv": tmp_path / "rows.csv", "out": tmp_path / "r.json"}
-        paths[bad] = tmp_path / "missing" / paths[bad].name
-        code, out, err = invoke(["sweep", "--n", "1,0,0", "--kappa", "1", "--T", "1,10",
-                                 "--csv", str(paths["csv"]), "--out", str(paths["out"])])
-        assert (code, out) == (1, "")
+    @pytest.mark.parametrize(
+        "csv,out,made",
+        [
+            ("rows.csv", "missing/r.json", {}),
+            ("missing/rows.csv", "r.json", {}),
+            ("missing/rows.csv", "r.json", {"r.json": "before\n"}),
+            ("rows.csv", "r.json", {"rows.csv": None}),  # None: a directory
+            ("rows.csv", "r.json", {"r.json": None}),
+        ],
+    )
+    def test_failed_sweep_leaves_no_file(self, tmp_path, csv, out, made):
+        # A sweep that exits 1 creates and changes no file, whichever of its two writes fails.
+        for name, text in made.items():
+            if text is None:
+                (tmp_path / name).mkdir()
+            else:
+                (tmp_path / name).write_text(text)
+        before = tree_snapshot(tmp_path)
+        code, stdout, err = invoke(["sweep", "--n", "1,0,0", "--kappa", "1", "--T", "1,10",
+                                    "--csv", str(tmp_path / csv), "--out", str(tmp_path / out)])
+        assert (code, stdout) == (1, "")
         assert err.startswith("error: ") and err.count("\n") == 1
-        assert list(tmp_path.iterdir()) == []
+        assert tree_snapshot(tmp_path) == before
 
-    def test_failed_sweep_keeps_a_csv_it_did_not_create(self, tmp_path):
-        # Only a CSV the sweep created is removed: one that was there stays, rewritten.
+    def test_failed_sweep_leaves_an_existing_csv_unchanged(self, tmp_path):
         csv = tmp_path / "rows.csv"
         csv.write_text("before\n")
         argv = ["sweep", "--n", "1,0,0", "--kappa", "1", "--T", "1,10", "--csv", str(csv)]
         assert invoke([*argv, "--out", str(tmp_path / "missing" / "r.json")])[0] == 1
-        assert csv.read_text().startswith("T,fidelity,leakage\n")
+        assert csv.read_text() == "before\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["rows.csv"]
+
+    def test_a_pipe_is_written_in_place(self, tmp_path):
+        # A path that is not a regular file is written through, never replaced by a file.
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            argv = ["one-qubit", "--n", "1,0,0", "--kappa", "1"]
+            assert invoke([*argv, "--out", str(fifo)])[:2] == (0, "")
+            assert os.read(reader, 1 << 16).decode() == invoke(argv)[1]
+        finally:
+            os.close(reader)
+        assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+        assert [p.name for p in tmp_path.iterdir()] == ["fifo"]
 
 
 class TestNonFiniteCouplings:
@@ -497,6 +533,20 @@ class TestCsv:
         assert len(rows) == 2
         assert rows[1][1] > rows[0][1]  # fidelity improves with T
 
+    def test_a_symlinked_csv_is_replaced_not_written_through(self, tmp_path):
+        target, link = tmp_path / "target.csv", tmp_path / "rows.csv"
+        target.write_text("before\n")
+        link.symlink_to(target)
+        assert invoke(["figure", "fig2", "--csv", str(link)])[:2] == (0, "")
+        assert target.read_text() == "before\n" and not link.is_symlink()
+        assert link.read_text().startswith("kappa,theta,sin_theta\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["rows.csv", "target.csv"]
+
+    def test_longest_file_name(self, tmp_path):
+        path = tmp_path / ("x" * 251 + ".csv")  # 255 bytes, the usual NAME_MAX
+        assert invoke(["figure", "fig2", "--csv", str(path)])[:2] == (0, "")
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
     def test_figure_determinism(self, tmp_path):
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
         invoke(["figure", "fig4", "--csv", str(p1)])
@@ -567,15 +617,27 @@ class TestNonFiniteOutput:
                 reporting.format_float(bad)
         assert reporting.format_float(0.1) == "0.10000000000000001"
 
-    def test_json_and_csv_reject_nan(self, tmp_path):
+    def test_json_and_csv_reject_nan(self):
         with pytest.raises(DomainError):
             reporting.dumps_report({"x": [1.0, np.float64("nan")]})
         with pytest.raises(DomainError):
             reporting.dumps_report({"z": complex(1.0, np.inf)})
-        path = tmp_path / "t.csv"
         with pytest.raises(DomainError):
-            reporting.emit_csv(path, ["a"], [(np.nan,)])
-        assert not path.exists()
+            reporting.csv_lines(["a"], [(np.nan,)])
+
+    @pytest.mark.parametrize("bad", ["fidelity", "leakage"])
+    def test_non_finite_sweep_writes_nothing(self, tmp_path, monkeypatch, bad):
+        # Both outputs are rendered before any write: a NaN in either leaves every path as it was.
+        real = adiabatic.adiabatic_sweep
+        monkeypatch.setattr(adiabatic, "adiabatic_sweep", lambda *a: [
+            dataclasses.replace(point, **{bad: np.nan}) for point in real(*a)])
+        (tmp_path / "rows.csv").write_text("before\n")
+        before = tree_snapshot(tmp_path)
+        code, out, err = invoke(["sweep", "--n", "1,0,0", "--kappa", "1", "--T", "1",
+                                 "--csv", str(tmp_path / "rows.csv"),
+                                 "--out", str(tmp_path / "r.json")])
+        assert (code, out) == (1, "") and err.startswith("error: cannot report the non-finite")
+        assert tree_snapshot(tmp_path) == before
 
 
 def _float_arrays():

@@ -292,7 +292,7 @@ class TestLineSearch:
                 return theta - ((k + 1) * np.pi) * root
 
             expected = reference_scan(lambda k: delta_at(0, k), size, period)
-            got = synthesis._search_line(delta_at, theta, (np.pi, root), size, period)
+            got = synthesis._search_line(theta, (np.pi, root), size, period)
             assert got[0] == expected[0], (theta, root, period, size)
             assert got[1].hex() == expected[1].hex(), (theta, root, period, size)
 
@@ -418,7 +418,7 @@ class TestLineSearch:
             return theta - (k + 1) * step
 
         expected = reference_scan(lambda k: delta_at(0, k), size, period)
-        got = synthesis._search_line(delta_at, theta, (step,), size, period)
+        got = synthesis._search_line(theta, (step,), size, period)
         assert (got[0], got[1].hex()) == (expected[0], expected[1].hex())
 
 

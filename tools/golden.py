@@ -16,7 +16,8 @@ two dimers, couplings 0.1 to 10): ``lib propagators`` (exact and sweep
 propagators, windings up to MAX_WINDING and T up to the model's ``_t_max``, and
 ``holonomy_fidelity`` of each), ``lib sweep scores`` (the sweep's fidelity and
 leakage on the same loops) and ``lib rk4`` (``ode_propagator`` at 1, 10 and 1000
-steps, windings up to 1000, T from 0.1 to 10).  ``--diff`` runs this script
+steps, windings up to 1000, T from 0.1 to 10), and ``files``: successful requests
+that write ``--out`` and ``--csv`` files by relative paths.  ``--diff`` runs this script
 with each tree's ``src`` on PYTHONPATH.
 """
 
@@ -96,6 +97,24 @@ def _gate_corpus(top: int):
     return reqs
 
 
+def _files_corpus():
+    """Successful requests that write files, by paths relative to the working directory."""
+    sweeps = (["--n", "1,0,0", "--kappa", "3", "--T", "1,10,100"],
+              ["--n", "0.6,0,0.8", "--kappa", "7", "--T", "0.5"],
+              ["--kp", "2", "--km", "5", "--kprime", "3", "--T", "0.25,40,2000"])
+    reqs = [["sweep", *s, "--csv", "rows.csv", "--out", "sweep.json"] for s in sweeps]
+    reqs += [["sweep", *sweeps[0], "--csv", "rows.csv"], ["sweep", *sweeps[2], "--out", "s.json"]]
+    reqs += [["figure", fig, "--csv", f"{fig}.csv"] for fig in ("fig2", "fig3", "fig4")]
+    reqs += [["figure", "fig3", "--caption-convention", "--csv", "f.csv"],
+             ["one-qubit", "--n", "1,0,0", "--kappa", "1", "--out", "gate.json"],
+             ["one-qubit", "--n", "0,0.6,0.8", "--kappa", "12345",
+              "--omega", "2.5", "--j1", "2.5", "--out", "g.json"],
+             ["two-qubit", "--kp", "2", "--km", "3", "--kprime", "1", "--out", "cz.json"],
+             ["search", "--target", "hadamard", "--eps", "1e-3", "--out", "h.json"],
+             ["audit", "--kp", "4", "--km", "9", "--kprime", "2", "--out", "a.json"]]
+    return [("files", argv) for argv in reqs]
+
+
 def corpus(top: int):
     """(class, request) pairs: a request is an argv list, or a (function name, args) tuple."""
     rng = random.Random(20081223)
@@ -153,7 +172,7 @@ def corpus(top: int):
         a, b = (z / math.hypot(*map(abs, g)) for z in g)
         target = [[a, -b.conjugate()], [b, a.conjugate()]]
         reqs.append(("lib synthesize_su2", ("synthesize_su2", (target, 1e-3, _log_int(rng, 1, top)))))
-    return reqs + _adiabatic_corpus(top) + _gate_corpus(top)
+    return reqs + _adiabatic_corpus(top) + _gate_corpus(top) + _files_corpus()
 
 
 def _value(obj) -> str:

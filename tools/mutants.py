@@ -23,7 +23,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
-ADIABATIC, CLI = "src/holonome/adiabatic.py", "src/holonome/cli.py"
+ADIABATIC, SYNTHESIS = "src/holonome/adiabatic.py", "src/holonome/synthesis.py"
 BLOCK_SCORES = "tests/test_adiabatic.py::TestBlockScores::test_within_bound_of_dense_holonomy_fidelity"
 
 # (file, old text, new text, test node IDs): one contract each.
@@ -34,7 +34,7 @@ MUTANTS = [
      "block = conn.matrix[: conn.coding_dim, conn.coding_dim :]",
      ["tests/test_deformation.py::TestLeakageAudit::test_lazy_fields_equal_eager_reference"]),
     # The circular distance is min(r, period - r).
-    ("src/holonome/synthesis.py", "np.minimum(r, period - r)", "np.minimum(r, period + r)",
+    (SYNTHESIS, "np.minimum(r, period - r)", "np.minimum(r, period + r)",
      ["tests/test_synthesis.py::TestCircularDistance"]),
     # Dimer 1's |++>, |+->, |-+>, |--> take the blocks of S1 = 2, 0, 0, -2.
     (ADIABATIC, "enumerate((0, 1, 1, 2))", "enumerate((0, 1, 2, 2))",
@@ -45,9 +45,12 @@ MUTANTS = [
      "    if False:\n",
      ["tests/test_deformation.py::TestEveryConstructionChecks::"
       "test_commuting_limit_is_kept_by_replace_and_refused_by_generator"]),
-    # A sweep whose --out write fails removes the --csv file it created.
-    (CLI, "            os.remove(args.csv)\n", "            pass\n",
-     ["tests/test_cli.py::TestFilesystemErrors::test_failed_sweep_leaves_no_file"]),
+    # The CLI replaces a file only once every output is written: here the --csv is
+    # replaced before the --out report is written.
+    ("src/holonome/cli.py",
+     "            with fh:\n                staged.append((fh.name, path))\n                fh.write(text)\n",
+     "            with fh:\n                fh.write(text)\n            os.replace(fh.name, path)\n",
+     ["tests/test_cli.py::TestFilesystemErrors::test_failed_sweep_leaves_an_existing_csv_unchanged"]),
     # _scores sums conj(Gamma) V: the imaginary part of Gamma enters with a minus sign.
     (ADIABATIC, "signs[: len(e), 1] = -1.0", "signs[: len(e), 1] = 1.0", [BLOCK_SCORES]),
     # The coding block of control T0 is dimer 1's S1 = 0 sector (entries 9..13), not S1 = -2.
@@ -56,6 +59,20 @@ MUTANTS = [
     # A real iX is -Im X, not Im X.
     (ADIABATIC, "if x.real.any() else -x.imag)", "if x.real.any() else x.imag)",
      ["tests/test_adiabatic.py::TestOdePropagator::test_real_basis_matches_complex_reference"]),
+    # Past the bound n, the point after q is q - d-, not q + d-.
+    (SYNTHESIS, "return q - dm", "return q + dm",
+     ["tests/test_synthesis.py::TestLineSearch::test_walk_and_successor_match_brute_force"]),
+    # The scan's filter keeps every point within its rounding slack of the block minimum.
+    (SYNTHESIS, "slack = 16.0 * _U", "slack = 0.0 * _U",
+     ["tests/test_synthesis.py::TestControlledPhaseKernel::test_kernel_matches_plain_scan_on_any_deltas"]),
+    # A NaN axis fails the unit-norm test.
+    ("src/holonome/deformation.py", "if not abs(math.hypot(nx, ny, nz) - 1.0) <= 1e-12:",
+     "if abs(math.hypot(nx, ny, nz) - 1.0) > 1e-12:",
+     ["tests/test_deformation.py::TestOneQubitGenerator::test_rejects_non_finite_axis"]),
+    # A non-finite float has no JSON or CSV form.
+    ("src/holonome/reporting.py",
+     "    if not math.isfinite(x):\n        raise DomainError(f\"cannot report the non-finite value {x!r}\")\n",
+     "", ["tests/test_cli.py::TestNonFiniteOutput::test_format_float_rejects_non_finite"]),
 ]
 
 
