@@ -22,7 +22,7 @@ from holonome.deformation import _check_size, _checked_int
 from holonome.errors import DomainError
 from holonome.holonomy import HolonomyGate
 from holonome.matrix_kernel import _U, _read_only, exp_minus_i, is_unitary
-from holonome.spin_model import SpinModel, coding_space
+from holonome.spin_model import SpinModel, coding_space, ground_basis
 
 
 @dataclass(frozen=True, eq=False)
@@ -223,8 +223,8 @@ def holonomy_fidelity(u, gate: HolonomyGate, model: SpinModel, T: float):
     The coding-block restriction V = C^dag U C is phase-corrected by
     exp(+i E0 T) before comparison; fidelity is |tr(Gamma^dag V)| / dim_C.
     Leakage 1 - ||P U C||_F^2 / dim_C measures escape from the *ground space*
-    under evolution started in the coding space (P the ground projector, a
-    0/1 mask over the rows).
+    under evolution started in the coding space (P the ground projector, the
+    0/1 mask of the rows that the ground basis spans).
     """
     u = np.asarray(u, dtype=complex)
     if u.shape != (model.dim, model.dim):
@@ -238,7 +238,8 @@ def holonomy_fidelity(u, gate: HolonomyGate, model: SpinModel, T: float):
     dim_c = c.shape[1]
     v = (c.conj().T @ u @ c) * np.exp(1j * model.ground_energy * T)
     fidelity = float(abs(np.trace(gate.gamma.conj().T @ v))) / dim_c
-    leakage = 1.0 - float(np.linalg.norm((u @ c) * model._ground[:, None])) ** 2 / dim_c
+    ground = ground_basis(model).any(axis=1)[:, None]
+    leakage = 1.0 - float(np.linalg.norm((u @ c) * ground)) ** 2 / dim_c
     return min(fidelity, 1.0), min(max(leakage, 0.0), 1.0)
 
 

@@ -66,9 +66,9 @@ def _gate_checks(loop, model, gamma) -> dict:
 
 def cmd_one_qubit(args):
     loop = deformation.one_qubit_generator(_parse_vector(args.n), args.kappa)
-    model = spin_model.build_one_dimer(args.omega, args.j1)
+    model = spin_model.build_one_dimer(args.j1, args.j1)
     gamma = holonomy.analytic_one_qubit_gate(loop).gamma
-    inputs = {"n": list(loop.n), "kappa": loop.kappa, "omega": args.omega, "j1": args.j1}
+    inputs = {"n": list(loop.n), "kappa": loop.kappa, "j1": args.j1}
     outputs = {"theta_kappa": loop.theta_kappa, "m": list(loop.m),
                "gamma": reporting.matrix_payload(gamma), **_gate_checks(loop, model, gamma)}
     return reporting.build_report("holonomy", inputs, outputs), None
@@ -196,7 +196,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("one-qubit", help="construct a one-qubit holonomy gate")
     p.add_argument("--n", required=True, help="loop axis, e.g. 1,0,0")
     p.add_argument("--kappa", type=int, required=True, help="winding number")
-    p.add_argument("--omega", type=float, default=1.0)
     p.add_argument("--j1", type=float, default=1.0)
     p.add_argument("--out")
     p.set_defaults(func=cmd_one_qubit)

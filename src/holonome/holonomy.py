@@ -1,8 +1,9 @@
 """Ground-space connection, holonomy gates, leakage audit and two-qubit diagnostics.
 
 The connection on the degenerate ground space of a loop reduces to the matrix
-of the X that the loop carries in the ordered ground basis, A_ij = <i|X|j>, and
-the holonomy is Gamma = exp(-A) restricted to the coding block; the leakage
+of the X that the loop carries in the ordered ground basis, A_ij = <i|X|j>
+(``spin_model.ground_basis``: a model sits at omega = J, so the basis is one label
+table, the same at every coupling), and the holonomy is Gamma = exp(-A) restricted to the coding block; the leakage
 audit reads A's block between non-coding and coding vectors.  Closed-form
 gate expressions exist for both the one- and two-qubit loops; the two-qubit
 gate is built from 2 x 2 Rodrigues rotations with no eigensolver, and its
@@ -102,7 +103,7 @@ class HolonomyGate:
 def connection_on_ground_space(loop, model: SpinModel) -> Connection:
     """A_ij = <i|X|j> over the ordered ground basis (coding vectors first), X the loop's."""
     _check_size(loop, model)
-    vecs = ground_basis(model)  # raises DomainError off the working point
+    vecs = ground_basis(model)
     matrix = vecs.conj().T @ loop.x @ vecs
     return Connection(matrix=matrix, coding_dim=coding_space(model).shape[1])
 

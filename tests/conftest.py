@@ -12,7 +12,6 @@ from holonome import deformation
 from holonome.matrix_kernel import expm_skew, frobenius
 from holonome.spin_model import (
     _GROUND_LABELS,
-    DEGENERACY_RTOL,
     ID2,
     SIGMA_X,
     SIGMA_Y,
@@ -39,8 +38,8 @@ def hamiltonian(model) -> np.ndarray:
 
 
 def ground_projector(model) -> np.ndarray:
-    """Reference: the diagonal 0/1 projector onto the model's ground level."""
-    return np.diag(model._ground.astype(complex))
+    """The diagonal 0/1 projector onto the rows that the model's ground basis spans."""
+    return np.diag(ground_basis(model).any(axis=1).astype(complex))
 
 
 def equidistribution_scan(step: float, k_list) -> dict:
@@ -141,26 +140,23 @@ def eager_leakage_audit(gen, model):
 
 
 def reference_model(*couplings):
-    """Reference: every derived field of the model of ``couplings`` ((omega, J) per dimer,
-    slow first), computed eagerly.
+    """Reference: every derived field of the model of ``couplings`` (J per dimer, slow
+    first, each dimer at omega = J), computed eagerly.
 
     H is the Kronecker sum of diag(d) over the dimers' diagonals d, and ||H||_F the
-    2-norm of its diagonal by math.hypot.  Its ground
-    energy is the least diagonal entry.  Its ground level is the product of the
-    dimers' ground levels, each the entries within DEGENERACY_RTOL ||H_d||_F of the
-    dimer's least one (||H_d||_F = ||d||_2 by math.hypot, for one dimer too), and its
-    projector the diagonal 0/1 mask of those basis states.
+    2-norm of its diagonal by math.hypot.  Its ground energy is the least diagonal
+    entry.  Its ground level is the product of the dimers' ground levels, each the
+    entries equal to the dimer's least one (exact at omega = J, where a dimer's three
+    lowest entries are -J to the bit), and its projector the diagonal 0/1 mask of
+    those basis states.
     """
-    dimers = [np.array([-2.0 * w + j, -j, -j, 2.0 * w + j]) for w, j in couplings]
+    dimers = [np.array([-2.0 * j + j, -j, -j, 2.0 * j + j]) for j in couplings]
     diagonal = dimers[0] if len(dimers) == 1 else np.add.outer(*dimers).ravel()
     dim = diagonal.size
     h = np.zeros((dim, dim), dtype=complex)
     h.flat[:: dim + 1] = diagonal
     norm = math.hypot(*diagonal.tolist())  # ||H||_F, whose dense squares would underflow
-    entries = [d.tolist() for d in dimers]
-    norms = [math.hypot(*e) for e in entries]
-    levels = [[x - min(e) < DEGENERACY_RTOL * n for x in e] for e, n in zip(entries, norms)]
-    ground = np.ravel(functools.reduce(np.logical_and.outer, levels))
+    ground = np.ravel(functools.reduce(np.logical_and.outer, [d == d.min() for d in dimers]))
     return types.SimpleNamespace(
         hamiltonian=h,
         hamiltonian_norm=norm,

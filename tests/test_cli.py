@@ -298,15 +298,13 @@ class TestNonFiniteCouplings:
     @pytest.mark.parametrize(
         "argv, name",
         [
-            (["one-qubit", "--n", "1,0,0", "--kappa", "1", "--omega", "inf"], "omega"),
             (["one-qubit", "--n", "1,0,0", "--kappa", "1", "--j1", "nan"], "j1"),
             (["two-qubit", "--kp", "2", "--km", "3", "--kprime", "1", "--j2", "nan"], "j2"),
             (["two-qubit", "--kp", "2", "--km", "3", "--kprime", "1", "--j1=-inf"], "j1"),
             (["sweep", "--n", "1,0,0", "--kappa", "1", "--T", "1", "--j1", "nan"], "j1"),
             (["sweep", "--kp", "2", "--km", "3", "--T", "1", "--j2", "inf"], "j2"),
             (["two-qubit", "--kp", "2", "--km", "3", "--kprime", "1", "--j1", "1e200"], "j1"),
-            (["one-qubit", "--n", "1,0,0", "--kappa", "1", "--omega", "1e200", "--j1", "1e200"],
-             "j1"),
+            (["one-qubit", "--n", "1,0,0", "--kappa", "1", "--j1", "1e200"], "j1"),
             (["sweep", "--kp", "2", "--km", "3", "--T", "1", "--j2", "1e200"], "j2"),
             (["two-qubit", "--kp", "2", "--km", "3", "--kprime", "1", "--j2", "1.0000001e150"],
              "j2"),
@@ -335,56 +333,45 @@ class TestNonFiniteCouplings:
         assert json.loads(out)["outputs"]["leakage_audit_passed"] is True
 
 
-class TestCouplingScale:
-    """The working point is found at any coupling scale, not only where ||H||_F >= 1."""
+class TestCouplingRange:
+    """Every coupling in (0, MAX_COUPLING] builds its model at omega = J, and a gate's
+    outputs do not depend on it."""
 
-    @pytest.mark.parametrize("argv", [
-        ["one-qubit", "--n", "1,0,0", "--kappa", "1", "--omega", "1e-10", "--j1", "1e-10"],
-        ["two-qubit", "--kp", "2", "--km", "3", "--kprime", "1", "--j1", "1e-10", "--j2", "1e-10"],
-        # Couplings 1e15 apart: each dimer's ground level is judged on its own scale.
-        ["two-qubit", "--kp", "3", "--km", "6", "--kprime", "2",
-         "--j1", "1.8244511890553932e-14", "--j2", "14.52630271632801"],
-    ])
-    def test_small_couplings_at_working_point(self, argv):
-        code, out, err = invoke(argv)
-        assert (code, err) == (0, "")
-        assert json.loads(out)["outputs"]["leakage_audit_passed"] is True
-
-    @pytest.mark.parametrize("c", ["1e-150", "1e-200", "1e-300", repr(spin_model.MIN_COUPLING)])
+    @pytest.mark.parametrize("c", ["5e-324", "1e-320", "1e-300", "1e150"])
     @pytest.mark.parametrize("request_argv", [
-        ["one-qubit", "--n", "1,0,0", "--kappa", "1", "--omega", "{c}", "--j1", "{c}"],
+        ["one-qubit", "--n", "1,0,0", "--kappa", "1", "--j1", "{c}"],
         ["two-qubit", "--kp", "2", "--km", "3", "--kprime", "1", "--j1", "{c}", "--j2", "{c}"],
+        ["two-qubit", "--kp", "3", "--km", "6", "--kprime", "2", "--j2", "{c}"],
         ["sweep", "--n", "1,0,0", "--kappa", "1", "--j1", "{c}", "--T", "1,10"],
         ["sweep", "--kp", "2", "--km", "3", "--j1", "{c}", "--j2", "{c}", "--T", "1,10"],
     ])
-    def test_least_couplings_at_working_point(self, request_argv, c):
-        # Each dimer is judged on math.hypot of its four entries, which does not underflow
-        # where the squares of ||H||_F do (below about 1e-162), down to MIN_COUPLING.
+    def test_exit_zero_or_the_time_bound_without_warning(self, request_argv, c):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code, out, err = invoke([a.format(c=c) for a in request_argv])
+        if request_argv[0] == "sweep" and c == "1e150":  # _t_max is about 2e-141 here
+            assert (code, out) == (1, "")
+            assert err.startswith("error: |T| must be at most ") and err.count("\n") == 1
+            return
         assert (code, err) == (0, "")
-        assert json.loads(out)["outputs"]
+        outputs = json.loads(out)["outputs"]
+        if request_argv[0] != "sweep":
+            default = [a for a in request_argv if "{c}" not in a and a not in ("--j1", "--j2")]
+            assert outputs == json.loads(invoke(default)[1])["outputs"]
+            assert outputs["leakage_audit_passed"] is True
 
-    @pytest.mark.parametrize("argv, name", [
-        (["one-qubit", "--n", "1,0,0", "--kappa", "1", "--omega", "{c}", "--j1", "{c}"], "j1"),
-        (["two-qubit", "--kp", "2", "--km", "3", "--kprime", "1", "--j2", "{c}"], "j2"),
-        (["sweep", "--n", "1,0,0", "--kappa", "1", "--j1", "{c}", "--T", "1"], "j1"),
-        (["sweep", "--kp", "2", "--km", "3", "--j1", "{c}", "--T", "1"], "j1"),
-    ])
-    @pytest.mark.parametrize("c", [
-        repr(float(np.nextafter(spin_model.MIN_COUPLING, 0.0))), "1e-320", "5e-324"])
-    def test_below_least_coupling_exit_one_naming_the_bound(self, argv, name, c):
-        code, out, err = invoke([a.format(c=c) for a in argv])
-        assert (code, out) == (1, "")
-        assert err == (f"error: {name} must be at least {spin_model.MIN_COUPLING!r} for a "
-                       f"ground level to be resolved, got {float(c)!r}\n")
+    def test_j1_alone_sets_the_one_qubit_working_point(self):
+        # omega is J1: --j1 2 once left omega at its default 1 and exited 1.
+        argv = ["one-qubit", "--n", "1,0,0", "--kappa", "1"]
+        code, out, err = invoke([*argv, "--j1", "2"])
+        assert (code, err) == (0, "")
+        assert json.loads(out)["outputs"] == json.loads(invoke([*argv, "--j1", "1"])[1])["outputs"]
+        assert json.loads(out)["inputs"] == {"n": [1, 0, 0], "kappa": 1, "j1": 2}
 
-    def test_small_couplings_off_working_point(self):
-        code, out, err = invoke(
-            ["one-qubit", "--n", "1,0,0", "--kappa", "1", "--omega", "2e-10", "--j1", "1e-10"])
-        assert (code, out) == (1, "")
-        assert err == "error: one-dimer model is not at its degenerate point\n"
+    def test_omega_option_is_gone(self):
+        code, out, err = invoke(["one-qubit", "--n", "1,0,0", "--kappa", "1", "--omega", "1"])
+        assert (code, out) == (2, "")
+        assert "unrecognized arguments: --omega 1" in err
 
 
 class TestRequestWork:
@@ -407,8 +394,7 @@ class TestRequestWork:
                 building.append(True)
                 try:
                     model = _original(*args)
-                    for field in ("diagonal", "hamiltonian_norm", "ground_energy",
-                                  "ground_multiplicity"):
+                    for field in ("diagonal", "hamiltonian_norm", "ground_energy"):
                         getattr(model, field)
                     return model
                 finally:
@@ -724,8 +710,7 @@ def request_corpus(seed=20261018):
     for _ in range(8):
         j = number(0.2, 5.0)
         requests += [
-            ["one-qubit", axis(), "--kappa", str(int(rng.integers(1, 1000))),
-             "--omega", j, "--j1", j],
+            ["one-qubit", axis(), "--kappa", str(int(rng.integers(1, 1000))), "--j1", j],
             ["two-qubit", *windings(), "--j1", number(0.2, 5.0), "--j2", number(0.2, 5.0)],
             ["search", "--target", str(rng.choice(["rx", "ry"])), "--theta", number(0, 7),
              "--eps", number(1e-4, 0.1), "--kappa-max", str(int(rng.integers(1, 300)))],

@@ -112,12 +112,6 @@ class TestConnection:
             fd = finite_difference_connection(gen, model, tau)
             assert frobenius(fd - conn.matrix) < 1e-6
 
-    def test_rejects_nondegenerate_model(self):
-        model = build_one_dimer(2.0, 1.0)
-        gen = one_qubit_generator((1.0, 0.0, 0.0), 1)
-        with pytest.raises(DomainError):
-            connection_on_ground_space(gen, model)
-
 
 class TestOneQubitGate:
     def test_zero_connection_gives_identity(self):

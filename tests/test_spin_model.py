@@ -18,7 +18,6 @@ from holonome.spin_model import (
     _GROUND_LABELS,
     DIMER_BASIS,
     MAX_COUPLING,
-    MIN_COUPLING,
     PAULI,
     SIGMA_Z,
     SpinModel,
@@ -36,6 +35,19 @@ def closed_form_one_dimer_eigenvalues(omega, j1):
     return np.array([-2 * omega + j1, -j1, 2 * omega + j1, -j1])
 
 
+def assert_ground_level(model, multiplicity):
+    """The ground basis is ``multiplicity`` eigenvectors of H at E0, on the rows of the
+    reference's level: the product of the dimers' entries equal to each dimer's least.
+    (Per dimer: at a ratio of the couplings past 1 / u the sums on H's diagonal round
+    the smaller dimer's T- onto E0.)"""
+    vecs = ground_basis(model)
+    assert vecs.shape == (model.dim, multiplicity)
+    assert np.array_equal(hamiltonian(model) @ vecs, model.ground_energy * vecs)
+    ref = reference_model(*model.couplings)
+    assert ground_projector(model).tobytes() == ref.ground_projector.tobytes()
+    assert ref.ground_multiplicity == multiplicity
+
+
 def sorted_diagonal(model):
     """The spectrum of a (diagonal) model Hamiltonian, ascending with multiplicity."""
     return np.sort(np.diag(hamiltonian(model)).real)
@@ -46,25 +58,32 @@ class TestOneDimer:
         model = build_one_dimer(1.0, 1.0)
         evals = sorted_diagonal(model)
         assert np.allclose(evals, [-1.0, -1.0, -1.0, 3.0], atol=1e-12)
-        assert model.ground_multiplicity == 3
+        assert_ground_level(model, 3)
         assert abs(evals[3] - evals[0] - 4.0) < 1e-12
 
-    def test_off_working_point_unique_ground(self):
-        model = build_one_dimer(2.0, 1.0)
-        assert abs(model.ground_energy + 3.0) < 1e-12
-        assert model.ground_multiplicity == 1
-
     def test_diagonal_in_z_basis(self):
-        h = hamiltonian(build_one_dimer(1.3, 0.7))
+        h = hamiltonian(build_one_dimer(0.7, 0.7))
         assert frobenius(h - np.diag(np.diag(h))) == 0.0
 
     def test_closed_form_spectrum_random_couplings(self):
         rng = np.random.default_rng(42)
-        for _ in range(100):
-            omega, j1 = rng.uniform(0.1, 5.0, size=2)
-            model = build_one_dimer(omega, j1)
-            expected = np.sort(closed_form_one_dimer_eigenvalues(omega, j1))
+        for j1 in rng.uniform(0.1, 5.0, size=100):
+            model = build_one_dimer(j1, j1)
+            expected = np.sort(closed_form_one_dimer_eigenvalues(j1, j1))
             assert np.allclose(sorted_diagonal(model), expected, atol=1e-12)
+
+    @pytest.mark.parametrize("j1", [5e-324, 1e-320, 1e-300, 1.0, 2.5, MAX_COUPLING])
+    @pytest.mark.parametrize("toward", [-np.inf, np.inf])
+    def test_rejects_omega_one_ulp_off_j1(self, j1, toward):
+        # The model is built at omega = J1 exactly, or not at all.  Next to 5e-324 and
+        # MAX_COUPLING one neighbour is out of range, and rejected for that.
+        omega = float(np.nextafter(j1, toward))
+        for args in ((omega, j1), (j1, omega)):
+            match = ("^one-dimer model is not at its degenerate point$"
+                     if 0 < omega <= MAX_COUPLING else " must be finite, > 0 and at most ")
+            with pytest.raises(DomainError, match=match):
+                build_one_dimer(*args)
+        assert build_one_dimer(j1, j1).couplings == (j1,)
 
     def test_rejects_nonpositive_couplings(self):
         with pytest.raises(DomainError):
@@ -93,12 +112,17 @@ class TestTwoDimer:
     def test_working_point(self):
         model = build_two_dimer(1.0, 1.0)
         assert abs(model.ground_energy + 2.0) < 1e-12
-        assert model.ground_multiplicity == 9
+        assert_ground_level(model, 9)
 
-    def test_asymmetric_couplings(self):
-        model = build_two_dimer(1.0, 2.0)
-        assert abs(model.ground_energy + 3.0) < 1e-12
-        assert model.ground_multiplicity == 9
+    @pytest.mark.parametrize("j1,j2", [
+        (1.0, 2.0), (1.7e-9, 1.0), (1.0, 1.7e-9), (1.8244511890553932e-14, 14.52630271632801),
+        (1e-150, MAX_COUPLING), (MAX_COUPLING, 1e-150), (5e-324, 1.0), (0.3, 7.0),
+    ])
+    def test_asymmetric_couplings(self, j1, j2):
+        # The ground level is the product of two 3-fold levels at any ratio of the couplings.
+        model = build_two_dimer(j1, j2)
+        assert model.ground_energy == -j1 - j2
+        assert_ground_level(model, 9)
 
     def test_spectrum_is_minkowski_sum(self):
         model = build_two_dimer(1.0, 1.0)
@@ -108,36 +132,10 @@ class TestTwoDimer:
         assert np.allclose(sorted_diagonal(model), expected, atol=1e-12)
 
 
-@pytest.mark.parametrize("s", [1e-150, 1e-10, 1.0, MAX_COUPLING])
-def test_working_point_at_any_scale(s):
-    # The ground level is judged relative to ||H||_F, so a uniform rescaling
-    # of the couplings keeps the degeneracy.  2s would exceed MAX_COUPLING at
-    # the top of the range, so the two-dimer pair is (s / 2, s).
-    one = build_one_dimer(s, s)
-    assert (one.ground_multiplicity, one.ground_energy) == (3, -s)
-    two = build_two_dimer(s / 2, s)
-    assert two.ground_multiplicity == 9
-    assert np.trace(ground_projector(two)).real == 9.0
-
-
-@pytest.mark.parametrize("j1,j2", [
-    (1.7e-9, 1.0), (1.0, 1.7e-9), (1.8244511890553932e-14, 14.52630271632801),
-    (1e-150, MAX_COUPLING), (MAX_COUPLING, 1e-150), (1.0, 1.0), (0.3, 7.0),
-])
-def test_two_dimer_ground_level_per_dimer(j1, j2):
-    # Each dimer's ground level is judged on its own scale, so any ratio of
-    # the couplings keeps the 9-fold product of two 3-fold levels.
-    two = build_two_dimer(j1, j2)
-    one1, one2 = build_one_dimer(j1, j1), build_one_dimer(j2, j2)
-    assert two.ground_multiplicity == 9
-    expected = np.kron(ground_projector(one1), ground_projector(one2))
-    assert ground_projector(two).tobytes() == expected.tobytes()
-    assert two.ground_energy == float(np.diag(hamiltonian(two)).real.min())
-
-
 @pytest.mark.parametrize("build,args", [
-    (build_one_dimer, (1.0, 1.0)), (build_one_dimer, (2.5e-7, 3.0)), (build_two_dimer, (1.0, 1.0)),
-    (build_two_dimer, (1e-150, MAX_COUPLING)), (build_two_dimer, (0.3, 7.0)),
+    (build_one_dimer, (1.0, 1.0)), (build_one_dimer, (2.5e-7, 2.5e-7)),
+    (build_two_dimer, (1.0, 1.0)), (build_two_dimer, (1e-150, MAX_COUPLING)),
+    (build_two_dimer, (0.3, 7.0)),
 ])
 def test_hamiltonian_norm_is_frobenius(build, args):
     # The dense norm is the reference wherever its squares do not underflow.
@@ -160,17 +158,15 @@ def test_hamiltonian_norm_does_not_underflow(build):
 
 
 def model_corpus(count, seed=20261019):
-    """Seeded (builder, couplings) pairs: log-uniform couplings from 1e-150 to 1e150 with
-    ratios up to 1e15 on both builders, at and off the working point."""
+    """Seeded (builder, couplings) pairs: log-uniform couplings from 1e-150 to 1e150,
+    omega = J for one dimer and ratios up to 1e15 for two."""
     rng = np.random.default_rng(seed)
     cases = []
     for i in range(count):
         a = rng.uniform(-150.0, 150.0)
         b = np.clip(a + rng.uniform(-15.0, 15.0), -150.0, 150.0)
         pair = (float(10.0**a), float(10.0**b))
-        if i % 4 == 1:  # one dimer at its working point, or just off it
-            pair = (pair[0] * (1.0 + rng.choice((0.0, 1e-10, -1e-8))), pair[0])
-        cases.append((build_one_dimer, pair) if i % 2 else (build_two_dimer, pair))
+        cases.append((build_one_dimer, (pair[0],) * 2) if i % 2 else (build_two_dimer, pair))
     return cases
 
 
@@ -182,8 +178,7 @@ class TestDerivedFields:
         multiplicities = set()
         for build, (a, b) in cases:
             model = build(a, b)
-            ref = reference_model((a, b)) if build is build_one_dimer else reference_model(
-                (a, a), (b, b))
+            ref = reference_model(a) if build is build_one_dimer else reference_model(a, b)
             assert hamiltonian(model).tobytes() == ref.hamiltonian.tobytes(), (build, a, b)
             assert model.diagonal.tobytes() == ref.hamiltonian.diagonal().real.tobytes()
             assert model.hamiltonian_norm.hex() == ref.hamiltonian_norm.hex(), (build, a, b)
@@ -191,18 +186,17 @@ class TestDerivedFields:
             dense = frobenius(hamiltonian(model))
             assert abs(model.hamiltonian_norm - dense) <= math.ulp(dense), (build, a, b)
             assert model.ground_energy.hex() == ref.ground_energy.hex(), (build, a, b)
-            assert model.ground_multiplicity == ref.ground_multiplicity, (build, a, b)
+            # The label table's level is the reference's: the entries equal to the least.
             assert ground_projector(model).tobytes() == ref.ground_projector.tobytes()
-            multiplicities.add((model.n_spins, model.ground_multiplicity))
-        # Both builders, at and off the working point.
-        assert {(2, 3), (2, 1), (4, 9)} <= multiplicities
+            multiplicities.add((model.n_spins, ref.ground_multiplicity))
+        assert multiplicities == {(2, 3), (4, 9)}
         assert min(min(p) for _, p in cases) < 1e-140 and max(max(p) for _, p in cases) > 1e140
 
     def test_only_field_is_couplings(self):
         assert [f.name for f in dataclasses.fields(SpinModel)] == ["couplings"]
-        assert build_one_dimer(2.0, 0.5).couplings == ((2.0, 0.5),)
+        assert build_one_dimer(0.5, 0.5).couplings == (0.5,)
         model = build_two_dimer(0.5, 3.0)
-        assert model.couplings == ((0.5, 0.5), (3.0, 3.0))
+        assert model.couplings == (0.5, 3.0)
         assert (model.n_spins, model.dim) == (4, 16)
 
     @pytest.mark.parametrize("field", ["diagonal"])
@@ -218,18 +212,17 @@ class TestConstructor:
     """A model checks its couplings as the builders do."""
 
     @pytest.mark.parametrize("couplings", [
-        ((1.0, 1.0),) * 3, (), [(1.0, 1.0)], ((1.0, 1.0), [1.0, 1.0]), ((1.0,),),
-        ((1.0, 1.0, 1.0),), (1.0, 1.0),
+        (1.0,) * 3, (), [1.0], 1.0, ((1.0, 1.0),), ((1.0, 1.0), (1.0, 1.0)), (1.0, [1.0]),
+        ("1.0",), (1.0, 1j),
     ])
-    def test_one_or_two_pairs(self, couplings):
-        with pytest.raises(DomainError, match=r"^couplings must be one or two \(omega, J\) pairs$"):
+    def test_one_or_two_values(self, couplings):
+        with pytest.raises(DomainError, match=r"^couplings must be one or two J values$"):
             SpinModel(couplings)
 
     @pytest.mark.parametrize("couplings, name", [
-        (((np.nan, 1.0),), "dimer 1 omega"), (((1.0, np.inf),), "dimer 1 J"),
-        (((1.0, 1.0), (0.0, 1.0)), "dimer 2 omega"), (((1.0, 1.0), (1.0, -2.0)), "dimer 2 J"),
-        (((1.0, 1.0), (1.0, 2 * MAX_COUPLING)), "dimer 2 J"),
-        (((1.0, MIN_COUPLING / 2),), "dimer 1 J"),
+        ((np.nan,), "dimer 1 J"), ((np.inf,), "dimer 1 J"), ((0.0,), "dimer 1 J"),
+        ((1.0, 0.0), "dimer 2 J"), ((1.0, -2.0), "dimer 2 J"),
+        ((1.0, 2 * MAX_COUPLING), "dimer 2 J"), ((-5e-324, 1.0), "dimer 1 J"),
     ])
     def test_values_checked_by_name(self, couplings, name):
         with pytest.raises(DomainError, match=f"^{name} must be "):
@@ -241,7 +234,7 @@ class TestConstructor:
             build_one_dimer(1.0, np.nan)
         with pytest.raises(DomainError, match=r"^j2 must be finite, > 0 and at most 1e\+150, got 0\.0$"):
             build_two_dimer(1.0, 0.0)
-        assert build_two_dimer(MIN_COUPLING, MAX_COUPLING).ground_multiplicity == 9
+        assert build_two_dimer(5e-324, MAX_COUPLING).couplings == (5e-324, MAX_COUPLING)
 
 
 class TestDimerBasis:
@@ -261,8 +254,8 @@ class TestDimerBasis:
         assert np.allclose(np.vdot(basis["T0"], basis["S0"]), 0.0)
 
     def test_eigenvectors_of_hamiltonian(self):
-        model = build_one_dimer(1.0, 2.0)
-        expected = closed_form_one_dimer_eigenvalues(1.0, 2.0)
+        model = build_one_dimer(2.0, 2.0)
+        expected = closed_form_one_dimer_eigenvalues(2.0, 2.0)
         for vec, ev in zip(DIMER_BASIS.values(), expected):
             assert np.allclose(hamiltonian(model) @ vec, ev * vec, atol=1e-12)
 
@@ -311,10 +304,6 @@ class TestCodingSpace:
                 assert frobenius(sx @ sy - 1j * sz) < 1e-12
                 zero_logical = coding[:, 0]  # |0>_L = T+ on every dimer
                 assert np.allclose(sz @ zero_logical, zero_logical)
-
-    def test_rejects_nondegenerate_model(self):
-        with pytest.raises(DomainError):
-            coding_space(build_one_dimer(2.0, 1.0))
 
     def test_ground_basis_order(self):
         vecs = ground_basis(build_two_dimer(1.0, 1.0))
@@ -402,11 +391,3 @@ class TestCaches:
             sigma_z *= -1
         assert isinstance(PAULI, types.MappingProxyType)
         assert isinstance(synthesis.NAMED_AXES, types.MappingProxyType)
-
-    def test_degeneracy_checked_after_caching(self):
-        ground_basis(build_one_dimer(1.0, 1.0))
-        coding_space(build_two_dimer(1.0, 1.0))
-        with pytest.raises(DomainError, match="one-dimer"):
-            ground_basis(build_one_dimer(2.0, 1.0))
-        with pytest.raises(DomainError, match="one-dimer"):
-            coding_space(build_one_dimer(1.0, 3.0))

@@ -24,7 +24,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 ADIABATIC, SYNTHESIS = "src/holonome/adiabatic.py", "src/holonome/synthesis.py"
+DEFORMATION = "src/holonome/deformation.py"
 BLOCK_SCORES = "tests/test_adiabatic.py::TestBlockScores::test_within_bound_of_dense_holonomy_fidelity"
+SECTORS = "tests/test_adiabatic.py::TestSectorPropagators::"
 
 # (file, old text, new text, test node IDs): one contract each.
 MUTANTS = [
@@ -40,7 +42,7 @@ MUTANTS = [
     (ADIABATIC, "enumerate((0, 1, 1, 2))", "enumerate((0, 1, 2, 2))",
      ["tests/test_adiabatic.py::TestSectorPropagators::test_two_dimer_within_error_bound_of_dense"]),
     # two_qubit_generator builds the coupled loop only: it refuses kappa_- = kappa_+.
-    ("src/holonome/deformation.py",
+    (DEFORMATION,
      "    if loop.kappa_minus == loop.kappa_plus:\n",
      "    if False:\n",
      ["tests/test_deformation.py::TestEveryConstructionChecks::"
@@ -66,9 +68,27 @@ MUTANTS = [
     (SYNTHESIS, "slack = 16.0 * _U", "slack = 0.0 * _U",
      ["tests/test_synthesis.py::TestControlledPhaseKernel::test_kernel_matches_plain_scan_on_any_deltas"]),
     # A NaN axis fails the unit-norm test.
-    ("src/holonome/deformation.py", "if not abs(math.hypot(nx, ny, nz) - 1.0) <= 1e-12:",
+    (DEFORMATION, "if not abs(math.hypot(nx, ny, nz) - 1.0) <= 1e-12:",
      "if abs(math.hypot(nx, ny, nz) - 1.0) > 1e-12:",
      ["tests/test_deformation.py::TestOneQubitGenerator::test_rejects_non_finite_axis"]),
+    # A one-dimer model is built at omega = J1 exactly, or not at all.
+    ("src/holonome/spin_model.py", "    if omega != j1:\n", "    if False:\n",
+     ["tests/test_spin_model.py::TestOneDimer::test_rejects_omega_one_ulp_off_j1"]),
+    # holonomy_fidelity's leakage keeps the rows that the ground basis spans: here their mirror.
+    (ADIABATIC, "ground_basis(model).any(axis=1)[:, None]",
+     "ground_basis(model).any(axis=1)[::-1, None]", [BLOCK_SCORES]),
+    # Within dimer 1's sector S1 = 2 s the inter-dimer coupling adds 2 J s to the tilt.
+    (DEFORMATION, "self.coupling_j * (2.0 * s)", "self.coupling_j * s",
+     [SECTORS + "test_two_dimer_within_error_bound_of_dense"]),
+    # The triplet's tilt is 2 Omega n_z.
+    (DEFORMATION, "tilt = self.omega * (2.0 * nz)", "tilt = self.omega * nz",
+     [SECTORS + "test_one_dimer_within_error_bound_of_dense"]),
+    # _walk's first index past the interval is (x - v - 1) // y + 1.
+    (SYNTHESIS, "i = (x - v - 1) // y + 1", "i = (x - v) // y + 1",
+     ["tests/test_synthesis.py::TestLineSearch::test_walk_and_successor_match_brute_force"]),
+    # A two-qubit loop closes only for kappa_- < 3 kappa_+, strictly.
+    (DEFORMATION, "if not km < 3 * kp:", "if not km <= 3 * kp:",
+     ["tests/test_deformation.py::TestTwoQubitGenerator::test_rejects_violating_constraints"]),
     # A non-finite float has no JSON or CSV form.
     ("src/holonome/reporting.py",
      "    if not math.isfinite(x):\n        raise DomainError(f\"cannot report the non-finite value {x!r}\")\n",
