@@ -132,6 +132,33 @@ class TestTwoDimer:
         assert np.allclose(sorted_diagonal(model), expected, atol=1e-12)
 
 
+@pytest.mark.parametrize("s", [1e-150, 1e-10, 1.0, MAX_COUPLING])
+def test_working_point_at_any_scale(s):
+    # A uniform rescaling of the couplings keeps the degeneracy.  2s would exceed
+    # MAX_COUPLING at the top of the range, so the two-dimer pair is (s / 2, s).
+    one = build_one_dimer(s, s)
+    assert one.ground_energy == -s
+    assert_ground_level(one, 3)
+    two = build_two_dimer(s / 2, s)
+    assert_ground_level(two, 9)
+    assert np.trace(ground_projector(two)).real == 9.0
+
+
+@pytest.mark.parametrize("j1,j2", [
+    (1.7e-9, 1.0), (1.0, 1.7e-9), (1.8244511890553932e-14, 14.52630271632801),
+    (1e-150, MAX_COUPLING), (MAX_COUPLING, 1e-150), (1.0, 1.0), (0.3, 7.0),
+])
+def test_two_dimer_ground_level_per_dimer(j1, j2):
+    # The two-dimer ground level is the product of the two one-dimer levels, in the
+    # Kronecker order of the slow dimer first, at any ratio of the couplings.
+    two = build_two_dimer(j1, j2)
+    one1, one2 = build_one_dimer(j1, j1), build_one_dimer(j2, j2)
+    assert_ground_level(two, 9)
+    expected = np.kron(ground_projector(one1), ground_projector(one2))
+    assert ground_projector(two).tobytes() == expected.tobytes()
+    assert two.ground_energy == float(np.diag(hamiltonian(two)).real.min())
+
+
 @pytest.mark.parametrize("build,args", [
     (build_one_dimer, (1.0, 1.0)), (build_one_dimer, (2.5e-7, 2.5e-7)),
     (build_two_dimer, (1.0, 1.0)), (build_two_dimer, (1e-150, MAX_COUPLING)),
