@@ -27,10 +27,11 @@ scan order, so the scan order alone sets the tie-break:
 - ``search_controlled_phase`` (period 2 pi) scans n = 1, 2, ... and, within
   each n, the winding pairs in ``_winding_pair_array`` order.
 
-The scan kernel, ``_scan_lattice``, evaluates at most 2^15 lattice points at
-a time, so its memory stays a few hundred KiB whatever the search bounds,
-and computes the exact error only at the points a cheap rounding estimate
-cannot rule out.
+The scan kernel, ``_scan_lattice``, evaluates at most 2^14 lattice points at
+a time in one 64 KiB workspace, whatever the search bounds.  It filters each
+block in 32-bit fixed-point turns (fractions of the period, reduced mod the
+period by uint32 wraparound), and computes the exact float error only at the
+points that the filter's stated rounding bound cannot rule out.
 
 Each returned gate is a closed form of its lattice point, and so is its
 ``gate_distance``, from the target angle a and the winner's angle b:
@@ -66,12 +67,16 @@ _SQRT2 = math.sqrt(2.0)
 MAX_KAPPA_PLUS = 1000
 
 # Most lattice points a controlled-phase search may scan, kappa_plus_max^2
-# n_max: about 1 s at the scan kernel's 85-160 M points/s (10^7-point scans
-# took 0.06-0.12 s on one thread of a 2-vCPU Xeon VM).
+# n_max.  A 10^8-point search took 0.12-0.19 s at kappa_plus_max = 100 and
+# 0.38-0.59 s at kappa_plus_max = 1 (one column, whose filter slack grows with
+# n_max), on one thread of a 2-vCPU Xeon VM.
 MAX_SCAN_POINTS = 10**8
 
-# Lattice points per kernel step; bounds the kernel's temporary arrays.
-_CHUNK = 1 << 15
+# Lattice points per kernel step: its uint32 workspace is 64 KiB.
+_CHUNK = 1 << 14
+
+# Fixed-point units per period in the kernel's filter.
+_UNITS = 2.0**32
 
 HADAMARD = _read_only(np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0))
 
@@ -122,45 +127,85 @@ class SearchResult:
     exhausted: bool
 
 
-def _scan_lattice(delta_at, rows: int, cols: int, period: float):
+def _delta(theta: float, factors, n):
+    """theta - (((n f1) f2) ...): target minus lattice angle, as every search evaluates it."""
+    return theta - functools.reduce(operator.mul, factors, n)
+
+
+def _fixed_turns(x: np.ndarray) -> np.ndarray:
+    """x mod 1 in 32-bit fixed point, rint(2^32 frac(x)) mod 2^32 as uint32; overwrites x.
+
+    frac(x) = x - trunc(x), with the sign of x, is exact.  Working in place spares a wide
+    lattice fresh column-sized temporaries, which cost page faults.
+    """
+    np.subtract(x, np.trunc(x), out=x)
+    np.multiply(x, _UNITS, out=x)
+    np.rint(x, out=x)
+    return x.astype(np.int64).astype(np.uint32)
+
+
+def _scan_lattice(theta: float, factors, rows: int, period: float):
     """(row, col, error) of the first minimum of the circular error over a lattice.
 
-    ``delta_at(r, c)`` returns target - lattice angle on the block of rows
-    ``r`` (an int64 column) and columns ``c`` (an int64 row); the scan order
-    is row-major and the error is ``circular_distance``.  A block holds whole
-    rows, or one row in pieces when a row is longer than ``_CHUNK``, so it
-    never exceeds ``_CHUNK`` points.
+    The point (r, c), 0 <= r < ``rows``, is theta - (r + 1) step_c, where
+    step_c is the product of the k ``factors`` at column c (a factor is a
+    float, or an array over the columns); it is evaluated in floating point
+    as ``_delta(theta, factors at c, r + 1)``.  The scan order is row-major
+    and the error is ``circular_distance``.  A block holds whole rows, or one
+    row in pieces when a row is longer than ``_CHUNK``, so it never exceeds
+    ``_CHUNK`` points, and every block reuses one uint32 workspace.
 
-    Each block is filtered first: e~ = |delta - rint(delta / period) period|
-    is within b = 8 u (max |delta| + period) of the error at every point
-    (rounding, up to a representative one period off near rint's half-way
-    points, gives at most u (5 |delta| + 2 period)).  Only the points with
-    e~ within 2 b of the block minimum of e~ get the exact error; every point
-    that attains the exact minimum, ties included, is among them, so the
-    first minimum is the one a full exact scan finds.
+    Each block is filtered first, in units of 2^-32 periods.  T_c and Theta
+    are the fractions of fl(step_c) / period and theta / period rounded to 32
+    bits (``_fixed_turns``), so the uint32 n T_c - Theta wraps exactly mod
+    2^32, and its absolute value as an int32 is a circular error.  Against
+    the exact circular error of theta - n step_c, with the exact products of
+    the factors, T_c is off by at most 1/2 + 2^32 k u s units and Theta by
+    1/2 + 2^32 u t, where s = max |step_c / period| and t = |theta / period|,
+    so the estimate is within (rows + 1) / 2 + 2^32 u (k rows s + t).  The
+    float evaluation is within u (|theta| + (k + 2) rows max |step_c| +
+    period) of the exact error, 2^32 u (t + (k + 2) rows s + 1) units.  Both
+    together are at most b = rows / 2 + 2 + 2^33 (k + 2) u (rows s + t + 1)
+    units; the spare unit and a half covers rounding the best error so far
+    into units.  Only the points with an estimate within 2 b of the block
+    minimum get the exact error, so every point that attains the block's
+    exact minimum, ties included, is among them.  A block whose minimum
+    estimate is more than b above the best error so far cannot improve it
+    and is skipped.  The first minimum is the one a full exact scan finds.
+    The slack is clamped to one period, which keeps every point (a huge
+    theta leaves no fractional bits to filter on).
     """
+    turns = np.append(functools.reduce(operator.mul, factors), theta) / period
+    cols = turns.size - 1
+    b = rows / 2 + 2 + 2.0 * _UNITS * (len(factors) + 2) * _U * (
+        rows * max(turns[:-1].max(), -turns[:-1].min()) + abs(turns[-1]) + 1)
+    fixed = _fixed_turns(turns)
+    steps, origin = fixed[:-1], fixed[-1]
+    slack, scale = int(min(2 * b, _UNITS)), _UNITS / period
     if cols <= _CHUNK:
         row_step, col_step = _CHUNK // cols, cols
     else:
         row_step, col_step = 1, _CHUNK
+    work = np.empty(min(row_step, rows) * col_step, dtype=np.uint32)
     best, best_err = (0, 0), np.inf
     for r0 in range(0, rows, row_step):
-        r = np.arange(r0, min(r0 + row_step, rows))[:, None]
+        n = np.arange(r0 + 1, min(r0 + row_step, rows) + 1, dtype=np.uint32)[:, None]
         for c0 in range(0, cols, col_step):
-            c = np.arange(c0, min(c0 + col_step, cols))
-            delta = np.broadcast_to(delta_at(r, c), (len(r), len(c))).ravel()
-            approx = delta * (1.0 / period)
-            np.rint(approx, out=approx)
-            approx *= period
-            np.subtract(delta, approx, out=approx)
-            np.abs(approx, out=approx)
-            slack = 16.0 * _U * (max(delta.max(), -delta.min()) + period)
-            keep = np.flatnonzero(approx <= approx.min() + slack)
-            err = circular_distance(delta[keep], period)
+            t = steps[c0 : c0 + col_step]
+            est = work[: n.size * t.size]
+            np.multiply(n, t, out=est.reshape(n.size, t.size))
+            np.subtract(est, origin, out=est)
+            np.abs(est.view(np.int32), out=est.view(np.int32))
+            low = int(est.min())
+            if low - b > best_err * scale:
+                continue
+            r, c = np.divmod(np.flatnonzero(est <= min(low + slack, 1 << 31)), t.size)
+            c += c0
+            at_c = [f[c] if np.ndim(f) else f for f in factors]
+            err = circular_distance(_delta(theta, at_c, r + (r0 + 1)), period)
             i = int(np.argmin(err))
             if err[i] < best_err:
-                row, col = divmod(int(keep[i]), len(c))
-                best, best_err = (r0 + row, c0 + col), float(err[i])
+                best, best_err = (r0 + int(r[i]), int(c[i])), float(err[i])
     return best[0], best[1], best_err
 
 
@@ -263,10 +308,6 @@ def _search_line(theta: float, step_factors, size: int, period: float):
     scan's.  Otherwise (a step near a rational multiple of the period, where
     rounding decides between exact ties) the line is scanned.
     """
-
-    def delta_at(_, k):
-        return theta - functools.reduce(operator.mul, step_factors, k + 1)
-
     num, den = 1, 1
     for factor in step_factors:
         p, q = factor.as_integer_ratio()
@@ -281,9 +322,11 @@ def _search_line(theta: float, step_factors, size: int, period: float):
     if size > 1:
         tol = 4.0 * _U * (abs(theta) + size * abs(num / den) + period)
         if not min(x, y) / d > 2.0 * tol:
-            return _scan_lattice(delta_at, 1, size, period)[1:]
+            row, _, err = _scan_lattice(theta, step_factors, size, period)
+            return row, err
     k_l = _successor(k_u, dp, dm, size - 1) if v and size > 1 else k_u
-    err, k = min((circular_distance(delta_at(0, k), period), k) for k in {k_u, k_l})
+    err, k = min((circular_distance(_delta(theta, step_factors, k + 1), period), k)
+                 for k in {k_u, k_l})
     return k, float(err)
 
 
@@ -490,21 +533,17 @@ def search_controlled_phase(
     _check_search_inputs(
         eps, theta_target, kappa_plus_max=kappa_plus_max, n_max=n_max
     )
+    theta_target = float(theta_target)
     pairs = _winding_pair_array(kappa_plus_max)
     pair_j = coupling_strength(pairs[:, 0], pairs[:, 1])
-    row, col, err = _scan_lattice(
-        lambda r, c: theta_target - (2.0 * (r + 1)) * pair_j[c],
-        int(n_max),
-        len(pairs),
-        TWO_PI,
-    )
+    row, col, err = _scan_lattice(theta_target, (2.0, pair_j), int(n_max), TWO_PI)
     n = row + 1
     kp, km = (int(x) for x in pairs[col])
     alpha = (2.0 * n) * float(pair_j[col])  # 2 n J as the scan scored it
     return SearchResult(
         params={"kappa_plus": kp, "kappa_minus": km, "n": n},
         angle_error=err,
-        gate_distance=abs(_half_angle_sin_cos(float(theta_target), alpha)[0]),
+        gate_distance=abs(_half_angle_sin_cos(theta_target, alpha)[0]),
         gate=controlled_phase_gate(alpha),
         exhausted=err >= eps,
     )

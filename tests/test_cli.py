@@ -12,7 +12,7 @@ import warnings
 import numpy as np
 import pytest
 
-from holonome import adiabatic, cli, holonomy, reporting, spin_model
+from holonome import __version__, adiabatic, cli, holonomy, reporting, spin_model
 from holonome.cli import run
 from holonome.errors import DomainError
 from holonome.reporting import csv_lines
@@ -138,6 +138,30 @@ class TestExitCodes:
         assert code == 0
         report = json.loads(out)
         assert report["kind"] == "holonomy"
+
+
+class TestControlledPhaseTargetRange:
+    """Any finite target is searched: at |theta| = 1.7e308 every lattice angle is absorbed,
+    so every point ties and the first wins."""
+
+    GATE = ('"gate":{"imag":[[0,0,0,0],[0,0,0,0],[0,0,-0.64883836667811601,0],'
+            '[0,0,0,0.64883836667811601]],"real":[[1,0,0,0],[0,1,0,0],'
+            '[0,0,-0.76092626050523104,0],[0,0,0,-0.76092626050523104]]}')
+
+    @pytest.mark.parametrize("sign,distance", [("", "0.78268981738689036"),
+                                               ("-", "0.99941399634934935")])
+    def test_largest_targets(self, sign, distance):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = invoke(["search", "--target", "cphase", f"--theta={sign}1.7e308",
+                                     "--eps", "1e-3", "--kp-max", "12", "--n-max", "500"])
+        assert (code, err) == (0, "")
+        assert out == (
+            '{"deterministic":true,"inputs":{"eps":0.001,"kp_max":12,"n_max":500,'
+            f'"target":"cphase","theta":{sign}1.6999999999999999e+308}},"kind":"search",'
+            f'"outputs":{{"angle_error":1.0128362867734282,"exhausted":true,{self.GATE},'
+            f'"gate_distance":{distance},"params":{{"kappa_minus":2,"kappa_plus":1,"n":1}}}},'
+            f'"tool_version":"{__version__}"}}\n')
 
 
 class TestReports:

@@ -508,26 +508,60 @@ class TestControlledPhaseKernel:
 
     @DETERMINISTIC
     @given(st.data())
-    def test_kernel_matches_plain_scan_on_any_deltas(self, data):
+    def test_kernel_matches_plain_scan_on_any_lattice(self, data):
         period = data.draw(st.sampled_from([np.pi, synthesis.TWO_PI]))
-        value = st.one_of(
+        theta = data.draw(st.one_of(
             st.floats(-1e7, 1e7, allow_nan=False),
             st.integers(-40, 40).map(lambda j: j * period / 2.0),
             st.tuples(st.integers(-10**6, 10**6), st.floats(-1e-9, 1e-9)).map(
                 lambda p: p[0] * period + p[1]),
+        ))
+        step = st.one_of(
+            st.floats(-50.0, 50.0, allow_nan=False),
+            st.sampled_from([0.6 * synthesis.TWO_PI, 2.0 * coupling_strength(7, 9),
+                             coupling_strength(7, 9), period, period / 2.0, 0.0]),
+            st.tuples(st.integers(-12, 12), st.integers(1, 12)).map(
+                lambda p: p[0] * period / p[1]),
         )
-        rows = data.draw(st.integers(1, 12))
         cols = data.draw(st.integers(1, 12))
-        table = np.array(data.draw(st.lists(value, min_size=rows * cols,
-                                            max_size=rows * cols))).reshape(rows, cols)
+        steps = np.array(data.draw(st.lists(step, min_size=cols, max_size=cols)))
+        factors = data.draw(st.sampled_from([
+            (steps,), (2.0, steps / 2.0), (steps, 1.0 + 2.0**-52),
+            (float(steps[0]),), (np.pi, float(steps[0]) / np.pi),
+        ]))
+        cols = max(np.size(f) for f in factors)
+        rows = data.draw(st.integers(1, 60))
         chunk = data.draw(st.integers(1, 40))
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(synthesis, "_CHUNK", chunk)
-            row, col, err = synthesis._scan_lattice(
-                lambda r, c: table[r, c], rows, cols, period)
-        i, expected = reference_scan(lambda k: table.ravel()[k], rows * cols, period)
+            row, col, err = synthesis._scan_lattice(theta, factors, rows, period)
+        i, expected = reference_scan(
+            lambda k: lattice_delta(theta, factors, cols, k), rows * cols, period)
         assert (row, col) == divmod(i, cols)
         assert err.hex() == expected.hex()
+
+    @pytest.mark.parametrize("theta,step,period", [
+        (0.0, 0.6 * synthesis.TWO_PI, synthesis.TWO_PI),  # five-fold ties in every row
+        (0.7, 2.0 * coupling_strength(1, 2), synthesis.TWO_PI),
+        (-3e5, np.pi * np.sqrt(2.0), np.pi),
+        (1e-300, 1e-6, synthesis.TWO_PI),  # the error rises along the column
+    ])
+    def test_kernel_matches_plain_scan_on_a_long_column(self, theta, step, period):
+        # One column of about 2^20 rows: the slack, about rows / 2 units, spans many points
+        rows = (1 << 20) + 3
+        row, col, err = synthesis._scan_lattice(theta, (step,), rows, period)
+        i, expected = reference_scan(lambda k: lattice_delta(theta, (step,), 1, k), rows, period)
+        assert (row, col, err.hex()) == (i, 0, expected.hex())
+
+
+def lattice_delta(theta, factors, cols, k):
+    """theta - (((n f1) f2) ...) at the row-major positions ``k`` of a lattice of ``cols``
+    columns, n = k // cols + 1, each factor at column k % cols."""
+    n, c = k // cols + 1, k % cols
+    product = n
+    for f in factors:
+        product = product * np.broadcast_to(f, (cols,))[c]
+    return theta - product
 
 
 def _distance_corpus(rng, count):

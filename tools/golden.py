@@ -12,7 +12,9 @@ the leakage verdicts near their 1e-12 tolerance; their couplings, 0.1 to 10, mov
 no gate output), rejected requests, every
 ``holonome ...`` line of this tree's README.md, line-search
 edges (bounds 1, 2 and MAX_WINDING, targets on a lattice point, steps at 0.6 of
-2 pi and within 1e-9 of pi), and the adiabatic library on seeded loops (one and
+2 pi and within 1e-9 of pi), controlled-phase scan edges (exact ties at theta = 0,
+theta = +-1e6 and +-1.7e308, kappa_+ bound 1 with 10^7 repetitions, and a scan of
+MAX_SCAN_POINTS points), and the adiabatic library on seeded loops (one and
 two dimers, couplings 0.1 to 10): ``lib propagators`` (exact and sweep
 propagators, windings up to MAX_WINDING and T up to the model's ``_t_max``, and
 ``holonomy_fidelity`` of each), ``lib sweep scores`` (the sweep's fidelity and
@@ -165,6 +167,15 @@ def corpus(top: int):
                       (12345 * math.pi) * math.sqrt(2.0)):
             reqs.append(("search edges", ["search", "--target", "rx", "--theta", repr(theta),
                                           "--eps", "1e-3", "--kappa-max", str(kappa_max)]))
+    # Controlled-phase scan edges: exact ties at theta = 0 (2 J(7, 9) = 4 pi), targets whose
+    # fraction of a period the fixed-point filter cannot resolve, rows far beyond one kernel
+    # block, and a scan of MAX_SCAN_POINTS points.
+    for theta, kp_max, n_max in (("0", 12, 500), ("1e6", 12, 500), ("-1e6", 12, 500),
+                                 ("1.7e308", 12, 500), ("-1.7e308", 12, 500),
+                                 ("0.7", 1, 10**7), ("0.7", 100, 10**4)):
+        reqs.append(("search cphase edges", ["search", "--target", "cphase", f"--theta={theta}",
+                                             "--eps", "1e-9", "--kp-max", str(kp_max),
+                                             "--n-max", str(n_max)]))
     for args in ("one-qubit --n 2,0,0 --kappa 1", "one-qubit --n 0,0,1 --kappa 1",
                  f"one-qubit --n 1,0,0 --kappa {top + 1}", "two-qubit --kp 2 --km 2 --kprime 1",
                  "two-qubit --kp 3 --km 2 --kprime 1", "two-qubit --kp 2 --km 7 --kprime 1",
