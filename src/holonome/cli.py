@@ -52,10 +52,11 @@ def _reject_unused(args, dests, context: str) -> None:
             raise DomainError(f"--{dest.replace('_', '-')} is not used {context}")
 
 
-def _gate_checks(loop, model, gamma) -> dict:
-    """A gate report's verdict fields, from one connection of (loop, model) and the
-    closed-form gamma: closure, analytic-vs-numeric distance and leakage."""
-    conn = holonomy.connection_on_ground_space(loop, model)
+def _gate_checks(loop, gamma) -> dict:
+    """A gate report's verdict fields, from the loop's one connection and the closed-form
+    gamma: closure, analytic-vs-numeric distance and leakage.  The loop alone fixes the
+    connection, so no model is built."""
+    conn = holonomy._connection(loop)
     numeric = holonomy.holonomy(conn).gamma
     return {
         "closure_residual": loop.closure_residual,
@@ -66,25 +67,22 @@ def _gate_checks(loop, model, gamma) -> dict:
 
 def cmd_one_qubit(args):
     loop = deformation.one_qubit_generator(_parse_vector(args.n), args.kappa)
-    model = spin_model.build_one_dimer(args.j1, args.j1)
     gamma = holonomy.analytic_one_qubit_gate(loop).gamma
-    inputs = {"n": list(loop.n), "kappa": loop.kappa, "j1": args.j1}
+    inputs = {"n": list(loop.n), "kappa": loop.kappa}
     outputs = {"theta_kappa": loop.theta_kappa, "m": list(loop.m),
-               "gamma": reporting.matrix_payload(gamma), **_gate_checks(loop, model, gamma)}
+               "gamma": reporting.matrix_payload(gamma), **_gate_checks(loop, gamma)}
     return reporting.build_report("holonomy", inputs, outputs), None
 
 
 def cmd_two_qubit(args):
     loop = deformation.two_qubit_generator(args.kp, args.km, args.kprime)
-    model = spin_model.build_two_dimer(args.j1, args.j2)
     fact = holonomy.analytic_two_qubit_gate(loop)
-    inputs = {"kappa_plus": args.kp, "kappa_minus": args.km, "kappa_prime": args.kprime,
-              "j1": args.j1, "j2": args.j2}
+    inputs = {"kappa_plus": args.kp, "kappa_minus": args.km, "kappa_prime": args.kprime}
     outputs = {"coupling_j": loop.coupling_j, "n2z": loop.n2z,
                "controlled_phase_angle": 2.0 * loop.coupling_j,
                "gamma_exact": reporting.matrix_payload(fact.gamma_exact),
                "factorization_discrepancy": fact.discrepancy,
-               **_gate_checks(loop, model, fact.gamma_exact)}
+               **_gate_checks(loop, fact.gamma_exact)}
     return reporting.build_report("holonomy", inputs, outputs), None
 
 
@@ -129,6 +127,10 @@ def cmd_search(args):
 
 
 def cmd_sweep(args):
+    # Both files would be staged to one path, and the report would replace the table.
+    if (args.csv and args.out and not _in_place(args.out)
+            and os.path.realpath(args.csv) == os.path.realpath(args.out)):
+        raise DomainError("--csv and --out name the same file")
     t_list = _parse_floats(args.T)
     if args.n is not None:
         _reject_unused(args, ("kp", "km", "kprime", "j2"), "with --n")
@@ -196,7 +198,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("one-qubit", help="construct a one-qubit holonomy gate")
     p.add_argument("--n", required=True, help="loop axis, e.g. 1,0,0")
     p.add_argument("--kappa", type=int, required=True, help="winding number")
-    p.add_argument("--j1", type=float, default=1.0)
     p.add_argument("--out")
     p.set_defaults(func=cmd_one_qubit)
 
@@ -204,8 +205,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kp", type=int, required=True, help="kappa_plus")
     p.add_argument("--km", type=int, required=True, help="kappa_minus")
     p.add_argument("--kprime", type=int, required=True, help="kappa_prime")
-    p.add_argument("--j1", type=float, default=1.0)
-    p.add_argument("--j2", type=float, default=1.0)
     p.add_argument("--out")
     p.set_defaults(func=cmd_two_qubit)
 
@@ -253,6 +252,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _in_place(path) -> bool:
+    """Whether an output is written in place: stdout (None), or a path that exists but is
+    not a regular file (a device or a pipe)."""
+    return path is None or os.path.exists(path) and not os.path.isfile(path)
+
+
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     """The parser ``run`` uses, built once per process; parsing leaves it unchanged."""
@@ -273,7 +278,7 @@ def _write_outputs(outputs, stdout) -> None:
         for i, (path, text) in enumerate(outputs):
             if path is not None and os.path.isdir(path):
                 raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
-            if path is None or os.path.exists(path) and not os.path.isfile(path):
+            if _in_place(path):
                 in_place.append((path, text))
                 continue
             # A name of its own, so that a path at the file name length limit still works.

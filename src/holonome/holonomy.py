@@ -1,13 +1,15 @@
 """Ground-space connection, holonomy gates, leakage audit and two-qubit diagnostics.
 
 The connection on the degenerate ground space of a loop reduces to the matrix
-of the X that the loop carries in the ordered ground basis, A_ij = <i|X|j>
-(``spin_model.ground_basis``: a model sits at omega = J, so the basis is one label
-table, the same at every coupling), and the holonomy is Gamma = exp(-A) restricted to the coding block; the leakage
-audit reads A's block between non-coding and coding vectors.  Closed-form
-gate expressions exist for both the one- and two-qubit loops; the two-qubit
-gate is built from 2 x 2 Rodrigues rotations with no eigensolver, and its
-distance to the numeric exponential is a reported number, not an assertion.
+of the X that the loop carries in the ordered ground basis, A_ij = <i|X|j>.  A
+model sits at omega = J, so that basis is one label table, the same at every
+coupling, and the loop alone fixes the connection: its ``dim`` gives the spin
+count, and no model is built.  The holonomy is Gamma = exp(-A) restricted to the
+coding block; the leakage audit reads A's block between non-coding and coding
+vectors.  Closed-form gate expressions exist for both the one- and two-qubit
+loops; the two-qubit gate is built from 2 x 2 Rodrigues rotations with no
+eigensolver, and its distance to the numeric exponential is a reported number,
+not an assertion.
 The published two-qubit factorization into a local unitary times a
 controlled phase is reproduced and *audited* rather than assumed (its
 control-1 block differs from the exact one whenever the x-drive and
@@ -39,8 +41,7 @@ from holonome.spin_model import (
     SIGMA_Y,
     SIGMA_Z,
     SpinModel,
-    coding_space,
-    ground_basis,
+    _ground_columns,
 )
 
 # Constant (read-only) products in the closed-form two-qubit coding connection.
@@ -101,11 +102,21 @@ class HolonomyGate:
 
 
 def connection_on_ground_space(loop, model: SpinModel) -> Connection:
-    """A_ij = <i|X|j> over the ordered ground basis (coding vectors first), X the loop's."""
+    """The loop's connection (``_connection``), for a loop whose X acts on the model's space."""
     _check_size(loop, model)
-    vecs = ground_basis(model)
+    return _connection(loop)
+
+
+def _connection(loop) -> Connection:
+    """A_ij = <i|X|j> over the ordered ground basis (coding vectors first), X the loop's.
+
+    The basis is the label table of the loop's spins (``loop.dim`` = 2^n_spins), whose first
+    2^(n_spins / 2) columns span the coding space.
+    """
+    n_spins = loop.dim.bit_length() - 1
+    vecs = _ground_columns(n_spins)
     matrix = vecs.conj().T @ loop.x @ vecs
-    return Connection(matrix=matrix, coding_dim=coding_space(model).shape[1])
+    return Connection(matrix=matrix, coding_dim=2 ** (n_spins // 2))
 
 
 def leakage_audit(conn: Connection) -> LeakageAudit:

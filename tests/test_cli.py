@@ -1,5 +1,6 @@
 """CLI surface: exit codes, report determinism, CSV schemas and round-trips."""
 
+import argparse
 import dataclasses
 import enum
 import io
@@ -317,21 +318,109 @@ class TestFilesystemErrors:
         assert stat.S_ISFIFO(os.stat(fifo).st_mode)
         assert [p.name for p in tmp_path.iterdir()] == ["fifo"]
 
+    @pytest.mark.parametrize("csv", ["r.json", "./r.json", "link.json"])
+    def test_csv_and_out_on_one_file_leave_it_unchanged(self, tmp_path, monkeypatch, csv):
+        # Staged to one path, the report would replace the table: the request is refused.
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "r.json").write_text("before\n")
+        (tmp_path / "link.json").symlink_to("r.json")
+        before = tree_snapshot(tmp_path)
+        code, out, err = invoke(["sweep", "--n", "1,0,0", "--kappa", "1", "--T", "1,10",
+                                 "--csv", csv, "--out", "r.json"])
+        assert (code, out, err) == (1, "", "error: --csv and --out name the same file\n")
+        assert tree_snapshot(tmp_path) == before
+        assert (tmp_path / "link.json").is_symlink()
+
+    def test_csv_and_out_on_one_device_are_written_in_place(self):
+        argv = ["sweep", "--n", "1,0,0", "--kappa", "1", "--T", "1",
+                "--csv", os.devnull, "--out", os.devnull]
+        assert invoke(argv) == (0, "", "")
+
+
+def parser_options():
+    """(subcommand, option) for every option of every subcommand but -h, --out and --csv, a
+    positional argument by its name."""
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return {(name, (action.option_strings or [action.dest])[-1])
+            for name, p in sub.choices.items() for action in p._actions
+            if action.dest not in ("help", "out", "csv")}
+
+
+class TestEveryOptionIsRead:
+    """No option silently does nothing: each changes a report's outputs, or is rejected."""
+
+    # (subcommand, option): a base request and two argument lists whose reports' outputs
+    # differ, or a base request and one argument list that turns its exit 0 into exit 1.
+    ONE, TWO = ["--n", "1,0,0", "--kappa", "1"], ["--kp", "2", "--km", "3"]
+    EFFECTS = {
+        ("one-qubit", "--n"): (["one-qubit", "--kappa", "1"], ["--n", "1,0,0"], ["--n", "0,1,0"]),
+        ("one-qubit", "--kappa"): (["one-qubit", "--n", "1,0,0"], ["--kappa", "1"],
+                                   ["--kappa", "2"]),
+        ("two-qubit", "--kp"): (["two-qubit", "--km", "5", "--kprime", "1"], ["--kp", "2"],
+                                ["--kp", "3"]),
+        ("two-qubit", "--km"): (["two-qubit", "--kp", "2", "--kprime", "1"], ["--km", "3"],
+                                ["--km", "5"]),
+        ("two-qubit", "--kprime"): (["two-qubit", *TWO], ["--kprime", "1"], ["--kprime", "2"]),
+        ("search", "--target"): (["search"], ["--target", "cz"], ["--target", "hadamard"]),
+        ("search", "--theta"): (["search", "--target", "rx"], ["--theta", "1"],
+                                ["--theta", "2"]),
+        ("search", "--eps"): (["search", "--target", "hadamard"], ["--eps", "0.1"],
+                              ["--eps", "1e-4"]),
+        ("search", "--kappa-max"): (["search", "--target", "rx", "--theta", "1", "--eps", "1e-9"],
+                                    ["--kappa-max", "10"], ["--kappa-max", "100"]),
+        ("search", "--kp-max"): (["search", "--target", "cz", "--eps", "1e-9"],
+                                 ["--kp-max", "2"], ["--kp-max", "5"]),
+        ("search", "--n-max"): (["search", "--target", "cz", "--eps", "1e-9"],
+                                ["--n-max", "2"], ["--n-max", "50"]),
+        ("sweep", "--T"): (["sweep", *ONE], ["--T", "1"], ["--T", "10"]),
+        ("sweep", "--n"): (["sweep", "--kappa", "1", "--T", "1"], ["--n", "1,0,0"],
+                           ["--n", "0.6,0,0.8"]),
+        ("sweep", "--kappa"): (["sweep", "--n", "1,0,0", "--T", "1"], ["--kappa", "1"],
+                               ["--kappa", "2"]),
+        ("sweep", "--kp"): (["sweep", "--km", "5", "--T", "1"], ["--kp", "2"], ["--kp", "3"]),
+        ("sweep", "--km"): (["sweep", "--kp", "2", "--T", "1"], ["--km", "3"], ["--km", "5"]),
+        ("sweep", "--kprime"): (["sweep", *TWO, "--T", "1"], ["--kprime", "1"],
+                                ["--kprime", "2"]),
+        ("sweep", "--j1"): (["sweep", *ONE, "--T", "1"], ["--j1", "1"], ["--j1", "2"]),
+        ("sweep", "--j2"): (["sweep", *TWO, "--T", "1"], ["--j2", "1"], ["--j2", "2"]),
+        ("figure", "which"): (["figure"], ["fig2"], ["fig4"]),
+        ("figure", "--caption-convention"): (["figure", "fig3"], [], ["--caption-convention"]),
+        ("audit", "--kp"): (["audit", "--km", "5"], ["--kp", "2"], ["--kp", "3"]),
+        ("audit", "--km"): (["audit", "--kp", "2"], ["--km", "3"], ["--km", "5"]),
+        ("audit", "--kprime"): (["audit", *TWO], ["--kprime", "1"], ["--kprime", "2"]),
+        ("audit", "--j-zero"): (["audit", *TWO], ["--j-zero"]),
+    }
+
+    def test_every_option_has_an_entry(self):
+        assert parser_options() == set(self.EFFECTS)
+
+    @pytest.mark.parametrize("key", sorted(EFFECTS), ids=" ".join)
+    def test_option_is_read(self, key):
+        base, *variants = self.EFFECTS[key]
+        results = [invoke(base + v) for v in variants]
+        if len(variants) == 1:
+            assert invoke(base)[0] == 0
+            [(code, out, err)] = results
+            assert (code, out) == (1, "") and err.startswith("error: ") and err.count("\n") == 1
+            return
+        assert [(code, err) for code, _, err in results] == [(0, ""), (0, "")]
+        first, second = (json.loads(out)["outputs"] for _, out, _ in results)
+        assert first != second
+
 
 class TestNonFiniteCouplings:
     @pytest.mark.parametrize(
         "argv, name",
         [
-            (["one-qubit", "--n", "1,0,0", "--kappa", "1", "--j1", "nan"], "j1"),
-            (["two-qubit", "--kp", "2", "--km", "3", "--kprime", "1", "--j2", "nan"], "j2"),
-            (["two-qubit", "--kp", "2", "--km", "3", "--kprime", "1", "--j1=-inf"], "j1"),
             (["sweep", "--n", "1,0,0", "--kappa", "1", "--T", "1", "--j1", "nan"], "j1"),
+            (["sweep", "--kp", "2", "--km", "3", "--T", "1", "--j2", "nan"], "j2"),
+            (["sweep", "--kp", "2", "--km", "3", "--T", "1", "--j1=-inf"], "j1"),
             (["sweep", "--kp", "2", "--km", "3", "--T", "1", "--j2", "inf"], "j2"),
-            (["two-qubit", "--kp", "2", "--km", "3", "--kprime", "1", "--j1", "1e200"], "j1"),
-            (["one-qubit", "--n", "1,0,0", "--kappa", "1", "--j1", "1e200"], "j1"),
+            (["sweep", "--kp", "2", "--km", "3", "--T", "1", "--j1", "1e200"], "j1"),
+            (["sweep", "--n", "1,0,0", "--kappa", "1", "--T", "1", "--j1", "1e200"], "j1"),
             (["sweep", "--kp", "2", "--km", "3", "--T", "1", "--j2", "1e200"], "j2"),
-            (["two-qubit", "--kp", "2", "--km", "3", "--kprime", "1", "--j2", "1.0000001e150"],
-             "j2"),
+            (["sweep", "--kp", "2", "--km", "3", "--T", "1", "--j2", "1.0000001e150"], "j2"),
             # An axis whose norm overflows is rejected without an overflow warning.
             (["one-qubit", "--n", "1e200,0,0", "--kappa", "1"], "axis"),
             (["one-qubit", "--n", "1e308,1e308,0", "--kappa", "1"], "axis"),
@@ -348,24 +437,23 @@ class TestNonFiniteCouplings:
         assert err.startswith(f"error: {name} ") and err.count("\n") == 1
 
     def test_largest_coupling_is_accepted(self):
-        argv = ["two-qubit", "--kp", "2", "--km", "3", "--kprime", "1",
+        # The time bound shrinks as 1 / J: about 7.6e-142 here.
+        argv = ["sweep", "--kp", "2", "--km", "3", "--kprime", "1", "--T", "1e-142",
                 "--j1", "1e150", "--j2", "1e150"]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code, out, err = invoke(argv)
         assert (code, err) == (0, "")
-        assert json.loads(out)["outputs"]["leakage_audit_passed"] is True
+        [[t, fidelity, leakage]] = json.loads(out)["outputs"]["rows"]
+        assert t == 1e-142 and 0.0 <= fidelity <= 1.0 and 0.0 <= leakage <= 1.0
 
 
 class TestCouplingRange:
-    """Every coupling in (0, MAX_COUPLING] builds its model at omega = J, and a gate's
-    outputs do not depend on it."""
+    """Every coupling in (0, MAX_COUPLING] builds a sweep's model at omega = J.  The gate
+    commands take no coupling: their loop alone fixes the gate."""
 
     @pytest.mark.parametrize("c", ["5e-324", "1e-320", "1e-300", "1e150"])
     @pytest.mark.parametrize("request_argv", [
-        ["one-qubit", "--n", "1,0,0", "--kappa", "1", "--j1", "{c}"],
-        ["two-qubit", "--kp", "2", "--km", "3", "--kprime", "1", "--j1", "{c}", "--j2", "{c}"],
-        ["two-qubit", "--kp", "3", "--km", "6", "--kprime", "2", "--j2", "{c}"],
         ["sweep", "--n", "1,0,0", "--kappa", "1", "--j1", "{c}", "--T", "1,10"],
         ["sweep", "--kp", "2", "--km", "3", "--j1", "{c}", "--j2", "{c}", "--T", "1,10"],
     ])
@@ -373,24 +461,30 @@ class TestCouplingRange:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code, out, err = invoke([a.format(c=c) for a in request_argv])
-        if request_argv[0] == "sweep" and c == "1e150":  # _t_max is about 2e-141 here
+        if c == "1e150":  # _t_max is about 2e-141 here
             assert (code, out) == (1, "")
             assert err.startswith("error: |T| must be at most ") and err.count("\n") == 1
             return
         assert (code, err) == (0, "")
-        outputs = json.loads(out)["outputs"]
-        if request_argv[0] != "sweep":
-            default = [a for a in request_argv if "{c}" not in a and a not in ("--j1", "--j2")]
-            assert outputs == json.loads(invoke(default)[1])["outputs"]
-            assert outputs["leakage_audit_passed"] is True
+        assert len(json.loads(out)["outputs"]["rows"]) == 2
 
-    def test_j1_alone_sets_the_one_qubit_working_point(self):
+    @pytest.mark.parametrize("c", ["5e-324", "1", "1e150"])
+    @pytest.mark.parametrize("request_argv", [
+        ["one-qubit", "--n", "1,0,0", "--kappa", "1", "--j1", "{c}"],
+        ["two-qubit", "--kp", "2", "--km", "3", "--kprime", "1", "--j1", "{c}"],
+        ["two-qubit", "--kp", "3", "--km", "6", "--kprime", "2", "--j2", "{c}"],
+    ])
+    def test_gate_coupling_options_are_gone(self, request_argv, c):
+        code, out, err = invoke([a.format(c=c) for a in request_argv])
+        assert (code, out) == (2, "")
+        assert f"unrecognized arguments: {' '.join(request_argv[-2:]).format(c=c)}" in err
+
+    def test_j1_alone_sets_the_one_dimer_working_point(self):
         # omega is J1: --j1 2 once left omega at its default 1 and exited 1.
-        argv = ["one-qubit", "--n", "1,0,0", "--kappa", "1"]
+        argv = ["sweep", "--n", "1,0,0", "--kappa", "1", "--T", "1,10"]
         code, out, err = invoke([*argv, "--j1", "2"])
         assert (code, err) == (0, "")
-        assert json.loads(out)["outputs"] == json.loads(invoke([*argv, "--j1", "1"])[1])["outputs"]
-        assert json.loads(out)["inputs"] == {"n": [1, 0, 0], "kappa": 1, "j1": 2}
+        assert json.loads(out)["outputs"] != json.loads(invoke([*argv, "--j1", "1"])[1])["outputs"]
 
     def test_omega_option_is_gone(self):
         code, out, err = invoke(["one-qubit", "--n", "1,0,0", "--kappa", "1", "--omega", "1"])
@@ -399,7 +493,8 @@ class TestCouplingRange:
 
 
 class TestRequestWork:
-    """A gate request builds its model without an eigensolver and reads only the audit verdict.
+    """A sweep builds its model without an eigensolver; a gate request builds no model and
+    reads only the audit verdict.
 
     A model derives its fields when they are first read, so the spied window reads all of them.
     """
@@ -424,34 +519,40 @@ class TestRequestWork:
                 finally:
                     building.pop()
             monkeypatch.setattr(spin_model, name, build)
-        assert invoke(["two-qubit", "--kp", "2", "--km", "3", "--kprime", "1"])[0] == 0
-        assert invoke(["one-qubit", "--n", "1,0,0", "--kappa", "1"])[0] == 0
+        assert invoke(["sweep", "--kp", "2", "--km", "3", "--T", "1"])[0] == 0
+        assert invoke(["sweep", "--n", "1,0,0", "--kappa", "1", "--T", "1"])[0] == 0
         assert calls == []
         np.linalg.eigh(np.eye(2))  # the spies do see calls outside the builders
         building.append(True)
         np.kron(np.eye(2), np.eye(2))
         assert calls == ["kron"]
 
-
-
     @pytest.mark.parametrize("argv", [
         ["one-qubit", "--n", "0.6,0,0.8", "--kappa", "3"],
         ["two-qubit", "--kp", "2", "--km", "3", "--kprime", "1"],
     ])
     def test_one_connection_per_gate_request(self, monkeypatch, argv):
-        # The leakage audit reads its block off the request's connection: one connection,
-        # and no other product over the ground basis, in any module.
+        # The leakage audit reads its block off the request's connection: one connection from
+        # the loop alone, no other product over the ground basis in any module, and no model.
         calls = []
         for module in [m for name, m in sys.modules.items() if name.startswith("holonome.")]:
-            for name in ("connection_on_ground_space", "ground_basis"):
+            for name in ("connection_on_ground_space", "_connection", "ground_basis",
+                         "_ground_columns"):
                 if hasattr(module, name):
                     def spy(*args, _original=getattr(module, name), _name=name):
                         calls.append(_name)
                         return _original(*args)
                     monkeypatch.setattr(module, name, spy)
+
+        def post_init(model, _original=spin_model.SpinModel.__post_init__):
+            calls.append("SpinModel")
+            _original(model)
+        monkeypatch.setattr(spin_model.SpinModel, "__post_init__", post_init)
         code, out, _ = invoke(argv)
         assert code == 0 and json.loads(out)["outputs"]["leakage_audit_passed"] is True
-        assert calls == ["connection_on_ground_space", "ground_basis"]
+        assert calls == ["_connection", "_ground_columns"]
+        spin_model.build_one_dimer(1.0, 1.0)  # the spy does see a model built
+        assert calls[-1] == "SpinModel"
 
 
 class TestUsageStreams:
@@ -479,7 +580,8 @@ class TestParserReuse:
         ["one-qubit", "--n", "1,0,0", "--kappa", "2"],
         ["search", "--target", "cz"],
         ["search", "--target", "cphase", "--theta", "1", "--kp-max", "6", "--eps", "0.1"],
-        ["two-qubit", "--kp", "2", "--km", "3", "--kprime", "1", "--j1", "2", "--j2", "2"],
+        ["sweep", "--kp", "2", "--km", "3", "--kprime", "2", "--j1", "2", "--j2", "2",
+         "--T", "10"],
         ["search", "--target", "cphase", "--kp-max", "oops"],
         ["search", "--target", "cz"],
         ["search", "--target", "rx", "--theta", "0.5"],
@@ -732,10 +834,14 @@ def request_corpus(seed=20261018):
                 ["figure", "fig4"], ["search", "--target", "cz"],
                 ["search", "--target", "hadamard"]]
     for _ in range(8):
-        j = number(0.2, 5.0)
+        # Three draws stand for the couplings the gate commands no longer take, so that the
+        # other requests stay the same.
+        rng.uniform()
+        gates = [["one-qubit", axis(), "--kappa", str(int(rng.integers(1, 1000)))],
+                 ["two-qubit", *windings()]]
+        rng.uniform(size=2)
         requests += [
-            ["one-qubit", axis(), "--kappa", str(int(rng.integers(1, 1000))), "--j1", j],
-            ["two-qubit", *windings(), "--j1", number(0.2, 5.0), "--j2", number(0.2, 5.0)],
+            *gates,
             ["search", "--target", str(rng.choice(["rx", "ry"])), "--theta", number(0, 7),
              "--eps", number(1e-4, 0.1), "--kappa-max", str(int(rng.integers(1, 300)))],
             ["search", "--target", "cphase", "--theta", number(-7, 7),

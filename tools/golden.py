@@ -8,8 +8,7 @@ directory, and its digest covers the exit code, stdout, stderr and every file it
 wrote; a library request digests its result, floats as hex and arrays as bytes.
 The corpus: every subcommand, windings log-spread up to MAX_WINDING (100
 requests each of ``one-qubit`` and ``two-qubit``, whose largest windings pin
-the leakage verdicts near their 1e-12 tolerance; their couplings, 0.1 to 10, move
-no gate output), rejected requests, every
+the leakage verdicts near their 1e-12 tolerance), rejected requests, every
 ``holonome ...`` line of this tree's README.md, line-search
 edges (bounds 1, 2 and MAX_WINDING, targets on a lattice point, steps at 0.6 of
 2 pi and within 1e-9 of pi), controlled-phase scan edges (exact ties at theta = 0,
@@ -20,8 +19,8 @@ propagators, windings up to MAX_WINDING and T up to the model's ``_t_max``, and
 ``holonomy_fidelity`` of each), ``lib sweep scores`` (the sweep's fidelity and
 leakage on the same loops) and ``lib rk4`` (``ode_propagator`` at 1, 10 and 1000
 steps, windings up to 1000, T from 0.1 to 10), ``files``: successful requests
-that write ``--out`` and ``--csv`` files by relative paths, and ``couplings``: gate and
-sweep requests at couplings from the least double to MAX_COUPLING.  ``--diff`` runs this
+that write ``--out`` and ``--csv`` files by relative paths, and ``couplings``: sweep
+requests at couplings from the least double to MAX_COUPLING.  ``--diff`` runs this
 script with each tree's ``src`` on PYTHONPATH.
 """
 
@@ -86,17 +85,17 @@ def _adiabatic_corpus(top: int):
 def _gate_corpus(top: int):
     """80 more ``one-qubit`` and ``two-qubit`` requests each, from their own seeded generator:
     windings log-spread up to MAX_WINDING (both ends included), which pin the leakage verdicts
-    (their block rounds to about 1e-12 at the largest windings), and couplings 0.1 to 10."""
+    (their block rounds to about 1e-12 at the largest windings)."""
     rng = random.Random(20261020)
     reqs = []
     for i in range(80):
         k = top // 3 + 1 if i == 0 else _log_int(rng, 1, top // 3)
         km = top if i == 0 else rng.randint(k + 1, 3 * k - 1)
         kpr, kappa = (top if i == 1 else _log_int(rng, 1, top) for _ in range(2))
-        j1, j2 = (repr(10.0 ** rng.uniform(-1.0, 1.0)) for _ in range(2))
-        reqs += [("one-qubit", ["one-qubit", _axis(rng), "--kappa", str(kappa), "--j1", j1]),
-                 ("two-qubit", ["two-qubit", "--kp", str(k), "--km", str(km), "--kprime", str(kpr),
-                                "--j1", j1, "--j2", j2])]
+        rng.random(), rng.random()  # two couplings once: drawn to keep the later windings
+        reqs += [("one-qubit", ["one-qubit", _axis(rng), "--kappa", str(kappa)]),
+                 ("two-qubit", ["two-qubit", "--kp", str(k), "--km", str(km),
+                                "--kprime", str(kpr)])]
     return reqs
 
 
@@ -110,8 +109,7 @@ def _files_corpus():
     reqs += [["figure", fig, "--csv", f"{fig}.csv"] for fig in ("fig2", "fig3", "fig4")]
     reqs += [["figure", "fig3", "--caption-convention", "--csv", "f.csv"],
              ["one-qubit", "--n", "1,0,0", "--kappa", "1", "--out", "gate.json"],
-             ["one-qubit", "--n", "0,0.6,0.8", "--kappa", "12345", "--j1", "2.5",
-              "--out", "g.json"],
+             ["one-qubit", "--n", "0,0.6,0.8", "--kappa", "12345", "--out", "g.json"],
              ["two-qubit", "--kp", "2", "--km", "3", "--kprime", "1", "--out", "cz.json"],
              ["search", "--target", "hadamard", "--eps", "1e-3", "--out", "h.json"],
              ["audit", "--kp", "4", "--km", "9", "--kprime", "2", "--out", "a.json"]]
@@ -119,14 +117,11 @@ def _files_corpus():
 
 
 def _couplings_corpus():
-    """Gate and sweep requests at couplings from the least double to MAX_COUPLING, where a
-    sweep's T exceeds the time bound."""
+    """Sweep requests at couplings from the least double to MAX_COUPLING, where T exceeds
+    the time bound.  The gate commands take no coupling."""
     reqs = []
     for j in ("5e-324", "1e-320", "1e-300", "1", "1e150"):
-        reqs += [["one-qubit", "--n", "0.6,0,0.8", "--kappa", "7", "--j1", j],
-                 ["two-qubit", "--kp", "2", "--km", "5", "--kprime", "3", "--j1", j, "--j2", j],
-                 ["two-qubit", "--kp", "3", "--km", "8", "--kprime", "1", "--j2", j],
-                 ["sweep", "--n", "0.6,0,0.8", "--kappa", "7", "--j1", j, "--T", "0.5,40"],
+        reqs += [["sweep", "--n", "0.6,0,0.8", "--kappa", "7", "--j1", j, "--T", "0.5,40"],
                  ["sweep", "--kp", "2", "--km", "5", "--kprime", "3", "--j1", j, "--j2", j,
                   "--T", "0.5,40"]]
     return [("couplings", argv) for argv in reqs]

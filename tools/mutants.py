@@ -54,6 +54,17 @@ MUTANTS = [
      "            with fh:\n                staged.append((fh.name, path))\n                fh.write(text)\n",
      "            with fh:\n                fh.write(text)\n            os.replace(fh.name, path)\n",
      ["tests/test_cli.py::TestFilesystemErrors::test_failed_sweep_leaves_an_existing_csv_unchanged"]),
+    # The connection's coding block is 2^(n_spins / 2) square: 2 for one dimer, 4 for two.
+    ("src/holonome/holonomy.py", "coding_dim=2 ** (n_spins // 2)", "coding_dim=2",
+     ["tests/test_holonomy.py::TestConnection::test_two_qubit_matches_closed_form"]),
+    # A sweep whose --csv and --out name one file is refused: the report would replace the table.
+    ("src/holonome/cli.py",
+     '        raise DomainError("--csv and --out name the same file")\n', "        pass\n",
+     ["tests/test_cli.py::TestFilesystemErrors::test_csv_and_out_on_one_file_leave_it_unchanged"]),
+    # ... unless that one path is written in place, as a device or a pipe is.
+    ("src/holonome/cli.py", "if (args.csv and args.out and not _in_place(args.out)\n",
+     "if (args.csv and args.out\n",
+     ["tests/test_cli.py::TestFilesystemErrors::test_csv_and_out_on_one_device_are_written_in_place"]),
     # _scores sums conj(Gamma) V: the imaginary part of Gamma enters with a minus sign.
     (ADIABATIC, "signs[: len(e), 1] = -1.0", "signs[: len(e), 1] = 1.0", [BLOCK_SCORES]),
     # The coding block of control T0 is dimer 1's S1 = 0 sector (entries 9..13), not S1 = -2.
