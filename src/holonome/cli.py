@@ -138,16 +138,17 @@ def cmd_sweep(args):
             raise DomainError("sweep needs --kappa with --n")
         loop = deformation.one_qubit_generator(_parse_vector(args.n), args.kappa)
         model = spin_model.build_one_dimer(args.j1, args.j1)
-        inputs = {"n": list(loop.n), "kappa": loop.kappa, "T": t_list}
+        inputs = {"n": list(loop.n), "kappa": loop.kappa, "T": t_list, "j1": args.j1}
     elif args.kp is not None:
         _reject_unused(args, ("kappa",), "with --kp")
         if args.km is None:
             raise DomainError("sweep needs --km with --kp")
         kprime = 1 if args.kprime is None else args.kprime
         loop = deformation.two_qubit_generator(args.kp, args.km, kprime)
-        model = spin_model.build_two_dimer(args.j1, 1.0 if args.j2 is None else args.j2)
+        j2 = 1.0 if args.j2 is None else args.j2
+        model = spin_model.build_two_dimer(args.j1, j2)
         inputs = {"kappa_plus": args.kp, "kappa_minus": args.km,
-                  "kappa_prime": kprime, "T": t_list}
+                  "kappa_prime": kprime, "T": t_list, "j1": args.j1, "j2": j2}
     else:
         raise DomainError("sweep needs either --n/--kappa or --kp/--km/--kprime")
     conn = holonomy.connection_on_ground_space(loop, model)

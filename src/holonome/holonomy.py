@@ -142,17 +142,30 @@ def two_qubit_coding_connection(loop: TwoQubitLoop) -> np.ndarray:
     )
 
 
+# Row-major entries of I, sigma_x, sigma_y and sigma_z, one (i, x, y, z) tuple per entry.
+_PAULI_ENTRIES = tuple(zip(*(p.ravel().tolist() for p in (ID2, SIGMA_X, SIGMA_Y, SIGMA_Z))))
+
+
+def _rotation_entries(theta: float, axis) -> list:
+    """Row-major entries of exp(-i theta axis . sigma), a unit 3-vector axis, as Python complex
+    scalars: cos theta I - i sin theta axis . sigma with the operations numpy performs on it over
+    the arrays I and sigma, so that each entry is that array expression's to the sign of a zero."""
+    cos, isin = complex(math.cos(theta)), 1j * math.sin(theta)
+    mx, my, mz = complex(axis[0]), complex(axis[1]), complex(axis[2])
+    return [cos * i - isin * (mx * x + my * y + mz * z) for i, x, y, z in _PAULI_ENTRIES]
+
+
 def _rotation(theta: float, axis) -> np.ndarray:
     """exp(-i theta axis . sigma) for a unit 3-vector axis."""
-    ax = np.asarray(axis, dtype=float)
-    dotted = ax[0] * SIGMA_X + ax[1] * SIGMA_Y + ax[2] * SIGMA_Z
-    return np.cos(theta) * ID2 - 1j * np.sin(theta) * dotted
+    a, b, c, d = _rotation_entries(theta, axis)
+    return np.array([[a, b], [c, d]])
 
 
 def analytic_one_qubit_gate(loop: OneQubitLoop) -> HolonomyGate:
-    """Closed form exp(-i kappa pi n_z) exp(-i theta_kappa m . sigma)."""
-    phase = np.exp(-1j * loop.kappa * np.pi * loop.n[2])
-    return HolonomyGate(gamma=phase * _rotation(loop.theta_kappa, loop.m))
+    """Closed form exp(-i kappa pi n_z) exp(-i theta_kappa m . sigma), from Python scalars."""
+    phase = cmath.exp(-1j * loop.kappa * math.pi * loop.n[2])
+    a, b, c, d = _rotation_entries(loop.theta_kappa, loop.m)
+    return HolonomyGate(gamma=np.array([[phase * a, phase * b], [phase * c, phase * d]]))
 
 
 @dataclass(frozen=True, eq=False)

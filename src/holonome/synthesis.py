@@ -41,6 +41,7 @@ controlled phase, d = a - b, from the half-angle sines and cosines of a and b.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 import operator
@@ -51,12 +52,8 @@ import numpy as np
 
 from holonome.deformation import MAX_WINDING, OneQubitLoop, _checked_int, coupling_strength
 from holonome.errors import DomainError
-from holonome.holonomy import (
-    analytic_one_qubit_gate,
-    controlled_phase_gate,
-    _rotation,
-)
-from holonome.matrix_kernel import _U, _distance, _read_only, is_unitary
+from holonome.holonomy import analytic_one_qubit_gate, controlled_phase_gate
+from holonome.matrix_kernel import _STRUCTURE_TOL, _U, _read_only
 
 TWO_PI = 2.0 * np.pi
 
@@ -342,9 +339,9 @@ def _check_search_inputs(eps, theta_target=0.0, **bounds):
     """
     if not eps > 0:
         raise DomainError("tolerance must be positive")
-    if not np.isfinite(eps):
+    if not math.isfinite(eps):
         raise DomainError("tolerance must be finite")
-    if not np.isfinite(theta_target):
+    if not math.isfinite(theta_target):
         raise DomainError("target angle must be finite")
     bounds = {name: _checked_int(name, value) for name, value in bounds.items()}
     for name, value in bounds.items():
@@ -366,10 +363,10 @@ def _check_search_inputs(eps, theta_target=0.0, **bounds):
 def _resolve_axis(axis):
     if isinstance(axis, str):
         try:
-            return np.asarray(NAMED_AXES[axis], dtype=float)
+            return NAMED_AXES[axis]
         except KeyError:
             raise DomainError(f"unknown axis name {axis!r}") from None
-    return np.asarray(axis, dtype=float)
+    return axis
 
 
 def search_rotation(axis, theta_target: float, eps: float, kappa_max: int) -> SearchResult:
@@ -417,55 +414,63 @@ def search_hadamard(eps: float, kappa_max: int) -> SearchResult:
     )
 
 
-@functools.cache
-def _frame() -> np.ndarray:
-    """Change of frame mapping the z-y-z Euler decomposition into y-x-y.
+_IDENTITY = (1 + 0j, 0j, 0j, 1 + 0j)
 
-    The conjugation S sigma_z S^dag = sigma_y, S sigma_y S^dag = sigma_x;
-    built once per process, read-only.
+
+def _unitary_entries(target) -> tuple:
+    """Row-major entries (a, b, c, d) of a 2 x 2 unitary target as Python complex scalars.
+
+    DomainError unless the target is 2 x 2 and ||U^dag U - I||_F < _STRUCTURE_TOL * 2, the
+    test of ``matrix_kernel.is_unitary``, on the entries of U^dag U; a non-finite entry fails.
     """
-    axis = np.array([1.0, 1.0, 1.0]) / np.sqrt(3.0)
-    return _read_only(_rotation(-np.pi / 3.0, axis))  # half-angle pi/3, sense -2pi/3
+    u = np.asarray(target, dtype=complex)
+    if u.shape != (2, 2):
+        raise DomainError("target must be a 2 x 2 unitary")
+    (a, b), (c, d) = u.tolist()
+    off = abs(a.conjugate() * b + c.conjugate() * d)
+    defect = math.hypot((a.conjugate() * a + c.conjugate() * c).real - 1.0, off, off,
+                        (b.conjugate() * b + d.conjugate() * d).real - 1.0)
+    if not defect < _STRUCTURE_TOL * 2:
+        raise DomainError("target must be a 2 x 2 unitary")
+    return a, b, c, d
 
 
-def _euler_zyz(su2: np.ndarray):
-    """Angles (alpha, beta, gamma) with U = Rz(alpha) Ry(beta) Rz(gamma).
-
-    Half-angle convention: Rn(t) = exp(-i t n . sigma / 2).
-    """
-    a, b = su2[0, 0], su2[0, 1]
-    beta = 2.0 * np.arctan2(abs(b), abs(a))
-    if abs(a) < 1e-12:
-        # anti-diagonal: only alpha - gamma is determined
-        alpha = 2.0 * np.angle(su2[1, 0])
-        gamma = 0.0
-    elif abs(b) < 1e-12:
-        alpha = 2.0 * np.angle(su2[1, 1])
-        gamma = 0.0
-    else:
-        s = -np.angle(a)  # (alpha + gamma) / 2
-        d = np.angle(su2[1, 0])  # (alpha - gamma) / 2
-        alpha, gamma = s + d, s - d
-    return alpha, beta, gamma
+def _distance(u, v) -> float:
+    """``phase_invariant_distance`` of two 2 x 2 unitaries from their row-major entries:
+    ||U - e^{i phi} V||_F / 2 with e^{i phi} = conj(tr(U^dag V)) / |tr(U^dag V)|."""
+    overlap = sum(x.conjugate() * y for x, y in zip(u, v))
+    phase = overlap.conjugate() / abs(overlap) if overlap else 1.0
+    return math.hypot(*(abs(x - phase * y) for x, y in zip(u, v))) / 2.0
 
 
-def euler_yxy(target: np.ndarray):
+def euler_yxy(target):
     """Angles (alpha, beta, gamma) with target ~ Ry(alpha) Rx(beta) Ry(gamma).
 
     The target may carry a global phase; the decomposition is of its SU(2)
     representative.
     """
-    u = np.asarray(target, dtype=complex)
-    if u.shape != (2, 2) or not is_unitary(u):
-        raise DomainError("target must be a 2 x 2 unitary")
-    return _euler_yxy(u)
+    return _euler_yxy(*_unitary_entries(target))
 
 
-def _euler_yxy(u: np.ndarray):
-    """``euler_yxy`` of a complex 2 x 2 unitary, unchecked."""
-    su2 = u / np.sqrt(np.linalg.det(u))
-    frame = _frame()
-    return _euler_zyz(frame.conj().T @ su2 @ frame)
+def _euler_yxy(a, b, c, d):
+    """``euler_yxy`` of the entries of a 2 x 2 unitary [[a, b], [c, d]], unchecked.
+
+    Its SU(2) representative M = U / sqrt(det U) goes to the z-y-z frame as S^dag M S, with
+    S = (I + i (sigma_x + sigma_y + sigma_z)) / 2: S sigma_z S^dag = sigma_y and
+    S sigma_y S^dag = sigma_x.  S's entries are (+-1 +- i) / 2, so S^dag M S is written out,
+    and read as Rz(alpha) Ry(beta) Rz(gamma), Rn(t) = exp(-i t n . sigma / 2).
+    """
+    r = cmath.sqrt(a * d - b * c)
+    a, b, c, d = a / r, b / r, c / r, d / r
+    m00, m01 = 0.5 * (a + d + 1j * (b - c)), 0.5 * (a - d - 1j * (b + c))
+    m10, m11 = 0.5 * (a - d + 1j * (b + c)), 0.5 * (a + d - 1j * (b - c))
+    beta = 2.0 * math.atan2(abs(m01), abs(m00))
+    if abs(m00) < 1e-12:  # anti-diagonal: only alpha - gamma is determined
+        return 2.0 * cmath.phase(m10), beta, 0.0
+    if abs(m01) < 1e-12:
+        return 2.0 * cmath.phase(m11), beta, 0.0
+    s, h = -cmath.phase(m00), cmath.phase(m10)  # (alpha + gamma) / 2, (alpha - gamma) / 2
+    return s + h, beta, s - h
 
 
 @dataclass(frozen=True, eq=False)
@@ -479,29 +484,27 @@ class SynthesisProgram:
 
 
 def synthesize_su2(target, eps_per_rotation: float, kappa_max: int) -> SynthesisProgram:
-    """Approximate an arbitrary 2 x 2 unitary by y-x-y holonomic rotations."""
+    """Approximate an arbitrary 2 x 2 unitary by y-x-y holonomic rotations, on the target's
+    entries as Python scalars: closed forms with no BLAS call from the check to the distance."""
     _check_search_inputs(eps_per_rotation, kappa_max=kappa_max)
-    u = np.asarray(target, dtype=complex)
-    if u.shape != (2, 2) or not is_unitary(u):  # the one check: what follows reads u unchecked
-        raise DomainError("target must be a 2 x 2 unitary")
-    if _distance(u, np.eye(2, dtype=complex)) < 1e-12:
-        return SynthesisProgram(
-            steps=(), composite=np.eye(2, dtype=complex), total_distance=0.0,
-            exhausted=False,
-        )
-    alpha, beta, gamma = _euler_yxy(u)
+    u = _unitary_entries(target)  # the one check: what follows reads u unchecked
+    if _distance(u, _IDENTITY) < 1e-12:
+        return SynthesisProgram(steps=(), composite=np.eye(2, dtype=complex),
+                                total_distance=0.0, exhausted=False)
+    alpha, beta, gamma = _euler_yxy(*u)
     steps = []
-    composite = np.eye(2, dtype=complex)
+    composite = _IDENTITY
     for axis_name, angle in (("y", alpha), ("x", beta), ("y", gamma)):
         theta = 0.5 * angle  # full-angle exponent convention exp(-i theta sigma)
         if circular_distance(theta, TWO_PI) < 1e-12:
             continue
         result = search_rotation(axis_name, theta, eps_per_rotation, kappa_max)
         steps.append((axis_name, result))
-        composite = composite @ result.gate
+        p, g = composite, result.gate.ravel().tolist()  # the 2 x 2 product, entry by entry
+        composite = [p[i] * g[j] + p[i + 1] * g[j + 2] for i in (0, 2) for j in (0, 1)]
     return SynthesisProgram(
         steps=tuple(steps),
-        composite=composite,
+        composite=np.array(composite).reshape(2, 2),
         total_distance=_distance(composite, u),
         exhausted=any(r.exhausted for _, r in steps),
     )

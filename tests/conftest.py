@@ -9,7 +9,9 @@ import numpy as np
 from hypothesis import configuration
 
 from holonome import deformation
-from holonome.matrix_kernel import expm_skew, frobenius
+from holonome.errors import DomainError
+from holonome.matrix_kernel import _distance, expm_skew, frobenius, is_unitary
+from holonome.synthesis import search_rotation
 from holonome.spin_model import (
     _GROUND_LABELS,
     ID2,
@@ -258,3 +260,68 @@ def reference_min_mod(a: int, b: int, m: int, n: int):
         return b - c * (n - 1), n - 1
     value, j = reference_min_mod(m % c, b % c, c, runs)
     return value, (b + j * m) // c
+
+
+def reference_rotation(theta, axis) -> np.ndarray:
+    """Reference: exp(-i theta axis . sigma), cos theta I - i sin theta axis . sigma as numpy
+    arrays."""
+    ax = np.asarray(axis, dtype=float)
+    dotted = ax[0] * SIGMA_X + ax[1] * SIGMA_Y + ax[2] * SIGMA_Z
+    return np.cos(theta) * ID2 - 1j * np.sin(theta) * dotted
+
+
+def reference_one_qubit_gate(loop) -> np.ndarray:
+    """Reference: exp(-i kappa pi n_z) exp(-i theta_kappa m . sigma) as numpy arrays."""
+    phase = np.exp(-1j * loop.kappa * np.pi * loop.n[2])
+    return phase * reference_rotation(loop.theta_kappa, loop.m)
+
+
+def _reference_euler_zyz(su2):
+    a, b = su2[0, 0], su2[0, 1]
+    beta = 2.0 * np.arctan2(abs(b), abs(a))
+    if abs(a) < 1e-12:
+        return 2.0 * np.angle(su2[1, 0]), beta, 0.0
+    if abs(b) < 1e-12:
+        return 2.0 * np.angle(su2[1, 1]), beta, 0.0
+    s, d = -np.angle(a), np.angle(su2[1, 0])
+    return s + d, beta, s - d
+
+
+def reference_euler_yxy(u):
+    """Reference: y-x-y Euler angles of a 2 x 2 unitary through numpy's det and two matrix
+    products with the frame S = exp(i (pi / 3) (1, 1, 1) . sigma / sqrt3)."""
+    su2 = u / np.sqrt(np.linalg.det(u))
+    frame = reference_rotation(-np.pi / 3.0, np.array([1.0, 1.0, 1.0]) / np.sqrt(3.0))
+    return _reference_euler_zyz(frame.conj().T @ su2 @ frame)
+
+
+def reference_synthesis(target, eps, kappa_max):
+    """Reference for ``synthesize_su2`` as numpy arrays: (steps, composite, total_distance),
+    steps as (axis name, ``search_rotation`` result) pairs.  Checks the target with
+    ``is_unitary`` and takes the identity shortcut at ``_distance`` < 1e-12."""
+    u = np.asarray(target, dtype=complex)
+    if u.shape != (2, 2) or not is_unitary(u):
+        raise DomainError("target must be a 2 x 2 unitary")
+    if _distance(u, np.eye(2, dtype=complex)) < 1e-12:
+        return (), np.eye(2, dtype=complex), 0.0
+    steps, composite = [], np.eye(2, dtype=complex)
+    for axis_name, angle in zip("yxy", reference_euler_yxy(u)):
+        theta = 0.5 * angle
+        r = abs(theta) % (2.0 * np.pi)
+        if min(r, 2.0 * np.pi - r) < 1e-12:
+            continue
+        result = search_rotation(axis_name, theta, eps, kappa_max)
+        steps.append((axis_name, result))
+        composite = composite @ result.gate
+    return tuple(steps), composite, _distance(composite, u)
+
+
+def haar_su2_target(rng) -> np.ndarray:
+    """A Haar-random 2 x 2 unitary from a ``random.Random``: a uniform point on S^3 (an SU(2)
+    element) times a uniform global phase, as perfbench draws its synthesis targets."""
+    g = [rng.gauss(0.0, 1.0) for _ in range(4)]
+    norm = math.sqrt(sum(x * x for x in g))
+    a, b = complex(g[0], g[1]) / norm, complex(g[2], g[3]) / norm
+    phi = rng.uniform(0.0, 2.0 * math.pi)
+    phase = complex(math.cos(phi), math.sin(phi))
+    return np.array([phase * x for x in (a, -b.conjugate(), b, a.conjugate())]).reshape(2, 2)

@@ -707,8 +707,10 @@ class TestUnusedOptions:
             (["search", "--target", "cz"], {"kp_max": 10, "n_max": 500}),
             (["search", "--target", "hadamard"], {"kappa_max": 500}),
             (["search", "--target", "rx", "--theta", "1"], {"kappa_max": 500}),
-            (["sweep", "--kp", "2", "--km", "3", "--T", "1"], {"kappa_prime": 1}),
+            (["sweep", "--kp", "2", "--km", "3", "--T", "1"],
+             {"kappa_prime": 1, "j1": 1.0, "j2": 1.0}),
             (["figure", "fig3", "--caption-convention"], {"caption_convention": True}),
+            (["sweep", "--n", "1,0,0", "--kappa", "1", "--T", "1"], {"j1": 1.0}),
         ],
     )
     def test_defaults_filled_where_used(self, argv, inputs):
@@ -716,6 +718,16 @@ class TestUnusedOptions:
         assert code == 0
         reported = json.loads(out)["inputs"]
         assert {k: reported[k] for k in inputs} == inputs
+
+    @pytest.mark.parametrize("windings", [["--n", "1,0,0", "--kappa", "1"],
+                                          ["--kp", "2", "--km", "3"]])
+    def test_sweep_echoes_the_couplings_it_used(self, windings):
+        # Reports whose fidelities differ must not echo the same inputs.
+        argv = ["sweep", *windings, "--T", "1"]
+        one, two = (json.loads(invoke([*argv, "--j1", j])[1]) for j in ("1", "2"))
+        assert one["outputs"] != two["outputs"]
+        assert (one["inputs"]["j1"], two["inputs"]["j1"]) == (1.0, 2.0)
+        assert {**one["inputs"], "j1": 2.0} == two["inputs"]
 
     def test_sweep_j2_default_matches_explicit(self):
         argv = ["sweep", "--kp", "2", "--km", "3", "--T", "1,10"]

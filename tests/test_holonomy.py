@@ -1,7 +1,10 @@
 """Connection, holonomy gates, closed forms and two-qubit diagnostics."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from holonome.deformation import (
     MAX_WINDING,
@@ -32,7 +35,7 @@ from holonome.matrix_kernel import (
 )
 from holonome.spin_model import build_one_dimer, build_two_dimer, ground_basis
 
-from conftest import one_qubit_coding_connection
+from conftest import one_qubit_coding_connection, reference_one_qubit_gate, reference_rotation
 
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 
@@ -141,6 +144,29 @@ class TestOneQubitGate:
             numeric = holonomy(connection_on_ground_space(gen, model)).gamma
             analytic = analytic_one_qubit_gate(gen).gamma
             assert phase_invariant_distance(numeric, analytic) < 1e-10
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(z=st.floats(-0.99, 0.99), phi=st.floats(0.0, 2.0 * math.pi),
+           kappa=st.integers(1, MAX_WINDING), signs=st.integers(0, 7))
+    @example(z=0.0, phi=0.0, kappa=MAX_WINDING, signs=0)  # the x axis, n_y = n_z = +0.0
+    @example(z=0.0, phi=0.0, kappa=7, signs=7)  # (1, -0.0, -0.0)
+    @example(z=0.0, phi=math.pi / 2, kappa=12345, signs=1)  # (-0.0, 1, 0.0)
+    @example(z=0.6, phi=math.pi, kappa=MAX_WINDING, signs=2)  # (-0.8, -0.0, 0.6)
+    def test_scalar_gate_within_4u_of_array_form(self, z, phi, kappa, signs):
+        # Each entry of the closed form on Python scalars lies within 4 u of the numpy array
+        # form; its rotation factor is that form's to the bit, signs of zeros included.
+        # A component below 1e-15 is a zero, +0.0 or -0.0 by bit i of ``signs``.
+        r = math.sqrt(1.0 - z * z)
+        n = [r * math.cos(phi), r * math.sin(phi), z]
+        n = [v if abs(v) > 1e-15 else -0.0 if signs >> i & 1 else 0.0 for i, v in enumerate(n)]
+        loop = OneQubitLoop(n, kappa)
+        gate, ref = analytic_one_qubit_gate(loop).gamma, reference_one_qubit_gate(loop)
+        assert np.abs(gate - ref).max() <= 4 * _U
+        rot, ref = holonomy_module._rotation(loop.theta_kappa, loop.m), reference_rotation(
+            loop.theta_kappa, loop.m)
+        assert np.array_equal(rot, ref)
+        parts, ref_parts = np.stack([rot.real, rot.imag]), np.stack([ref.real, ref.imag])
+        assert np.array_equal(np.signbit(parts), np.signbit(ref_parts))
 
     def test_hadamard_distance_at_kappa_3(self):
         gate = analytic_one_qubit_gate(OneQubitLoop(HADAMARD_AXIS, 3))

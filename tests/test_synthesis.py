@@ -1,13 +1,22 @@
 """Discrete searches, SU(2) synthesis, equidistribution and figure tables."""
 
+import dataclasses
 import inspect
+import math
+import random
 import re
 import sys
 
 import numpy as np
 import pytest
-from conftest import equidistribution_scan, reference_min_mod
-from hypothesis import example, given, settings, strategies as st
+from conftest import (
+    equidistribution_scan,
+    haar_su2_target,
+    reference_euler_yxy,
+    reference_min_mod,
+    reference_synthesis,
+)
+from hypothesis import assume, example, given, settings, strategies as st
 
 from holonome import synthesis
 from holonome.deformation import MAX_WINDING, OneQubitLoop, two_qubit_generator
@@ -18,7 +27,7 @@ from holonome.holonomy import (
     analytic_two_qubit_gate,
     controlled_phase_gate,
 )
-from holonome.matrix_kernel import phase_invariant_distance
+from holonome.matrix_kernel import _distance, frobenius, is_unitary, phase_invariant_distance
 from holonome.synthesis import (
     HADAMARD,
     HADAMARD_AXIS,
@@ -748,11 +757,13 @@ class TestSynthesizeSu2:
         bound = sum(res.gate_distance for _, res in program.steps)
         assert program.total_distance <= bound + 1e-9
 
-    def test_frame_built_once_and_read_only(self):
-        frame = synthesis._frame()
-        assert synthesis._frame() is frame
-        with pytest.raises(ValueError):
-            frame[0, 0] = 0.0
+    @DETERMINISTIC
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_euler_angles_match_array_form(self, seed):
+        # The frame conjugation written out against numpy's det and frame products.
+        u = haar_su2_target(random.Random(seed))
+        for angle, ref in zip(euler_yxy(u), reference_euler_yxy(u)):
+            assert circular_distance(angle - ref, TWO_PI) < 1e-10
 
     def test_euler_decomposition_reconstructs(self):
         rng = np.random.default_rng(29)
@@ -767,6 +778,89 @@ class TestSynthesizeSu2:
 
             rebuilt = rot(alpha, SY) @ rot(beta, SX) @ rot(gamma, SY)
             assert phase_invariant_distance(rebuilt, u) < 1e-10
+
+
+class _UfuncSpy(np.ndarray):
+    """An array that records the name of every ufunc applied to it, matmul included."""
+
+    calls = []
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        _UfuncSpy.calls.append(ufunc.__name__)
+        inputs = [x.view(np.ndarray) if isinstance(x, _UfuncSpy) else x for x in inputs]
+        return getattr(ufunc, method)(*inputs, **kwargs)
+
+
+class TestScalarSynthesis:
+    """synthesize_su2 on Python scalars against its numpy array form (conftest)."""
+
+    @DETERMINISTIC
+    @given(seed=st.integers(0, 2**32 - 1), kappa_max=st.integers(1, MAX_WINDING))
+    @example(seed=3, kappa_max=MAX_WINDING)
+    def test_matches_array_form_on_haar_targets(self, seed, kappa_max):
+        target = haar_su2_target(random.Random(seed))
+        program = synthesize_su2(target, 1e-3, kappa_max)
+        steps, composite, distance = reference_synthesis(target, 1e-3, kappa_max)
+        assert [(a, r.params) for a, r in program.steps] == [(a, r.params) for a, r in steps]
+        assert np.abs(program.composite - composite).max() <= 4 * U
+        assert abs(program.total_distance - distance) <= 4 * U
+
+    @DETERMINISTIC
+    @given(seed=st.integers(0, 2**32 - 1), entry=st.integers(-1, 3),
+           offset=st.floats(-1e-3, 1e-3))
+    def test_unitarity_decision_matches_is_unitary(self, seed, entry, offset):
+        # A Haar target scaled by s (entry -1: defect sqrt2 |s^2 - 1|) or with one entry x,
+        # |x|^2 = p, scaled by 1 + e (defect e sqrt(2 p (1 + p)) to first order), so that its
+        # defect ||U^dag U - I||_F lands within 0.1 % of the threshold 2e-10, on either side.
+        u = haar_su2_target(random.Random(seed))
+        defect = 2e-10 * (1.0 + offset)
+        if entry < 0:
+            u *= math.sqrt(1.0 + defect / math.sqrt(2.0))
+        else:
+            p = abs(u.flat[entry]) ** 2
+            u.flat[entry] *= 1.0 + defect / math.sqrt(2.0 * p * (1.0 + p))
+        defect = frobenius(u.conj().T @ u - np.eye(2))
+        assume(abs(defect - 2e-10) > 16 * U)
+        try:
+            synthesis._unitary_entries(u)
+            accepted = True
+        except DomainError:
+            accepted = False
+        assert accepted == is_unitary(u)
+
+    @DETERMINISTIC
+    @given(seed=st.integers(0, 2**32 - 1), offset=st.floats(-0.1, 0.1))
+    def test_identity_decision_matches_distance(self, seed, offset):
+        # A rotation by t about a random axis, times a global phase, at a distance
+        # sqrt(1 - cos t) to the identity within 10 % of the cut-off 1e-12 (16 u is 0.2 %).
+        rng = random.Random(seed)
+        z, phi = rng.uniform(-1.0, 1.0), rng.uniform(0.0, TWO_PI)
+        axis = (math.sqrt(1.0 - z * z) * math.cos(phi), math.sqrt(1.0 - z * z) * math.sin(phi), z)
+        t = math.sqrt(2.0) * 1e-12 * (1.0 + offset)
+        u = np.exp(1j * rng.uniform(0.0, TWO_PI)) * _rotation(t, axis)
+        reference = _distance(u, np.eye(2, dtype=complex))
+        assume(abs(reference - 1e-12) > 16 * U)
+        entries = tuple(u.ravel().tolist())
+        assert (synthesis._distance(entries, synthesis._IDENTITY) < 1e-12) == (reference < 1e-12)
+
+    def test_no_linalg_call_and_no_matmul(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("synthesize_su2 called numpy.linalg")
+
+        for name in np.linalg.__all__:
+            if callable(getattr(np.linalg, name)) and not isinstance(getattr(np.linalg, name), type):
+                monkeypatch.setattr(np.linalg, name, forbidden)
+        search = synthesis.search_rotation
+
+        def spied_search(*args):
+            result = search(*args)
+            return dataclasses.replace(result, gate=result.gate.view(_UfuncSpy))
+
+        monkeypatch.setattr(synthesis, "search_rotation", spied_search)
+        _UfuncSpy.calls.clear()
+        for target in (HADAMARD, haar_su2_target(random.Random(7)), np.eye(2)):
+            synthesize_su2(np.asarray(target).view(_UfuncSpy), 1e-3, 1000)
+        assert "matmul" not in _UfuncSpy.calls
 
 
 class TestSearchControlledPhase:

@@ -107,6 +107,17 @@ MUTANTS = [
     # A two-qubit loop closes only for kappa_- < 3 kappa_+, strictly.
     (DEFORMATION, "if not km < 3 * kp:", "if not km <= 3 * kp:",
      ["tests/test_deformation.py::TestTwoQubitGenerator::test_rejects_violating_constraints"]),
+    # The one-qubit gate's off-diagonal is phase * (-i sin theta (m_x -+ i m_y)).
+    ("src/holonome/holonomy.py", "[[phase * a, phase * b], [phase * c, phase * d]]",
+     "[[phase * a, -phase * b], [phase * c, phase * d]]",
+     ["tests/test_holonomy.py::TestOneQubitGate::test_scalar_gate_within_4u_of_array_form"]),
+    # The unitarity defect reads (U^dag U)_01 = conj(a) b + conj(c) d.
+    (SYNTHESIS, "off = abs(a.conjugate() * b + c.conjugate() * d)",
+     "off = abs(a * b + c.conjugate() * d)",
+     ["tests/test_synthesis.py::TestScalarSynthesis::test_unitarity_decision_matches_is_unitary"]),
+    # z-y-z angles: alpha = s + d and gamma = s - d, not the other way round.
+    (SYNTHESIS, "return s + h, beta, s - h", "return s - h, beta, s + h",
+     ["tests/test_synthesis.py::TestSynthesizeSu2::test_euler_angles_match_array_form"]),
     # A non-finite float has no JSON or CSV form.
     ("src/holonome/reporting.py",
      "    if not math.isfinite(x):\n        raise DomainError(f\"cannot report the non-finite value {x!r}\")\n",
