@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from holonome.deformation import _check_size, _checked_int
-from holonome.errors import DomainError
+from holonome.errors import DomainError, _isfinite
 from holonome.holonomy import HolonomyGate
 from holonome.matrix_kernel import _U, _read_only, exp_minus_i, is_unitary
 from holonome.spin_model import SpinModel, coding_space, ground_basis
@@ -50,9 +50,9 @@ def _t_max(model: SpinModel) -> float:
 
 
 def _finite_time(T, t_max: float) -> float:
-    T = float(T)
-    if not math.isfinite(T):
+    if not _isfinite("T", T):
         raise DomainError(f"T must be finite, got {T!r}")
+    T = float(T)
     if abs(T) > t_max:
         raise DomainError(
             f"|T| must be at most {t_max:.6g} for this model "

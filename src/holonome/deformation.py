@@ -80,7 +80,10 @@ class OneQubitLoop(_Loop):
 
     def __post_init__(self):
         kappa = _checked_int("kappa", self.kappa)
-        n = np.asarray(self.n, dtype=float)
+        try:
+            n = np.asarray(self.n, dtype=float)
+        except OverflowError:  # an int component beyond the float range
+            raise DomainError("axis is beyond the float range") from None
         if n.shape != (3,):
             raise DomainError("axis must be a real 3-vector")
         nx, ny, nz = n.tolist()

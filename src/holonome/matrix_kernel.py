@@ -69,21 +69,19 @@ def expm_skew(m) -> np.ndarray:
             raise DomainError("expm_skew requires a finite argument")
         raise DomainError("expm_skew requires an anti-Hermitian argument")
     herm = 1j * m  # Hermitian
-    herm = 0.5 * (herm + herm.conj().swapaxes(-1, -2))
-    evals, evecs = np.linalg.eigh(herm)
-    return (evecs * np.exp(-1j * evals)[..., None, :]) @ evecs.conj().swapaxes(-1, -2)
+    return exp_minus_i(0.5 * (herm + herm.conj().swapaxes(-1, -2)))
 
 
 def exp_minus_i(h: np.ndarray) -> np.ndarray:
-    """exp(-i h) of a real symmetric matrix, or of each slice of a stack ``(..., n, n)``.
+    """exp(-i h) of a Hermitian matrix, or of each slice of a stack ``(..., n, n)``.
 
-    One stacked real eigendecomposition h = V diag(lam) V^T gives the
-    unitary V diag(e^{-i lam}) V^T.  Unlike ``expm_skew`` it checks and
-    symmetrises nothing: the caller builds ``h`` real, symmetric and finite
-    (the eigensolver reads one triangle only).
+    One stacked eigendecomposition h = V diag(lam) V^dag gives the unitary
+    V diag(e^{-i lam}) V^dag (for a real symmetric h, V is real).  Unlike
+    ``expm_skew`` it checks and symmetrises nothing: the caller builds ``h``
+    Hermitian and finite (the eigensolver reads one triangle only).
     """
     evals, evecs = np.linalg.eigh(h)
-    return (evecs * np.exp(-1j * evals)[..., None, :]) @ evecs.swapaxes(-1, -2)
+    return (evecs * np.exp(-1j * evals)[..., None, :]) @ evecs.conj().swapaxes(-1, -2)
 
 
 def tensor_product(a, b) -> np.ndarray:
@@ -105,11 +103,14 @@ def phase_invariant_distance(u, v) -> float:
         raise DomainError(f"dimension mismatch: {u.shape} vs {v.shape}")
     if not (is_unitary(u) and is_unitary(v)):
         raise DomainError("phase_invariant_distance requires unitary inputs")
-    return _distance(u, v)
+    return _distance(u.ravel().tolist(), v.ravel().tolist())
 
 
-def _distance(u: np.ndarray, v: np.ndarray) -> float:
-    """``phase_invariant_distance`` of two complex unitaries of one shape, unchecked."""
-    overlap = np.trace(u.conj().T @ v)
-    phase = np.exp(-1j * np.angle(overlap)) if abs(overlap) > 0 else 1.0
-    return float(frobenius(u - phase * v) / np.sqrt(2.0 * u.shape[0]))
+def _distance(u, v) -> float:
+    """``phase_invariant_distance`` of two n x n unitaries from their n^2 row-major entries
+    (Python complex scalars), unchecked: ||U - e^{i phi} V||_F / sqrt(2 n) with
+    e^{i phi} = conj(tr(U^dag V)) / |tr(U^dag V)|."""
+    overlap = sum(x.conjugate() * y for x, y in zip(u, v))
+    phase = overlap.conjugate() / abs(overlap) if overlap else 1.0
+    root = math.sqrt(2.0 * math.isqrt(len(u)))
+    return math.hypot(*(abs(x - phase * y) for x, y in zip(u, v))) / root

@@ -73,7 +73,7 @@ def _key(key) -> str:
     return _quoted(key) if type(key) is str else json.dumps(str(key))
 
 
-# Emitters by exact type; a subclass or numpy scalar goes through _emit_any.
+# Emitters by exact type; any other type, a subclass or numpy scalar too, is a TypeError.
 _EMITTERS = {
     dict: _emit_dict,
     list: _emit_sequence,
@@ -90,27 +90,9 @@ _EMITTERS = {
 
 def _emit(value) -> str:
     emitter = _EMITTERS.get(type(value))
-    return emitter(value) if emitter is not None else _emit_any(value)
-
-
-def _emit_any(value) -> str:
-    if isinstance(value, dict):
-        return _emit_dict(value)
-    if isinstance(value, (list, tuple)):
-        return _emit_sequence(value)
-    if isinstance(value, bool) or value is None:
-        return json.dumps(value)
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return format_float(value)
-    if isinstance(value, (complex, np.complexfloating)):
-        return _emit_complex(value)
-    if isinstance(value, np.ndarray):
-        return _emit_array(value)
-    if isinstance(value, str):
-        return json.dumps(value)
-    raise TypeError(f"cannot serialize {type(value)!r}")
+    if emitter is None:
+        raise TypeError(f"cannot serialize {type(value)!r}")
+    return emitter(value)
 
 
 def dumps_report(report: dict) -> str:

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from holonome.errors import DomainError
+from holonome.errors import DomainError, _isfinite
 from holonome.matrix_kernel import _read_only, tensor_product
 
 SIGMA_X = _read_only(np.array([[0, 1], [1, 0]], dtype=complex))
@@ -124,7 +124,7 @@ def _one_dimer_diagonal(j: float) -> np.ndarray:
 
 def _check_couplings(**couplings) -> None:
     for name, value in couplings.items():
-        if not (math.isfinite(value) and 0 < value <= MAX_COUPLING):
+        if not (_isfinite(name, value) and 0 < value <= MAX_COUPLING):
             raise DomainError(
                 f"{name} must be finite, > 0 and at most {MAX_COUPLING:g}, got {value!r}"
             )

@@ -51,9 +51,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from holonome.deformation import MAX_WINDING, OneQubitLoop, _checked_int, coupling_strength
-from holonome.errors import DomainError
+from holonome.errors import DomainError, _isfinite
 from holonome.holonomy import analytic_one_qubit_gate, controlled_phase_gate
-from holonome.matrix_kernel import _STRUCTURE_TOL, _U, _read_only
+from holonome.matrix_kernel import _STRUCTURE_TOL, _U, _distance, _read_only
 
 TWO_PI = 2.0 * np.pi
 
@@ -339,9 +339,9 @@ def _check_search_inputs(eps, theta_target=0.0, **bounds):
     """
     if not eps > 0:
         raise DomainError("tolerance must be positive")
-    if not math.isfinite(eps):
+    if not _isfinite("tolerance", eps):
         raise DomainError("tolerance must be finite")
-    if not math.isfinite(theta_target):
+    if not _isfinite("target angle", theta_target):
         raise DomainError("target angle must be finite")
     bounds = {name: _checked_int(name, value) for name, value in bounds.items()}
     for name, value in bounds.items():
@@ -433,14 +433,6 @@ def _unitary_entries(target) -> tuple:
     if not defect < _STRUCTURE_TOL * 2:
         raise DomainError("target must be a 2 x 2 unitary")
     return a, b, c, d
-
-
-def _distance(u, v) -> float:
-    """``phase_invariant_distance`` of two 2 x 2 unitaries from their row-major entries:
-    ||U - e^{i phi} V||_F / 2 with e^{i phi} = conj(tr(U^dag V)) / |tr(U^dag V)|."""
-    overlap = sum(x.conjugate() * y for x, y in zip(u, v))
-    phase = overlap.conjugate() / abs(overlap) if overlap else 1.0
-    return math.hypot(*(abs(x - phase * y) for x, y in zip(u, v))) / 2.0
 
 
 def euler_yxy(target):
@@ -555,32 +547,23 @@ def search_controlled_phase(
 def figure_table(which: str, caption_convention: bool = False):
     """Tabular data behind the paper-style figures.
 
-    Returns (header, rows).  ``fig3`` uses the x-rotation angle convention
-    theta_kappa = sqrt 2 kappa pi; pass ``caption_convention=True`` for the
-    2 kappa pi / sqrt 3 variant.
+    Returns (header, rows), every cell a Python int or float.  ``fig3`` uses
+    the x-rotation angle convention theta_kappa = sqrt 2 kappa pi; pass
+    ``caption_convention=True`` for the 2 kappa pi / sqrt 3 variant.
     """
     if which == "fig2":
-        header = ["kappa", "theta", "sin_theta"]
-        rows = []
-        for kappa in range(21):
-            theta = 2.0 * kappa * np.pi / np.sqrt(3.0)
-            rows.append((kappa, theta, float(np.sin(theta))))
-        return header, rows
+        thetas = (2.0 * kappa * math.pi / math.sqrt(3.0) for kappa in range(21))
+        return ["kappa", "theta", "sin_theta"], [
+            (kappa, t, float(np.sin(t))) for kappa, t in enumerate(thetas)]
     if which == "fig3":
-        header = ["kappa", "theta_mod_2pi", "cos_theta", "sin_theta"]
-        step = 2.0 * np.pi / np.sqrt(3.0) if caption_convention else np.sqrt(2.0) * np.pi
-        rows = []
-        for kappa in range(11):
-            theta = (kappa * step) % TWO_PI
-            rows.append((kappa, theta, float(np.cos(theta)), float(np.sin(theta))))
-        return header, rows
+        step = 2.0 * math.pi / math.sqrt(3.0) if caption_convention else math.sqrt(2.0) * math.pi
+        thetas = ((kappa * step) % TWO_PI for kappa in range(11))
+        return ["kappa", "theta_mod_2pi", "cos_theta", "sin_theta"], [
+            (kappa, t, float(np.cos(t)), float(np.sin(t))) for kappa, t in enumerate(thetas)]
     if which == "fig4":
-        header = ["kappa_plus", "kappa_minus", "J", "two_J_mod_2pi", "cos_2J", "sin_2J"]
-        rows = []
-        for kp, km in _winding_pair_array(5).tolist():
-            j = coupling_strength(kp, km)
-            rows.append(
-                (kp, km, j, (2.0 * j) % TWO_PI, float(np.cos(2 * j)), float(np.sin(2 * j)))
-            )
-        return header, rows
+        pairs = _winding_pair_array(5).tolist()
+        js = [float(coupling_strength(kp, km)) for kp, km in pairs]
+        return ["kappa_plus", "kappa_minus", "J", "two_J_mod_2pi", "cos_2J", "sin_2J"], [
+            (kp, km, j, (2.0 * j) % TWO_PI, float(np.cos(2 * j)), float(np.sin(2 * j)))
+            for (kp, km), j in zip(pairs, js)]
     raise DomainError(f"unknown figure {which!r}")

@@ -7,6 +7,8 @@ import pytest
 
 from holonome.errors import DomainError
 from holonome.matrix_kernel import (
+    _U,
+    exp_minus_i,
     expm_skew,
     frobenius,
     is_unitary,
@@ -22,7 +24,7 @@ from holonome.spin_model import (
     pauli_site,
 )
 
-from conftest import ground_projector, hamiltonian
+from conftest import ground_projector, hamiltonian, reference_distance
 
 RNG = np.random.default_rng(20260826)
 
@@ -102,6 +104,35 @@ class TestExpmSkew:
                 expm_skew(np.stack(order))
 
 
+class TestExpMinusI:
+    """exp(-i h) of complex Hermitian stacks: the one eigen-exponential behind ``expm_skew``."""
+
+    @pytest.mark.parametrize("dim", [2, 3, 4, 16])
+    def test_complex_stack_is_unitary_and_matches_expm_skew(self, dim):
+        rng = np.random.default_rng(dim)
+        z = rng.normal(size=(5, dim, dim)) + 1j * rng.normal(size=(5, dim, dim))
+        h = z + z.conj().swapaxes(-1, -2)
+        us = exp_minus_i(h)
+        for u, hk in zip(us, h):
+            assert is_unitary(u)
+            assert np.abs(u - expm_skew(-1j * hk)).max() <= 4 * _U
+
+    @pytest.mark.parametrize("dim", [2, 3, 4, 16])
+    def test_complex_stack_matches_taylor_series(self, dim):
+        # At ||h||_F = 1, thirty terms of sum (-i h)^k / k! leave a remainder far below u.
+        rng = np.random.default_rng(dim + 100)
+        z = rng.normal(size=(5, dim, dim)) + 1j * rng.normal(size=(5, dim, dim))
+        h = z + z.conj().swapaxes(-1, -2)
+        h /= np.linalg.norm(h, axis=(-2, -1))[:, None, None]
+        term = np.broadcast_to(np.eye(dim, dtype=complex), h.shape)
+        series = term
+        for k in range(1, 30):
+            term = term @ (-1j * h) / k
+            series = series + term
+        errors = np.linalg.norm(exp_minus_i(h) - series, axis=(-2, -1))
+        assert errors.max() <= 8 * dim * _U
+
+
 class TestTensorProduct:
     def test_identity(self):
         assert np.array_equal(tensor_product(np.eye(2), np.eye(2)), np.eye(4))
@@ -144,6 +175,17 @@ class TestPhaseInvariantDistance:
         assert not is_unitary(u)
         with pytest.raises(DomainError):
             phase_invariant_distance(u, np.eye(4))
+
+    @pytest.mark.parametrize("dim", [4, 16])
+    def test_haar_pairs_match_array_reference(self, dim):
+        # Haar-random pairs, and pairs equal up to a global phase (distance ~ 0), against the
+        # numpy form: the trace through one matrix product, the phase through np.angle.
+        rng = np.random.default_rng(dim)
+        for _ in range(50):
+            u, v = random_unitary(dim, rng), random_unitary(dim, rng)
+            for w in (v, np.exp(1j * rng.uniform(0.0, 2.0 * np.pi)) * u):
+                assert abs(phase_invariant_distance(u, w) - reference_distance(u, w)) <= (
+                    2 * dim * _U)
 
     def test_matches_trace_formula(self):
         u, v = random_unitary(4), random_unitary(4)

@@ -12,6 +12,7 @@ import pytest
 from conftest import (
     equidistribution_scan,
     haar_su2_target,
+    reference_distance,
     reference_euler_yxy,
     reference_min_mod,
     reference_synthesis,
@@ -27,7 +28,7 @@ from holonome.holonomy import (
     analytic_two_qubit_gate,
     controlled_phase_gate,
 )
-from holonome.matrix_kernel import _distance, frobenius, is_unitary, phase_invariant_distance
+from holonome.matrix_kernel import frobenius, is_unitary, phase_invariant_distance
 from holonome.synthesis import (
     HADAMARD,
     HADAMARD_AXIS,
@@ -838,7 +839,7 @@ class TestScalarSynthesis:
         axis = (math.sqrt(1.0 - z * z) * math.cos(phi), math.sqrt(1.0 - z * z) * math.sin(phi), z)
         t = math.sqrt(2.0) * 1e-12 * (1.0 + offset)
         u = np.exp(1j * rng.uniform(0.0, TWO_PI)) * _rotation(t, axis)
-        reference = _distance(u, np.eye(2, dtype=complex))
+        reference = reference_distance(u, np.eye(2, dtype=complex))
         assume(abs(reference - 1e-12) > 16 * U)
         entries = tuple(u.ravel().tolist())
         assert (synthesis._distance(entries, synthesis._IDENTITY) < 1e-12) == (reference < 1e-12)

@@ -25,6 +25,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 ADIABATIC, SYNTHESIS = "src/holonome/adiabatic.py", "src/holonome/synthesis.py"
 DEFORMATION = "src/holonome/deformation.py"
+MATRIX_KERNEL = "src/holonome/matrix_kernel.py"
 BLOCK_SCORES = "tests/test_adiabatic.py::TestBlockScores::test_within_bound_of_dense_holonomy_fidelity"
 SECTORS = "tests/test_adiabatic.py::TestSectorPropagators::"
 KERNEL = "tests/test_synthesis.py::TestControlledPhaseKernel::"
@@ -118,6 +119,16 @@ MUTANTS = [
     # z-y-z angles: alpha = s + d and gamma = s - d, not the other way round.
     (SYNTHESIS, "return s + h, beta, s - h", "return s - h, beta, s + h",
      ["tests/test_synthesis.py::TestSynthesizeSu2::test_euler_angles_match_array_form"]),
+    # The phase-invariant distance divides by sqrt(2 n), not by the 2 x 2 case's 2.
+    (MATRIX_KERNEL, "root = math.sqrt(2.0 * math.isqrt(len(u)))", "root = 2.0",
+     ["tests/test_matrix_kernel.py::TestPhaseInvariantDistance::"
+      "test_haar_pairs_match_array_reference"]),
+    # exp(-i h) = V e^{-i lam} V^dag: the conjugate matters for a complex V.
+    (MATRIX_KERNEL, "@ evecs.conj().swapaxes(-1, -2)", "@ evecs.swapaxes(-1, -2)",
+     ["tests/test_matrix_kernel.py::TestExpMinusI"]),
+    # Figure rows hold Python floats, which the emitter's exact-type table covers.
+    (SYNTHESIS, "js = [float(coupling_strength(kp, km))", "js = [(coupling_strength(kp, km))",
+     ["tests/test_cli.py::TestEmitterDispatch::test_figure_rows_hold_only_table_types"]),
     # A non-finite float has no JSON or CSV form.
     ("src/holonome/reporting.py",
      "    if not math.isfinite(x):\n        raise DomainError(f\"cannot report the non-finite value {x!r}\")\n",
