@@ -26,12 +26,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from holonome.deformation import OneQubitLoop, TwoQubitLoop, _check_size
-from holonome.errors import DomainError
 from holonome.matrix_kernel import (
     _read_only,
     expm_skew,
     frobenius,
-    is_unitary,
     phase_invariant_distance,
     tensor_product,
 )
@@ -49,17 +47,6 @@ II = _read_only(tensor_product(ID2, ID2))
 ZI = _read_only(tensor_product(SIGMA_Z, ID2))
 IX = _read_only(tensor_product(ID2, SIGMA_X))
 ZZ = _read_only(tensor_product(SIGMA_Z, SIGMA_Z))
-
-# Bell ("magic") basis columns for the local-invariant computation.
-MAGIC = _read_only((1.0 / np.sqrt(2.0)) * np.array(
-    [
-        [1, 0, 0, 1j],
-        [0, 1j, 1, 0],
-        [0, 1j, -1, 0],
-        [1, 0, 0, -1j],
-    ],
-    dtype=complex,
-))
 
 
 @dataclass(frozen=True, eq=False)
@@ -196,11 +183,11 @@ class TwoQubitFactorization:
 
     @functools.cached_property
     def invariants_exact(self) -> tuple:
-        return local_invariants(self.gamma_exact)
+        return _block_invariants(self.gamma_exact)
 
     @functools.cached_property
     def invariants_controlled(self) -> tuple:
-        return local_invariants(self.controlled_gate)
+        return _block_invariants(self.controlled_gate)
 
     @functools.cached_property
     def invariants_distance(self) -> float:
@@ -242,9 +229,9 @@ def analytic_two_qubit_gate(loop: TwoQubitLoop) -> TwoQubitFactorization:
     u0 = phase.conjugate() * drive
     u1 = phase * _rotation(r, (a / r, 0.0, -j / r))
     gamma_exact = _block_diagonal(u0, u1)
-    # (diag(e^{-iJ}, e^{iJ}) x drive) times the controlled phase, block by block.
+    # (diag(e^{-iJ}, e^{iJ}) x drive) times the controlled phase, block by block (columns scaled).
     controlled = controlled_phase_gate(2.0 * j)
-    paper = _block_diagonal(u0, (phase * drive) @ controlled[2:, 2:])
+    paper = _block_diagonal(u0, (phase * drive) * controlled[2:, 2:].diagonal())
     return TwoQubitFactorization(
         loop=loop,
         gamma_exact=gamma_exact,
@@ -254,22 +241,10 @@ def analytic_two_qubit_gate(loop: TwoQubitLoop) -> TwoQubitFactorization:
     )
 
 
-def local_invariants(u) -> tuple:
-    """Makhlin invariants (G1 complex, G2 real) of a two-qubit unitary.
-
-    Computed in the magic basis: m = (Q^dag U Q)^T (Q^dag U Q),
-    G1 = tr(m)^2 / (16 det U), G2 = (tr(m)^2 - tr(m^2)) / (4 det U).
-    Invariant under left/right multiplication by local unitaries.
-    """
-    u = np.asarray(u, dtype=complex)
-    if u.shape != (4, 4):
-        raise DomainError("local invariants are defined for 4 x 4 unitaries")
-    if not is_unitary(u):
-        raise DomainError("local invariants require a unitary input")
-    um = MAGIC.conj().T @ u @ MAGIC
-    m = um.T @ um
-    det = np.linalg.det(u)
-    tr2 = np.trace(m) ** 2
-    g1 = tr2 / (16.0 * det)
-    g2 = (tr2 - np.trace(m @ m)) / (4.0 * det)
-    return complex(g1), float(g2.real)
+def _block_invariants(u) -> tuple:
+    """Makhlin invariants (G1 complex, G2 real) of a block-diagonal u0 (+) u1 from its blocks'
+    Python complex scalars: G1 = |tr(u0^dag u1)|^2 / 4, real, and G2 = 1 + 2 G1 (Makhlin,
+    quant-ph/0002045; Zhang, Vala, Sastry and Whaley, quant-ph/0209120)."""
+    u0, u1 = u[:2, :2].ravel().tolist(), u[2:, 2:].ravel().tolist()
+    g1 = abs(sum([a.conjugate() * b for a, b in zip(u0, u1)])) ** 2 / 4.0
+    return complex(g1), 1.0 + 2.0 * g1

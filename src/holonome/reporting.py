@@ -10,23 +10,22 @@ from __future__ import annotations
 
 import functools
 import json
-import math
 import operator
 
 import numpy as np
 
 from holonome import __version__
-from holonome.errors import DomainError
+from holonome.errors import DomainError, _isfinite
 
 AUDIT_CONSISTENCY_TOL = 1e-8
 
 
 def format_float(x: float) -> str:
-    """17 significant digits; a non-finite value (no JSON form) is a DomainError."""
-    x = float(x)
-    if not math.isfinite(x):
-        raise DomainError(f"cannot report the non-finite value {x!r}")
-    return f"{x:.17g}"
+    """17 significant digits; a non-finite value (no JSON form) is a DomainError, and so is an
+    int beyond the float range, which names the reported value rather than print it."""
+    if not _isfinite("reported value", x):
+        raise DomainError(f"cannot report the non-finite value {float(x)!r}")
+    return f"{float(x):.17g}"
 
 
 def _emit_floats(a: np.ndarray) -> str:

@@ -324,6 +324,32 @@ def reference_synthesis(target, eps, kappa_max):
     return tuple(steps), composite, reference_distance(composite, u)
 
 
+# Bell ("magic") basis columns for the reference local invariants.
+MAGIC = (1.0 / np.sqrt(2.0)) * np.array(
+    [[1, 0, 0, 1j], [0, 1j, 1, 0], [0, 1j, -1, 0], [1, 0, 0, -1j]], dtype=complex)
+
+
+def reference_local_invariants(u) -> tuple:
+    """Reference: Makhlin invariants (G1 complex, G2 real) of any two-qubit unitary.
+
+    Computed in the magic basis: m = (Q^dag U Q)^T (Q^dag U Q),
+    G1 = tr(m)^2 / (16 det U), G2 = (tr(m)^2 - tr(m^2)) / (4 det U).
+    Invariant under left/right multiplication by local unitaries.
+    """
+    u = np.asarray(u, dtype=complex)
+    if u.shape != (4, 4):
+        raise DomainError("local invariants are defined for 4 x 4 unitaries")
+    if not is_unitary(u):
+        raise DomainError("local invariants require a unitary input")
+    um = MAGIC.conj().T @ u @ MAGIC
+    m = um.T @ um
+    det = np.linalg.det(u)
+    tr2 = np.trace(m) ** 2
+    g1 = tr2 / (16.0 * det)
+    g2 = (tr2 - np.trace(m @ m)) / (4.0 * det)
+    return complex(g1), float(g2.real)
+
+
 def haar_su2_target(rng) -> np.ndarray:
     """A Haar-random 2 x 2 unitary from a ``random.Random``: a uniform point on S^3 (an SU(2)
     element) times a uniform global phase, as perfbench draws its synthesis targets."""

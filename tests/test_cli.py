@@ -204,6 +204,8 @@ class TestReports:
         g1 = payload["invariants_exact"]["g1"]
         assert abs(complex(g1["re"], g1["im"]) - 1.0) < 1e-9  # local gate
         assert abs(payload["invariants_exact"]["g2"] - 3.0) < 1e-9
+        assert g1["im"] == 0.0  # G1 of a block-diagonal gate is real
+        assert payload["invariants_exact"]["g2"] == 1.0 + 2.0 * g1["re"]
 
     @pytest.mark.parametrize(
         "argv",
@@ -223,13 +225,13 @@ class TestReports:
             assert outputs["verdict"] == "consistent"
 
     def test_two_qubit_request_skips_invariants(self, monkeypatch):
-        calls, original = [], holonomy.local_invariants
+        calls, original = [], holonomy._block_invariants
 
         def counted(u):
             calls.append(u)
             return original(u)
 
-        monkeypatch.setattr(holonomy, "local_invariants", counted)
+        monkeypatch.setattr(holonomy, "_block_invariants", counted)
         assert invoke(["two-qubit", "--kp", "2", "--km", "3", "--kprime", "1"])[0] == 0
         assert calls == []
         assert invoke(["audit", "--kp", "2", "--km", "3", "--kprime", "1"])[0] == 0

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from holonome import adiabatic, deformation, holonomy, spin_model, synthesis
+from holonome import adiabatic, deformation, holonomy, reporting, spin_model, synthesis
 from holonome.errors import DomainError
 
 HUGE = 10**400  # an int that float() cannot convert: it raises OverflowError
@@ -28,6 +28,7 @@ CALLS = [
     ("dimer 2 J", lambda: spin_model.SpinModel((1.0, -HUGE))),
     ("axis", lambda: deformation.one_qubit_generator((HUGE, 0, 0), 1)),
     ("axis", lambda: deformation.OneQubitLoop(np.array([0, 0, HUGE], dtype=object), 1)),
+    ("reported value", lambda: reporting.format_float(HUGE)),
 ]
 
 

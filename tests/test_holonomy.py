@@ -1,6 +1,7 @@
 """Connection, holonomy gates, closed forms and two-qubit diagnostics."""
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from holonome.deformation import (
     one_qubit_generator,
     two_qubit_generator,
 )
-from holonome import adiabatic, synthesis
+from holonome import adiabatic, reporting, synthesis
 from holonome.errors import DomainError
 from holonome import holonomy as holonomy_module
 from holonome.holonomy import (
@@ -23,7 +24,6 @@ from holonome.holonomy import (
     connection_on_ground_space,
     controlled_phase_gate,
     holonomy,
-    local_invariants,
     two_qubit_coding_connection,
 )
 from holonome.matrix_kernel import (
@@ -35,7 +35,13 @@ from holonome.matrix_kernel import (
 )
 from holonome.spin_model import build_one_dimer, build_two_dimer, ground_basis
 
-from conftest import one_qubit_coding_connection, reference_one_qubit_gate, reference_rotation
+from conftest import (
+    haar_su2_target,
+    one_qubit_coding_connection,
+    reference_local_invariants,
+    reference_one_qubit_gate,
+    reference_rotation,
+)
 
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 
@@ -220,6 +226,20 @@ class TestTwoQubitGate:
         )
         assert phase_invariant_distance(fact.gamma_exact, expected) < 1e-10
 
+    def test_paper_factorization_matches_dense_product(self):
+        # Control 0 is the exact block; control 1 is (e^{iJ} drive) @ diag(e^{2iJ}, e^{-2iJ}),
+        # drive = exp(-i (a sigma_x + J sigma_z)), as a dense numpy product.
+        for loop in WINDING_CORPUS:
+            fact = analytic_two_qubit_gate(loop)
+            a, j = loop.a, loop.coupling_j
+            r = math.hypot(a, j)
+            drive = reference_rotation(r, (a / r, 0.0, j / r))
+            dense = (np.exp(1j * j) * drive) @ np.diag([np.exp(2j * j), np.exp(-2j * j)])
+            paper = fact.paper_factorization
+            assert frobenius(paper[2:, 2:] - dense) <= 8 * _U
+            assert paper[:2, :2].tobytes() == fact.gamma_exact[:2, :2].tobytes()
+            assert paper[:2, 2:].tobytes() == paper[2:, :2].tobytes() == bytes(64)
+
     def test_generic_discrepancy_is_nonzero(self):
         fact = analytic_two_qubit_gate(two_qubit_generator(2, 3, 1))
         assert fact.discrepancy > 1e-3
@@ -245,20 +265,20 @@ class TestClosedFormCost:
         assert len(expm_calls) == 1
 
     def test_invariants_computed_on_first_use(self, monkeypatch):
-        calls = []
+        calls, original = [], holonomy_module._block_invariants
 
         def counted(u):
             calls.append(u)
-            return local_invariants(u)
+            return original(u)
 
-        monkeypatch.setattr(holonomy_module, "local_invariants", counted)
+        monkeypatch.setattr(holonomy_module, "_block_invariants", counted)
         fact = analytic_two_qubit_gate(two_qubit_generator(2, 3, 1))
         assert calls == []
         assert fact.invariants_match is False
         assert fact.invariants_distance > 1e-3
         assert len(calls) == 2
-        assert fact.invariants_exact == local_invariants(fact.gamma_exact)
-        assert fact.invariants_controlled == local_invariants(fact.controlled_gate)
+        assert fact.invariants_exact == original(fact.gamma_exact)
+        assert fact.invariants_controlled == original(fact.controlled_gate)
 
 
 class TestConstantProducts:
@@ -275,14 +295,16 @@ class TestConstantProducts:
 
 
 class TestLocalInvariants:
+    """The magic-basis reference ``reference_local_invariants`` of any two-qubit unitary."""
+
     def test_identity(self):
-        g1, g2 = local_invariants(np.eye(4))
+        g1, g2 = reference_local_invariants(np.eye(4))
         assert abs(g1 - 1.0) < 1e-12
         assert abs(g2 - 3.0) < 1e-12
 
     def test_cnot(self):
         cnot = np.eye(4, dtype=complex)[[0, 1, 3, 2]]
-        g1, g2 = local_invariants(cnot)
+        g1, g2 = reference_local_invariants(cnot)
         assert abs(g1) < 1e-12
         assert abs(g2 - 1.0) < 1e-12
 
@@ -294,7 +316,7 @@ class TestLocalInvariants:
 
         rng = np.random.default_rng(17)
         u = random_unitary(4, rng)
-        g1, g2 = local_invariants(u)
+        g1, g2 = reference_local_invariants(u)
         for _ in range(5):
             locals_ = [random_unitary(2, rng) for _ in range(4)]
             dressed = (
@@ -302,18 +324,41 @@ class TestLocalInvariants:
                 @ u
                 @ tensor_product(locals_[2], locals_[3])
             )
-            h1, h2 = local_invariants(dressed)
+            h1, h2 = reference_local_invariants(dressed)
             assert abs(g1 - h1) < 1e-9
             assert abs(g2 - h2) < 1e-9
 
     def test_rejects_non_unitary(self):
         with pytest.raises(DomainError):
-            local_invariants(np.ones((4, 4)))
+            reference_local_invariants(np.ones((4, 4)))
 
     def test_controlled_phase_invariants_depend_on_angle(self):
-        g1a, _ = local_invariants(controlled_phase_gate(0.3))
-        g1b, _ = local_invariants(controlled_phase_gate(1.2))
+        g1a, _ = reference_local_invariants(controlled_phase_gate(0.3))
+        g1b, _ = reference_local_invariants(controlled_phase_gate(1.2))
         assert abs(g1a - g1b) > 1e-3
+
+
+class TestBlockInvariants:
+    """``_block_invariants``: the closed form of a block-diagonal gate's Makhlin invariants."""
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_haar_blocks_within_64u_of_magic_basis_reference(self, seed):
+        rng = random.Random(seed)
+        u = holonomy_module._block_diagonal(haar_su2_target(rng), haar_su2_target(rng))
+        g1, g2 = holonomy_module._block_invariants(u)
+        r1, r2 = reference_local_invariants(u)
+        assert abs(g1 - r1) <= 64 * _U
+        assert abs(g2 - r2) <= 64 * _U
+
+    def test_audit_g1_real_and_g2_exact(self):
+        # Seeded loops up to MAX_WINDING, the forced-zero-coupling (--j-zero) limit among them.
+        for loop in WINDING_CORPUS:
+            payload = reporting.audit_payload(analytic_two_qubit_gate(loop))
+            for key in ("invariants_exact", "invariants_controlled"):
+                g1, g2 = payload[key]["g1"], payload[key]["g2"]
+                assert g1.imag == 0.0
+                assert g2 == 1.0 + 2.0 * g1.real
 
 
 def _equal_result_pairs():

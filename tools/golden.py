@@ -20,8 +20,10 @@ propagators, windings up to MAX_WINDING and T up to the model's ``_t_max``, and
 leakage on the same loops) and ``lib rk4`` (``ode_propagator`` at 1, 10 and 1000
 steps, windings up to 1000, T from 0.1 to 10), ``files``: successful requests
 that write ``--out`` and ``--csv`` files by relative paths, and ``couplings``: sweep
-requests at couplings from the least double to MAX_COUPLING.  ``--diff`` runs this
-script with each tree's ``src`` on PYTHONPATH.
+requests at couplings from the least double to MAX_COUPLING, and ``lib audit closed form``:
+the closed-form fields of the seeded ``audit`` requests' factorizations (``--j-zero`` ones
+included), every field but the numeric check ``block_residual``.  ``--diff`` runs this script
+with each tree's ``src`` on PYTHONPATH.
 """
 
 from __future__ import annotations
@@ -130,10 +132,12 @@ def _couplings_corpus():
 def corpus(top: int):
     """(class, request) pairs: a request is an argv list, or a (function name, args) tuple."""
     rng = random.Random(20081223)
-    reqs = []
+    reqs, audits = [], []
     for _ in range(20):
         k = _log_int(rng, 1, top - 1)
         kp, km, kpr = str(k), str(rng.randint(k + 1, min(3 * k - 1, top))), str(_log_int(rng, 1, top))
+        audits += [("lib audit closed form", ("audit closed form", (k, int(km), int(kpr)))),
+                   ("lib audit closed form", ("audit closed form", (k, None, int(kpr))))]
         reqs += [("one-qubit", ["one-qubit", _axis(rng), "--kappa", str(_log_int(rng, 1, top))]),
                  ("two-qubit", ["two-qubit", "--kp", kp, "--km", km, "--kprime", kpr]),
                  ("audit", ["audit", "--kp", kp, "--km", km, "--kprime", kpr]),
@@ -194,7 +198,7 @@ def corpus(top: int):
         target = [[a, -b.conjugate()], [b, a.conjugate()]]
         reqs.append(("lib synthesize_su2", ("synthesize_su2", (target, 1e-3, _log_int(rng, 1, top)))))
     return (reqs + _adiabatic_corpus(top) + _gate_corpus(top) + _files_corpus()
-            + _couplings_corpus())
+            + _couplings_corpus() + audits)
 
 
 def _value(obj) -> str:
@@ -236,6 +240,17 @@ def _adiabatic(kind: str, loop, couplings, times):
          adiabatic.holonomy_fidelity(run.propagator, gate, model, run.T)) for run in runs]
 
 
+def _audit_closed_form(kp: int, km, kprime: int):
+    """The closed-form fields of one audit's factorization (the --j-zero loop when km is None)."""
+    from holonome import deformation, holonomy
+
+    loop = (deformation.TwoQubitLoop.with_forced_zero_coupling(kp, kprime) if km is None
+            else deformation.two_qubit_generator(kp, km, kprime))
+    fact = holonomy.analytic_two_qubit_gate(loop)
+    return (fact.gamma_exact, fact.paper_factorization, fact.discrepancy,
+            fact.invariants_exact, fact.invariants_controlled)
+
+
 def run(request) -> bytes:
     from holonome import cli, synthesis
 
@@ -243,6 +258,8 @@ def run(request) -> bytes:
         name, args = request
         if hasattr(synthesis, name):
             return _value(getattr(synthesis, name)(*args)).encode()
+        if name == "audit closed form":
+            return _value(_audit_closed_form(*args)).encode()
         return _value(_adiabatic(name, *args)).encode()
     out, err, here = io.StringIO(), io.StringIO(), os.getcwd()
     with tempfile.TemporaryDirectory() as work:

@@ -26,14 +26,17 @@ ROOT = Path(__file__).resolve().parent.parent
 ADIABATIC, SYNTHESIS = "src/holonome/adiabatic.py", "src/holonome/synthesis.py"
 DEFORMATION = "src/holonome/deformation.py"
 MATRIX_KERNEL = "src/holonome/matrix_kernel.py"
+HOLONOMY = "src/holonome/holonomy.py"
 BLOCK_SCORES = "tests/test_adiabatic.py::TestBlockScores::test_within_bound_of_dense_holonomy_fidelity"
 SECTORS = "tests/test_adiabatic.py::TestSectorPropagators::"
 KERNEL = "tests/test_synthesis.py::TestControlledPhaseKernel::"
+BLOCK_INVARIANTS = ("tests/test_holonomy.py::TestBlockInvariants::"
+                    "test_haar_blocks_within_64u_of_magic_basis_reference")
 
 # (file, old text, new text, test node IDs): one contract each.
 MUTANTS = [
     # The leakage audit reads the connection's non-coding-by-coding block, not its transpose.
-    ("src/holonome/holonomy.py",
+    (HOLONOMY,
      "block = conn.matrix[conn.coding_dim :, : conn.coding_dim]",
      "block = conn.matrix[: conn.coding_dim, conn.coding_dim :]",
      ["tests/test_deformation.py::TestLeakageAudit::test_lazy_fields_equal_eager_reference"]),
@@ -56,7 +59,7 @@ MUTANTS = [
      "            with fh:\n                fh.write(text)\n            os.replace(fh.name, path)\n",
      ["tests/test_cli.py::TestFilesystemErrors::test_failed_sweep_leaves_an_existing_csv_unchanged"]),
     # The connection's coding block is 2^(n_spins / 2) square: 2 for one dimer, 4 for two.
-    ("src/holonome/holonomy.py", "coding_dim=2 ** (n_spins // 2)", "coding_dim=2",
+    (HOLONOMY, "coding_dim=2 ** (n_spins // 2)", "coding_dim=2",
      ["tests/test_holonomy.py::TestConnection::test_two_qubit_matches_closed_form"]),
     # A sweep whose --csv and --out name one file is refused: the report would replace the table.
     ("src/holonome/cli.py",
@@ -109,7 +112,7 @@ MUTANTS = [
     (DEFORMATION, "if not km < 3 * kp:", "if not km <= 3 * kp:",
      ["tests/test_deformation.py::TestTwoQubitGenerator::test_rejects_violating_constraints"]),
     # The one-qubit gate's off-diagonal is phase * (-i sin theta (m_x -+ i m_y)).
-    ("src/holonome/holonomy.py", "[[phase * a, phase * b], [phase * c, phase * d]]",
+    (HOLONOMY, "[[phase * a, phase * b], [phase * c, phase * d]]",
      "[[phase * a, -phase * b], [phase * c, phase * d]]",
      ["tests/test_holonomy.py::TestOneQubitGate::test_scalar_gate_within_4u_of_array_form"]),
     # The unitarity defect reads (U^dag U)_01 = conj(a) b + conj(c) d.
@@ -131,8 +134,19 @@ MUTANTS = [
      ["tests/test_cli.py::TestEmitterDispatch::test_figure_rows_hold_only_table_types"]),
     # A non-finite float has no JSON or CSV form.
     ("src/holonome/reporting.py",
-     "    if not math.isfinite(x):\n        raise DomainError(f\"cannot report the non-finite value {x!r}\")\n",
+     "    if not _isfinite(\"reported value\", x):\n"
+     "        raise DomainError(f\"cannot report the non-finite value {float(x)!r}\")\n",
      "", ["tests/test_cli.py::TestNonFiniteOutput::test_format_float_rejects_non_finite"]),
+    # A block-diagonal gate's G1 is |tr(u0^dag u1)|^2 / 4, not / 2 ...
+    (HOLONOMY, "** 2 / 4.0", "** 2 / 2.0", [BLOCK_INVARIANTS]),
+    # ... of the overlap conj(u0) u1, not u0 u1 ...
+    (HOLONOMY, "a.conjugate() * b for", "a * b for", [BLOCK_INVARIANTS]),
+    # ... and G2 = 1 + 2 G1.
+    (HOLONOMY, "1.0 + 2.0 * g1", "1.0 + g1",
+     [BLOCK_INVARIANTS, "tests/test_holonomy.py::TestBlockInvariants::test_audit_g1_real_and_g2_exact"]),
+    # The published control-1 block is (e^{iJ} drive) diag(e^{2iJ}, e^{-2iJ}): it scales columns.
+    (HOLONOMY, "controlled[2:, 2:].diagonal())", "controlled[2:, 2:].diagonal()[:, None])",
+     ["tests/test_holonomy.py::TestTwoQubitGate::test_paper_factorization_matches_dense_product"]),
 ]
 
 
