@@ -214,6 +214,8 @@ def _coding_vectors(model: SpinModel, gate: HolonomyGate) -> np.ndarray:
     dim_c = c.shape[1]
     if gate.gamma.shape != (dim_c, dim_c):
         raise DomainError("gate dimension does not match the model's coding space")
+    if not is_unitary(gate.gamma):  # a scaled gate would otherwise be clamped to a perfect score
+        raise DomainError("gate must be unitary")
     return c
 
 
@@ -294,7 +296,7 @@ def adiabatic_sweep(model, loop, gate, t_list) -> list:
         raise DomainError("T_list must be non-empty and positive")
     ts = np.array(t_list)
     us, triplet_exps = _propagators(model, loop, ts)
-    _coding_vectors(model, gate)  # the gate must match the model's coding space
+    _coding_vectors(model, gate)  # the gate must be a unitary on the model's coding space
     fidelities, leakages = _scores(triplet_exps, gate.gamma)
     phases = np.exp(-1j * model.ground_energy * ts).tolist()
     # Filled in place: a frozen dataclass's __init__ sets each field through object.__setattr__.

@@ -80,22 +80,8 @@ class OneQubitLoop(_Loop):
 
     def __post_init__(self):
         kappa = _checked_int("kappa", self.kappa)
-        try:
-            n = np.asarray(self.n, dtype=float)
-        except OverflowError:  # an int component beyond the float range
-            raise DomainError("axis is beyond the float range") from None
-        if n.shape != (3,):
-            raise DomainError("axis must be a real 3-vector")
-        nx, ny, nz = n.tolist()
-        if not abs(math.hypot(nx, ny, nz) - 1.0) <= 1e-12:  # NaN fails too; no overflow
-            raise DomainError("axis must be a unit vector")
-        if not (1 <= kappa <= MAX_WINDING):
-            raise DomainError(f"winding number must be in [1, {MAX_WINDING}]")
-        if abs(abs(nz) - 1.0) < 1e-12:
-            raise DomainError("|n_z| = 1 gives [H, X] = 0: the loop is trivial")
+        (nx, ny, nz), root = _checked_axis(self.n, kappa)
         omega = kappa * math.pi
-        # nz ** 2 is libm's pow, as numpy's scalar power is; it can differ from nz * nz.
-        root = math.sqrt(2.0 - nz**2)
         vars(self).update(n=(nx, ny, nz), kappa=kappa,  # frozen: no setattr
                           omega=omega, theta_kappa=omega * root,
                           m=(_SQRT2 * nx / root, _SQRT2 * ny / root, nz / root))
@@ -122,6 +108,26 @@ class OneQubitLoop(_Loop):
             m = np.array([1.0, 0.0, -1.0])
             phases = _read_only(np.exp(-1j * math.atan2(ny, nx) * np.subtract.outer(m, m)))
         return triplets, _read_only(np.array([0.0])), phases
+
+
+def _checked_axis(n, kappa: int) -> tuple:
+    """(n as floats, sqrt(2 - n_z^2)) of ``OneQubitLoop(n, kappa)``, kappa an int, checked in
+    its order: n a real unit 3-vector, kappa in [1, MAX_WINDING], |n_z| < 1; pi root is theta_1."""
+    try:
+        n = np.asarray(n, dtype=float)
+    except OverflowError:  # an int component beyond the float range
+        raise DomainError("axis is beyond the float range") from None
+    if n.shape != (3,):
+        raise DomainError("axis must be a real 3-vector")
+    nx, ny, nz = n.tolist()
+    if not abs(math.hypot(nx, ny, nz) - 1.0) <= 1e-12:  # NaN fails too; no overflow
+        raise DomainError("axis must be a unit vector")
+    if not (1 <= kappa <= MAX_WINDING):
+        raise DomainError(f"winding number must be in [1, {MAX_WINDING}]")
+    if abs(abs(nz) - 1.0) < 1e-12:
+        raise DomainError("|n_z| = 1 gives [H, X] = 0: the loop is trivial")
+    # nz ** 2 is libm's pow, as numpy's scalar power is; it can differ from nz * nz.
+    return (nx, ny, nz), math.sqrt(2.0 - nz**2)
 
 
 def _checked_int(name: str, value) -> int:

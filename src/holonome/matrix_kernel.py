@@ -41,6 +41,9 @@ def frobenius(m) -> float:
 
 def is_unitary(u) -> bool:
     u = _as_square(u)
+    # A unitary's entries lie in the unit disc: a part beyond 2, inf or nan fails before U^dag U.
+    if not (np.abs(u.ravel().view(float)) <= 2.0).all():
+        return False
     return frobenius(u.conj().T @ u - np.eye(u.shape[0])) < _STRUCTURE_TOL * u.shape[0]
 
 
@@ -60,13 +63,18 @@ def expm_skew(m) -> np.ndarray:
     m = np.asarray(m, dtype=complex)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise DomainError(f"expected a square matrix or a stack of them, got shape {m.shape}")
-    # Every slice is checked at once; the first bad slice names the error.
-    norm = _slice_norms(m)
-    defect = _slice_norms(m + m.conj().swapaxes(-1, -2))
+    # Every slice is checked at once; the first bad slice names the error.  An inf or nan entry,
+    # or squares that overflow (quietly, here), make its norm not finite.
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm = _slice_norms(m)
+        defect = _slice_norms(m + m.conj().swapaxes(-1, -2))
     bad = ~np.isfinite(norm) | (defect > _STRUCTURE_TOL * np.maximum(1.0, norm))
     if bad.any():
-        if not math.isfinite(np.ravel(norm)[np.argmax(bad)]):
+        first = np.argmax(bad)
+        if not np.isfinite(m.reshape(-1, *m.shape[-2:])[first]).all():
             raise DomainError("expm_skew requires a finite argument")
+        if not math.isfinite(np.ravel(norm)[first]):
+            raise DomainError("expm_skew argument's norm is beyond the float range")
         raise DomainError("expm_skew requires an anti-Hermitian argument")
     herm = 1j * m  # Hermitian
     return exp_minus_i(0.5 * (herm + herm.conj().swapaxes(-1, -2)))

@@ -42,10 +42,7 @@ def site_operator(op, site: int, n_spins: int) -> np.ndarray:
     """Embed a single-spin operator at ``site`` (0-based, leftmost slow)."""
     factors = [ID2] * n_spins
     factors[site] = np.asarray(op, dtype=complex)
-    out = factors[0]
-    for f in factors[1:]:
-        out = tensor_product(out, f)
-    return out
+    return functools.reduce(tensor_product, factors)
 
 
 @functools.cache

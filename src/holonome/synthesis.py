@@ -50,7 +50,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from holonome.deformation import MAX_WINDING, OneQubitLoop, _checked_int, coupling_strength
+from holonome.deformation import (
+    MAX_WINDING,
+    OneQubitLoop,
+    _checked_axis,
+    _checked_int,
+    coupling_strength,
+)
 from holonome.errors import DomainError, _isfinite
 from holonome.holonomy import analytic_one_qubit_gate, controlled_phase_gate
 from holonome.matrix_kernel import _STRUCTURE_TOL, _U, _distance, _read_only
@@ -378,8 +384,7 @@ def search_rotation(axis, theta_target: float, eps: float, kappa_max: int) -> Se
     _check_search_inputs(eps, theta_target, kappa_max=kappa_max)
     theta_target = float(theta_target)
     n = _resolve_axis(axis)
-    # Validates unit norm and |n_z| < 1 (|n_z| = 1 would make every gate trivial).
-    step = OneQubitLoop(n, 1).theta_kappa
+    step = math.pi * _checked_axis(n, 1)[1]  # theta_1, after the loop's axis checks
     i, best_err = _search_line(theta_target, (step,), int(kappa_max), TWO_PI)
     loop = OneQubitLoop(n, i + 1)
     return SearchResult(
@@ -401,7 +406,7 @@ def search_hadamard(eps: float, kappa_max: int) -> SearchResult:
     gate to HADAMARD, and ``exhausted`` means it is at least ``eps``.
     """
     _check_search_inputs(eps, kappa_max=kappa_max)
-    root = math.sqrt(2.0 - HADAMARD_AXIS[2] ** 2)  # as OneQubitLoop computes it
+    root = _checked_axis(HADAMARD_AXIS, 1)[1]
     i, err = _search_line(np.pi / 2.0, (np.pi, root), int(kappa_max), np.pi)
     loop = OneQubitLoop(HADAMARD_AXIS, i + 1)
     dist = _rotation_distance(np.pi / 2.0, loop.theta_kappa)

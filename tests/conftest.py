@@ -115,6 +115,18 @@ def one_qubit_coding_connection(loop) -> np.ndarray:
     )
 
 
+def two_qubit_coding_connection(loop) -> np.ndarray:
+    """Reference closed-form coding block on C2 (control slow, target fast):
+    i [Omega_1 (I x I) + (Omega_1 + J) (sz x I) + a (I x sx) + J (sz x sz)]."""
+    j = loop.coupling_j
+    return 1j * (
+        loop.omega1 * np.kron(ID2, ID2)
+        + (loop.omega1 + j) * np.kron(SIGMA_Z, ID2)
+        + loop.a * np.kron(ID2, SIGMA_X)
+        + j * np.kron(SIGMA_Z, SIGMA_Z)
+    )
+
+
 def eager_leakage_audit(gen, model):
     """Reference: the leakage block labelled element by element, its verdict, and
     the paper's named cross-coupling elements (two dimers only).

@@ -15,7 +15,6 @@ from holonome.holonomy import (
     connection_on_ground_space,
     holonomy,
     leakage_audit,
-    two_qubit_coding_connection,
 )
 from holonome.matrix_kernel import frobenius, phase_invariant_distance
 from holonome.spin_model import build_one_dimer, build_two_dimer, ground_basis
@@ -31,6 +30,7 @@ from conftest import (
     eager_leakage_audit,
     hamiltonian,
     one_qubit_coding_connection,
+    two_qubit_coding_connection,
 )
 
 HADAMARD_AXIS = (np.sqrt(1 / 3), 0.0, np.sqrt(2 / 3))

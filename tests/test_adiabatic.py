@@ -418,16 +418,32 @@ class TestHolonomyFidelity:
                 holonomy_fidelity(broken, gate, model, 10.0)
 
     @pytest.mark.parametrize("qubits", [1, 2])
-    @pytest.mark.parametrize("factor", [3.0, 0.0, 1.0 + 1e-6])
+    @pytest.mark.parametrize("factor", [3.0, 0.0, 1.0 + 1e-6, 1e200])
     def test_rejects_non_unitary_propagator(self, qubits, factor):
         # A scaled U would be clamped to a score: 3 U to (1.0, 0.0), as if the gate were
-        # perfect, and 0 U to (0.0, 1.0).  The exact propagator itself is scored.
+        # perfect, and 0 U to (0.0, 1.0); 1e200 U is refused before U^dag U overflows.  The
+        # exact propagator itself is scored.
         model, gen, gate = oracle_setup(qubits)
         u = exact_propagator(model, gen, 1000.0)
-        with pytest.raises(DomainError, match="^propagator must be unitary$"):
+        with np.errstate(all="raise"), pytest.raises(DomainError,
+                                                     match="^propagator must be unitary$"):
             holonomy_fidelity(factor * u, gate, model, 1000.0)
         fidelity, leakage = holonomy_fidelity(u, gate, model, 1000.0)
         assert 0.0 < fidelity <= 1.0 and 0.0 <= leakage < 1.0
+
+    @pytest.mark.parametrize("qubits", [1, 2])
+    @pytest.mark.parametrize("factor", [3.0, 0.0, np.nan])
+    def test_rejects_non_unitary_gate(self, qubits, factor):
+        # A scaled gate would be clamped to a score: 3 Gamma to fidelity 1.0, as if the
+        # propagator realized it perfectly, and a nan gate to nan.  The dense score and the
+        # sweep refuse it alike.
+        model, gen, gate = oracle_setup(qubits)
+        u = exact_propagator(model, gen, 1000.0)
+        bad = HolonomyGate(gamma=factor * gate.gamma)
+        with pytest.raises(DomainError, match="^gate must be unitary$"):
+            holonomy_fidelity(u, bad, model, 1000.0)
+        with pytest.raises(DomainError, match="^gate must be unitary$"):
+            adiabatic_sweep(model, gen, bad, [1000.0])
 
 
 class TestAdiabaticSweep:
@@ -854,9 +870,10 @@ class TestBlockScores:
 
     def test_real_gamma_scores_as_complex(self):
         # A gate may hold a real Gamma (or a transposed view); it scores as its complex copy.
+        # The orthogonal factor of Gamma's real part is a real unitary that is not diagonal.
         model, gen, gate = oracle_setup(2)
         ts = [1.0, 10.0, 100.0]
-        for gamma in (np.eye(4), gate.gamma.real.copy(), gate.gamma.T):
+        for gamma in (np.eye(4), np.linalg.qr(gate.gamma.real)[0], gate.gamma.T):
             runs = adiabatic_sweep(model, gen, HolonomyGate(gamma=gamma), ts)
             expected = adiabatic_sweep(model, gen, HolonomyGate(gamma=np.array(gamma, complex)), ts)
             assert [run_bits(r) for r in runs] == [run_bits(r) for r in expected]

@@ -3,6 +3,7 @@
 import dataclasses
 import io
 import json
+import math
 import re
 from unittest import mock
 
@@ -624,6 +625,9 @@ class TestEveryConstructionChecks:
          f"winding number must be in [1, {MAX_WINDING}]"),
         (lambda: OneQubitLoop((2, 0, 0), 1), "axis must be a unit vector"),
         (lambda: OneQubitLoop((0.0, 0.0, 1.0), 1), "|n_z| = 1"),
+        # The axis is checked, then the winding range, then |n_z| < 1.
+        (lambda: OneQubitLoop((2, 0, 0), 0), "axis must be a unit vector"),
+        (lambda: OneQubitLoop((0.0, 0.0, 1.0), 0), f"winding number must be in [1, {MAX_WINDING}]"),
         (lambda: dataclasses.replace(OneQubitLoop((1, 0, 0), 1), n=(1, 0)),
          "axis must be a real 3-vector"),
         (lambda: dataclasses.replace(two_qubit_generator(2, 3, 1), kappa_minus=7),
@@ -664,6 +668,26 @@ class TestEveryConstructionChecks:
         two_qubit_generator(2, 3, 1)
         TwoQubitLoop.with_forced_zero_coupling(2, 1)
         assert len(calls) == 1 + 3 + 3
+
+
+class TestCheckedAxis:
+    """One helper checks a one-qubit axis and gives sqrt(2 - n_z^2): for the loop and for the
+    rotation and Hadamard searches' step, which build no loop to read it."""
+
+    def test_step_is_bit_equal_to_the_first_loop(self):
+        for n in random_axes(200) + [synthesis.HADAMARD_AXIS, *synthesis.NAMED_AXES.values()]:
+            loop = OneQubitLoop(n, 1)
+            checked, root = deformation._checked_axis(n, 1)
+            assert checked == loop.n
+            assert math.pi * root == loop.theta_kappa
+
+    def test_searches_build_only_the_winning_loop(self, monkeypatch):
+        built = []
+        monkeypatch.setattr(synthesis, "OneQubitLoop",
+                            lambda n, kappa: built.append(kappa) or OneQubitLoop(n, kappa))
+        rotation = synthesis.search_rotation((0.6, 0.0, 0.8), 1.0, 1e-3, 1000)
+        hadamard = synthesis.search_hadamard(1e-3, 1000)
+        assert built == [rotation.params["kappa"], hadamard.params["kappa"]]
 
 
 class TestClosureCache:

@@ -24,7 +24,6 @@ from holonome.holonomy import (
     connection_on_ground_space,
     controlled_phase_gate,
     holonomy,
-    two_qubit_coding_connection,
 )
 from holonome.matrix_kernel import (
     _U,
@@ -41,11 +40,12 @@ from conftest import (
     reference_local_invariants,
     reference_one_qubit_gate,
     reference_rotation,
+    two_qubit_coding_connection,
 )
 
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 
-# c in the forward-error bound c ||A||_F u on the closed-form two-qubit gate
+# c in the forward-error bounds c ||A||_F u and c ||X||_F u on the closed-form two-qubit gate
 # (Higham, Accuracy and Stability of Numerical Algorithms, ch. 10).
 BLOCK_RESIDUAL_C = 16.0
 
@@ -197,16 +197,25 @@ class TestTwoQubitGate:
         assert frobenius(fact.gamma_exact[:2, :2] - u0) < 1e-12
         assert frobenius(fact.gamma_exact[2:, 2:] - u1) < 1e-12
 
-    def test_exact_equals_block_form(self):
-        # The closed-form blocks against the eigensolver's exp(-A), within the
-        # forward-error bound c ||A||_F u; the largest ratio seen on random
-        # loops up to MAX_WINDING is about 3.
-        for loop in WINDING_CORPUS:
+    @pytest.mark.parametrize("loops", [
+        WINDING_CORPUS,
+        [TwoQubitLoop.with_forced_zero_coupling(kp, kpr) for kp, kpr in
+         ((1, 1), (2, 1), (7, 3), (1, MAX_WINDING), (MAX_WINDING, 1))],
+    ], ids=["winding-corpus", "forced-zero-coupling"])
+    def test_exact_equals_block_form(self, loops):
+        # The closed-form blocks against the eigensolver's exp(-A) of the paper's closed-form
+        # coding block A, within the forward-error bound c ||A||_F u, and ``block_residual``
+        # against the holonomy of the loop's connection, within c ||X||_F u; the largest
+        # ratios seen on random loops up to MAX_WINDING are about 2.3.
+        model = build_two_dimer(1.0, 1.0)
+        for loop in loops:
             fact = analytic_two_qubit_gate(loop)
             a = two_qubit_coding_connection(loop)
             residual = frobenius(expm_skew(-a) - fact.gamma_exact)
             assert residual <= BLOCK_RESIDUAL_C * frobenius(a) * _U
-            assert fact.block_residual == residual
+            numeric = holonomy(connection_on_ground_space(loop, model)).gamma
+            assert fact.block_residual == frobenius(numeric - fact.gamma_exact)
+            assert fact.block_residual <= BLOCK_RESIDUAL_C * frobenius(loop.x) * _U
             assert fact.gamma_exact[:2, 2:].tobytes() == bytes(64)
             assert fact.gamma_exact[2:, :2].tobytes() == bytes(64)
 
@@ -279,19 +288,6 @@ class TestClosedFormCost:
         assert len(calls) == 2
         assert fact.invariants_exact == original(fact.gamma_exact)
         assert fact.invariants_controlled == original(fact.controlled_gate)
-
-
-class TestConstantProducts:
-    def test_bit_equal_fresh_and_read_only(self):
-        sx = np.array([[0, 1], [1, 0]], dtype=complex)
-        sz = np.diag([1.0, -1.0]).astype(complex)
-        eye = np.eye(2, dtype=complex)
-        for name, (a, b) in {"II": (eye, eye), "ZI": (sz, eye),
-                             "IX": (eye, sx), "ZZ": (sz, sz)}.items():
-            const = getattr(holonomy_module, name)
-            assert const.tobytes() == np.kron(a, b).tobytes()
-            with pytest.raises(ValueError):
-                const[0, 0] = 2.0
 
 
 class TestLocalInvariants:

@@ -27,6 +27,7 @@ from holonome.spin_model import (
 from conftest import ground_projector, hamiltonian, reference_distance
 
 RNG = np.random.default_rng(20260826)
+NON_FINITE = [np.nan, np.inf, -np.inf]
 
 
 def random_unitary(dim, rng=RNG):
@@ -68,6 +69,22 @@ class TestExpmSkew:
         with pytest.raises(DomainError):
             expm_skew(np.array([[1.0, 0.0], [0.0, 1.0]]))
 
+    @pytest.mark.parametrize("entry", NON_FINITE + [complex(0.0, b) for b in NON_FINITE])
+    def test_rejects_non_finite_without_a_warning(self, entry):
+        for m in (np.full((2, 2), entry), np.where(np.eye(2), entry, 0.0)):
+            with np.errstate(all="raise"), pytest.raises(DomainError, match="finite argument$"):
+                expm_skew(m)
+
+    @pytest.mark.parametrize("scale", [1e155, 1e200, 1.7e308])
+    def test_rejects_an_overflowing_norm_without_a_warning(self, scale):
+        # Finite entries whose squares overflow: anti-Hermitian or not, the norm is refused
+        # by name, not called infinite.
+        for m in (1j * np.full((2, 2), scale), np.full((2, 2), scale)):
+            with np.errstate(all="raise"), pytest.raises(DomainError, match="float range$"):
+                expm_skew(m)
+        unit = expm_skew(1j * np.full((2, 2), 1e150))  # squares at 1e300 stay finite
+        assert is_unitary(unit)
+
     def test_unitarity_and_inverse(self):
         for dim in (2, 4, 9, 16):
             m = random_antihermitian(dim)
@@ -97,9 +114,11 @@ class TestExpmSkew:
 
     def test_first_bad_slice_names_the_error(self):
         skew, nan = random_antihermitian(4), np.full((4, 4), np.nan)
-        bad = skew + 1e-6
+        bad, huge = skew + 1e-6, 1e200 * skew
         for order, message in (((skew, bad, nan), "anti-Hermitian"),
-                               ((skew, nan, bad), "finite")):
+                               ((skew, nan, bad), "finite"),
+                               ((skew, huge, nan), "float range"),
+                               ((nan, huge, bad), "finite")):
             with pytest.raises(DomainError, match=message):
                 expm_skew(np.stack(order))
 
@@ -175,6 +194,21 @@ class TestPhaseInvariantDistance:
         assert not is_unitary(u)
         with pytest.raises(DomainError):
             phase_invariant_distance(u, np.eye(4))
+
+    @pytest.mark.parametrize("entry", NON_FINITE + [complex(0.0, b) for b in NON_FINITE]
+                             + [1e200, 1.7e308j, complex(1.7e308, -1.7e308)])
+    def test_non_finite_or_huge_entries_are_not_unitary_without_a_warning(self, entry):
+        # Judged before any product: u^dag u would overflow or be nan.
+        u = random_unitary(4)
+        for m in (np.full((4, 4), entry), np.where(np.eye(4) == 1, entry, u), u.T.copy()):
+            m[0, 0] = entry
+            with np.errstate(all="raise"):
+                assert not is_unitary(m)
+                assert not is_unitary(m.T)  # a transposed view, not contiguous
+                with pytest.raises(DomainError, match="unitary inputs$"):
+                    phase_invariant_distance(m, np.eye(4))
+                with pytest.raises(DomainError, match="unitary inputs$"):
+                    phase_invariant_distance(np.eye(4), m)
 
     @pytest.mark.parametrize("dim", [4, 16])
     def test_haar_pairs_match_array_reference(self, dim):

@@ -147,6 +147,18 @@ MUTANTS = [
     # The published control-1 block is (e^{iJ} drive) diag(e^{2iJ}, e^{-2iJ}): it scales columns.
     (HOLONOMY, "controlled[2:, 2:].diagonal())", "controlled[2:, 2:].diagonal()[:, None])",
      ["tests/test_holonomy.py::TestTwoQubitGate::test_paper_factorization_matches_dense_product"]),
+    # The audit's block_residual is measured against the holonomy of the loop's connection.
+    (HOLONOMY, "holonomy(_connection(self.loop)).gamma - ",
+     "holonomy(_connection(self.loop)).gamma.conj() - ",
+     ["tests/test_holonomy.py::TestTwoQubitGate::test_exact_equals_block_form"]),
+    # A gate is scored only if it is unitary: 3 Gamma would score a perfect fidelity.
+    (ADIABATIC, "    if not is_unitary(gate.gamma):", "    if False:",
+     ["tests/test_adiabatic.py::TestHolonomyFidelity::test_rejects_non_unitary_gate"]),
+    # is_unitary judges inf, nan and huge entries before the product they would overflow.
+    (MATRIX_KERNEL,
+     "    if not (np.abs(u.ravel().view(float)) <= 2.0).all():\n        return False\n", "",
+     ["tests/test_matrix_kernel.py::TestPhaseInvariantDistance::"
+      "test_non_finite_or_huge_entries_are_not_unitary_without_a_warning"]),
 ]
 
 
