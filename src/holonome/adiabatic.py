@@ -33,7 +33,6 @@ class AdiabaticRun:
     propagator: np.ndarray
     fidelity: float
     leakage: float
-    dynamical_phase: complex
 
 
 # Largest phase error, in radians, a propagator may carry.  Evaluating
@@ -286,9 +285,9 @@ def _scores(triplet_exps: np.ndarray, gamma: np.ndarray) -> tuple:
 def adiabatic_sweep(model, loop, gate, t_list) -> list:
     """One exact-propagator run per total time T, ordered by T.
 
-    Propagators, fidelities, leakages and dynamical phases of all T come
-    from one stacked pass; the scores are read off the triplet exponentials
-    (``_scores``), not off the dense propagators.
+    Propagators, fidelities and leakages of all T come from one stacked
+    pass; the scores are read off the triplet exponentials (``_scores``), not
+    off the dense propagators.
     """
     t_max = _t_max(model)
     t_list = sorted(_finite_time(t, t_max) for t in t_list)
@@ -298,10 +297,8 @@ def adiabatic_sweep(model, loop, gate, t_list) -> list:
     us, triplet_exps = _propagators(model, loop, ts)
     _coding_vectors(model, gate)  # the gate must be a unitary on the model's coding space
     fidelities, leakages = _scores(triplet_exps, gate.gamma)
-    phases = np.exp(-1j * model.ground_energy * ts).tolist()
     # Filled in place: a frozen dataclass's __init__ sets each field through object.__setattr__.
     runs = [object.__new__(AdiabaticRun) for _ in t_list]
-    for run, T, u, fidelity, leakage, phase in zip(runs, t_list, us, fidelities, leakages, phases):
-        vars(run).update(T=T, propagator=u, fidelity=fidelity, leakage=leakage,
-                         dynamical_phase=phase)
+    for run, T, u, fidelity, leakage in zip(runs, t_list, us, fidelities, leakages):
+        vars(run).update(T=T, propagator=u, fidelity=fidelity, leakage=leakage)
     return runs

@@ -16,6 +16,7 @@ import contextlib
 import errno
 import functools
 import os
+import re
 import sys
 
 import numpy as np
@@ -250,6 +251,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(func=cmd_audit)
 
+    # No option looks like a number, so -1e-3, -.5 and -0.6,0.8,0 are values, not options
+    # (argparse up to Python 3.12 takes only -12 and -1.5 for numbers).
+    for each in (parser, *sub.choices.values()):
+        each._negative_number_matcher = re.compile(r"^-\.?\d")
     return parser
 
 

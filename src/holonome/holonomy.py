@@ -47,13 +47,9 @@ LEAKAGE_TOL = 1e-12
 
 @dataclass(frozen=True, eq=False)
 class LeakageAudit:
-    """Matrix elements of X between coding and non-coding ground vectors.
+    """The largest matrix element of X between coding and non-coding ground vectors; the audit
+    passes iff all of them vanish."""
 
-    ``block`` holds them, non-coding rows by coding columns; the audit passes
-    iff all of them vanish.
-    """
-
-    block: np.ndarray
     max_abs: float
     passed: bool
 
@@ -91,7 +87,7 @@ def leakage_audit(conn: Connection) -> LeakageAudit:
     """Check that X never connects the coding space to the rest of the ground space."""
     block = conn.matrix[conn.coding_dim :, : conn.coding_dim]
     max_abs = float(np.max(np.abs(block))) if block.size else 0.0
-    return LeakageAudit(block=block, max_abs=max_abs, passed=max_abs < LEAKAGE_TOL)
+    return LeakageAudit(max_abs=max_abs, passed=max_abs < LEAKAGE_TOL)
 
 
 def holonomy(conn: Connection) -> HolonomyGate:

@@ -92,11 +92,6 @@ def exp_minus_i(h: np.ndarray) -> np.ndarray:
     return (evecs * np.exp(-1j * evals)[..., None, :]) @ evecs.conj().swapaxes(-1, -2)
 
 
-def tensor_product(a, b) -> np.ndarray:
-    """Kronecker product with the first factor slow (leftmost)."""
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
-
-
 def phase_invariant_distance(u, v) -> float:
     """Gate distance insensitive to a global phase.
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from holonome.errors import DomainError, _isfinite
-from holonome.matrix_kernel import _read_only, tensor_product
+from holonome.matrix_kernel import _read_only
 
 SIGMA_X = _read_only(np.array([[0, 1], [1, 0]], dtype=complex))
 SIGMA_Y = _read_only(np.array([[0, -1j], [1j, 0]], dtype=complex))
@@ -38,17 +38,13 @@ ID2 = _read_only(np.eye(2, dtype=complex))
 PAULI = types.MappingProxyType({"x": SIGMA_X, "y": SIGMA_Y, "z": SIGMA_Z})
 
 
-def site_operator(op, site: int, n_spins: int) -> np.ndarray:
-    """Embed a single-spin operator at ``site`` (0-based, leftmost slow)."""
-    factors = [ID2] * n_spins
-    factors[site] = np.asarray(op, dtype=complex)
-    return functools.reduce(tensor_product, factors)
-
-
 @functools.cache
 def pauli_site(axis: str, site: int, n_spins: int) -> np.ndarray:
-    """``site_operator(PAULI[axis], site, n_spins)``, built once per process (read-only)."""
-    return _read_only(site_operator(PAULI[axis], site, n_spins))
+    """``PAULI[axis]`` at ``site`` (0-based) of ``n_spins``, the Kronecker product of one factor
+    per spin, leftmost slow; built once per process (read-only)."""
+    factors = [ID2] * n_spins
+    factors[site] = PAULI[axis]
+    return _read_only(functools.reduce(np.kron, factors))
 
 
 # Largest coupling a model accepts.  The two-dimer diagonal is at most
@@ -155,7 +151,7 @@ def _ground_columns(n_spins: int) -> np.ndarray:
     cols = []
     for label in _GROUND_LABELS[n_spins]:
         dimers = [DIMER_BASIS[label[i : i + 2]] for i in range(0, len(label), 2)]
-        cols.append(functools.reduce(tensor_product, dimers))
+        cols.append(functools.reduce(np.kron, dimers))
     return _read_only(np.column_stack(cols))
 
 

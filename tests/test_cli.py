@@ -576,6 +576,28 @@ class TestUsageStreams:
         assert capsys.readouterr() == ("", "")
 
 
+class TestNegativeValues:
+    """A value that starts with - or -. and then a digit is a value, not an option: no option
+    of this CLI looks like a number."""
+
+    @pytest.mark.parametrize("argv, joined, code", [
+        (["one-qubit", "--kappa", "2"], "--n=-0.6,0.8,0", 0),
+        (["search", "--target", "rx"], "--theta=-1e-3", 0),
+        (["sweep", "--n", "1,0,0", "--kappa", "1"], "--T=-1e-3", 1),
+    ])
+    def test_reads_as_its_joined_form(self, argv, joined, code):
+        got = invoke(argv + joined.split("=", 1))
+        assert got == invoke(argv + [joined])
+        assert got[0] == code
+        if code:
+            assert got[1] == "" and got[2].startswith("error: ") and got[2].count("\n") == 1
+
+    def test_dash_letter_is_still_an_option(self):
+        code, out, err = invoke(["search", "--target", "rx", "--theta", "-x"])
+        assert (code, out) == (2, "")
+        assert "argument --theta: expected one argument" in err
+
+
 class TestParserReuse:
     # Later requests rely on defaults that earlier ones set explicitly, so a
     # value carried over from one request to the next changes their bytes.

@@ -237,7 +237,7 @@ def leakage_corpus(count, seed=20261020):
 class TestLeakageAudit:
     @pytest.mark.parametrize("case", [*range(4), "corpus"])
     def test_lazy_fields_equal_eager_reference(self, case):
-        # The audit's block is the connection's non-coding-by-coding block, equal to the
+        # The connection's non-coding-by-coding block, which the audit reads, equals the
         # separate product V[:, dc:]^dag X V[:, :dc] bit for bit except for the sign of a
         # zero entry: an FMA gemm kernel (OpenBLAS SkylakeX) rounds an exactly cancelling
         # entry to -0.0 in one product and +0.0 in the other (one entry of case 1, and 170 of
@@ -250,10 +250,12 @@ class TestLeakageAudit:
             model = build_one_dimer(1.0, 1.0) if gen.dim == 4 else build_two_dimer(1.0, 2.0)
             cases = [(gen, model)]
         for gen, model in cases:
-            audit = leakage_audit(connection_on_ground_space(gen, model))
+            conn = connection_on_ground_space(gen, model)
+            audit = leakage_audit(conn)
             entries, max_abs, passed, _ = eager_leakage_audit(gen, model)
             assert (audit.max_abs.hex(), audit.passed) == (max_abs.hex(), passed)
-            assert [unsigned_zero_bits(z) for z in audit.block.ravel().tolist()] == [
+            block = conn.matrix[conn.coding_dim :, : conn.coding_dim]
+            assert [unsigned_zero_bits(z) for z in block.ravel().tolist()] == [
                 unsigned_zero_bits(z) for _, _, z in entries]
 
     def test_one_dimer_passes(self):

@@ -30,7 +30,6 @@ from holonome.matrix_kernel import (
     expm_skew,
     frobenius,
     phase_invariant_distance,
-    tensor_product,
 )
 from holonome.spin_model import build_one_dimer, build_two_dimer, ground_basis
 
@@ -230,7 +229,7 @@ class TestTwoQubitGate:
         fact = analytic_two_qubit_gate(TwoQubitLoop.with_forced_zero_coupling(2, 1))
         assert fact.discrepancy < 1e-10
         # all terms commute: gate is a pure local x-rotation on the target
-        expected = tensor_product(
+        expected = np.kron(
             np.eye(2), expm_skew(-1j * np.sqrt(2.0) * fact.loop.omega2 * np.array([[0, 1], [1, 0]]))
         )
         assert phase_invariant_distance(fact.gamma_exact, expected) < 1e-10
@@ -316,9 +315,9 @@ class TestLocalInvariants:
         for _ in range(5):
             locals_ = [random_unitary(2, rng) for _ in range(4)]
             dressed = (
-                tensor_product(locals_[0], locals_[1])
+                np.kron(locals_[0], locals_[1])
                 @ u
-                @ tensor_product(locals_[2], locals_[3])
+                @ np.kron(locals_[2], locals_[3])
             )
             h1, h2 = reference_local_invariants(dressed)
             assert abs(g1 - h1) < 1e-9

@@ -13,7 +13,6 @@ from holonome.matrix_kernel import (
     frobenius,
     is_unitary,
     phase_invariant_distance,
-    tensor_product,
 )
 from holonome.spin_model import (
     SIGMA_X,
@@ -56,7 +55,7 @@ class TestExpmSkew:
             v = rng.normal(size=3)
             n = v / np.linalg.norm(v)
             coll = sum(
-                c * (tensor_product(p, np.eye(2)) + tensor_product(np.eye(2), p))
+                c * (np.kron(p, np.eye(2)) + np.kron(np.eye(2), p))
                 for c, p in zip(n, (SIGMA_X, SIGMA_Y, SIGMA_Z))
             )
             evals = np.sort(np.linalg.eigvalsh(coll))
@@ -154,10 +153,10 @@ class TestExpMinusI:
 
 class TestTensorProduct:
     def test_identity(self):
-        assert np.array_equal(tensor_product(np.eye(2), np.eye(2)), np.eye(4))
+        assert np.array_equal(np.kron(np.eye(2), np.eye(2)), np.eye(4))
 
     def test_zz_signs(self):
-        zz = tensor_product(SIGMA_Z, SIGMA_Z)
+        zz = np.kron(SIGMA_Z, SIGMA_Z)
         up_up = np.array([1, 0, 0, 0], dtype=complex)
         up_down = np.array([0, 1, 0, 0], dtype=complex)
         assert np.allclose(zz @ up_up, up_up)
@@ -268,8 +267,8 @@ def dense_one_dimer(omega, j1):
 
 def dense_two_dimer(j1, j2):
     id4 = np.eye(4, dtype=complex)
-    return (tensor_product(dense_one_dimer(j1, j1), id4)
-            + tensor_product(id4, dense_one_dimer(j2, j2)))
+    return (np.kron(dense_one_dimer(j1, j1), id4)
+            + np.kron(id4, dense_one_dimer(j2, j2)))
 
 
 def coupling_corpus(seed=20261018, count=200):

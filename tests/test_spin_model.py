@@ -8,7 +8,7 @@ import types
 
 import numpy as np
 import pytest
-from conftest import ground_projector, hamiltonian, reference_model
+from conftest import ground_projector, hamiltonian, reference_model, site_reference
 
 import holonome
 from holonome import adiabatic, synthesis
@@ -26,7 +26,6 @@ from holonome.spin_model import (
     coding_space,
     ground_basis,
     pauli_site,
-    site_operator,
 )
 
 
@@ -273,8 +272,8 @@ class TestDimerBasis:
     def test_z_action_identities(self):
         # sigma_kz T+ = T+, sigma_kz T0 = (-1)^(k+1) S0 for the two spins
         basis = DIMER_BASIS
-        sz1 = site_operator(SIGMA_Z, 0, 2)
-        sz2 = site_operator(SIGMA_Z, 1, 2)
+        sz1 = pauli_site("z", 0, 2)
+        sz2 = pauli_site("z", 1, 2)
         assert np.allclose(sz1 @ basis["T+"], basis["T+"])
         assert np.allclose(sz1 @ basis["T0"], basis["S0"])
         assert np.allclose(sz2 @ basis["T0"], -basis["S0"])
@@ -371,7 +370,7 @@ class TestCaches:
         for axis in "xyz":
             for site in range(n_spins):
                 cached = pauli_site(axis, site, n_spins)
-                assert bit_equal(cached, site_operator(PAULI[axis], site, n_spins))
+                assert bit_equal(cached, site_reference(PAULI[axis], site, n_spins))
                 assert pauli_site(axis, site, n_spins) is cached
 
     @pytest.mark.parametrize("n_spins", [2, 4])

@@ -236,7 +236,7 @@ def _adiabatic(kind: str, loop, couplings, times):
         return [(run.fidelity, run.leakage) for run in runs]
     exact = [adiabatic.exact_propagator(model, gen, T) for T in ts]
     return [(u, adiabatic.holonomy_fidelity(u, gate, model, T)) for u, T in zip(exact, ts)] + [
-        (run.T, run.propagator, run.dynamical_phase,
+        (run.T, run.propagator,
          adiabatic.holonomy_fidelity(run.propagator, gate, model, run.T)) for run in runs]
 
 

@@ -159,6 +159,27 @@ MUTANTS = [
      "    if not (np.abs(u.ravel().view(float)) <= 2.0).all():\n        return False\n", "",
      ["tests/test_matrix_kernel.py::TestPhaseInvariantDistance::"
       "test_non_finite_or_huge_entries_are_not_unitary_without_a_warning"]),
+    # The Hadamard line is searched mod pi through the one-qubit body: H is a rotation by
+    # pi/2 up to a global phase.
+    (SYNTHESIS, "kappa_max, np.pi, eps,", "kappa_max, TWO_PI, eps,",
+     ["tests/test_synthesis.py::TestScanKernelEquivalence::test_hadamard"]),
+    # A rotation search is exhausted on its angle error, not its gate distance ...
+    (SYNTHESIS, "on_distance=False)", "on_distance=True)",
+     ["tests/test_synthesis.py::TestLineSearch::test_rotation_lines"]),
+    # ... and the Hadamard search on its gate distance, not its angle error.
+    (SYNTHESIS, "on_distance=True)", "on_distance=False)",
+     ["tests/test_synthesis.py::TestScanKernelEquivalence::test_hadamard"]),
+    # pauli_site puts the Pauli matrix at its site, spin 0 slow: here at the mirrored site.
+    ("src/holonome/spin_model.py", "    factors[site] = PAULI[axis]\n",
+     "    factors[n_spins - 1 - site] = PAULI[axis]\n",
+     ["tests/test_spin_model.py::TestCaches::test_pauli_sites_bit_equal_fresh"]),
+    # A value that starts with - and a digit is a value, -0.6,0.8,0 and -1e-3 too, not only
+    # argparse's own -12 and -1.5 ...
+    ("src/holonome/cli.py", r're.compile(r"^-\.?\d")', r're.compile(r"^-\d+$|^-\d*\.\d+$")',
+     ["tests/test_cli.py::TestNegativeValues"]),
+    # ... in every subcommand's parser, not only the root's.
+    ("src/holonome/cli.py", "for each in (parser, *sub.choices.values()):", "for each in (parser,):",
+     ["tests/test_cli.py::TestNegativeValues"]),
 ]
 
 
