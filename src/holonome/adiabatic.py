@@ -60,45 +60,31 @@ def _finite_time(T, t_max: float) -> float:
     return T
 
 
-def _from_triplet_basis() -> np.ndarray:
-    """The linear map from a sector's exponential over dimer 2's triplet/singlet basis to its
-    block over dimer 2's product basis, as a complex 10 x 16 matrix (real entries).
-
-    Row 3 i + j takes entry (i, j) of the triplet block E over T+, T0, T-, row 9 the singlet
-    phase p, and column 4 k + l is entry (k, l) over |++>, |+->, |-+>, |-->.  With B's columns
-    T+, T0, T-, S0 (``spin_model.DIMER_BASIS``), B (E + p) B^T has entry (k, l) = w_k w_l
-    E[t(k), t(l)], t = (0, 1, 1, 2), w = (1, r, r, 1), r = 1/sqrt2 and w_1 w_2 = 1/2 exactly,
-    plus p/2 [[1, -1], [-1, 1]] in the middle 2 x 2.  Each entry is one product by 1, r or
-    1/2, or the sum of two halves, so a matrix product rounds it alike in any summation order.
-    """
-    t, w = (0, 1, 1, 2), (1.0, math.sqrt(0.5), math.sqrt(0.5), 1.0)
-    out = np.zeros((10, 16), dtype=complex)
-    for k in range(4):
-        for l in range(4):
-            out[3 * t[k] + t[l], 4 * k + l] = 0.5 if t[k] == t[l] == 1 else w[k] * w[l]
-    out[9, [5, 6, 9, 10]] = (0.5, -0.5, -0.5, 0.5)
-    return out
-
-
-_FROM_TRIPLET_BASIS = _read_only(_from_triplet_basis())
+# The triplet t(k) (T+, T0, T-) of each product state |++>, |+->, |-+>, |--> of a dimer, and
+# each triplet's first product state: ``spin_model.DIMER_BASIS`` is nonzero at exactly these.
+_TRIPLET = _read_only(np.array((0, 1, 1, 2)))
+_FIRST = _read_only(np.array((0, 1, 3)))
+# Flat entry (k, l) of a sector block over the product basis: w_k w_l E[t(k), t(l)], w_k = 1 or
+# r = 1/sqrt2 and w_1 w_2 = 1/2 exactly, plus the singlet phase times _SINGLET at |+->, |-+>.
+_BLOCK_ENTRIES = _read_only((3 * _TRIPLET[:, None] + _TRIPLET).ravel())
+_WEIGHTS = np.outer(*[(1.0, math.sqrt(0.5), math.sqrt(0.5), 1.0)] * 2)
+_WEIGHTS[1:3, 1:3] = 0.5
+_WEIGHTS = _read_only(_WEIGHTS.ravel())
+_SINGLET = _read_only(np.array([[0.5, -0.5], [-0.5, 0.5]]))
 _EYE3 = _read_only(np.eye(3))
 
-# H over the last dimer in each sector, as flat indices into ``model.diagonal`` by model size:
-# one dimer's own entries, or those in dimer 1's |++>, |+->, |--> rows (S1 = 2, 0, -2).
-# H_s over T+, T0, T-, S0 is diag(h_++, h_+-, h_--, h_-+): the triplet entries, then the singlet.
-_SECTOR_H = {
-    4: (_read_only(np.array([[0, 1, 3]])), _read_only(np.array([2]))),
-    16: (_read_only(np.array([[0, 1, 3], [4, 5, 7], [12, 13, 15]])),
-         _read_only(np.array([2, 6, 14]))),
-}
 
-
-def _score_indices(exp_entries, gamma_entries) -> tuple:
+def _score_indices(dim_c: int) -> tuple:
     """What ``_scores`` reads for one coding dimension: rows of the float view of the flat
     triplet exponentials, the real parts of the coding restriction's entries and then their
     imaginary parts, and for each row the entries of Gamma's float view it multiplies, with
-    their signs, for Re and for Im of conj(Gamma) V."""
-    e, g = np.array(exp_entries), np.array(gamma_entries)
+    their signs, for Re and for Im of conj(Gamma) V.
+
+    Entry (i, j) of coding block b (sector 0 for one dimer; control T+ and T0, S1 = 2 and 0, for
+    two) is 9 b + 3 i + j of the (k, 9) flat exponentials, against Gamma's (2 b + i, 2 b + j)."""
+    entries = [(b, i, j) for b in range(dim_c // 2) for i in range(2) for j in range(2)]
+    e = np.array([9 * b + 3 * i + j for b, i, j in entries])
+    g = np.array([(2 * b + i) * dim_c + 2 * b + j for b, i, j in entries])
     rows = np.concatenate((2 * e, 2 * e + 1))
     # Re: Re V Re G and Im V Im G; Im: -Re V Im G and Im V Re G.
     cols = np.stack((np.concatenate((2 * g, 2 * g + 1)), np.concatenate((2 * g + 1, 2 * g))), 1)
@@ -107,14 +93,7 @@ def _score_indices(exp_entries, gamma_entries) -> tuple:
     return _read_only(rows), _read_only(cols), _read_only(signs)
 
 
-# By coding dimension: the coding restriction's entries among the (k, 9) flat triplet
-# exponentials, and the entries of Gamma they meet: the top-left 2 x 2 (T+, T0) of sector 0
-# for one dimer; for two, those of S1 = 2 (control T+) and S1 = 0 (control T0), which meet
-# Gamma's diagonal 2 x 2 blocks.
-_SCORE_INDICES = {
-    2: _score_indices([0, 1, 3, 4], [0, 1, 2, 3]),
-    4: _score_indices([0, 1, 3, 4, 9, 10, 12, 13], [0, 1, 4, 5, 10, 11, 14, 15]),
-}
+_SCORE_INDICES = {dim_c: _score_indices(dim_c) for dim_c in (2, 4)}
 
 
 def _propagators(model: SpinModel, loop, ts: np.ndarray) -> tuple:
@@ -126,26 +105,32 @@ def _propagators(model: SpinModel, loop, ts: np.ndarray) -> tuple:
     S1 = 2, 0, -2 of dimer 1 for two.  So does H, the real diagonal
     ``model.diagonal``, whose |+-> and |-+> entries are equal for each dimer,
     so the frame -iX + HT is a 3 x 3 triplet block, real up to one dimer's
-    fixed ``phases``, and a singlet value per sector.  The real triplet blocks
-    of every T and sector go through one stacked eigendecomposition
+    fixed ``phases``, and a singlet value per sector.  Over (dimer 1, last
+    dimer) a sector's H is read at dimer 1's row _FIRST[s]: the triplet entries
+    at the columns _FIRST, the singlet at |-+>.  The real triplet blocks of
+    every T and sector go through one stacked eigendecomposition
     (``exp_minus_i``) and are then multiplied by ``phases`` entry by entry
-    (these are the returned exponentials), each singlet is one phase, and
-    dimer 1's |++>, |+->, |-+>, |--> take the blocks of S1 = 2, 0, 0, -2.
+    (these are the returned exponentials), and each singlet is one phase.
+    Each sector's block over the last dimer's product basis is written entry
+    by entry from the table _TRIPLET, with no change-of-basis product: a
+    gather times _WEIGHTS, plus the singlet phase times _SINGLET, so each
+    entry is one product by 1, r or 1/2, or the sum of two halves.  Dimer 1's
+    |++>, |+->, |-+>, |--> take the blocks of its sectors _TRIPLET.
     """
     _check_size(loop, model)
     triplets, singlets, phases = loop.triplet_split
-    triplet_h, singlet_h = (model.diagonal.take(i) for i in _SECTOR_H[model.dim])
-    hs = triplet_h[..., None] * _EYE3
+    h = model.diagonal.reshape(-1, 4).take(_FIRST[: len(singlets)], axis=0)
+    hs = h.take(_FIRST, axis=1)[..., None] * _EYE3
     triplet_exps = exp_minus_i(triplets + hs * ts[:, None, None, None]).reshape(len(ts), -1, 9)
     if phases is not None:
         triplet_exps = triplet_exps * phases.ravel()
-    singlet_phases = np.exp(-1j * (singlets + singlet_h * ts[:, None]))[..., None]
-    blocks = np.concatenate((triplet_exps, singlet_phases), axis=-1) @ _FROM_TRIPLET_BASIS
-    blocks = blocks.reshape(len(ts), -1, 4, 4)
+    blocks = (triplet_exps.take(_BLOCK_ENTRIES, axis=-1) * _WEIGHTS).reshape(len(ts), -1, 4, 4)
+    singlet_phases = np.exp(-1j * (singlets + h[:, 2] * ts[:, None]))
+    blocks[..., 1:3, 1:3] += singlet_phases[..., None, None] * _SINGLET
     if len(singlets) == 1:
         return blocks[:, 0], triplet_exps
     us = np.zeros((len(ts), 16, 16), dtype=complex)
-    for i, sector in enumerate((0, 1, 1, 2)):
+    for i, sector in enumerate(_TRIPLET):
         us[:, 4 * i : 4 * i + 4, 4 * i : 4 * i + 4] = blocks[:, sector]
     return us, triplet_exps
 

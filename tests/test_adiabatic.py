@@ -26,7 +26,7 @@ from holonome.deformation import (
 from holonome.errors import DomainError
 from holonome.holonomy import HolonomyGate, connection_on_ground_space, holonomy
 from holonome.matrix_kernel import expm_skew, frobenius, is_unitary
-from holonome.spin_model import build_one_dimer, build_two_dimer, coding_space
+from holonome.spin_model import DIMER_BASIS, build_one_dimer, build_two_dimer, coding_space
 
 from conftest import (
     dense_frames,
@@ -726,6 +726,20 @@ class TestSectorPropagators:
         assert np.count_nonzero(np.abs(axes[:, 2]) > 0.995) >= 150
         assert np.count_nonzero(np.abs(axes[:, 2]) > 1.0 - 1e-10) > 0
         assert worst > 0.0  # the paths round differently; the bound is not vacuous
+
+    def test_triplet_table_agrees_with_dimer_basis(self):
+        # The propagator's product-to-triplet table and spin_model.DIMER_BASIS both own the
+        # dimer basis: product state k lies in the one triplet t(k) whose basis vector is
+        # nonzero at k, each triplet's first such k are the sector rows, and |<k|t(k)>| is the
+        # block weight w_k (row |++> of the weights, w_0 = 1) within one ulp.
+        triplets = [DIMER_BASIS[label] for label in ("T+", "T0", "T-")]
+        support = [[t for t, vec in enumerate(triplets) if vec[k] != 0] for k in range(4)]
+        table = [t for (t,) in support]  # one triplet per product state
+        assert adiabatic._TRIPLET.tolist() == table
+        assert adiabatic._FIRST.tolist() == [table.index(t) for t in range(3)]
+        w = adiabatic._WEIGHTS.reshape(4, 4)[0]
+        overlaps = np.array([abs(triplets[t][k]) for k, t in enumerate(adiabatic._TRIPLET)])
+        assert np.all(np.abs(overlaps - w) <= np.spacing(w))
 
     @pytest.mark.parametrize("qubits", [1, 2])
     def test_oracle_reads_dense_generator(self, monkeypatch, qubits):

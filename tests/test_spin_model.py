@@ -410,7 +410,7 @@ class TestCaches:
                     if isinstance(v, np.ndarray):
                         arrays[f"{info.name}.{name}" + ("" if key is None else f"[{key!r}]")] = v
         assert {"spin_model.SIGMA_Z", "spin_model.ID2", "synthesis.HADAMARD",
-                "adiabatic._FROM_TRIPLET_BASIS", "spin_model.PAULI['x']"} <= set(arrays)
+                "adiabatic._WEIGHTS", "spin_model.PAULI['x']"} <= set(arrays)
         assert [name for name, a in arrays.items() if a.flags.writeable] == []
         sigma_z = SIGMA_Z
         with pytest.raises(ValueError):

@@ -22,8 +22,10 @@ steps, windings up to 1000, T from 0.1 to 10), ``files``: successful requests
 that write ``--out`` and ``--csv`` files by relative paths, and ``couplings``: sweep
 requests at couplings from the least double to MAX_COUPLING, and ``lib audit closed form``:
 the closed-form fields of the seeded ``audit`` requests' factorizations (``--j-zero`` ones
-included), every field but the numeric check ``block_residual``.  ``--diff`` runs this script
-with each tree's ``src`` on PYTHONPATH.
+included), every field but the numeric check ``block_residual``, and ``lib gate closed form``:
+the closed-form fields of the ``one-qubit`` and ``two-qubit`` requests' reports, every field
+but the three numeric checks.  ``--diff`` runs this script with each tree's ``src`` on
+PYTHONPATH.
 """
 
 from __future__ import annotations
@@ -197,8 +199,10 @@ def corpus(top: int):
         a, b = (z / math.hypot(*map(abs, g)) for z in g)
         target = [[a, -b.conjugate()], [b, a.conjugate()]]
         reqs.append(("lib synthesize_su2", ("synthesize_su2", (target, 1e-3, _log_int(rng, 1, top)))))
-    return (reqs + _adiabatic_corpus(top) + _gate_corpus(top) + _files_corpus()
-            + _couplings_corpus() + audits)
+    reqs += _adiabatic_corpus(top) + _gate_corpus(top) + _files_corpus() + _couplings_corpus()
+    gates = [("lib gate closed form", ("gate closed form", _gate_args(argv)))
+             for name, argv in reqs if name in ("one-qubit", "two-qubit")]
+    return reqs + audits + gates
 
 
 def _value(obj) -> str:
@@ -251,6 +255,28 @@ def _audit_closed_form(kp: int, km, kprime: int):
             fact.invariants_exact, fact.invariants_controlled)
 
 
+def _gate_args(argv) -> tuple:
+    """The library arguments of a ``one-qubit`` argv (``--n=...`` first) or a ``two-qubit`` one."""
+    if argv[0] == "one-qubit":
+        return tuple(float(x) for x in argv[1][4:].split(",")), int(argv[3])
+    return int(argv[2]), int(argv[4]), int(argv[6])
+
+
+def _gate_closed_form(*args):
+    """The closed-form fields of one gate report, from the loop (an axis and kappa for one
+    dimer, three windings for two): every field but the numeric checks ``closure_residual``,
+    ``analytic_vs_numeric_distance`` and ``leakage_audit_passed``."""
+    from holonome import deformation, holonomy
+
+    if len(args) == 2:
+        loop = deformation.one_qubit_generator(*args)
+        gamma = holonomy.analytic_one_qubit_gate(loop).gamma
+        return loop.n, loop.kappa, loop.theta_kappa, loop.m, gamma
+    loop = deformation.two_qubit_generator(*args)
+    fact = holonomy.analytic_two_qubit_gate(loop)
+    return loop.coupling_j, loop.n2z, 2.0 * loop.coupling_j, fact.gamma_exact, fact.discrepancy
+
+
 def run(request) -> bytes:
     from holonome import cli, synthesis
 
@@ -260,6 +286,8 @@ def run(request) -> bytes:
             return _value(getattr(synthesis, name)(*args)).encode()
         if name == "audit closed form":
             return _value(_audit_closed_form(*args)).encode()
+        if name == "gate closed form":
+            return _value(_gate_closed_form(*args)).encode()
         return _value(_adiabatic(name, *args)).encode()
     out, err, here = io.StringIO(), io.StringIO(), os.getcwd()
     with tempfile.TemporaryDirectory() as work:

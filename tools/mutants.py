@@ -43,9 +43,23 @@ MUTANTS = [
     # The circular distance is min(r, period - r).
     (SYNTHESIS, "np.minimum(r, period - r)", "np.minimum(r, period + r)",
      ["tests/test_synthesis.py::TestCircularDistance"]),
-    # Dimer 1's |++>, |+->, |-+>, |--> take the blocks of S1 = 2, 0, 0, -2.
-    (ADIABATIC, "enumerate((0, 1, 1, 2))", "enumerate((0, 1, 2, 2))",
-     ["tests/test_adiabatic.py::TestSectorPropagators::test_two_dimer_within_error_bound_of_dense"]),
+    # Dimer 1's |++>, |+->, |-+>, |--> take the blocks of S1 = 2, 0, 0, -2, not -2, 0, 0, 2.
+    (ADIABATIC, "enumerate(_TRIPLET)", "enumerate(_TRIPLET[::-1])",
+     [SECTORS + "test_two_dimer_within_error_bound_of_dense"]),
+    # A dimer's |++>, |+->, |-+>, |--> lie in T+, T0, T0, T-: the one product-to-triplet table.
+    (ADIABATIC, "np.array((0, 1, 1, 2))", "np.array((0, 1, 2, 2))",
+     [SECTORS + "test_triplet_table_agrees_with_dimer_basis",
+      SECTORS + "test_one_dimer_within_error_bound_of_dense"]),
+    # The sectors and H's triplet entries are read at each triplet's first product state.
+    (ADIABATIC, "np.array((0, 1, 3))", "np.array((0, 1, 2))",
+     [SECTORS + "test_triplet_table_agrees_with_dimer_basis",
+      SECTORS + "test_two_dimer_within_error_bound_of_dense"]),
+    # The T0 weight of |+-> and |-+> is exactly 1/2, not r r = 0.5000000000000001.
+    (ADIABATIC, "_WEIGHTS[1:3, 1:3] = 0.5\n", "",
+     ["tests/test_adiabatic.py::TestExactPropagator::test_bit_equal_to_one_time_closed_form"]),
+    # The singlet S0 = (|+-> - |-+>) / sqrt2 adds p/2 [[1, -1], [-1, 1]] to the middle 2 x 2.
+    (ADIABATIC, "np.array([[0.5, -0.5], [-0.5, 0.5]])", "np.array([[0.5, 0.5], [-0.5, 0.5]])",
+     [SECTORS + "test_one_dimer_within_error_bound_of_dense"]),
     # two_qubit_generator builds the coupled loop only: it refuses kappa_- = kappa_+.
     (DEFORMATION,
      "    if loop.kappa_minus == loop.kappa_plus:\n",
@@ -72,8 +86,8 @@ MUTANTS = [
     # _scores sums conj(Gamma) V: the imaginary part of Gamma enters with a minus sign.
     (ADIABATIC, "signs[: len(e), 1] = -1.0", "signs[: len(e), 1] = 1.0", [BLOCK_SCORES]),
     # The coding block of control T0 is dimer 1's S1 = 0 sector (entries 9..13), not S1 = -2.
-    (ADIABATIC, "_score_indices([0, 1, 3, 4, 9, 10, 12, 13],",
-     "_score_indices([0, 1, 3, 4, 18, 19, 21, 22],", [BLOCK_SCORES]),
+    (ADIABATIC, "e = np.array([9 * b + 3 * i + j", "e = np.array([18 * b + 3 * i + j",
+     [BLOCK_SCORES]),
     # A real iX is -Im X, not Im X.
     (ADIABATIC, "if x.real.any() else -x.imag)", "if x.real.any() else x.imag)",
      ["tests/test_adiabatic.py::TestOdePropagator::test_real_basis_matches_complex_reference"]),
